@@ -86,17 +86,6 @@ class NormalFormOperator:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.words.values()), default=0.0)
 
-    def per_mode_degrees(self) -> list[tuple[int, int]]:
-        """Per mode, the maximal creation and annihilation exponents."""
-        out = [(0, 0)] * self.modes
-        for create, annih in self.words:
-            out = [(max(c0, c), max(r0, r))
-                   for (c0, r0), c, r in zip(out, create, annih)]
-        return out
-
-    def max_word_degree(self) -> int:
-        return max((sum(c) + sum(r) for c, r in self.words), default=0)
-
     def max_mode_degree(self) -> int:
         """Largest create+annih exponent any single mode carries in a word."""
         return max((max(c + r for c, r in zip(create, annih))

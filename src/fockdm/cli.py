@@ -28,24 +28,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import commutator, poly_to_normal_form, random_normal_operator
-from .discrepancy import (
-    discrepancy_report,
-    iee_check,
-    rescale_field,
-    scaling_condition_residual,
-)
-from .evolution import MasterTerms, evolve_density, master_rhs, time_average_project
-from .fock import DimensionCapError, realize_matrix
-from .poly import PolyExpr, PolyParseError, parse_poly, random_poly
-from .reify import flow_coeffs, m_operator, rho_z_trace, s_operator
+from .acceptance import CRITERIA, CheckResult
+from .algebra import poly_to_normal_form
+from .discrepancy import discrepancy_report, iee_check
+from .evolution import evolve_density, projection_decay
+from .fock import DimensionCapError
+from .poly import PolyExpr, PolyParseError, parse_poly
+from .reify import flow_coeffs, rho_z_trace
 from .states import (
     AmplitudeOverflowError,
     ClassicalState,
     Ensemble,
     expectation,
-    integrate_state,
-    pseudo_wavefunction,
     pure_density,
 )
 
@@ -171,14 +165,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    tag: str
-    value: float
-    tolerance: float
-    passed: bool
-
-
 @dataclass
 class SuiteResult:
     columns: list
@@ -230,241 +216,19 @@ def emit_report(result: SuiteResult, config: ExperimentConfig,
         fh.write("\n")
 
 
-# --- verify suite -------------------------------------------------------------
-
-
-def _check_coherent_eigenrelation(rng, cutoff):
-    from .fock import annihilation_operator
-    a = annihilation_operator(0, 1, cutoff).data
-    worst = 0.0
-    for _ in range(10):
-        s = ClassicalState(rng.uniform(-1, 1, 1) * 0.99, rng.uniform(-1, 1, 1) * 0.99)
-        w = pseudo_wavefunction(s, cutoff)
-        worst = max(worst, float(np.linalg.norm(a @ w.data - s.z[0] * w.data)))
-    return CheckResult("coherent-eigenrelation", worst, 1e-8, worst <= 1e-8)
-
-
-def _check_expectation_identity(rng, cutoff):
-    worst = 0.0
-    for _ in range(10):
-        g = random_poly(rng, modes=1, degree=6, terms=6)
-        s = ClassicalState(rng.uniform(-1, 1, 1) * 0.99, rng.uniform(-1, 1, 1) * 0.99)
-        rho = pure_density(s, cutoff)
-        worst = max(worst, abs(expectation(rho, g) - g.eval(s.point())))
-    return CheckResult("expectation-identity", worst, 1e-8, worst <= 1e-8)
-
-
-def _check_master_trace(rng, cutoff):
-    D = min(cutoff, 24)
-    worst = 0.0
-    for _ in range(10):
-        h = random_poly(rng, modes=1, degree=3, terms=5) * 0.5
-        terms = MasterTerms(poly_to_normal_form(h))
-        g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        rho = 0.5 * (g + g.conj().T)
-        rho /= np.linalg.norm(rho)
-        worst = max(worst, abs(np.trace(master_rhs(rho, terms, D))))
-    return CheckResult("master-trace-conservation", worst, 1e-10, worst <= 1e-10)
-
-
-def _check_master_flow(rng, cutoff):
-    D = min(cutoff, 24)
-    worst_slope = math.inf
-    for _ in range(2):
-        h = random_poly(rng, modes=1, degree=3, terms=5) * 0.5
-        terms = MasterTerms(poly_to_normal_form(h))
-        s0 = ClassicalState(rng.uniform(-0.6, 0.6, 1), rng.uniform(-0.6, 0.6, 1))
-        rhs = master_rhs(pure_density(s0, D), terms, D)
-        errs = []
-        for dt in (1e-2, 1e-3):
-            fwd = pure_density(integrate_state(h, s0, dt, dt / 20), D)
-            bck = pure_density(integrate_state(h, s0, -dt, dt / 20), D)
-            errs.append(float(np.max(np.abs((fwd.data - bck.data) / (2 * dt) - rhs))))
-        worst_slope = min(worst_slope, math.log10(errs[0] / errs[1]))
-    return CheckResult("master-vs-classical-flow", worst_slope, 1.9,
-                       worst_slope >= 1.9)
-
-
-def _check_ladder_expansion(rng, cutoff):
-    from .algebra import NormalFormOperator as NFO
-
-    def ladder_expansion(H, n):
-        a = NFO.annihilation(0, H.modes)
-        acc = NFO.zero(H.modes)
-        nested = H
-        coeff = 1
-        for k in (1, 2, 3):
-            nested = commutator(a, nested)
-            coeff = coeff * (n - k + 1) // k
-            if coeff == 0:
-                break
-            acc = acc + (nested.scale(coeff) * a.power(n - k))
-        return acc
-
-    def creation_expansion(H, m):
-        ad = NFO.creation(0, H.modes)
-        acc = NFO.zero(H.modes)
-        nested = H
-        sign, coeff = 1, 1
-        for k in (1, 2, 3):
-            nested = commutator(ad, nested)
-            coeff = coeff * (m - k + 1) // k
-            if coeff == 0:
-                break
-            acc = acc + (ad.power(m - k) * nested.scale(sign * coeff))
-            sign = -sign
-        return acc
-
-    bad = 0
-    a = NFO.annihilation()
-    ad = NFO.creation()
-    for _ in range(10):
-        H = random_normal_operator(rng, modes=1, degree=3, words=4)
-        for n in (1, 2, 4):
-            if not (commutator(a.power(n), H) - ladder_expansion(H, n)).is_zero():
-                bad += 1
-            if not (commutator(ad.power(n), H) - creation_expansion(H, n)).is_zero():
-                bad += 1
-            word = ad.power(n) * a.power(n)
-            mixed = (creation_expansion(H, n) * a.power(n)
-                     + ad.power(n) * ladder_expansion(H, n))
-            if not (commutator(word, H) - mixed).is_zero():
-                bad += 1
-    a1 = NFO.annihilation(0, 2)
-    a2 = NFO.annihilation(1, 2)
-    for _ in range(5):
-        H2 = random_normal_operator(rng, modes=2, degree=1, words=3)
-        word = a1.power(2) * a2.power(2)
-        split = (commutator(a1.power(2), H2) * a2.power(2)
-                 + commutator(a2.power(2), H2) * a1.power(2)
-                 + commutator(a1.power(2), commutator(a2.power(2), H2)))
-        if not (commutator(word, H2) - split).is_zero():
-            bad += 1
-    return CheckResult("ladder-commutator-expansion", float(bad), 0.0, bad == 0)
-
-
-def _check_discrepancy_closed_form(rng, cutoff):
-    worst = 0.0
-    for _ in range(20):
-        modes = 1 if rng.uniform() < 0.5 else 2
-        h = random_poly(rng, modes=modes, degree=3, terms=5) * 0.5
-        g = random_poly(rng, modes=modes, degree=4, terms=5)
-        s = ClassicalState(rng.uniform(-0.7, 0.7, modes),
-                           rng.uniform(-0.7, 0.7, modes))
-        rep = discrepancy_report(s, g, h, cutoff)
-        worst = max(worst, rep.residual)
-    return CheckResult("discrepancy-closed-form", worst, 1e-8, worst <= 1e-8)
-
-
-def _check_oscillator_sweep(rng, cutoff):
-    g = parse_poly("phi1*pi1", {})
-    worst = 0.0
-    for m in (0.5, 1.0, 2.0, 4.0):
-        h = parse_poly("0.5*pi1^2 + 0.5*m*phi1^2", {"m": m})
-        rep = discrepancy_report(ClassicalState(np.array([1.0]), np.array([0.0])),
-                                 g, h, cutoff)
-        worst = max(worst, abs(rep.direct - (-(m - 1) / 2)))
-    return CheckResult("oscillator-mass-sweep", worst, 1e-8, worst <= 1e-8)
-
-
-def _check_field_scaling(rng, cutoff):
-    m = 2.0
-    h = parse_poly("0.5*pi1^2 + 0.5*m*phi1^2", {"m": m})
-    h2, mapping = rescale_field(h, m ** -0.25)
-    e = Ensemble.phase_circle(1.0, 16)
-    res = float(np.max(np.abs(scaling_condition_residual(h2, e))))
-    s = mapping.apply(ClassicalState(np.array([1.0]), np.array([0.0])))
-    rep = discrepancy_report(s, parse_poly("phi1*pi1", {}), h2, cutoff)
-    value = max(res, abs(rep.direct))
-    return CheckResult("field-scaling-balance", value, 1e-8, value <= 1e-8)
-
-
-def _check_projection_decay(rng, cutoff):
-    h = poly_to_normal_form(parse_poly("0.5*phi1^2 + 0.5*pi1^2", {}))
-    rho = pure_density(ClassicalState(np.array([1.0]), np.array([0.0])), cutoff)
-    ratios = []
-    for delta in (50.0, 100.0, 200.0):
-        out = time_average_project(rho, h, energy=0.5, delta=delta)
-        off = out.data - np.diag(np.diag(out.data))
-        ratios.append(float(np.max(np.abs(off))) * delta)
-    band = max(ratios) / min(ratios)
-    return CheckResult("projection-offdiagonal-decay", band, 4.0, band <= 4.0)
-
-
-def _check_flow_coeffs(rng, cutoff):
-    c, d = flow_coeffs(math.pi / 6)
-    err = max(abs(c - 4.0), abs(d + 4.0 * math.sqrt(3.0)))
-    return CheckResult("reify-flow-coefficients", err, 1e-12, err <= 1e-12)
-
-
-def _check_reify_divergence(rng, cutoff):
-    grid = np.linspace(0.0, math.pi / 4 - 1e-3, 20)
-    trace = rho_z_trace(ClassicalState(np.array([0.0]), np.array([2.0])),
-                        grid, 64, threshold=1e6)
-    ok = trace.is_monotone() and trace.threshold_alpha is not None
-    return CheckResult("reify-norm-divergence", float(trace.norms[-1]), 1e6,
-                       ok)
-
-
-def _check_two_mode_escape(rng, cutoff):
-    from .states import extended_wavefunction
-    s = ClassicalState(np.array([0.5]), np.array([0.3]))
-    m_norms = {}
-    s_norms = {}
-    for D in (16, 32):
-        wt = extended_wavefunction(s, D)
-        m_norms[D] = float(np.linalg.norm(m_operator(math.pi / 4, 1, D).data
-                                          @ wt.data))
-        u = s_operator(math.pi / 4 - 1e-3, D).data @ pseudo_wavefunction(s, D).data
-        s_norms[D] = float(np.linalg.norm(u)) ** 2
-    m_change = abs(m_norms[32] - m_norms[16]) / m_norms[16]
-    s_ratio = s_norms[32] / s_norms[16]
-    ok = m_change < 0.10 and s_ratio >= 2.0
-    return CheckResult("two-mode-escape", m_change, 0.10, ok)
-
-
-def _check_iee_circle(rng, cutoff):
-    e = Ensemble.phase_circle(1.0, 64)
-    gs = [parse_poly("phi1*pi1", {}), parse_poly("phi1^2 - pi1^2", {})]
-    h1 = parse_poly("0.5*pi1^2 + 0.5*phi1^2", {})
-    rep1 = iee_check(e, h1, gs, cutoff)
-    worst = max(max(abs(r.g_hat), abs(r.g_dot)) for r in rep1.rows)
-    h2 = parse_poly("0.5*pi1^2 + 0.5*m*phi1^2", {"m": 2.0})
-    rep2 = iee_check(e, h2, [gs[0]], cutoff)
-    worst = max(worst, abs(rep2.rows[0].discrepancy - (-0.5)))
-    ok = rep1.equilibrium and not rep2.equilibrium and worst <= 1e-7
-    return CheckResult("iee-phase-circle", worst, 1e-7, ok)
-
-
-_VERIFY_CHECKS = (
-    _check_coherent_eigenrelation,
-    _check_expectation_identity,
-    _check_master_trace,
-    _check_master_flow,
-    _check_ladder_expansion,
-    _check_discrepancy_closed_form,
-    _check_oscillator_sweep,
-    _check_field_scaling,
-    _check_projection_decay,
-    _check_flow_coeffs,
-    _check_reify_divergence,
-    _check_two_mode_escape,
-    _check_iee_circle,
-)
+# --- suites ------------------------------------------------------------------
 
 
 def run_verify(config: ExperimentConfig) -> SuiteResult:
-    streams = np.random.SeedSequence(config.seed).spawn(len(_VERIFY_CHECKS))
+    streams = np.random.SeedSequence(config.seed).spawn(len(CRITERIA))
     with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(check, np.random.default_rng(stream), config.cutoff)
-                   for check, stream in zip(_VERIFY_CHECKS, streams)]
+        futures = [pool.submit(c.check, np.random.default_rng(stream),
+                               config.cutoff, c.verify_samples)
+                   for c, stream in zip(CRITERIA, streams)]
         checks = [f.result() for f in futures]
     rows = [(c.tag, c.value, c.tolerance, c.passed) for c in checks]
     return SuiteResult(columns=["check", "value", "tolerance", "passed"],
                        rows=rows, checks=checks)
-
-
-# --- other suites -----------------------------------------------------------
 
 
 def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
@@ -568,17 +332,7 @@ def run_project(config: ExperimentConfig) -> SuiteResult:
     rho = pure_density(state, config.cutoff)
     energy = expectation(rho, h).real
     columns = ["delta", "max_offdiagonal", "c_estimate", "trace_error"]
-    rows = []
-    estimates = []
-    for delta in config.deltas:
-        out = time_average_project(rho, h_n, energy, delta)
-        evals = np.linalg.eigvalsh(realize_matrix(h_n, config.cutoff).data)
-        gap = np.abs(evals[:, None] - evals[None, :]) > 1e-9
-        off = float(np.max(np.abs(out.data[gap]))) if gap.any() else 0.0
-        estimates.append(off * delta)
-        rows.append((delta, off, off * delta,
-                     abs(out.matrix.trace() - 1.0)))
-    band = max(estimates) / min(estimates) if min(estimates) > 0 else math.inf
+    rows, band = projection_decay(rho, h_n, energy, config.deltas)
     checks = [CheckResult("projection-offdiagonal-decay", band, 4.0,
                           band <= 4.0)]
     return SuiteResult(columns=columns, rows=rows, checks=checks)

@@ -63,9 +63,6 @@ class FieldScaling:
         """Map old coordinates to the primed chart."""
         return ClassicalState(state.phi / self.scales, state.pi * self.scales)
 
-    def invert(self, state: ClassicalState) -> ClassicalState:
-        return ClassicalState(state.phi * self.scales, state.pi / self.scales)
-
 
 def quantum_flux(rho: DensityMatrix, observable: PolyExpr, hamiltonian: PolyExpr,
                  cutoff: int | None = None, cap: int = DIM_CAP) -> complex:

@@ -21,6 +21,7 @@ equation for arbitrary matrices, Hermitian or not, realizable or not.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,3 +236,24 @@ def time_average_project(rho: DensityMatrix, hamiltonian: NormalFormOperator,
     return DensityMatrix(FockMatrix(rho.modes, rho.cutoff, out),
                          hermitian=rho.hermitian, unit_trace=True,
                          provenance=rho.provenance)
+
+
+def projection_decay(rho: DensityMatrix, hamiltonian: NormalFormOperator,
+                     energy: float, deltas):
+    """Rows (delta, largest off-diagonal element, C estimate, trace error)
+    of the time average at each delta, and the spread of the C estimates.
+
+    Off-diagonal means between distinct eigenvalues of H_n: those are the
+    elements the average suppresses like C/delta.  The spread is
+    max/min of off * delta, infinite when some average has none left.
+    """
+    evals = np.linalg.eigvalsh(realize_matrix(hamiltonian, rho.cutoff).data)
+    gap = np.abs(evals[:, None] - evals[None, :]) > 1e-9
+    rows = []
+    for delta in deltas:
+        out = time_average_project(rho, hamiltonian, energy, delta)
+        off = float(np.max(np.abs(out.data[gap]))) if gap.any() else 0.0
+        rows.append((delta, off, off * delta, abs(out.matrix.trace() - 1.0)))
+    estimates = [row[2] for row in rows]
+    band = max(estimates) / min(estimates) if min(estimates) > 0 else math.inf
+    return rows, band

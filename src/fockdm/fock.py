@@ -66,18 +66,8 @@ class FockMatrix:
     cutoff: int
     data: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.cutoff ** self.modes
-
-    def dagger(self) -> "FockMatrix":
-        return FockMatrix(self.modes, self.cutoff, self.data.conj().T)
-
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.data - self.data.conj().T)))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.hermiticity_defect() <= tol
 
     def trace(self) -> complex:
         return complex(np.trace(self.data))
@@ -104,10 +94,6 @@ _word_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
 def annihilation_matrix(cutoff: int) -> np.ndarray:
     return single_mode_word(0, 1, cutoff)
-
-
-def creation_matrix(cutoff: int) -> np.ndarray:
-    return single_mode_word(1, 0, cutoff)
 
 
 def single_mode_word(create: int, annih: int, cutoff: int) -> np.ndarray:

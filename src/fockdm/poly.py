@@ -133,9 +133,6 @@ class PolyExpr:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def has_real_coeffs(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol for c in self.terms.values())
-
     def promote(self, modes: int) -> "PolyExpr":
         """Embed into a chart with more modes (new variables unused)."""
         if modes < self.modes:
@@ -528,10 +525,6 @@ def parse_poly(text: str, bindings: Mapping[str, float] | None = None,
     return _Parser(text, bindings or {}, modes).parse()
 
 
-def differentiate(p: PolyExpr, var: str) -> PolyExpr:
-    return p.differentiate(var)
-
-
 def to_zy(p: PolyExpr) -> PolyExpr:
     return p.to_zy()
 
@@ -545,10 +538,6 @@ def zy_partial(p: PolyExpr, index: MultiIndex) -> PolyExpr:
     if p.chart != "zy":
         raise ChartError("zy_partial expects the zy chart (call to_zy first)")
     return p.partial(index)
-
-
-def eval_poly(p: PolyExpr, point: Sequence[complex]) -> complex:
-    return p.eval(point)
 
 
 def random_poly(rng, chart: str = "phipi", modes: int = 1, degree: int = 3,

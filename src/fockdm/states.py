@@ -195,21 +195,24 @@ def pseudo_wavefunction(state: ClassicalState, cutoff: int,
     keeps the truncated tail below ~1e-10 in norm.
     """
     check_dimension(state.modes, cutoff, cap)
-    columns = []
+    data = None
     for j, zj in enumerate(state.z):
-        amp2 = abs(zj) ** 2
-        if amp2 > cutoff / 4:
-            raise AmplitudeOverflowError(j, amp2, cutoff)
-        col = np.zeros(cutoff, dtype=complex)
-        col[0] = 1.0
-        for k in range(1, cutoff):
-            col[k] = col[k - 1] * zj / math.sqrt(k)
-        col *= math.exp(-amp2 / 2)
-        columns.append(col)
-    data = columns[0]
-    for col in columns[1:]:
-        data = np.kron(data, col)
+        col = _coherent_column(j, zj, cutoff)
+        data = col if data is None else np.kron(data, col)
     return FockVector(state.modes, cutoff, data)
+
+
+def _coherent_column(mode: int, amp: complex, cutoff: int) -> np.ndarray:
+    """amp^k e^{-|amp|^2/2} / sqrt(k!) for k < cutoff, guarded by |amp|^2 <= D/4."""
+    amp2 = abs(amp) ** 2
+    if amp2 > cutoff / 4:
+        raise AmplitudeOverflowError(mode, amp2, cutoff)
+    col = np.zeros(cutoff, dtype=complex)
+    col[0] = 1.0
+    for k in range(1, cutoff):
+        col[k] = col[k - 1] * amp / math.sqrt(k)
+    col *= math.exp(-amp2 / 2)
+    return col
 
 
 def pure_density(state: ClassicalState, cutoff: int,
@@ -315,14 +318,7 @@ def extended_wavefunction(state: ClassicalState, cutoff: int,
     check_dimension(2 * state.modes, cutoff, cap)
     data = None
     for j, zj in enumerate(state.z):
-        amp2 = abs(zj) ** 2
-        if amp2 > cutoff / 4:
-            raise AmplitudeOverflowError(j, amp2, cutoff)
         for amp in (zj, np.conj(zj)):
-            col = np.zeros(cutoff, dtype=complex)
-            col[0] = 1.0
-            for k in range(1, cutoff):
-                col[k] = col[k - 1] * amp / math.sqrt(k)
-            col *= math.exp(-amp2 / 2)
+            col = _coherent_column(j, amp, cutoff)
             data = col if data is None else np.kron(data, col)
     return FockVector(2 * state.modes, cutoff, data)

@@ -2,6 +2,11 @@ import math
 
 import numpy as np
 
+from fockdm.acceptance import (
+    creation_expansion,
+    ladder_expansion,
+    random_two_mode_hamiltonian,
+)
 from fockdm.algebra import (
     NormalFormOperator,
     commutator,
@@ -140,40 +145,6 @@ class TestCommutator:
                 == NormalFormOperator.zero()
 
 
-def taylor_ladder_expansion(H, n):
-    """[a^n, H] via the truncated nested-commutator expansion."""
-    acc = NormalFormOperator.zero(H.modes)
-    nested = H
-    coeff = 1
-    for k in (1, 2, 3):
-        nested = commutator(NormalFormOperator.annihilation(0, H.modes), nested)
-        coeff = coeff * (n - k + 1) // k
-        if n - k < 0 or coeff == 0:
-            break
-        acc = acc + normal_order_product(
-            nested.scale(coeff),
-            NormalFormOperator.annihilation(0, H.modes).power(n - k))
-    return acc
-
-
-def taylor_creation_expansion(H, m):
-    """[(adag)^m, H] via the conjugate truncated expansion."""
-    acc = NormalFormOperator.zero(H.modes)
-    nested = H
-    sign = 1
-    coeff = 1
-    for k in (1, 2, 3):
-        nested = commutator(NormalFormOperator.creation(0, H.modes), nested)
-        coeff = coeff * (m - k + 1) // k
-        if m - k < 0 or coeff == 0:
-            break
-        acc = acc + normal_order_product(
-            NormalFormOperator.creation(0, H.modes).power(m - k),
-            nested.scale(sign * coeff))
-        sign = -sign
-    return acc
-
-
 class TestNestedCommutatorLemmas:
     def test_annihilation_power_lemma_exact(self):
         rng = np.random.default_rng(31)
@@ -181,7 +152,7 @@ class TestNestedCommutatorLemmas:
             H = random_normal_operator(rng, modes=1, degree=3, words=4)
             for n in range(1, 6):
                 lhs = commutator(A.power(n), H)
-                assert lhs - taylor_ladder_expansion(H, n) \
+                assert lhs - ladder_expansion(H, n) \
                     == NormalFormOperator.zero()
 
     def test_creation_power_lemma_exact(self):
@@ -190,7 +161,7 @@ class TestNestedCommutatorLemmas:
             H = random_normal_operator(rng, modes=1, degree=3, words=4)
             for m in range(1, 6):
                 lhs = commutator(AD.power(m), H)
-                assert lhs - taylor_creation_expansion(H, m) \
+                assert lhs - creation_expansion(H, m) \
                     == NormalFormOperator.zero()
 
     def test_mixed_word_lemma_exact(self):
@@ -201,38 +172,17 @@ class TestNestedCommutatorLemmas:
             for m, n in ((1, 1), (2, 3), (3, 2), (5, 4)):
                 word = normal_order_product(AD.power(m), A.power(n))
                 lhs = commutator(word, H)
-                rhs = normal_order_product(taylor_creation_expansion(H, m),
+                rhs = normal_order_product(creation_expansion(H, m),
                                            A.power(n)) \
                     + normal_order_product(AD.power(m),
-                                           taylor_ladder_expansion(H, n))
+                                           ladder_expansion(H, n))
                 assert lhs - rhs == NormalFormOperator.zero()
 
     def test_lemma_fails_beyond_the_order_gate(self):
         # a quartic word violates the gate and leaves a residual
         H = op1({((4,), (0,)): 1.0, ((0,), (4,)): 1.0})
         lhs = commutator(A.power(4), H)
-        assert not (lhs - taylor_ladder_expansion(H, 4)).is_zero()
-
-
-def random_low_total_degree_operator(rng, modes=2, cap=3):
-    words = {}
-    for _ in range(4):
-        create = [0] * modes
-        annih = [0] * modes
-        for _ in range(int(rng.integers(0, cap + 1))):
-            create[int(rng.integers(0, modes))] += 1
-        for _ in range(int(rng.integers(0, cap + 1))):
-            annih[int(rng.integers(0, modes))] += 1
-        key = (tuple(create), tuple(annih))
-        c = complex(int(rng.integers(-8, 9)), int(rng.integers(-8, 9))) / 4
-        if not c:
-            continue
-        words[key] = words.get(key, 0.0) + c
-        mate = (key[1], key[0])
-        words[mate] = words.get(mate, 0.0) + c.conjugate()
-    if not words:
-        words = {((1, 0), (1, 0)): 1.0}
-    return NormalFormOperator(modes, words)
+        assert not (lhs - ladder_expansion(H, 4)).is_zero()
 
 
 class TestTwoModeLemmas:
@@ -242,7 +192,7 @@ class TestTwoModeLemmas:
         a1 = NormalFormOperator.annihilation(0, 2)
         a2 = NormalFormOperator.annihilation(1, 2)
         for _ in range(20):
-            H = random_low_total_degree_operator(rng)
+            H = random_two_mode_hamiltonian(rng)
             for n, m in ((1, 1), (2, 1), (2, 2), (3, 2)):
                 word = normal_order_product(a1.power(n), a2.power(m))
                 lhs = commutator(word, H)
@@ -257,7 +207,7 @@ class TestTwoModeLemmas:
         a1 = NormalFormOperator.annihilation(0, 2)
         a2 = NormalFormOperator.annihilation(1, 2)
         for _ in range(20):
-            H = random_low_total_degree_operator(rng)
+            H = random_two_mode_hamiltonian(rng)
             for n, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
                 lhs = commutator(a1.power(n), commutator(a2.power(m), H))
                 c_ab = commutator(a1, commutator(a2, H))

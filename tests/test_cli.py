@@ -1,8 +1,11 @@
+import importlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from fockdm.acceptance import CRITERIA
 from fockdm.cli import (
     CheckResult,
     ConfigError,
@@ -188,3 +191,28 @@ class TestReifySuite:
         lines = (out / "results.csv").read_text().splitlines()
         assert lines[0] == "alpha,norm,cutoff,residual_a7,residual_a8,c,d"
         assert len(lines) == 1 + 2 * 8
+
+
+class TestVerifySuite:
+    # tolerance column of the 13 verify rows, in row order
+    TOLERANCES = [1e-8, 1e-8, 1e-10, 1.9, 0.0, 1e-8, 1e-8, 1e-8, 4.0, 1e-12,
+                  1e6, 0.10, 1e-7]
+
+    def test_rows_follow_the_registry_and_reruns_are_byte_identical(
+            self, tmp_path, monkeypatch):
+        # the benchmark's verify oracle pins the row order
+        monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1]
+                                    / "perfbench")
+        workloads = importlib.import_module("workloads")
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["verify", "--seed", "11", "--out", str(out1)]) == 0
+        assert main(["verify", "--seed", "11", "--out", str(out2)]) == 0
+        lines = (out1 / "results.csv").read_text().splitlines()
+        assert lines[0] == "check,value,tolerance,passed"
+        rows = [line.split(",") for line in lines[1:]]
+        tags = [r[0] for r in rows]
+        assert tags == [c.tag for c in CRITERIA]
+        assert tuple(tags) == workloads.VERIFY_CHECKS
+        assert [float(r[2]) for r in rows] == self.TOLERANCES
+        assert (out1 / "results.csv").read_bytes() == \
+            (out2 / "results.csv").read_bytes()
