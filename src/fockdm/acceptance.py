@@ -32,7 +32,7 @@ from .discrepancy import (
     scaling_condition_residual,
 )
 from .evolution import MasterTerms, master_rhs, projection_decay
-from .fock import annihilation_operator, interior_block, realize_matrix
+from .fock import interior_block, realize_matrix
 from .poly import parse_poly, random_poly
 from .reify import PoleError, flow_coeffs, m_operator, rho_z_trace, s_operator
 from .states import (
@@ -140,7 +140,8 @@ def creation_expansion(H, m):
 @criterion(1, "coherent-eigenrelation", verify_samples=10)
 def coherent_eigenrelation(rng, cutoff, samples):
     """||a_j w - z_j w|| <= 1e-8 over seeded states, alternating 1 and 2 modes."""
-    ops = {n: [annihilation_operator(j, n, cutoff).data for j in range(n)]
+    ops = {n: [realize_matrix(NormalFormOperator.annihilation(j, n), cutoff).data
+               for j in range(n)]
            for n in (1, 2)}
     worst = 0.0
     for k in range(samples):
@@ -347,7 +348,7 @@ def projection_offdiagonal_decay(rng, cutoff, samples):
     rho = pure_density(ClassicalState(np.array([1.0]), np.array([0.0])), cutoff)
     # v(delta) in [C/(2 delta), 2C/delta] for a single C iff the spread of
     # v * delta stays within a factor of four
-    _, band = projection_decay(rho, h_n, 0.5, (50.0, 100.0, 200.0))
+    _, band = projection_decay(rho, h_n, (50.0, 100.0, 200.0))
     return band, 4.0, band <= 4.0, f"C-estimate spread factor {band:.3f}"
 
 

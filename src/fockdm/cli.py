@@ -10,7 +10,7 @@ child streams per sub-check, so sub-checks can run in parallel without
 losing determinism.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad configuration,
-3 numerical failure while running.
+3 numerical or resource failure while running.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ EXPERIMENTS = ("verify", "discrepancy", "evolve", "reify", "project", "iee")
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -95,16 +99,28 @@ class ExperimentConfig:
             if not isinstance(v, int) or v <= 0:
                 raise ConfigError(f"{name}: must be a positive integer")
         for name in ("dt", "alpha_margin"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name}: must be positive")
-        if self.t < 0:
-            raise ConfigError("t: must be nonnegative")
+            v = getattr(self, name)
+            if not _is_number(v) or not v > 0:
+                raise ConfigError(f"{name}: must be a positive number")
+        if not _is_number(self.t) or self.t < 0:
+            raise ConfigError("t: must be a nonnegative number")
         if self.generator not in ("liouville", "master"):
             raise ConfigError("generator: must be liouville or master")
-        if any(d <= 0 for d in self.deltas):
-            raise ConfigError("deltas: must be positive")
-        if any(not isinstance(c, int) or c < 2 for c in self.cutoffs):
-            raise ConfigError("cutoffs: must be integers >= 2")
+        if (not isinstance(self.deltas, list) or not self.deltas
+                or not all(_is_number(d) and d > 0 for d in self.deltas)):
+            raise ConfigError("deltas: must be a nonempty list of positive "
+                              "numbers")
+        if (not isinstance(self.bindings, dict)
+                or not all(_is_number(v) for v in self.bindings.values())):
+            raise ConfigError("bindings: must map names to numbers")
+        if (not isinstance(self.sweep, dict) or len(self.sweep) > 1
+                or not all(isinstance(vs, list) and all(map(_is_number, vs))
+                           for vs in self.sweep.values())):
+            raise ConfigError("sweep: must map one binding name to a list of "
+                              "numbers")
+        if not isinstance(self.cutoffs, list) or any(
+                not isinstance(c, int) or c < 2 for c in self.cutoffs):
+            raise ConfigError("cutoffs: must be a list of integers >= 2")
         if self.snapshot_every is not None and self.snapshot_every <= 0:
             raise ConfigError("snapshot_every: must be positive when given")
         if not self.observables and self.experiment in ("discrepancy", "evolve",
@@ -233,9 +249,8 @@ def run_verify(config: ExperimentConfig) -> SuiteResult:
 
 def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
     state = config.classical_state()
-    sweep_items = sorted(config.sweep.items())
-    if sweep_items:
-        name, values = sweep_items[0]
+    if config.sweep:
+        [(name, values)] = config.sweep.items()
     else:
         name, values = "m", [config.bindings.get("m", 1.0)]
     columns = [name, "observable", "g_hat_re", "g_hat_im", "g_dot",
@@ -330,9 +345,8 @@ def run_project(config: ExperimentConfig) -> SuiteResult:
     h_n = poly_to_normal_form(h)
     state = config.classical_state()
     rho = pure_density(state, config.cutoff)
-    energy = expectation(rho, h).real
     columns = ["delta", "max_offdiagonal", "c_estimate", "trace_error"]
-    rows, band = projection_decay(rho, h_n, energy, config.deltas)
+    rows, band = projection_decay(rho, h_n, config.deltas)
     checks = [CheckResult("projection-offdiagonal-decay", band, 4.0,
                           band <= 4.0)]
     return SuiteResult(columns=columns, rows=rows, checks=checks)
@@ -421,6 +435,9 @@ def main(argv=None) -> int:
     except (AmplitudeOverflowError, DimensionCapError, FloatingPointError,
             np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource failure: out of memory", file=sys.stderr)
         return 3
     out_dir = Path(config.out)
     emit_report(result, config, out_dir)

@@ -153,26 +153,6 @@ def discrepancy_report(state: ClassicalState, observable: PolyExpr,
                              applicable=applicable)
 
 
-def ensemble_discrepancy(ensemble: Ensemble, observable: PolyExpr,
-                         hamiltonian: PolyExpr, cutoff: int,
-                         order_cap: int = 3,
-                         cap: int = DIM_CAP) -> DiscrepancyReport:
-    """Member-wise discrepancy averaged with the ensemble weights."""
-    g_hat = 0.0 + 0.0j
-    g_dot = 0.0
-    closed = 0.0 + 0.0j
-    applicable = True
-    for s, w in ensemble.members:
-        rep = discrepancy_report(s, observable, hamiltonian, cutoff, order_cap,
-                                 cap)
-        g_hat += w * rep.g_hat
-        g_dot += w * rep.g_dot
-        closed += w * rep.closed_form
-        applicable = applicable and rep.applicable
-    return DiscrepancyReport(g_hat=g_hat, g_dot=g_dot, direct=g_hat - g_dot,
-                             closed_form=closed, applicable=applicable)
-
-
 def rescale_field(hamiltonian: PolyExpr,
                   scales) -> tuple[PolyExpr, FieldScaling]:
     """Apply the canonical scaling phi_j = s_j phi'_j, pi_j = pi'_j / s_j.
@@ -242,14 +222,17 @@ def iee_check(ensemble: Ensemble, hamiltonian: PolyExpr,
     reported per observable; the equilibrium flag demands that both fluxes
     vanish within tolerance.  No attempt is made to construct equilibria.
     """
+    observables = list(observables)
+
+    def quantum_fluxes(s):
+        rho = pure_density(s, cutoff, cap)
+        return np.array([quantum_flux(rho, g, hamiltonian, cutoff, cap)
+                         for g in observables])
+
     rows = []
-    for g in observables:
-        g_hat = 0.0 + 0.0j
-        g_dot = 0.0
-        for s, w in ensemble.members:
-            rho = pure_density(s, cutoff, cap)
-            g_hat += w * quantum_flux(rho, g, hamiltonian, cutoff, cap)
-            g_dot += w * classical_flux(s, g, hamiltonian)
+    for g, g_hat in zip(observables, ensemble.average(quantum_fluxes)):
+        g_hat = complex(g_hat)
+        g_dot = ensemble.average(lambda s: classical_flux(s, g, hamiltonian))
         rows.append(IEEObservableRow(observable=str(g), g_hat=g_hat,
                                      g_dot=g_dot, discrepancy=g_hat - g_dot))
     return IEEReport(rows=tuple(rows), tolerance=tolerance)

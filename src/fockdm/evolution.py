@@ -10,7 +10,8 @@
   where C_a H_aL H_aR ranges over the Hermitian-paired words of H_n.  The
   inner commutators close in the word algebra ([adag, a^r] = -r a^(r-1) and
   [a, adag^l] = l adag^(l-1)), so every ingredient is precomputed
-  symbolically and realized once per cutoff.
+  symbolically as a sandwich of two words, and each sandwich is applied to
+  rho by slicing and scaling (fock.word_diagonal).
 
 For ensembles of pure classical states the two generators agree on the
 trajectory of the state only in special cases; quantifying the mismatch is
@@ -20,14 +21,14 @@ equation for arbitrary matrices, Hermitian or not, realizable or not.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import NormalFormOperator, hermitian_pair_check
-from .fock import DIM_CAP, FockMatrix, check_dimension, realize_matrix
+from .fock import DIM_CAP, FockMatrix, check_dimension, realize_matrix, word_diagonal
 from .states import DensityMatrix
 
 log = logging.getLogger(__name__)
@@ -35,13 +36,6 @@ log = logging.getLogger(__name__)
 
 class PairingError(ValueError):
     """The Hamiltonian words do not pair off under Hermitian conjugation."""
-
-
-@dataclass(frozen=True)
-class _TermMatrices:
-    """Realized (pre, post) sandwich factors for one cutoff."""
-
-    pairs: list[tuple[np.ndarray, np.ndarray]]
 
 
 class MasterTerms:
@@ -59,8 +53,7 @@ class MasterTerms:
     Each of the four families has a trace-cancelling partner, so the trace of
     the right-hand side vanishes identically for arbitrary input matrices,
     Hermitian or not; the whole map is linear over the complex scalars.  On
-    Hermitian input it coincides with rho' + (rho')^H.  Realized matrices
-    are cached per cutoff.
+    Hermitian input it coincides with rho' + (rho')^H.
     """
 
     def __init__(self, hamiltonian: NormalFormOperator):
@@ -90,7 +83,6 @@ class MasterTerms:
                     terms.append((-1j * coeff * create[j],
                                   ej, annih, drop_l, zero))
         self.sandwich_terms = terms
-        self._matrix_cache: dict[int, _TermMatrices] = {}
 
     def commutator_words(self, create: tuple, annih: tuple,
                          mode: int) -> tuple[NormalFormOperator, NormalFormOperator]:
@@ -105,24 +97,6 @@ class MasterTerms:
                  if create[mode] else NormalFormOperator.zero(n))
         return left, right
 
-    def realize(self, cutoff: int, cap: int = DIM_CAP) -> _TermMatrices:
-        cached = self._matrix_cache.get(cutoff)
-        if cached is not None:
-            return cached
-        check_dimension(self.modes, cutoff, cap)
-        n = self.modes
-
-        def word_mat(create, annih):
-            return realize_matrix(NormalFormOperator(n, {(tuple(create),
-                                                          tuple(annih)): 1.0}),
-                                  cutoff, cap).data
-
-        pairs = [(coeff * word_mat(pc, pa), word_mat(qc, qa))
-                 for coeff, pc, pa, qc, qa in self.sandwich_terms]
-        out = _TermMatrices(pairs)
-        self._matrix_cache[cutoff] = out
-        return out
-
 
 def liouville_rhs(rho: DensityMatrix | np.ndarray, hamiltonian: NormalFormOperator,
                   cutoff: int, cap: int = DIM_CAP) -> np.ndarray:
@@ -136,16 +110,29 @@ def liouville_rhs(rho: DensityMatrix | np.ndarray, hamiltonian: NormalFormOperat
 
 def master_rhs(rho: DensityMatrix | np.ndarray, terms: MasterTerms,
                cutoff: int, cap: int = DIM_CAP) -> np.ndarray:
-    """Free-space master equation right-hand side (unfolded form)."""
+    """Free-space master equation right-hand side (unfolded form).
+
+    rho is viewed as a (D,)*2n tensor, row modes first.  Each sandwich term
+    coeff * pre rho post is one slice-and-scale of that tensor: the pre word
+    acts on the row axes and the post word on the column axes through its
+    transpose, so source and target swap there.
+    """
     data = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    mats = terms.realize(cutoff, cap)
-    dim = cutoff ** terms.modes
+    n = terms.modes
+    dim = check_dimension(n, cutoff, cap)
     if data.shape != (dim, dim):
         raise ValueError("dimension mismatch between rho and the term table")
-    out = np.zeros_like(data, dtype=complex)
-    for pre, post in mats.pairs:
-        out += pre @ data @ post
-    return out
+    tensor = data.reshape((cutoff,) * (2 * n))
+    out = np.zeros(tensor.shape, dtype=complex)
+    for coeff, pre_c, pre_a, post_c, post_a in terms.sandwich_terms:
+        pre = [word_diagonal(c, a, cutoff) for c, a in zip(pre_c, pre_a)]
+        post = [word_diagonal(c, a, cutoff) for c, a in zip(post_c, post_a)]
+        source = tuple(w.source for w in pre) + tuple(w.target for w in post)
+        target = tuple(w.target for w in pre) + tuple(w.source for w in post)
+        scale = functools.reduce(np.multiply.outer,
+                                 [w.weights for w in pre + post], coeff)
+        out[target] += scale * tensor[source]
+    return out.reshape(dim, dim)
 
 
 def evolve_density(rho0: DensityMatrix, generator: str,
@@ -170,7 +157,6 @@ def evolve_density(rho0: DensityMatrix, generator: str,
             return -1j * (hmat @ m - m @ hmat)
     elif generator == "master":
         terms = MasterTerms(hamiltonian)
-        terms.realize(cutoff, cap)
 
         def rhs(m):
             return master_rhs(m, terms, cutoff, cap)
@@ -201,35 +187,31 @@ def evolve_density(rho0: DensityMatrix, generator: str,
 
 
 def time_average_project(rho: DensityMatrix, hamiltonian: NormalFormOperator,
-                         energy: float, delta: float, dt: float | None = None,
-                         cap: int = DIM_CAP) -> DensityMatrix:
-    """Trace-normalized time average of e^{i(H-E)t} rho e^{-i(H-E)t}.
+                         delta: float, cap: int = DIM_CAP) -> DensityMatrix:
+    """Trace-normalized time average of e^{iHt} rho e^{-iHt} over [0, delta].
 
-    Trapezoid quadrature over [0, delta] at step dt (default
-    min(0.01, delta/1000)) in the eigenbasis of H_n; the energy offset E
-    cancels between the two exponentials, so it only documents which shell
-    the state lives on.  Off-diagonal elements between eigenspaces with gap
-    w decay like 2 sin(w delta / 2) / (w delta).
+    Trapezoid quadrature at step dt = min(0.01, delta/1000) in the eigenbasis
+    of H_n.  An energy offset E in H - E would cancel between the two
+    exponentials.  Between eigenvalues with gap w the N-step rule sums the
+    geometric series e^{iNh} sin(Nh) / tan(h) with h = w dt / 2, which is
+    pi-periodic in h; reducing h modulo pi to |h| <= pi/2 keeps sin(Nh)
+    accurate, and where h is then 0 the sum is its limit N.  Off-diagonal elements
+    decay like 2 sin(w delta / 2) / (w delta).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    dt = min(0.01, delta / 1000) if dt is None else dt
+    dt = min(0.01, delta / 1000)
     steps = max(1, int(round(delta / dt)))
     hmat = realize_matrix(hamiltonian, rho.cutoff, cap)
     if hmat.hermiticity_defect() > 1e-10:
         raise ValueError("projection requires a Hermitian generator")
     evals, vecs = np.linalg.eigh(hmat.data)
     rho_eig = vecs.conj().T @ rho.data @ vecs
-    omega = evals[:, None] - evals[None, :]
-    phase_sum = np.zeros_like(rho_eig)
-    weights = np.ones(steps + 1)
-    weights[0] = weights[-1] = 0.5
-    chunk = 512
-    for start in range(0, steps + 1, chunk):
-        ts = (np.arange(start, min(start + chunk, steps + 1)) * dt)
-        w = weights[start:start + ts.size]
-        phase_sum += np.tensordot(w, np.exp(1j * omega[None, :, :] * ts[:, None, None]),
-                                  axes=(0, 0))
+    h = (evals[:, None] - evals[None, :]) * (dt / 2)
+    h -= math.pi * np.round(h / math.pi)
+    zero = h == 0
+    phase_sum = np.where(zero, steps, np.exp(1j * steps * h) * np.sin(steps * h)
+                         / np.tan(np.where(zero, 1.0, h)))
     averaged = rho_eig * phase_sum * (dt / delta)
     out = vecs @ averaged @ vecs.conj().T
     out /= np.trace(out).real
@@ -239,7 +221,7 @@ def time_average_project(rho: DensityMatrix, hamiltonian: NormalFormOperator,
 
 
 def projection_decay(rho: DensityMatrix, hamiltonian: NormalFormOperator,
-                     energy: float, deltas):
+                     deltas):
     """Rows (delta, largest off-diagonal element, C estimate, trace error)
     of the time average at each delta, and the spread of the C estimates.
 
@@ -251,7 +233,7 @@ def projection_decay(rho: DensityMatrix, hamiltonian: NormalFormOperator,
     gap = np.abs(evals[:, None] - evals[None, :]) > 1e-9
     rows = []
     for delta in deltas:
-        out = time_average_project(rho, hamiltonian, energy, delta)
+        out = time_average_project(rho, hamiltonian, delta)
         off = float(np.max(np.abs(out.data[gap]))) if gap.any() else 0.0
         rows.append((delta, off, off * delta, abs(out.matrix.trace() - 1.0)))
     estimates = [row[2] for row in rows]

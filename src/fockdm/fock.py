@@ -1,9 +1,16 @@
-"""Dense realization of normal-ordered operators in truncated Fock space.
+"""Normal-ordered words in truncated Fock space.
 
 Each of the n modes keeps occupations 0..D-1; the joint basis is the tensor
 product with mode 1 as the slowest-varying index, so index i encodes the
 occupation tuple via repeated divmod by D.  Ladder matrices follow
 <k-1|a|k> = sqrt(k).
+
+A single-mode word (adag)^c a^r is a shifted diagonal (``word_diagonal``)
+and an n-mode word is their tensor product, so a word acts on a vector or a
+matrix, viewed as a (D,)*n or (D,)*2n tensor, by slicing and scaling along
+one axis per mode.  Dense matrices (``realize_matrix``) remain for
+eigendecompositions, reification and test oracles, and for now for
+expectations, quantum flux and the Liouville commutator.
 
 Truncation policy: a single normal-ordered word (adag)^c a^r realizes
 exactly on the whole block (its matrix elements agree with the untruncated
@@ -15,8 +22,10 @@ interior block of occupations with a safety margin at the top.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,50 +98,40 @@ class FockMatrix:
                    flat.reshape((dim, dim), order="F"))
 
 
-_word_cache: dict[tuple[int, int, int], np.ndarray] = {}
+class WordDiagonal(NamedTuple):
+    """(adag)^create a^annih on one mode: out[target] = weights * v[source]."""
+
+    source: slice
+    target: slice
+    weights: np.ndarray
 
 
-def annihilation_matrix(cutoff: int) -> np.ndarray:
-    return single_mode_word(0, 1, cutoff)
+def word_diagonal(create: int, annih: int, cutoff: int) -> WordDiagonal:
+    """The single-mode word as a shifted diagonal.
+
+    It reads occupation k from annih up and writes k - annih + create, with
+    weight sqrt(k (k-1) ... (k-annih+1) * (k-annih+1) ... (k-annih+create)),
+    the product taken factor by factor in that order.
+    """
+    length = max(cutoff - max(create, annih), 0)
+    k = np.arange(annih, annih + length, dtype=float)
+    val = np.ones(length)
+    for step in range(annih):
+        val *= k - step
+    for step in range(create):
+        val *= k - annih + 1 + step
+    return WordDiagonal(slice(annih, annih + length),
+                        slice(create, create + length), np.sqrt(val))
 
 
+@functools.lru_cache
 def single_mode_word(create: int, annih: int, cutoff: int) -> np.ndarray:
     """Exact D x D matrix of (adag)^create a^annih (shared, read-only)."""
-    key = (cutoff, create, annih)
-    cached = _word_cache.get(key)
-    if cached is not None:
-        return cached
+    word = word_diagonal(create, annih, cutoff)
     mat = np.zeros((cutoff, cutoff), dtype=complex)
-    for col in range(annih, cutoff):
-        row = col - annih + create
-        if row >= cutoff:
-            continue
-        val = 1.0
-        for step in range(annih):
-            val *= col - step
-        for step in range(create):
-            val *= col - annih + 1 + step
-        mat[row, col] = np.sqrt(val)
+    np.fill_diagonal(mat[word.target, word.source], word.weights)
     mat.setflags(write=False)
-    _word_cache[key] = mat
     return mat
-
-
-def mode_operator(single: np.ndarray, mode: int, modes: int,
-                  cutoff: int, cap: int = DIM_CAP) -> np.ndarray:
-    """Embed a single-mode matrix at one mode of the tensor product."""
-    check_dimension(modes, cutoff, cap)
-    out = np.eye(1, dtype=complex)
-    for j in range(modes):
-        out = np.kron(out, single if j == mode else np.eye(cutoff))
-    return out
-
-
-def annihilation_operator(mode: int, modes: int, cutoff: int,
-                          cap: int = DIM_CAP) -> FockMatrix:
-    return FockMatrix(modes, cutoff,
-                      mode_operator(annihilation_matrix(cutoff), mode, modes,
-                                    cutoff, cap))
 
 
 def realize_matrix(op: NormalFormOperator, cutoff: int,

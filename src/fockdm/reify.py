@@ -27,6 +27,7 @@ and bury the answer).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,16 +43,14 @@ class PoleError(ValueError):
     """Requested alpha sits on (or too close to) the pi/4 pole."""
 
 
-_s_bundle_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache
 def _s_bundle(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _s_bundle_cache.get(cutoff)
-    if cached is None:
-        gen = 0.5 * (single_mode_word(2, 0, cutoff) + single_mode_word(0, 2, cutoff))
-        cached = np.linalg.eigh(gen)
-        _s_bundle_cache[cutoff] = cached
-    return cached
+    """Eigendecomposition of the S generator (shared, read-only)."""
+    gen = 0.5 * (single_mode_word(2, 0, cutoff) + single_mode_word(0, 2, cutoff))
+    bundle = np.linalg.eigh(gen)
+    for part in bundle:
+        part.setflags(write=False)
+    return bundle
 
 
 def s_operator(alpha: float, cutoff: int) -> FockMatrix:

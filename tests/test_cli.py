@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fockdm import cli
 from fockdm.acceptance import CRITERIA
 from fockdm.cli import (
     CheckResult,
@@ -97,6 +98,31 @@ class TestExitCodes:
             "hamiltonian": "0.5*pi1^2", "bindings": {}, "observables": [],
         })
         assert main(["iee", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("experiment, name, value", [
+        ("evolve", "t", "1"),
+        ("project", "deltas", 5),
+        ("project", "deltas", []),
+        ("project", "bindings", {"m": "x"}),
+        ("discrepancy", "sweep", {"m": [0.5, 2.0], "k": [1.0]}),
+        ("reify", "cutoffs", 5),
+    ], ids=["t-text", "deltas-scalar", "deltas-empty", "bindings-text",
+            "sweep-two-keys", "cutoffs-scalar"])
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, experiment,
+                                         name, value):
+        cfg = write_config(tmp_path, "bad.json", {name: value, "seed": 1})
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name}:")
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._RUNNERS, "project", exhausted)
+        assert main(["project", "--out", str(tmp_path / "out")]) == 3
+        assert "out of memory" in capsys.readouterr().err
 
 
 class TestDiscrepancySweep:

@@ -9,7 +9,6 @@ from fockdm.discrepancy import (
     discrepancy_closed_form,
     discrepancy_direct,
     discrepancy_report,
-    ensemble_discrepancy,
     iee_check,
     quantum_flux,
     rescale_field,
@@ -199,10 +198,11 @@ class TestClosedForm:
 class TestEnsembleDiscrepancy:
     def test_average_of_constant_gap(self):
         e = Ensemble.phase_circle(1.0, 16)
-        rep = ensemble_discrepancy(e, parse_poly("phi1*pi1", {}),
-                                   oscillator(2.0), 32)
-        assert abs(rep.direct - (-0.5)) <= 1e-8
-        assert abs(rep.closed_form - (-0.5)) <= 1e-12
+        g, H = parse_poly("phi1*pi1", {}), oscillator(2.0)
+        direct = iee_check(e, H, [g], 32).rows[0].discrepancy
+        closed = e.average(lambda s: discrepancy_closed_form(s, g, H)[0])
+        assert abs(direct - (-0.5)) <= 1e-8
+        assert abs(closed - (-0.5)) <= 1e-12
 
 
 class TestRescaleField:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from fockdm.acceptance import master_vs_classical_flow
-from fockdm.algebra import NormalFormOperator, poly_to_normal_form
+from fockdm.algebra import (
+    NormalFormOperator,
+    poly_to_normal_form,
+    random_normal_operator,
+)
 from fockdm.evolution import (
     MasterTerms,
     PairingError,
@@ -13,7 +17,13 @@ from fockdm.evolution import (
     master_rhs,
     time_average_project,
 )
-from fockdm.fock import FockMatrix, interior_block, realize_matrix, trace_product
+from fockdm.fock import (
+    DimensionCapError,
+    FockMatrix,
+    interior_block,
+    realize_matrix,
+    trace_product,
+)
 from fockdm.poly import parse_poly, random_poly
 from fockdm.states import (
     ClassicalState,
@@ -111,6 +121,34 @@ class TestMasterEquation:
         rhs = liouville_rhs(rho, H, D)
         diff = np.abs(interior_block(lhs - rhs, 1, D, 4))
         assert diff.max() <= 1e-8
+
+    @pytest.mark.parametrize("modes, D", [(1, 8), (1, 16), (2, 8), (2, 16)])
+    def test_equals_the_dense_sandwich_oracle(self, modes, D):
+        # per-mode degree 2 keeps the sandwich weights small enough that
+        # the two routes differ by rounding only, at most 6.4e-14 ||rho||
+        rng = np.random.default_rng(37 + 10 * modes + D)
+        for _ in range(3):
+            H = random_normal_operator(rng, modes=modes, degree=2, words=4)
+            terms = MasterTerms(H)
+            dim = D ** modes
+            g = rng.standard_normal((dim, dim)) \
+                + 1j * rng.standard_normal((dim, dim))
+            for rho in (g, 0.5 * (g + g.conj().T)):
+                want = np.zeros((dim, dim), dtype=complex)
+                for coeff, pc, pa, qc, qa in terms.sandwich_terms:
+                    pre = NormalFormOperator(modes, {(pc, pa): 1.0})
+                    post = NormalFormOperator(modes, {(qc, qa): 1.0})
+                    want += (coeff * realize_matrix(pre, D).data) @ rho \
+                        @ realize_matrix(post, D).data
+                got = master_rhs(rho, terms, D)
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-12 * np.linalg.norm(rho)
+
+    def test_dimension_cap(self):
+        terms = MasterTerms(poly_to_normal_form(
+            parse_poly("phi1^2 + phi2^2 + phi3^2", {})))
+        with pytest.raises(DimensionCapError):
+            master_rhs(np.zeros((17 ** 3, 1)), terms, 17)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
@@ -244,27 +282,55 @@ class TestTimeAverageProject:
         diag = np.diag(np.linspace(0.4, 0.05, D)).astype(complex)
         diag /= np.trace(diag).real
         rho = DensityMatrix(FockMatrix(1, D, diag))
-        out = time_average_project(rho, number_operator(), energy=1.0, delta=7.0)
+        out = time_average_project(rho, number_operator(), delta=7.0)
         assert np.max(np.abs(out.data - rho.data)) <= 1e-12
 
     def test_trace_normalized(self):
         D = 24
         rho = pure_density(state1(1.0, 0.0), D)
-        out = time_average_project(rho, number_operator(), energy=0.5, delta=50.0)
+        out = time_average_project(rho, number_operator(), delta=50.0)
         assert abs(out.matrix.trace() - 1.0) <= 1e-10
 
     def test_off_diagonal_suppression_at_large_delta(self):
         D = 32
         rho = pure_density(state1(1.0, 0.0), D)
-        out = time_average_project(rho, number_operator(), energy=0.5,
-                                   delta=200.0)
+        out = time_average_project(rho, number_operator(), delta=200.0)
         off0 = np.abs(rho.data - np.diag(np.diag(rho.data))).max()
         off = np.abs(out.data - np.diag(np.diag(out.data))).max()
         assert off <= (3.0 / 200.0) * off0
 
-    def test_energy_offset_is_inert(self):
-        D = 16
-        rho = pure_density(state1(0.7, 0.1), D)
-        a = time_average_project(rho, number_operator(), energy=0.0, delta=25.0)
-        b = time_average_project(rho, number_operator(), energy=3.7, delta=25.0)
-        assert np.max(np.abs(a.data - b.data)) <= 1e-12
+    @staticmethod
+    def trapezoid_loop(rho, hamiltonian, delta):
+        # the quadrature step by step: sum_k w_k e^{iHt_k} rho e^{-iHt_k}
+        dt = min(0.01, delta / 1000)
+        steps = max(1, int(round(delta / dt)))
+        evals, vecs = np.linalg.eigh(realize_matrix(hamiltonian,
+                                                    rho.cutoff).data)
+        rho_eig = vecs.conj().T @ rho.data @ vecs
+        omega = evals[:, None] - evals[None, :]
+        total = np.zeros_like(rho_eig)
+        for k in range(steps + 1):
+            weight = 0.5 if k in (0, steps) else 1.0
+            total += weight * np.exp(1j * omega * (k * dt))
+        out = vecs @ (rho_eig * total) @ vecs.conj().T
+        return out / np.trace(out).real
+
+    @pytest.mark.parametrize("modes, D, scale, delta", [
+        # gaps w = 100 pi k at dt = 0.01, so w dt = pi, 2 pi, 3 pi, ...
+        (1, 8, 100 * math.pi, 50.0),
+        # degenerate levels (w = 0 between distinct states), w dt = pi, 2 pi
+        (2, 5, 100 * math.pi, 20.0),
+        (1, 8, 1.0, 25.0),
+        (1, 8, 1.0, 7.0),
+    ])
+    def test_closed_form_equals_the_trapezoid_loop(self, modes, D, scale,
+                                                   delta):
+        units = [tuple(int(j == m) for j in range(modes)) for m in range(modes)]
+        H = NormalFormOperator(modes, {(e, e): scale for e in units})
+        rng = np.random.default_rng(31)
+        g = rng.standard_normal((D ** modes,) * 2) \
+            + 1j * rng.standard_normal((D ** modes,) * 2)
+        rho = DensityMatrix(FockMatrix(modes, D, g @ g.conj().T))
+        want = self.trapezoid_loop(rho, H, delta)
+        got = time_average_project(rho, H, delta).data
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

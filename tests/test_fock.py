@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,6 @@ from fockdm.algebra import (
 from fockdm.fock import (
     DimensionCapError,
     FockMatrix,
-    annihilation_matrix,
     expm_hermitian,
     interior_block,
     interior_indices,
@@ -27,7 +29,7 @@ AD = NormalFormOperator.creation()
 
 class TestLadderMatrices:
     def test_annihilation_entries_at_cutoff_3(self):
-        a = annihilation_matrix(3)
+        a = single_mode_word(0, 1, 3)
         want = np.zeros((3, 3), dtype=complex)
         want[0, 1] = 1.0
         want[1, 2] = np.sqrt(2.0)
@@ -39,12 +41,54 @@ class TestLadderMatrices:
 
     def test_word_matrix_matches_ladder_powers(self):
         D = 9
-        a = annihilation_matrix(D)
+        a = single_mode_word(0, 1, D)
         for c, r in ((0, 2), (3, 0), (2, 3), (1, 1)):
             direct = single_mode_word(c, r, D)
             via_powers = np.linalg.matrix_power(a.conj().T, c) @ \
                 np.linalg.matrix_power(a, r)
             assert np.allclose(direct, via_powers, atol=1e-12)
+
+    def test_word_matrix_matches_the_factorial_loop_bit_for_bit(self):
+        def loop(create, annih, cutoff):
+            mat = np.zeros((cutoff, cutoff), dtype=complex)
+            for col in range(annih, cutoff):
+                row = col - annih + create
+                if row >= cutoff:
+                    continue
+                val = 1.0
+                for step in range(annih):
+                    val *= col - step
+                for step in range(create):
+                    val *= col - annih + 1 + step
+                mat[row, col] = np.sqrt(val)
+            return mat
+
+        for D in range(1, 65):
+            for c in range(9):
+                for r in range(9):
+                    assert np.array_equal(single_mode_word(c, r, D),
+                                          loop(c, r, D)), (c, r, D)
+
+    def test_word_matrix_is_read_only(self):
+        with pytest.raises(ValueError):
+            single_mode_word(1, 2, 5)[0, 0] = 1.0
+
+    def test_word_cache_is_bounded_and_thread_safe(self):
+        keys = [(c, r, D) for c in range(4) for r in range(4) for D in (5, 9)]
+        want = {key: single_mode_word(*key).copy() for key in keys}
+        single_mode_word.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda key: single_mode_word(*key),
+                                    keys * 8, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for key, mat in zip(keys * 8, got):
+            assert np.array_equal(mat, want[key])
+        info = single_mode_word.cache_info()
+        assert info.currsize == len(keys) <= info.maxsize
 
 
 class TestRealize:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fockdm.algebra import NormalFormOperator, commutator, poly_to_normal_form
-from fockdm.fock import annihilation_operator, realize_matrix, trace_product
+from fockdm.fock import realize_matrix, trace_product
 from fockdm.poly import parse_poly, random_poly
 from fockdm.states import (
     AmplitudeOverflowError,
@@ -44,7 +44,7 @@ class TestPseudoWavefunction:
     def test_coherent_eigenrelation(self):
         rng = np.random.default_rng(1)
         D = 32
-        a = annihilation_operator(0, 1, D).data
+        a = realize_matrix(NormalFormOperator.annihilation(0, 1), D).data
         for s in random_states(rng, 20, scale=1.0):
             w = pseudo_wavefunction(s, D)
             residual = np.linalg.norm(a @ w.data - s.z[0] * w.data)
@@ -59,8 +59,8 @@ class TestPseudoWavefunction:
     def test_two_mode_eigenrelations(self):
         rng = np.random.default_rng(3)
         D = 16
-        a1 = annihilation_operator(0, 2, D).data
-        a2 = annihilation_operator(1, 2, D).data
+        a1 = realize_matrix(NormalFormOperator.annihilation(0, 2), D).data
+        a2 = realize_matrix(NormalFormOperator.annihilation(1, 2), D).data
         for s in random_states(rng, 5, modes=2, scale=0.8):
             w = pseudo_wavefunction(s, D)
             assert np.linalg.norm(a1 @ w.data - s.z[0] * w.data) <= 1e-7
@@ -81,7 +81,7 @@ class TestPureDensity:
     def test_left_and_right_eigenrelations(self):
         rng = np.random.default_rng(5)
         D = 32
-        a = annihilation_operator(0, 1, D).data
+        a = realize_matrix(NormalFormOperator.annihilation(0, 1), D).data
         for s in random_states(rng, 10, scale=1.0):
             rho = pure_density(s, D).data
             assert np.linalg.norm(a @ rho - s.z[0] * rho, 2) <= 1e-8
@@ -91,7 +91,7 @@ class TestPureDensity:
         # g(phi,pi) rho = sum_a C_a g_aR(a) rho g_aL(adag) for g = z^2 y
         rng = np.random.default_rng(7)
         D = 32
-        a = annihilation_operator(0, 1, D).data
+        a = realize_matrix(NormalFormOperator.annihilation(0, 1), D).data
         ad = a.conj().T
         for s in random_states(rng, 10, scale=1.0):
             rho = pure_density(s, D).data
@@ -103,7 +103,7 @@ class TestPureDensity:
     def test_sandwich_identity_random_monomials(self):
         rng = np.random.default_rng(9)
         D = 32
-        a = annihilation_operator(0, 1, D).data
+        a = realize_matrix(NormalFormOperator.annihilation(0, 1), D).data
         ad = a.conj().T
         for _ in range(50):
             n = int(rng.integers(0, 4))
@@ -269,8 +269,8 @@ class TestExtendedWavefunction:
     def test_pair_eigenrelations(self):
         rng = np.random.default_rng(19)
         D = 24
-        a = annihilation_operator(0, 2, D).data
-        b = annihilation_operator(1, 2, D).data
+        a = realize_matrix(NormalFormOperator.annihilation(0, 2), D).data
+        b = realize_matrix(NormalFormOperator.annihilation(1, 2), D).data
         for s in random_states(rng, 8, scale=1.0):
             w = extended_wavefunction(s, D)
             assert np.linalg.norm(a @ w.data - s.z[0] * w.data) <= 1e-8
