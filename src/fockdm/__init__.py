@@ -24,6 +24,7 @@ from .discrepancy import (
     discrepancy_closed_form,
     discrepancy_direct,
     discrepancy_report,
+    flux_operator,
     iee_check,
     quantum_flux,
     rescale_field,
@@ -31,12 +32,19 @@ from .discrepancy import (
 )
 from .evolution import (
     MasterTerms,
+    density_generator,
     evolve_density,
     liouville_rhs,
     master_rhs,
     time_average_project,
 )
-from .fock import FockMatrix, FockVector, interior_indices, realize_matrix
+from .fock import (
+    FockMatrix,
+    FockVector,
+    interior_indices,
+    operator_trace,
+    realize_matrix,
+)
 from .poly import PolyExpr, PolyParseError, parse_poly, to_phipi, to_zy, zy_partial
 from .reify import (
     PoleError,

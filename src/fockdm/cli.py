@@ -31,7 +31,7 @@ from . import __version__
 from .acceptance import CRITERIA, CheckResult
 from .algebra import poly_to_normal_form
 from .discrepancy import discrepancy_report, iee_check
-from .evolution import evolve_density, projection_decay
+from .evolution import density_generator, evolve_density, projection_decay
 from .fock import DimensionCapError
 from .poly import PolyExpr, PolyParseError, parse_poly
 from .reify import flow_coeffs, rho_z_trace
@@ -39,6 +39,7 @@ from .states import (
     AmplitudeOverflowError,
     ClassicalState,
     Ensemble,
+    ensemble_density,
     expectation,
     pure_density,
 )
@@ -52,6 +53,10 @@ class ConfigError(ValueError):
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
 @dataclass
@@ -95,8 +100,7 @@ class ExperimentConfig:
             raise ConfigError(f"experiment: {self.experiment!r} is not one of "
                               f"{'|'.join(EXPERIMENTS)}")
         for name in ("cutoff", "alpha_points", "sample_every", "order_cap"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
+            if not _is_positive_int(getattr(self, name)):
                 raise ConfigError(f"{name}: must be a positive integer")
         for name in ("dt", "alpha_margin"):
             v = getattr(self, name)
@@ -123,26 +127,62 @@ class ExperimentConfig:
             raise ConfigError("cutoffs: must be a list of integers >= 2")
         if self.snapshot_every is not None and self.snapshot_every <= 0:
             raise ConfigError("snapshot_every: must be positive when given")
+        if (not isinstance(self.observables, list)
+                or not all(isinstance(t, str) for t in self.observables)):
+            raise ConfigError("observables: must be a list of polynomial "
+                              "strings")
         if not self.observables and self.experiment in ("discrepancy", "evolve",
                                                         "iee"):
             raise ConfigError("observables: must be nonempty")
         if self.seed is None and self.experiment in self.RANDOMIZED:
             raise ConfigError("seed: required for randomized suites")
-        try:
-            self.parse_hamiltonian(self.bindings)
-        except PolyParseError as err:
-            raise ConfigError(f"hamiltonian: {err}") from err
-        for text in self.observables:
+        for name, text in [("hamiltonian", self.hamiltonian)] + [
+                ("observables", text) for text in self.observables]:
             try:
                 parse_poly(text, self.bindings)
             except PolyParseError as err:
-                raise ConfigError(f"observables: {err}") from err
+                raise ConfigError(f"{name}: {err}") from err
+        self._validate_ensemble()
 
-    def parse_hamiltonian(self, bindings: dict) -> PolyExpr:
-        return parse_poly(self.hamiltonian, bindings)
+    def _validate_ensemble(self) -> None:
+        spec = self.ensemble
+        if spec is None:
+            return
+        if not isinstance(spec, dict):
+            raise ConfigError("ensemble: must be an object")
+        kind = spec.get("kind", "members")
+        if kind == "phase_circle":
+            radius = spec.get("radius", 1.0)
+            if not (_is_number(radius) and 0 < radius < math.inf):
+                raise ConfigError("ensemble.radius: must be a positive number")
+            for name in ("points", "modes"):
+                if name in spec and not _is_positive_int(spec[name]):
+                    raise ConfigError(f"ensemble.{name}: must be a positive "
+                                      "integer")
+        elif kind != "members":
+            raise ConfigError(f"ensemble: unknown kind {kind!r}")
 
-    def parsed_observables(self) -> list[tuple[str, PolyExpr]]:
-        return [(t, parse_poly(t, self.bindings)) for t in self.observables]
+    def hamiltonian_on(self, modes: int,
+                       bindings: dict | None = None) -> PolyExpr:
+        """The Hamiltonian on the state's mode count (see ``_fit``)."""
+        return self._fit("hamiltonian", self.hamiltonian, modes, bindings)
+
+    def observables_on(self, modes: int, bindings: dict | None = None
+                       ) -> list[tuple[str, PolyExpr]]:
+        """(text, polynomial) of each observable on the state's mode count."""
+        return [(text, self._fit("observables", text, modes, bindings))
+                for text in self.observables]
+
+    def _fit(self, name: str, text: str, modes: int,
+             bindings: dict | None) -> PolyExpr:
+        """The one mode-consistency check: a polynomial on fewer modes than
+        the state is promoted, one on more is a configuration error naming
+        its field."""
+        p = parse_poly(text, self.bindings if bindings is None else bindings)
+        if p.modes > modes:
+            raise ConfigError(f"{name}: {text!r} has {p.modes} modes, the state "
+                              f"has {modes}")
+        return p.promote(modes)
 
     def classical_state(self) -> ClassicalState:
         st = self.state
@@ -160,18 +200,13 @@ class ExperimentConfig:
         spec = self.ensemble
         kind = spec.get("kind", "members")
         if kind == "phase_circle":
-            radius = spec.get("radius", 1.0)
-            points = spec.get("points", 64)
-            if radius <= 0 or points <= 0:
-                raise ConfigError("ensemble: radius and points must be positive")
-            return Ensemble.phase_circle(radius, points,
+            return Ensemble.phase_circle(spec.get("radius", 1.0),
+                                         spec.get("points", 64),
                                          modes=spec.get("modes", 1))
-        if kind == "members":
-            try:
-                return Ensemble.from_json(spec)
-            except (KeyError, TypeError, ValueError) as err:
-                raise ConfigError(f"ensemble: {err}") from err
-        raise ConfigError(f"ensemble: unknown kind {kind!r}")
+        try:
+            return Ensemble.from_json(spec)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"ensemble: {err}") from err
 
     def canonical_json(self) -> str:
         data = {k: getattr(self, k) for k in sorted(self.__dataclass_fields__)}
@@ -260,9 +295,8 @@ def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
     worst = 0.0
     for value in values:
         bindings = {**config.bindings, name: value}
-        h = config.parse_hamiltonian(bindings)
-        for text in config.observables:
-            g = parse_poly(text, bindings)
+        h = config.hamiltonian_on(state.modes, bindings)
+        for text, g in config.observables_on(state.modes, bindings):
             rep = discrepancy_report(state, g, h, config.cutoff,
                                      config.order_cap)
             if rep.applicable:
@@ -277,12 +311,10 @@ def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_evolve(config: ExperimentConfig) -> SuiteResult:
-    h = config.parse_hamiltonian(config.bindings)
-    h_n = poly_to_normal_form(h)
     ensemble = config.classical_ensemble()
-    from .states import ensemble_density
+    h_n = poly_to_normal_form(config.hamiltonian_on(ensemble.modes))
+    observables = config.observables_on(ensemble.modes)
     rho = ensemble_density(ensemble, config.cutoff)
-    observables = config.parsed_observables()
     steps = int(round(config.t / config.dt))
     if abs(config.t - steps * config.dt) > 1e-9 * max(1.0, config.t):
         raise ConfigError("t: must be an integer multiple of dt")
@@ -296,12 +328,12 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
                     + tuple(expectation(dm, g).real for _, g in observables))
 
     record(0.0, rho)
+    rhs = density_generator(config.generator, h_n, config.cutoff)
     current = rho
     done = 0
     while done < steps:
         chunk = min(config.sample_every, steps - done)
-        current = evolve_density(current, config.generator, h_n,
-                                 chunk * config.dt, config.dt)
+        current = evolve_density(current, rhs, chunk * config.dt, config.dt)
         done += chunk
         record(done * config.dt, current)
         if config.snapshot_every and done % config.snapshot_every == 0:
@@ -341,9 +373,8 @@ def run_reify(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_project(config: ExperimentConfig) -> SuiteResult:
-    h = config.parse_hamiltonian(config.bindings)
-    h_n = poly_to_normal_form(h)
     state = config.classical_state()
+    h_n = poly_to_normal_form(config.hamiltonian_on(state.modes))
     rho = pure_density(state, config.cutoff)
     columns = ["delta", "max_offdiagonal", "c_estimate", "trace_error"]
     rows, band = projection_decay(rho, h_n, config.deltas)
@@ -353,9 +384,9 @@ def run_project(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_iee(config: ExperimentConfig) -> SuiteResult:
-    h = config.parse_hamiltonian(config.bindings)
     ensemble = config.classical_ensemble()
-    observables = config.parsed_observables()
+    h = config.hamiltonian_on(ensemble.modes)
+    observables = config.observables_on(ensemble.modes)
     report = iee_check(ensemble, h, [g for _, g in observables], config.cutoff)
     columns = ["observable", "g_hat_re", "g_hat_im", "g_dot",
                "discrepancy_re", "discrepancy_im", "equilibrium"]

@@ -32,8 +32,13 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .algebra import commutator, low_order_gate, poly_to_normal_form
-from .fock import DIM_CAP, realize_matrix, trace_product
+from .algebra import (
+    NormalFormOperator,
+    commutator,
+    low_order_gate,
+    poly_to_normal_form,
+)
+from .fock import DIM_CAP, operator_trace
 from .poly import ChartError, PolyExpr
 from .states import ClassicalState, DensityMatrix, Ensemble, hamilton_rhs, pure_density
 
@@ -64,26 +69,29 @@ class FieldScaling:
         return ClassicalState(state.phi / self.scales, state.pi * self.scales)
 
 
+def flux_operator(observable: PolyExpr, hamiltonian: PolyExpr,
+                  modes: int) -> NormalFormOperator:
+    """[g_n, H_n] on the given mode count, taken symbolically."""
+    return commutator(poly_to_normal_form(observable.promote(modes)),
+                      poly_to_normal_form(hamiltonian.promote(modes)))
+
+
 def quantum_flux(rho: DensityMatrix, observable: PolyExpr, hamiltonian: PolyExpr,
                  cutoff: int | None = None, cap: int = DIM_CAP) -> complex:
-    """-i Tr(rho [g_n, H_n]), commutator taken symbolically then realized."""
+    """-i Tr(rho [g_n, H_n]), the commutator read off rho word by word."""
     cutoff = rho.cutoff if cutoff is None else cutoff
     if cutoff != rho.cutoff:
         raise ValueError("cutoff disagrees with the density matrix")
-    n = rho.modes
-    g_n = poly_to_normal_form(_fit(observable, n))
-    h_n = poly_to_normal_form(_fit(hamiltonian, n))
-    comm = commutator(g_n, h_n)
-    cmat = realize_matrix(comm, cutoff, cap)
-    return -1j * trace_product(rho.data, cmat.data)
+    comm = flux_operator(observable, hamiltonian, rho.modes)
+    return -1j * operator_trace(rho.data, comm, cutoff, cap)
 
 
 def classical_flux(state: ClassicalState, observable: PolyExpr,
                    hamiltonian: PolyExpr) -> float:
     """Chain rule along Hamilton's equations, evaluated at the state."""
     n = state.modes
-    g = _fit(observable, n)
-    h = _fit(hamiltonian, n)
+    g = observable.promote(n)
+    h = hamiltonian.promote(n)
     phidot, pidot = hamilton_rhs(h, state)
     point = state.point()
     total = 0.0
@@ -115,8 +123,8 @@ def discrepancy_closed_form(state: ClassicalState, observable: PolyExpr,
     :func:`discrepancy_direct`.
     """
     n = state.modes
-    g = _fit(observable, n).to_zy()
-    h = _fit(hamiltonian, n).to_zy()
+    g = observable.promote(n).to_zy()
+    h = hamiltonian.promote(n).to_zy()
     h_n = poly_to_normal_form(h)
     applicable = low_order_gate(h_n, cap=order_cap) and _no_high_cross_terms(
         h, order_cap)
@@ -183,7 +191,7 @@ def scaling_condition_residual(hamiltonian: PolyExpr,
                                ensemble: Ensemble) -> np.ndarray:
     """Ensemble average of d2H/dphi_j^2 - d2H/dpi_j^2, per mode."""
     n = ensemble.modes
-    h = _fit(hamiltonian, n)
+    h = hamiltonian.promote(n)
     out = np.zeros(n)
     for j in range(n):
         phi2 = h.differentiate(f"phi{j + 1}").differentiate(f"phi{j + 1}")
@@ -223,11 +231,12 @@ def iee_check(ensemble: Ensemble, hamiltonian: PolyExpr,
     vanish within tolerance.  No attempt is made to construct equilibria.
     """
     observables = list(observables)
+    comms = [flux_operator(g, hamiltonian, ensemble.modes) for g in observables]
 
     def quantum_fluxes(s):
-        rho = pure_density(s, cutoff, cap)
-        return np.array([quantum_flux(rho, g, hamiltonian, cutoff, cap)
-                         for g in observables])
+        rho = pure_density(s, cutoff, cap).data
+        return np.array([-1j * operator_trace(rho, comm, cutoff, cap)
+                         for comm in comms])
 
     rows = []
     for g, g_hat in zip(observables, ensemble.average(quantum_fluxes)):
@@ -236,12 +245,6 @@ def iee_check(ensemble: Ensemble, hamiltonian: PolyExpr,
         rows.append(IEEObservableRow(observable=str(g), g_hat=g_hat,
                                      g_dot=g_dot, discrepancy=g_hat - g_dot))
     return IEEReport(rows=tuple(rows), tolerance=tolerance)
-
-
-def _fit(p: PolyExpr, modes: int) -> PolyExpr:
-    if p.modes > modes:
-        raise ValueError("polynomial has more modes than the state")
-    return p.promote(modes) if p.modes < modes else p
 
 
 def _mode_multi_indices(modes: int, order: int):

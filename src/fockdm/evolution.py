@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -135,10 +136,31 @@ def master_rhs(rho: DensityMatrix | np.ndarray, terms: MasterTerms,
     return out.reshape(dim, dim)
 
 
-def evolve_density(rho0: DensityMatrix, generator: str,
-                   hamiltonian: NormalFormOperator, t: float, dt: float,
-                   cap: int = DIM_CAP) -> DensityMatrix:
-    """Fixed-step RK4 in matrix space under either generator.
+def density_generator(law: str, hamiltonian: NormalFormOperator, cutoff: int,
+                      cap: int = DIM_CAP) -> Callable[[np.ndarray], np.ndarray]:
+    """The right-hand side rho -> rhodot of either law, built once.
+
+    "liouville" realizes H_n once for its dense commutator; "master" builds
+    its MasterTerms (and checks the Hermitian pairing) once.
+    """
+    if law == "liouville":
+        hmat = realize_matrix(hamiltonian, cutoff, cap).data
+
+        def liouville(m):
+            return -1j * (hmat @ m - m @ hmat)
+        return liouville
+    if law == "master":
+        terms = MasterTerms(hamiltonian)
+
+        def master(m):
+            return master_rhs(m, terms, cutoff, cap)
+        return master
+    raise ValueError(f"unknown generator {law!r}")
+
+
+def evolve_density(rho0: DensityMatrix, rhs: Callable[[np.ndarray], np.ndarray],
+                   t: float, dt: float) -> DensityMatrix:
+    """Fixed-step RK4 in matrix space under a generator from density_generator.
 
     The iterate is re-symmetrized each step; the asymmetry removed that way
     and the total trace drift are reported through the module logger, not
@@ -149,20 +171,6 @@ def evolve_density(rho0: DensityMatrix, generator: str,
     steps = int(round(t / dt))
     if abs(t - steps * dt) > 1e-9 * max(1.0, abs(t)):
         raise ValueError("t must be an integer multiple of dt")
-    cutoff = rho0.cutoff
-    if generator == "liouville":
-        hmat = realize_matrix(hamiltonian, cutoff, cap).data
-
-        def rhs(m):
-            return -1j * (hmat @ m - m @ hmat)
-    elif generator == "master":
-        terms = MasterTerms(hamiltonian)
-
-        def rhs(m):
-            return master_rhs(m, terms, cutoff, cap)
-    else:
-        raise ValueError(f"unknown generator {generator!r}")
-
     rho = rho0.data.copy()
     trace0 = np.trace(rho)
     worst_asym = 0.0
@@ -179,8 +187,8 @@ def evolve_density(rho0: DensityMatrix, generator: str,
         rho = 0.5 * (rho + rho.conj().T)
     drift = abs(np.trace(rho) - trace0)
     log.debug("evolve_density(%s): steps=%d max_asymmetry=%.3e trace_drift=%.3e",
-              generator, steps, worst_asym, drift)
-    return DensityMatrix(FockMatrix(rho0.modes, cutoff, rho),
+              rhs.__name__, steps, worst_asym, drift)
+    return DensityMatrix(FockMatrix(rho0.modes, rho0.cutoff, rho),
                          hermitian=rho0.hermitian,
                          unit_trace=rho0.unit_trace,
                          provenance=rho0.provenance)

@@ -8,9 +8,10 @@ occupation tuple via repeated divmod by D.  Ladder matrices follow
 A single-mode word (adag)^c a^r is a shifted diagonal (``word_diagonal``)
 and an n-mode word is their tensor product, so a word acts on a vector or a
 matrix, viewed as a (D,)*n or (D,)*2n tensor, by slicing and scaling along
-one axis per mode.  Dense matrices (``realize_matrix``) remain for
-eigendecompositions, reification and test oracles, and for now for
-expectations, quantum flux and the Liouville commutator.
+one axis per mode; ``operator_trace`` reads Tr(rho op) off one shifted
+diagonal of rho per word.  Dense matrices (``realize_matrix``) remain for
+eigendecompositions, reification, the Liouville commutator and test
+oracles.
 
 Truncation policy: a single normal-ordered word (adag)^c a^r realizes
 exactly on the whole block (its matrix elements agree with the untruncated
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import json
+import string
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -169,6 +171,33 @@ def _realize_words(items, modes: int, cutoff: int):
         block = np.kron(single_mode_word(c0, r0, cutoff), sub)
         out = block if out is None else out + block
     return out
+
+
+def operator_trace(rho: np.ndarray, op: NormalFormOperator, cutoff: int,
+                   cap: int = DIM_CAP) -> complex:
+    """Tr(rho op) without realizing op.
+
+    rho is viewed as a (D,)*2n tensor, row modes first.  A word reads
+    rho[source..., target...] and pairs each row mode with its column mode,
+    so its trace is that diagonal summed against the outer product of the
+    per-mode weights, O(D^n) per word.
+    """
+    n = op.modes
+    dim = check_dimension(n, cutoff, cap)
+    if rho.shape != (dim, dim):
+        raise ValueError("dimension mismatch between rho and the operator")
+    tensor = rho.reshape((cutoff,) * (2 * n))
+    axes = string.ascii_letters[:n]
+    paired = f"{axes}{axes}->{axes}"
+    total = 0j
+    for (create, annih), coeff in op.words.items():
+        words = [word_diagonal(c, a, cutoff) for c, a in zip(create, annih)]
+        block = tensor[tuple(w.source for w in words)
+                       + tuple(w.target for w in words)]
+        weights = functools.reduce(np.multiply.outer,
+                                   [w.weights for w in words], coeff)
+        total += np.sum(weights * np.einsum(paired, block))
+    return complex(total)
 
 
 def occupations(modes: int, cutoff: int) -> np.ndarray:

@@ -136,7 +136,7 @@ class PolyExpr:
     def promote(self, modes: int) -> "PolyExpr":
         """Embed into a chart with more modes (new variables unused)."""
         if modes < self.modes:
-            raise ValueError("cannot shrink the mode count")
+            raise ValueError(f"cannot shrink {self.modes} modes to {modes}")
         if modes == self.modes:
             return self
         n0, n1 = self.modes, modes

@@ -26,8 +26,7 @@ from .fock import (
     FockMatrix,
     FockVector,
     check_dimension,
-    realize_matrix,
-    trace_product,
+    operator_trace,
 )
 from .poly import ChartError, PolyExpr
 
@@ -266,9 +265,7 @@ def integrate_state(hamiltonian: PolyExpr, state: ClassicalState,
     if abs(steps_f - steps) > 1e-9:
         raise ValueError("t must be an integer multiple of dt")
     h = math.copysign(dt, t)
-    grad_phi, grad_pi = _gradients(hamiltonian.promote(state.modes)
-                                   if hamiltonian.modes < state.modes
-                                   else hamiltonian)
+    grad_phi, grad_pi = _gradients(hamiltonian.promote(state.modes))
     x = state.point().copy()
     n = state.modes
 
@@ -300,10 +297,8 @@ def expectation(rho: DensityMatrix, observable: PolyExpr, cutoff: int | None = N
     cutoff = rho.cutoff if cutoff is None else cutoff
     if cutoff != rho.cutoff:
         raise ValueError("cutoff disagrees with the density matrix")
-    op = poly_to_normal_form(observable.promote(rho.modes)
-                             if observable.modes < rho.modes else observable)
-    gmat = realize_matrix(op, cutoff, cap)
-    return trace_product(rho.data, gmat.data)
+    op = poly_to_normal_form(observable.promote(rho.modes))
+    return operator_trace(rho.data, op, cutoff, cap)
 
 
 def extended_wavefunction(state: ClassicalState, cutoff: int,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fockdm import cli
+from fockdm import cli, evolution
 from fockdm.acceptance import CRITERIA
 from fockdm.cli import (
     CheckResult,
@@ -106,8 +106,11 @@ class TestExitCodes:
         ("project", "bindings", {"m": "x"}),
         ("discrepancy", "sweep", {"m": [0.5, 2.0], "k": [1.0]}),
         ("reify", "cutoffs", 5),
+        ("iee", "observables", 5),
+        ("iee", "observables", ["phi1", 3]),
     ], ids=["t-text", "deltas-scalar", "deltas-empty", "bindings-text",
-            "sweep-two-keys", "cutoffs-scalar"])
+            "sweep-two-keys", "cutoffs-scalar", "observables-scalar",
+            "observables-number-entry"])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, experiment,
                                          name, value):
         cfg = write_config(tmp_path, "bad.json", {name: value, "seed": 1})
@@ -115,6 +118,48 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {name}:")
+
+    @pytest.mark.parametrize("key, value", [
+        ("radius", "x"), ("radius", -1.0), ("points", 2.5), ("modes", 2.5),
+        ("points", True)])
+    def test_bad_phase_circle_exits_2_naming_it(self, tmp_path, capsys, key,
+                                                value):
+        cfg = write_config(tmp_path, "bad.json", {
+            "ensemble": {"kind": "phase_circle", key: value}})
+        code = main(["iee", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: ensemble.{key}:")
+
+    @pytest.mark.parametrize("experiment, data, name", [
+        ("iee", {"observables": ["phi2"]}, "observables"),
+        ("evolve", {"hamiltonian": "phi1^2 + pi2^2", "bindings": {}},
+         "hamiltonian"),
+        ("project", {"hamiltonian": "phi1^2 + pi2^2", "bindings": {}},
+         "hamiltonian"),
+    ], ids=["iee-observable", "evolve-hamiltonian", "project-hamiltonian"])
+    def test_more_modes_than_the_state_exits_2(self, tmp_path, capsys,
+                                               experiment, data, name):
+        cfg = write_config(tmp_path, "modes.json", {**data, "cutoff": 8})
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name}:")
+
+    # a single point is no equilibrium, so iee fails its check (exit 1)
+    @pytest.mark.parametrize("experiment, code", [
+        ("evolve", 0), ("project", 0), ("iee", 1)])
+    def test_one_mode_hamiltonian_is_promoted_to_a_two_mode_state(
+            self, tmp_path, experiment, code):
+        cfg = write_config(tmp_path, "modes.json", {
+            "state": {"phi": [0.6, 0.3], "pi": [0.0, 0.4]},
+            "observables": ["phi1*pi1 + phi2^2"],
+            "cutoff": 8, "t": 0.02, "dt": 0.01})
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(cfg),
+                     "--out", str(out)]) == code
+        assert (out / "results.csv").exists()
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(config):
@@ -170,6 +215,24 @@ class TestEvolveSuite:
         assert snap.exists()
         payload = json.loads(snap.read_text())
         assert payload["cutoff"] == 12 and payload["modes"] == 1
+
+
+    def test_generator_is_built_once_per_run(self, tmp_path, monkeypatch):
+        builds = []
+        init = evolution.MasterTerms.__init__
+
+        def counted(self, hamiltonian):
+            builds.append(hamiltonian)
+            init(self, hamiltonian)
+
+        monkeypatch.setattr(evolution.MasterTerms, "__init__", counted)
+        cfg = write_config(tmp_path, "e.json", {
+            "observables": ["phi1"], "cutoff": 8, "t": 0.06, "dt": 0.01,
+            "sample_every": 2})
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "results.csv").read_text().splitlines()) == 1 + 4
+        assert len(builds) == 1
 
 
 class TestManifest:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockdm import discrepancy
 from fockdm.algebra import poly_to_normal_form
 from fockdm.discrepancy import (
     classical_flux,
@@ -14,7 +15,7 @@ from fockdm.discrepancy import (
     rescale_field,
     scaling_condition_residual,
 )
-from fockdm.fock import realize_matrix, trace_product
+from fockdm.fock import DimensionCapError, realize_matrix, trace_product
 from fockdm.poly import parse_poly, random_poly
 from fockdm.states import ClassicalState, Ensemble, integrate_state, pure_density
 
@@ -57,6 +58,12 @@ class TestQuantumFlux:
             hmat = realize_matrix(poly_to_normal_form(H), D).data
             oracle = -1j * trace_product(rho.data, gmat @ hmat - hmat @ gmat)
             assert abs(got - oracle) <= 1e-9
+
+    def test_dimension_cap(self):
+        H = oscillator(1.0)
+        rho = pure_density(state1(0.5, 0.1), 8)
+        with pytest.raises(DimensionCapError):
+            quantum_flux(rho, parse_poly("phi1*pi1", {}), H, cap=4)
 
 
 class TestClassicalFlux:
@@ -288,6 +295,22 @@ class TestIEECheck:
         report = iee_check(e, oscillator(2.0), [parse_poly("phi1*pi1", {})], 32)
         assert not report.equilibrium
         assert abs(report.rows[0].discrepancy - (-0.5)) <= 1e-7
+
+    def test_one_flux_operator_per_observable(self, monkeypatch):
+        calls = []
+        original = discrepancy.commutator
+
+        def counted(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(discrepancy, "commutator", counted)
+        e = Ensemble.phase_circle(1.0, 16)
+        gs = [parse_poly("phi1*pi1", {}), parse_poly("phi1^2 - pi1^2", {}),
+              parse_poly("phi1^3*pi1", {})]
+        report = iee_check(e, oscillator(1.0), gs, 16)
+        assert len(report.rows) == 3
+        assert len(calls) == 3
 
     def test_generic_two_point_ensemble_is_not_equilibrium(self):
         e = Ensemble.from_states([state1(0.9, 0.1), state1(0.2, -0.5)])

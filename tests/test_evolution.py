@@ -12,6 +12,7 @@ from fockdm.algebra import (
 from fockdm.evolution import (
     MasterTerms,
     PairingError,
+    density_generator,
     evolve_density,
     liouville_rhs,
     master_rhs,
@@ -232,15 +233,17 @@ class TestEvolveDensity:
         D = 24
         dt = 2 * math.pi / 4000
         rho0 = pure_density(state1(1.0, 0.0), D)
-        out = evolve_density(rho0, "liouville", number_operator(),
-                             2 * math.pi, dt)
+        out = evolve_density(
+            rho0, density_generator("liouville", number_operator(), D),
+            2 * math.pi, dt)
         assert np.max(np.abs(out.data - rho0.data)) <= 1e-6
 
     def test_master_tracks_classical_cosine(self):
         D = 24
         H = parse_poly("0.5*phi1^2 + 0.5*pi1^2", {})
         rho0 = pure_density(state1(1.0, 0.0), D)
-        out = evolve_density(rho0, "master", poly_to_normal_form(H), 1.0, 1e-3)
+        rhs = density_generator("master", poly_to_normal_form(H), D)
+        out = evolve_density(rho0, rhs, 1.0, 1e-3)
         phi_obs = expectation(out, parse_poly("phi1", {}))
         assert abs(phi_obs - math.cos(1.0)) <= 1e-6
 
@@ -250,7 +253,8 @@ class TestEvolveDensity:
         Hn = poly_to_normal_form(H)
         rho0 = pure_density(state1(0.6, 0.2), D)
         for gen in ("liouville", "master"):
-            out = evolve_density(rho0, gen, Hn, 10.0, 2e-3)
+            out = evolve_density(rho0, density_generator(gen, Hn, D), 10.0,
+                                 2e-3)
             assert abs(out.matrix.trace() - 1.0) <= 1e-8
 
     def test_liouville_preserves_spectrum(self):
@@ -258,7 +262,8 @@ class TestEvolveDensity:
         H = parse_poly("0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^4", {})
         rho0 = pure_density(state1(0.5, -0.3), D)
         before = np.sort(np.linalg.eigvalsh(rho0.data))
-        out = evolve_density(rho0, "liouville", poly_to_normal_form(H), 1.0, 1e-3)
+        rhs = density_generator("liouville", poly_to_normal_form(H), D)
+        out = evolve_density(rho0, rhs, 1.0, 1e-3)
         after = np.sort(np.linalg.eigvalsh(out.data))
         assert np.max(np.abs(before - after)) <= 1e-6
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fockdm.algebra import NormalFormOperator, commutator, poly_to_normal_form
-from fockdm.fock import realize_matrix, trace_product
+from fockdm.fock import DimensionCapError, realize_matrix, trace_product
 from fockdm.poly import parse_poly, random_poly
 from fockdm.states import (
     AmplitudeOverflowError,
@@ -256,6 +256,17 @@ class TestExpectation:
         g = parse_poly("phi1^3 + phi1*pi1", {})
         rho = pure_density(state1(0.5, -0.7), 32)
         assert abs(expectation(rho, g).imag) <= 1e-10
+
+    def test_one_mode_observable_on_two_mode_state_is_promoted(self):
+        s = ClassicalState(np.array([0.6, -0.4]), np.array([0.2, 0.7]))
+        rho = pure_density(s, 16)
+        got = expectation(rho, parse_poly("phi1*pi1", {}))
+        assert abs(got - 0.6 * 0.2) <= 1e-8
+
+    def test_dimension_cap(self):
+        rho = pure_density(state1(0.5, 0.1), 8)
+        with pytest.raises(DimensionCapError):
+            expectation(rho, parse_poly("phi1^2", {}), cap=4)
 
 
 class TestExtendedWavefunction:
