@@ -34,13 +34,11 @@ from .evolution import (
     MasterTerms,
     density_generator,
     evolve_density,
-    liouville_rhs,
     master_rhs,
     time_average_project,
 )
 from .fock import (
     FockMatrix,
-    FockVector,
     interior_indices,
     operator_trace,
     realize_matrix,
@@ -59,7 +57,6 @@ from .reify import (
 from .states import (
     AmplitudeOverflowError,
     ClassicalState,
-    DensityMatrix,
     Ensemble,
     ensemble_density,
     expectation,

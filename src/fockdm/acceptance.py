@@ -150,7 +150,7 @@ def coherent_eigenrelation(rng, cutoff, samples):
         w = pseudo_wavefunction(s, cutoff)
         for j in range(n):
             worst = max(worst, float(np.linalg.norm(
-                ops[n][j] @ w.data - s.z[j] * w.data)))
+                ops[n][j] @ w - s.z[j] * w)))
     return worst, 1e-8, worst <= 1e-8, f"worst residual {worst:.3e}"
 
 
@@ -193,7 +193,7 @@ def master_vs_classical_flow(rng, cutoff, samples):
         h = random_poly(rng, modes=1, degree=3, terms=5) * 0.5
         terms = MasterTerms(poly_to_normal_form(h))
         s0 = seeded_state(rng, 1, scale=0.6)
-        rhs = master_rhs(pure_density(s0, cutoff), terms, cutoff)
+        rhs = master_rhs(pure_density(s0, cutoff).data, terms, cutoff)
         errs = []
         for dt in FLOW_DTS:
             fwd = pure_density(integrate_state(h, s0, dt, dt / 20), cutoff)
@@ -397,9 +397,9 @@ def two_mode_escape(rng, cutoff, samples):
         for D in (16, 32):
             wt = extended_wavefunction(s, D)
             m_norms[D] = float(np.linalg.norm(
-                m_operator(math.pi / 4, 1, D).data @ wt.data))
+                m_operator(math.pi / 4, 1, D).data @ wt))
             u = s_operator(math.pi / 4 - 1e-3, D).data \
-                @ pseudo_wavefunction(s, D).data
+                @ pseudo_wavefunction(s, D)
             s_norms[D] = float(np.linalg.norm(u)) ** 2
         worst_change = max(worst_change,
                            abs(m_norms[32] - m_norms[16]) / m_norms[16])

@@ -99,7 +99,9 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment: {self.experiment!r} is not one of "
                               f"{'|'.join(EXPERIMENTS)}")
-        for name in ("cutoff", "alpha_points", "sample_every", "order_cap"):
+        if not (_is_positive_int(self.cutoff) and self.cutoff >= 2):
+            raise ConfigError("cutoff: must be an integer >= 2")
+        for name in ("alpha_points", "sample_every", "order_cap"):
             if not _is_positive_int(getattr(self, name)):
                 raise ConfigError(f"{name}: must be a positive integer")
         for name in ("dt", "alpha_margin"):
@@ -125,8 +127,10 @@ class ExperimentConfig:
         if not isinstance(self.cutoffs, list) or any(
                 not isinstance(c, int) or c < 2 for c in self.cutoffs):
             raise ConfigError("cutoffs: must be a list of integers >= 2")
-        if self.snapshot_every is not None and self.snapshot_every <= 0:
-            raise ConfigError("snapshot_every: must be positive when given")
+        if (self.snapshot_every is not None
+                and not _is_positive_int(self.snapshot_every)):
+            raise ConfigError("snapshot_every: must be a positive integer when "
+                              "given")
         if (not isinstance(self.observables, list)
                 or not all(isinstance(t, str) for t in self.observables)):
             raise ConfigError("observables: must be a list of polynomial "
@@ -323,7 +327,7 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
     snapshots = []
 
     def record(time, dm):
-        tr = dm.matrix.trace()
+        tr = dm.trace()
         rows.append((time, tr.real, tr.imag)
                     + tuple(expectation(dm, g).real for _, g in observables))
 
@@ -474,7 +478,7 @@ def main(argv=None) -> int:
     emit_report(result, config, out_dir)
     for done, dm in result.snapshots:
         path = out_dir / f"snapshot_{done:08d}.json"
-        path.write_text(json.dumps(dm.matrix.to_json()))
+        path.write_text(json.dumps(dm.to_json()))
     for check in result.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.tag}: value={_fmt(check.value)} "

@@ -38,9 +38,9 @@ from .algebra import (
     low_order_gate,
     poly_to_normal_form,
 )
-from .fock import DIM_CAP, operator_trace
+from .fock import DIM_CAP, FockMatrix, operator_trace
 from .poly import ChartError, PolyExpr
-from .states import ClassicalState, DensityMatrix, Ensemble, hamilton_rhs, pure_density
+from .states import ClassicalState, Ensemble, hamilton_rhs, pure_density
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,11 @@ def flux_operator(observable: PolyExpr, hamiltonian: PolyExpr,
                       poly_to_normal_form(hamiltonian.promote(modes)))
 
 
-def quantum_flux(rho: DensityMatrix, observable: PolyExpr, hamiltonian: PolyExpr,
-                 cutoff: int | None = None, cap: int = DIM_CAP) -> complex:
+def quantum_flux(rho: FockMatrix, observable: PolyExpr, hamiltonian: PolyExpr,
+                 cap: int = DIM_CAP) -> complex:
     """-i Tr(rho [g_n, H_n]), the commutator read off rho word by word."""
-    cutoff = rho.cutoff if cutoff is None else cutoff
-    if cutoff != rho.cutoff:
-        raise ValueError("cutoff disagrees with the density matrix")
     comm = flux_operator(observable, hamiltonian, rho.modes)
-    return -1j * operator_trace(rho.data, comm, cutoff, cap)
+    return -1j * operator_trace(rho.data, comm, rho.cutoff, cap)
 
 
 def classical_flux(state: ClassicalState, observable: PolyExpr,
@@ -106,7 +103,7 @@ def discrepancy_direct(state: ClassicalState, observable: PolyExpr,
                        cap: int = DIM_CAP) -> DiscrepancyReport:
     """g_hat from the dense quantum route minus g_dot from the classical one."""
     rho = pure_density(state, cutoff, cap)
-    g_hat = quantum_flux(rho, observable, hamiltonian, cutoff, cap)
+    g_hat = quantum_flux(rho, observable, hamiltonian, cap)
     g_dot = classical_flux(state, observable, hamiltonian)
     return DiscrepancyReport(g_hat=g_hat, g_dot=g_dot, direct=g_hat - g_dot)
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .algebra import NormalFormOperator, hermitian_pair_check
 from .fock import DIM_CAP, FockMatrix, check_dimension, realize_matrix, word_diagonal
-from .states import DensityMatrix
 
 log = logging.getLogger(__name__)
 
@@ -58,12 +57,10 @@ class MasterTerms:
     """
 
     def __init__(self, hamiltonian: NormalFormOperator):
-        ok, pairing = hermitian_pair_check(hamiltonian)
+        ok, _ = hermitian_pair_check(hamiltonian)
         if not ok:
             raise PairingError(
                 "the Hamiltonian operator is not Hermitian-paired")
-        self.operator = hamiltonian
-        self.pairing = pairing
         self.modes = hamiltonian.modes
         n = self.modes
         zero = (0,) * n
@@ -85,31 +82,8 @@ class MasterTerms:
                                   ej, annih, drop_l, zero))
         self.sandwich_terms = terms
 
-    def commutator_words(self, create: tuple, annih: tuple,
-                         mode: int) -> tuple[NormalFormOperator, NormalFormOperator]:
-        """Symbolic ([adag_j, a^R], [a_j, adag^L]) for one word and mode."""
-        n = self.modes
-        zero = (0,) * n
-        drop_r = tuple(e - 1 if j == mode else e for j, e in enumerate(annih))
-        drop_l = tuple(e - 1 if j == mode else e for j, e in enumerate(create))
-        left = (NormalFormOperator(n, {(zero, drop_r): -annih[mode]})
-                if annih[mode] else NormalFormOperator.zero(n))
-        right = (NormalFormOperator(n, {(drop_l, zero): create[mode]})
-                 if create[mode] else NormalFormOperator.zero(n))
-        return left, right
 
-
-def liouville_rhs(rho: DensityMatrix | np.ndarray, hamiltonian: NormalFormOperator,
-                  cutoff: int, cap: int = DIM_CAP) -> np.ndarray:
-    """-i (H_n rho - rho H_n)."""
-    data = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    hmat = realize_matrix(hamiltonian, cutoff, cap).data
-    if hmat.shape != data.shape:
-        raise ValueError("dimension mismatch between rho and H_n")
-    return -1j * (hmat @ data - data @ hmat)
-
-
-def master_rhs(rho: DensityMatrix | np.ndarray, terms: MasterTerms,
+def master_rhs(rho: np.ndarray, terms: MasterTerms,
                cutoff: int, cap: int = DIM_CAP) -> np.ndarray:
     """Free-space master equation right-hand side (unfolded form).
 
@@ -118,21 +92,18 @@ def master_rhs(rho: DensityMatrix | np.ndarray, terms: MasterTerms,
     acts on the row axes and the post word on the column axes through its
     transpose, so source and target swap there.
     """
-    data = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho)
     n = terms.modes
     dim = check_dimension(n, cutoff, cap)
-    if data.shape != (dim, dim):
+    if rho.shape != (dim, dim):
         raise ValueError("dimension mismatch between rho and the term table")
-    tensor = data.reshape((cutoff,) * (2 * n))
+    tensor = rho.reshape((cutoff,) * (2 * n))
     out = np.zeros(tensor.shape, dtype=complex)
     for coeff, pre_c, pre_a, post_c, post_a in terms.sandwich_terms:
-        pre = [word_diagonal(c, a, cutoff) for c, a in zip(pre_c, pre_a)]
-        post = [word_diagonal(c, a, cutoff) for c, a in zip(post_c, post_a)]
-        source = tuple(w.source for w in pre) + tuple(w.target for w in post)
-        target = tuple(w.target for w in pre) + tuple(w.source for w in post)
+        pre = word_diagonal(pre_c, pre_a, cutoff)
+        post = word_diagonal(post_c, post_a, cutoff)
         scale = functools.reduce(np.multiply.outer,
-                                 [w.weights for w in pre + post], coeff)
-        out[target] += scale * tensor[source]
+                                 pre.weights + post.weights, coeff)
+        out[pre.target + post.source] += scale * tensor[pre.source + post.target]
     return out.reshape(dim, dim)
 
 
@@ -158,8 +129,8 @@ def density_generator(law: str, hamiltonian: NormalFormOperator, cutoff: int,
     raise ValueError(f"unknown generator {law!r}")
 
 
-def evolve_density(rho0: DensityMatrix, rhs: Callable[[np.ndarray], np.ndarray],
-                   t: float, dt: float) -> DensityMatrix:
+def evolve_density(rho0: FockMatrix, rhs: Callable[[np.ndarray], np.ndarray],
+                   t: float, dt: float) -> FockMatrix:
     """Fixed-step RK4 in matrix space under a generator from density_generator.
 
     The iterate is re-symmetrized each step; the asymmetry removed that way
@@ -188,32 +159,41 @@ def evolve_density(rho0: DensityMatrix, rhs: Callable[[np.ndarray], np.ndarray],
     drift = abs(np.trace(rho) - trace0)
     log.debug("evolve_density(%s): steps=%d max_asymmetry=%.3e trace_drift=%.3e",
               rhs.__name__, steps, worst_asym, drift)
-    return DensityMatrix(FockMatrix(rho0.modes, rho0.cutoff, rho),
-                         hermitian=rho0.hermitian,
-                         unit_trace=rho0.unit_trace,
-                         provenance=rho0.provenance)
+    return FockMatrix(rho0.modes, rho0.cutoff, rho)
 
 
-def time_average_project(rho: DensityMatrix, hamiltonian: NormalFormOperator,
-                         delta: float, cap: int = DIM_CAP) -> DensityMatrix:
-    """Trace-normalized time average of e^{iHt} rho e^{-iHt} over [0, delta].
+def time_average_project(rho: FockMatrix, hamiltonian: NormalFormOperator,
+                         delta: float, cap: int = DIM_CAP) -> FockMatrix:
+    """Trace-normalized time average of e^{iHt} rho e^{-iHt} over [0, delta]."""
+    return _time_average(rho, *_eigensystem(hamiltonian, rho.cutoff, cap),
+                         delta)
 
-    Trapezoid quadrature at step dt = min(0.01, delta/1000) in the eigenbasis
-    of H_n.  An energy offset E in H - E would cancel between the two
-    exponentials.  Between eigenvalues with gap w the N-step rule sums the
-    geometric series e^{iNh} sin(Nh) / tan(h) with h = w dt / 2, which is
-    pi-periodic in h; reducing h modulo pi to |h| <= pi/2 keeps sin(Nh)
-    accurate, and where h is then 0 the sum is its limit N.  Off-diagonal elements
-    decay like 2 sin(w delta / 2) / (w delta).
+
+def _eigensystem(hamiltonian: NormalFormOperator, cutoff: int,
+                 cap: int = DIM_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the realized H_n, which must be Hermitian."""
+    hmat = realize_matrix(hamiltonian, cutoff, cap)
+    if hmat.hermiticity_defect() > 1e-10:
+        raise ValueError("projection requires a Hermitian generator")
+    return np.linalg.eigh(hmat.data)
+
+
+def _time_average(rho: FockMatrix, evals: np.ndarray, vecs: np.ndarray,
+                  delta: float) -> FockMatrix:
+    """The time average in the eigenbasis (evals, vecs) of H_n.
+
+    Trapezoid quadrature at step dt = min(0.01, delta/1000).  An energy
+    offset E in H - E would cancel between the two exponentials.  Between
+    eigenvalues with gap w the N-step rule sums the geometric series
+    e^{iNh} sin(Nh) / tan(h) with h = w dt / 2, which is pi-periodic in h;
+    reducing h modulo pi to |h| <= pi/2 keeps sin(Nh) accurate, and where h
+    is then 0 the sum is its limit N.  Off-diagonal elements decay like
+    2 sin(w delta / 2) / (w delta).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     dt = min(0.01, delta / 1000)
     steps = max(1, int(round(delta / dt)))
-    hmat = realize_matrix(hamiltonian, rho.cutoff, cap)
-    if hmat.hermiticity_defect() > 1e-10:
-        raise ValueError("projection requires a Hermitian generator")
-    evals, vecs = np.linalg.eigh(hmat.data)
     rho_eig = vecs.conj().T @ rho.data @ vecs
     h = (evals[:, None] - evals[None, :]) * (dt / 2)
     h -= math.pi * np.round(h / math.pi)
@@ -223,12 +203,10 @@ def time_average_project(rho: DensityMatrix, hamiltonian: NormalFormOperator,
     averaged = rho_eig * phase_sum * (dt / delta)
     out = vecs @ averaged @ vecs.conj().T
     out /= np.trace(out).real
-    return DensityMatrix(FockMatrix(rho.modes, rho.cutoff, out),
-                         hermitian=rho.hermitian, unit_trace=True,
-                         provenance=rho.provenance)
+    return FockMatrix(rho.modes, rho.cutoff, out)
 
 
-def projection_decay(rho: DensityMatrix, hamiltonian: NormalFormOperator,
+def projection_decay(rho: FockMatrix, hamiltonian: NormalFormOperator,
                      deltas):
     """Rows (delta, largest off-diagonal element, C estimate, trace error)
     of the time average at each delta, and the spread of the C estimates.
@@ -236,14 +214,15 @@ def projection_decay(rho: DensityMatrix, hamiltonian: NormalFormOperator,
     Off-diagonal means between distinct eigenvalues of H_n: those are the
     elements the average suppresses like C/delta.  The spread is
     max/min of off * delta, infinite when some average has none left.
+    H_n is realized and diagonalized once for the mask and every delta.
     """
-    evals = np.linalg.eigvalsh(realize_matrix(hamiltonian, rho.cutoff).data)
+    evals, vecs = _eigensystem(hamiltonian, rho.cutoff)
     gap = np.abs(evals[:, None] - evals[None, :]) > 1e-9
     rows = []
     for delta in deltas:
-        out = time_average_project(rho, hamiltonian, delta)
+        out = _time_average(rho, evals, vecs, delta)
         off = float(np.max(np.abs(out.data[gap]))) if gap.any() else 0.0
-        rows.append((delta, off, off * delta, abs(out.matrix.trace() - 1.0)))
+        rows.append((delta, off, off * delta, abs(out.trace() - 1.0)))
     estimates = [row[2] for row in rows]
     band = max(estimates) / min(estimates) if min(estimates) > 0 else math.inf
     return rows, band

@@ -5,13 +5,14 @@ product with mode 1 as the slowest-varying index, so index i encodes the
 occupation tuple via repeated divmod by D.  Ladder matrices follow
 <k-1|a|k> = sqrt(k).
 
-A single-mode word (adag)^c a^r is a shifted diagonal (``word_diagonal``)
-and an n-mode word is their tensor product, so a word acts on a vector or a
-matrix, viewed as a (D,)*n or (D,)*2n tensor, by slicing and scaling along
-one axis per mode; ``operator_trace`` reads Tr(rho op) off one shifted
-diagonal of rho per word.  Dense matrices (``realize_matrix``) remain for
-eigendecompositions, reification, the Liouville commutator and test
-oracles.
+A word (adag)^c a^r is a shifted diagonal on every mode (``word_diagonal``),
+so it acts on a vector or a matrix, viewed as a (D,)*n or (D,)*2n tensor, by
+slicing and scaling along one axis per mode.  This is the one primitive of
+the layer: ``operator_trace`` reads Tr(rho op) off one shifted diagonal of
+rho per word, and ``realize_matrix`` writes the dense matrix, which remains
+for eigendecompositions, reification, the Liouville commutator and test
+oracles, one shifted diagonal per word.  Matrices of any kind (operators,
+moment matrices) are ``FockMatrix`` values; vectors are plain arrays.
 
 Truncation policy: a single normal-ordered word (adag)^c a^r realizes
 exactly on the whole block (its matrix elements agree with the untruncated
@@ -51,27 +52,6 @@ def check_dimension(modes: int, cutoff: int, cap: int = DIM_CAP) -> int:
 
 
 @dataclass(frozen=True)
-class FockVector:
-    modes: int
-    cutoff: int
-    data: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def to_json(self) -> dict:
-        return {"modes": self.modes, "cutoff": self.cutoff,
-                "re": self.data.real.tolist(), "im": self.data.imag.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict | str) -> "FockVector":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        data = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return cls(obj["modes"], obj["cutoff"], data)
-
-
-@dataclass(frozen=True)
 class FockMatrix:
     modes: int
     cutoff: int
@@ -101,76 +81,61 @@ class FockMatrix:
 
 
 class WordDiagonal(NamedTuple):
-    """(adag)^create a^annih on one mode: out[target] = weights * v[source]."""
+    """(adag)^create a^annih as a shifted diagonal, one entry per mode:
+    out[target...] = outer(weights...) * v[source...]."""
 
-    source: slice
-    target: slice
-    weights: np.ndarray
+    source: tuple[slice, ...]
+    target: tuple[slice, ...]
+    weights: tuple[np.ndarray, ...]
 
 
-def word_diagonal(create: int, annih: int, cutoff: int) -> WordDiagonal:
-    """The single-mode word as a shifted diagonal.
+def word_diagonal(create: tuple, annih: tuple, cutoff: int) -> WordDiagonal:
+    """The n-mode word as a shifted diagonal.
 
-    It reads occupation k from annih up and writes k - annih + create, with
-    weight sqrt(k (k-1) ... (k-annih+1) * (k-annih+1) ... (k-annih+create)),
-    the product taken factor by factor in that order.
+    On mode j it reads occupation k from annih_j up and writes
+    k - annih_j + create_j, with weight sqrt(k (k-1) ... (k-annih_j+1) *
+    (k-annih_j+1) ... (k-annih_j+create_j)), the product taken factor by
+    factor in that order.
     """
-    length = max(cutoff - max(create, annih), 0)
-    k = np.arange(annih, annih + length, dtype=float)
-    val = np.ones(length)
-    for step in range(annih):
-        val *= k - step
-    for step in range(create):
-        val *= k - annih + 1 + step
-    return WordDiagonal(slice(annih, annih + length),
-                        slice(create, create + length), np.sqrt(val))
+    source, target, weights = [], [], []
+    for c, a in zip(create, annih):
+        length = max(cutoff - max(c, a), 0)
+        k = np.arange(a, a + length, dtype=float)
+        val = np.ones(length)
+        for step in range(a):
+            val *= k - step
+        for step in range(c):
+            val *= k - a + 1 + step
+        source.append(slice(a, a + length))
+        target.append(slice(c, c + length))
+        weights.append(np.sqrt(val))
+    return WordDiagonal(tuple(source), tuple(target), tuple(weights))
 
 
-@functools.lru_cache
-def single_mode_word(create: int, annih: int, cutoff: int) -> np.ndarray:
-    """Exact D x D matrix of (adag)^create a^annih (shared, read-only)."""
-    word = word_diagonal(create, annih, cutoff)
-    mat = np.zeros((cutoff, cutoff), dtype=complex)
-    np.fill_diagonal(mat[word.target, word.source], word.weights)
-    mat.setflags(write=False)
-    return mat
+def _paired_diagonal(modes: int) -> str:
+    """einsum spec of the diagonal pairing each row mode with its column."""
+    axes = string.ascii_letters[:modes]
+    return f"{axes}{axes}->{axes}"
 
 
 def realize_matrix(op: NormalFormOperator, cutoff: int,
                    cap: int = DIM_CAP) -> FockMatrix:
     """Dense matrix of a normal-form operator.
 
-    Words factor across modes, so the sum is assembled by grouping on the
-    leading mode's (create, annih) pair and recursing on the remainder; this
-    keeps the number of Kronecker products at the number of distinct leading
-    factors instead of the number of words.
+    The output is viewed as a (D,)*2n tensor, row modes first; each word
+    adds its weights, scaled by the coefficient, along its shifted diagonal,
+    written through the einsum view that pairs each row mode with its
+    column mode.
     """
-    dim = check_dimension(op.modes, cutoff, cap)
-    data = _realize_words(list(op.words.items()), op.modes, cutoff)
-    if data is None:
-        data = np.zeros((dim, dim), dtype=complex)
-    return FockMatrix(op.modes, cutoff, data)
-
-
-def _realize_words(items, modes: int, cutoff: int):
-    if not items:
-        return None
-    if modes == 1:
-        out = np.zeros((cutoff, cutoff), dtype=complex)
-        for (create, annih), coeff in items:
-            out += coeff * single_mode_word(create[0], annih[0], cutoff)
-        return out
-    groups: dict[tuple[int, int], list] = {}
-    for (create, annih), coeff in items:
-        head = (create[0], annih[0])
-        tail = ((create[1:], annih[1:]), coeff)
-        groups.setdefault(head, []).append(tail)
-    out = None
-    for (c0, r0), tail_items in sorted(groups.items()):
-        sub = _realize_words(tail_items, modes - 1, cutoff)
-        block = np.kron(single_mode_word(c0, r0, cutoff), sub)
-        out = block if out is None else out + block
-    return out
+    n = op.modes
+    dim = check_dimension(n, cutoff, cap)
+    out = np.zeros((cutoff,) * (2 * n), dtype=complex)
+    paired = _paired_diagonal(n)
+    for (create, annih), coeff in op.words.items():
+        word = word_diagonal(create, annih, cutoff)
+        diagonal = np.einsum(paired, out[word.target + word.source])
+        diagonal += functools.reduce(np.multiply.outer, word.weights, coeff)
+    return FockMatrix(n, cutoff, out.reshape(dim, dim))
 
 
 def operator_trace(rho: np.ndarray, op: NormalFormOperator, cutoff: int,
@@ -187,15 +152,12 @@ def operator_trace(rho: np.ndarray, op: NormalFormOperator, cutoff: int,
     if rho.shape != (dim, dim):
         raise ValueError("dimension mismatch between rho and the operator")
     tensor = rho.reshape((cutoff,) * (2 * n))
-    axes = string.ascii_letters[:n]
-    paired = f"{axes}{axes}->{axes}"
+    paired = _paired_diagonal(n)
     total = 0j
     for (create, annih), coeff in op.words.items():
-        words = [word_diagonal(c, a, cutoff) for c, a in zip(create, annih)]
-        block = tensor[tuple(w.source for w in words)
-                       + tuple(w.target for w in words)]
-        weights = functools.reduce(np.multiply.outer,
-                                   [w.weights for w in words], coeff)
+        word = word_diagonal(create, annih, cutoff)
+        block = tensor[word.source + word.target]
+        weights = functools.reduce(np.multiply.outer, word.weights, coeff)
         total += np.sum(weights * np.einsum(paired, block))
     return complex(total)
 

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DIM_CAP, FockMatrix, check_dimension, expm_hermitian, single_mode_word
+from .algebra import NormalFormOperator
+from .fock import DIM_CAP, FockMatrix, check_dimension, expm_hermitian, realize_matrix
 from .states import ClassicalState, pseudo_wavefunction
 
 _MARGIN = 1e-3
@@ -43,10 +44,16 @@ class PoleError(ValueError):
     """Requested alpha sits on (or too close to) the pi/4 pole."""
 
 
+def _word(create: int, annih: int, cutoff: int) -> np.ndarray:
+    """Dense D x D matrix of the single-mode word (adag)^create a^annih."""
+    return realize_matrix(NormalFormOperator.word(1.0, (create,), (annih,)),
+                          cutoff).data
+
+
 @functools.lru_cache
 def _s_bundle(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the S generator (shared, read-only)."""
-    gen = 0.5 * (single_mode_word(2, 0, cutoff) + single_mode_word(0, 2, cutoff))
+    gen = 0.5 * (_word(2, 0, cutoff) + _word(0, 2, cutoff))
     bundle = np.linalg.eigh(gen)
     for part in bundle:
         part.setflags(write=False)
@@ -64,8 +71,8 @@ def s_operator(alpha: float, cutoff: int) -> FockMatrix:
 
 def rotated_annihilation(alpha: float, cutoff: int) -> np.ndarray:
     """cos(alpha) a + sin(alpha) adag, the similarity image of a under S."""
-    return (math.cos(alpha) * single_mode_word(0, 1, cutoff)
-            + math.sin(alpha) * single_mode_word(1, 0, cutoff))
+    return (math.cos(alpha) * _word(0, 1, cutoff)
+            + math.sin(alpha) * _word(1, 0, cutoff))
 
 
 def flow_coeffs(alpha: float) -> tuple[float, float]:
@@ -114,8 +121,8 @@ def rho_z_trace(state: ClassicalState, alphas, cutoff: int,
         raise ValueError("the single-mode recoding takes one-mode states")
     w, v = _s_bundle(cutoff)
     # rank-one structure: ||S rho S||_2 = ||S w||^2
-    wvec = pseudo_wavefunction(state, cutoff).data
-    phi_op = (single_mode_word(0, 1, cutoff) + single_mode_word(1, 0, cutoff)) \
+    wvec = pseudo_wavefunction(state, cutoff)
+    phi_op = (_word(0, 1, cutoff) + _word(1, 0, cutoff)) \
         / math.sqrt(2)
     z0 = state.z[0]
     y0 = np.conj(z0)
@@ -151,10 +158,10 @@ def norm_flow_residual(state: ClassicalState, alpha: float, cutoff: int) -> floa
         raise PoleError("alpha must sit in [0, pi/4 - margin]")
     c, d = flow_coeffs(alpha)
     s = s_operator(alpha, cutoff).data
-    u = s @ pseudo_wavefunction(state, cutoff).data
+    u = s @ pseudo_wavefunction(state, cutoff)
     rho = np.outer(u, u.conj())
     rho /= np.trace(rho).real
-    gen = 0.5 * (single_mode_word(2, 0, cutoff) + single_mode_word(0, 2, cutoff))
+    gen = 0.5 * (_word(2, 0, cutoff) + _word(0, 2, cutoff))
     a_rot = rotated_annihilation(alpha, cutoff)
     rhs = (-gen @ rho - rho @ gen
            + c * (a_rot @ a_rot @ rho)

@@ -7,9 +7,10 @@ multimode coherent vector with per-mode amplitude z_j = (phi_j + i pi_j)/sqrt2:
 
 so a_j w = z_j w.  The moment matrix of an ensemble is the weighted sum of
 the rank-one projectors w w^H; such matrices are Hermitian, PSD and
-unit-trace, and are flagged physically realizable (``provenance="PR"``).
-Everything here is exact up to ladder truncation, which is kept quantitative
-by the amplitude guard |z_j|^2 <= cutoff/4.
+unit-trace (physically realizable).  Moment matrices are ``FockMatrix``
+values and the vectors w plain arrays.  Everything here is exact up to
+ladder truncation, which is kept quantitative by the amplitude guard
+|z_j|^2 <= cutoff/4.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .algebra import poly_to_normal_form
-from .fock import (
-    DIM_CAP,
-    FockMatrix,
-    FockVector,
-    check_dimension,
-    operator_trace,
-)
+from .fock import DIM_CAP, FockMatrix, check_dimension, operator_trace
 from .poly import ChartError, PolyExpr
 
 _SQRT2 = math.sqrt(2.0)
@@ -148,45 +143,8 @@ class Ensemble:
                           m["w"]) for m in obj["members"]))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A Fock-space moment matrix with its structural flags.
-
-    ``provenance`` is "PR" for matrices built from ensembles of pure states
-    (these are PSD); anything constructed by hand carries "raw".
-    """
-
-    matrix: FockMatrix
-    hermitian: bool = True
-    unit_trace: bool = True
-    provenance: str = "PR"
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.matrix.data
-
-    @property
-    def modes(self) -> int:
-        return self.matrix.modes
-
-    @property
-    def cutoff(self) -> int:
-        return self.matrix.cutoff
-
-    def validate(self, hermitian_tol: float = 1e-12, trace_tol: float = 1e-10,
-                 psd_tol: float = 1e-10) -> None:
-        if self.hermitian and self.matrix.hermiticity_defect() > hermitian_tol:
-            raise ValueError("hermiticity flag violated")
-        if self.unit_trace and abs(self.matrix.trace() - 1.0) > trace_tol:
-            raise ValueError("unit-trace flag violated")
-        if self.provenance == "PR":
-            lo = float(np.linalg.eigvalsh(self.data).min())
-            if lo < -psd_tol:
-                raise ValueError(f"PR matrix has eigenvalue {lo}")
-
-
 def pseudo_wavefunction(state: ClassicalState, cutoff: int,
-                        cap: int = DIM_CAP) -> FockVector:
+                        cap: int = DIM_CAP) -> np.ndarray:
     """Coherent encoding of a pure classical state in the number basis.
 
     Amplitudes are prod_j z_j^{k_j} e^{-|z_j|^2/2} / sqrt(k_j!), built by the
@@ -198,7 +156,7 @@ def pseudo_wavefunction(state: ClassicalState, cutoff: int,
     for j, zj in enumerate(state.z):
         col = _coherent_column(j, zj, cutoff)
         data = col if data is None else np.kron(data, col)
-    return FockVector(state.modes, cutoff, data)
+    return data
 
 
 def _coherent_column(mode: int, amp: complex, cutoff: int) -> np.ndarray:
@@ -215,22 +173,21 @@ def _coherent_column(mode: int, amp: complex, cutoff: int) -> np.ndarray:
 
 
 def pure_density(state: ClassicalState, cutoff: int,
-                 cap: int = DIM_CAP) -> DensityMatrix:
+                 cap: int = DIM_CAP) -> FockMatrix:
     """Rank-one moment matrix w w^H of a pure state."""
     w = pseudo_wavefunction(state, cutoff, cap)
-    mat = FockMatrix(state.modes, cutoff, np.outer(w.data, w.data.conj()))
-    return DensityMatrix(mat)
+    return FockMatrix(state.modes, cutoff, np.outer(w, w.conj()))
 
 
 def ensemble_density(ensemble: Ensemble, cutoff: int,
-                     cap: int = DIM_CAP) -> DensityMatrix:
+                     cap: int = DIM_CAP) -> FockMatrix:
     """Weighted mixture of pure moment matrices; Hermitian, PSD, trace one."""
     acc = None
     for state, weight in ensemble.members:
         w = pseudo_wavefunction(state, cutoff, cap)
-        block = weight * np.outer(w.data, w.data.conj())
+        block = weight * np.outer(w, w.conj())
         acc = block if acc is None else acc + block
-    return DensityMatrix(FockMatrix(ensemble.modes, cutoff, acc))
+    return FockMatrix(ensemble.modes, cutoff, acc)
 
 
 def hamilton_rhs(hamiltonian: PolyExpr,
@@ -291,18 +248,15 @@ def integrate_ensemble(hamiltonian: PolyExpr, ensemble: Ensemble,
         lambda s: integrate_state(hamiltonian, s, t, dt))
 
 
-def expectation(rho: DensityMatrix, observable: PolyExpr, cutoff: int | None = None,
+def expectation(rho: FockMatrix, observable: PolyExpr,
                 cap: int = DIM_CAP) -> complex:
     """Tr(rho g_n) for the normal-product operator of a polynomial."""
-    cutoff = rho.cutoff if cutoff is None else cutoff
-    if cutoff != rho.cutoff:
-        raise ValueError("cutoff disagrees with the density matrix")
     op = poly_to_normal_form(observable.promote(rho.modes))
-    return operator_trace(rho.data, op, cutoff, cap)
+    return operator_trace(rho.data, op, rho.cutoff, cap)
 
 
 def extended_wavefunction(state: ClassicalState, cutoff: int,
-                          cap: int = DIM_CAP) -> FockVector:
+                          cap: int = DIM_CAP) -> np.ndarray:
     """Doubled encoding: amplitude z_j in mode a_j and y_j in its partner b_j.
 
     Modes are interleaved (a_1, b_1, a_2, b_2, ...).  The raw exponent
@@ -316,4 +270,4 @@ def extended_wavefunction(state: ClassicalState, cutoff: int,
         for amp in (zj, np.conj(zj)):
             col = _coherent_column(j, amp, cutoff)
             data = col if data is None else np.kron(data, col)
-    return FockVector(2 * state.modes, cutoff, data)
+    return data

@@ -108,9 +108,18 @@ class TestExitCodes:
         ("reify", "cutoffs", 5),
         ("iee", "observables", 5),
         ("iee", "observables", ["phi1", 3]),
+        ("evolve", "cutoff", 1),
+        ("iee", "cutoff", 1),
+        ("evolve", "snapshot_every", "x"),
+        ("evolve", "snapshot_every", True),
+        ("evolve", "snapshot_every", 2.5),
+        ("evolve", "snapshot_every", 0),
+        ("project", "snapshot_every", "x"),
     ], ids=["t-text", "deltas-scalar", "deltas-empty", "bindings-text",
             "sweep-two-keys", "cutoffs-scalar", "observables-scalar",
-            "observables-number-entry"])
+            "observables-number-entry", "evolve-cutoff-one", "iee-cutoff-one",
+            "snapshot-text", "snapshot-bool", "snapshot-fraction",
+            "snapshot-zero", "project-snapshot-text"])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, experiment,
                                          name, value):
         cfg = write_config(tmp_path, "bad.json", {name: value, "seed": 1})

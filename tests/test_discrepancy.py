@@ -53,7 +53,7 @@ class TestQuantumFlux:
         for _ in range(5):
             s = random_state(rng)
             rho = pure_density(s, D)
-            got = quantum_flux(rho, g, H, D)
+            got = quantum_flux(rho, g, H)
             gmat = realize_matrix(poly_to_normal_form(g), D).data
             hmat = realize_matrix(poly_to_normal_form(H), D).data
             oracle = -1j * trace_product(rho.data, gmat @ hmat - hmat @ gmat)

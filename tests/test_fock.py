@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -20,7 +17,6 @@ from fockdm.fock import (
     occupations,
     operator_trace,
     realize_matrix,
-    single_mode_word,
     trace_product,
 )
 
@@ -28,9 +24,28 @@ A = NormalFormOperator.annihilation()
 AD = NormalFormOperator.creation()
 
 
+def one_mode_word(create, annih, cutoff):
+    return realize_matrix(NormalFormOperator.word(1.0, (create,), (annih,)),
+                          cutoff).data
+
+
+def ladder_oracle(op, cutoff):
+    """sum_words coeff * kron_j (adag^c_j a^r_j), from ladder-matrix powers;
+    mode 1 is the slowest index, as in the package."""
+    a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
+    out = np.zeros((cutoff ** op.modes,) * 2, dtype=complex)
+    for (create, annih), coeff in op.words.items():
+        mat = np.eye(1, dtype=complex)
+        for c, r in zip(create, annih):
+            mat = np.kron(mat, np.linalg.matrix_power(a.conj().T, c)
+                          @ np.linalg.matrix_power(a, r))
+        out += coeff * mat
+    return out
+
+
 class TestLadderMatrices:
     def test_annihilation_entries_at_cutoff_3(self):
-        a = single_mode_word(0, 1, 3)
+        a = realize_matrix(A, 3).data
         want = np.zeros((3, 3), dtype=complex)
         want[0, 1] = 1.0
         want[1, 2] = np.sqrt(2.0)
@@ -42,9 +57,9 @@ class TestLadderMatrices:
 
     def test_word_matrix_matches_ladder_powers(self):
         D = 9
-        a = single_mode_word(0, 1, D)
+        a = one_mode_word(0, 1, D)
         for c, r in ((0, 2), (3, 0), (2, 3), (1, 1)):
-            direct = single_mode_word(c, r, D)
+            direct = one_mode_word(c, r, D)
             via_powers = np.linalg.matrix_power(a.conj().T, c) @ \
                 np.linalg.matrix_power(a, r)
             assert np.allclose(direct, via_powers, atol=1e-12)
@@ -64,32 +79,33 @@ class TestLadderMatrices:
                 mat[row, col] = np.sqrt(val)
             return mat
 
-        for D in range(1, 65):
+        # D starts at 2: check_dimension rejects a cutoff of 1
+        for D in range(2, 65):
             for c in range(9):
                 for r in range(9):
-                    assert np.array_equal(single_mode_word(c, r, D),
+                    assert np.array_equal(one_mode_word(c, r, D),
                                           loop(c, r, D)), (c, r, D)
 
-    def test_word_matrix_is_read_only(self):
-        with pytest.raises(ValueError):
-            single_mode_word(1, 2, 5)[0, 0] = 1.0
+    @pytest.mark.parametrize("modes, D", [(1, 8), (1, 16), (2, 8), (2, 16)])
+    def test_realization_equals_the_kron_of_ladder_powers(self, modes, D):
+        # an oracle that shares no code with word_diagonal
+        rng = np.random.default_rng(43 + 10 * modes + D)
+        for hermitian_op in (True, False):
+            for _ in range(4):
+                op = random_normal_operator(rng, modes=modes, degree=3,
+                                            words=5, hermitian=hermitian_op,
+                                            dyadic=False)
+                want = ladder_oracle(op, D)
+                got = realize_matrix(op, D).data
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-12 * np.max(np.abs(want))
 
-    def test_word_cache_is_bounded_and_thread_safe(self):
-        keys = [(c, r, D) for c in range(4) for r in range(4) for D in (5, 9)]
-        want = {key: single_mode_word(*key).copy() for key in keys}
-        single_mode_word.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(lambda key: single_mode_word(*key),
-                                    keys * 8, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        for key, mat in zip(keys * 8, got):
-            assert np.array_equal(mat, want[key])
-        info = single_mode_word.cache_info()
-        assert info.currsize == len(keys) <= info.maxsize
+    @pytest.mark.parametrize("create, annih", [
+        ((9,), (2,)), ((2,), (9,)), ((1, 9), (0, 0)), ((0, 1), (8, 1))])
+    def test_word_longer_than_the_cutoff_realizes_to_zero(self, create, annih):
+        op = NormalFormOperator.word(1.0, create, annih)
+        assert not realize_matrix(op, 8).data.any()
+        assert not ladder_oracle(op, 8).any()
 
 
 class TestRealize:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fockdm.fock import interior_block, single_mode_word
+from fockdm.algebra import NormalFormOperator
+from fockdm.fock import interior_block, realize_matrix
 from fockdm.reify import (
     PoleError,
     flow_coeffs,
@@ -15,6 +16,10 @@ from fockdm.reify import (
     s_operator,
 )
 from fockdm.states import ClassicalState, extended_wavefunction
+
+
+A = NormalFormOperator.annihilation()
+AD = NormalFormOperator.creation()
 
 
 def state1(phi, pi):
@@ -39,8 +44,8 @@ class TestSOperator:
     def test_similarity_rotates_ladder_first_order(self):
         # S(da) a S(da)^-1 = a + adag da + O(da^2): second-order slope check
         D = 32
-        a = single_mode_word(0, 1, D)
-        ad = single_mode_word(1, 0, D)
+        a = realize_matrix(A, D).data
+        ad = realize_matrix(AD, D).data
         residuals = []
         for da in (1e-3, 1e-4):
             s = s_operator(da, D).data
@@ -53,8 +58,8 @@ class TestSOperator:
 
     def test_similarity_rotates_creation_first_order(self):
         D = 32
-        a = single_mode_word(0, 1, D)
-        ad = single_mode_word(1, 0, D)
+        a = realize_matrix(A, D).data
+        ad = realize_matrix(AD, D).data
         da = 1e-4
         s = s_operator(da, D).data
         sinv = s_operator(-da, D).data
@@ -67,13 +72,13 @@ class TestSOperator:
         # derivative of the rotated ladder (cos a + sin adag) there
         D = 32
         h = 1e-4
-        a = single_mode_word(0, 1, D)
+        a = realize_matrix(A, D).data
 
         def sim(al):
             return s_operator(al, D).data @ a @ s_operator(-al, D).data
 
         fd = (sim(h) - sim(-h)) / (2 * h)
-        want = single_mode_word(1, 0, D)  # -sin(0) a + cos(0) adag
+        want = realize_matrix(AD, D).data  # -sin(0) a + cos(0) adag
         assert np.abs(interior_block(fd - want, 1, D, 4)).max() <= 1e-5
 
     def test_rotated_annihilation_matches_similarity_on_states(self):
@@ -84,8 +89,8 @@ class TestSOperator:
         from fockdm.states import pseudo_wavefunction
         D = 32
         alpha = 0.2
-        a = single_mode_word(0, 1, D)
-        w = pseudo_wavefunction(state1(0.5, 0.3), D).data
+        a = realize_matrix(A, D).data
+        w = pseudo_wavefunction(state1(0.5, 0.3), D)
         routed = s_operator(alpha, D).data @ (
             a @ (s_operator(-alpha, D).data @ w))
         direct = rotated_annihilation(alpha, D) @ w
@@ -187,7 +192,7 @@ class TestMOperator:
         for cutoff in (16, 32):
             wt = extended_wavefunction(s, cutoff)
             m = m_operator(math.pi / 4, 1, cutoff)
-            norms[cutoff] = float(np.linalg.norm(m.data @ wt.data))
+            norms[cutoff] = float(np.linalg.norm(m.data @ wt))
         change = abs(norms[32] - norms[16]) / norms[16]
         assert change < 1e-6
         assert np.isfinite(norms[32])
@@ -198,7 +203,7 @@ class TestMOperator:
         wt = extended_wavefunction(s, D)
         m = m_operator(0.3, 2, D)
         assert m.modes == 4
-        out = m.data @ wt.data
+        out = m.data @ wt
         assert np.isfinite(np.linalg.norm(out))
 
 
