@@ -43,7 +43,7 @@ from .fock import (
     operator_trace,
     realize_matrix,
 )
-from .poly import PolyExpr, PolyParseError, parse_poly, to_phipi, to_zy, zy_partial
+from .poly import PolyExpr, PolyParseError, parse_poly
 from .reify import (
     PoleError,
     ReificationTrace,

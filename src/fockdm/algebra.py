@@ -14,7 +14,6 @@ identities cancel to the empty operator.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, Mapping
 
@@ -172,23 +171,6 @@ class NormalFormOperator:
             bits.append(f"({c:.6g})*{body}")
         return " + ".join(bits)
 
-    def to_json(self) -> list[dict]:
-        return [{"re": c.real, "im": c.imag,
-                 "create": list(create), "annih": list(annih)}
-                for (create, annih), c in sorted(self.words.items())]
-
-    @classmethod
-    def from_json(cls, obj: list | str, modes: int | None = None) -> "NormalFormOperator":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        words = {(tuple(w["create"]), tuple(w["annih"])): complex(w["re"], w["im"])
-                 for w in obj}
-        if modes is None:
-            if not words:
-                raise ValueError("mode count required for an empty word list")
-            modes = len(next(iter(words))[0])
-        return cls(modes, words)
-
 
 def _reorder_single_mode(r: int, l: int) -> list[tuple[int, int, int]]:
     """Rewrite a^r adag^l as sum of k!*C(r,k)*C(l,k) adag^(l-k) a^(r-k)."""
@@ -246,25 +228,18 @@ def poly_to_normal_form(p: PolyExpr) -> NormalFormOperator:
     return NormalFormOperator(n, words)
 
 
-def hermitian_pair_check(op: NormalFormOperator,
-                         tol: float = 1e-12) -> tuple[bool, dict[WordKey, WordKey]]:
+def hermitian_pair_check(op: NormalFormOperator, tol: float = 1e-12) -> bool:
     """Check that words pair off under Hermitian conjugation.
 
-    Returns (ok, pairing) where pairing maps every word key to its conjugate
-    partner (itself for self-conjugate words).  ok is True iff each word
-    (create, annih) has the partner (annih, create) present with the complex
-    conjugate coefficient, which makes the operator Hermitian.
+    True iff each word (create, annih) has the partner (annih, create)
+    present with the complex conjugate coefficient, which makes the operator
+    Hermitian.
     """
-    pairing: dict[WordKey, WordKey] = {}
-    ok = True
     for (create, annih), coeff in op.words.items():
-        partner = (annih, create)
-        mate = op.words.get(partner)
+        mate = op.words.get((annih, create))
         if mate is None or abs(mate - coeff.conjugate()) > tol * max(1.0, abs(coeff)):
-            ok = False
-            continue
-        pairing[(create, annih)] = partner
-    return ok, pairing
+            return False
+    return True
 
 
 def nested_commutator_order(op: NormalFormOperator, mode: int) -> tuple[int, int]:

@@ -34,7 +34,7 @@ from .discrepancy import discrepancy_report, iee_check
 from .evolution import density_generator, evolve_density, projection_decay
 from .fock import DimensionCapError
 from .poly import PolyExpr, PolyParseError, parse_poly
-from .reify import flow_coeffs, rho_z_trace
+from .reify import PoleError, flow_coeffs, rho_z_trace
 from .states import (
     AmplitudeOverflowError,
     ClassicalState,
@@ -108,6 +108,9 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not _is_number(v) or not v > 0:
                 raise ConfigError(f"{name}: must be a positive number")
+        if not 0 < math.pi / 4 - self.alpha_margin < math.pi / 4:
+            raise ConfigError("alpha_margin: the grid end pi/4 - alpha_margin "
+                              "must lie strictly inside (0, pi/4)")
         if not _is_number(self.t) or self.t < 0:
             raise ConfigError("t: must be a nonnegative number")
         if self.generator not in ("liouville", "master"):
@@ -140,6 +143,8 @@ class ExperimentConfig:
             raise ConfigError("observables: must be nonempty")
         if self.seed is None and self.experiment in self.RANDOMIZED:
             raise ConfigError("seed: required for randomized suites")
+        if not isinstance(self.hamiltonian, str):
+            raise ConfigError("hamiltonian: must be a polynomial string")
         for name, text in [("hamiltonian", self.hamiltonian)] + [
                 ("observables", text) for text in self.observables]:
             try:
@@ -358,7 +363,7 @@ def run_reify(config: ExperimentConfig) -> SuiteResult:
     monotone = True
     for cutoff in config.cutoffs:
         trace = rho_z_trace(state, grid, cutoff)
-        monotone = monotone and bool(np.all(np.diff(trace.norms) > 0))
+        monotone = monotone and trace.is_monotone()
         for alpha, norm, r7, r8 in zip(trace.alphas, trace.norms,
                                        trace.residual_a7, trace.residual_a8):
             c, d = flow_coeffs(alpha)
@@ -468,7 +473,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (AmplitudeOverflowError, DimensionCapError, FloatingPointError,
-            np.linalg.LinAlgError) as err:
+            PoleError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except MemoryError:

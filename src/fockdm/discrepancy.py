@@ -38,7 +38,7 @@ from .algebra import (
     low_order_gate,
     poly_to_normal_form,
 )
-from .fock import DIM_CAP, FockMatrix, operator_trace
+from .fock import FockMatrix, operator_trace
 from .poly import ChartError, PolyExpr
 from .states import ClassicalState, Ensemble, hamilton_rhs, pure_density
 
@@ -76,11 +76,11 @@ def flux_operator(observable: PolyExpr, hamiltonian: PolyExpr,
                       poly_to_normal_form(hamiltonian.promote(modes)))
 
 
-def quantum_flux(rho: FockMatrix, observable: PolyExpr, hamiltonian: PolyExpr,
-                 cap: int = DIM_CAP) -> complex:
+def quantum_flux(rho: FockMatrix, observable: PolyExpr,
+                 hamiltonian: PolyExpr) -> complex:
     """-i Tr(rho [g_n, H_n]), the commutator read off rho word by word."""
     comm = flux_operator(observable, hamiltonian, rho.modes)
-    return -1j * operator_trace(rho.data, comm, rho.cutoff, cap)
+    return -1j * operator_trace(rho.data, comm, rho.cutoff)
 
 
 def classical_flux(state: ClassicalState, observable: PolyExpr,
@@ -99,11 +99,10 @@ def classical_flux(state: ClassicalState, observable: PolyExpr,
 
 
 def discrepancy_direct(state: ClassicalState, observable: PolyExpr,
-                       hamiltonian: PolyExpr, cutoff: int,
-                       cap: int = DIM_CAP) -> DiscrepancyReport:
+                       hamiltonian: PolyExpr, cutoff: int) -> DiscrepancyReport:
     """g_hat from the dense quantum route minus g_dot from the classical one."""
-    rho = pure_density(state, cutoff, cap)
-    g_hat = quantum_flux(rho, observable, hamiltonian, cap)
+    rho = pure_density(state, cutoff)
+    g_hat = quantum_flux(rho, observable, hamiltonian)
     g_dot = classical_flux(state, observable, hamiltonian)
     return DiscrepancyReport(g_hat=g_hat, g_dot=g_dot, direct=g_hat - g_dot)
 
@@ -147,10 +146,10 @@ def discrepancy_closed_form(state: ClassicalState, observable: PolyExpr,
 
 
 def discrepancy_report(state: ClassicalState, observable: PolyExpr,
-                       hamiltonian: PolyExpr, cutoff: int, order_cap: int = 3,
-                       cap: int = DIM_CAP) -> DiscrepancyReport:
+                       hamiltonian: PolyExpr, cutoff: int,
+                       order_cap: int = 3) -> DiscrepancyReport:
     """Direct and closed-form discrepancies side by side."""
-    base = discrepancy_direct(state, observable, hamiltonian, cutoff, cap)
+    base = discrepancy_direct(state, observable, hamiltonian, cutoff)
     value, applicable = discrepancy_closed_form(state, observable, hamiltonian,
                                                 order_cap)
     return DiscrepancyReport(g_hat=base.g_hat, g_dot=base.g_dot,
@@ -219,8 +218,7 @@ class IEEReport:
 
 
 def iee_check(ensemble: Ensemble, hamiltonian: PolyExpr,
-              observables, cutoff: int, tolerance: float = 1e-7,
-              cap: int = DIM_CAP) -> IEEReport:
+              observables, cutoff: int, tolerance: float = 1e-7) -> IEEReport:
     """Test a candidate equilibrium ensemble against a set of observables.
 
     The ensemble-averaged quantum flux, classical flux, and their gap are
@@ -231,8 +229,8 @@ def iee_check(ensemble: Ensemble, hamiltonian: PolyExpr,
     comms = [flux_operator(g, hamiltonian, ensemble.modes) for g in observables]
 
     def quantum_fluxes(s):
-        rho = pure_density(s, cutoff, cap).data
-        return np.array([-1j * operator_trace(rho, comm, cutoff, cap)
+        rho = pure_density(s, cutoff).data
+        return np.array([-1j * operator_trace(rho, comm, cutoff)
                          for comm in comms])
 
     rows = []

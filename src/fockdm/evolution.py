@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import NormalFormOperator, hermitian_pair_check
-from .fock import DIM_CAP, FockMatrix, check_dimension, realize_matrix, word_diagonal
+from .fock import FockMatrix, check_dimension, realize_matrix, word_diagonal
 
 log = logging.getLogger(__name__)
 
@@ -57,8 +57,7 @@ class MasterTerms:
     """
 
     def __init__(self, hamiltonian: NormalFormOperator):
-        ok, _ = hermitian_pair_check(hamiltonian)
-        if not ok:
+        if not hermitian_pair_check(hamiltonian):
             raise PairingError(
                 "the Hamiltonian operator is not Hermitian-paired")
         self.modes = hamiltonian.modes
@@ -84,7 +83,7 @@ class MasterTerms:
 
 
 def master_rhs(rho: np.ndarray, terms: MasterTerms,
-               cutoff: int, cap: int = DIM_CAP) -> np.ndarray:
+               cutoff: int) -> np.ndarray:
     """Free-space master equation right-hand side (unfolded form).
 
     rho is viewed as a (D,)*2n tensor, row modes first.  Each sandwich term
@@ -93,7 +92,7 @@ def master_rhs(rho: np.ndarray, terms: MasterTerms,
     transpose, so source and target swap there.
     """
     n = terms.modes
-    dim = check_dimension(n, cutoff, cap)
+    dim = check_dimension(n, cutoff)
     if rho.shape != (dim, dim):
         raise ValueError("dimension mismatch between rho and the term table")
     tensor = rho.reshape((cutoff,) * (2 * n))
@@ -107,15 +106,15 @@ def master_rhs(rho: np.ndarray, terms: MasterTerms,
     return out.reshape(dim, dim)
 
 
-def density_generator(law: str, hamiltonian: NormalFormOperator, cutoff: int,
-                      cap: int = DIM_CAP) -> Callable[[np.ndarray], np.ndarray]:
+def density_generator(law: str, hamiltonian: NormalFormOperator,
+                      cutoff: int) -> Callable[[np.ndarray], np.ndarray]:
     """The right-hand side rho -> rhodot of either law, built once.
 
     "liouville" realizes H_n once for its dense commutator; "master" builds
     its MasterTerms (and checks the Hermitian pairing) once.
     """
     if law == "liouville":
-        hmat = realize_matrix(hamiltonian, cutoff, cap).data
+        hmat = realize_matrix(hamiltonian, cutoff).data
 
         def liouville(m):
             return -1j * (hmat @ m - m @ hmat)
@@ -124,7 +123,7 @@ def density_generator(law: str, hamiltonian: NormalFormOperator, cutoff: int,
         terms = MasterTerms(hamiltonian)
 
         def master(m):
-            return master_rhs(m, terms, cutoff, cap)
+            return master_rhs(m, terms, cutoff)
         return master
     raise ValueError(f"unknown generator {law!r}")
 
@@ -163,24 +162,24 @@ def evolve_density(rho0: FockMatrix, rhs: Callable[[np.ndarray], np.ndarray],
 
 
 def time_average_project(rho: FockMatrix, hamiltonian: NormalFormOperator,
-                         delta: float, cap: int = DIM_CAP) -> FockMatrix:
+                         delta: float) -> FockMatrix:
     """Trace-normalized time average of e^{iHt} rho e^{-iHt} over [0, delta]."""
-    return _time_average(rho, *_eigensystem(hamiltonian, rho.cutoff, cap),
-                         delta)
+    return _time_average(rho, *_eigensystem(hamiltonian, rho.cutoff), delta)[1]
 
 
-def _eigensystem(hamiltonian: NormalFormOperator, cutoff: int,
-                 cap: int = DIM_CAP) -> tuple[np.ndarray, np.ndarray]:
+def _eigensystem(hamiltonian: NormalFormOperator,
+                 cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """eigh of the realized H_n, which must be Hermitian."""
-    hmat = realize_matrix(hamiltonian, cutoff, cap)
+    hmat = realize_matrix(hamiltonian, cutoff)
     if hmat.hermiticity_defect() > 1e-10:
         raise ValueError("projection requires a Hermitian generator")
     return np.linalg.eigh(hmat.data)
 
 
 def _time_average(rho: FockMatrix, evals: np.ndarray, vecs: np.ndarray,
-                  delta: float) -> FockMatrix:
-    """The time average in the eigenbasis (evals, vecs) of H_n.
+                  delta: float) -> tuple[np.ndarray, FockMatrix]:
+    """The time average in the eigenbasis (evals, vecs) of H_n, and rotated
+    back to the number basis, both divided by the number-basis trace.
 
     Trapezoid quadrature at step dt = min(0.01, delta/1000).  An energy
     offset E in H - E would cancel between the two exponentials.  Between
@@ -202,8 +201,8 @@ def _time_average(rho: FockMatrix, evals: np.ndarray, vecs: np.ndarray,
                          / np.tan(np.where(zero, 1.0, h)))
     averaged = rho_eig * phase_sum * (dt / delta)
     out = vecs @ averaged @ vecs.conj().T
-    out /= np.trace(out).real
-    return FockMatrix(rho.modes, rho.cutoff, out)
+    norm = np.trace(out).real
+    return averaged / norm, FockMatrix(rho.modes, rho.cutoff, out / norm)
 
 
 def projection_decay(rho: FockMatrix, hamiltonian: NormalFormOperator,
@@ -211,8 +210,9 @@ def projection_decay(rho: FockMatrix, hamiltonian: NormalFormOperator,
     """Rows (delta, largest off-diagonal element, C estimate, trace error)
     of the time average at each delta, and the spread of the C estimates.
 
-    Off-diagonal means between distinct eigenvalues of H_n: those are the
-    elements the average suppresses like C/delta.  The spread is
+    Off-diagonal means between distinct eigenvalues of H_n, read in its
+    eigenbasis: those are the elements the average suppresses like C/delta.
+    The trace error is read in the number basis.  The spread is
     max/min of off * delta, infinite when some average has none left.
     H_n is realized and diagonalized once for the mask and every delta.
     """
@@ -220,8 +220,8 @@ def projection_decay(rho: FockMatrix, hamiltonian: NormalFormOperator,
     gap = np.abs(evals[:, None] - evals[None, :]) > 1e-9
     rows = []
     for delta in deltas:
-        out = _time_average(rho, evals, vecs, delta)
-        off = float(np.max(np.abs(out.data[gap]))) if gap.any() else 0.0
+        averaged, out = _time_average(rho, evals, vecs, delta)
+        off = float(np.max(np.abs(averaged[gap]))) if gap.any() else 0.0
         rows.append((delta, off, off * delta, abs(out.trace() - 1.0)))
     estimates = [row[2] for row in rows]
     band = max(estimates) / min(estimates) if min(estimates) > 0 else math.inf

@@ -25,7 +25,6 @@ interior block of occupations with a safety margin at the top.
 from __future__ import annotations
 
 import functools
-import json
 import string
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,16 +37,17 @@ DIM_CAP = 4096
 
 
 class DimensionCapError(ValueError):
-    """Raised when cutoff**modes exceeds the configured dense-matrix cap."""
+    """Raised when cutoff**modes exceeds the dense-matrix cap DIM_CAP."""
 
 
-def check_dimension(modes: int, cutoff: int, cap: int = DIM_CAP) -> int:
+def check_dimension(modes: int, cutoff: int) -> int:
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     dim = cutoff ** modes
-    if dim > cap:
+    if dim > DIM_CAP:
         raise DimensionCapError(
-            f"{modes} modes at cutoff {cutoff} need dimension {dim} > cap {cap}")
+            f"{modes} modes at cutoff {cutoff} need dimension {dim} > cap "
+            f"{DIM_CAP}")
     return dim
 
 
@@ -68,16 +68,6 @@ class FockMatrix:
         flat = self.data.flatten(order="F")
         return {"modes": self.modes, "cutoff": self.cutoff,
                 "data": [[v.real, v.imag] for v in flat]}
-
-    @classmethod
-    def from_json(cls, obj: dict | str) -> "FockMatrix":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        dim = obj["cutoff"] ** obj["modes"]
-        pairs = np.asarray(obj["data"], dtype=float)
-        flat = pairs[:, 0] + 1j * pairs[:, 1]
-        return cls(obj["modes"], obj["cutoff"],
-                   flat.reshape((dim, dim), order="F"))
 
 
 class WordDiagonal(NamedTuple):
@@ -118,8 +108,7 @@ def _paired_diagonal(modes: int) -> str:
     return f"{axes}{axes}->{axes}"
 
 
-def realize_matrix(op: NormalFormOperator, cutoff: int,
-                   cap: int = DIM_CAP) -> FockMatrix:
+def realize_matrix(op: NormalFormOperator, cutoff: int) -> FockMatrix:
     """Dense matrix of a normal-form operator.
 
     The output is viewed as a (D,)*2n tensor, row modes first; each word
@@ -128,7 +117,7 @@ def realize_matrix(op: NormalFormOperator, cutoff: int,
     column mode.
     """
     n = op.modes
-    dim = check_dimension(n, cutoff, cap)
+    dim = check_dimension(n, cutoff)
     out = np.zeros((cutoff,) * (2 * n), dtype=complex)
     paired = _paired_diagonal(n)
     for (create, annih), coeff in op.words.items():
@@ -138,8 +127,8 @@ def realize_matrix(op: NormalFormOperator, cutoff: int,
     return FockMatrix(n, cutoff, out.reshape(dim, dim))
 
 
-def operator_trace(rho: np.ndarray, op: NormalFormOperator, cutoff: int,
-                   cap: int = DIM_CAP) -> complex:
+def operator_trace(rho: np.ndarray, op: NormalFormOperator,
+                   cutoff: int) -> complex:
     """Tr(rho op) without realizing op.
 
     rho is viewed as a (D,)*2n tensor, row modes first.  A word reads
@@ -148,7 +137,7 @@ def operator_trace(rho: np.ndarray, op: NormalFormOperator, cutoff: int,
     per-mode weights, O(D^n) per word.
     """
     n = op.modes
-    dim = check_dimension(n, cutoff, cap)
+    dim = check_dimension(n, cutoff)
     if rho.shape != (dim, dim):
         raise ValueError("dimension mismatch between rho and the operator")
     tensor = rho.reshape((cutoff,) * (2 * n))
@@ -187,11 +176,6 @@ def interior_block(matrix: np.ndarray, modes: int, cutoff: int,
                    margin: int) -> np.ndarray:
     mask = interior_indices(modes, cutoff, margin)
     return matrix[np.ix_(mask, mask)]
-
-
-def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(a @ b) without forming the product."""
-    return complex(np.sum(a * b.T))
 
 
 def expm_hermitian(generator: np.ndarray, scale: complex = 1.0) -> np.ndarray:

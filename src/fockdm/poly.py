@@ -28,7 +28,6 @@ time, so the resulting polynomial is purely numeric.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from typing import Mapping, Sequence
@@ -365,22 +364,6 @@ class PolyExpr:
 
     __repr__ = __str__
 
-    def to_json(self) -> dict:
-        return {
-            "chart": self.chart,
-            "modes": self.modes,
-            "terms": [{"exps": list(k), "re": v.real, "im": v.imag}
-                      for k, v in sorted(self.terms.items())],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict | str) -> "PolyExpr":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        terms = {tuple(t["exps"]): complex(t["re"], t["im"])
-                 for t in obj["terms"]}
-        return cls(obj["chart"], obj["modes"], terms)
-
 
 def _parse_var_name(name: str) -> tuple[str, int, int]:
     """Map a variable name to (chart, axis block 0/1, 1-based mode)."""
@@ -523,21 +506,6 @@ def parse_poly(text: str, bindings: Mapping[str, float] | None = None,
     from the largest variable index unless ``modes`` pins it.
     """
     return _Parser(text, bindings or {}, modes).parse()
-
-
-def to_zy(p: PolyExpr) -> PolyExpr:
-    return p.to_zy()
-
-
-def to_phipi(p: PolyExpr) -> PolyExpr:
-    return p.to_phipi()
-
-
-def zy_partial(p: PolyExpr, index: MultiIndex) -> PolyExpr:
-    """Iterated z/y partial of a zy-chart polynomial."""
-    if p.chart != "zy":
-        raise ChartError("zy_partial expects the zy chart (call to_zy first)")
-    return p.partial(index)
 
 
 def random_poly(rng, chart: str = "phipi", modes: int = 1, degree: int = 3,

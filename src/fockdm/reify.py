@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NormalFormOperator
-from .fock import DIM_CAP, FockMatrix, check_dimension, expm_hermitian, realize_matrix
+from .fock import FockMatrix, check_dimension, expm_hermitian, realize_matrix
 from .states import ClassicalState, pseudo_wavefunction
 
 _MARGIN = 1e-3
@@ -108,7 +108,9 @@ def rho_z_trace(state: ClassicalState, alphas, cutoff: int,
     The residual columns measure how far the recoded matrix is from the
     pi/4 eigenrelations rho_z Phi = y rho_z and Phi rho_z = z rho_z with
     Phi = (a + adag)/sqrt2; they cannot both hold, and the failure grows
-    toward the pole and with the cutoff.
+    toward the pole and with the cutoff.  For rank-one rho_z = u u^H, real
+    symmetric Phi and y = conj(z), both spectral-norm residuals divided by
+    ||rho_z||_2 equal ||Phi u - z u|| / ||u||, so the two columns coincide.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
@@ -125,23 +127,19 @@ def rho_z_trace(state: ClassicalState, alphas, cutoff: int,
     phi_op = (_word(0, 1, cutoff) + _word(1, 0, cutoff)) \
         / math.sqrt(2)
     z0 = state.z[0]
-    y0 = np.conj(z0)
     norms = np.empty(alphas.size)
-    res7 = np.empty(alphas.size)
-    res8 = np.empty(alphas.size)
+    residuals = np.empty(alphas.size)
     for i, alpha in enumerate(alphas):
         u = (v * np.exp(-alpha * w)) @ (v.conj().T @ wvec)
-        rho_z = np.outer(u, u.conj())
-        nrm = float(np.linalg.norm(u)) ** 2
-        norms[i] = nrm
-        res7[i] = np.linalg.norm(rho_z @ phi_op - y0 * rho_z, 2) / nrm
-        res8[i] = np.linalg.norm(phi_op @ rho_z - z0 * rho_z, 2) / nrm
+        length = float(np.linalg.norm(u))
+        norms[i] = length ** 2
+        residuals[i] = np.linalg.norm(phi_op @ u - z0 * u) / length
     crossing = None
     above = np.nonzero(norms > threshold)[0]
     if above.size:
         crossing = float(alphas[above[0]])
     return ReificationTrace(alphas=alphas, norms=norms, cutoff=cutoff,
-                            residual_a7=res7, residual_a8=res8,
+                            residual_a7=residuals, residual_a8=residuals,
                             threshold=threshold, threshold_alpha=crossing)
 
 
@@ -197,14 +195,13 @@ def _pair_exchange_block(alpha: float, cutoff: int) -> np.ndarray:
     return out
 
 
-def m_operator(alpha: float, modes: int, cutoff: int,
-               cap: int = DIM_CAP) -> FockMatrix:
+def m_operator(alpha: float, modes: int, cutoff: int) -> FockMatrix:
     """Doubled-space reification operator over n mode pairs.
 
     Acts on the interleaved (a_1, b_1, a_2, b_2, ...) layout used by
     ``extended_wavefunction``.
     """
-    check_dimension(2 * modes, cutoff, cap)
+    check_dimension(2 * modes, cutoff)
     block = _pair_exchange_block(alpha, cutoff)
     data = block
     for _ in range(modes - 1):

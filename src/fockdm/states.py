@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .algebra import poly_to_normal_form
-from .fock import DIM_CAP, FockMatrix, check_dimension, operator_trace
+from .fock import FockMatrix, check_dimension, operator_trace
 from .poly import ChartError, PolyExpr
 
 _SQRT2 = math.sqrt(2.0)
@@ -133,25 +133,20 @@ class Ensemble:
     def average(self, f: Callable[[ClassicalState], complex]) -> complex:
         return sum(w * f(s) for s, w in self.members)
 
-    def to_json(self) -> dict:
-        return {"members": [{"phi": s.phi.tolist(), "pi": s.pi.tolist(), "w": w}
-                            for s, w in self.members]}
-
     @classmethod
     def from_json(cls, obj: dict) -> "Ensemble":
         return cls(tuple((ClassicalState(np.asarray(m["phi"]), np.asarray(m["pi"])),
                           m["w"]) for m in obj["members"]))
 
 
-def pseudo_wavefunction(state: ClassicalState, cutoff: int,
-                        cap: int = DIM_CAP) -> np.ndarray:
+def pseudo_wavefunction(state: ClassicalState, cutoff: int) -> np.ndarray:
     """Coherent encoding of a pure classical state in the number basis.
 
     Amplitudes are prod_j z_j^{k_j} e^{-|z_j|^2/2} / sqrt(k_j!), built by the
     stable recurrence v_k = v_{k-1} z / sqrt(k).  The guard |z_j|^2 <= D/4
     keeps the truncated tail below ~1e-10 in norm.
     """
-    check_dimension(state.modes, cutoff, cap)
+    check_dimension(state.modes, cutoff)
     data = None
     for j, zj in enumerate(state.z):
         col = _coherent_column(j, zj, cutoff)
@@ -172,19 +167,17 @@ def _coherent_column(mode: int, amp: complex, cutoff: int) -> np.ndarray:
     return col
 
 
-def pure_density(state: ClassicalState, cutoff: int,
-                 cap: int = DIM_CAP) -> FockMatrix:
+def pure_density(state: ClassicalState, cutoff: int) -> FockMatrix:
     """Rank-one moment matrix w w^H of a pure state."""
-    w = pseudo_wavefunction(state, cutoff, cap)
+    w = pseudo_wavefunction(state, cutoff)
     return FockMatrix(state.modes, cutoff, np.outer(w, w.conj()))
 
 
-def ensemble_density(ensemble: Ensemble, cutoff: int,
-                     cap: int = DIM_CAP) -> FockMatrix:
+def ensemble_density(ensemble: Ensemble, cutoff: int) -> FockMatrix:
     """Weighted mixture of pure moment matrices; Hermitian, PSD, trace one."""
     acc = None
     for state, weight in ensemble.members:
-        w = pseudo_wavefunction(state, cutoff, cap)
+        w = pseudo_wavefunction(state, cutoff)
         block = weight * np.outer(w, w.conj())
         acc = block if acc is None else acc + block
     return FockMatrix(ensemble.modes, cutoff, acc)
@@ -248,15 +241,13 @@ def integrate_ensemble(hamiltonian: PolyExpr, ensemble: Ensemble,
         lambda s: integrate_state(hamiltonian, s, t, dt))
 
 
-def expectation(rho: FockMatrix, observable: PolyExpr,
-                cap: int = DIM_CAP) -> complex:
+def expectation(rho: FockMatrix, observable: PolyExpr) -> complex:
     """Tr(rho g_n) for the normal-product operator of a polynomial."""
     op = poly_to_normal_form(observable.promote(rho.modes))
-    return operator_trace(rho.data, op, rho.cutoff, cap)
+    return operator_trace(rho.data, op, rho.cutoff)
 
 
-def extended_wavefunction(state: ClassicalState, cutoff: int,
-                          cap: int = DIM_CAP) -> np.ndarray:
+def extended_wavefunction(state: ClassicalState, cutoff: int) -> np.ndarray:
     """Doubled encoding: amplitude z_j in mode a_j and y_j in its partner b_j.
 
     Modes are interleaved (a_1, b_1, a_2, b_2, ...).  The raw exponent
@@ -264,7 +255,7 @@ def extended_wavefunction(state: ClassicalState, cutoff: int,
     the vector is normalized explicitly here, which lands on the product of
     normalized coherent factors.
     """
-    check_dimension(2 * state.modes, cutoff, cap)
+    check_dimension(2 * state.modes, cutoff)
     data = None
     for j, zj in enumerate(state.z):
         for amp in (zj, np.conj(zj)):

@@ -90,26 +90,18 @@ class TestPolyToNormalForm:
         rng = np.random.default_rng(8)
         for _ in range(25):
             p = random_poly(rng, modes=2, degree=4, terms=6)
-            ok, pairing = hermitian_pair_check(poly_to_normal_form(p), tol=1e-10)
-            assert ok
-            # pairing is an involution
-            for k, v in pairing.items():
-                assert pairing[v] == k
+            assert hermitian_pair_check(poly_to_normal_form(p), tol=1e-10)
 
 
 class TestHermitianPairCheck:
     def test_number_operator_self_paired(self):
-        ok, pairing = hermitian_pair_check(normal_order_product(AD, A))
-        assert ok and pairing == {((1,), (1,)): ((1,), (1,))}
+        assert hermitian_pair_check(normal_order_product(AD, A))
 
     def test_lone_annihilation_square_fails(self):
-        ok, _ = hermitian_pair_check(A.power(2))
-        assert not ok
+        assert not hermitian_pair_check(A.power(2))
 
     def test_conjugate_pair_passes(self):
-        ok, pairing = hermitian_pair_check(A.power(2) + AD.power(2))
-        assert ok
-        assert pairing[((0,), (2,))] == ((2,), (0,))
+        assert hermitian_pair_check(A.power(2) + AD.power(2))
 
 
 class TestCommutator:
@@ -242,10 +234,3 @@ class TestOrderGate:
         H = poly_to_normal_form(parse_poly("0.5*pi1^2 + 0.5*m*phi1^2", {"m": 2}))
         assert nested_commutator_order(H, 0) == (2, 2)
         assert low_order_gate(H)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(53)
-        op = random_normal_operator(rng, modes=2, degree=3, words=5)
-        assert NormalFormOperator.from_json(op.to_json()) == op

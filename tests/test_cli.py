@@ -115,11 +115,23 @@ class TestExitCodes:
         ("evolve", "snapshot_every", 2.5),
         ("evolve", "snapshot_every", 0),
         ("project", "snapshot_every", "x"),
+        ("evolve", "hamiltonian", 5),
+        ("project", "hamiltonian", 5),
+        ("reify", "hamiltonian", 5),
+        ("iee", "hamiltonian", 5),
+        # the alpha grid must end strictly inside (0, pi/4)
+        ("reify", "alpha_margin", 2),
+        ("reify", "alpha_margin", math.pi / 4),
+        ("reify", "alpha_margin", 1e-20),
     ], ids=["t-text", "deltas-scalar", "deltas-empty", "bindings-text",
             "sweep-two-keys", "cutoffs-scalar", "observables-scalar",
             "observables-number-entry", "evolve-cutoff-one", "iee-cutoff-one",
             "snapshot-text", "snapshot-bool", "snapshot-fraction",
-            "snapshot-zero", "project-snapshot-text"])
+            "snapshot-zero", "project-snapshot-text",
+            "evolve-hamiltonian-number", "project-hamiltonian-number",
+            "reify-hamiltonian-number", "iee-hamiltonian-number",
+            "alpha-margin-past-zero", "alpha-margin-at-zero",
+            "alpha-margin-below-rounding"])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, experiment,
                                          name, value):
         cfg = write_config(tmp_path, "bad.json", {name: value, "seed": 1})
@@ -169,6 +181,15 @@ class TestExitCodes:
         assert main([experiment, "--config", str(cfg),
                      "--out", str(out)]) == code
         assert (out / "results.csv").exists()
+
+    def test_alpha_grid_on_the_pole_exits_3(self, tmp_path, capsys):
+        # the grid ends inside (0, pi/4), but too close for flow_coeffs
+        cfg = write_config(tmp_path, "pole.json", {
+            "alpha_margin": 1e-12, "alpha_points": 2, "cutoffs": [16]})
+        code = main(["reify", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(config):

@@ -16,6 +16,7 @@ from fockdm.evolution import (
     density_generator,
     evolve_density,
     master_rhs,
+    projection_decay,
     time_average_project,
 )
 from fockdm.fock import (
@@ -23,7 +24,6 @@ from fockdm.fock import (
     FockMatrix,
     interior_block,
     realize_matrix,
-    trace_product,
 )
 from fockdm.poly import parse_poly, random_poly
 from fockdm.states import ClassicalState, expectation, pure_density
@@ -205,8 +205,7 @@ class TestMasterEquation:
         H = poly_to_normal_form(random_low_degree_hamiltonian(rng))
         terms = MasterTerms(H)
         rho = random_hermitian(rng, D)
-        flux = trace_product(master_rhs(rho, terms, D),
-                             realize_matrix(H, D).data)
+        flux = np.trace(master_rhs(rho, terms, D) @ realize_matrix(H, D).data)
         assert np.isfinite(flux.real) and np.isfinite(flux.imag)
 
 
@@ -260,7 +259,7 @@ class TestEvolveDensity:
         l_rhs = liouville(rho, H, D)
         for text in ("phi1", "pi1", "phi1^2", "phi1*pi1", "phi1^2*pi1"):
             g = realize_matrix(poly_to_normal_form(parse_poly(text, {})), D).data
-            assert abs(trace_product(m_rhs, g) - trace_product(l_rhs, g)) <= 1e-7
+            assert abs(np.trace(m_rhs @ g) - np.trace(l_rhs @ g)) <= 1e-7
 
 
 class TestTimeAverageProject:
@@ -321,3 +320,46 @@ class TestTimeAverageProject:
         want = self.trapezoid_loop(rho, H, delta)
         got = time_average_project(rho, H, delta).data
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+class TestProjectionDecay:
+    DELTAS = (50.0, 100.0, 200.0)
+
+    @staticmethod
+    def eigenbasis_offdiagonal(rho, hamiltonian, delta):
+        # max |rho_ij| |sum_k w_k e^{i w_ij t_k}| dt / delta over distinct
+        # levels i, j of H_n, with rho read in the eigenbasis of H_n
+        dt = min(0.01, delta / 1000)
+        steps = max(1, int(round(delta / dt)))
+        evals, vecs = np.linalg.eigh(realize_matrix(hamiltonian,
+                                                    rho.cutoff).data)
+        rho_eig = vecs.conj().T @ rho.data @ vecs
+        omega = evals[:, None] - evals[None, :]
+        gap = np.abs(omega) > 1e-9
+        h = omega[gap] * (dt / 2)
+        phases = np.abs(np.sin(steps * h) / np.tan(h))
+        return (np.max(np.abs(rho_eig[gap]) * phases) * dt / delta
+                / np.trace(rho.data).real)
+
+    @pytest.mark.parametrize("text, bindings, D, offs", [
+        # degenerate shells: the number basis mixes levels inside a shell
+        ("0.5*(phi1^2+pi1^2+phi2^2+pi2^2)", {}, 6,
+         (1.8397e-3, 1.8235e-3, 1.7597e-3)),
+        # coupled Kerr modes: H_n is not diagonal in the number basis
+        ("0.5*(pi1^2+phi1^2) + c1*(phi1^2+pi1^2)^2 + 0.5*(pi2^2+phi2^2)"
+         " + c2*(phi2^2+pi2^2)^2 + 0.02*phi1*phi2", {"c1": 0.05, "c2": 0.03},
+         24, (0.09590, 0.08416, 0.04547)),
+    ], ids=["degenerate-oscillator", "coupled-kerr"])
+    def test_offdiagonal_is_read_in_the_eigenbasis(self, text, bindings, D,
+                                                   offs):
+        h_n = poly_to_normal_form(parse_poly(text, bindings))
+        state = ClassicalState(np.array([0.8, 0.5]), np.array([0.1, -0.3]))
+        rho = pure_density(state, D)
+        rows, band = projection_decay(rho, h_n, self.DELTAS)
+        for (delta, off, estimate, trace_error), want in zip(rows, offs):
+            oracle = self.eigenbasis_offdiagonal(rho, h_n, delta)
+            assert off == pytest.approx(oracle, rel=1e-8)
+            assert off == pytest.approx(want, rel=1e-3)
+            assert estimate == off * delta
+            assert trace_error <= 1e-10
+        assert band <= 4.0

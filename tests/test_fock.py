@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,16 @@ from fockdm.algebra import (
     random_normal_operator,
 )
 from fockdm.fock import (
+    DIM_CAP,
     DimensionCapError,
     FockMatrix,
+    check_dimension,
     expm_hermitian,
     interior_block,
     interior_indices,
     occupations,
     operator_trace,
     realize_matrix,
-    trace_product,
 )
 
 A = NormalFormOperator.annihilation()
@@ -137,8 +140,7 @@ class TestRealize:
         rng = np.random.default_rng(11)
         for _ in range(10):
             op = random_normal_operator(rng, modes=2, degree=3, words=4)
-            ok, _ = hermitian_pair_check(op)
-            assert ok
+            assert hermitian_pair_check(op)
             assert realize_matrix(op, 6).hermiticity_defect() <= 1e-12
 
     def test_tensor_ordering_mode_one_is_slow(self):
@@ -152,6 +154,12 @@ class TestRealize:
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             realize_matrix(NormalFormOperator.identity(3), 17)
+
+    def test_dimension_limit_is_fixed(self):
+        assert DIM_CAP == 4096
+        assert check_dimension(2, 64) == DIM_CAP
+        with pytest.raises(DimensionCapError):
+            check_dimension(2, 65)
 
     def test_commutator_matrix_cross_check(self):
         rng = np.random.default_rng(13)
@@ -213,12 +221,6 @@ class TestInterior:
 
 
 class TestHelpers:
-    def test_trace_product(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert abs(trace_product(a, b) - np.trace(a @ b)) < 1e-12
-
     def test_expm_hermitian_inverse(self):
         rng = np.random.default_rng(7)
         g = rng.standard_normal((8, 8))
@@ -229,7 +231,9 @@ class TestHelpers:
     def test_matrix_json_round_trip(self):
         rng = np.random.default_rng(15)
         data = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        m = FockMatrix(2, 3, data)
-        back = FockMatrix.from_json(m.to_json())
-        assert back.modes == 2 and back.cutoff == 3
-        assert np.array_equal(back.data, m.data)
+        payload = json.loads(json.dumps(FockMatrix(2, 3, data).to_json()))
+        assert payload["modes"] == 2 and payload["cutoff"] == 3
+        # column-major flattening, one [re, im] pair per entry
+        pairs = np.asarray(payload["data"])
+        flat = pairs[:, 0] + 1j * pairs[:, 1]
+        assert np.array_equal(flat.reshape((9, 9), order="F"), data)

@@ -15,7 +15,11 @@ from fockdm.reify import (
     rotated_annihilation,
     s_operator,
 )
-from fockdm.states import ClassicalState, extended_wavefunction
+from fockdm.states import (
+    ClassicalState,
+    extended_wavefunction,
+    pseudo_wavefunction,
+)
 
 
 A = NormalFormOperator.annihilation()
@@ -146,6 +150,26 @@ class TestRhoZTrace:
         small = rho_z_trace(state1(0.0, 2.0), grid, 32)
         large = rho_z_trace(state1(0.0, 2.0), grid, 64)
         assert large.norms[-1] > 100 * small.norms[-1]
+
+    def test_residuals_match_the_spectral_norm_form(self):
+        # rho_z = S rho S, the residuals as spectral norms of D x D matrices
+        state = state1(0.7, -0.4)
+        D = 24
+        grid = np.linspace(0.0, math.pi / 4 - 1e-2, 6)
+        trace = rho_z_trace(state, grid, D)
+        phi = realize_matrix(A + AD, D).data / math.sqrt(2)
+        z = state.z[0]
+        rho = np.outer(pseudo_wavefunction(state, D),
+                       pseudo_wavefunction(state, D).conj())
+        for i, alpha in enumerate(grid):
+            s = s_operator(alpha, D).data
+            rho_z = s @ rho @ s
+            size = np.linalg.norm(rho_z, 2)
+            r7 = np.linalg.norm(rho_z @ phi - np.conj(z) * rho_z, 2) / size
+            r8 = np.linalg.norm(phi @ rho_z - z * rho_z, 2) / size
+            assert trace.norms[i] == pytest.approx(size, rel=1e-10)
+            assert trace.residual_a7[i] == pytest.approx(r7, rel=1e-10)
+            assert trace.residual_a8[i] == pytest.approx(r8, rel=1e-10)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fockdm.algebra import NormalFormOperator, commutator, poly_to_normal_form
-from fockdm.fock import DimensionCapError, realize_matrix, trace_product
+from fockdm.fock import DimensionCapError, FockMatrix, realize_matrix
 from fockdm.poly import parse_poly, random_poly
 from fockdm.states import (
     AmplitudeOverflowError,
@@ -77,6 +77,11 @@ class TestPseudoWavefunction:
         s = ClassicalState(np.array([0.1, 6.0]), np.array([0.0, 0.0]))
         with pytest.raises(AmplitudeOverflowError, match="mode 2"):
             pseudo_wavefunction(s, 16)
+
+    def test_dimension_cap(self):
+        state = ClassicalState(np.zeros(3), np.zeros(3))
+        with pytest.raises(DimensionCapError):
+            pseudo_wavefunction(state, 17)
 
 
 class TestPureDensity:
@@ -183,7 +188,7 @@ class TestHamiltonRhs:
             comm = realize_matrix(
                 commutator(NormalFormOperator.annihilation(),
                            poly_to_normal_form(H)), D).data
-            zdot_q = -1j * trace_product(rho, comm)
+            zdot_q = -1j * np.trace(rho @ comm)
             phidot, pidot = hamilton_rhs(H, s)
             zdot_c = (phidot[0] + 1j * pidot[0]) / SQRT2
             assert abs(zdot_q - zdot_c) <= 1e-8
@@ -270,9 +275,10 @@ class TestExpectation:
         assert abs(got - 0.6 * 0.2) <= 1e-8
 
     def test_dimension_cap(self):
-        rho = pure_density(state1(0.5, 0.1), 8)
+        # 17^3 > DIM_CAP: rejected before anything of that size exists
+        rho = FockMatrix(3, 17, np.zeros((1, 1)))
         with pytest.raises(DimensionCapError):
-            expectation(rho, parse_poly("phi1^2", {}), cap=4)
+            expectation(rho, parse_poly("phi1^2", {}))
 
 
 class TestExtendedWavefunction:
