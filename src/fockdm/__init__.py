@@ -14,7 +14,6 @@ from .algebra import (
     NormalFormOperator,
     commutator,
     hermitian_pair_check,
-    nested_commutator_order,
     normal_order_product,
     poly_to_normal_form,
 )

@@ -242,29 +242,6 @@ def hermitian_pair_check(op: NormalFormOperator, tol: float = 1e-12) -> bool:
     return True
 
 
-def nested_commutator_order(op: NormalFormOperator, mode: int) -> tuple[int, int]:
-    """Maximal creation/annihilation word degrees in one mode.
-
-    Repeated commutators with a_j (resp. adag_j) vanish after
-    ``annih degree + 1`` (resp. ``create degree + 1``) steps, so the
-    closed-form discrepancy machinery applies when both values are <= 3.
-    """
-    if not 0 <= mode < op.modes:
-        raise ValueError("mode out of range")
-    cmax = rmax = 0
-    for create, annih in op.words:
-        cmax = max(cmax, create[mode])
-        rmax = max(rmax, annih[mode])
-    return cmax, rmax
-
-
-def low_order_gate(op: NormalFormOperator, cap: int = 3) -> bool:
-    """True when every mode has creation and annihilation degrees <= cap."""
-    return all(c <= cap and r <= cap
-               for c, r in (nested_commutator_order(op, j)
-                            for j in range(op.modes)))
-
-
 def random_normal_operator(rng, modes: int = 1, degree: int = 3,
                            words: int = 4, hermitian: bool = True,
                            dyadic: bool = True) -> NormalFormOperator:

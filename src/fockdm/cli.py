@@ -28,10 +28,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import CRITERIA, CheckResult
+from .acceptance import (
+    CRITERIA,
+    DISCREPANCY_TOLERANCE,
+    PROJECTION_BAND,
+    CheckResult,
+)
 from .algebra import poly_to_normal_form
-from .discrepancy import discrepancy_report, iee_check
-from .evolution import density_generator, evolve_density, projection_decay
+from .discrepancy import IEE_TOLERANCE, discrepancy_report, iee_check
+from .evolution import (
+    density_generator,
+    evolve_density,
+    projection_decay,
+    step_count,
+)
 from .fock import DimensionCapError
 from .poly import PolyExpr, PolyParseError, parse_poly
 from .reify import PoleError, flow_coeffs, rho_z_trace
@@ -45,6 +55,9 @@ from .states import (
 )
 
 EXPERIMENTS = ("verify", "discrepancy", "evolve", "reify", "project", "iee")
+
+# the most RK4 steps t/dt that fockdm evolve accepts; checked before it builds
+MAX_STEPS = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -99,37 +112,42 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment: {self.experiment!r} is not one of "
                               f"{'|'.join(EXPERIMENTS)}")
-        if not (_is_positive_int(self.cutoff) and self.cutoff >= 2):
-            raise ConfigError("cutoff: must be an integer >= 2")
-        for name in ("alpha_points", "sample_every", "order_cap"):
-            if not _is_positive_int(getattr(self, name)):
-                raise ConfigError(f"{name}: must be a positive integer")
+        for name, least in (("cutoff", 2), ("alpha_points", 2),
+                            ("sample_every", 1), ("order_cap", 1)):
+            value = getattr(self, name)
+            if not (_is_positive_int(value) and value >= least):
+                raise ConfigError(f"{name}: must be an integer >= {least}")
         for name in ("dt", "alpha_margin"):
             v = getattr(self, name)
-            if not _is_number(v) or not v > 0:
-                raise ConfigError(f"{name}: must be a positive number")
+            if not _is_number(v) or not 0 < v < math.inf:
+                raise ConfigError(f"{name}: must be a finite positive number")
         if not 0 < math.pi / 4 - self.alpha_margin < math.pi / 4:
             raise ConfigError("alpha_margin: the grid end pi/4 - alpha_margin "
                               "must lie strictly inside (0, pi/4)")
-        if not _is_number(self.t) or self.t < 0:
+        if not _is_number(self.t) or not self.t >= 0:
             raise ConfigError("t: must be a nonnegative number")
         if self.generator not in ("liouville", "master"):
             raise ConfigError("generator: must be liouville or master")
-        if (not isinstance(self.deltas, list) or not self.deltas
-                or not all(_is_number(d) and d > 0 for d in self.deltas)):
-            raise ConfigError("deltas: must be a nonempty list of positive "
-                              "numbers")
+        if (not isinstance(self.deltas, list)
+                or not all(_is_number(d) and 0 < d < math.inf
+                           for d in self.deltas)
+                or len(set(self.deltas)) < 2):
+            raise ConfigError("deltas: must be a list of finite positive "
+                              "numbers with at least two distinct values")
         if (not isinstance(self.bindings, dict)
                 or not all(_is_number(v) for v in self.bindings.values())):
             raise ConfigError("bindings: must map names to numbers")
         if (not isinstance(self.sweep, dict) or len(self.sweep) > 1
-                or not all(isinstance(vs, list) and all(map(_is_number, vs))
+                or not all(isinstance(vs, list) and vs
+                           and all(map(_is_number, vs))
                            for vs in self.sweep.values())):
-            raise ConfigError("sweep: must map one binding name to a list of "
-                              "numbers")
-        if not isinstance(self.cutoffs, list) or any(
-                not isinstance(c, int) or c < 2 for c in self.cutoffs):
-            raise ConfigError("cutoffs: must be a list of integers >= 2")
+            raise ConfigError("sweep: must map one binding name to a nonempty "
+                              "list of numbers")
+        if (not isinstance(self.cutoffs, list)
+                or any(not isinstance(c, int) or c < 2 for c in self.cutoffs)
+                or not 2 <= len(set(self.cutoffs)) == len(self.cutoffs)):
+            raise ConfigError("cutoffs: must be a list of at least two "
+                              "distinct integers >= 2")
         if (self.snapshot_every is not None
                 and not _is_positive_int(self.snapshot_every)):
             raise ConfigError("snapshot_every: must be a positive integer when "
@@ -314,19 +332,23 @@ def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
                          rep.g_dot, rep.direct.real, rep.direct.imag,
                          rep.closed_form.real, rep.closed_form.imag,
                          rep.residual, rep.applicable))
-    checks = [CheckResult("discrepancy-closed-form", worst, 1e-8,
-                          worst <= 1e-8)]
+    checks = [CheckResult("discrepancy-closed-form", worst,
+                          DISCREPANCY_TOLERANCE,
+                          worst <= DISCREPANCY_TOLERANCE)]
     return SuiteResult(columns=columns, rows=rows, checks=checks)
 
 
 def run_evolve(config: ExperimentConfig) -> SuiteResult:
+    if not config.t / config.dt <= MAX_STEPS:
+        raise ConfigError(f"t: t/dt exceeds the ceiling of {MAX_STEPS} steps")
+    try:
+        steps = step_count(config.t, config.dt)
+    except ValueError as err:
+        raise ConfigError(f"t: {err}") from err
     ensemble = config.classical_ensemble()
     h_n = poly_to_normal_form(config.hamiltonian_on(ensemble.modes))
     observables = config.observables_on(ensemble.modes)
     rho = ensemble_density(ensemble, config.cutoff)
-    steps = int(round(config.t / config.dt))
-    if abs(config.t - steps * config.dt) > 1e-9 * max(1.0, config.t):
-        raise ConfigError("t: must be an integer multiple of dt")
     columns = ["t", "trace_re", "trace_im"] + [f"<{text}>" for text, _ in observables]
     rows = []
     snapshots = []
@@ -338,15 +360,12 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
 
     record(0.0, rho)
     rhs = density_generator(config.generator, h_n, config.cutoff)
-    current = rho
-    done = 0
-    while done < steps:
-        chunk = min(config.sample_every, steps - done)
-        current = evolve_density(current, rhs, chunk * config.dt, config.dt)
-        done += chunk
-        record(done * config.dt, current)
+    for start in range(0, steps, config.sample_every):
+        done = min(start + config.sample_every, steps)
+        rho = evolve_density(rho, rhs, (done - start) * config.dt, config.dt)
+        record(done * config.dt, rho)
         if config.snapshot_every and done % config.snapshot_every == 0:
-            snapshots.append((done, current))
+            snapshots.append((done, rho))
     drift = abs(rows[-1][1] + 1j * rows[-1][2] - (rows[0][1] + 1j * rows[0][2]))
     checks = [CheckResult("trace-drift", drift, 1e-6, drift <= 1e-6)]
     return SuiteResult(columns=columns, rows=rows, checks=checks,
@@ -368,12 +387,10 @@ def run_reify(config: ExperimentConfig) -> SuiteResult:
                                        trace.residual_a7, trace.residual_a8):
             c, d = flow_coeffs(alpha)
             rows.append((alpha, norm, cutoff, r7, r8, c, d))
-    steepens = True
-    if len(config.cutoffs) >= 2:
-        per_cut = {c: max(r[1] for r in rows if r[2] == c)
-                   for c in config.cutoffs}
-        ordered = [per_cut[c] for c in sorted(config.cutoffs)]
-        steepens = all(b > a for a, b in zip(ordered, ordered[1:]))
+    per_cut = {c: max(r[1] for r in rows if r[2] == c)
+               for c in config.cutoffs}
+    ordered = [per_cut[c] for c in sorted(config.cutoffs)]
+    steepens = all(b > a for a, b in zip(ordered, ordered[1:]))
     checks = [CheckResult("reify-monotone-growth", float(monotone), 1.0,
                           monotone),
               CheckResult("reify-growth-steepens-with-cutoff",
@@ -387,8 +404,8 @@ def run_project(config: ExperimentConfig) -> SuiteResult:
     rho = pure_density(state, config.cutoff)
     columns = ["delta", "max_offdiagonal", "c_estimate", "trace_error"]
     rows, band = projection_decay(rho, h_n, config.deltas)
-    checks = [CheckResult("projection-offdiagonal-decay", band, 4.0,
-                          band <= 4.0)]
+    checks = [CheckResult("projection-offdiagonal-decay", band,
+                          PROJECTION_BAND, band <= PROJECTION_BAND)]
     return SuiteResult(columns=columns, rows=rows, checks=checks)
 
 
@@ -402,8 +419,7 @@ def run_iee(config: ExperimentConfig) -> SuiteResult:
     rows = [(text, r.g_hat.real, r.g_hat.imag, r.g_dot,
              r.discrepancy.real, r.discrepancy.imag, report.equilibrium)
             for (text, _), r in zip(observables, report.rows)]
-    worst = max(max(abs(r.g_hat), abs(r.g_dot)) for r in report.rows)
-    checks = [CheckResult("iee-flux-vanishes", worst, report.tolerance,
+    checks = [CheckResult("iee-flux-vanishes", report.worst, IEE_TOLERANCE,
                           report.equilibrium)]
     return SuiteResult(columns=columns, rows=rows, checks=checks)
 

@@ -10,8 +10,8 @@
   where C_a H_aL H_aR ranges over the Hermitian-paired words of H_n.  The
   inner commutators close in the word algebra ([adag, a^r] = -r a^(r-1) and
   [a, adag^l] = l adag^(l-1)), so every ingredient is precomputed
-  symbolically as a sandwich of two words, and each sandwich is applied to
-  rho by slicing and scaling (fock.word_diagonal).
+  symbolically as a sandwich of two words, compiled once at the cutoff to a
+  slice-and-scale of rho (fock.word_diagonal).
 
 For ensembles of pure classical states the two generators agree on the
 trajectory of the state only in special cases; quantifying the mismatch is
@@ -39,12 +39,12 @@ class PairingError(ValueError):
 
 
 class MasterTerms:
-    """Precomputed word data for the master-equation right-hand side.
+    """The master-equation right-hand side compiled at one cutoff.
 
-    Construction validates the Hermitian pairing (the equivalence of the
-    folded and unfolded forms of the law leans on it).  The stored sandwich
-    terms realize the unfolded expansion, which per word C (adag)^L a^R and
-    mode j reads
+    Construction checks the dimension and validates the Hermitian pairing
+    (the equivalence of the folded and unfolded forms of the law leans on
+    it).  The stored sandwich terms realize the unfolded expansion, which
+    per word C (adag)^L a^R and mode j reads
 
         i C ( -R_j a^R rho adag^L          - L_j adag_j a^R rho adag^(L-e_j)
               +L_j a^R rho adag^L          + R_j a^(R-e_j) rho adag^L a_j ),
@@ -56,12 +56,14 @@ class MasterTerms:
     Hermitian input it coincides with rho' + (rho')^H.
     """
 
-    def __init__(self, hamiltonian: NormalFormOperator):
+    def __init__(self, hamiltonian: NormalFormOperator, cutoff: int):
         if not hermitian_pair_check(hamiltonian):
             raise PairingError(
                 "the Hamiltonian operator is not Hermitian-paired")
         self.modes = hamiltonian.modes
         n = self.modes
+        self.cutoff = cutoff
+        self.dim = check_dimension(n, cutoff)
         zero = (0,) * n
         # sandwich terms (coeff, pre_create, pre_annih, post_create, post_annih)
         terms: list[tuple[complex, tuple, tuple, tuple, tuple]] = []
@@ -80,30 +82,34 @@ class MasterTerms:
                     terms.append((-1j * coeff * create[j],
                                   ej, annih, drop_l, zero))
         self.sandwich_terms = terms
+        # each term compiled at the cutoff to one slice-and-scale of the
+        # (D,)*2n tensor: the pre word acts on the row axes and the post
+        # word on the column axes through its transpose, so source and
+        # target swap there
+        self.table = []
+        for coeff, pre_c, pre_a, post_c, post_a in terms:
+            pre = word_diagonal(pre_c, pre_a, cutoff)
+            post = word_diagonal(post_c, post_a, cutoff)
+            self.table.append((pre.target + post.source,
+                               pre.source + post.target,
+                               pre.weights + post.weights, coeff))
 
 
-def master_rhs(rho: np.ndarray, terms: MasterTerms,
-               cutoff: int) -> np.ndarray:
+def master_rhs(rho: np.ndarray, terms: MasterTerms) -> np.ndarray:
     """Free-space master equation right-hand side (unfolded form).
 
-    rho is viewed as a (D,)*2n tensor, row modes first.  Each sandwich term
-    coeff * pre rho post is one slice-and-scale of that tensor: the pre word
-    acts on the row axes and the post word on the column axes through its
-    transpose, so source and target swap there.
+    rho is viewed as a (D,)*2n tensor, row modes first; each compiled term
+    (target, source, weights, coeff) adds coeff * outer(weights) times the
+    source slice into the target slice.
     """
-    n = terms.modes
-    dim = check_dimension(n, cutoff)
-    if rho.shape != (dim, dim):
+    if rho.shape != (terms.dim, terms.dim):
         raise ValueError("dimension mismatch between rho and the term table")
-    tensor = rho.reshape((cutoff,) * (2 * n))
+    tensor = rho.reshape((terms.cutoff,) * (2 * terms.modes))
     out = np.zeros(tensor.shape, dtype=complex)
-    for coeff, pre_c, pre_a, post_c, post_a in terms.sandwich_terms:
-        pre = word_diagonal(pre_c, pre_a, cutoff)
-        post = word_diagonal(post_c, post_a, cutoff)
-        scale = functools.reduce(np.multiply.outer,
-                                 pre.weights + post.weights, coeff)
-        out[pre.target + post.source] += scale * tensor[pre.source + post.target]
-    return out.reshape(dim, dim)
+    for target, source, weights, coeff in terms.table:
+        scale = functools.reduce(np.multiply.outer, weights, coeff)
+        out[target] += scale * tensor[source]
+    return out.reshape(rho.shape)
 
 
 def density_generator(law: str, hamiltonian: NormalFormOperator,
@@ -120,12 +126,37 @@ def density_generator(law: str, hamiltonian: NormalFormOperator,
             return -1j * (hmat @ m - m @ hmat)
         return liouville
     if law == "master":
-        terms = MasterTerms(hamiltonian)
+        terms = MasterTerms(hamiltonian, cutoff)
 
         def master(m):
-            return master_rhs(m, terms, cutoff)
+            return master_rhs(m, terms)
         return master
     raise ValueError(f"unknown generator {law!r}")
+
+
+def step_count(t: float, dt: float) -> int:
+    """The number of fixed steps dt that make up t.
+
+    t must be a nonnegative integer multiple of dt, up to 1e-9 * max(1, t)
+    in time; the fixed-step integrators of the package all use this rule.
+    """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt = {dt!r} is not a positive number")
+    ratio = t / dt
+    if (not 0 <= ratio < math.inf
+            or abs(t - round(ratio) * dt) > 1e-9 * max(1.0, t)):
+        raise ValueError(f"t = {t!r} is not a nonnegative integer multiple "
+                         f"of dt = {dt!r}")
+    return round(ratio)
+
+
+def rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
+    """One classic fourth-order Runge-Kutta step of x' = f(x)."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def evolve_density(rho0: FockMatrix, rhs: Callable[[np.ndarray], np.ndarray],
@@ -136,20 +167,12 @@ def evolve_density(rho0: FockMatrix, rhs: Callable[[np.ndarray], np.ndarray],
     and the total trace drift are reported through the module logger, not
     silently discarded.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    steps = int(round(t / dt))
-    if abs(t - steps * dt) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError("t must be an integer multiple of dt")
+    steps = step_count(t, dt)
     rho = rho0.data.copy()
     trace0 = np.trace(rho)
     worst_asym = 0.0
     for _ in range(steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rho = rk4_step(rhs, rho, dt)
         if not np.isfinite(rho).all():
             raise FloatingPointError("density matrix left the finite domain")
         asym = float(np.max(np.abs(rho - rho.conj().T)))

@@ -229,14 +229,8 @@ class PolyExpr:
     def differentiate(self, var: str) -> "PolyExpr":
         """Formal partial derivative with respect to a named variable."""
         axis = self.axis_of(var)
-        terms: dict[MultiIndex, complex] = {}
-        for exps, c in self.terms.items():
-            e = exps[axis]
-            if e == 0:
-                continue
-            key = exps[:axis] + (e - 1,) + exps[axis + 1:]
-            terms[key] = terms.get(key, 0.0) + c * e
-        return PolyExpr(self.chart, self.modes, terms)
+        return self.partial(tuple(int(i == axis)
+                                  for i in range(2 * self.modes)))
 
     def partial(self, index: MultiIndex) -> "PolyExpr":
         """Iterated partial derivative; ``index`` spans all 2n variables."""

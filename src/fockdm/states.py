@@ -22,6 +22,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .algebra import poly_to_normal_form
+from .evolution import rk4_step, step_count
 from .fock import FockMatrix, check_dimension, operator_trace
 from .poly import ChartError, PolyExpr
 
@@ -207,28 +208,19 @@ def _rhs_at(grad_phi, grad_pi, point: np.ndarray):
 
 def integrate_state(hamiltonian: PolyExpr, state: ClassicalState,
                     t: float, dt: float = 1e-3) -> ClassicalState:
-    """Advance one state by classic fixed-step RK4 on Hamilton's equations."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    steps_f = abs(t) / dt
-    steps = int(round(steps_f))
-    if abs(steps_f - steps) > 1e-9:
-        raise ValueError("t must be an integer multiple of dt")
+    """Advance one state by classic fixed-step RK4 on Hamilton's equations;
+    a negative t integrates backward."""
+    steps = step_count(abs(t), dt)
     h = math.copysign(dt, t)
     grad_phi, grad_pi = _gradients(hamiltonian.promote(state.modes))
     x = state.point().copy()
     n = state.modes
 
     def f(xv):
-        dphi, dpi = _rhs_at(grad_phi, grad_pi, xv)
-        return np.concatenate([dphi, dpi])
+        return np.concatenate(_rhs_at(grad_phi, grad_pi, xv))
 
     for _ in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = rk4_step(f, x, h)
         if not np.isfinite(x).all():
             raise FloatingPointError("trajectory left the finite domain")
     return ClassicalState(x[:n], x[n:])

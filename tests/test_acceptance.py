@@ -96,10 +96,10 @@ def test_master_flow_passes_across_seeds(seed):
 def test_master_flow_catches_a_one_percent_sandwich_error(monkeypatch):
     init = MasterTerms.__init__
 
-    def skewed(self, hamiltonian):
-        init(self, hamiltonian)
-        coeff, *words = self.sandwich_terms[0]
-        self.sandwich_terms[0] = (1.01 * coeff, *words)
+    def skewed(self, hamiltonian, cutoff):
+        init(self, hamiltonian, cutoff)
+        *slices, coeff = self.table[0]
+        self.table[0] = (*slices, 1.01 * coeff)
 
     monkeypatch.setattr(MasterTerms, "__init__", skewed)
     result = master_vs_classical_flow(np.random.default_rng(103), 32, 10)

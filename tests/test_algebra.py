@@ -11,8 +11,6 @@ from fockdm.algebra import (
     NormalFormOperator,
     commutator,
     hermitian_pair_check,
-    low_order_gate,
-    nested_commutator_order,
     normal_order_product,
     poly_to_normal_form,
     random_normal_operator,
@@ -219,18 +217,3 @@ class TestTwoModeLemmas:
                         normal_order_product(a1.power(n - 1), a2.power(m - 2)))
                 assert lhs - rhs == NormalFormOperator.zero(2)
 
-
-class TestOrderGate:
-    def test_number_operator(self):
-        assert nested_commutator_order(normal_order_product(AD, A), 0) == (1, 1)
-        assert low_order_gate(normal_order_product(AD, A))
-
-    def test_quartic_word_fails(self):
-        H = op1({((4,), (0,)): 1.0})
-        assert nested_commutator_order(H, 0) == (4, 0)
-        assert not low_order_gate(H)
-
-    def test_oscillator_hamiltonian(self):
-        H = poly_to_normal_form(parse_poly("0.5*pi1^2 + 0.5*m*phi1^2", {"m": 2}))
-        assert nested_commutator_order(H, 0) == (2, 2)
-        assert low_order_gate(H)

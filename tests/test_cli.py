@@ -123,6 +123,19 @@ class TestExitCodes:
         ("reify", "alpha_margin", 2),
         ("reify", "alpha_margin", math.pi / 4),
         ("reify", "alpha_margin", 1e-20),
+        # a check that would compare nothing is refused at load time
+        ("reify", "cutoffs", []),
+        ("reify", "cutoffs", [16]),
+        ("reify", "cutoffs", [16, 16]),
+        ("project", "deltas", [50]),
+        ("project", "deltas", [50, 50]),
+        ("project", "deltas", [50, math.inf]),
+        ("discrepancy", "sweep", {"m": []}),
+        ("reify", "alpha_points", 1),
+        # evolve's step count (its ceiling has its own test below)
+        ("evolve", "t", 0.0015),
+        ("evolve", "t", math.nan),
+        ("evolve", "dt", math.inf),
     ], ids=["t-text", "deltas-scalar", "deltas-empty", "bindings-text",
             "sweep-two-keys", "cutoffs-scalar", "observables-scalar",
             "observables-number-entry", "evolve-cutoff-one", "iee-cutoff-one",
@@ -131,7 +144,11 @@ class TestExitCodes:
             "evolve-hamiltonian-number", "project-hamiltonian-number",
             "reify-hamiltonian-number", "iee-hamiltonian-number",
             "alpha-margin-past-zero", "alpha-margin-at-zero",
-            "alpha-margin-below-rounding"])
+            "alpha-margin-below-rounding", "cutoffs-empty", "cutoffs-single",
+            "cutoffs-repeated", "deltas-single", "deltas-repeated",
+            "deltas-infinite",
+            "sweep-empty-list", "alpha-points-one", "t-not-a-multiple",
+            "t-nan", "dt-infinite"])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, experiment,
                                          name, value):
         cfg = write_config(tmp_path, "bad.json", {name: value, "seed": 1})
@@ -185,11 +202,36 @@ class TestExitCodes:
     def test_alpha_grid_on_the_pole_exits_3(self, tmp_path, capsys):
         # the grid ends inside (0, pi/4), but too close for flow_coeffs
         cfg = write_config(tmp_path, "pole.json", {
-            "alpha_margin": 1e-12, "alpha_points": 2, "cutoffs": [16]})
+            "alpha_margin": 1e-12, "alpha_points": 2, "cutoffs": [16, 32]})
         code = main(["reify", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [{"t": 1e300}, {"dt": 1e-300}],
+                             ids=["huge-t", "tiny-dt"])
+    def test_step_ceiling_exits_2_before_building(self, tmp_path, capsys,
+                                                  monkeypatch, data):
+        def built(*args):
+            raise AssertionError("evolve built a density past the ceiling")
+
+        monkeypatch.setattr(cli, "ensemble_density", built)
+        monkeypatch.setattr(cli, "evolve_density", built)
+        cfg = write_config(tmp_path, "steps.json", data)
+        code = main(["evolve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t:")
+        assert str(cli.MAX_STEPS) in err
+
+    # reify's default state first loses norm along the grid, and iee's
+    # default pure state is no equilibrium (see README)
+    @pytest.mark.parametrize("experiment, code", [
+        ("verify", 0), ("discrepancy", 0), ("evolve", 0), ("project", 0),
+        ("reify", 1), ("iee", 1)])
+    def test_default_exit_code(self, tmp_path, experiment, code):
+        assert main([experiment, "--out", str(tmp_path / "out")]) == code
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(config):
@@ -251,9 +293,9 @@ class TestEvolveSuite:
         builds = []
         init = evolution.MasterTerms.__init__
 
-        def counted(self, hamiltonian):
+        def counted(self, hamiltonian, cutoff):
             builds.append(hamiltonian)
-            init(self, hamiltonian)
+            init(self, hamiltonian, cutoff)
 
         monkeypatch.setattr(evolution.MasterTerms, "__init__", counted)
         cfg = write_config(tmp_path, "e.json", {

@@ -164,7 +164,7 @@ class TestClosedForm:
             assert rep.residual <= 1e-8
 
     def test_degree_four_requires_extended_cap(self):
-        # beyond the order gate the capped series is not a theorem; with the
+        # beyond the cap the truncated series is not a theorem; with the
         # cap raised to the Hamiltonian degree it matches the dense route
         rng = np.random.default_rng(17)
         mismatch = 0.0
@@ -176,7 +176,19 @@ class TestClosedForm:
             rep4 = discrepancy_report(s, g, H, 32, order_cap=4)
             assert rep4.residual <= 1e-8
             mismatch = max(mismatch, rep3.residual)
-        assert mismatch > 1e-6  # the gate exists for a reason
+        assert mismatch > 1e-6  # the cap matters
+
+    @pytest.mark.parametrize("text, applicable", [
+        ("phi1^4", False),
+        # per-mode degree 2, but the term z1^2 z2^2 has four z factors: only
+        # the block bound rejects it
+        ("phi1^2*phi2^2", False),
+        ("0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^3", True)])
+    def test_applicability(self, text, applicable):
+        H = parse_poly(text, {})
+        s = ClassicalState(np.full(H.modes, 0.3), np.full(H.modes, -0.2))
+        _, got = discrepancy_closed_form(s, parse_poly("phi1*pi1", {}), H)
+        assert got is applicable
 
     def test_reality_for_real_inputs(self):
         rng = np.random.default_rng(19)
@@ -288,8 +300,8 @@ class TestIEECheck:
         report = iee_check(e, oscillator(1.0), gs, 32)
         assert report.equilibrium
         for row in report.rows:
-            assert abs(row.g_hat) <= 1e-7
-            assert abs(row.g_dot) <= 1e-7
+            assert abs(row.g_hat) <= report.worst <= 1e-7
+            assert abs(row.g_dot) <= report.worst
 
     def test_mass_two_circle_violates_condition(self):
         e = Ensemble.phase_circle(1.0, 64)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fockdm import evolution
 from fockdm.acceptance import master_vs_classical_flow
 from fockdm.algebra import (
     NormalFormOperator,
@@ -17,6 +19,7 @@ from fockdm.evolution import (
     evolve_density,
     master_rhs,
     projection_decay,
+    step_count,
     time_average_project,
 )
 from fockdm.fock import (
@@ -26,7 +29,12 @@ from fockdm.fock import (
     realize_matrix,
 )
 from fockdm.poly import parse_poly, random_poly
-from fockdm.states import ClassicalState, expectation, pure_density
+from fockdm.states import (
+    ClassicalState,
+    expectation,
+    integrate_state,
+    pure_density,
+)
 
 SQRT2 = math.sqrt(2.0)
 A = NormalFormOperator.annihilation()
@@ -95,31 +103,31 @@ class TestMasterEquation:
     def test_requires_hermitian_pairing(self):
         lopsided = NormalFormOperator.annihilation().power(2)
         with pytest.raises(PairingError):
-            MasterTerms(lopsided)
+            MasterTerms(lopsided, 8)
 
     def test_trace_conserved_for_arbitrary_matrices(self):
         rng = np.random.default_rng(3)
         D = 24
         for _ in range(12):
             H = poly_to_normal_form(random_low_degree_hamiltonian(rng))
-            terms = MasterTerms(H)
+            terms = MasterTerms(H, D)
             rho = random_hermitian(rng, D)  # not physically realizable
-            assert abs(np.trace(master_rhs(rho, terms, D))) <= 1e-10
+            assert abs(np.trace(master_rhs(rho, terms))) <= 1e-10
 
     def test_trace_conserved_even_for_non_hermitian_input(self):
         rng = np.random.default_rng(5)
         D = 16
         H = poly_to_normal_form(random_low_degree_hamiltonian(rng))
-        terms = MasterTerms(H)
+        terms = MasterTerms(H, D)
         rho = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        assert abs(np.trace(master_rhs(rho, terms, D))) <= 1e-10
+        assert abs(np.trace(master_rhs(rho, terms))) <= 1e-10
 
     def test_equals_liouville_for_unit_mass_oscillator(self):
         D = 32
         H = number_operator()
-        terms = MasterTerms(H)
+        terms = MasterTerms(H, D)
         rho = pure_density(state1(1.0, 0.0), D).data
-        lhs = master_rhs(rho, terms, D)
+        lhs = master_rhs(rho, terms)
         rhs = liouville(rho, H, D)
         diff = np.abs(interior_block(lhs - rhs, 1, D, 4))
         assert diff.max() <= 1e-8
@@ -131,7 +139,7 @@ class TestMasterEquation:
         rng = np.random.default_rng(37 + 10 * modes + D)
         for _ in range(3):
             H = random_normal_operator(rng, modes=modes, degree=2, words=4)
-            terms = MasterTerms(H)
+            terms = MasterTerms(H, D)
             dim = D ** modes
             g = rng.standard_normal((dim, dim)) \
                 + 1j * rng.standard_normal((dim, dim))
@@ -142,26 +150,42 @@ class TestMasterEquation:
                     post = NormalFormOperator(modes, {(qc, qa): 1.0})
                     want += (coeff * realize_matrix(pre, D).data) @ rho \
                         @ realize_matrix(post, D).data
-                got = master_rhs(rho, terms, D)
+                got = master_rhs(rho, terms)
                 assert np.max(np.abs(got - want)) \
                     <= 1e-12 * np.linalg.norm(rho)
 
-    def test_dimension_cap(self):
-        terms = MasterTerms(poly_to_normal_form(
-            parse_poly("phi1^2 + phi2^2 + phi3^2", {})))
-        with pytest.raises(DimensionCapError):
-            master_rhs(np.zeros((17 ** 3, 1)), terms, 17)
+    def test_dimension_cap(self, monkeypatch):
+        # 17^3 > DIM_CAP: refused before a single word is compiled
+        H = poly_to_normal_form(parse_poly("phi1^2 + phi2^2 + phi3^2", {}))
+
+        def compiled(*args):
+            raise AssertionError("compiled a word past the dimension cap")
+
+        monkeypatch.setattr(evolution, "word_diagonal", compiled)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError):
+                MasterTerms(H, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_shape_mismatch_rejected(self):
+        terms = MasterTerms(number_operator(), 8)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            master_rhs(np.zeros((9, 9)), terms)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
         D = 12
         H = poly_to_normal_form(random_low_degree_hamiltonian(rng))
-        terms = MasterTerms(H)
+        terms = MasterTerms(H, D)
         r1 = random_hermitian(rng, D)
         r2 = random_hermitian(rng, D)
         a, b = 0.7, -1.3
-        lhs = master_rhs(a * r1 + b * r2, terms, D)
-        rhs = a * master_rhs(r1, terms, D) + b * master_rhs(r2, terms, D)
+        lhs = master_rhs(a * r1 + b * r2, terms)
+        rhs = a * master_rhs(r1, terms) + b * master_rhs(r2, terms)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_finite_difference_of_classical_flow(self):
@@ -176,7 +200,7 @@ class TestMasterEquation:
         D = 16
         for _ in range(5):
             H = poly_to_normal_form(random_low_degree_hamiltonian(rng))
-            terms = MasterTerms(H)
+            terms = MasterTerms(H, D)
             rho = random_hermitian(rng, D)
             rho_prime = np.zeros((D, D), dtype=complex)
             a = realize_matrix(A, D).data
@@ -190,7 +214,7 @@ class TestMasterEquation:
                     a @ lmat @ rho @ realize_matrix(word_l, D).data
                     - a.conj().T @ realize_matrix(word_r, D).data @ rho @ rmat)
             folded = rho_prime + rho_prime.conj().T
-            unfolded = master_rhs(rho, terms, D)
+            unfolded = master_rhs(rho, terms)
             # interior restriction: matrix products of realized factors leak
             # at the truncation edge while the single-word route does not
             margin = H.max_mode_degree() + 1
@@ -203,10 +227,47 @@ class TestMasterEquation:
         rng = np.random.default_rng(11)
         D = 16
         H = poly_to_normal_form(random_low_degree_hamiltonian(rng))
-        terms = MasterTerms(H)
+        terms = MasterTerms(H, D)
         rho = random_hermitian(rng, D)
-        flux = np.trace(master_rhs(rho, terms, D) @ realize_matrix(H, D).data)
+        flux = np.trace(master_rhs(rho, terms) @ realize_matrix(H, D).data)
         assert np.isfinite(flux.real) and np.isfinite(flux.imag)
+
+
+class TestStepCount:
+    # (t, dt) pairs of the tests, the evolve default and the benchmark's
+    # evolve configs, with the step counts they have always had
+    @pytest.mark.parametrize("t, dt, steps", [
+        (1.0, 1e-3, 1000), (0.2, 1e-3, 200), (0.06, 0.01, 6),
+        (0.02, 0.01, 2), (10.0, 2e-3, 5000), (2 * math.pi,
+                                               2 * math.pi / 4000, 4000),
+        (0.03, 0.005, 6), (0.1, 0.005, 20), (0.0, 1e-3, 0)])
+    def test_known_pairs_keep_their_count(self, t, dt, steps):
+        assert step_count(t, dt) == steps
+
+    def test_one_rule_for_matrices_and_states(self):
+        # these pairs used to pass evolve_density and fail integrate_state;
+        # both are within 1e-9 * max(1, t) of a multiple of dt
+        assert step_count(1000.0000005, 1e-3) == 10 ** 6
+        assert step_count(2.0000000001, 1e-3) == 2000
+        H = parse_poly("0.5*pi1^2 + 0.5*phi1^2", {})
+        near = integrate_state(H, state1(1.0, 0.0), 2.0000000001, 1e-3)
+        exact = integrate_state(H, state1(1.0, 0.0), 2.0, 1e-3)
+        assert np.array_equal(near.point(), exact.point())
+
+    @pytest.mark.parametrize("t, dt", [
+        (-1.0, 1e-3), (0.0015, 1e-3), (1.0, 0.0), (1.0, -1e-3),
+        (math.nan, 1e-3), (math.inf, 1e-3), (1.0, math.nan),
+        (1.0, math.inf)])
+    def test_rejected(self, t, dt):
+        with pytest.raises(ValueError):
+            step_count(t, dt)
+
+    def test_negative_time_is_refused_by_evolve_density(self):
+        D = 8
+        rhs = density_generator("liouville", number_operator(), D)
+        with pytest.raises(ValueError, match="nonnegative"):
+            evolve_density(pure_density(state1(1.0, 0.0), D), rhs, -1.0,
+                           1e-3)
 
 
 class TestEvolveDensity:
@@ -253,9 +314,9 @@ class TestEvolveDensity:
         # low-degree observables
         D = 32
         H = number_operator()
-        terms = MasterTerms(H)
+        terms = MasterTerms(H, D)
         rho = pure_density(state1(0.8, -0.5), D).data
-        m_rhs = master_rhs(rho, terms, D)
+        m_rhs = master_rhs(rho, terms)
         l_rhs = liouville(rho, H, D)
         for text in ("phi1", "pi1", "phi1^2", "phi1*pi1", "phi1^2*pi1"):
             g = realize_matrix(poly_to_normal_form(parse_poly(text, {})), D).data
