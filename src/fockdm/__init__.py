@@ -31,7 +31,7 @@ from .discrepancy import (
 )
 from .evolution import (
     MasterTerms,
-    density_generator,
+    density_flow,
     evolve_density,
     master_rhs,
     time_average_project,

@@ -36,12 +36,7 @@ from .acceptance import (
 )
 from .algebra import poly_to_normal_form
 from .discrepancy import IEE_TOLERANCE, discrepancy_report, iee_check
-from .evolution import (
-    density_generator,
-    evolve_density,
-    projection_decay,
-    step_count,
-)
+from .evolution import density_flow, projection_decay, step_count
 from .fock import DimensionCapError
 from .poly import PolyExpr, PolyParseError, parse_poly
 from .reify import PoleError, flow_coeffs, rho_z_trace
@@ -56,8 +51,10 @@ from .states import (
 
 EXPERIMENTS = ("verify", "discrepancy", "evolve", "reify", "project", "iee")
 
-# the most RK4 steps t/dt that fockdm evolve accepts; checked before it builds
+# the most steps t/dt that fockdm evolve accepts; checked before it builds
 MAX_STEPS = 10 ** 6
+# the most members of a phase_circle ensemble; checked at load time
+MAX_POINTS = 10 ** 5
 
 
 class ConfigError(ValueError):
@@ -186,6 +183,9 @@ class ExperimentConfig:
                 if name in spec and not _is_positive_int(spec[name]):
                     raise ConfigError(f"ensemble.{name}: must be a positive "
                                       "integer")
+            if spec.get("points", 0) > MAX_POINTS:
+                raise ConfigError(f"ensemble.points: exceeds the ceiling of "
+                                  f"{MAX_POINTS} points")
         elif kind != "members":
             raise ConfigError(f"ensemble: unknown kind {kind!r}")
 
@@ -359,10 +359,10 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
                     + tuple(expectation(dm, g).real for _, g in observables))
 
     record(0.0, rho)
-    rhs = density_generator(config.generator, h_n, config.cutoff)
+    flow = density_flow(config.generator, h_n, config.cutoff, config.dt)
     for start in range(0, steps, config.sample_every):
         done = min(start + config.sample_every, steps)
-        rho = evolve_density(rho, rhs, (done - start) * config.dt, config.dt)
+        rho = flow(rho, (done - start) * config.dt)
         record(done * config.dt, rho)
         if config.snapshot_every and done % config.snapshot_every == 0:
             snapshots.append((done, rho))
@@ -489,7 +489,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (AmplitudeOverflowError, DimensionCapError, FloatingPointError,
-            PoleError, np.linalg.LinAlgError) as err:
+            OverflowError, PoleError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except MemoryError:

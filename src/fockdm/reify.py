@@ -27,7 +27,6 @@ and bury the answer).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -50,14 +49,10 @@ def _word(create: int, annih: int, cutoff: int) -> np.ndarray:
                           cutoff).data
 
 
-@functools.lru_cache
 def _s_bundle(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the S generator (shared, read-only)."""
+    """Eigendecomposition of the S generator."""
     gen = 0.5 * (_word(2, 0, cutoff) + _word(0, 2, cutoff))
-    bundle = np.linalg.eigh(gen)
-    for part in bundle:
-        part.setflags(write=False)
-    return bundle
+    return np.linalg.eigh(gen)
 
 
 def s_operator(alpha: float, cutoff: int) -> FockMatrix:

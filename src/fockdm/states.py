@@ -49,8 +49,9 @@ class ClassicalState:
     def __post_init__(self):
         phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
         pi = np.atleast_1d(np.asarray(self.pi, dtype=float))
-        if phi.shape != pi.shape or phi.ndim != 1:
-            raise ValueError("phi and pi must be 1-d arrays of equal length")
+        if phi.shape != pi.shape or phi.ndim != 1 or not phi.size:
+            raise ValueError("phi and pi must be nonempty 1-d arrays of equal "
+                             "length")
         if not (np.isfinite(phi).all() and np.isfinite(pi).all()):
             raise ValueError("state entries must be finite")
         object.__setattr__(self, "phi", phi)
@@ -90,7 +91,7 @@ class Ensemble:
             raise ValueError("ensemble needs at least one member")
         if any(w <= 0 for _, w in members):
             raise ValueError("weights must be positive")
-        total = sum(w for _, w in members)
+        total = math.fsum(w for _, w in members)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
         n = members[0][0].modes
@@ -245,12 +246,9 @@ def extended_wavefunction(state: ClassicalState, cutoff: int) -> np.ndarray:
     Modes are interleaved (a_1, b_1, a_2, b_2, ...).  The raw exponent
     convention exp(sum_j z_j adag_j + y_j bdag_j)|0> fixes only the direction;
     the vector is normalized explicitly here, which lands on the product of
-    normalized coherent factors.
+    normalized coherent factors: the pseudo-wavefunction of the doubled state
+    (phi_j, pi_j) in a_j and (phi_j, -pi_j) in b_j.
     """
-    check_dimension(2 * state.modes, cutoff)
-    data = None
-    for j, zj in enumerate(state.z):
-        for amp in (zj, np.conj(zj)):
-            col = _coherent_column(j, amp, cutoff)
-            data = col if data is None else np.kron(data, col)
-    return data
+    doubled = ClassicalState(np.repeat(state.phi, 2),
+                             np.stack([state.pi, -state.pi], axis=1).ravel())
+    return pseudo_wavefunction(doubled, cutoff)

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fockdm import cli, evolution
@@ -15,6 +16,7 @@ from fockdm.cli import (
     emit_report,
     main,
 )
+from fockdm.states import Ensemble
 
 
 def write_config(tmp_path, name, data):
@@ -136,6 +138,9 @@ class TestExitCodes:
         ("evolve", "t", 0.0015),
         ("evolve", "t", math.nan),
         ("evolve", "dt", math.inf),
+        # a state needs at least one mode
+        ("evolve", "state", {"phi": [], "pi": []}),
+        ("iee", "ensemble", {"members": [{"phi": [], "pi": [], "w": 1.0}]}),
     ], ids=["t-text", "deltas-scalar", "deltas-empty", "bindings-text",
             "sweep-two-keys", "cutoffs-scalar", "observables-scalar",
             "observables-number-entry", "evolve-cutoff-one", "iee-cutoff-one",
@@ -148,7 +153,7 @@ class TestExitCodes:
             "cutoffs-repeated", "deltas-single", "deltas-repeated",
             "deltas-infinite",
             "sweep-empty-list", "alpha-points-one", "t-not-a-multiple",
-            "t-nan", "dt-infinite"])
+            "t-nan", "dt-infinite", "state-empty", "ensemble-empty-member"])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, experiment,
                                          name, value):
         cfg = write_config(tmp_path, "bad.json", {name: value, "seed": 1})
@@ -216,7 +221,7 @@ class TestExitCodes:
             raise AssertionError("evolve built a density past the ceiling")
 
         monkeypatch.setattr(cli, "ensemble_density", built)
-        monkeypatch.setattr(cli, "evolve_density", built)
+        monkeypatch.setattr(cli, "density_flow", built)
         cfg = write_config(tmp_path, "steps.json", data)
         code = main(["evolve", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
@@ -224,6 +229,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: t:")
         assert str(cli.MAX_STEPS) in err
+
+    def test_points_ceiling_exits_2_before_building(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("iee built an ensemble past the ceiling")
+
+        monkeypatch.setattr(Ensemble, "phase_circle", built)
+        cfg = write_config(tmp_path, "points.json", {
+            "ensemble": {"kind": "phase_circle",
+                         "points": cli.MAX_POINTS + 1}})
+        code = main(["iee", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ensemble.points:")
+        assert str(cli.MAX_POINTS) in err
+
+    # math.comb(2000, k) * a**k cannot be converted to a float
+    @pytest.mark.parametrize("experiment, data", [
+        ("project", {"hamiltonian": "phi1^2000"}),
+        ("discrepancy", {"seed": 1, "hamiltonian": "phi1^2000"}),
+        ("evolve", {"observables": ["phi1^2000"]}),
+    ], ids=["project-hamiltonian", "discrepancy-hamiltonian",
+            "evolve-observable"])
+    def test_coefficient_overflow_exits_3(self, tmp_path, capsys, experiment,
+                                          data):
+        cfg = write_config(tmp_path, "overflow.json", data)
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     # reify's default state first loses norm along the grid, and iee's
     # default pure state is no equilibrium (see README)
@@ -288,6 +324,26 @@ class TestEvolveSuite:
         payload = json.loads(snap.read_text())
         assert payload["cutoff"] == 12 and payload["modes"] == 1
 
+
+    def test_liouville_rows_do_not_depend_on_dt(self, tmp_path):
+        # the Liouville flow is exact in t: dt only sets the sample grid
+        rows = []
+        for dt, every in ((0.01, 10), (0.02, 5)):
+            cfg = write_config(tmp_path, f"l{every}.json", {
+                "generator": "liouville",
+                "hamiltonian": "0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^4",
+                "bindings": {}, "observables": ["phi1", "phi1*pi1"],
+                "state": {"phi": [0.8], "pi": [0.3]},
+                "cutoff": 16, "t": 0.2, "dt": dt, "sample_every": every})
+            out = tmp_path / f"out{every}"
+            assert main(["evolve", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            rows.append(np.loadtxt(out / "results.csv", delimiter=",",
+                                   skiprows=1))
+        assert rows[0].shape == rows[1].shape == (3, 5)
+        assert np.max(np.abs(rows[0] - rows[1])) <= 1e-12
+        # the flow re-symmetrizes, so the trace stays exactly real
+        assert not rows[0][1:, 2].any() and not rows[1][1:, 2].any()
 
     def test_generator_is_built_once_per_run(self, tmp_path, monkeypatch):
         builds = []

@@ -15,10 +15,11 @@ from fockdm.algebra import (
 from fockdm.evolution import (
     MasterTerms,
     PairingError,
-    density_generator,
+    density_flow,
     evolve_density,
     master_rhs,
     projection_decay,
+    rk4_step,
     step_count,
     time_average_project,
 )
@@ -55,8 +56,15 @@ def random_hermitian(rng, dim):
     return h / np.linalg.norm(h)
 
 
-def liouville(rho, hamiltonian, cutoff):
-    return density_generator("liouville", hamiltonian, cutoff)(rho)
+def commutator_rhs(rho, hamiltonian, cutoff):
+    # -i [H_n, rho] as a dense commutator: the reference for the Liouville
+    # flow and for the master equation
+    hmat = realize_matrix(hamiltonian, cutoff).data
+    return -1j * (hmat @ rho - rho @ hmat)
+
+
+def liouville(rho, hamiltonian, t):
+    return density_flow("liouville", hamiltonian, rho.cutoff, 1e-3)(rho, t)
 
 
 def random_low_degree_hamiltonian(rng, scale=0.5):
@@ -69,34 +77,43 @@ def random_low_degree_hamiltonian(rng, scale=0.5):
 
 class TestLiouville:
     def test_commuting_state_is_stationary(self):
-        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        rhs = liouville(rho, number_operator(), 3)
-        assert np.max(np.abs(rhs)) <= 1e-14
+        rho = FockMatrix(1, 3, np.diag([0.5, 0.3, 0.2]).astype(complex))
+        out = liouville(rho, number_operator(), 1.7)
+        assert np.max(np.abs(out.data - rho.data)) <= 1e-14
 
-    def test_traceless(self):
+    def test_trace_conserved(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            rho = random_hermitian(rng, 16)
-            rhs = liouville(rho, number_operator(), 16)
-            assert abs(np.trace(rhs)) <= 1e-12
+            H = poly_to_normal_form(random_low_degree_hamiltonian(rng))
+            rho = FockMatrix(1, 16, random_hermitian(rng, 16))
+            out = liouville(rho, H, 0.7)
+            assert abs(out.trace() - rho.trace()) <= 1e-12
 
     def test_matches_rotating_coherent_state(self):
-        # H = adag a rotates z(t) = e^{-it} z; finite-difference the exact
-        # rotated state and compare with the generator
+        # H = adag a rotates z(t) = e^{-it} z, level by level exactly
         D = 32
-        dt = 1e-4
         s0 = state1(1.0, 0.0)
-        z0 = s0.z[0]
+        for t in (0.3, 1.0, 2.5):
+            z = np.exp(-1j * t) * s0.z[0]
+            want = pure_density(state1(SQRT2 * z.real, SQRT2 * z.imag), D)
+            out = liouville(pure_density(s0, D), number_operator(), t)
+            assert np.max(np.abs(out.data - want.data)) <= 1e-12
 
-        def rho_at(t):
-            z = np.exp(-1j * t) * z0
-            phi = SQRT2 * z.real
-            pi = SQRT2 * z.imag
-            return pure_density(state1(phi, pi), D).data
-
-        fd = (rho_at(dt) - rho_at(-dt)) / (2 * dt)
-        rhs = liouville(pure_density(s0, D).data, number_operator(), D)
-        assert np.max(np.abs(fd - rhs)) <= 1e-6
+    @pytest.mark.parametrize("modes, D", [(1, 12), (2, 6)])
+    def test_agrees_with_dense_rk4(self, modes, D):
+        # random Hermitian H_n from real polynomials, against RK4 on the
+        # dense commutator at a step small enough for its error to vanish
+        rng = np.random.default_rng(41 + modes)
+        t, dt = 0.2, 1e-3
+        for _ in range(3):
+            H = poly_to_normal_form(random_poly(rng, modes=modes, degree=3,
+                                                terms=5) * 0.2)
+            rho = FockMatrix(modes, D, random_hermitian(rng, D ** modes))
+            want = rho.data
+            for _ in range(step_count(t, dt)):
+                want = rk4_step(lambda m: commutator_rhs(m, H, D), want, dt)
+            out = liouville(rho, H, t)
+            assert np.max(np.abs(out.data - want)) <= 1e-10
 
 
 class TestMasterEquation:
@@ -128,7 +145,7 @@ class TestMasterEquation:
         terms = MasterTerms(H, D)
         rho = pure_density(state1(1.0, 0.0), D).data
         lhs = master_rhs(rho, terms)
-        rhs = liouville(rho, H, D)
+        rhs = commutator_rhs(rho, H, D)
         diff = np.abs(interior_block(lhs - rhs, 1, D, 4))
         assert diff.max() <= 1e-8
 
@@ -264,28 +281,25 @@ class TestStepCount:
 
     def test_negative_time_is_refused_by_evolve_density(self):
         D = 8
-        rhs = density_generator("liouville", number_operator(), D)
+        terms = MasterTerms(number_operator(), D)
         with pytest.raises(ValueError, match="nonnegative"):
-            evolve_density(pure_density(state1(1.0, 0.0), D), rhs, -1.0,
+            evolve_density(pure_density(state1(1.0, 0.0), D), terms, -1.0,
                            1e-3)
 
 
 class TestEvolveDensity:
     def test_liouville_periodicity(self):
         D = 24
-        dt = 2 * math.pi / 4000
         rho0 = pure_density(state1(1.0, 0.0), D)
-        out = evolve_density(
-            rho0, density_generator("liouville", number_operator(), D),
-            2 * math.pi, dt)
-        assert np.max(np.abs(out.data - rho0.data)) <= 1e-6
+        out = liouville(rho0, number_operator(), 2 * math.pi)
+        assert np.max(np.abs(out.data - rho0.data)) <= 1e-12
 
     def test_master_tracks_classical_cosine(self):
         D = 24
         H = parse_poly("0.5*phi1^2 + 0.5*pi1^2", {})
         rho0 = pure_density(state1(1.0, 0.0), D)
-        rhs = density_generator("master", poly_to_normal_form(H), D)
-        out = evolve_density(rho0, rhs, 1.0, 1e-3)
+        out = evolve_density(rho0, MasterTerms(poly_to_normal_form(H), D),
+                             1.0, 1e-3)
         phi_obs = expectation(out, parse_poly("phi1", {}))
         assert abs(phi_obs - math.cos(1.0)) <= 1e-6
 
@@ -295,8 +309,7 @@ class TestEvolveDensity:
         Hn = poly_to_normal_form(H)
         rho0 = pure_density(state1(0.6, 0.2), D)
         for gen in ("liouville", "master"):
-            out = evolve_density(rho0, density_generator(gen, Hn, D), 10.0,
-                                 2e-3)
+            out = density_flow(gen, Hn, D, 2e-3)(rho0, 10.0)
             assert abs(out.trace() - 1.0) <= 1e-8
 
     def test_liouville_preserves_spectrum(self):
@@ -304,10 +317,9 @@ class TestEvolveDensity:
         H = parse_poly("0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^4", {})
         rho0 = pure_density(state1(0.5, -0.3), D)
         before = np.sort(np.linalg.eigvalsh(rho0.data))
-        rhs = density_generator("liouville", poly_to_normal_form(H), D)
-        out = evolve_density(rho0, rhs, 1.0, 1e-3)
+        out = liouville(rho0, poly_to_normal_form(H), 1.0)
         after = np.sort(np.linalg.eigvalsh(out.data))
-        assert np.max(np.abs(before - after)) <= 1e-6
+        assert np.max(np.abs(before - after)) <= 1e-12
 
     def test_generator_flux_agreement_unit_mass(self):
         # zero-discrepancy regime: both generators predict the same flux for
@@ -317,7 +329,7 @@ class TestEvolveDensity:
         terms = MasterTerms(H, D)
         rho = pure_density(state1(0.8, -0.5), D).data
         m_rhs = master_rhs(rho, terms)
-        l_rhs = liouville(rho, H, D)
+        l_rhs = commutator_rhs(rho, H, D)
         for text in ("phi1", "pi1", "phi1^2", "phi1*pi1", "phi1^2*pi1"):
             g = realize_matrix(poly_to_normal_form(parse_poly(text, {})), D).data
             assert abs(np.trace(m_rhs @ g) - np.trace(l_rhs @ g)) <= 1e-7

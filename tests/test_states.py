@@ -154,6 +154,11 @@ class TestEnsembleDensity:
         with pytest.raises(ValueError, match="sum"):
             Ensemble(((state1(0, 0), 0.4), (state1(1, 0), 0.4)))
 
+    def test_many_equal_weights_sum_to_one(self):
+        # 1/N added N times drifts by ~1e-12 at this N; fsum does not
+        ens = Ensemble.from_states([state1(0.3, 0.1)] * 39810)
+        assert len(ens.members) == 39810
+
     def test_affine_in_weights_and_psd_under_mixing(self):
         s1, s2, s3 = state1(0.7, 0.1), state1(-0.4, 0.6), state1(0.0, -0.9)
         a = Ensemble(((s1, 0.5), (s2, 0.5)))
@@ -305,3 +310,20 @@ class TestExtendedWavefunction:
         w2 = extended_wavefunction(s, 16)
         assert abs(np.linalg.norm(w1) - 1.0) <= 1e-10
         assert np.array_equal(w1, w2)
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_equals_the_kron_of_coherent_columns(self, modes):
+        # reference: one normalized coherent column per mode, z_j then y_j
+        def column(amp, D):
+            return np.array([amp ** n / math.sqrt(math.factorial(n))
+                             for n in range(D)]) * math.exp(-abs(amp) ** 2 / 2)
+
+        rng = np.random.default_rng(43 + modes)
+        for D in (4, 8):
+            for s in random_states(rng, 5, modes=modes, scale=0.6):
+                want = np.ones(1)
+                for z in s.z:
+                    want = np.kron(np.kron(want, column(z, D)),
+                                   column(np.conj(z), D))
+                got = extended_wavefunction(s, D)
+                assert np.max(np.abs(got - want)) <= 1e-14
