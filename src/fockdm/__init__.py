@@ -31,8 +31,9 @@ from .discrepancy import (
 )
 from .evolution import (
     MasterTerms,
-    density_flow,
+    density_samples,
     evolve_density,
+    liouville_flow,
     master_rhs,
     time_average_project,
 )
@@ -63,6 +64,7 @@ from .states import (
     hamilton_rhs,
     integrate_ensemble,
     integrate_state,
+    member_matrix,
     pseudo_wavefunction,
     pure_density,
 )

@@ -16,6 +16,8 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 bad configuration,
 from __future__ import annotations
 
 import argparse
+import cmath
+import copy
 import csv
 import hashlib
 import json
@@ -36,7 +38,7 @@ from .acceptance import (
 )
 from .algebra import poly_to_normal_form
 from .discrepancy import IEE_TOLERANCE, discrepancy_report, iee_check
-from .evolution import density_flow, projection_decay, step_count
+from .evolution import density_samples, projection_decay, step_count
 from .fock import DimensionCapError
 from .poly import PolyExpr, PolyParseError, parse_poly
 from .reify import PoleError, flow_coeffs, rho_z_trace
@@ -44,7 +46,6 @@ from .states import (
     AmplitudeOverflowError,
     ClassicalState,
     Ensemble,
-    ensemble_density,
     expectation,
     pure_density,
 )
@@ -67,6 +68,29 @@ def _is_number(value) -> bool:
 
 def _is_positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+def _parse(name: str, text: str, bindings: dict) -> PolyExpr:
+    """parse_poly, with a parse error or a coefficient that is not a finite
+    number reported as a configuration error naming the field."""
+    try:
+        p = parse_poly(text, bindings)
+    except PolyParseError as err:
+        raise ConfigError(f"{name}: {err}") from err
+    if not all(cmath.isfinite(c) for c in p.terms.values()):
+        raise ConfigError(f"{name}: {text!r} has a coefficient that is not "
+                          "a finite number")
+    return p
+
+
+# the input of a suite run without a state or an ensemble of its own, where
+# the shared default would fail its checks: criterion 10's state, whose
+# recoded norm grows along the whole alpha grid, and a phase circle, an
+# equilibrium of every rotation-invariant Hamiltonian
+SUITE_INPUTS = {
+    "reify": {"state": {"phi": [0], "pi": [2]}},
+    "iee": {"ensemble": {"kind": "phase_circle", "radius": 1, "points": 64}},
+}
 
 
 @dataclass
@@ -101,7 +125,12 @@ class ExperimentConfig:
         unknown = set(obj) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"config: unknown field {sorted(unknown)[0]!r}")
-        cfg = cls(**{**{"experiment": "verify"}, **obj})
+        obj = {"experiment": "verify", **obj}
+        if (isinstance(obj["experiment"], str)
+                and not {"state", "ensemble"} & obj.keys()):
+            obj = {**copy.deepcopy(SUITE_INPUTS.get(obj["experiment"], {})),
+                   **obj}
+        cfg = cls(**obj)
         cfg.validate()
         return cfg
 
@@ -162,10 +191,7 @@ class ExperimentConfig:
             raise ConfigError("hamiltonian: must be a polynomial string")
         for name, text in [("hamiltonian", self.hamiltonian)] + [
                 ("observables", text) for text in self.observables]:
-            try:
-                parse_poly(text, self.bindings)
-            except PolyParseError as err:
-                raise ConfigError(f"{name}: {err}") from err
+            _parse(name, text, self.bindings)
         self._validate_ensemble()
 
     def _validate_ensemble(self) -> None:
@@ -204,8 +230,9 @@ class ExperimentConfig:
              bindings: dict | None) -> PolyExpr:
         """The one mode-consistency check: a polynomial on fewer modes than
         the state is promoted, one on more is a configuration error naming
-        its field."""
-        p = parse_poly(text, self.bindings if bindings is None else bindings)
+        its field.  It parses again, so a swept binding that overflows a
+        coefficient is refused here."""
+        p = _parse(name, text, self.bindings if bindings is None else bindings)
         if p.modes > modes:
             raise ConfigError(f"{name}: {text!r} has {p.modes} modes, the state "
                               f"has {modes}")
@@ -348,23 +375,16 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
     ensemble = config.classical_ensemble()
     h_n = poly_to_normal_form(config.hamiltonian_on(ensemble.modes))
     observables = config.observables_on(ensemble.modes)
-    rho = ensemble_density(ensemble, config.cutoff)
     columns = ["t", "trace_re", "trace_im"] + [f"<{text}>" for text, _ in observables]
     rows = []
     snapshots = []
-
-    def record(time, dm):
-        tr = dm.trace()
-        rows.append((time, tr.real, tr.imag)
-                    + tuple(expectation(dm, g).real for _, g in observables))
-
-    record(0.0, rho)
-    flow = density_flow(config.generator, h_n, config.cutoff, config.dt)
-    for start in range(0, steps, config.sample_every):
-        done = min(start + config.sample_every, steps)
-        rho = flow(rho, (done - start) * config.dt)
-        record(done * config.dt, rho)
-        if config.snapshot_every and done % config.snapshot_every == 0:
+    for done, rho in density_samples(config.generator, ensemble, h_n,
+                                     config.cutoff, config.dt, steps,
+                                     config.sample_every):
+        tr = rho.trace()
+        rows.append((done * config.dt, tr.real, tr.imag)
+                    + tuple(expectation(rho, g).real for _, g in observables))
+        if done and config.snapshot_every and done % config.snapshot_every == 0:
             snapshots.append((done, rho))
     drift = abs(rows[-1][1] + 1j * rows[-1][2] - (rows[0][1] + 1j * rows[0][2]))
     checks = [CheckResult("trace-drift", drift, 1e-6, drift <= 1e-6)]

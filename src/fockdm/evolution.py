@@ -1,7 +1,8 @@
 """Time evolution of moment matrices: two competing generators.
 
-* The quantum Liouville law  rhodot = -i [H_n, rho], applied exactly as
-  rho(t) = U rho U^H with U = exp(-i t H_n) in the eigenbasis of H_n.
+* The quantum Liouville law  rhodot = -i [H_n, rho], applied exactly to
+  the member vectors of rho = W diag(p) W^H in the eigenbasis of H_n:
+  every column moves as U w with U = exp(-i t H_n).
 * The free-space master equation induced by the classical flow,
 
       rhodot = rho' + rho'^H,
@@ -25,12 +26,15 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from .algebra import NormalFormOperator, hermitian_pair_check
 from .fock import FockMatrix, check_dimension, realize_matrix, word_diagonal
+
+if TYPE_CHECKING:
+    from .states import Ensemble
 
 log = logging.getLogger(__name__)
 
@@ -113,27 +117,80 @@ def master_rhs(rho: np.ndarray, terms: MasterTerms) -> np.ndarray:
     return out.reshape(rho.shape)
 
 
-def density_flow(law: str, hamiltonian: NormalFormOperator, cutoff: int,
-                 dt: float) -> Callable[[FockMatrix, float], FockMatrix]:
-    """The evolution (rho, t) -> rho(t) of either law, built once.
+def density_samples(law: str, ensemble: Ensemble,
+                    hamiltonian: NormalFormOperator, cutoff: int, dt: float,
+                    steps: int, every: int
+                    ) -> Iterator[tuple[int, FockMatrix]]:
+    """(step, rho) of the ensemble's moment matrix under either law, at
+    step 0, every ``every`` steps, and at the last step.
 
-    "liouville" diagonalizes H_n once and returns U rho U^H with
-    U = exp(-i t H_n), exact in t, so dt plays no part; "master" builds its
-    MasterTerms (and checks the Hermitian pairing) once and steps them with
-    evolve_density at dt.
+    "liouville" carries the member vectors (``states.member_matrix``)
+    through ``liouville_flow``, exact in t, so dt only sets the sample grid;
+    an ensemble with more members than dim is carried as the eigenvectors
+    of its moment matrix instead, so that a sample never takes more than
+    two dim x dim by dim x dim products.  "master" builds its MasterTerms
+    (and checks the Hermitian pairing) once and steps ``ensemble_density``
+    with evolve_density at dt.
     """
-    if law == "liouville":
-        evals, vecs = _eigensystem(hamiltonian, cutoff)
+    # states imports rk4_step and step_count from this module
+    from .states import ensemble_density, member_matrix
 
-        def liouville(rho, t):
-            u = (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
-            out = u @ rho.data @ u.conj().T
-            return FockMatrix(rho.modes, rho.cutoff, 0.5 * (out + out.conj().T))
-        return liouville
-    if law == "master":
+    chunks = [(start, min(start + every, steps))
+              for start in range(0, steps, every)]
+    if law == "liouville":
+        if len(ensemble.members) > check_dimension(ensemble.modes, cutoff):
+            # folded once to dim columns, never holding dim x r
+            weights, vectors = np.linalg.eigh(
+                ensemble_density(ensemble, cutoff).data)
+        else:
+            vectors, weights = member_matrix(ensemble, cutoff)
+        at = liouville_flow(vectors, weights, hamiltonian, cutoff)
+        yield 0, at(0.0)
+        for _, done in chunks:
+            yield done, at(done * dt)
+    elif law == "master":
+        rho = ensemble_density(ensemble, cutoff)
         terms = MasterTerms(hamiltonian, cutoff)
-        return lambda rho, t: evolve_density(rho, terms, t, dt)
-    raise ValueError(f"unknown generator {law!r}")
+        yield 0, rho
+        for start, done in chunks:
+            rho = evolve_density(rho, terms, (done - start) * dt, dt)
+            yield done, rho
+    else:
+        raise ValueError(f"unknown generator {law!r}")
+
+
+def liouville_flow(vectors: np.ndarray, weights: np.ndarray,
+                   hamiltonian: NormalFormOperator,
+                   cutoff: int) -> Callable[[float], FockMatrix]:
+    """t -> rho(t) = U rho U^H, U = exp(-i t H_n), for rho = W diag(p) W^H.
+
+    W (vectors, dim x r) and p (weights, real, possibly signed) are read in
+    the eigenbasis (E, V) of H_n once, X = V^H W, and each call forms
+    Y = V (e^{-iEt} o X) and returns Y diag(p) Y^H, re-symmetrized: no
+    dim x dim U, and two dim x dim x r products per call.  Each call starts
+    from X at its absolute t, so nothing accumulates between calls.
+    """
+    evals, basis = _eigensystem(hamiltonian, cutoff)
+    coeffs = _product(basis.conj().T, vectors)
+
+    def at(t):
+        y = _product(basis, np.exp(-1j * t * evals)[:, None] * coeffs)
+        out = (y * weights) @ y.conj().T
+        # (out + out^H) / 2 with the transpose copied once, so that the
+        # sum runs in memory order
+        herm = out.T.copy()
+        np.conjugate(herm, out=herm)
+        herm += out
+        herm *= 0.5
+        return FockMatrix(hamiltonian.modes, cutoff, herm)
+    return at
+
+
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right for complex right, in real arithmetic when left is real."""
+    if np.iscomplexobj(left):
+        return left @ right
+    return left @ right.real + 1j * (left @ right.imag)
 
 
 def step_count(t: float, dt: float) -> int:
@@ -195,11 +252,18 @@ def time_average_project(rho: FockMatrix, hamiltonian: NormalFormOperator,
 
 def _eigensystem(hamiltonian: NormalFormOperator,
                  cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the realized H_n, which must be Hermitian."""
-    hmat = realize_matrix(hamiltonian, cutoff)
-    if hmat.hermiticity_defect() > 1e-10:
+    """eigh of the realized H_n, which must be finite and Hermitian; in
+    real arithmetic when H_n has no imaginary part, as every H_n without
+    odd phi-pi cross terms does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hmat = realize_matrix(hamiltonian, cutoff)
+    if not np.isfinite(hmat.data).all():
+        raise FloatingPointError(f"H_n overflows at cutoff {cutoff}")
+    if not hmat.hermiticity_defect() <= 1e-10:
         raise ValueError("H_n must be Hermitian")
-    return np.linalg.eigh(hmat.data)
+    if hmat.data.imag.any():
+        return np.linalg.eigh(hmat.data)
+    return np.linalg.eigh(hmat.data.real)
 
 
 def _time_average(rho: FockMatrix, evals: np.ndarray, vecs: np.ndarray,

@@ -10,8 +10,8 @@ so it acts on a vector or a matrix, viewed as a (D,)*n or (D,)*2n tensor, by
 slicing and scaling along one axis per mode.  This is the one primitive of
 the layer: ``operator_trace`` reads Tr(rho op) off one shifted diagonal of
 rho per word, and ``realize_matrix`` writes the dense matrix, which remains
-for eigendecompositions, reification, the Liouville commutator and test
-oracles, one shifted diagonal per word.  Matrices of any kind (operators,
+for eigendecompositions, reification and test oracles, one shifted
+diagonal per word.  Matrices of any kind (operators,
 moment matrices) are ``FockMatrix`` values; vectors are plain arrays.
 
 Truncation policy: a single normal-ordered word (adag)^c a^r realizes

@@ -8,7 +8,9 @@ multimode coherent vector with per-mode amplitude z_j = (phi_j + i pi_j)/sqrt2:
 so a_j w = z_j w.  The moment matrix of an ensemble is the weighted sum of
 the rank-one projectors w w^H; such matrices are Hermitian, PSD and
 unit-trace (physically realizable).  Moment matrices are ``FockMatrix``
-values and the vectors w plain arrays.  Everything here is exact up to
+values and the vectors w plain arrays; ``member_matrix`` stacks them as the
+columns of W, with the weights p, so that the moment matrix is
+W diag(p) W^H.  Everything here is exact up to
 ladder truncation, which is kept quantitative by the amplitude guard
 |z_j|^2 <= cutoff/4.
 """
@@ -183,6 +185,15 @@ def ensemble_density(ensemble: Ensemble, cutoff: int) -> FockMatrix:
         block = weight * np.outer(w, w.conj())
         acc = block if acc is None else acc + block
     return FockMatrix(ensemble.modes, cutoff, acc)
+
+
+def member_matrix(ensemble: Ensemble,
+                  cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W, p): one pseudo-wavefunction column per member and the weights,
+    so that W diag(p) W^H is the ensemble's moment matrix."""
+    vectors = np.stack([pseudo_wavefunction(state, cutoff)
+                        for state, _ in ensemble.members], axis=1)
+    return vectors, np.array([weight for _, weight in ensemble.members])
 
 
 def hamilton_rhs(hamiltonian: PolyExpr,

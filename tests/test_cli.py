@@ -16,7 +16,10 @@ from fockdm.cli import (
     emit_report,
     main,
 )
-from fockdm.states import Ensemble
+from fockdm.algebra import poly_to_normal_form
+from fockdm.fock import realize_matrix
+from fockdm.poly import parse_poly
+from fockdm.states import Ensemble, ensemble_density
 
 
 def write_config(tmp_path, name, data):
@@ -60,6 +63,27 @@ class TestConfig:
         b = ExperimentConfig.from_json({"experiment": "iee"})
         assert a.sha256() == b.sha256()
         assert len(a.sha256()) == 64
+
+
+    def test_suite_inputs_apply_only_without_state_or_ensemble(self):
+        iee = ExperimentConfig.from_json({"experiment": "iee"})
+        assert iee.ensemble == cli.SUITE_INPUTS["iee"]["ensemble"]
+        reify = ExperimentConfig.from_json({"experiment": "reify"})
+        assert reify.state == cli.SUITE_INPUTS["reify"]["state"]
+        # the default is copied, never shared between configs
+        reify.state["phi"].append(1)
+        assert cli.SUITE_INPUTS["reify"]["state"] == {"phi": [0], "pi": [2]}
+        state = {"phi": [0.5], "pi": [0.1]}
+        for experiment in ("iee", "reify"):
+            cfg = ExperimentConfig.from_json({"experiment": experiment,
+                                              "state": state})
+            assert cfg.state == state and cfg.ensemble is None
+        members = {"members": [{"phi": [0.5], "pi": [0.1], "w": 1.0}]}
+        cfg = ExperimentConfig.from_json({"experiment": "iee",
+                                          "ensemble": members})
+        assert cfg.ensemble == members
+        assert ExperimentConfig.from_json(
+            {"experiment": "evolve"}).state == {"phi": [1.0], "pi": [0.0]}
 
 
 class TestExitCodes:
@@ -220,8 +244,7 @@ class TestExitCodes:
         def built(*args):
             raise AssertionError("evolve built a density past the ceiling")
 
-        monkeypatch.setattr(cli, "ensemble_density", built)
-        monkeypatch.setattr(cli, "density_flow", built)
+        monkeypatch.setattr(cli, "density_samples", built)
         cfg = write_config(tmp_path, "steps.json", data)
         code = main(["evolve", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
@@ -261,11 +284,50 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    # reify's default state first loses norm along the grid, and iee's
-    # default pure state is no equilibrium (see README)
+    # 1e308*1e308 is inf, and inf * (0+0j) brings in nan
+    @pytest.mark.parametrize("experiment, data, name", [
+        ("evolve", {"hamiltonian": "1e308*1e308*phi1^2 + pi1^2",
+                    "generator": "liouville"}, "hamiltonian"),
+        ("evolve", {"hamiltonian": "1e308*1e308*phi1^2 + pi1^2",
+                    "generator": "master"}, "hamiltonian"),
+        ("discrepancy", {"observables": ["1e308*1e308*phi1"]}, "observables"),
+        ("iee", {"observables": ["1e308*1e308*phi1"]}, "observables"),
+        ("evolve", {"observables": ["1e308*phi1^2*1e308"]}, "observables"),
+        # the sweep value is bound only at run time
+        ("discrepancy", {"sweep": {"m": [1e308]},
+                         "hamiltonian": "m*m*phi1^2+pi1^2"}, "hamiltonian"),
+    ], ids=["evolve-liouville-hamiltonian", "evolve-master-hamiltonian",
+            "discrepancy-observable", "iee-observable", "evolve-observable",
+            "discrepancy-sweep"])
+    def test_non_finite_coefficient_exits_2_naming_it(self, tmp_path, capsys,
+                                                      experiment, data, name):
+        cfg = write_config(tmp_path, "inf.json", {**data, "seed": 1})
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name}:")
+        assert "not a finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    # every coefficient is finite, but the realized phi^4 term is not
+    @pytest.mark.parametrize("experiment, data", [
+        ("evolve", {"generator": "liouville"}), ("project", {})],
+        ids=["evolve-liouville", "project"])
+    def test_hamiltonian_that_overflows_on_realization_exits_3(
+            self, tmp_path, capsys, experiment, data):
+        cfg = write_config(tmp_path, "over.json", {
+            **data, "hamiltonian": "1e306*phi1^4 + pi1^2", "cutoff": 32})
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "numerical failure: H_n overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # reify and iee default to their own input (cli.SUITE_INPUTS)
     @pytest.mark.parametrize("experiment, code", [
         ("verify", 0), ("discrepancy", 0), ("evolve", 0), ("project", 0),
-        ("reify", 1), ("iee", 1)])
+        ("reify", 0), ("iee", 0)])
     def test_default_exit_code(self, tmp_path, experiment, code):
         assert main([experiment, "--out", str(tmp_path / "out")]) == code
 
@@ -344,6 +406,41 @@ class TestEvolveSuite:
         assert np.max(np.abs(rows[0] - rows[1])) <= 1e-12
         # the flow re-symmetrizes, so the trace stays exactly real
         assert not rows[0][1:, 2].any() and not rows[1][1:, 2].any()
+
+    def test_liouville_members_match_the_dense_reference(self, tmp_path):
+        # a 3-member, 2-mode ensemble against U rho U^H from the complex eigh
+        # of H_n, read off with the realized observables
+        D, dt, steps = 6, 0.01, 7
+        text = "0.5*(pi1^2+phi1^2+pi2^2+phi2^2) + 0.1*phi1^2*phi2 + 0.2*phi1*pi2"
+        observables = ["phi1", "phi1*pi2", "pi1^2 + phi2^2"]
+        members = [{"phi": [0.4, -0.2], "pi": [0.1, 0.5], "w": 0.5},
+                   {"phi": [-0.3, 0.6], "pi": [0.2, 0.0], "w": 0.3},
+                   {"phi": [0.1, 0.1], "pi": [-0.6, 0.3], "w": 0.2}]
+        cfg = write_config(tmp_path, "m.json", {
+            "generator": "liouville", "hamiltonian": text, "bindings": {},
+            "observables": observables,
+            "ensemble": {"kind": "members", "members": members},
+            "cutoff": D, "dt": dt, "t": steps * dt, "sample_every": 3})
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        got = np.loadtxt(out / "results.csv", delimiter=",", skiprows=1)
+        ensemble = Ensemble.from_json({"members": members})
+        rho = ensemble_density(ensemble, D).data
+        evals, vecs = np.linalg.eigh(
+            realize_matrix(poly_to_normal_form(parse_poly(text, {})), D).data)
+        gs = [realize_matrix(poly_to_normal_form(parse_poly(g, {})
+                                                 .promote(2)), D).data
+              for g in observables]
+        assert got.shape == (4, 3 + len(observables))
+        for row, done in zip(got, (0, 3, 6, 7)):
+            u = (vecs * np.exp(-1j * done * dt * evals)) @ vecs.conj().T
+            rho_t = u @ rho @ u.conj().T
+            want = [np.trace(rho_t @ g).real for g in gs]
+            assert row[0] == done * dt
+            assert np.max(np.abs(row[3:] - want)) <= 1e-12
+            # the truncated members keep their trace, just below 1
+            assert abs(row[1] - np.trace(rho_t).real) <= 1e-12
+            assert row[2] == 0
 
     def test_generator_is_built_once_per_run(self, tmp_path, monkeypatch):
         builds = []

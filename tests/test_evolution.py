@@ -15,8 +15,9 @@ from fockdm.algebra import (
 from fockdm.evolution import (
     MasterTerms,
     PairingError,
-    density_flow,
+    density_samples,
     evolve_density,
+    liouville_flow,
     master_rhs,
     projection_decay,
     rk4_step,
@@ -32,8 +33,11 @@ from fockdm.fock import (
 from fockdm.poly import parse_poly, random_poly
 from fockdm.states import (
     ClassicalState,
+    Ensemble,
+    ensemble_density,
     expectation,
     integrate_state,
+    member_matrix,
     pure_density,
 )
 
@@ -64,7 +68,17 @@ def commutator_rhs(rho, hamiltonian, cutoff):
 
 
 def liouville(rho, hamiltonian, t):
-    return density_flow("liouville", hamiltonian, rho.cutoff, 1e-3)(rho, t)
+    # rho as its eigendecomposition W diag(p) W^H, p signed when rho is
+    # not positive
+    weights, vectors = np.linalg.eigh(rho.data)
+    return liouville_flow(vectors, weights, hamiltonian, rho.cutoff)(t)
+
+
+def dense_liouville(rho, hamiltonian, t):
+    # U rho U^H with U = exp(-i t H_n) from the complex eigh of H_n
+    evals, vecs = np.linalg.eigh(realize_matrix(hamiltonian, rho.cutoff).data)
+    u = (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
+    return u @ rho.data @ u.conj().T
 
 
 def random_low_degree_hamiltonian(rng, scale=0.5):
@@ -114,6 +128,89 @@ class TestLiouville:
                 want = rk4_step(lambda m: commutator_rhs(m, H, D), want, dt)
             out = liouville(rho, H, t)
             assert np.max(np.abs(out.data - want)) <= 1e-10
+
+
+class TestMemberRoute:
+    # the member vectors in the eigenbasis of H_n against the dense
+    # U rho U^H, on real H_n (real eigh) and on H_n with an odd phi-pi
+    # cross term, whose realization is complex
+    HAMILTONIANS = {
+        1: ("0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^4 - 0.2*phi1^3",
+            "0.5*pi1^2 + 0.5*phi1^2 + 0.3*phi1*pi1*phi1"),
+        2: ("0.5*(pi1^2+phi1^2+pi2^2+phi2^2) + 0.1*phi1^2*phi2 "
+            "+ 0.05*pi1^2*pi2^2",
+            "0.5*(pi1^2+phi1^2+pi2^2+phi2^2) + 0.2*phi1*pi2 "
+            "+ 0.1*phi1*pi1*phi2"),
+    }
+
+    @pytest.mark.parametrize("modes, D", [(1, 12), (2, 5)])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_equals_dense_reference(self, modes, D, real):
+        text = self.HAMILTONIANS[modes][0 if real else 1]
+        H = poly_to_normal_form(parse_poly(text, {}))
+        assert np.iscomplexobj(evolution._eigensystem(H, D)[1]) != real
+        rng = np.random.default_rng(53 + modes)
+        dim = D ** modes
+        for r in (1, 3, dim):
+            vectors = rng.standard_normal((dim, r)) \
+                + 1j * rng.standard_normal((dim, r))
+            vectors /= np.linalg.norm(vectors, axis=0)
+            weights = rng.uniform(-1, 1, r)
+            rho = FockMatrix(modes, D, (vectors * weights) @ vectors.conj().T)
+            at = liouville_flow(vectors, weights, H, D)
+            for t in (0.0, 0.37, 2.9):
+                want = dense_liouville(rho, H, t)
+                assert np.max(np.abs(at(t).data - want)) <= 1e-12
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_wide_ensemble_is_folded(self, real, monkeypatch):
+        # 40 members at dim 8 reach the flow as the 8 eigenvectors of their
+        # moment matrix
+        D = 8
+        H = poly_to_normal_form(parse_poly(self.HAMILTONIANS[1][0 if real
+                                                                else 1], {}))
+        ensemble = Ensemble.phase_circle(1.0, 40)
+        widths = []
+        flow = evolution.liouville_flow
+
+        def recorded(vectors, weights, hamiltonian, cutoff):
+            widths.append(vectors.shape)
+            return flow(vectors, weights, hamiltonian, cutoff)
+
+        monkeypatch.setattr(evolution, "liouville_flow", recorded)
+        rho0 = ensemble_density(ensemble, D)
+        samples = list(density_samples("liouville", ensemble, H, D, 0.5, 7, 3))
+        assert widths == [(D, D)]
+        assert [done for done, _ in samples] == [0, 3, 6, 7]
+        for done, rho in samples:
+            want = dense_liouville(rho0, H, done * 0.5)
+            assert np.max(np.abs(rho.data - want)) <= 1e-12
+
+    def test_samples_are_read_at_absolute_times(self):
+        # the sample grid: step 0, every `every` steps and the last step
+        H = number_operator()
+        ensemble = Ensemble.pure(state1(0.7, -0.4))
+        rho0 = ensemble_density(ensemble, 16)
+        got = list(density_samples("liouville", ensemble, H, 16, 0.01, 7, 3))
+        assert [done for done, _ in got] == [0, 3, 6, 7]
+        for done, rho in got:
+            want = dense_liouville(rho0, H, done * 0.01)
+            assert np.max(np.abs(rho.data - want)) <= 1e-12
+
+    def test_unknown_law_refused(self):
+        samples = density_samples("euler", Ensemble.pure(state1(1.0, 0.0)),
+                                  number_operator(), 8, 0.01, 2, 1)
+        with pytest.raises(ValueError, match="euler"):
+            next(samples)
+
+    def test_hamiltonian_that_overflows_is_refused(self):
+        H = poly_to_normal_form(parse_poly("1e306*phi1^4 + pi1^2", {}))
+        with pytest.raises(FloatingPointError, match="overflows"):
+            evolution._eigensystem(H, 32)
+
+    def test_non_hermitian_hamiltonian_is_refused(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolution._eigensystem(AD.power(2), 8)
 
 
 class TestMasterEquation:
@@ -308,8 +405,11 @@ class TestEvolveDensity:
         H = parse_poly("0.5*pi1^2 + 0.5*phi1^2 + 0.05*phi1^3", {})
         Hn = poly_to_normal_form(H)
         rho0 = pure_density(state1(0.6, 0.2), D)
+        ensemble = Ensemble.pure(state1(0.6, 0.2))
         for gen in ("liouville", "master"):
-            out = density_flow(gen, Hn, D, 2e-3)(rho0, 10.0)
+            *_, (done, out) = density_samples(gen, ensemble, Hn, D, 2e-3,
+                                              5000, 5000)
+            assert done == 5000
             assert abs(out.trace() - 1.0) <= 1e-8
 
     def test_liouville_preserves_spectrum(self):

@@ -16,6 +16,7 @@ from fockdm.states import (
     hamilton_rhs,
     integrate_ensemble,
     integrate_state,
+    member_matrix,
     pseudo_wavefunction,
     pure_density,
 )
@@ -169,6 +170,21 @@ class TestEnsembleDensity:
         rhs = 0.3 * ensemble_density(a, 24).data + 0.7 * ensemble_density(b, 24).data
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
         assert np.linalg.eigvalsh(lhs).min() >= -1e-10
+
+
+class TestMemberMatrix:
+    def test_columns_and_weights_make_the_density(self):
+        states = [ClassicalState(np.array([0.7, -0.2]), np.array([0.1, 0.4])),
+                  ClassicalState(np.array([-0.4, 0.0]), np.array([0.6, 0.3])),
+                  ClassicalState(np.array([0.0, 0.5]), np.array([-0.9, 0.2]))]
+        e = Ensemble.from_states(states, [0.2, 0.3, 0.5])
+        vectors, weights = member_matrix(e, 6)
+        assert vectors.shape == (36, 3)
+        assert weights.tolist() == [0.2, 0.3, 0.5]
+        for column, state in zip(vectors.T, states):
+            assert np.array_equal(column, pseudo_wavefunction(state, 6))
+        rho = (vectors * weights) @ vectors.conj().T
+        assert np.max(np.abs(rho - ensemble_density(e, 6).data)) <= 1e-15
 
 
 class TestHamiltonRhs:
