@@ -16,7 +16,6 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 bad configuration,
 from __future__ import annotations
 
 import argparse
-import cmath
 import copy
 import csv
 import hashlib
@@ -77,7 +76,7 @@ def _parse(name: str, text: str, bindings: dict) -> PolyExpr:
         p = parse_poly(text, bindings)
     except PolyParseError as err:
         raise ConfigError(f"{name}: {err}") from err
-    if not all(cmath.isfinite(c) for c in p.terms.values()):
+    if not np.isfinite(list(p.terms.values())).all():
         raise ConfigError(f"{name}: {text!r} has a coefficient that is not "
                           "a finite number")
     return p
