@@ -30,7 +30,7 @@ from fockdm.fock import (
     interior_block,
     realize_matrix,
 )
-from fockdm.poly import parse_poly, random_poly
+from fockdm.poly import PolyExpr, parse_poly, random_poly
 from fockdm.states import (
     ClassicalState,
     Ensemble,
@@ -132,43 +132,45 @@ class TestLiouville:
 
 class TestMemberRoute:
     # the member vectors in the eigenbasis of H_n against the dense
-    # U rho U^H, on real H_n (real eigh) and on H_n with an odd phi-pi
-    # cross term, whose realization is complex
-    HAMILTONIANS = {
-        1: ("0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^4 - 0.2*phi1^3",
-            "0.5*pi1^2 + 0.5*phi1^2 + 0.3*phi1*pi1*phi1"),
-        2: ("0.5*(pi1^2+phi1^2+pi2^2+phi2^2) + 0.1*phi1^2*phi2 "
-            "+ 0.05*pi1^2*pi2^2",
-            "0.5*(pi1^2+phi1^2+pi2^2+phi2^2) + 0.2*phi1*pi2 "
-            "+ 0.1*phi1*pi1*phi2"),
-    }
+    # U rho U^H, on real H_n (real eigh) and on H_n with odd powers of pi,
+    # whose realization is complex
+    @staticmethod
+    def random_hamiltonian(rng, modes, real):
+        # pi is imaginary on the number basis, so H_n is real exactly when
+        # every term has an even total power of pi
+        p = random_poly(rng, modes=modes, degree=3, terms=6) * 0.2
+        if real:
+            return PolyExpr("phipi", modes, {
+                e: c for e, c in p.terms.items() if sum(e[modes:]) % 2 == 0})
+        return p + parse_poly("0.1*phi1*pi1", {}, modes=modes)
 
     @pytest.mark.parametrize("modes, D", [(1, 12), (2, 5)])
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_equals_dense_reference(self, modes, D, real):
-        text = self.HAMILTONIANS[modes][0 if real else 1]
-        H = poly_to_normal_form(parse_poly(text, {}))
-        assert np.iscomplexobj(evolution._eigensystem(H, D)[1]) != real
-        rng = np.random.default_rng(53 + modes)
+        rng = np.random.default_rng(53 + modes + 10 * real)
         dim = D ** modes
-        for r in (1, 3, dim):
-            vectors = rng.standard_normal((dim, r)) \
-                + 1j * rng.standard_normal((dim, r))
-            vectors /= np.linalg.norm(vectors, axis=0)
-            weights = rng.uniform(-1, 1, r)
-            rho = FockMatrix(modes, D, (vectors * weights) @ vectors.conj().T)
-            at = liouville_flow(vectors, weights, H, D)
-            for t in (0.0, 0.37, 2.9):
-                want = dense_liouville(rho, H, t)
-                assert np.max(np.abs(at(t).data - want)) <= 1e-12
+        for _ in range(3):
+            H = poly_to_normal_form(self.random_hamiltonian(rng, modes, real))
+            assert np.iscomplexobj(evolution._eigensystem(H, D)[1]) != real
+            for r in (1, 3, dim):
+                vectors = rng.standard_normal((dim, r)) \
+                    + 1j * rng.standard_normal((dim, r))
+                vectors /= np.linalg.norm(vectors, axis=0)
+                weights = rng.uniform(-1, 1, r)
+                rho = FockMatrix(modes, D,
+                                 (vectors * weights) @ vectors.conj().T)
+                at = liouville_flow(vectors, weights, H, D)
+                for t in (0.0, 0.37, 2.9):
+                    want = dense_liouville(rho, H, t)
+                    assert np.max(np.abs(at(t).data - want)) <= 1e-12
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_wide_ensemble_is_folded(self, real, monkeypatch):
         # 40 members at dim 8 reach the flow as the 8 eigenvectors of their
         # moment matrix
         D = 8
-        H = poly_to_normal_form(parse_poly(self.HAMILTONIANS[1][0 if real
-                                                                else 1], {}))
+        H = poly_to_normal_form(self.random_hamiltonian(
+            np.random.default_rng(59), 1, real))
         ensemble = Ensemble.phase_circle(1.0, 40)
         widths = []
         flow = evolution.liouville_flow
