@@ -253,8 +253,8 @@ def time_average_project(rho: FockMatrix, hamiltonian: NormalFormOperator,
 def _eigensystem(hamiltonian: NormalFormOperator,
                  cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """eigh of the realized H_n, which must be finite and Hermitian; in
-    real arithmetic when H_n has no imaginary part, as every H_n without
-    odd phi-pi cross terms does."""
+    real arithmetic when H_n has no imaginary part, as every H_n whose
+    terms all have an even power of pi does."""
     with np.errstate(over="ignore", invalid="ignore"):
         hmat = realize_matrix(hamiltonian, cutoff)
     if not np.isfinite(hmat.data).all():
