@@ -11,14 +11,14 @@
 
   where C_a H_aL H_aR ranges over the Hermitian-paired words of H_n.  The
   inner commutators close in the word algebra ([adag, a^r] = -r a^(r-1) and
-  [a, adag^l] = l adag^(l-1)), so every ingredient is precomputed
-  symbolically as a sandwich of two words, compiled once at the cutoff to a
-  slice-and-scale of rho (fock.word_diagonal).
+  [a, adag^l] = l adag^(l-1)), so the half rho' is a sum of sandwiches of
+  two words, compiled once at the cutoff (MasterTerms) to slice-and-scales
+  of rho (fock.word_diagonal); master_rhs adds its adjoint.
 
 For ensembles of pure classical states the two generators agree on the
 trajectory of the state only in special cases; quantifying the mismatch is
-the job of the discrepancy module.  Trace is conserved by the master
-equation for arbitrary matrices, Hermitian or not, realizable or not.
+the job of the discrepancy module.  master_rhs conserves the trace of any
+matrix, Hermitian or not, realizable or not.
 """
 
 from __future__ import annotations
@@ -44,21 +44,20 @@ class PairingError(ValueError):
 
 
 class MasterTerms:
-    """The master-equation right-hand side compiled at one cutoff.
+    """The half F(rho) = rho' of the master law, compiled at one cutoff.
 
-    Construction checks the dimension and validates the Hermitian pairing
-    (the equivalence of the folded and unfolded forms of the law leans on
-    it).  The stored sandwich terms realize the unfolded expansion, which
-    per word C (adag)^L a^R and mode j reads
+    Construction checks the dimension and validates the Hermitian pairing,
+    on which the law rho' + rho'^H leans.  The inner commutators
+    [adag_j, a^R] = -R_j a^(R-e_j) and [a_j, adag^L] = L_j adag^(L-e_j)
+    give each word C (adag)^L a^R the share of rho'
 
-        i C ( -R_j a^R rho adag^L          - L_j adag_j a^R rho adag^(L-e_j)
-              +L_j a^R rho adag^L          + R_j a^(R-e_j) rho adag^L a_j ),
+        -i C ( |R| a^R rho adag^L + sum_j L_j (adag_j a^R) rho adag^(L-e_j) ),
 
-    using [adag_j, a^R] = -R_j a^(R-e_j) and [a_j, adag^L] = L_j adag^(L-e_j).
-    Each of the four families has a trace-cancelling partner, so the trace of
-    the right-hand side vanishes identically for arbitrary input matrices,
-    Hermitian or not; the whole map is linear over the complex scalars.  On
-    Hermitian input it coincides with rho' + (rho')^H.
+    sandwiches pre rho post whose post word only creates.  ``groups`` holds
+    one (source, target, column scale, rows) entry per post word, and rows
+    one (target, source, row scale) entry per pre word, its coefficient
+    folded into the row scale (fock.word_diagonal): at most dim entries
+    per scale, never dim^2.
     """
 
     def __init__(self, hamiltonian: NormalFormOperator, cutoff: int):
@@ -70,51 +69,56 @@ class MasterTerms:
         self.cutoff = cutoff
         self.dim = check_dimension(n, cutoff)
         zero = (0,) * n
-        # sandwich terms (coeff, pre_create, pre_annih, post_create, post_annih)
-        terms: list[tuple[complex, tuple, tuple, tuple, tuple]] = []
+        rows: dict[tuple, list] = {}
+
+        def add(post_create, coeff, pre_create, pre_annih):
+            pre = word_diagonal(pre_create, pre_annih, cutoff)
+            scale = functools.reduce(np.multiply.outer, pre.weights, coeff)
+            scale = scale.reshape(scale.shape + (1,) * n)
+            rows.setdefault(post_create, []).append(
+                (pre.target, pre.source, scale))
+
         for (create, annih), coeff in sorted(hamiltonian.words.items()):
-            balance = sum(create) - sum(annih)
-            if balance:
-                terms.append((1j * coeff * balance, zero, annih, create, zero))
+            if sum(annih):
+                add(create, -1j * coeff * sum(annih), zero, annih)
             for j in range(n):
-                ej = tuple(1 if k == j else 0 for k in range(n))
-                if annih[j]:
-                    drop_r = tuple(e - d for e, d in zip(annih, ej))
-                    terms.append((1j * coeff * annih[j],
-                                  zero, drop_r, create, ej))
                 if create[j]:
-                    drop_l = tuple(e - d for e, d in zip(create, ej))
-                    terms.append((-1j * coeff * create[j],
-                                  ej, annih, drop_l, zero))
-        self.sandwich_terms = terms
-        # each term compiled at the cutoff to one slice-and-scale of the
-        # (D,)*2n tensor: the pre word acts on the row axes and the post
-        # word on the column axes through its transpose, so source and
-        # target swap there
-        self.table = []
-        for coeff, pre_c, pre_a, post_c, post_a in terms:
-            pre = word_diagonal(pre_c, pre_a, cutoff)
-            post = word_diagonal(post_c, post_a, cutoff)
-            self.table.append((pre.target + post.source,
-                               pre.source + post.target,
-                               pre.weights + post.weights, coeff))
+                    ej = tuple(int(k == j) for k in range(n))
+                    add(tuple(c - e for c, e in zip(create, ej)),
+                        -1j * coeff * create[j], ej, annih)
+        self.groups = []
+        for post_create, pres in rows.items():
+            post = word_diagonal(post_create, zero, cutoff)
+            self.groups.append((post.source, post.target, functools.reduce(
+                np.multiply.outer, post.weights), pres))
 
 
 def master_rhs(rho: np.ndarray, terms: MasterTerms) -> np.ndarray:
-    """Free-space master equation right-hand side (unfolded form).
+    """Free-space master equation right-hand side, F(rho) + F(rho^H)^H.
 
-    rho is viewed as a (D,)*2n tensor, row modes first; each compiled term
-    (target, source, weights, coeff) adds coeff * outer(weights) times the
-    source slice into the target slice.
+    F is the half compiled in ``terms`` on the (D,)*2n tensor view, row
+    modes first: y = rho post per post word, then a row slice-and-scale of
+    y per pre word.  The map is linear over the complex scalars and
+    traceless on any matrix; a rho equal to its adjoint bit for bit takes
+    F once and gives a bitwise Hermitian result.
     """
     if rho.shape != (terms.dim, terms.dim):
-        raise ValueError("dimension mismatch between rho and the term table")
-    tensor = rho.reshape((terms.cutoff,) * (2 * terms.modes))
-    out = np.zeros(tensor.shape, dtype=complex)
-    for target, source, weights, coeff in terms.table:
-        scale = functools.reduce(np.multiply.outer, weights, coeff)
-        out[target] += scale * tensor[source]
-    return out.reshape(rho.shape)
+        raise ValueError("dimension mismatch between rho and the terms")
+    shape = (terms.cutoff,) * (2 * terms.modes)
+
+    def half(matrix):
+        tensor = matrix.reshape(shape)
+        out = np.zeros(shape, dtype=complex)
+        for post_source, post_target, post_scale, pres in terms.groups:
+            y = tensor[(...,) + post_target] * post_scale
+            for target, source, scale in pres:
+                out[target + post_source] += scale * y[source]
+        return out.reshape(rho.shape)
+
+    out = half(rho)
+    adjoint = rho.conj().T
+    twin = out if np.array_equal(rho, adjoint) else half(adjoint)
+    return out + twin.conj().T
 
 
 def density_samples(law: str, ensemble: Ensemble,
@@ -222,25 +226,20 @@ def evolve_density(rho0: FockMatrix, terms: MasterTerms, t: float,
                    dt: float) -> FockMatrix:
     """Fixed-step RK4 in matrix space under the master equation.
 
-    The iterate is re-symmetrized each step; the asymmetry removed that way
-    and the total trace drift are reported through the module logger, not
-    silently discarded.
+    rho0 is symmetrized once, and the RK4 iterate, whose stages combine
+    Hermitian matrices with real weights, stays bitwise Hermitian.  The
+    trace drift is reported through the module logger.
     """
     steps = step_count(t, dt)
-    rho = rho0.data.copy()
+    rho = 0.5 * (rho0.data + rho0.data.conj().T)
     trace0 = np.trace(rho)
-    worst_asym = 0.0
     rhs = functools.partial(master_rhs, terms=terms)
     for _ in range(steps):
         rho = rk4_step(rhs, rho, dt)
         if not np.isfinite(rho).all():
             raise FloatingPointError("density matrix left the finite domain")
-        asym = float(np.max(np.abs(rho - rho.conj().T)))
-        worst_asym = max(worst_asym, asym)
-        rho = 0.5 * (rho + rho.conj().T)
     drift = abs(np.trace(rho) - trace0)
-    log.debug("evolve_density: steps=%d max_asymmetry=%.3e trace_drift=%.3e",
-              steps, worst_asym, drift)
+    log.debug("evolve_density: steps=%d trace_drift=%.3e", steps, drift)
     return FockMatrix(rho0.modes, rho0.cutoff, rho)
 
 

@@ -134,7 +134,8 @@ def operator_trace(rho: np.ndarray, op: NormalFormOperator,
     rho is viewed as a (D,)*2n tensor, row modes first.  A word reads
     rho[source..., target...] and pairs each row mode with its column mode,
     so its trace is that diagonal summed against the outer product of the
-    per-mode weights, O(D^n) per word.
+    per-mode weights, O(D^n) per word.  A total that is not finite raises
+    FloatingPointError.
     """
     n = op.modes
     dim = check_dimension(n, cutoff)
@@ -143,11 +144,15 @@ def operator_trace(rho: np.ndarray, op: NormalFormOperator,
     tensor = rho.reshape((cutoff,) * (2 * n))
     paired = _paired_diagonal(n)
     total = 0j
-    for (create, annih), coeff in op.words.items():
-        word = word_diagonal(create, annih, cutoff)
-        block = tensor[word.source + word.target]
-        weights = functools.reduce(np.multiply.outer, word.weights, coeff)
-        total += np.sum(weights * np.einsum(paired, block))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (create, annih), coeff in op.words.items():
+            word = word_diagonal(create, annih, cutoff)
+            block = tensor[word.source + word.target]
+            weights = functools.reduce(np.multiply.outer, word.weights, coeff)
+            total += np.sum(weights * np.einsum(paired, block))
+    if not np.isfinite(total):
+        raise FloatingPointError(f"Tr(rho op) is not finite at cutoff "
+                                 f"{cutoff}")
     return complex(total)
 
 

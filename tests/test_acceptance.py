@@ -98,8 +98,9 @@ def test_master_flow_catches_a_one_percent_sandwich_error(monkeypatch):
 
     def skewed(self, hamiltonian, cutoff):
         init(self, hamiltonian, cutoff)
-        *slices, coeff = self.table[0]
-        self.table[0] = (*slices, 1.01 * coeff)
+        pres = self.groups[0][3]
+        target, source, scale = pres[0]
+        pres[0] = (target, source, 1.01 * scale)
 
     monkeypatch.setattr(MasterTerms, "__init__", skewed)
     result = master_vs_classical_flow(np.random.default_rng(103), 32, 10)

@@ -284,6 +284,17 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    # finite coefficients whose realized words overflow at the cutoff: the
+    # flux read off them is not finite
+    @pytest.mark.parametrize("experiment", ["discrepancy", "iee"])
+    def test_non_finite_flux_exits_3(self, tmp_path, capsys, experiment):
+        cfg = write_config(tmp_path, "flux.json", {
+            "hamiltonian": "1e306*phi1^4 + pi1^2", "cutoff": 32, "seed": 1})
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+
     # 1e308*1e308 is inf, and inf * (0+0j) brings in nan
     @pytest.mark.parametrize("experiment, data, name", [
         ("evolve", {"hamiltonian": "1e308*1e308*phi1^2 + pi1^2",

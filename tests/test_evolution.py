@@ -250,22 +250,39 @@ class TestMasterEquation:
 
     @pytest.mark.parametrize("modes, D", [(1, 8), (1, 16), (2, 8), (2, 16)])
     def test_equals_the_dense_sandwich_oracle(self, modes, D):
-        # per-mode degree 2 keeps the sandwich weights small enough that
-        # the two routes differ by rounding only, at most 6.4e-14 ||rho||
+        # F(rho) = rho' assembled from realized words, per word C adag^L a^R
+        # -iC (|R| a^R rho adag^L + sum_j L_j adag_j a^R rho adag^(L-e_j)),
+        # and master_rhs against F(rho) + F(rho^H)^H; per-mode degree 2 keeps
+        # the weights small enough that the two routes differ by rounding
         rng = np.random.default_rng(37 + 10 * modes + D)
+        zero = (0,) * modes
+
+        def word(create, annih):
+            op = {(tuple(create), tuple(annih)): 1.0}
+            return realize_matrix(NormalFormOperator(modes, op), D).data
+
         for _ in range(3):
             H = random_normal_operator(rng, modes=modes, degree=2, words=4)
             terms = MasterTerms(H, D)
             dim = D ** modes
+
+            def half(rho):
+                out = np.zeros((dim, dim), dtype=complex)
+                for (create, annih), coeff in H.words.items():
+                    out += -1j * coeff * sum(annih) * (
+                        word(zero, annih) @ rho @ word(create, zero))
+                    for j in range(modes):
+                        if create[j]:
+                            ej = [int(k == j) for k in range(modes)]
+                            drop = [c - e for c, e in zip(create, ej)]
+                            out += -1j * coeff * create[j] * (
+                                word(ej, annih) @ rho @ word(drop, zero))
+                return out
+
             g = rng.standard_normal((dim, dim)) \
                 + 1j * rng.standard_normal((dim, dim))
             for rho in (g, 0.5 * (g + g.conj().T)):
-                want = np.zeros((dim, dim), dtype=complex)
-                for coeff, pc, pa, qc, qa in terms.sandwich_terms:
-                    pre = NormalFormOperator(modes, {(pc, pa): 1.0})
-                    post = NormalFormOperator(modes, {(qc, qa): 1.0})
-                    want += (coeff * realize_matrix(pre, D).data) @ rho \
-                        @ realize_matrix(post, D).data
+                want = half(rho) + half(rho.conj().T).conj().T
                 got = master_rhs(rho, terms)
                 assert np.max(np.abs(got - want)) \
                     <= 1e-12 * np.linalg.norm(rho)
@@ -304,6 +321,21 @@ class TestMasterEquation:
         rhs = a * master_rhs(r1, terms) + b * master_rhs(r2, terms)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
+    def test_complex_linear_across_both_routes(self):
+        # A and B are bitwise Hermitian, so master_rhs evaluates F once on
+        # each; A + iB is not, so it takes F(rho) + F(rho^H)^H
+        rng = np.random.default_rng(13)
+        for modes, D in ((1, 16), (2, 6)):
+            H = random_normal_operator(rng, modes=modes, degree=2, words=4)
+            terms = MasterTerms(H, D)
+            a, b = (random_hermitian(rng, D ** modes) for _ in range(2))
+            for part in (a, b):
+                assert np.array_equal(part, part.conj().T)
+            lhs = master_rhs(a + 1j * b, terms)
+            rhs = master_rhs(a, terms) + 1j * master_rhs(b, terms)
+            assert np.max(np.abs(lhs - rhs)) \
+                <= 1e-13 * np.max(np.abs(lhs))
+
     def test_finite_difference_of_classical_flow(self):
         # central difference of rho along the trajectory converges to the
         # generator at second order in dt (acceptance criterion 3)
@@ -330,11 +362,11 @@ class TestMasterEquation:
                     a @ lmat @ rho @ realize_matrix(word_l, D).data
                     - a.conj().T @ realize_matrix(word_r, D).data @ rho @ rmat)
             folded = rho_prime + rho_prime.conj().T
-            unfolded = master_rhs(rho, terms)
+            compiled = master_rhs(rho, terms)
             # interior restriction: matrix products of realized factors leak
             # at the truncation edge while the single-word route does not
             margin = H.max_mode_degree() + 1
-            diff = np.abs(interior_block(folded - unfolded, 1, D, margin))
+            diff = np.abs(interior_block(folded - compiled, 1, D, margin))
             assert diff.max() <= 1e-10
 
     def test_energy_flux_is_finite_and_reported(self):
@@ -401,6 +433,21 @@ class TestEvolveDensity:
                              1.0, 1e-3)
         phi_obs = expectation(out, parse_poly("phi1", {}))
         assert abs(phi_obs - math.cos(1.0)) <= 1e-6
+
+    def test_master_iterate_is_bitwise_hermitian(self):
+        # pure_density of this state misses Hermitian symmetry by rounding;
+        # evolve_density symmetrizes it once, and phi1*pi2 gives H_n
+        # complex words, so every stage of the step exercises the fold
+        D = 6
+        H = poly_to_normal_form(parse_poly(
+            "0.5*(phi1^2 + pi1^2 + phi2^2 + pi2^2) + 0.3*phi1*pi2", {}))
+        state = ClassicalState(np.array([0.3, -0.7]), np.array([0.5, 0.2]))
+        rho0 = pure_density(state, D)
+        assert not np.array_equal(rho0.data, rho0.data.conj().T)
+        assert any(np.iscomplex(c) for c in H.words.values())
+        out = evolve_density(rho0, MasterTerms(H, D), 0.05, 0.01)
+        assert np.array_equal(out.data, out.data.conj().T)
+        assert np.max(np.abs(out.data - rho0.data)) > 1e-3
 
     def test_trace_drift_small_both_generators(self):
         D = 16
