@@ -39,6 +39,7 @@ from .evolution import (
 )
 from .fock import (
     FockMatrix,
+    compile_operator,
     interior_indices,
     operator_trace,
     realize_matrix,
@@ -64,7 +65,7 @@ from .states import (
     hamilton_rhs,
     integrate_ensemble,
     integrate_state,
-    member_matrix,
+    member_block,
     pseudo_wavefunction,
     pure_density,
 )

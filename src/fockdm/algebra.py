@@ -9,7 +9,8 @@ this form with the commutation rule a adag = adag a + 1, one mode at a time:
 
 Coefficients are complex doubles; after every operation words whose
 coefficient magnitude falls below ``poly.DROP_TOL`` are dropped, so exact
-identities cancel to the empty operator.
+identities cancel to the empty operator, and a coefficient that is not
+finite raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
-from .poly import DROP_TOL, MultiIndex, PolyExpr
+from .poly import DROP_TOL, MultiIndex, PolyExpr, finite_coefficient
 
 WordKey = tuple[MultiIndex, MultiIndex]
 
@@ -36,10 +37,10 @@ class NormalFormOperator:
                 if len(create) != modes or len(annih) != modes:
                     raise ValueError(f"word {(create, annih)} does not match "
                                      f"{modes} modes")
-                c = complex(coeff)
+                c = finite_coefficient(coeff)
                 if abs(c) > DROP_TOL:
                     key = (tuple(create), tuple(annih))
-                    clean[key] = clean.get(key, 0.0) + c
+                    clean[key] = finite_coefficient(clean.get(key, 0.0) + c)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "words",
                            {k: v for k, v in clean.items() if abs(v) > DROP_TOL})

@@ -38,14 +38,13 @@ from .acceptance import (
 from .algebra import poly_to_normal_form
 from .discrepancy import IEE_TOLERANCE, discrepancy_report, iee_check
 from .evolution import density_samples, projection_decay, step_count
-from .fock import DimensionCapError
+from .fock import DimensionCapError, compile_operator
 from .poly import PolyExpr, PolyParseError, parse_poly
 from .reify import PoleError, flow_coeffs, rho_z_trace
 from .states import (
     AmplitudeOverflowError,
     ClassicalState,
     Ensemble,
-    expectation,
     pure_density,
 )
 
@@ -62,7 +61,10 @@ class ConfigError(ValueError):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float that converts to a finite float (nan compares
+    false)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_positive_int(value) -> bool:
@@ -73,13 +75,12 @@ def _parse(name: str, text: str, bindings: dict) -> PolyExpr:
     """parse_poly, with a parse error or a coefficient that is not a finite
     number reported as a configuration error naming the field."""
     try:
-        p = parse_poly(text, bindings)
+        return parse_poly(text, bindings)
     except PolyParseError as err:
         raise ConfigError(f"{name}: {err}") from err
-    if not np.isfinite(list(p.terms.values())).all():
+    except FloatingPointError as err:
         raise ConfigError(f"{name}: {text!r} has a coefficient that is not "
-                          "a finite number")
-    return p
+                          "a finite number") from err
 
 
 # the input of a suite run without a state or an ensemble of its own, where
@@ -144,30 +145,29 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be an integer >= {least}")
         for name in ("dt", "alpha_margin"):
             v = getattr(self, name)
-            if not _is_number(v) or not 0 < v < math.inf:
+            if not (_is_number(v) and v > 0):
                 raise ConfigError(f"{name}: must be a finite positive number")
         if not 0 < math.pi / 4 - self.alpha_margin < math.pi / 4:
             raise ConfigError("alpha_margin: the grid end pi/4 - alpha_margin "
                               "must lie strictly inside (0, pi/4)")
-        if not _is_number(self.t) or not self.t >= 0:
-            raise ConfigError("t: must be a nonnegative number")
+        if not (_is_number(self.t) and self.t >= 0):
+            raise ConfigError("t: must be a finite nonnegative number")
         if self.generator not in ("liouville", "master"):
             raise ConfigError("generator: must be liouville or master")
         if (not isinstance(self.deltas, list)
-                or not all(_is_number(d) and 0 < d < math.inf
-                           for d in self.deltas)
+                or not all(_is_number(d) and d > 0 for d in self.deltas)
                 or len(set(self.deltas)) < 2):
             raise ConfigError("deltas: must be a list of finite positive "
                               "numbers with at least two distinct values")
         if (not isinstance(self.bindings, dict)
-                or not all(_is_number(v) for v in self.bindings.values())):
-            raise ConfigError("bindings: must map names to numbers")
+                or not all(map(_is_number, self.bindings.values()))):
+            raise ConfigError("bindings: must map names to finite numbers")
         if (not isinstance(self.sweep, dict) or len(self.sweep) > 1
                 or not all(isinstance(vs, list) and vs
                            and all(map(_is_number, vs))
                            for vs in self.sweep.values())):
             raise ConfigError("sweep: must map one binding name to a nonempty "
-                              "list of numbers")
+                              "list of finite numbers")
         if (not isinstance(self.cutoffs, list)
                 or any(not isinstance(c, int) or c < 2 for c in self.cutoffs)
                 or not 2 <= len(set(self.cutoffs)) == len(self.cutoffs)):
@@ -202,7 +202,7 @@ class ExperimentConfig:
         kind = spec.get("kind", "members")
         if kind == "phase_circle":
             radius = spec.get("radius", 1.0)
-            if not (_is_number(radius) and 0 < radius < math.inf):
+            if not (_is_number(radius) and radius > 0):
                 raise ConfigError("ensemble.radius: must be a positive number")
             for name in ("points", "modes"):
                 if name in spec and not _is_positive_int(spec[name]):
@@ -374,6 +374,8 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
     ensemble = config.classical_ensemble()
     h_n = poly_to_normal_form(config.hamiltonian_on(ensemble.modes))
     observables = config.observables_on(ensemble.modes)
+    tables = [compile_operator(poly_to_normal_form(g), config.cutoff)
+              for _, g in observables]
     columns = ["t", "trace_re", "trace_im"] + [f"<{text}>" for text, _ in observables]
     rows = []
     snapshots = []
@@ -382,7 +384,7 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
                                      config.sample_every):
         tr = rho.trace()
         rows.append((done * config.dt, tr.real, tr.imag)
-                    + tuple(expectation(rho, g).real for _, g in observables))
+                    + tuple(rho.expect(table).real for table in tables))
         if done and config.snapshot_every and done % config.snapshot_every == 0:
             snapshots.append((done, rho))
     drift = abs(rows[-1][1] + 1j * rows[-1][2] - (rows[0][1] + 1j * rows[0][2]))

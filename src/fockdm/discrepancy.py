@@ -3,8 +3,13 @@
 For the same moment matrix rho(phi, pi), two predictions of d<g>/dt compete:
 
 * quantum:   g_hat = -i Tr(rho [g_n, H_n])   (Liouville flux),
-* classical: g_dot = sum_j dg/dphi_j phidot_j + dg/dpi_j pidot_j
-             evaluated on the trajectory (master-equation flux).
+* classical: g_dot = {g, H} = sum_j dg/dphi_j dH/dpi_j - dg/dpi_j dH/dphi_j,
+             the Poisson bracket at the state (master-equation flux).
+
+Each is built once per observable: the commutator compiled at the cutoff
+(``flux_operator``), read off the members' pseudo-wavefunctions without
+forming rho (fock.block_trace), and the bracket as one polynomial,
+evaluated at each member.
 
 Their difference has a closed form in the complex chart: with multi-indices
 k over the modes,
@@ -31,10 +36,16 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .algebra import NormalFormOperator, commutator, poly_to_normal_form
-from .fock import FockMatrix, operator_trace
+from .algebra import commutator, poly_to_normal_form
+from .fock import (
+    FockMatrix,
+    MemberBlock,
+    WordTable,
+    check_dimension,
+    compile_operator,
+)
 from .poly import ChartError, PolyExpr
-from .states import ClassicalState, Ensemble, hamilton_rhs, pure_density
+from .states import ClassicalState, Ensemble, member_block, poisson_bracket
 
 # both ensemble-averaged fluxes must lie within this of zero at an equilibrium
 IEE_TOLERANCE = 1e-7
@@ -66,40 +77,35 @@ class FieldScaling:
         return ClassicalState(state.phi / self.scales, state.pi * self.scales)
 
 
-def flux_operator(observable: PolyExpr, hamiltonian: PolyExpr,
-                  modes: int) -> NormalFormOperator:
-    """[g_n, H_n] on the given mode count, taken symbolically."""
-    return commutator(poly_to_normal_form(observable.promote(modes)),
-                      poly_to_normal_form(hamiltonian.promote(modes)))
+def flux_operator(observable: PolyExpr, hamiltonian: PolyExpr, modes: int,
+                  cutoff: int) -> WordTable:
+    """[g_n, H_n] on the given mode count, taken symbolically and compiled
+    at the cutoff."""
+    return compile_operator(
+        commutator(poly_to_normal_form(observable.promote(modes)),
+                   poly_to_normal_form(hamiltonian.promote(modes))), cutoff)
 
 
-def quantum_flux(rho: FockMatrix, observable: PolyExpr,
-                 hamiltonian: PolyExpr) -> complex:
-    """-i Tr(rho [g_n, H_n]), the commutator read off rho word by word."""
-    comm = flux_operator(observable, hamiltonian, rho.modes)
-    return -1j * operator_trace(rho.data, comm, rho.cutoff)
+def quantum_flux(rho: FockMatrix | MemberBlock, flux: WordTable) -> complex:
+    """-i Tr(rho [g_n, H_n]) from the compiled commutator (flux_operator),
+    read off a dense rho or a member block."""
+    return -1j * rho.expect(flux)
 
 
 def classical_flux(state: ClassicalState, observable: PolyExpr,
                    hamiltonian: PolyExpr) -> float:
-    """Chain rule along Hamilton's equations, evaluated at the state."""
-    n = state.modes
-    g = observable.promote(n)
-    h = hamiltonian.promote(n)
-    phidot, pidot = hamilton_rhs(h, state)
-    point = state.point()
-    total = 0.0
-    for j in range(n):
-        total += g.differentiate(f"phi{j + 1}").eval(point).real * phidot[j]
-        total += g.differentiate(f"pi{j + 1}").eval(point).real * pidot[j]
-    return total
+    """The Poisson bracket {g, H} at the state."""
+    bracket = poisson_bracket(observable, hamiltonian.promote(state.modes))
+    return bracket.eval(state.point()).real
 
 
 def discrepancy_direct(state: ClassicalState, observable: PolyExpr,
                        hamiltonian: PolyExpr, cutoff: int) -> DiscrepancyReport:
-    """g_hat from the dense quantum route minus g_dot from the classical one."""
-    rho = pure_density(state, cutoff)
-    g_hat = quantum_flux(rho, observable, hamiltonian)
+    """g_hat read off the state's pseudo-wavefunction minus g_dot from the
+    Poisson bracket."""
+    block = member_block(((state, 1.0),), cutoff)
+    g_hat = quantum_flux(block, flux_operator(observable, hamiltonian,
+                                              state.modes, cutoff))
     g_dot = classical_flux(state, observable, hamiltonian)
     return DiscrepancyReport(g_hat=g_hat, g_dot=g_dot, direct=g_hat - g_dot)
 
@@ -225,20 +231,25 @@ def iee_check(ensemble: Ensemble, hamiltonian: PolyExpr,
 
     The ensemble-averaged quantum flux, classical flux, and their gap are
     reported per observable; the equilibrium flag demands that both fluxes
-    vanish within IEE_TOLERANCE.  No attempt is made to construct equilibria.
+    vanish within IEE_TOLERANCE.  Each commutator and Poisson bracket is
+    built once; the quantum fluxes are read off the members'
+    pseudo-wavefunctions in blocks of at most dim columns.  No attempt is
+    made to construct equilibria.
     """
     observables = list(observables)
-    comms = [flux_operator(g, hamiltonian, ensemble.modes) for g in observables]
-
-    def quantum_fluxes(s):
-        rho = pure_density(s, cutoff).data
-        return np.array([-1j * operator_trace(rho, comm, cutoff)
-                         for comm in comms])
-
+    n = ensemble.modes
+    dim = check_dimension(n, cutoff)
+    fluxes = [flux_operator(g, hamiltonian, n, cutoff) for g in observables]
+    g_hats = np.zeros(len(fluxes), dtype=complex)
+    members = ensemble.members
+    for start in range(0, len(members), dim):
+        block = member_block(members[start:start + dim], cutoff)
+        g_hats += [quantum_flux(block, flux) for flux in fluxes]
     rows = []
-    for g, g_hat in zip(observables, ensemble.average(quantum_fluxes)):
+    for g, g_hat in zip(observables, g_hats):
         g_hat = complex(g_hat)
-        g_dot = ensemble.average(lambda s: classical_flux(s, g, hamiltonian))
+        bracket = poisson_bracket(g, hamiltonian.promote(n))
+        g_dot = ensemble.average(lambda s: bracket.eval(s.point()).real)
         rows.append(IEEObservableRow(observable=str(g), g_hat=g_hat,
                                      g_dot=g_dot, discrepancy=g_hat - g_dot))
     return IEEReport(rows=tuple(rows))

@@ -1,24 +1,23 @@
 """Time evolution of moment matrices: two competing generators.
 
-* The quantum Liouville law  rhodot = -i [H_n, rho], applied exactly to
-  the member vectors of rho = W diag(p) W^H in the eigenbasis of H_n:
-  every column moves as U w with U = exp(-i t H_n).
+* The quantum Liouville law rhodot = -i [H_n, rho], applied exactly to the
+  members of rho = W diag(p) W^H in the eigenbasis of H_n: every column
+  moves as U w with U = exp(-i t H_n), and each sample stays a member block
+  (fock.MemberBlock).
 * The free-space master equation induced by the classical flow,
 
       rhodot = rho' + rho'^H,
       rho'   = i sum_{j,a} C_a ( a_j [adag_j, H_aR] rho H_aL
                                - adag_j H_aR rho [a_j, H_aL] ),
 
-  where C_a H_aL H_aR ranges over the Hermitian-paired words of H_n.  The
-  inner commutators close in the word algebra ([adag, a^r] = -r a^(r-1) and
-  [a, adag^l] = l adag^(l-1)), so the half rho' is a sum of sandwiches of
-  two words, compiled once at the cutoff (MasterTerms) to slice-and-scales
-  of rho (fock.word_diagonal); master_rhs adds its adjoint.
+  over the Hermitian-paired words C_a H_aL H_aR of H_n.  The inner
+  commutators close in the word algebra, so rho' is a sum of sandwiches of
+  two words, whose slice-and-scales MasterTerms reads once off compiled
+  word tables (fock.compile_operator); master_rhs adds the adjoint and
+  conserves the trace of any matrix, Hermitian or not, realizable or not.
 
-For ensembles of pure classical states the two generators agree on the
-trajectory of the state only in special cases; quantifying the mismatch is
-the job of the discrepancy module.  master_rhs conserves the trace of any
-matrix, Hermitian or not, realizable or not.
+The two generators agree on the trajectory of a pure classical state only
+in special cases; the discrepancy module quantifies the mismatch.
 """
 
 from __future__ import annotations
@@ -31,7 +30,13 @@ from typing import TYPE_CHECKING, Callable, Iterator
 import numpy as np
 
 from .algebra import NormalFormOperator, hermitian_pair_check
-from .fock import FockMatrix, check_dimension, realize_matrix, word_diagonal
+from .fock import (
+    FockMatrix,
+    MemberBlock,
+    check_dimension,
+    compile_operator,
+    realize_matrix,
+)
 
 if TYPE_CHECKING:
     from .states import Ensemble
@@ -55,9 +60,9 @@ class MasterTerms:
 
     sandwiches pre rho post whose post word only creates.  ``groups`` holds
     one (source, target, column scale, rows) entry per post word, and rows
-    one (target, source, row scale) entry per pre word, its coefficient
-    folded into the row scale (fock.word_diagonal): at most dim entries
-    per scale, never dim^2.
+    one (target, source, row scale) entry per pre word, both read off the
+    compiled word table (fock.compile_operator) with the coefficient folded
+    into the row scale: at most dim entries per scale, never dim^2.
     """
 
     def __init__(self, hamiltonian: NormalFormOperator, cutoff: int):
@@ -69,28 +74,26 @@ class MasterTerms:
         self.cutoff = cutoff
         self.dim = check_dimension(n, cutoff)
         zero = (0,) * n
-        rows: dict[tuple, list] = {}
-
-        def add(post_create, coeff, pre_create, pre_annih):
-            pre = word_diagonal(pre_create, pre_annih, cutoff)
-            scale = functools.reduce(np.multiply.outer, pre.weights, coeff)
-            scale = scale.reshape(scale.shape + (1,) * n)
-            rows.setdefault(post_create, []).append(
-                (pre.target, pre.source, scale))
-
+        rows: dict[tuple, dict] = {}
         for (create, annih), coeff in sorted(hamiltonian.words.items()):
             if sum(annih):
-                add(create, -1j * coeff * sum(annih), zero, annih)
+                rows.setdefault(create, {})[zero, annih] = \
+                    -1j * coeff * sum(annih)
             for j in range(n):
                 if create[j]:
                     ej = tuple(int(k == j) for k in range(n))
-                    add(tuple(c - e for c, e in zip(create, ej)),
-                        -1j * coeff * create[j], ej, annih)
-        self.groups = []
-        for post_create, pres in rows.items():
-            post = word_diagonal(post_create, zero, cutoff)
-            self.groups.append((post.source, post.target, functools.reduce(
-                np.multiply.outer, post.weights), pres))
+                    post = tuple(c - e for c, e in zip(create, ej))
+                    rows.setdefault(post, {})[ej, annih] = \
+                        -1j * coeff * create[j]
+        posts = compile_operator(NormalFormOperator(
+            n, {(post, zero): 1.0 for post in rows}), cutoff).entries
+        self.groups = [
+            (post_source, post_target, post_scale, [
+                (target, source, scale.reshape(scale.shape + (1,) * n))
+                for target, source, scale in compile_operator(
+                    NormalFormOperator(n, pres), cutoff).entries])
+            for (post_target, post_source, post_scale), pres
+            in zip(posts, rows.values())]
 
 
 def master_rhs(rho: np.ndarray, terms: MasterTerms) -> np.ndarray:
@@ -124,20 +127,20 @@ def master_rhs(rho: np.ndarray, terms: MasterTerms) -> np.ndarray:
 def density_samples(law: str, ensemble: Ensemble,
                     hamiltonian: NormalFormOperator, cutoff: int, dt: float,
                     steps: int, every: int
-                    ) -> Iterator[tuple[int, FockMatrix]]:
+                    ) -> Iterator[tuple[int, FockMatrix | MemberBlock]]:
     """(step, rho) of the ensemble's moment matrix under either law, at
     step 0, every ``every`` steps, and at the last step.
 
-    "liouville" carries the member vectors (``states.member_matrix``)
-    through ``liouville_flow``, exact in t, so dt only sets the sample grid;
-    an ensemble with more members than dim is carried as the eigenvectors
-    of its moment matrix instead, so that a sample never takes more than
-    two dim x dim by dim x dim products.  "master" builds its MasterTerms
-    (and checks the Hermitian pairing) once and steps ``ensemble_density``
-    with evolve_density at dt.
+    "liouville" carries the member block (``states.member_block``) through
+    ``liouville_flow``, exact in t, so dt only sets the sample grid, and
+    yields MemberBlock samples; an ensemble with more members than dim is
+    carried as the eigenvectors of its moment matrix instead, folded once.
+    "master" builds its MasterTerms (and checks the Hermitian pairing) once
+    and steps ``ensemble_density`` with evolve_density at dt, yielding
+    FockMatrix samples.
     """
     # states imports rk4_step and step_count from this module
-    from .states import ensemble_density, member_matrix
+    from .states import ensemble_density, member_block
 
     chunks = [(start, min(start + every, steps))
               for start in range(0, steps, every)]
@@ -147,7 +150,8 @@ def density_samples(law: str, ensemble: Ensemble,
             weights, vectors = np.linalg.eigh(
                 ensemble_density(ensemble, cutoff).data)
         else:
-            vectors, weights = member_matrix(ensemble, cutoff)
+            block = member_block(ensemble.members, cutoff)
+            vectors, weights = block.vectors, block.weights
         at = liouville_flow(vectors, weights, hamiltonian, cutoff)
         yield 0, at(0.0)
         for _, done in chunks:
@@ -165,28 +169,22 @@ def density_samples(law: str, ensemble: Ensemble,
 
 def liouville_flow(vectors: np.ndarray, weights: np.ndarray,
                    hamiltonian: NormalFormOperator,
-                   cutoff: int) -> Callable[[float], FockMatrix]:
-    """t -> rho(t) = U rho U^H, U = exp(-i t H_n), for rho = W diag(p) W^H.
+                   cutoff: int) -> Callable[[float], MemberBlock]:
+    """t -> the member block (Y(t), p) of U rho U^H, U = exp(-i t H_n), for
+    rho = W diag(p) W^H.
 
     W (vectors, dim x r) and p (weights, real, possibly signed) are read in
     the eigenbasis (E, V) of H_n once, X = V^H W, and each call forms
-    Y = V (e^{-iEt} o X) and returns Y diag(p) Y^H, re-symmetrized: no
-    dim x dim U, and two dim x dim x r products per call.  Each call starts
-    from X at its absolute t, so nothing accumulates between calls.
+    Y = V (e^{-iEt} o X): no dim x dim U, and one dim x dim x r product per
+    call.  Each call starts from X at its absolute t, so nothing
+    accumulates between calls.
     """
     evals, basis = _eigensystem(hamiltonian, cutoff)
     coeffs = _product(basis.conj().T, vectors)
 
     def at(t):
         y = _product(basis, np.exp(-1j * t * evals)[:, None] * coeffs)
-        out = (y * weights) @ y.conj().T
-        # (out + out^H) / 2 with the transpose copied once, so that the
-        # sum runs in memory order
-        herm = out.T.copy()
-        np.conjugate(herm, out=herm)
-        herm += out
-        herm *= 0.5
-        return FockMatrix(hamiltonian.modes, cutoff, herm)
+        return MemberBlock(hamiltonian.modes, cutoff, y, weights)
     return at
 
 
@@ -254,8 +252,7 @@ def _eigensystem(hamiltonian: NormalFormOperator,
     """eigh of the realized H_n, which must be finite and Hermitian; in
     real arithmetic when H_n has no imaginary part, as every H_n whose
     terms all have an even power of pi does."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        hmat = realize_matrix(hamiltonian, cutoff)
+    hmat = realize_matrix(hamiltonian, cutoff)
     if not np.isfinite(hmat.data).all():
         raise FloatingPointError(f"H_n overflows at cutoff {cutoff}")
     if not hmat.hermiticity_defect() <= 1e-10:

@@ -10,7 +10,8 @@ Terms are stored sparsely as a map from an exponent multi-index (a tuple of
 2n nonnegative ints, first the phi/z block then the pi/y block) to a complex
 coefficient.  All operations return canonical polynomials: terms with
 |coefficient| <= DROP_TOL are removed and the term order is lexicographic
-on the exponent tuple.
+on the exponent tuple; a coefficient that is not finite raises
+FloatingPointError.
 
 The text grammar accepted by :func:`parse_poly` (phipi chart only)::
 
@@ -28,6 +29,7 @@ time, so the resulting polynomial is purely numeric.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from typing import Mapping, Sequence
@@ -55,6 +57,15 @@ class ChartError(ValueError):
     """Raised when an operation receives a polynomial in the wrong chart."""
 
 
+def finite_coefficient(coeff) -> complex:
+    """coeff as a complex number; one that is not finite (nan or inf, also
+    as the sum of two terms) raises FloatingPointError."""
+    c = complex(coeff)
+    if not cmath.isfinite(c):
+        raise FloatingPointError(f"coefficient {c} is not finite")
+    return c
+
+
 def total_degree(index: MultiIndex) -> int:
     return sum(index)
 
@@ -77,12 +88,12 @@ class PolyExpr:
                 if len(exps) != width:
                     raise ValueError(
                         f"exponent tuple {exps} does not match {modes} modes")
-                c = complex(coeff)
+                c = finite_coefficient(coeff)
                 if abs(c) > DROP_TOL:
                     key = tuple(int(e) for e in exps)
                     if any(e < 0 for e in key):
                         raise ValueError(f"negative exponent in {exps}")
-                    clean[key] = clean.get(key, 0.0) + c
+                    clean[key] = finite_coefficient(clean.get(key, 0.0) + c)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "terms",

@@ -7,11 +7,11 @@ multimode coherent vector with per-mode amplitude z_j = (phi_j + i pi_j)/sqrt2:
 
 so a_j w = z_j w.  The moment matrix of an ensemble is the weighted sum of
 the rank-one projectors w w^H; such matrices are Hermitian, PSD and
-unit-trace (physically realizable).  Moment matrices are ``FockMatrix``
-values and the vectors w plain arrays; ``member_matrix`` stacks them as the
-columns of W, with the weights p, so that the moment matrix is
-W diag(p) W^H.  Everything here is exact up to
-ladder truncation, which is kept quantitative by the amplitude guard
+unit-trace (physically realizable).  Dense moment matrices are
+``FockMatrix`` values and the vectors w plain arrays; ``member_block``
+stacks them as the columns of W, with the weights p, into the
+``MemberBlock`` of W diag(p) W^H.  Everything here is exact up to ladder
+truncation, which is kept quantitative by the amplitude guard
 |z_j|^2 <= cutoff/4.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import poly_to_normal_form
 from .evolution import rk4_step, step_count
-from .fock import FockMatrix, check_dimension, operator_trace
+from .fock import FockMatrix, MemberBlock, check_dimension, compile_operator
 from .poly import ChartError, PolyExpr
 
 _SQRT2 = math.sqrt(2.0)
@@ -187,13 +187,13 @@ def ensemble_density(ensemble: Ensemble, cutoff: int) -> FockMatrix:
     return FockMatrix(ensemble.modes, cutoff, acc)
 
 
-def member_matrix(ensemble: Ensemble,
-                  cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(W, p): one pseudo-wavefunction column per member and the weights,
-    so that W diag(p) W^H is the ensemble's moment matrix."""
+def member_block(members, cutoff: int) -> MemberBlock:
+    """W diag(p) W^H of (state, weight) members as a MemberBlock: one
+    pseudo-wavefunction column of W per member, its weight in p."""
     vectors = np.stack([pseudo_wavefunction(state, cutoff)
-                        for state, _ in ensemble.members], axis=1)
-    return vectors, np.array([weight for _, weight in ensemble.members])
+                        for state, _ in members], axis=1)
+    return MemberBlock(members[0][0].modes, cutoff, vectors,
+                       np.array([weight for _, weight in members]))
 
 
 def hamilton_rhs(hamiltonian: PolyExpr,
@@ -201,6 +201,17 @@ def hamilton_rhs(hamiltonian: PolyExpr,
     """(phidot, pidot) = (dH/dpi, -dH/dphi) evaluated at the state."""
     grad_phi, grad_pi = _gradients(hamiltonian)
     return _rhs_at(grad_phi, grad_pi, state.point())
+
+
+def poisson_bracket(observable: PolyExpr, hamiltonian: PolyExpr) -> PolyExpr:
+    """{g, H} = sum_j dg/dphi_j dH/dpi_j - dg/dpi_j dH/dphi_j on the
+    Hamiltonian's modes: the rate of g along Hamilton's equations."""
+    g = observable.promote(hamiltonian.modes)
+    total = PolyExpr.zero("phipi", hamiltonian.modes)
+    for j, (h_phi, h_pi) in enumerate(zip(*_gradients(hamiltonian)), 1):
+        total = (total + g.differentiate(f"phi{j}") * h_pi
+                 - g.differentiate(f"pi{j}") * h_phi)
+    return total
 
 
 def _gradients(hamiltonian: PolyExpr):
@@ -245,10 +256,11 @@ def integrate_ensemble(hamiltonian: PolyExpr, ensemble: Ensemble,
         lambda s: integrate_state(hamiltonian, s, t, dt))
 
 
-def expectation(rho: FockMatrix, observable: PolyExpr) -> complex:
+def expectation(rho: FockMatrix | MemberBlock,
+                observable: PolyExpr) -> complex:
     """Tr(rho g_n) for the normal-product operator of a polynomial."""
     op = poly_to_normal_form(observable.promote(rho.modes))
-    return operator_trace(rho.data, op, rho.cutoff)
+    return rho.expect(compile_operator(op, rho.cutoff))
 
 
 def extended_wavefunction(state: ClassicalState, cutoff: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from fockdm.acceptance import (
     creation_expansion,
@@ -217,3 +218,16 @@ class TestTwoModeLemmas:
                         normal_order_product(a1.power(n - 1), a2.power(m - 2)))
                 assert lhs - rhs == NormalFormOperator.zero(2)
 
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("coeff", [math.nan, -math.inf],
+                             ids=["nan", "inf"])
+    def test_constructor_raises(self, coeff):
+        with pytest.raises(FloatingPointError):
+            op1({((1,), (1,)): coeff})
+
+    def test_overflowing_product_raises(self):
+        big = op1({((1,), (0,)): 1e200})
+        with pytest.raises(FloatingPointError):
+            normal_order_product(big, big)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockdm import cli, evolution
+from fockdm import cli, discrepancy, evolution
 from fockdm.acceptance import CRITERIA
 from fockdm.cli import (
     CheckResult,
@@ -284,16 +284,20 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    # finite coefficients whose realized words overflow at the cutoff: the
-    # flux read off them is not finite
+    # finite coefficients whose realized words overflow at the cutoff, so
+    # the flux read off them is not finite, and finite coefficients whose
+    # commutator overflows, so its constructor raises mid-run
     @pytest.mark.parametrize("experiment", ["discrepancy", "iee"])
     def test_non_finite_flux_exits_3(self, tmp_path, capsys, experiment):
-        cfg = write_config(tmp_path, "flux.json", {
-            "hamiltonian": "1e306*phi1^4 + pi1^2", "cutoff": 32, "seed": 1})
-        code = main([experiment, "--config", str(cfg),
-                     "--out", str(tmp_path / "out")])
-        assert code == 3
-        assert "not finite" in capsys.readouterr().err
+        for data in ({"hamiltonian": "1e306*phi1^4 + pi1^2", "cutoff": 32},
+                     {"hamiltonian": "1e200*phi1^3 + pi1^2",
+                      "observables": ["1e200*phi1*pi1"]}):
+            cfg = write_config(tmp_path, "flux.json", {**data, "seed": 1})
+            code = main([experiment, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+            assert code == 3
+            assert "not finite" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     # 1e308*1e308 is inf, and inf * (0+0j) brings in nan
     @pytest.mark.parametrize("experiment, data, name", [
@@ -319,6 +323,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {name}:")
         assert "not a finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    # nan and inf never reach a run: a binding or sweep value that is not
+    # finite is refused at load time, and so is a polynomial with a
+    # coefficient that is not (1e308*1e308 is inf, and inf - inf is nan),
+    # on every suite, since every suite parses the Hamiltonian
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    @pytest.mark.parametrize("data, name", [
+        ({"bindings": {"m": math.nan}}, "bindings"),
+        ({"hamiltonian": "1e308*1e308*phi1^2 - 1e308*1e308*phi1^2 + pi1^2"},
+         "hamiltonian"),
+        ({"sweep": {"m": [1.0, math.nan]}}, "sweep"),
+    ], ids=["nan-binding", "inf-minus-inf-hamiltonian", "nan-sweep"])
+    def test_nan_and_inf_exit_2_naming_the_field(self, tmp_path, capsys,
+                                                 experiment, data, name):
+        cfg = write_config(tmp_path, "nan.json", {**data, "seed": 1})
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name}:")
         assert not (tmp_path / "out").exists()
 
     # every coefficient is finite, but the realized phi^4 term is not
@@ -415,7 +439,7 @@ class TestEvolveSuite:
                                    skiprows=1))
         assert rows[0].shape == rows[1].shape == (3, 5)
         assert np.max(np.abs(rows[0] - rows[1])) <= 1e-12
-        # the flow re-symmetrizes, so the trace stays exactly real
+        # the trace is sum_k p_k ||y_k||^2, real by construction
         assert not rows[0][1:, 2].any() and not rows[1][1:, 2].any()
 
     def test_liouville_members_match_the_dense_reference(self, tmp_path):
@@ -469,6 +493,27 @@ class TestEvolveSuite:
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "results.csv").read_text().splitlines()) == 1 + 4
         assert len(builds) == 1
+
+
+class TestIEESuite:
+    def test_each_commutator_is_compiled_once_per_run(self, tmp_path,
+                                                      monkeypatch):
+        # 16 members and two observables: two compiled commutators, not one
+        # per member
+        calls = []
+        compile_operator = discrepancy.compile_operator
+
+        def counted(op, cutoff):
+            calls.append(op)
+            return compile_operator(op, cutoff)
+
+        monkeypatch.setattr(discrepancy, "compile_operator", counted)
+        cfg = write_config(tmp_path, "iee.json", {
+            "ensemble": {"kind": "phase_circle", "radius": 1.0, "points": 16},
+            "observables": ["phi1*pi1", "phi1^2 - pi1^2"], "cutoff": 16})
+        assert main(["iee", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 2
 
 
 class TestManifest:

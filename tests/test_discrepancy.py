@@ -3,21 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from fockdm import discrepancy
+from fockdm import discrepancy, states
 from fockdm.algebra import poly_to_normal_form
 from fockdm.discrepancy import (
     classical_flux,
     discrepancy_closed_form,
     discrepancy_direct,
     discrepancy_report,
+    flux_operator,
     iee_check,
     quantum_flux,
     rescale_field,
     scaling_condition_residual,
 )
-from fockdm.fock import DimensionCapError, FockMatrix, realize_matrix
+from fockdm.fock import DimensionCapError, realize_matrix
 from fockdm.poly import parse_poly, random_poly
-from fockdm.states import ClassicalState, Ensemble, integrate_state, pure_density
+from fockdm.states import (
+    ClassicalState,
+    Ensemble,
+    ensemble_density,
+    integrate_state,
+    pure_density,
+)
 
 
 def state1(phi, pi):
@@ -37,12 +44,13 @@ class TestQuantumFlux:
     def test_observable_equal_to_hamiltonian(self):
         H = oscillator(1.5)
         rho = pure_density(state1(0.6, -0.2), 24)
-        assert abs(quantum_flux(rho, H, H)) <= 1e-12
+        assert abs(quantum_flux(rho, flux_operator(H, H, 1, 24))) <= 1e-12
 
     def test_stationary_point_of_phi(self):
         H = parse_poly("0.5*phi1^2 + 0.5*pi1^2", {})
         rho = pure_density(state1(1.0, 0.0), 32)
-        assert abs(quantum_flux(rho, parse_poly("phi1", {}), H)) <= 1e-8
+        flux = flux_operator(parse_poly("phi1", {}), H, 1, 32)
+        assert abs(quantum_flux(rho, flux)) <= 1e-8
 
     def test_against_dense_matrix_oracle(self):
         # independent route: realize g_n and H_n, commute as matrices
@@ -53,7 +61,7 @@ class TestQuantumFlux:
         for _ in range(5):
             s = random_state(rng)
             rho = pure_density(s, D)
-            got = quantum_flux(rho, g, H)
+            got = quantum_flux(rho, flux_operator(g, H, 1, D))
             gmat = realize_matrix(poly_to_normal_form(g), D).data
             hmat = realize_matrix(poly_to_normal_form(H), D).data
             oracle = -1j * np.trace(rho.data @ (gmat @ hmat - hmat @ gmat))
@@ -62,9 +70,8 @@ class TestQuantumFlux:
     def test_dimension_cap(self):
         H = oscillator(1.0)
         # 17^3 > DIM_CAP: rejected before anything of that size exists
-        rho = FockMatrix(3, 17, np.zeros((1, 1)))
         with pytest.raises(DimensionCapError):
-            quantum_flux(rho, parse_poly("phi1*pi1", {}), H)
+            flux_operator(parse_poly("phi1*pi1", {}), H, 3, 17)
 
 
 class TestClassicalFlux:
@@ -324,6 +331,41 @@ class TestIEECheck:
         report = iee_check(e, oscillator(1.0), gs, 16)
         assert len(report.rows) == 3
         assert len(calls) == 3
+
+    def test_fluxes_are_read_off_member_vectors(self, monkeypatch):
+        # neither iee_check nor discrepancy_direct forms a moment matrix
+        def dense(*args):
+            raise AssertionError("formed a dense moment matrix")
+
+        for module in (states, discrepancy):
+            for name in ("pure_density", "ensemble_density"):
+                monkeypatch.setattr(module, name, dense, raising=False)
+        g, H = parse_poly("phi1*pi1", {}), oscillator(2.0)
+        report = iee_check(Ensemble.phase_circle(1.0, 16), H, [g], 32)
+        assert abs(report.rows[0].discrepancy - (-0.5)) <= 1e-8
+        rep = discrepancy_direct(state1(1.0, 0.0), g, H, 32)
+        assert abs(rep.direct - (-0.5)) <= 1e-8
+
+    def test_members_are_read_in_blocks_of_at_most_dim(self, monkeypatch):
+        # 40 members at dim 8: five blocks of 8 columns, never one 8 x 40
+        widths = []
+        block = discrepancy.member_block
+
+        def recorded(members, cutoff):
+            out = block(members, cutoff)
+            widths.append(out.vectors.shape)
+            return out
+
+        monkeypatch.setattr(discrepancy, "member_block", recorded)
+        e = Ensemble.phase_circle(0.8, 40)
+        H = parse_poly("0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^4", {})
+        gs = [parse_poly("phi1*pi1", {}), parse_poly("phi1^2", {})]
+        report = iee_check(e, H, gs, 8)
+        assert widths == [(8, 8)] * 5
+        rho = ensemble_density(e, 8)
+        for g, row in zip(gs, report.rows):
+            want = quantum_flux(rho, flux_operator(g, H, 1, 8))
+            assert abs(row.g_hat - want) <= 1e-13
 
     def test_generic_two_point_ensemble_is_not_equilibrium(self):
         e = Ensemble.from_states([state1(0.9, 0.1), state1(0.2, -0.5)])

@@ -180,3 +180,28 @@ class TestEval:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             parse_poly("phi1", {}).eval([1.0])
+
+
+class TestNonFiniteCoefficients:
+    # abs(nan) > DROP_TOL is False, so a nan coefficient would otherwise be
+    # dropped as if it were zero
+    @pytest.mark.parametrize(
+        "coeff", [math.nan, math.inf, complex(0, math.nan)],
+        ids=["nan", "inf", "nan-imaginary"])
+    def test_constructor_raises(self, coeff):
+        with pytest.raises(FloatingPointError):
+            poly_from({(2, 0): coeff, (0, 2): 1.0})
+
+    @pytest.mark.parametrize("text, bindings", [
+        ("0.5*pi1^2 + 0.5*m*phi1^2", {"m": math.nan}),
+        # 1e308*1e308 is inf, and inf - inf is nan
+        ("1e308*1e308*phi1^2 - 1e308*1e308*phi1^2 + pi1^2", {}),
+    ], ids=["nan-binding", "inf-minus-inf"])
+    def test_parse_raises(self, text, bindings):
+        with pytest.raises(FloatingPointError):
+            parse_poly(text, bindings)
+
+    def test_overflowing_arithmetic_raises(self):
+        big = parse_poly("1e200*phi1", {})
+        with pytest.raises(FloatingPointError):
+            big * big

@@ -16,7 +16,7 @@ from fockdm.states import (
     hamilton_rhs,
     integrate_ensemble,
     integrate_state,
-    member_matrix,
+    member_block,
     pseudo_wavefunction,
     pure_density,
 )
@@ -178,7 +178,9 @@ class TestMemberMatrix:
                   ClassicalState(np.array([-0.4, 0.0]), np.array([0.6, 0.3])),
                   ClassicalState(np.array([0.0, 0.5]), np.array([-0.9, 0.2]))]
         e = Ensemble.from_states(states, [0.2, 0.3, 0.5])
-        vectors, weights = member_matrix(e, 6)
+        block = member_block(e.members, 6)
+        vectors, weights = block.vectors, block.weights
+        assert (block.modes, block.cutoff) == (2, 6)
         assert vectors.shape == (36, 3)
         assert weights.tolist() == [0.2, 0.3, 0.5]
         for column, state in zip(vectors.T, states):
