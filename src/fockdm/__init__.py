@@ -19,10 +19,9 @@ from .algebra import (
 )
 from .discrepancy import (
     DiscrepancyReport,
-    classical_flux,
     discrepancy_closed_form,
-    discrepancy_direct,
     discrepancy_report,
+    ensemble_fluxes,
     flux_operator,
     iee_check,
     quantum_flux,
@@ -51,7 +50,6 @@ from .reify import (
     flow_coeffs,
     m_operator,
     norm_flow_residual,
-    paradox_demo,
     rho_z_trace,
     s_operator,
 )
@@ -65,7 +63,6 @@ from .states import (
     hamilton_rhs,
     integrate_ensemble,
     integrate_state,
-    member_block,
     pseudo_wavefunction,
     pure_density,
 )

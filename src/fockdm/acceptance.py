@@ -428,7 +428,7 @@ def iee_phase_circle(rng, cutoff, samples):
     rep1 = iee_check(e, h1, gs, cutoff)
     h2 = parse_poly("0.5*pi1^2 + 0.5*m*phi1^2", {"m": 2.0})
     rep2 = iee_check(e, h2, [gs[0]], cutoff)
-    gap = rep2.rows[0].discrepancy
+    gap = rep2.rows[0].direct
     value = max(rep1.worst, abs(gap - (-0.5)))
     return (value, IEE_TOLERANCE, rep1.equilibrium and not rep2.equilibrium
             and value <= IEE_TOLERANCE,

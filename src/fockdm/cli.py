@@ -6,8 +6,7 @@ the output directory: results.csv with a bit-stable column order and floats
 printed at 17 significant digits, and manifest.json recording the config
 hash, library versions, and one named pass/fail entry per executed check.
 Randomized suites draw from one seeded generator, split into independent
-child streams per sub-check, so sub-checks can run in parallel without
-losing determinism.
+child streams per sub-check, so no sub-check's draws depend on another's.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad configuration,
 3 numerical or resource failure while running.
@@ -22,7 +21,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +36,7 @@ from .acceptance import (
 from .algebra import poly_to_normal_form
 from .discrepancy import IEE_TOLERANCE, discrepancy_report, iee_check
 from .evolution import density_samples, projection_decay, step_count
-from .fock import DimensionCapError, compile_operator
+from .fock import DimensionCapError, check_dimension, compile_operator
 from .poly import PolyExpr, PolyParseError, parse_poly
 from .reify import PoleError, flow_coeffs, rho_z_trace
 from .states import (
@@ -54,6 +52,8 @@ EXPERIMENTS = ("verify", "discrepancy", "evolve", "reify", "project", "iee")
 MAX_STEPS = 10 ** 6
 # the most members of a phase_circle ensemble; checked at load time
 MAX_POINTS = 10 ** 5
+# the most points of the reify alpha grid; checked at load time
+MAX_ALPHA_POINTS = 10 ** 5
 
 
 class ConfigError(ValueError):
@@ -143,6 +143,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (_is_positive_int(value) and value >= least):
                 raise ConfigError(f"{name}: must be an integer >= {least}")
+        if self.alpha_points > MAX_ALPHA_POINTS:
+            raise ConfigError(f"alpha_points: exceeds the ceiling of "
+                              f"{MAX_ALPHA_POINTS} points")
         for name in ("dt", "alpha_margin"):
             v = getattr(self, name)
             if not (_is_number(v) and v > 0):
@@ -229,8 +232,10 @@ class ExperimentConfig:
              bindings: dict | None) -> PolyExpr:
         """The one mode-consistency check: a polynomial on fewer modes than
         the state is promoted, one on more is a configuration error naming
-        its field.  It parses again, so a swept binding that overflows a
-        coefficient is refused here."""
+        its field, and a mode count over the dimension cap at the cutoff is
+        refused before anything is promoted to it.  It parses again, so a
+        swept binding that overflows a coefficient is refused here."""
+        check_dimension(modes, self.cutoff)
         p = _parse(name, text, self.bindings if bindings is None else bindings)
         if p.modes > modes:
             raise ConfigError(f"{name}: {text!r} has {p.modes} modes, the state "
@@ -242,10 +247,14 @@ class ExperimentConfig:
         if not isinstance(st, dict) or "phi" not in st or "pi" not in st:
             raise ConfigError("state: needs phi and pi arrays")
         try:
-            return ClassicalState(np.asarray(st["phi"], dtype=float),
-                                  np.asarray(st["pi"], dtype=float))
-        except ValueError as err:
+            state = ClassicalState(np.asarray(st["phi"], dtype=float),
+                                   np.asarray(st["pi"], dtype=float))
+        except (OverflowError, ValueError) as err:
             raise ConfigError(f"state: {err}") from err
+        if self.experiment == "reify" and state.modes != 1:
+            raise ConfigError(f"state: the single-mode recoding takes a "
+                              f"one-mode state, not {state.modes} modes")
+        return state
 
     def classical_ensemble(self) -> Ensemble:
         if self.ensemble is None:
@@ -253,12 +262,13 @@ class ExperimentConfig:
         spec = self.ensemble
         kind = spec.get("kind", "members")
         if kind == "phase_circle":
+            modes = spec.get("modes", 1)
+            check_dimension(modes, self.cutoff)  # before its members exist
             return Ensemble.phase_circle(spec.get("radius", 1.0),
-                                         spec.get("points", 64),
-                                         modes=spec.get("modes", 1))
+                                         spec.get("points", 64), modes=modes)
         try:
             return Ensemble.from_json(spec)
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, OverflowError, TypeError, ValueError) as err:
             raise ConfigError(f"ensemble: {err}") from err
 
     def canonical_json(self) -> str:
@@ -325,11 +335,9 @@ def emit_report(result: SuiteResult, config: ExperimentConfig,
 
 def run_verify(config: ExperimentConfig) -> SuiteResult:
     streams = np.random.SeedSequence(config.seed).spawn(len(CRITERIA))
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(c.check, np.random.default_rng(stream),
-                               config.cutoff, c.verify_samples)
-                   for c, stream in zip(CRITERIA, streams)]
-        checks = [f.result() for f in futures]
+    checks = [c.check(np.random.default_rng(stream), config.cutoff,
+                      c.verify_samples)
+              for c, stream in zip(CRITERIA, streams)]
     rows = [(c.tag, c.value, c.tolerance, c.passed) for c in checks]
     return SuiteResult(columns=["check", "value", "tolerance", "passed"],
                        rows=rows, checks=checks)
@@ -438,7 +446,7 @@ def run_iee(config: ExperimentConfig) -> SuiteResult:
     columns = ["observable", "g_hat_re", "g_hat_im", "g_dot",
                "discrepancy_re", "discrepancy_im", "equilibrium"]
     rows = [(text, r.g_hat.real, r.g_hat.imag, r.g_dot,
-             r.discrepancy.real, r.discrepancy.imag, report.equilibrium)
+             r.direct.real, r.direct.imag, report.equilibrium)
             for (text, _), r in zip(observables, report.rows)]
     checks = [CheckResult("iee-flux-vanishes", report.worst, IEE_TOLERANCE,
                           report.equilibrium)]

@@ -6,10 +6,10 @@ For the same moment matrix rho(phi, pi), two predictions of d<g>/dt compete:
 * classical: g_dot = {g, H} = sum_j dg/dphi_j dH/dpi_j - dg/dpi_j dH/dphi_j,
              the Poisson bracket at the state (master-equation flux).
 
-Each is built once per observable: the commutator compiled at the cutoff
-(``flux_operator``), read off the members' pseudo-wavefunctions without
-forming rho (fock.block_trace), and the bracket as one polynomial,
-evaluated at each member.
+``ensemble_fluxes`` reads both for an ensemble, a pure state being an
+ensemble of one: each commutator compiled once (``flux_operator``) and read
+off the member blocks without forming rho (fock.block_trace), each bracket
+built once as a polynomial and averaged over the members.
 
 Their difference has a closed form in the complex chart: with multi-indices
 k over the modes,
@@ -31,21 +31,15 @@ removes it identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
 import numpy as np
 
 from .algebra import commutator, poly_to_normal_form
-from .fock import (
-    FockMatrix,
-    MemberBlock,
-    WordTable,
-    check_dimension,
-    compile_operator,
-)
+from .fock import FockMatrix, MemberBlock, WordTable, compile_operator
 from .poly import ChartError, PolyExpr
-from .states import ClassicalState, Ensemble, member_block, poisson_bracket
+from .states import ClassicalState, Ensemble, poisson_bracket
 
 # both ensemble-averaged fluxes must lie within this of zero at an equilibrium
 IEE_TOLERANCE = 1e-7
@@ -53,11 +47,18 @@ IEE_TOLERANCE = 1e-7
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
+    """Both fluxes of one observable; discrepancy_report adds the closed
+    form of their gap and its applicability."""
+
     g_hat: complex
     g_dot: float
-    direct: complex
     closed_form: complex | None = None
     applicable: bool | None = None
+
+    @property
+    def direct(self) -> complex:
+        """The gap g_hat - g_dot of the two fluxes."""
+        return self.g_hat - self.g_dot
 
     @property
     def residual(self) -> float | None:
@@ -92,22 +93,26 @@ def quantum_flux(rho: FockMatrix | MemberBlock, flux: WordTable) -> complex:
     return -1j * rho.expect(flux)
 
 
-def classical_flux(state: ClassicalState, observable: PolyExpr,
-                   hamiltonian: PolyExpr) -> float:
-    """The Poisson bracket {g, H} at the state."""
-    bracket = poisson_bracket(observable, hamiltonian.promote(state.modes))
-    return bracket.eval(state.point()).real
+def ensemble_fluxes(ensemble: Ensemble, hamiltonian: PolyExpr, observables,
+                    cutoff: int) -> list[DiscrepancyReport]:
+    """The ensemble-averaged quantum and classical flux of each observable.
 
-
-def discrepancy_direct(state: ClassicalState, observable: PolyExpr,
-                       hamiltonian: PolyExpr, cutoff: int) -> DiscrepancyReport:
-    """g_hat read off the state's pseudo-wavefunction minus g_dot from the
-    Poisson bracket."""
-    block = member_block(((state, 1.0),), cutoff)
-    g_hat = quantum_flux(block, flux_operator(observable, hamiltonian,
-                                              state.modes, cutoff))
-    g_dot = classical_flux(state, observable, hamiltonian)
-    return DiscrepancyReport(g_hat=g_hat, g_dot=g_dot, direct=g_hat - g_dot)
+    g_hat sums the flux of each member block (``Ensemble.member_blocks``)
+    and g_dot averages the Poisson bracket (``Ensemble.average``); both
+    sums start from zero, so a zero flux is +0.0 for any member count.
+    """
+    observables = list(observables)
+    n = ensemble.modes
+    fluxes = [flux_operator(g, hamiltonian, n, cutoff) for g in observables]
+    per_block = [[quantum_flux(block, flux) for flux in fluxes]
+                 for block in ensemble.member_blocks(cutoff)]
+    rows = []
+    for g, g_hats in zip(observables, zip(*per_block)):
+        bracket = poisson_bracket(g, hamiltonian.promote(n))
+        rows.append(DiscrepancyReport(
+            g_hat=sum(g_hats),
+            g_dot=ensemble.average(lambda s: bracket.eval(s.point()).real)))
+    return rows
 
 
 def discrepancy_closed_form(state: ClassicalState, observable: PolyExpr,
@@ -121,7 +126,7 @@ def discrepancy_closed_form(state: ClassicalState, observable: PolyExpr,
     per-mode word degree of H_n too; a per-mode bound alone would miss
     mixed words like y1^2 y2^2 whose fourth cross-derivatives survive.  The
     value itself is the series summed to ``order_cap`` regardless, which
-    callers may validate against :func:`discrepancy_direct`.
+    callers may validate against the direct gap of :func:`ensemble_fluxes`.
     """
     n = state.modes
     g = observable.promote(n).to_zy()
@@ -152,13 +157,13 @@ def discrepancy_closed_form(state: ClassicalState, observable: PolyExpr,
 def discrepancy_report(state: ClassicalState, observable: PolyExpr,
                        hamiltonian: PolyExpr, cutoff: int,
                        order_cap: int = 3) -> DiscrepancyReport:
-    """Direct and closed-form discrepancies side by side."""
-    base = discrepancy_direct(state, observable, hamiltonian, cutoff)
+    """The fluxes of the state, an ensemble of one, with the closed-form
+    gap beside the direct one."""
+    [fluxes] = ensemble_fluxes(Ensemble.pure(state), hamiltonian,
+                               [observable], cutoff)
     value, applicable = discrepancy_closed_form(state, observable, hamiltonian,
                                                 order_cap)
-    return DiscrepancyReport(g_hat=base.g_hat, g_dot=base.g_dot,
-                             direct=base.direct, closed_form=value,
-                             applicable=applicable)
+    return replace(fluxes, closed_form=value, applicable=applicable)
 
 
 def rescale_field(hamiltonian: PolyExpr,
@@ -202,16 +207,8 @@ def scaling_condition_residual(hamiltonian: PolyExpr,
 
 
 @dataclass(frozen=True)
-class IEEObservableRow:
-    observable: str
-    g_hat: complex
-    g_dot: float
-    discrepancy: complex
-
-
-@dataclass(frozen=True)
 class IEEReport:
-    rows: tuple[IEEObservableRow, ...]
+    rows: tuple[DiscrepancyReport, ...]
 
     @property
     def worst(self) -> float:
@@ -230,36 +227,16 @@ def iee_check(ensemble: Ensemble, hamiltonian: PolyExpr,
     """Test a candidate equilibrium ensemble against a set of observables.
 
     The ensemble-averaged quantum flux, classical flux, and their gap are
-    reported per observable; the equilibrium flag demands that both fluxes
-    vanish within IEE_TOLERANCE.  Each commutator and Poisson bracket is
-    built once; the quantum fluxes are read off the members'
-    pseudo-wavefunctions in blocks of at most dim columns.  No attempt is
+    reported per observable (``ensemble_fluxes``); the equilibrium flag
+    demands that both fluxes vanish within IEE_TOLERANCE.  No attempt is
     made to construct equilibria.
     """
-    observables = list(observables)
-    n = ensemble.modes
-    dim = check_dimension(n, cutoff)
-    fluxes = [flux_operator(g, hamiltonian, n, cutoff) for g in observables]
-    g_hats = np.zeros(len(fluxes), dtype=complex)
-    members = ensemble.members
-    for start in range(0, len(members), dim):
-        block = member_block(members[start:start + dim], cutoff)
-        g_hats += [quantum_flux(block, flux) for flux in fluxes]
-    rows = []
-    for g, g_hat in zip(observables, g_hats):
-        g_hat = complex(g_hat)
-        bracket = poisson_bracket(g, hamiltonian.promote(n))
-        g_dot = ensemble.average(lambda s: bracket.eval(s.point()).real)
-        rows.append(IEEObservableRow(observable=str(g), g_hat=g_hat,
-                                     g_dot=g_dot, discrepancy=g_hat - g_dot))
-    return IEEReport(rows=tuple(rows))
+    return IEEReport(rows=tuple(ensemble_fluxes(ensemble, hamiltonian,
+                                                observables, cutoff)))
 
 
 def _mode_multi_indices(modes: int, order: int):
     """All exponent tuples over the modes with the given total order."""
-    if modes == 1:
-        yield (order,)
-        return
     for parts in iproduct(range(order + 1), repeat=modes - 1):
         if sum(parts) <= order:
             yield (order - sum(parts),) + parts

@@ -48,6 +48,12 @@ class PairingError(ValueError):
     """The Hamiltonian words do not pair off under Hermitian conjugation."""
 
 
+def _check_pairing(hamiltonian: NormalFormOperator) -> None:
+    """The one Hermiticity test of H_n (laws and projection), on its words."""
+    if not hermitian_pair_check(hamiltonian):
+        raise PairingError("the Hamiltonian operator is not Hermitian-paired")
+
+
 class MasterTerms:
     """The half F(rho) = rho' of the master law, compiled at one cutoff.
 
@@ -66,9 +72,7 @@ class MasterTerms:
     """
 
     def __init__(self, hamiltonian: NormalFormOperator, cutoff: int):
-        if not hermitian_pair_check(hamiltonian):
-            raise PairingError(
-                "the Hamiltonian operator is not Hermitian-paired")
+        _check_pairing(hamiltonian)
         self.modes = hamiltonian.modes
         n = self.modes
         self.cutoff = cutoff
@@ -131,16 +135,16 @@ def density_samples(law: str, ensemble: Ensemble,
     """(step, rho) of the ensemble's moment matrix under either law, at
     step 0, every ``every`` steps, and at the last step.
 
-    "liouville" carries the member block (``states.member_block``) through
-    ``liouville_flow``, exact in t, so dt only sets the sample grid, and
-    yields MemberBlock samples; an ensemble with more members than dim is
-    carried as the eigenvectors of its moment matrix instead, folded once.
+    "liouville" carries the member block (``Ensemble.member_blocks``)
+    through ``liouville_flow``, exact in t, so dt only sets the sample grid,
+    and yields MemberBlock samples; more members than dim are carried as
+    the eigenvectors of their moment matrix instead, folded once.
     "master" builds its MasterTerms (and checks the Hermitian pairing) once
     and steps ``ensemble_density`` with evolve_density at dt, yielding
     FockMatrix samples.
     """
     # states imports rk4_step and step_count from this module
-    from .states import ensemble_density, member_block
+    from .states import ensemble_density
 
     chunks = [(start, min(start + every, steps))
               for start in range(0, steps, every)]
@@ -150,7 +154,7 @@ def density_samples(law: str, ensemble: Ensemble,
             weights, vectors = np.linalg.eigh(
                 ensemble_density(ensemble, cutoff).data)
         else:
-            block = member_block(ensemble.members, cutoff)
+            [block] = ensemble.member_blocks(cutoff)
             vectors, weights = block.vectors, block.weights
         at = liouville_flow(vectors, weights, hamiltonian, cutoff)
         yield 0, at(0.0)
@@ -249,14 +253,13 @@ def time_average_project(rho: FockMatrix, hamiltonian: NormalFormOperator,
 
 def _eigensystem(hamiltonian: NormalFormOperator,
                  cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the realized H_n, which must be finite and Hermitian; in
-    real arithmetic when H_n has no imaginary part, as every H_n whose
+    """eigh of the realized H_n, which must be Hermitian-paired and finite;
+    in real arithmetic when H_n has no imaginary part, as every H_n whose
     terms all have an even power of pi does."""
+    _check_pairing(hamiltonian)
     hmat = realize_matrix(hamiltonian, cutoff)
     if not np.isfinite(hmat.data).all():
         raise FloatingPointError(f"H_n overflows at cutoff {cutoff}")
-    if not hmat.hermiticity_defect() <= 1e-10:
-        raise ValueError("H_n must be Hermitian")
     if hmat.data.imag.any():
         return np.linalg.eigh(hmat.data)
     return np.linalg.eigh(hmat.data.real)

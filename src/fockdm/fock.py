@@ -45,12 +45,16 @@ class DimensionCapError(ValueError):
 
 
 def check_dimension(modes: int, cutoff: int) -> int:
+    """cutoff**modes, refused above DIM_CAP; as cutoff >= 2, the power is
+    never taken for more modes than DIM_CAP has bits."""
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    dim = cutoff ** modes
+    bits = DIM_CAP.bit_length()
+    dim = cutoff ** min(modes, bits)
     if dim > DIM_CAP:
+        size = dim if modes <= bits else f"{cutoff}^{modes}"
         raise DimensionCapError(
-            f"{modes} modes at cutoff {cutoff} need dimension {dim} > cap "
+            f"{modes} modes at cutoff {cutoff} need dimension {size} > cap "
             f"{DIM_CAP}")
     return dim
 

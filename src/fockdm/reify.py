@@ -9,8 +9,8 @@ alpha = pi/4 the rotation would identify the left eigenvalue z and the
 right eigenvalue y of the recoded matrix rho_z = S rho S with eigenvalues
 of one Hermitian quadrature, which is impossible for complex z; the escape
 hatch is that rho_z becomes unbounded there.  At finite cutoff this shows
-up as norms that keep growing with the cutoff, which is what the trace and
-demo routines below exhibit.
+up as norms and eigenrelation residuals that grow toward the pole and with
+the cutoff, which ``rho_z_trace`` reads along an alpha grid.
 
 The doubled-space recoding pairs every mode a_j with a partner b_j carrying
 the conjugate amplitude and exchanges quanta between them:
@@ -49,19 +49,16 @@ def _word(create: int, annih: int, cutoff: int) -> np.ndarray:
                           cutoff).data
 
 
-def _s_bundle(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the S generator."""
-    gen = 0.5 * (_word(2, 0, cutoff) + _word(0, 2, cutoff))
-    return np.linalg.eigh(gen)
+def _s_generator(cutoff: int) -> np.ndarray:
+    """(adag adag + a a) / 2, the generator of S(alpha) = exp(-alpha gen)."""
+    return 0.5 * (_word(2, 0, cutoff) + _word(0, 2, cutoff))
 
 
 def s_operator(alpha: float, cutoff: int) -> FockMatrix:
     """Single-mode reification operator at the given cutoff."""
     if cutoff < 4:
         raise ValueError("cutoff must be >= 4")
-    w, v = _s_bundle(cutoff)
-    data = (v * np.exp(-alpha * w)) @ v.conj().T
-    return FockMatrix(1, cutoff, data)
+    return FockMatrix(1, cutoff, expm_hermitian(_s_generator(cutoff), -alpha))
 
 
 def rotated_annihilation(alpha: float, cutoff: int) -> np.ndarray:
@@ -116,7 +113,7 @@ def rho_z_trace(state: ClassicalState, alphas, cutoff: int,
         raise ValueError("alpha grid must sit inside [0, pi/4)")
     if state.modes != 1:
         raise ValueError("the single-mode recoding takes one-mode states")
-    w, v = _s_bundle(cutoff)
+    w, v = np.linalg.eigh(_s_generator(cutoff))
     # rank-one structure: ||S rho S||_2 = ||S w||^2
     wvec = pseudo_wavefunction(state, cutoff)
     phi_op = (_word(0, 1, cutoff) + _word(1, 0, cutoff)) \
@@ -154,7 +151,7 @@ def norm_flow_residual(state: ClassicalState, alpha: float, cutoff: int) -> floa
     u = s @ pseudo_wavefunction(state, cutoff)
     rho = np.outer(u, u.conj())
     rho /= np.trace(rho).real
-    gen = 0.5 * (_word(2, 0, cutoff) + _word(0, 2, cutoff))
+    gen = _s_generator(cutoff)
     a_rot = rotated_annihilation(alpha, cutoff)
     rhs = (-gen @ rho - rho @ gen
            + c * (a_rot @ a_rot @ rho)
@@ -202,34 +199,3 @@ def m_operator(alpha: float, modes: int, cutoff: int) -> FockMatrix:
     for _ in range(modes - 1):
         data = np.kron(data, block)
     return FockMatrix(2 * modes, cutoff, data)
-
-
-@dataclass(frozen=True)
-class ParadoxRow:
-    cutoff: int
-    epsilon: float
-    norm: float
-    residual_a7: float
-    residual_a8: float
-
-
-def paradox_demo(state: ClassicalState, cutoffs=(16, 32, 64),
-                 epsilons=(0.3, 0.03, 0.003)) -> list[ParadoxRow]:
-    """Residuals of the incompatible pi/4 eigenrelations near the pole.
-
-    For rho_z = S(pi/4 - eps) rho S(pi/4 - eps), reports how badly
-    rho_z Phi = y rho_z and Phi rho_z = z rho_z fail, per cutoff and eps.
-    The failure is order one even far from the pole, grows as eps shrinks,
-    and grows with the cutoff at fixed eps: the relations could only be
-    rescued by an unbounded rho_z.
-    """
-    rows = []
-    for cutoff in cutoffs:
-        alphas = [math.pi / 4 - eps for eps in sorted(epsilons, reverse=True)]
-        trace = rho_z_trace(state, alphas, cutoff, threshold=math.inf)
-        for eps, norm, r7, r8 in zip(sorted(epsilons, reverse=True),
-                                     trace.norms, trace.residual_a7,
-                                     trace.residual_a8):
-            rows.append(ParadoxRow(cutoff=cutoff, epsilon=eps, norm=float(norm),
-                                   residual_a7=float(r7), residual_a8=float(r8)))
-    return rows

@@ -7,10 +7,10 @@ multimode coherent vector with per-mode amplitude z_j = (phi_j + i pi_j)/sqrt2:
 
 so a_j w = z_j w.  The moment matrix of an ensemble is the weighted sum of
 the rank-one projectors w w^H; such matrices are Hermitian, PSD and
-unit-trace (physically realizable).  Dense moment matrices are
-``FockMatrix`` values and the vectors w plain arrays; ``member_block``
-stacks them as the columns of W, with the weights p, into the
-``MemberBlock`` of W diag(p) W^H.  Everything here is exact up to ladder
+unit-trace (physically realizable).  ``Ensemble.member_blocks`` is the one
+place members become Fock data: MemberBlocks of W diag(p) W^H, one vector w
+per column of W, at most dim members each; a dense ``FockMatrix`` is the
+sum of their ``dense`` products.  Everything here is exact up to ladder
 truncation, which is kept quantitative by the amplitude guard
 |z_j|^2 <= cutoff/4.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -137,6 +137,18 @@ class Ensemble:
     def average(self, f: Callable[[ClassicalState], complex]) -> complex:
         return sum(w * f(s) for s, w in self.members)
 
+    def member_blocks(self, cutoff: int) -> Iterator[MemberBlock]:
+        """The members as MemberBlocks of at most dim members each, in
+        order: one pseudo-wavefunction column of W per member, its weight
+        in p.  Nothing wider than dim x dim is held at once."""
+        dim = check_dimension(self.modes, cutoff)
+        for start in range(0, len(self.members), dim):
+            chunk = self.members[start:start + dim]
+            vectors = np.stack([pseudo_wavefunction(state, cutoff)
+                                for state, _ in chunk], axis=1)
+            yield MemberBlock(self.modes, cutoff, vectors,
+                              np.array([weight for _, weight in chunk]))
+
     @classmethod
     def from_json(cls, obj: dict) -> "Ensemble":
         return cls(tuple((ClassicalState(np.asarray(m["phi"]), np.asarray(m["pi"])),
@@ -173,27 +185,17 @@ def _coherent_column(mode: int, amp: complex, cutoff: int) -> np.ndarray:
 
 def pure_density(state: ClassicalState, cutoff: int) -> FockMatrix:
     """Rank-one moment matrix w w^H of a pure state."""
-    w = pseudo_wavefunction(state, cutoff)
-    return FockMatrix(state.modes, cutoff, np.outer(w, w.conj()))
+    return ensemble_density(Ensemble.pure(state), cutoff)
 
 
 def ensemble_density(ensemble: Ensemble, cutoff: int) -> FockMatrix:
-    """Weighted mixture of pure moment matrices; Hermitian, PSD, trace one."""
-    acc = None
-    for state, weight in ensemble.members:
-        w = pseudo_wavefunction(state, cutoff)
-        block = weight * np.outer(w, w.conj())
-        acc = block if acc is None else acc + block
-    return FockMatrix(ensemble.modes, cutoff, acc)
-
-
-def member_block(members, cutoff: int) -> MemberBlock:
-    """W diag(p) W^H of (state, weight) members as a MemberBlock: one
-    pseudo-wavefunction column of W per member, its weight in p."""
-    vectors = np.stack([pseudo_wavefunction(state, cutoff)
-                        for state, _ in members], axis=1)
-    return MemberBlock(members[0][0].modes, cutoff, vectors,
-                       np.array([weight for _, weight in members]))
+    """Weighted mixture of pure moment matrices, Hermitian, PSD and of trace
+    one: the sum of the member blocks' W diag(p) W^H."""
+    blocks = ensemble.member_blocks(cutoff)
+    data = next(blocks).dense().data
+    for block in blocks:
+        data += block.dense().data
+    return FockMatrix(ensemble.modes, cutoff, data)
 
 
 def hamilton_rhs(hamiltonian: PolyExpr,

@@ -17,8 +17,8 @@ from fockdm.cli import (
     main,
 )
 from fockdm.algebra import poly_to_normal_form
-from fockdm.fock import realize_matrix
-from fockdm.poly import parse_poly
+from fockdm.fock import DIM_CAP, realize_matrix
+from fockdm.poly import PolyExpr, parse_poly
 from fockdm.states import Ensemble, ensemble_density
 
 
@@ -268,6 +268,89 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ensemble.points:")
         assert str(cli.MAX_POINTS) in err
+
+    def test_alpha_points_ceiling_exits_2_before_building(self, tmp_path,
+                                                          capsys, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("reify built a grid past the ceiling")
+
+        monkeypatch.setattr(np, "linspace", built)
+        cfg = write_config(tmp_path, "alphas.json",
+                           {"alpha_points": cli.MAX_ALPHA_POINTS + 1})
+        code = main(["reify", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: alpha_points:")
+        assert str(cli.MAX_ALPHA_POINTS) in err
+
+    def test_reify_state_with_two_modes_exits_2_before_building(
+            self, tmp_path, capsys, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("reify built a recoding of a two-mode state")
+
+        monkeypatch.setattr(cli, "rho_z_trace", built)
+        cfg = write_config(tmp_path, "two.json",
+                           {"state": {"phi": [1, 0], "pi": [0, 0]}})
+        code = main(["reify", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: state:")
+
+    # a 401-digit JSON integer is a valid number that no float holds
+    @pytest.mark.parametrize("experiment, data, name", [
+        *[(experiment, {"state": {"phi": [10 ** 400], "pi": [0]}}, "state")
+          for experiment in ("evolve", "iee", "reify", "project",
+                             "discrepancy")],
+        *[(experiment, {"ensemble": {"members": [
+            {"phi": [10 ** 400], "pi": [0], "w": 1}]}}, "ensemble")
+          for experiment in ("evolve", "iee")],
+    ], ids=["evolve-state", "iee-state", "reify-state", "project-state",
+            "discrepancy-state", "evolve-member", "iee-member"])
+    def test_entry_too_large_for_a_float_exits_2_naming_it(
+            self, tmp_path, capsys, experiment, data, name):
+        cfg = write_config(tmp_path, "huge.json", {**data, "seed": 1})
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name}:")
+
+    # 13 modes exceed DIM_CAP at any cutoff; the mode count is checked
+    # before a circle's members or a promoted polynomial is built
+    @pytest.mark.parametrize("experiment, data", [
+        ("iee", {"ensemble": {"kind": "phase_circle", "modes": 13}}),
+        ("evolve", {"ensemble": {"kind": "phase_circle", "modes": 13}}),
+        ("iee", {"ensemble": {"members": [
+            {"phi": [0] * 13, "pi": [0] * 13, "w": 1}]}}),
+        ("evolve", {"ensemble": {"members": [
+            {"phi": [0] * 13, "pi": [0] * 13, "w": 1}]}}),
+        *[(experiment, {"state": {"phi": [0] * 13, "pi": [0] * 13}})
+          for experiment in ("evolve", "iee", "project", "discrepancy")],
+    ], ids=["iee-circle", "evolve-circle", "iee-members", "evolve-members",
+            "evolve-state", "iee-state", "project-state",
+            "discrepancy-state"])
+    def test_mode_count_over_the_cap_exits_3_before_building(
+            self, tmp_path, capsys, monkeypatch, experiment, data):
+        def built(*args, **kwargs):
+            raise AssertionError("built a phase circle past the cap")
+
+        promote = PolyExpr.promote
+
+        def guarded(self, modes):
+            if modes >= 13:
+                raise AssertionError("promoted a polynomial past the cap")
+            return promote(self, modes)
+
+        monkeypatch.setattr(Ensemble, "phase_circle", built)
+        monkeypatch.setattr(PolyExpr, "promote", guarded)
+        cfg = write_config(tmp_path, "modes.json",
+                           {**data, "cutoff": 2, "seed": 1})
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: 13 modes at cutoff 2" in err
+        assert str(DIM_CAP) in err
 
     # math.comb(2000, k) * a**k cannot be converted to a float
     @pytest.mark.parametrize("experiment, data", [

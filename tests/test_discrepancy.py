@@ -6,10 +6,9 @@ import pytest
 from fockdm import discrepancy, states
 from fockdm.algebra import poly_to_normal_form
 from fockdm.discrepancy import (
-    classical_flux,
     discrepancy_closed_form,
-    discrepancy_direct,
     discrepancy_report,
+    ensemble_fluxes,
     flux_operator,
     iee_check,
     quantum_flux,
@@ -38,6 +37,13 @@ def oscillator(m):
 def random_state(rng, modes=1, scale=0.7):
     return ClassicalState(rng.uniform(-scale, scale, modes),
                           rng.uniform(-scale, scale, modes))
+
+
+def classical_flux(state, observable, hamiltonian):
+    # g_dot of the state, an ensemble of one
+    [row] = ensemble_fluxes(Ensemble.pure(state), hamiltonian, [observable],
+                            32)
+    return row.g_dot
 
 
 class TestQuantumFlux:
@@ -103,7 +109,7 @@ class TestDiscrepancyDirect:
         for _ in range(10):
             g = random_poly(rng, modes=1, degree=4, terms=5)
             s = random_state(rng)
-            rep = discrepancy_direct(s, g, H, 32)
+            rep = discrepancy_report(s, g, H, 32)
             assert abs(rep.direct) <= 1e-8
 
     def test_linear_observables_always_agree(self):
@@ -112,12 +118,12 @@ class TestDiscrepancyDirect:
             H = random_poly(rng, modes=1, degree=3, terms=5)
             s = random_state(rng)
             for text in ("phi1", "pi1"):
-                rep = discrepancy_direct(s, parse_poly(text, {}), H, 32)
+                rep = discrepancy_report(s, parse_poly(text, {}), H, 32)
                 assert abs(rep.direct) <= 1e-8
 
     def test_oscillator_worked_example(self):
         # mass-2 oscillator with g = phi pi: the gap is -(m-1)/2 = -1/2
-        rep = discrepancy_direct(state1(1.0, 0.0), parse_poly("phi1*pi1", {}),
+        rep = discrepancy_report(state1(1.0, 0.0), parse_poly("phi1*pi1", {}),
                                  oscillator(2.0), 32)
         assert abs(rep.direct - (-0.5)) <= 1e-8
 
@@ -216,9 +222,9 @@ class TestClosedForm:
         v1, _ = discrepancy_closed_form(s, g1, H)
         v2, _ = discrepancy_closed_form(s, g2, H)
         assert abs(v12 - (a * v1 + b * v2)) <= 1e-10
-        d12 = discrepancy_direct(s, g1 * a + g2 * b, H, 32).direct
-        d1 = discrepancy_direct(s, g1, H, 32).direct
-        d2 = discrepancy_direct(s, g2, H, 32).direct
+        d12 = discrepancy_report(s, g1 * a + g2 * b, H, 32).direct
+        d1 = discrepancy_report(s, g1, H, 32).direct
+        d2 = discrepancy_report(s, g2, H, 32).direct
         assert abs(d12 - (a * d1 + b * d2)) <= 1e-10
 
 
@@ -226,7 +232,7 @@ class TestEnsembleDiscrepancy:
     def test_average_of_constant_gap(self):
         e = Ensemble.phase_circle(1.0, 16)
         g, H = parse_poly("phi1*pi1", {}), oscillator(2.0)
-        direct = iee_check(e, H, [g], 32).rows[0].discrepancy
+        direct = iee_check(e, H, [g], 32).rows[0].direct
         closed = e.average(lambda s: discrepancy_closed_form(s, g, H)[0])
         assert abs(direct - (-0.5)) <= 1e-8
         assert abs(closed - (-0.5)) <= 1e-12
@@ -314,7 +320,7 @@ class TestIEECheck:
         e = Ensemble.phase_circle(1.0, 64)
         report = iee_check(e, oscillator(2.0), [parse_poly("phi1*pi1", {})], 32)
         assert not report.equilibrium
-        assert abs(report.rows[0].discrepancy - (-0.5)) <= 1e-7
+        assert abs(report.rows[0].direct - (-0.5)) <= 1e-7
 
     def test_one_flux_operator_per_observable(self, monkeypatch):
         calls = []
@@ -333,7 +339,7 @@ class TestIEECheck:
         assert len(calls) == 3
 
     def test_fluxes_are_read_off_member_vectors(self, monkeypatch):
-        # neither iee_check nor discrepancy_direct forms a moment matrix
+        # neither iee_check nor discrepancy_report forms a moment matrix
         def dense(*args):
             raise AssertionError("formed a dense moment matrix")
 
@@ -342,21 +348,21 @@ class TestIEECheck:
                 monkeypatch.setattr(module, name, dense, raising=False)
         g, H = parse_poly("phi1*pi1", {}), oscillator(2.0)
         report = iee_check(Ensemble.phase_circle(1.0, 16), H, [g], 32)
-        assert abs(report.rows[0].discrepancy - (-0.5)) <= 1e-8
-        rep = discrepancy_direct(state1(1.0, 0.0), g, H, 32)
+        assert abs(report.rows[0].direct - (-0.5)) <= 1e-8
+        rep = discrepancy_report(state1(1.0, 0.0), g, H, 32)
         assert abs(rep.direct - (-0.5)) <= 1e-8
 
     def test_members_are_read_in_blocks_of_at_most_dim(self, monkeypatch):
         # 40 members at dim 8: five blocks of 8 columns, never one 8 x 40
         widths = []
-        block = discrepancy.member_block
+        blocks = Ensemble.member_blocks
 
-        def recorded(members, cutoff):
-            out = block(members, cutoff)
-            widths.append(out.vectors.shape)
-            return out
+        def recorded(ensemble, cutoff):
+            for block in blocks(ensemble, cutoff):
+                widths.append(block.vectors.shape)
+                yield block
 
-        monkeypatch.setattr(discrepancy, "member_block", recorded)
+        monkeypatch.setattr(Ensemble, "member_blocks", recorded)
         e = Ensemble.phase_circle(0.8, 40)
         H = parse_poly("0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^4", {})
         gs = [parse_poly("phi1*pi1", {}), parse_poly("phi1^2", {})]
@@ -371,3 +377,15 @@ class TestIEECheck:
         e = Ensemble.from_states([state1(0.9, 0.1), state1(0.2, -0.5)])
         report = iee_check(e, oscillator(1.0), [parse_poly("phi1^2", {})], 24)
         assert not report.equilibrium
+
+    def test_a_state_is_an_ensemble_of_one(self):
+        # discrepancy_report and iee_check read both fluxes in one routine,
+        # so a pure state gives the same numbers down to the sign of a zero
+        H = oscillator(2.0)
+        for s in (state1(0.0, 1.0), state1(0.5, -0.3)):
+            for text in ("phi1", "pi1^2", "phi1*pi1"):
+                g = parse_poly(text, {})
+                rep = discrepancy_report(s, g, H, 16)
+                [row] = iee_check(Ensemble.pure(s), H, [g], 16).rows
+                assert repr((rep.g_hat, rep.g_dot)) \
+                    == repr((row.g_hat, row.g_dot))

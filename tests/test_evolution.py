@@ -37,6 +37,7 @@ from fockdm.states import (
     ensemble_density,
     expectation,
     integrate_state,
+    pseudo_wavefunction,
     pure_density,
 )
 
@@ -214,6 +215,20 @@ class TestMemberRoute:
     def test_non_hermitian_hamiltonian_is_refused(self):
         with pytest.raises(ValueError, match="Hermitian"):
             evolution._eigensystem(AD.power(2), 8)
+
+    def test_unpaired_hamiltonian_is_refused_on_its_words(self, monkeypatch):
+        # the Liouville law and the projection refuse what MasterTerms
+        # refuses, decided on the words: no dense Hermiticity test runs
+        def dense(self):
+            raise AssertionError("ran a dense Hermiticity test")
+
+        monkeypatch.setattr(FockMatrix, "hermiticity_defect", dense)
+        lopsided = number_operator() + AD.power(2)
+        rho = pure_density(state1(0.5, 0.2), 8)
+        with pytest.raises(PairingError):
+            liouville_flow(np.eye(8, 1), np.ones(1), lopsided, 8)
+        with pytest.raises(PairingError):
+            projection_decay(rho, lopsided, (50.0, 100.0))
 
 
 class TestMasterEquation:
@@ -436,14 +451,16 @@ class TestEvolveDensity:
         assert abs(phi_obs - math.cos(1.0)) <= 1e-6
 
     def test_master_iterate_is_bitwise_hermitian(self):
-        # pure_density of this state misses Hermitian symmetry by rounding;
-        # evolve_density symmetrizes it once, and phi1*pi2 gives H_n
-        # complex words, so every stage of the step exercises the fold
+        # the elementwise outer product w w^H of this state misses Hermitian
+        # symmetry by rounding; evolve_density symmetrizes it once, and
+        # phi1*pi2 gives H_n complex words, so every stage of the step
+        # exercises the fold
         D = 6
         H = poly_to_normal_form(parse_poly(
             "0.5*(phi1^2 + pi1^2 + phi2^2 + pi2^2) + 0.3*phi1*pi2", {}))
         state = ClassicalState(np.array([0.3, -0.7]), np.array([0.5, 0.2]))
-        rho0 = pure_density(state, D)
+        w = pseudo_wavefunction(state, D)
+        rho0 = FockMatrix(2, D, np.outer(w, w.conj()))
         assert not np.array_equal(rho0.data, rho0.data.conj().T)
         assert any(np.iscomplex(c) for c in H.words.values())
         out = evolve_density(rho0, MasterTerms(H, D), 0.05, 0.01)

@@ -10,7 +10,6 @@ from fockdm.reify import (
     flow_coeffs,
     m_operator,
     norm_flow_residual,
-    paradox_demo,
     rho_z_trace,
     rotated_annihilation,
     s_operator,
@@ -232,23 +231,26 @@ class TestMOperator:
 
 
 class TestParadoxDemo:
+    # the incompatible pi/4 eigenrelations at alpha = pi/4 - eps, read by
+    # rho_z_trace at one cutoff along the eps grid, far end of the pole first
+    @staticmethod
+    def residuals(cutoff, epsilons):
+        alphas = [math.pi / 4 - eps for eps in epsilons]
+        trace = rho_z_trace(state1(0.5, 0.3), alphas, cutoff,
+                            threshold=math.inf)
+        return trace.residual_a7, trace.residual_a8
+
     def test_residuals_grow_with_cutoff_near_pole(self):
-        rows = paradox_demo(state1(0.5, 0.3), cutoffs=(16, 32, 64),
-                            epsilons=(0.3, 0.03, 0.003))
-        near = {r.cutoff: r for r in rows if r.epsilon == 0.003}
-        assert near[16].residual_a8 < near[32].residual_a8 < near[64].residual_a8
+        near = {cutoff: self.residuals(cutoff, (0.3, 0.03, 0.003))[1][-1]
+                for cutoff in (16, 32, 64)}
+        assert near[16] < near[32] < near[64]
 
     def test_residuals_grow_toward_pole(self):
-        rows = paradox_demo(state1(0.5, 0.3), cutoffs=(64,),
-                            epsilons=(0.3, 0.03, 0.003))
-        by_eps = sorted(rows, key=lambda r: -r.epsilon)
-        vals = [r.residual_a8 for r in by_eps]
+        vals = self.residuals(64, (0.3, 0.03, 0.003))[1]
         assert vals[0] < vals[1] < vals[2]
 
     def test_both_relations_fail_together(self):
         # the two sides are Hermitian conjugates, so their failures agree
-        rows = paradox_demo(state1(0.5, 0.3), cutoffs=(32,),
-                            epsilons=(0.1, 0.01))
-        for r in rows:
-            assert r.residual_a7 == pytest.approx(r.residual_a8, rel=1e-8)
-            assert r.residual_a7 > 0.1  # order-one failure everywhere
+        for r7, r8 in zip(*self.residuals(32, (0.1, 0.01))):
+            assert r7 == pytest.approx(r8, rel=1e-8)
+            assert r7 > 0.1  # order-one failure everywhere

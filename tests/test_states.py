@@ -16,7 +16,6 @@ from fockdm.states import (
     hamilton_rhs,
     integrate_ensemble,
     integrate_state,
-    member_block,
     pseudo_wavefunction,
     pure_density,
 )
@@ -171,6 +170,30 @@ class TestEnsembleDensity:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
         assert np.linalg.eigvalsh(lhs).min() >= -1e-10
 
+    def test_wide_ensemble_is_summed_over_blocks(self, monkeypatch):
+        # 2 dim + 3 members at dim 8 are read in three blocks through the
+        # one member iterator, and sum to the per-member outer products
+        D = 8
+        rng = np.random.default_rng(23)
+        e = Ensemble.from_states(random_states(rng, 2 * D + 3, scale=0.8),
+                                 rng.dirichlet(np.ones(2 * D + 3)))
+        widths = []
+        blocks = Ensemble.member_blocks
+
+        def recorded(ensemble, cutoff):
+            for block in blocks(ensemble, cutoff):
+                widths.append(block.vectors.shape)
+                yield block
+
+        monkeypatch.setattr(Ensemble, "member_blocks", recorded)
+        rho = ensemble_density(e, D).data
+        assert widths == [(D, D), (D, D), (D, 3)]
+        oracle = 0
+        for state, weight in e.members:
+            w = pseudo_wavefunction(state, D)
+            oracle = oracle + weight * np.outer(w, w.conj())
+        assert np.max(np.abs(rho - oracle)) <= 1e-15
+
 
 class TestMemberMatrix:
     def test_columns_and_weights_make_the_density(self):
@@ -178,7 +201,7 @@ class TestMemberMatrix:
                   ClassicalState(np.array([-0.4, 0.0]), np.array([0.6, 0.3])),
                   ClassicalState(np.array([0.0, 0.5]), np.array([-0.9, 0.2]))]
         e = Ensemble.from_states(states, [0.2, 0.3, 0.5])
-        block = member_block(e.members, 6)
+        [block] = e.member_blocks(6)
         vectors, weights = block.vectors, block.weights
         assert (block.modes, block.cutoff) == (2, 6)
         assert vectors.shape == (36, 3)
