@@ -122,7 +122,7 @@ def ladder_expansion(H, n):
         coeff = coeff * (n - k + 1) // k
         if coeff == 0:
             break
-        acc = acc + nested.scale(coeff) * a.power(n - k)
+        acc = acc + nested.scale(coeff) * a ** (n - k)
     return acc
 
 
@@ -138,7 +138,7 @@ def creation_expansion(H, m):
         coeff = coeff * (m - k + 1) // k
         if coeff == 0:
             break
-        acc = acc + ad.power(m - k) * nested.scale(sign * coeff)
+        acc = acc + ad ** (m - k) * nested.scale(sign * coeff)
         sign = -sign
     return acc
 
@@ -247,19 +247,19 @@ def ladder_commutator_expansion(rng, cutoff, samples):
     for trial in range(samples):
         H = random_normal_operator(rng, modes=1, degree=3, words=4)
         for n in range(1, 6):
-            bad += not (commutator(a.power(n), H)
+            bad += not (commutator(a ** n, H)
                         - ladder_expansion(H, n)).is_zero()
-            bad += not (commutator(ad.power(n), H)
+            bad += not (commutator(ad ** n, H)
                         - creation_expansion(H, n)).is_zero()
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        mixed = (creation_expansion(H, m) * a.power(n)
-                 + ad.power(m) * ladder_expansion(H, n))
-        bad += not (commutator(ad.power(m) * a.power(n), H) - mixed).is_zero()
+        mixed = (creation_expansion(H, m) * a ** n
+                 + ad ** m * ladder_expansion(H, n))
+        bad += not (commutator(ad ** m * a ** n, H) - mixed).is_zero()
         if trial < samples // 10:
             hm = realize_matrix(H, cutoff).data
             for n in (1, 2, 3):
-                sym = realize_matrix(commutator(a.power(n), H), cutoff).data
-                an = realize_matrix(a.power(n), cutoff).data
+                sym = realize_matrix(commutator(a ** n, H), cutoff).data
+                an = realize_matrix(a ** n, cutoff).data
                 margin = H.max_mode_degree() + n
                 diff = np.abs(interior_block(sym - (an @ hm - hm @ an), 1,
                                              cutoff, margin))
@@ -270,19 +270,19 @@ def ladder_commutator_expansion(rng, cutoff, samples):
         H2 = random_two_mode_hamiltonian(rng)
         c_ab = commutator(a1, commutator(a2, H2))
         for n, m in ((1, 1), (2, 2), (3, 2)):
-            cross = commutator(a1.power(n), commutator(a2.power(m), H2))
-            split = (commutator(a1.power(n), H2) * a2.power(m)
-                     + commutator(a2.power(m), H2) * a1.power(n) + cross)
-            bad += not (commutator(a1.power(n) * a2.power(m), H2)
+            cross = commutator(a1 ** n, commutator(a2 ** m, H2))
+            split = (commutator(a1 ** n, H2) * a2 ** m
+                     + commutator(a2 ** m, H2) * a1 ** n + cross)
+            bad += not (commutator(a1 ** n * a2 ** m, H2)
                         - split).is_zero()
-            rhs = c_ab.scale(m * n) * (a1.power(n - 1) * a2.power(m - 1))
+            rhs = c_ab.scale(m * n) * (a1 ** (n - 1) * a2 ** (m - 1))
             if n >= 2:
                 rhs = rhs + commutator(a1, c_ab).scale(m * n * (n - 1) / 2) \
-                    * (a1.power(n - 2) * a2.power(m - 1))
+                    * (a1 ** (n - 2) * a2 ** (m - 1))
             if m >= 2:
                 rhs = rhs + commutator(a1, commutator(a2, commutator(a2, H2))) \
                     .scale(m * (m - 1) * n / 2) \
-                    * (a1.power(n - 1) * a2.power(m - 2))
+                    * (a1 ** (n - 1) * a2 ** (m - 2))
             bad += not (cross - rhs).is_zero()
     symbolic = ("symbolic residuals empty" if bad == 0
                 else f"{bad} symbolic residuals nonzero")

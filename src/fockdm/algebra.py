@@ -7,10 +7,9 @@ this form with the commutation rule a adag = adag a + 1, one mode at a time:
 
     a^r adag^l = sum_k k! C(r,k) C(l,k) adag^(l-k) a^(r-k)
 
-Coefficients are complex doubles; after every operation words whose
-coefficient magnitude falls below ``poly.DROP_TOL`` are dropped, so exact
-identities cancel to the empty operator, and a coefficient that is not
-finite raises FloatingPointError.
+The words are the terms of a ``poly.CanonicalSum`` keyed by (create,
+annih), kept canonical like a polynomial's, so exact identities cancel to
+the empty operator.
 """
 
 from __future__ import annotations
@@ -18,35 +17,31 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
-from .poly import DROP_TOL, MultiIndex, PolyExpr, finite_coefficient
+from .poly import CanonicalSum, MultiIndex, PolyExpr
 
 WordKey = tuple[MultiIndex, MultiIndex]
 
 
-class NormalFormOperator:
+class NormalFormOperator(CanonicalSum):
     """Canonical sum of normal-ordered words, merged by (create, annih)."""
 
-    __slots__ = ("modes", "words")
+    _space = __slots__ = ("modes",)
 
-    def __init__(self, modes: int, words: Mapping[WordKey, complex] | None = None):
+    def __init__(self, modes: int, terms: Mapping[WordKey, complex] | None = None):
         if modes < 1:
             raise ValueError("modes must be >= 1")
-        clean: dict[WordKey, complex] = {}
-        if words:
-            for (create, annih), coeff in words.items():
-                if len(create) != modes or len(annih) != modes:
-                    raise ValueError(f"word {(create, annih)} does not match "
-                                     f"{modes} modes")
-                c = finite_coefficient(coeff)
-                if abs(c) > DROP_TOL:
-                    key = (tuple(create), tuple(annih))
-                    clean[key] = finite_coefficient(clean.get(key, 0.0) + c)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "words",
-                           {k: v for k, v in clean.items() if abs(v) > DROP_TOL})
+        super().__init__(modes, terms)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("NormalFormOperator is immutable")
+    def _key(self, word) -> WordKey:
+        create, annih = word
+        if len(create) != self.modes or len(annih) != self.modes:
+            raise ValueError(f"word {word} does not match {self.modes} modes")
+        return tuple(create), tuple(annih)
+
+    @property
+    def words(self) -> dict[WordKey, complex]:
+        """The terms under their older name, which perfbench/tracer.py reads."""
+        return self.terms
 
     # -- constructors --------------------------------------------------------
 
@@ -78,49 +73,21 @@ class NormalFormOperator:
         annih = tuple(annih)
         return cls(len(create), {(create, annih): coeff})
 
-    # -- queries ---------------------------------------------------------------
-
-    def is_zero(self, tol: float = DROP_TOL) -> bool:
-        return all(abs(c) <= tol for c in self.words.values())
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.words.values()), default=0.0)
+    # -- algebra -----------------------------------------------------------------
 
     def max_mode_degree(self) -> int:
         """Largest create+annih exponent any single mode carries in a word."""
         return max((max(c + r for c, r in zip(create, annih))
-                    for create, annih in self.words), default=0)
+                    for create, annih in self.terms), default=0)
 
-    def approx_eq(self, other: "NormalFormOperator", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs_coeff() <= tol
-
-    def __eq__(self, other):
+    def _align(self, other):
+        if isinstance(other, (int, float, complex)):
+            return self, NormalFormOperator.identity(self.modes).scale(other)
         if not isinstance(other, NormalFormOperator):
             return NotImplemented
-        return self.modes == other.modes and self.words == other.words
-
-    def __hash__(self):
-        return hash((self.modes, tuple(sorted(self.words.items()))))
-
-    # -- algebra -----------------------------------------------------------------
-
-    def __add__(self, other: "NormalFormOperator") -> "NormalFormOperator":
-        self._check(other)
-        words = dict(self.words)
-        for key, c in other.words.items():
-            words[key] = words.get(key, 0.0) + c
-        return NormalFormOperator(self.modes, words)
-
-    def __sub__(self, other: "NormalFormOperator") -> "NormalFormOperator":
-        return self + (-other)
-
-    def __neg__(self) -> "NormalFormOperator":
-        return NormalFormOperator(self.modes,
-                                  {k: -v for k, v in self.words.items()})
-
-    def scale(self, factor: complex) -> "NormalFormOperator":
-        return NormalFormOperator(self.modes,
-                                  {k: factor * v for k, v in self.words.items()})
+        if self.modes != other.modes:
+            raise ValueError("mode count mismatch")
+        return self, other
 
     def __mul__(self, other):
         if isinstance(other, NormalFormOperator):
@@ -129,38 +96,23 @@ class NormalFormOperator:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only with a non-operator on the left
 
     def adjoint(self) -> "NormalFormOperator":
         """Hermitian conjugate; swaps creation and annihilation words."""
         return NormalFormOperator(
             self.modes,
             {(annih, create): coeff.conjugate()
-             for (create, annih), coeff in self.words.items()})
-
-    def power(self, n: int) -> "NormalFormOperator":
-        if n < 0:
-            raise ValueError("operator powers must be nonnegative")
-        out = NormalFormOperator.identity(self.modes)
-        for _ in range(n):
-            out = normal_order_product(out, self)
-        return out
-
-    def _check(self, other: "NormalFormOperator"):
-        if self.modes != other.modes:
-            raise ValueError("mode count mismatch")
+             for (create, annih), coeff in self.terms.items()})
 
     # -- presentation ---------------------------------------------------------
 
     def __repr__(self) -> str:
-        if not self.words:
+        if not self.terms:
             return "0"
         bits = []
-        for (create, annih) in sorted(self.words):
-            c = self.words[(create, annih)]
+        for (create, annih) in sorted(self.terms):
+            c = self.terms[(create, annih)]
             factors = []
             for j, e in enumerate(create):
                 if e:
@@ -185,11 +137,11 @@ def _reorder_single_mode(r: int, l: int) -> list[tuple[int, int, int]]:
 def normal_order_product(u: NormalFormOperator,
                          v: NormalFormOperator) -> NormalFormOperator:
     """True operator product u v, rewritten into normal-ordered words."""
-    u._check(v)
+    u._align(v)
     n = u.modes
     words: dict[WordKey, complex] = {}
-    for (c1, r1), a1 in u.words.items():
-        for (c2, r2), a2 in v.words.items():
+    for (c1, r1), a1 in u.terms.items():
+        for (c2, r2), a2 in v.terms.items():
             # per-mode reordering of the inner block a^r1 adag^c2
             options = [_reorder_single_mode(r1[j], c2[j]) for j in range(n)]
             stack = [((), (), a1 * a2)]
@@ -236,8 +188,8 @@ def hermitian_pair_check(op: NormalFormOperator, tol: float = 1e-12) -> bool:
     present with the complex conjugate coefficient, which makes the operator
     Hermitian.
     """
-    for (create, annih), coeff in op.words.items():
-        mate = op.words.get((annih, create))
+    for (create, annih), coeff in op.terms.items():
+        mate = op.terms.get((annih, create))
         if mate is None or abs(mate - coeff.conjugate()) > tol * max(1.0, abs(coeff)):
             return False
     return True
@@ -271,7 +223,6 @@ def random_normal_operator(rng, modes: int = 1, degree: int = 3,
             mate = (key[1], key[0])
             out[mate] = out.get(mate, 0.0) + coeff.conjugate()
     if not out:
-        e = (0,) * modes
         one = tuple(1 if j == 0 else 0 for j in range(modes))
         out = {(one, one): 1.0}
     return NormalFormOperator(modes, out)

@@ -116,7 +116,7 @@ class ExperimentConfig:
     seed: int | None = None
     out: str = "fockdm-results"
 
-    RANDOMIZED = ("verify", "discrepancy")
+    RANDOMIZED = ("verify",)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -37,9 +37,7 @@ from .fock import (
     compile_operator,
     realize_matrix,
 )
-
-if TYPE_CHECKING:
-    from .states import Ensemble
+from .states import Ensemble, ensemble_density, rk4_step, step_count
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +77,7 @@ class MasterTerms:
         self.dim = check_dimension(n, cutoff)
         zero = (0,) * n
         rows: dict[tuple, dict] = {}
-        for (create, annih), coeff in sorted(hamiltonian.words.items()):
+        for (create, annih), coeff in sorted(hamiltonian.terms.items()):
             if sum(annih):
                 rows.setdefault(create, {})[zero, annih] = \
                     -1j * coeff * sum(annih)
@@ -143,9 +141,6 @@ def density_samples(law: str, ensemble: Ensemble,
     and steps ``ensemble_density`` with evolve_density at dt, yielding
     FockMatrix samples.
     """
-    # states imports rk4_step and step_count from this module
-    from .states import ensemble_density
-
     chunks = [(start, min(start + every, steps))
               for start in range(0, steps, every)]
     if law == "liouville":
@@ -197,31 +192,6 @@ def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(left):
         return left @ right
     return left @ right.real + 1j * (left @ right.imag)
-
-
-def step_count(t: float, dt: float) -> int:
-    """The number of fixed steps dt that make up t.
-
-    t must be a nonnegative integer multiple of dt, up to 1e-9 * max(1, t)
-    in time; the fixed-step integrators of the package all use this rule.
-    """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt = {dt!r} is not a positive number")
-    ratio = t / dt
-    if (not 0 <= ratio < math.inf
-            or abs(t - round(ratio) * dt) > 1e-9 * max(1.0, t)):
-        raise ValueError(f"t = {t!r} is not a nonnegative integer multiple "
-                         f"of dt = {dt!r}")
-    return round(ratio)
-
-
-def rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    """One classic fourth-order Runge-Kutta step of x' = f(x)."""
-    k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def evolve_density(rho0: FockMatrix, terms: MasterTerms, t: float,

@@ -129,7 +129,7 @@ def compile_operator(op: NormalFormOperator, cutoff: int) -> WordTable:
     """
     check_dimension(op.modes, cutoff)
     entries = []
-    for (create, annih), coeff in op.words.items():
+    for (create, annih), coeff in op.terms.items():
         source, target, weights = [], [], []
         for c, a in zip(create, annih):
             length = max(cutoff - max(c, a), 0)

@@ -8,10 +8,10 @@ A polynomial lives in one of two charts over n modes:
 
 Terms are stored sparsely as a map from an exponent multi-index (a tuple of
 2n nonnegative ints, first the phi/z block then the pi/y block) to a complex
-coefficient.  All operations return canonical polynomials: terms with
-|coefficient| <= DROP_TOL are removed and the term order is lexicographic
-on the exponent tuple; a coefficient that is not finite raises
-FloatingPointError.
+coefficient.  The map is a :class:`CanonicalSum`, the store that
+``algebra.NormalFormOperator`` shares: equal keys merge, terms with
+|coefficient| <= DROP_TOL are removed, and a coefficient that is not finite
+raises FloatingPointError.
 
 The text grammar accepted by :func:`parse_poly` (phipi chart only)::
 
@@ -24,7 +24,8 @@ The text grammar accepted by :func:`parse_poly` (phipi chart only)::
 Implicit multiplication is not part of the grammar.  Exponents must be
 nonnegative integer literals.  NAMEs of the form phi<k>/pi<k> are variables;
 any other NAME must appear in the bindings map and is substituted at parse
-time, so the resulting polynomial is purely numeric.
+time, so the resulting polynomial is purely numeric.  Parentheses and unary
+minus signs nest at most MAX_NESTING deep; deeper text is refused.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from typing import Mapping, Sequence
 MultiIndex = tuple[int, ...]
 
 DROP_TOL = 1e-14
+
+# the deepest nesting of parentheses and unary minus signs parse_poly accepts
+MAX_NESTING = 100
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -66,14 +70,107 @@ def finite_coefficient(coeff) -> complex:
     return c
 
 
-def total_degree(index: MultiIndex) -> int:
-    return sum(index)
+class CanonicalSum:
+    """Immutable sparse sum of keys with complex coefficients, kept canonical:
+    equal keys merge, a total with |c| <= DROP_TOL is dropped, and a
+    coefficient that is not finite raises FloatingPointError.
+
+    A subclass names its identity fields in ``_space`` (also its
+    ``__slots__``); its constructor takes those fields, then the terms.  It
+    supplies ``_key`` (check and normalize one key), ``_align`` (the two
+    operands of a sum on one space, a number read as that multiple of the
+    unit, or NotImplemented) and its own product ``__mul__``.
+    """
+
+    __slots__ = ("terms",)
+    _space: tuple[str, ...] = ()
+
+    def __init__(self, *space_and_terms):
+        *space, terms = space_and_terms
+        for name, value in zip(self._space, space):
+            object.__setattr__(self, name, value)
+        clean = {}
+        for key, coeff in (terms or {}).items():
+            key = self._key(key)
+            c = finite_coefficient(coeff)
+            if abs(c) > DROP_TOL:
+                clean[key] = finite_coefficient(clean.get(key, 0.0) + c)
+        object.__setattr__(self, "terms",
+                           {k: v for k, v in clean.items() if abs(v) > DROP_TOL})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _identity(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._space)
+
+    def _like(self, terms):
+        return type(self)(*self._identity(), terms)
+
+    def is_zero(self, tol: float = DROP_TOL) -> bool:
+        return all(abs(c) <= tol for c in self.terms.values())
+
+    def max_abs_coeff(self) -> float:
+        return max((abs(c) for c in self.terms.values()), default=0.0)
+
+    def approx_eq(self, other, tol: float = 1e-12) -> bool:
+        return (self - other).max_abs_coeff() <= tol
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._identity() == other._identity()
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash(self._identity() + (tuple(sorted(self.terms.items())),))
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def scale(self, factor: complex):
+        return self._like({k: factor * v for k, v in self.terms.items()})
+
+    def __add__(self, other):
+        pair = self._align(other)
+        if pair is NotImplemented:
+            return NotImplemented
+        lhs, rhs = pair
+        terms = dict(lhs.terms)
+        for key, c in rhs.terms.items():
+            terms[key] = terms.get(key, 0.0) + c
+        return lhs._like(terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        pair = self._align(other)
+        if pair is NotImplemented:
+            return NotImplemented
+        lhs, rhs = pair
+        return lhs + (-rhs)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, exponent: int):
+        """Integer power by repeated squaring; exponent 0 gives the unit."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("powers must be nonnegative integers")
+        out, base = self._align(1.0)[1], self
+        while exponent:
+            if exponent & 1:
+                out = out * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return out
 
 
-class PolyExpr:
+class PolyExpr(CanonicalSum):
     """Immutable sparse polynomial over one chart."""
 
-    __slots__ = ("chart", "modes", "terms")
+    _space = __slots__ = ("chart", "modes")
 
     def __init__(self, chart: str, modes: int,
                  terms: Mapping[MultiIndex, complex] | None = None):
@@ -81,32 +178,18 @@ class PolyExpr:
             raise ChartError(f"unknown chart {chart!r}")
         if modes < 0:
             raise ValueError("modes must be >= 0")
-        clean: dict[MultiIndex, complex] = {}
-        if terms:
-            width = 2 * modes
-            for exps, coeff in terms.items():
-                if len(exps) != width:
-                    raise ValueError(
-                        f"exponent tuple {exps} does not match {modes} modes")
-                c = finite_coefficient(coeff)
-                if abs(c) > DROP_TOL:
-                    key = tuple(int(e) for e in exps)
-                    if any(e < 0 for e in key):
-                        raise ValueError(f"negative exponent in {exps}")
-                    clean[key] = finite_coefficient(clean.get(key, 0.0) + c)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "terms",
-                           {k: v for k, v in clean.items() if abs(v) > DROP_TOL})
+        super().__init__(chart, modes, terms)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("PolyExpr is immutable")
+    def _key(self, exps) -> MultiIndex:
+        if len(exps) != 2 * self.modes:
+            raise ValueError(
+                f"exponent tuple {exps} does not match {self.modes} modes")
+        key = tuple(int(e) for e in exps)
+        if any(e < 0 for e in key):
+            raise ValueError(f"negative exponent in {exps}")
+        return key
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, chart: str = "phipi", modes: int = 1) -> "PolyExpr":
-        return cls(chart, modes, {})
 
     @classmethod
     def constant(cls, value: complex, chart: str = "phipi",
@@ -135,13 +218,7 @@ class PolyExpr:
         return axis * self.modes + (mode - 1)
 
     def degree(self) -> int:
-        return max((total_degree(k) for k in self.terms), default=0)
-
-    def is_zero(self, tol: float = DROP_TOL) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return max((sum(k) for k in self.terms), default=0)
 
     def promote(self, modes: int) -> "PolyExpr":
         """Embed into a chart with more modes (new variables unused)."""
@@ -160,46 +237,22 @@ class PolyExpr:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "PolyExpr":
-        if isinstance(other, PolyExpr):
-            if other.chart != self.chart:
-                raise ChartError("mixed-chart arithmetic")
-            n = max(self.modes, other.modes)
-            return other.promote(n)
+    def _align(self, other):
+        """Both operands on the larger mode count; a number is a constant."""
         if isinstance(other, (int, float, complex)):
-            return PolyExpr.constant(other, self.chart, self.modes)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
+            return self, PolyExpr.constant(other, self.chart, self.modes)
+        if not isinstance(other, PolyExpr):
             return NotImplemented
-        lhs = self.promote(rhs.modes)
-        terms = dict(lhs.terms)
-        for exps, c in rhs.terms.items():
-            terms[exps] = terms.get(exps, 0.0) + c
-        return PolyExpr(self.chart, lhs.modes, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyExpr(self.chart, self.modes,
-                        {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        if other.chart != self.chart:
+            raise ChartError("mixed-chart arithmetic")
+        n = max(self.modes, other.modes)
+        return self.promote(n), other.promote(n)
 
     def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
+        pair = self._align(other)
+        if pair is NotImplemented:
             return NotImplemented
-        lhs = self.promote(rhs.modes)
+        lhs, rhs = pair
         terms: dict[MultiIndex, complex] = {}
         for e1, c1 in lhs.terms.items():
             for e2, c2 in rhs.terms.items():
@@ -208,32 +261,6 @@ class PolyExpr:
         return PolyExpr(self.chart, lhs.modes, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        out = PolyExpr.constant(1.0, self.chart, self.modes)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyExpr):
-            return NotImplemented
-        return (self.chart == other.chart and self.modes == other.modes
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.chart, self.modes, tuple(sorted(self.terms.items(),
-                                                          key=lambda kv: kv[0]))))
-
-    def approx_eq(self, other: "PolyExpr", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs_coeff() <= tol
 
     # -- calculus ----------------------------------------------------------
 
@@ -391,9 +418,19 @@ class _Parser:
         self.pos = 0
         self.modes_hint = modes
         self.max_mode = 0
+        self.depth = 0
 
     def error(self, message: str, pos: int | None = None) -> PolyParseError:
         return PolyParseError(message, self.pos if pos is None else pos)
+
+    def nested(self, parse) -> PolyExpr:
+        """parse() one level deeper, refused past MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -436,7 +473,7 @@ class _Parser:
     def parse_factor(self) -> PolyExpr:
         if self.peek() == "-":
             self.pos += 1
-            return -self.parse_factor()
+            return -self.nested(self.parse_factor)
         node = self.parse_atom()
         if self.peek() == "^":
             self.pos += 1
@@ -448,7 +485,7 @@ class _Parser:
         start = self.pos
         if ch == "(":
             self.pos += 1
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr)
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.pos += 1

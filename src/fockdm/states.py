@@ -13,6 +13,9 @@ per column of W, at most dim members each; a dense ``FockMatrix`` is the
 sum of their ``dense`` products.  Everything here is exact up to ladder
 truncation, which is kept quantitative by the amplitude guard
 |z_j|^2 <= cutoff/4.
+
+Hamilton's equations move the states by fixed-step RK4 (``rk4_step`` and
+the ``step_count`` rule, which evolution's master law shares).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .algebra import poly_to_normal_form
-from .evolution import rk4_step, step_count
 from .fock import FockMatrix, MemberBlock, check_dimension, compile_operator
 from .poly import ChartError, PolyExpr
 
@@ -209,7 +211,7 @@ def poisson_bracket(observable: PolyExpr, hamiltonian: PolyExpr) -> PolyExpr:
     """{g, H} = sum_j dg/dphi_j dH/dpi_j - dg/dpi_j dH/dphi_j on the
     Hamiltonian's modes: the rate of g along Hamilton's equations."""
     g = observable.promote(hamiltonian.modes)
-    total = PolyExpr.zero("phipi", hamiltonian.modes)
+    total = PolyExpr("phipi", hamiltonian.modes)
     for j, (h_phi, h_pi) in enumerate(zip(*_gradients(hamiltonian)), 1):
         total = (total + g.differentiate(f"phi{j}") * h_pi
                  - g.differentiate(f"pi{j}") * h_phi)
@@ -229,6 +231,31 @@ def _rhs_at(grad_phi, grad_pi, point: np.ndarray):
     phidot = np.array([g.eval(point).real for g in grad_pi])
     pidot = np.array([-g.eval(point).real for g in grad_phi])
     return phidot, pidot
+
+
+def step_count(t: float, dt: float) -> int:
+    """The number of fixed steps dt that make up t.
+
+    t must be a nonnegative integer multiple of dt, up to 1e-9 * max(1, t)
+    in time; the fixed-step integrators of the package all use this rule.
+    """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt = {dt!r} is not a positive number")
+    ratio = t / dt
+    if (not 0 <= ratio < math.inf
+            or abs(t - round(ratio) * dt) > 1e-9 * max(1.0, t)):
+        raise ValueError(f"t = {t!r} is not a nonnegative integer multiple "
+                         f"of dt = {dt!r}")
+    return round(ratio)
+
+
+def rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
+    """One classic fourth-order Runge-Kutta step of x' = f(x)."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def integrate_state(hamiltonian: PolyExpr, state: ClassicalState,

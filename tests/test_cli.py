@@ -49,6 +49,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig.from_json({"experiment": "verify"})
 
+    def test_discrepancy_needs_no_seed(self, tmp_path):
+        assert ExperimentConfig.from_json(
+            {"experiment": "discrepancy"}).seed is None
+        cfg = write_config(tmp_path, "disc.json", {
+            k: v for k, v in DISC_CONFIG.items() if k != "seed"})
+        out = tmp_path / "out"
+        assert main(["discrepancy", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] is None
+
     def test_negative_dt_rejected(self):
         with pytest.raises(ConfigError, match="dt"):
             ExperimentConfig.from_json({"experiment": "evolve", "dt": -0.1})
@@ -427,6 +437,39 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {name}:")
         assert not (tmp_path / "out").exists()
+
+    # parentheses and unary minus signs nest at most poly.MAX_NESTING deep,
+    # well inside Python's recursion limit
+    @pytest.mark.parametrize("hamiltonian", [
+        "(" * 300 + "phi1" + ")" * 300, "-" * 1200 + "phi1^2"],
+        ids=["parentheses", "minus-signs"])
+    def test_deep_nesting_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                   hamiltonian):
+        cfg = write_config(tmp_path, "deep.json",
+                           {"hamiltonian": hamiltonian, "seed": 1})
+        code = main(["discrepancy", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: hamiltonian: nesting deeper")
+        assert not (tmp_path / "out").exists()
+
+    # a valid config whose check has no off-diagonal content to measure:
+    # every row reads 0 and the band is infinite, so the check fails
+    @pytest.mark.parametrize("data", [
+        {"hamiltonian": "1"}, {"hamiltonian": "0"},
+        {"state": {"phi": [0.0], "pi": [0.0]}}],
+        ids=["constant-hamiltonian", "zero-hamiltonian", "vacuum-state"])
+    def test_project_with_nothing_to_decay_exits_1(self, tmp_path, data):
+        cfg = write_config(tmp_path, "flat.json", data)
+        out = tmp_path / "out"
+        assert main(["project", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = [line.split(",") for line in
+                (out / "results.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(row[1] == row[2] == "0" for row in rows)
+        [check] = json.loads((out / "manifest.json").read_text())["checks"]
+        assert check["value"] == "inf" and not check["passed"]
 
     # every coefficient is finite, but the realized phi^4 term is not
     @pytest.mark.parametrize("experiment, data", [

@@ -20,8 +20,6 @@ from fockdm.evolution import (
     liouville_flow,
     master_rhs,
     projection_decay,
-    rk4_step,
-    step_count,
     time_average_project,
 )
 from fockdm.fock import (
@@ -39,6 +37,8 @@ from fockdm.states import (
     integrate_state,
     pseudo_wavefunction,
     pure_density,
+    rk4_step,
+    step_count,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -214,7 +214,7 @@ class TestMemberRoute:
 
     def test_non_hermitian_hamiltonian_is_refused(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            evolution._eigensystem(AD.power(2), 8)
+            evolution._eigensystem(AD ** 2, 8)
 
     def test_unpaired_hamiltonian_is_refused_on_its_words(self, monkeypatch):
         # the Liouville law and the projection refuse what MasterTerms
@@ -223,7 +223,7 @@ class TestMemberRoute:
             raise AssertionError("ran a dense Hermiticity test")
 
         monkeypatch.setattr(FockMatrix, "hermiticity_defect", dense)
-        lopsided = number_operator() + AD.power(2)
+        lopsided = number_operator() + AD ** 2
         rho = pure_density(state1(0.5, 0.2), 8)
         with pytest.raises(PairingError):
             liouville_flow(np.eye(8, 1), np.ones(1), lopsided, 8)
@@ -233,7 +233,7 @@ class TestMemberRoute:
 
 class TestMasterEquation:
     def test_requires_hermitian_pairing(self):
-        lopsided = NormalFormOperator.annihilation().power(2)
+        lopsided = NormalFormOperator.annihilation() ** 2
         with pytest.raises(PairingError):
             MasterTerms(lopsided, 8)
 
@@ -284,7 +284,7 @@ class TestMasterEquation:
 
             def half(rho):
                 out = np.zeros((dim, dim), dtype=complex)
-                for (create, annih), coeff in H.words.items():
+                for (create, annih), coeff in H.terms.items():
                     out += -1j * coeff * sum(annih) * (
                         word(zero, annih) @ rho @ word(create, zero))
                     for j in range(modes):
@@ -368,7 +368,7 @@ class TestMasterEquation:
             rho = random_hermitian(rng, D)
             rho_prime = np.zeros((D, D), dtype=complex)
             a = realize_matrix(A, D).data
-            for (create, annih), coeff in H.words.items():
+            for (create, annih), coeff in H.terms.items():
                 # [adag, a^R] and [a, adag^L], taken symbolically
                 word_r = NormalFormOperator(1, {((0,), annih): 1.0})
                 word_l = NormalFormOperator(1, {(create, (0,)): 1.0})
@@ -462,7 +462,7 @@ class TestEvolveDensity:
         w = pseudo_wavefunction(state, D)
         rho0 = FockMatrix(2, D, np.outer(w, w.conj()))
         assert not np.array_equal(rho0.data, rho0.data.conj().T)
-        assert any(np.iscomplex(c) for c in H.words.values())
+        assert any(np.iscomplex(c) for c in H.terms.values())
         out = evolve_density(rho0, MasterTerms(H, D), 0.05, 0.01)
         assert np.array_equal(out.data, out.data.conj().T)
         assert np.max(np.abs(out.data - rho0.data)) > 1e-3

@@ -40,7 +40,7 @@ def ladder_oracle(op, cutoff):
     mode 1 is the slowest index, as in the package."""
     a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
     out = np.zeros((cutoff ** op.modes,) * 2, dtype=complex)
-    for (create, annih), coeff in op.words.items():
+    for (create, annih), coeff in op.terms.items():
         mat = np.eye(1, dtype=complex)
         for c, r in zip(create, annih):
             mat = np.kron(mat, np.linalg.matrix_power(a.conj().T, c)
@@ -170,8 +170,8 @@ class TestRealize:
         for _ in range(10):
             H = random_normal_operator(rng, modes=1, degree=3, words=4)
             for n in (1, 2, 3):
-                sym = realize_matrix(commutator(A.power(n), H), D).data
-                an = realize_matrix(A.power(n), D).data
+                sym = realize_matrix(commutator(A ** n, H), D).data
+                an = realize_matrix(A ** n, D).data
                 hm = realize_matrix(H, D).data
                 mat = an @ hm - hm @ an
                 margin = H.max_mode_degree() + n

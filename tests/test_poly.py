@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from fockdm.algebra import NormalFormOperator
 from fockdm.poly import (
+    DROP_TOL,
+    MAX_NESTING,
     ChartError,
     PolyExpr,
     PolyParseError,
@@ -56,6 +59,18 @@ class TestParsing:
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(PolyParseError):
             parse_poly("2phi1", {})
+
+    def test_nesting_ceiling(self):
+        half = MAX_NESTING // 2
+        deep = "(" * half + "-" * half + "phi1" + ")" * half
+        assert parse_poly(deep, {}) == poly_from({(1, 0): 1.0})
+        for text in ("(" + deep + ")", "-" + deep):
+            with pytest.raises(PolyParseError, match="nesting deeper"):
+                parse_poly(text, {})
+
+    def test_long_flat_sum_is_accepted(self):
+        p = parse_poly(" + ".join(["phi1*pi1"] * 20000), {})
+        assert p == poly_from({(1, 1): 20000.0})
 
     def test_print_parse_round_trip(self):
         rng = np.random.default_rng(7)
@@ -182,16 +197,67 @@ class TestEval:
             parse_poly("phi1", {}).eval([1.0])
 
 
-class TestNonFiniteCoefficients:
+# polynomials in both charts and operators share one canonical store: a
+# factory from {(i, j): coeff} on one mode, and that space's unit
+CANONICAL_KINDS = {
+    "phipi": (lambda terms: PolyExpr("phipi", 1, terms),
+              PolyExpr.constant(1.0, "phipi", 1)),
+    "zy": (lambda terms: PolyExpr("zy", 1, terms),
+           PolyExpr.constant(1.0, "zy", 1)),
+    "operator": (lambda terms: NormalFormOperator(
+        1, {((i,), (j,)): c for (i, j), c in terms.items()}),
+        NormalFormOperator.identity(1)),
+}
+
+
+@pytest.mark.parametrize("kind", CANONICAL_KINDS)
+class TestCanonicalSum:
     # abs(nan) > DROP_TOL is False, so a nan coefficient would otherwise be
     # dropped as if it were zero
     @pytest.mark.parametrize(
-        "coeff", [math.nan, math.inf, complex(0, math.nan)],
-        ids=["nan", "inf", "nan-imaginary"])
-    def test_constructor_raises(self, coeff):
+        "coeff", [math.nan, -math.inf, complex(0, math.nan),
+                  complex(math.inf) - math.inf],
+        ids=["nan", "inf", "nan-imaginary", "inf-minus-inf"])
+    def test_non_finite_coefficient_raises(self, kind, coeff):
+        make, _ = CANONICAL_KINDS[kind]
         with pytest.raises(FloatingPointError):
-            poly_from({(2, 0): coeff, (0, 2): 1.0})
+            make({(2, 0): coeff, (0, 2): 1.0})
 
+    def test_overflowing_merge_raises(self, kind):
+        make, _ = CANONICAL_KINDS[kind]
+        big = make({(1, 1): 1e308})
+        with pytest.raises(FloatingPointError):
+            big + big
+
+    def test_merged_total_at_or_below_drop_tol_is_dropped(self, kind):
+        make, _ = CANONICAL_KINDS[kind]
+        one = make({(0, 1): 1.0})
+        # each term is above DROP_TOL, and their sum is DROP_TOL exactly
+        a, b = 2.375e-14, -1.375e-14
+        assert a + b == DROP_TOL
+        assert make({(1, 0): a}) + make({(1, 0): b}) + one == one
+        above = make({(1, 0): 3 * DROP_TOL}) - make({(1, 0): DROP_TOL})
+        assert not above.is_zero(tol=0.0)
+        assert (one - one).terms == {}
+
+    def test_assignment_raises(self, kind):
+        make, _ = CANONICAL_KINDS[kind]
+        x = make({(1, 0): 1.0})
+        with pytest.raises(AttributeError, match="immutable"):
+            x.terms = {}
+        with pytest.raises(AttributeError, match="immutable"):
+            x.modes = 2
+
+    def test_integer_powers(self, kind):
+        make, unit = CANONICAL_KINDS[kind]
+        x = make({(1, 0): 2.0})
+        assert x ** 0 == unit
+        assert x ** 5 == x * x * x * x * x
+        with pytest.raises(ValueError):
+            x ** -1
+
+
+class TestNonFiniteCoefficients:
     @pytest.mark.parametrize("text, bindings", [
         ("0.5*pi1^2 + 0.5*m*phi1^2", {"m": math.nan}),
         # 1e308*1e308 is inf, and inf - inf is nan
