@@ -37,7 +37,7 @@ from .algebra import poly_to_normal_form
 from .discrepancy import IEE_TOLERANCE, discrepancy_report, iee_check
 from .evolution import density_samples, projection_decay, step_count
 from .fock import DimensionCapError, check_dimension, compile_operator
-from .poly import PolyExpr, PolyParseError, parse_poly
+from .poly import PolyExpr, PolyParseError, ProductSizeError, parse_poly
 from .reify import PoleError, flow_coeffs, rho_z_trace
 from .states import (
     AmplitudeOverflowError,
@@ -72,11 +72,12 @@ def _is_positive_int(value) -> bool:
 
 
 def _parse(name: str, text: str, bindings: dict) -> PolyExpr:
-    """parse_poly, with a parse error or a coefficient that is not a finite
-    number reported as a configuration error naming the field."""
+    """parse_poly, with a parse error, a product over the term-pair ceiling
+    or a coefficient that is not a finite number reported as a
+    configuration error naming the field."""
     try:
         return parse_poly(text, bindings)
-    except PolyParseError as err:
+    except (PolyParseError, ProductSizeError) as err:
         raise ConfigError(f"{name}: {err}") from err
     except FloatingPointError as err:
         raise ConfigError(f"{name}: {text!r} has a coefficient that is not "
@@ -518,7 +519,8 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (AmplitudeOverflowError, DimensionCapError, FloatingPointError,
-            OverflowError, PoleError, np.linalg.LinAlgError) as err:
+            OverflowError, PoleError, ProductSizeError,
+            np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except MemoryError:

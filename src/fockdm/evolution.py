@@ -3,7 +3,8 @@
 * The quantum Liouville law rhodot = -i [H_n, rho], applied exactly to the
   members of rho = W diag(p) W^H in the eigenbasis of H_n: every column
   moves as U w with U = exp(-i t H_n), and each sample stays a member block
-  (fock.MemberBlock).
+  (fock.MemberBlock).  H_n is diagonalized per invariant sector of its
+  words: each connected component of their moves on the number basis.
 * The free-space master equation induced by the classical flow,
 
       rhodot = rho' + rho'^H,
@@ -173,7 +174,8 @@ def liouville_flow(vectors: np.ndarray, weights: np.ndarray,
     rho = W diag(p) W^H.
 
     W (vectors, dim x r) and p (weights, real, possibly signed) are read in
-    the eigenbasis (E, V) of H_n once, X = V^H W, and each call forms
+    the eigenbasis (E, V) of H_n (per invariant sector of its words, by
+    ``_eigensystem``) once, X = V^H W, and each call forms
     Y = V (e^{-iEt} o X): no dim x dim U, and one dim x dim x r product per
     call.  Each call starts from X at its absolute t, so nothing
     accumulates between calls.
@@ -223,16 +225,50 @@ def time_average_project(rho: FockMatrix, hamiltonian: NormalFormOperator,
 
 def _eigensystem(hamiltonian: NormalFormOperator,
                  cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the realized H_n, which must be Hermitian-paired and finite;
-    in real arithmetic when H_n has no imaginary part, as every H_n whose
-    terms all have an even power of pi does."""
+    """eigh of the realized H_n, which must be Hermitian-paired and finite,
+    one batched eigh per size of its invariant sectors, so V is block-
+    diagonal with each sector's eigenpairs in its basis slots; real when
+    H_n has no imaginary part, as when every term has an even power of pi."""
     _check_pairing(hamiltonian)
-    hmat = realize_matrix(hamiltonian, cutoff)
-    if not np.isfinite(hmat.data).all():
+    hmat = realize_matrix(hamiltonian, cutoff).data
+    if not np.isfinite(hmat).all():
         raise FloatingPointError(f"H_n overflows at cutoff {cutoff}")
-    if hmat.data.imag.any():
-        return np.linalg.eigh(hmat.data)
-    return np.linalg.eigh(hmat.data.real)
+    matrix = hmat if hmat.imag.any() else hmat.real
+    label = _sector_labels(hamiltonian, cutoff)
+    size = np.bincount(label)[label]
+    # order lists the states by the width of their sector, then by sector;
+    # the counts[w] states in sectors of width w are consecutive in it
+    order, counts = np.lexsort((label, size)), np.bincount(size)
+    evals, vecs = np.empty(label.size), np.zeros(matrix.shape, matrix.dtype)
+    start = sectors = 0
+    for width in counts.nonzero()[0]:
+        rows = order[start:start + counts[width]].reshape(-1, width)
+        grid = rows[:, :, None], rows[:, None, :]
+        evals[rows], vecs[grid] = np.linalg.eigh(matrix[grid])
+        start, sectors = start + rows.size, sectors + len(rows)
+    log.debug("_eigensystem: sectors=%d largest=%d", sectors, width)
+    return evals, vecs
+
+
+def _sector_labels(hamiltonian: NormalFormOperator,
+                   cutoff: int) -> np.ndarray:
+    """The least basis index in each basis state's sector, a connected
+    component of the moves source -> target of the compiled words: label
+    propagation with pointer jumping on the (D,)*n index tensor, O(words
+    dim) a sweep, never reading the dense matrix; Hermitian pairing
+    supplies each reverse move."""
+    n = hamiltonian.modes
+    moves = compile_operator(NormalFormOperator(n, {
+        w: c for w, c in hamiltonian.terms.items() if w[0] != w[1]}), cutoff)
+    label = np.arange(cutoff ** n)
+    tensor = label.reshape((cutoff,) * n)
+    while True:
+        before = label.tobytes()
+        for target, source, _ in moves.entries:
+            np.minimum(tensor[target], tensor[source], out=tensor[target])
+        label[:] = label[label]
+        if label.tobytes() == before:
+            return label
 
 
 def _time_average(rho: FockMatrix, evals: np.ndarray, vecs: np.ndarray,

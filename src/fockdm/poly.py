@@ -25,7 +25,8 @@ Implicit multiplication is not part of the grammar.  Exponents must be
 nonnegative integer literals.  NAMEs of the form phi<k>/pi<k> are variables;
 any other NAME must appear in the bindings map and is substituted at parse
 time, so the resulting polynomial is purely numeric.  Parentheses and unary
-minus signs nest at most MAX_NESTING deep; deeper text is refused.
+minus signs nest at most MAX_NESTING deep; deeper text is refused, as is a
+product (a power of a long sum, say) of over MAX_TERM_PAIRS term pairs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ DROP_TOL = 1e-14
 
 # the deepest nesting of parentheses and unary minus signs parse_poly accepts
 MAX_NESTING = 100
+# the most term pairs one polynomial product multiplies out (about 0.2 s)
+MAX_TERM_PAIRS = 10 ** 5
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -55,6 +58,10 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class ProductSizeError(ValueError):
+    """Raised before a polynomial product of over MAX_TERM_PAIRS term pairs."""
 
 
 class ChartError(ValueError):
@@ -253,6 +260,10 @@ class PolyExpr(CanonicalSum):
         if pair is NotImplemented:
             return NotImplemented
         lhs, rhs = pair
+        if len(lhs.terms) * len(rhs.terms) > MAX_TERM_PAIRS:
+            raise ProductSizeError(
+                f"a product of {len(lhs.terms)} by {len(rhs.terms)} terms "
+                f"exceeds the ceiling of {MAX_TERM_PAIRS} term pairs")
         terms: dict[MultiIndex, complex] = {}
         for e1, c1 in lhs.terms.items():
             for e2, c2 in rhs.terms.items():

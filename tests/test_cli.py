@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +453,23 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: hamiltonian: nesting deeper")
+        assert not (tmp_path / "out").exists()
+
+    # a power of a long sum is refused before its expansion runs away: the
+    # product that would pass poly.MAX_TERM_PAIRS is never multiplied out
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_runaway_power_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                    experiment):
+        cfg = write_config(tmp_path, "power.json", {
+            "hamiltonian": "(phi1+pi1+phi2+pi2)^60", "seed": 1})
+        start = time.perf_counter()
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: hamiltonian: a product of")
+        assert "term pairs" in err
         assert not (tmp_path / "out").exists()
 
     # a valid config whose check has no off-diagonal content to measure:

@@ -603,3 +603,77 @@ class TestProjectionDecay:
             assert estimate == off * delta
             assert trace_error <= 1e-10
         assert band <= 4.0
+
+
+class TestSectors:
+    # H_n splits the Fock basis into the connected components of its words'
+    # moves; _eigensystem diagonalizes each sector on its own, one batched
+    # eigh per sector size.  Every case below has sectors of one size.
+    OSCILLATORS = "0.5*(pi1^2+phi1^2+pi2^2+phi2^2)"
+    KERR = "0.5*(pi1^2+phi1^2) + 0.05*(phi1^2+pi1^2)^2"
+    CASES = [
+        (KERR, 32, 32),
+        # the benchmark quartic: every word moves each mode by an even step
+        (OSCILLATORS + " + 0.05*phi1^2*phi2^2 + 0.03*phi1^4", 24, 4),
+        # the parity of n1 + n2
+        (OSCILLATORS + " + 0.02*phi1*phi2", 12, 2),
+        # odd powers of pi: a complex H_n, connected by its words
+        (OSCILLATORS + " + 0.02*phi1^3 + 0.1*phi1*pi1*phi2", 12, 1),
+    ]
+
+    @staticmethod
+    def spied_eigensystem(monkeypatch, hamiltonian, cutoff):
+        # the matrix shapes every eigh call sees
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(matrix):
+            shapes.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        evals, vecs = evolution._eigensystem(hamiltonian, cutoff)
+        monkeypatch.undo()
+        return evals, vecs, shapes
+
+    @pytest.mark.parametrize("text, D, sectors", CASES,
+                             ids=["kerr", "quartic", "coupled", "complex"])
+    def test_blocks_rebuild_h_n(self, monkeypatch, text, D, sectors):
+        H = poly_to_normal_form(parse_poly(text, {}))
+        hmat = realize_matrix(H, D).data
+        dim = hmat.shape[0]
+        evals, vecs, shapes = self.spied_eigensystem(monkeypatch, H, D)
+        assert sum(math.prod(shape[:-2]) for shape in shapes) == sectors
+        assert {shape[-1] for shape in shapes} == {dim // sectors}
+        norm = np.max(np.abs(evals))
+        rebuilt = (vecs * evals) @ vecs.conj().T
+        assert np.max(np.abs(rebuilt - hmat)) <= 1e-12 * norm
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) <= 1e-13
+
+    def test_sector_count_is_logged(self, caplog):
+        text, D, _ = self.CASES[1]
+        H = poly_to_normal_form(parse_poly(text, {}))
+        with caplog.at_level("DEBUG", logger="fockdm.evolution"):
+            evolution._eigensystem(H, D)
+        assert "_eigensystem: sectors=4 largest=144" in caplog.text
+
+    def test_levels_degenerate_across_sectors(self, monkeypatch):
+        # two identical uncoupled Kerr modes: every basis state is its own
+        # sector, and (n1, n2), (n2, n1) share one level
+        D = 12
+        H = poly_to_normal_form(parse_poly(
+            self.KERR + " + 0.5*(pi2^2+phi2^2) + 0.05*(phi2^2+pi2^2)^2", {}))
+        evals, _, shapes = self.spied_eigensystem(monkeypatch, H, D)
+        assert shapes == [(D * D, 1, 1)]
+        assert np.min(np.diff(np.sort(evals))) <= 1e-12 * np.max(evals)
+        state = ClassicalState(np.array([0.8, 0.5]), np.array([0.1, -0.3]))
+        rho = pure_density(state, D)
+        weights, vectors = np.linalg.eigh(rho.data)
+        at = liouville_flow(vectors, weights, H, D)
+        for t in (0.0, 0.37, 2.9):
+            want = dense_liouville(rho, H, t)
+            assert np.max(np.abs(at(t).dense().data - want)) <= 1e-12
+        rows, _ = projection_decay(rho, H, TestProjectionDecay.DELTAS)
+        for delta, off, _, _ in rows:
+            oracle = TestProjectionDecay.eigenbasis_offdiagonal(rho, H, delta)
+            assert off == pytest.approx(oracle, rel=1e-8)

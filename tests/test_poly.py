@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockdm import poly
 from fockdm.algebra import NormalFormOperator
 from fockdm.poly import (
     DROP_TOL,
@@ -10,6 +11,7 @@ from fockdm.poly import (
     ChartError,
     PolyExpr,
     PolyParseError,
+    ProductSizeError,
     parse_poly,
     random_poly,
 )
@@ -67,6 +69,15 @@ class TestParsing:
         for text in ("(" + deep + ")", "-" + deep):
             with pytest.raises(PolyParseError, match="nesting deeper"):
                 parse_poly(text, {})
+
+    def test_product_ceiling(self, monkeypatch):
+        # (4 terms)^2 multiplies 16 term pairs, (4 terms)^3 then 4 by 10
+        monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 16)
+        assert len(parse_poly("(phi1+pi1+phi2+pi2)^2", {}).terms) == 10
+        with pytest.raises(ProductSizeError, match="4 by 10 terms"):
+            parse_poly("(phi1+pi1+phi2+pi2)^3", {})
+        with pytest.raises(ProductSizeError):
+            parse_poly("(phi1+pi1+phi2+pi2)^2*(phi1+pi1)", {})
 
     def test_long_flat_sum_is_accepted(self):
         p = parse_poly(" + ".join(["phi1*pi1"] * 20000), {})
