@@ -39,6 +39,7 @@ from .evolution import (
 from .fock import (
     FockMatrix,
     compile_operator,
+    eigensystem,
     interior_indices,
     operator_trace,
     realize_matrix,

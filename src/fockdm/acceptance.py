@@ -36,7 +36,7 @@ from .discrepancy import (
 from .evolution import MasterTerms, master_rhs, projection_decay
 from .fock import interior_block, realize_matrix
 from .poly import parse_poly, random_poly
-from .reify import PoleError, flow_coeffs, m_operator, rho_z_trace, s_operator
+from .reify import PoleError, flow_coeffs, m_operator, rho_z_trace
 from .states import (
     ClassicalState,
     Ensemble,
@@ -406,9 +406,7 @@ def two_mode_escape(rng, cutoff, samples):
             wt = extended_wavefunction(s, D)
             m_norms[D] = float(np.linalg.norm(
                 m_operator(math.pi / 4, 1, D).data @ wt))
-            u = s_operator(math.pi / 4 - 1e-3, D).data \
-                @ pseudo_wavefunction(s, D)
-            s_norms[D] = float(np.linalg.norm(u)) ** 2
+            [s_norms[D]] = rho_z_trace(s, [math.pi / 4 - 1e-3], D).norms
         worst_change = max(worst_change,
                            abs(m_norms[32] - m_norms[16]) / m_norms[16])
         worst_ratio = min(worst_ratio, s_norms[32] / s_norms[16])

@@ -136,24 +136,24 @@ def _reorder_single_mode(r: int, l: int) -> list[tuple[int, int, int]]:
 
 def normal_order_product(u: NormalFormOperator,
                          v: NormalFormOperator) -> NormalFormOperator:
-    """True operator product u v, rewritten into normal-ordered words."""
+    """True operator product u v, rewritten into normal-ordered words;
+    over poly.MAX_TERM_PAIRS word pairs it is refused before any work."""
     u._align(v)
     n = u.modes
     words: dict[WordKey, complex] = {}
-    for (c1, r1), a1 in u.terms.items():
-        for (c2, r2), a2 in v.terms.items():
-            # per-mode reordering of the inner block a^r1 adag^c2
-            options = [_reorder_single_mode(r1[j], c2[j]) for j in range(n)]
-            stack = [((), (), a1 * a2)]
-            for j, opts in enumerate(options):
-                stack = [
-                    (create + (c1[j] + lm,), annih + (rm + r2[j],), coeff * w)
-                    for create, annih, coeff in stack
-                    for (w, lm, rm) in opts
-                ]
-            for create, annih, coeff in stack:
-                key = (create, annih)
-                words[key] = words.get(key, 0.0) + coeff
+    for ((c1, r1), a1), ((c2, r2), a2) in u._pairs(v):
+        # per-mode reordering of the inner block a^r1 adag^c2
+        options = [_reorder_single_mode(r1[j], c2[j]) for j in range(n)]
+        stack = [((), (), a1 * a2)]
+        for j, opts in enumerate(options):
+            stack = [
+                (create + (c1[j] + lm,), annih + (rm + r2[j],), coeff * w)
+                for create, annih, coeff in stack
+                for (w, lm, rm) in opts
+            ]
+        for create, annih, coeff in stack:
+            key = (create, annih)
+            words[key] = words.get(key, 0.0) + coeff
     return NormalFormOperator(n, words)
 
 

@@ -4,7 +4,7 @@
   members of rho = W diag(p) W^H in the eigenbasis of H_n: every column
   moves as U w with U = exp(-i t H_n), and each sample stays a member block
   (fock.MemberBlock).  H_n is diagonalized per invariant sector of its
-  words: each connected component of their moves on the number basis.
+  words (fock.eigensystem), and U is never formed.
 * The free-space master equation induced by the classical flow,
 
       rhodot = rho' + rho'^H,
@@ -30,27 +30,20 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .algebra import NormalFormOperator, hermitian_pair_check
+from .algebra import NormalFormOperator
 from .fock import (
+    Eigensystem,
     FockMatrix,
     MemberBlock,
+    PairingError,
     check_dimension,
+    check_pairing,
     compile_operator,
-    realize_matrix,
+    eigensystem,
 )
 from .states import Ensemble, ensemble_density, rk4_step, step_count
 
 log = logging.getLogger(__name__)
-
-
-class PairingError(ValueError):
-    """The Hamiltonian words do not pair off under Hermitian conjugation."""
-
-
-def _check_pairing(hamiltonian: NormalFormOperator) -> None:
-    """The one Hermiticity test of H_n (laws and projection), on its words."""
-    if not hermitian_pair_check(hamiltonian):
-        raise PairingError("the Hamiltonian operator is not Hermitian-paired")
 
 
 class MasterTerms:
@@ -71,7 +64,7 @@ class MasterTerms:
     """
 
     def __init__(self, hamiltonian: NormalFormOperator, cutoff: int):
-        _check_pairing(hamiltonian)
+        check_pairing(hamiltonian)
         self.modes = hamiltonian.modes
         n = self.modes
         self.cutoff = cutoff
@@ -174,26 +167,18 @@ def liouville_flow(vectors: np.ndarray, weights: np.ndarray,
     rho = W diag(p) W^H.
 
     W (vectors, dim x r) and p (weights, real, possibly signed) are read in
-    the eigenbasis (E, V) of H_n (per invariant sector of its words, by
-    ``_eigensystem``) once, X = V^H W, and each call forms
-    Y = V (e^{-iEt} o X): no dim x dim U, and one dim x dim x r product per
-    call.  Each call starts from X at its absolute t, so nothing
-    accumulates between calls.
+    the eigenbasis (E, V) of H_n (fock.eigensystem) once, X = V^H W, and
+    each call forms Y = V (e^{-iEt} o X) one sector block of V at a time:
+    no dim x dim U or V.  Each call starts from X at its absolute t, so
+    nothing accumulates between calls.
     """
-    evals, basis = _eigensystem(hamiltonian, cutoff)
-    coeffs = _product(basis.conj().T, vectors)
+    eig = eigensystem(hamiltonian, cutoff)
+    coeffs = eig.to_eigenbasis(vectors)
 
     def at(t):
-        y = _product(basis, np.exp(-1j * t * evals)[:, None] * coeffs)
+        y = eig.from_eigenbasis(np.exp(-1j * t * eig.values)[:, None] * coeffs)
         return MemberBlock(hamiltonian.modes, cutoff, y, weights)
     return at
-
-
-def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ right for complex right, in real arithmetic when left is real."""
-    if np.iscomplexobj(left):
-        return left @ right
-    return left @ right.real + 1j * (left @ right.imag)
 
 
 def evolve_density(rho0: FockMatrix, terms: MasterTerms, t: float,
@@ -220,61 +205,13 @@ def evolve_density(rho0: FockMatrix, terms: MasterTerms, t: float,
 def time_average_project(rho: FockMatrix, hamiltonian: NormalFormOperator,
                          delta: float) -> FockMatrix:
     """Trace-normalized time average of e^{iHt} rho e^{-iHt} over [0, delta]."""
-    return _time_average(rho, *_eigensystem(hamiltonian, rho.cutoff), delta)[1]
+    return _time_average(rho, eigensystem(hamiltonian, rho.cutoff), delta)[1]
 
 
-def _eigensystem(hamiltonian: NormalFormOperator,
-                 cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the realized H_n, which must be Hermitian-paired and finite,
-    one batched eigh per size of its invariant sectors, so V is block-
-    diagonal with each sector's eigenpairs in its basis slots; real when
-    H_n has no imaginary part, as when every term has an even power of pi."""
-    _check_pairing(hamiltonian)
-    hmat = realize_matrix(hamiltonian, cutoff).data
-    if not np.isfinite(hmat).all():
-        raise FloatingPointError(f"H_n overflows at cutoff {cutoff}")
-    matrix = hmat if hmat.imag.any() else hmat.real
-    label = _sector_labels(hamiltonian, cutoff)
-    size = np.bincount(label)[label]
-    # order lists the states by the width of their sector, then by sector;
-    # the counts[w] states in sectors of width w are consecutive in it
-    order, counts = np.lexsort((label, size)), np.bincount(size)
-    evals, vecs = np.empty(label.size), np.zeros(matrix.shape, matrix.dtype)
-    start = sectors = 0
-    for width in counts.nonzero()[0]:
-        rows = order[start:start + counts[width]].reshape(-1, width)
-        grid = rows[:, :, None], rows[:, None, :]
-        evals[rows], vecs[grid] = np.linalg.eigh(matrix[grid])
-        start, sectors = start + rows.size, sectors + len(rows)
-    log.debug("_eigensystem: sectors=%d largest=%d", sectors, width)
-    return evals, vecs
-
-
-def _sector_labels(hamiltonian: NormalFormOperator,
-                   cutoff: int) -> np.ndarray:
-    """The least basis index in each basis state's sector, a connected
-    component of the moves source -> target of the compiled words: label
-    propagation with pointer jumping on the (D,)*n index tensor, O(words
-    dim) a sweep, never reading the dense matrix; Hermitian pairing
-    supplies each reverse move."""
-    n = hamiltonian.modes
-    moves = compile_operator(NormalFormOperator(n, {
-        w: c for w, c in hamiltonian.terms.items() if w[0] != w[1]}), cutoff)
-    label = np.arange(cutoff ** n)
-    tensor = label.reshape((cutoff,) * n)
-    while True:
-        before = label.tobytes()
-        for target, source, _ in moves.entries:
-            np.minimum(tensor[target], tensor[source], out=tensor[target])
-        label[:] = label[label]
-        if label.tobytes() == before:
-            return label
-
-
-def _time_average(rho: FockMatrix, evals: np.ndarray, vecs: np.ndarray,
+def _time_average(rho: FockMatrix, eig: Eigensystem,
                   delta: float) -> tuple[np.ndarray, FockMatrix]:
-    """The time average in the eigenbasis (evals, vecs) of H_n, and rotated
-    back to the number basis, both divided by the number-basis trace.
+    """The time average in the eigenbasis (E, V) of H_n, and rotated back to
+    the number basis, both divided by the number-basis trace.
 
     Trapezoid quadrature at step dt = min(0.01, delta/1000).  An energy
     offset E in H - E would cancel between the two exponentials.  Between
@@ -288,14 +225,15 @@ def _time_average(rho: FockMatrix, evals: np.ndarray, vecs: np.ndarray,
         raise ValueError("delta must be positive")
     dt = min(0.01, delta / 1000)
     steps = max(1, int(round(delta / dt)))
-    rho_eig = vecs.conj().T @ rho.data @ vecs
-    h = (evals[:, None] - evals[None, :]) * (dt / 2)
+    # V^H rho V, and V averaged V^H below, as (R (R M)^H)^H
+    rho_eig = eig.to_eigenbasis(eig.to_eigenbasis(rho.data).conj().T).conj().T
+    h = (eig.values[:, None] - eig.values[None, :]) * (dt / 2)
     h -= math.pi * np.round(h / math.pi)
     zero = h == 0
     phase_sum = np.where(zero, steps, np.exp(1j * steps * h) * np.sin(steps * h)
                          / np.tan(np.where(zero, 1.0, h)))
     averaged = rho_eig * phase_sum * (dt / delta)
-    out = vecs @ averaged @ vecs.conj().T
+    out = eig.from_eigenbasis(eig.from_eigenbasis(averaged).conj().T).conj().T
     norm = np.trace(out).real
     return averaged / norm, FockMatrix(rho.modes, rho.cutoff, out / norm)
 
@@ -311,11 +249,11 @@ def projection_decay(rho: FockMatrix, hamiltonian: NormalFormOperator,
     max/min of off * delta, infinite when some average has none left.
     H_n is realized and diagonalized once for the mask and every delta.
     """
-    evals, vecs = _eigensystem(hamiltonian, rho.cutoff)
-    gap = np.abs(evals[:, None] - evals[None, :]) > 1e-9
+    eig = eigensystem(hamiltonian, rho.cutoff)
+    gap = np.abs(eig.values[:, None] - eig.values[None, :]) > 1e-9
     rows = []
     for delta in deltas:
-        averaged, out = _time_average(rho, evals, vecs, delta)
+        averaged, out = _time_average(rho, eig, delta)
         off = float(np.max(np.abs(averaged[gap]))) if gap.any() else 0.0
         rows.append((delta, off, off * delta, abs(out.trace() - 1.0)))
     estimates = [row[2] for row in rows]

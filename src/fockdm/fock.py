@@ -13,10 +13,10 @@ source, scale) entry per word with the coefficient folded into the scale,
 and every consumer reads that table.  ``operator_trace`` reads Tr(rho op)
 off a dense rho, ``block_trace`` reads sum_k p_k <w_k|op w_k> off a block of
 member vectors without forming rho, ``realize_matrix`` writes the dense
-matrix (kept for eigendecompositions, reification and test oracles), and
-the master law takes its rows from it.  A moment matrix is a ``FockMatrix``
-or, held as its members W and weights p, a ``MemberBlock``; both read a
-table through ``expect``.
+matrix (kept for ``eigensystem``, the one spectral primitive, and test
+oracles), and the master law takes its rows from it.  A moment matrix is a
+``FockMatrix`` or, held as its members W and weights p, a ``MemberBlock``;
+both read a table through ``expect``.
 
 Truncation policy: a single normal-ordered word (adag)^c a^r realizes
 exactly on the whole block (its matrix elements agree with the untruncated
@@ -29,13 +29,16 @@ interior block of occupations with a safety margin at the top.
 from __future__ import annotations
 
 import functools
+import logging
 import string
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import NormalFormOperator
+from .algebra import NormalFormOperator, hermitian_pair_check
+
+log = logging.getLogger(__name__)
 
 DIM_CAP = 4096
 
@@ -57,6 +60,16 @@ def check_dimension(modes: int, cutoff: int) -> int:
             f"{modes} modes at cutoff {cutoff} need dimension {size} > cap "
             f"{DIM_CAP}")
     return dim
+
+
+class PairingError(ValueError):
+    """The words of an operator do not pair off under Hermitian conjugation."""
+
+
+def check_pairing(op: NormalFormOperator) -> None:
+    """The one Hermiticity test of an operator, decided on its words."""
+    if not hermitian_pair_check(op):
+        raise PairingError("the operator is not Hermitian-paired")
 
 
 @dataclass(frozen=True)
@@ -148,6 +161,91 @@ def compile_operator(op: NormalFormOperator, cutoff: int) -> WordTable:
     return WordTable(op.modes, cutoff, tuple(entries))
 
 
+class Eigensystem(NamedTuple):
+    """Eigenpairs (E, V) of a Hermitian operator at one cutoff, V kept as its
+    sector blocks: ``groups`` holds one (rows, vectors) pair per sector width
+    w, the (sectors, w) basis rows and (sectors, w, w) eigenvectors, and
+    ``values`` holds E, each sector's eigenvalues in its rows (unsorted)."""
+
+    values: np.ndarray
+    groups: tuple
+
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """V^H x along axis 0."""
+        return self._rotate(x, adjoint=True)
+
+    def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """V x along axis 0."""
+        return self._rotate(x, adjoint=False)
+
+    def dense(self, scale: np.ndarray) -> np.ndarray:
+        """V diag(scale) V^H, as exp(-alpha op) for scale = exp(-alpha E)."""
+        dtype = np.result_type(scale, self.groups[0][1])
+        out = np.zeros((scale.size,) * 2, dtype)
+        for rows, v in self.groups:
+            out[rows[:, :, None], rows[:, None, :]] = \
+                (v * scale[rows][:, None, :]) @ v.conj().swapaxes(1, 2)
+        return out
+
+    def _rotate(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        flat = x.reshape(len(x), -1)
+        out = np.empty(flat.shape, np.result_type(flat, self.groups[0][1]))
+        for rows, vectors in self.groups:
+            left = vectors.conj().swapaxes(1, 2) if adjoint else vectors
+            if np.isrealobj(left) and flat.dtype == complex:
+                # real vectors on the (re, im) pairs of a complex block
+                out[rows] = (left @ flat[rows].view(float)).view(complex)
+            else:
+                out[rows] = left @ flat[rows]
+        return out.reshape(x.shape)
+
+
+def eigensystem(op: NormalFormOperator, cutoff: int) -> Eigensystem:
+    """The eigensystem of a Hermitian-paired operator, finite at the cutoff:
+    one batched eigh per width of its invariant sectors (``_sector_labels``),
+    real when it realizes real (an H_n with even powers of pi only)."""
+    check_pairing(op)
+    hmat = realize_matrix(op, cutoff).data
+    if not np.isfinite(hmat).all():
+        raise FloatingPointError(f"H_n overflows at cutoff {cutoff}")
+    matrix = hmat if hmat.imag.any() else hmat.real
+    label = _sector_labels(op, cutoff)
+    size = np.bincount(label)[label]
+    # order lists the states by the width of their sector, then by sector;
+    # the counts[w] states in sectors of width w are consecutive in it
+    order, counts = np.lexsort((label, size)), np.bincount(size)
+    values, groups, start = np.empty(label.size), [], 0
+    for width in counts.nonzero()[0]:
+        rows = order[start:start + counts[width]].reshape(-1, width)
+        values[rows], vectors = np.linalg.eigh(
+            matrix[rows[:, :, None], rows[:, None, :]])
+        groups.append((rows, vectors))
+        start += rows.size
+    log.debug("eigensystem: sectors=%d largest=%d",
+              sum(len(rows) for rows, _ in groups), width)
+    return Eigensystem(values, tuple(groups))
+
+
+def _sector_labels(op: NormalFormOperator, cutoff: int) -> np.ndarray:
+    """The least basis index in each basis state's sector, a connected
+    component of the moves source -> target of the compiled words: label
+    propagation with pointer jumping on the (D,)*n index tensor, O(words
+    dim) a sweep, never reading the dense matrix; Hermitian pairing
+    supplies each reverse move."""
+    n = op.modes
+    moves = compile_operator(NormalFormOperator(n, {
+        w: c for w, c in op.terms.items() if w[0] != w[1]}), cutoff)
+    label = np.arange(cutoff ** n)
+    tensor = label.reshape((cutoff,) * n)
+    while True:
+        before = label.tobytes()
+        for target, source, _ in moves.entries:
+            np.minimum(tensor[target], tensor[source], out=tensor[target])
+        label[:] = label[label]
+        if label.tobytes() == before:
+            return label
+
+
 def _paired_diagonal(modes: int) -> str:
     """einsum spec of the diagonal pairing each row mode with its column."""
     axes = string.ascii_letters[:modes]
@@ -237,8 +335,3 @@ def interior_block(matrix: np.ndarray, modes: int, cutoff: int,
     mask = interior_indices(modes, cutoff, margin)
     return matrix[np.ix_(mask, mask)]
 
-
-def expm_hermitian(generator: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * generator) for Hermitian generators, via eigendecomposition."""
-    w, v = np.linalg.eigh(generator)
-    return (v * np.exp(scale * w)) @ v.conj().T

@@ -32,6 +32,7 @@ product (a power of a long sum, say) of over MAX_TERM_PAIRS term pairs.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from typing import Mapping, Sequence
@@ -42,7 +43,7 @@ DROP_TOL = 1e-14
 
 # the deepest nesting of parentheses and unary minus signs parse_poly accepts
 MAX_NESTING = 100
-# the most term pairs one polynomial product multiplies out (about 0.2 s)
+# the most term pairs one polynomial or operator product multiplies out
 MAX_TERM_PAIRS = 10 ** 5
 
 _SQRT2 = math.sqrt(2.0)
@@ -61,7 +62,7 @@ class PolyParseError(ValueError):
 
 
 class ProductSizeError(ValueError):
-    """Raised before a polynomial product of over MAX_TERM_PAIRS term pairs."""
+    """Raised before a product of over MAX_TERM_PAIRS term pairs."""
 
 
 class ChartError(ValueError):
@@ -86,7 +87,7 @@ class CanonicalSum:
     ``__slots__``); its constructor takes those fields, then the terms.  It
     supplies ``_key`` (check and normalize one key), ``_align`` (the two
     operands of a sum on one space, a number read as that multiple of the
-    unit, or NotImplemented) and its own product ``__mul__``.
+    unit, or NotImplemented) and its own product ``__mul__`` over ``_pairs``.
     """
 
     __slots__ = ("terms",)
@@ -159,6 +160,15 @@ class CanonicalSum:
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def _pairs(self, other):
+        """The ((key, coeff), (key, coeff)) term pairs of a product with
+        other, refused before any is formed over MAX_TERM_PAIRS."""
+        if len(self.terms) * len(other.terms) > MAX_TERM_PAIRS:
+            raise ProductSizeError(
+                f"a product of {len(self.terms)} by {len(other.terms)} terms "
+                f"exceeds the ceiling of {MAX_TERM_PAIRS} term pairs")
+        return itertools.product(self.terms.items(), other.terms.items())
 
     def __pow__(self, exponent: int):
         """Integer power by repeated squaring; exponent 0 gives the unit."""
@@ -260,15 +270,10 @@ class PolyExpr(CanonicalSum):
         if pair is NotImplemented:
             return NotImplemented
         lhs, rhs = pair
-        if len(lhs.terms) * len(rhs.terms) > MAX_TERM_PAIRS:
-            raise ProductSizeError(
-                f"a product of {len(lhs.terms)} by {len(rhs.terms)} terms "
-                f"exceeds the ceiling of {MAX_TERM_PAIRS} term pairs")
         terms: dict[MultiIndex, complex] = {}
-        for e1, c1 in lhs.terms.items():
-            for e2, c2 in rhs.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0.0) + c1 * c2
+        for (e1, c1), (e2, c2) in lhs._pairs(rhs):
+            key = tuple(a + b for a, b in zip(e1, e2))
+            terms[key] = terms.get(key, 0.0) + c1 * c2
         return PolyExpr(self.chart, lhs.modes, terms)
 
     __rmul__ = __mul__

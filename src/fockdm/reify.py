@@ -19,10 +19,11 @@ the conjugate amplitude and exchanges quanta between them:
 
 The generator conserves the quanta of each pair, so it is bounded on every
 number sector and the recoded vectors stay finite at alpha = pi/4: the
-single-mode divergence is gone.  The exponential is taken sector by sector,
-which also keeps the huge dynamic range of the exponent out of the floating
-point (a dense eigendecomposition would leak rounding noise across sectors
-and bury the answer).
+single-mode divergence is gone.  Both exponentials are read off
+``fock.eigensystem`` of their generators, one sector at a time (the S
+generator keeps the occupation parity, the M one the quanta of each pair),
+so the exponent's huge dynamic range never leaks rounding noise across
+sectors, as a dense eigendecomposition would.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NormalFormOperator
-from .fock import FockMatrix, check_dimension, expm_hermitian, realize_matrix
+from .fock import FockMatrix, check_dimension, eigensystem, realize_matrix
 from .states import ClassicalState, pseudo_wavefunction
 
 _MARGIN = 1e-3
@@ -43,28 +44,23 @@ class PoleError(ValueError):
     """Requested alpha sits on (or too close to) the pi/4 pole."""
 
 
-def _word(create: int, annih: int, cutoff: int) -> np.ndarray:
-    """Dense D x D matrix of the single-mode word (adag)^create a^annih."""
-    return realize_matrix(NormalFormOperator.word(1.0, (create,), (annih,)),
-                          cutoff).data
-
-
-def _s_generator(cutoff: int) -> np.ndarray:
-    """(adag adag + a a) / 2, the generator of S(alpha) = exp(-alpha gen)."""
-    return 0.5 * (_word(2, 0, cutoff) + _word(0, 2, cutoff))
+_A = NormalFormOperator.annihilation()
+# (adag adag + a a) / 2, the generator of S(alpha) = exp(-alpha gen)
+_S_GENERATOR = NormalFormOperator(1, {((2,), (0,)): 0.5, ((0,), (2,)): 0.5})
 
 
 def s_operator(alpha: float, cutoff: int) -> FockMatrix:
     """Single-mode reification operator at the given cutoff."""
     if cutoff < 4:
         raise ValueError("cutoff must be >= 4")
-    return FockMatrix(1, cutoff, expm_hermitian(_s_generator(cutoff), -alpha))
+    eig = eigensystem(_S_GENERATOR, cutoff)
+    return FockMatrix(1, cutoff, eig.dense(np.exp(-alpha * eig.values)))
 
 
 def rotated_annihilation(alpha: float, cutoff: int) -> np.ndarray:
     """cos(alpha) a + sin(alpha) adag, the similarity image of a under S."""
-    return (math.cos(alpha) * _word(0, 1, cutoff)
-            + math.sin(alpha) * _word(1, 0, cutoff))
+    return realize_matrix(_A.scale(math.cos(alpha))
+                          + _A.adjoint().scale(math.sin(alpha)), cutoff).data
 
 
 def flow_coeffs(alpha: float) -> tuple[float, float]:
@@ -113,23 +109,17 @@ def rho_z_trace(state: ClassicalState, alphas, cutoff: int,
         raise ValueError("alpha grid must sit inside [0, pi/4)")
     if state.modes != 1:
         raise ValueError("the single-mode recoding takes one-mode states")
-    w, v = np.linalg.eigh(_s_generator(cutoff))
-    # rank-one structure: ||S rho S||_2 = ||S w||^2
-    wvec = pseudo_wavefunction(state, cutoff)
-    phi_op = (_word(0, 1, cutoff) + _word(1, 0, cutoff)) \
-        / math.sqrt(2)
-    z0 = state.z[0]
-    norms = np.empty(alphas.size)
-    residuals = np.empty(alphas.size)
-    for i, alpha in enumerate(alphas):
-        u = (v * np.exp(-alpha * w)) @ (v.conj().T @ wvec)
-        length = float(np.linalg.norm(u))
-        norms[i] = length ** 2
-        residuals[i] = np.linalg.norm(phi_op @ u - z0 * u) / length
-    crossing = None
+    eig = eigensystem(_S_GENERATOR, cutoff)
+    # rank-one structure: ||S rho S||_2 = ||S w||^2, one column u per alpha
+    coeffs = eig.to_eigenbasis(pseudo_wavefunction(state, cutoff))
+    u = eig.from_eigenbasis(np.exp(-np.outer(eig.values, alphas))
+                            * coeffs[:, None])
+    phi_op = realize_matrix(_A + _A.adjoint(), cutoff).data / math.sqrt(2)
+    lengths = np.linalg.norm(u, axis=0)
+    norms = lengths ** 2
+    residuals = np.linalg.norm(phi_op @ u - state.z[0] * u, axis=0) / lengths
     above = np.nonzero(norms > threshold)[0]
-    if above.size:
-        crossing = float(alphas[above[0]])
+    crossing = float(alphas[above[0]]) if above.size else None
     return ReificationTrace(alphas=alphas, norms=norms, cutoff=cutoff,
                             residual_a7=residuals, residual_a8=residuals,
                             threshold=threshold, threshold_alpha=crossing)
@@ -147,11 +137,10 @@ def norm_flow_residual(state: ClassicalState, alpha: float, cutoff: int) -> floa
     if alpha < 0 or alpha > math.pi / 4 - _MARGIN:
         raise PoleError("alpha must sit in [0, pi/4 - margin]")
     c, d = flow_coeffs(alpha)
-    s = s_operator(alpha, cutoff).data
-    u = s @ pseudo_wavefunction(state, cutoff)
+    u = s_operator(alpha, cutoff).data @ pseudo_wavefunction(state, cutoff)
     rho = np.outer(u, u.conj())
     rho /= np.trace(rho).real
-    gen = _s_generator(cutoff)
+    gen = realize_matrix(_S_GENERATOR, cutoff).data
     a_rot = rotated_annihilation(alpha, cutoff)
     rhs = (-gen @ rho - rho @ gen
            + c * (a_rot @ a_rot @ rho)
@@ -160,42 +149,17 @@ def norm_flow_residual(state: ClassicalState, alpha: float, cutoff: int) -> floa
     return abs(complex(np.trace(rhs)))
 
 
-def _pair_exchange_block(alpha: float, cutoff: int) -> np.ndarray:
-    """exp(-alpha (adag b + a bdag)) on one mode pair, sector by sector.
-
-    The generator conserves N = n_a + n_b; each sector is a real symmetric
-    tridiagonal matrix, exponentiated independently, so no rounding noise
-    crosses sectors.
-    """
-    dim = cutoff * cutoff
-    out = np.zeros((dim, dim), dtype=complex)
-    for total in range(2 * cutoff - 1):
-        lo = max(0, total - cutoff + 1)
-        hi = min(total, cutoff - 1)
-        na = np.arange(lo, hi + 1)
-        size = na.size
-        idx = na * cutoff + (total - na)
-        if size == 1:
-            out[idx[0], idx[0]] = 1.0
-            continue
-        # <na+1, nb-1| adag b |na, nb> = sqrt((na+1) nb)
-        off = np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
-        block = np.zeros((size, size))
-        block[np.arange(size - 1) + 1, np.arange(size - 1)] = off
-        block[np.arange(size - 1), np.arange(size - 1) + 1] = off
-        out[np.ix_(idx, idx)] = expm_hermitian(block, -alpha)
-    return out
-
-
 def m_operator(alpha: float, modes: int, cutoff: int) -> FockMatrix:
     """Doubled-space reification operator over n mode pairs.
 
     Acts on the interleaved (a_1, b_1, a_2, b_2, ...) layout used by
     ``extended_wavefunction``.
     """
-    check_dimension(2 * modes, cutoff)
-    block = _pair_exchange_block(alpha, cutoff)
-    data = block
-    for _ in range(modes - 1):
-        data = np.kron(data, block)
-    return FockMatrix(2 * modes, cutoff, data)
+    check_dimension(2 * modes, cutoff)  # before the 2n unit words exist
+    unit = [tuple(row) for row in np.eye(2 * modes, dtype=int).tolist()]
+    # sum_j (adag_j b_j + a_j bdag_j): each word creates on mode i and
+    # annihilates on its partner i ^ 1
+    eig = eigensystem(NormalFormOperator(2 * modes, {
+        (unit[i], unit[i ^ 1]): 1.0 for i in range(2 * modes)}), cutoff)
+    return FockMatrix(2 * modes, cutoff,
+                      eig.dense(np.exp(-alpha * eig.values)))

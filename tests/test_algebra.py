@@ -8,6 +8,7 @@ from fockdm.acceptance import (
     ladder_expansion,
     random_two_mode_hamiltonian,
 )
+from fockdm import algebra, poly
 from fockdm.algebra import (
     NormalFormOperator,
     commutator,
@@ -17,7 +18,7 @@ from fockdm.algebra import (
     random_normal_operator,
 )
 from fockdm.fock import interior_block, realize_matrix
-from fockdm.poly import parse_poly, random_poly
+from fockdm.poly import ProductSizeError, parse_poly, random_poly
 
 SQRT2 = math.sqrt(2.0)
 
@@ -218,6 +219,22 @@ class TestTwoModeLemmas:
                         normal_order_product(a1 ** (n - 1), a2 ** (m - 2)))
                 assert lhs - rhs == NormalFormOperator.zero(2)
 
+
+
+class TestProductCeiling:
+    def test_product_over_the_ceiling_is_refused_before_work(
+            self, monkeypatch):
+        # 4 by 4 words pass a ceiling of 16 word pairs, 4 by 5 do not, and
+        # nothing is reordered before the refusal
+        four = op1({((k,), (3 - k,)): 1.0 for k in range(4)})
+        five = op1({((k,), (4 - k,)): 1.0 for k in range(5)})
+        monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 16)
+        assert normal_order_product(four, four).terms
+        monkeypatch.setattr(algebra, "_reorder_single_mode", None)
+        with pytest.raises(ProductSizeError, match="4 by 5 terms"):
+            normal_order_product(four, five)
+        with pytest.raises(ProductSizeError, match="5 by 4 terms"):
+            commutator(five, four)
 
 
 class TestNonFiniteCoefficients:

@@ -472,6 +472,23 @@ class TestExitCodes:
         assert "term pairs" in err
         assert not (tmp_path / "out").exists()
 
+    # a long observable also added to the Hamiltonian: 591 by 591 words in
+    # the commutator [g_n, H_n], refused before any is multiplied out
+    def test_operator_product_over_the_ceiling_exits_3(self, tmp_path, capsys):
+        g = " + ".join(f"phi1^{i}*pi1^{j}"
+                       for i in range(30) for j in range(5))
+        cfg = write_config(tmp_path, "long.json", {
+            "hamiltonian": "0.5*pi1^2 + 0.5*phi1^2 + " + g,
+            "observables": [g]})
+        start = time.perf_counter()
+        code = main(["discrepancy", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: a product of 591 by 591")
+        assert not (tmp_path / "out").exists()
+
     # a valid config whose check has no off-diagonal content to measure:
     # every row reads 0 and the band is infinite, so the check fails
     @pytest.mark.parametrize("data", [

@@ -25,6 +25,7 @@ from fockdm.evolution import (
 from fockdm.fock import (
     DimensionCapError,
     FockMatrix,
+    eigensystem,
     interior_block,
     realize_matrix,
 )
@@ -152,7 +153,8 @@ class TestMemberRoute:
         dim = D ** modes
         for _ in range(3):
             H = poly_to_normal_form(self.random_hamiltonian(rng, modes, real))
-            assert np.iscomplexobj(evolution._eigensystem(H, D)[1]) != real
+            assert all(np.iscomplexobj(vectors) != real
+                       for _, vectors in eigensystem(H, D).groups)
             for r in (1, 3, dim):
                 vectors = rng.standard_normal((dim, r)) \
                     + 1j * rng.standard_normal((dim, r))
@@ -210,11 +212,11 @@ class TestMemberRoute:
     def test_hamiltonian_that_overflows_is_refused(self):
         H = poly_to_normal_form(parse_poly("1e306*phi1^4 + pi1^2", {}))
         with pytest.raises(FloatingPointError, match="overflows"):
-            evolution._eigensystem(H, 32)
+            eigensystem(H, 32)
 
     def test_non_hermitian_hamiltonian_is_refused(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            evolution._eigensystem(AD ** 2, 8)
+            eigensystem(AD ** 2, 8)
 
     def test_unpaired_hamiltonian_is_refused_on_its_words(self, monkeypatch):
         # the Liouville law and the projection refuse what MasterTerms
@@ -607,8 +609,8 @@ class TestProjectionDecay:
 
 class TestSectors:
     # H_n splits the Fock basis into the connected components of its words'
-    # moves; _eigensystem diagonalizes each sector on its own, one batched
-    # eigh per sector size.  Every case below has sectors of one size.
+    # moves; fock.eigensystem diagonalizes each sector on its own, one
+    # batched eigh per sector size.  Every case below has sectors of one size.
     OSCILLATORS = "0.5*(pi1^2+phi1^2+pi2^2+phi2^2)"
     KERR = "0.5*(pi1^2+phi1^2) + 0.05*(phi1^2+pi1^2)^2"
     CASES = [
@@ -623,7 +625,8 @@ class TestSectors:
 
     @staticmethod
     def spied_eigensystem(monkeypatch, hamiltonian, cutoff):
-        # the matrix shapes every eigh call sees
+        # the matrix shapes every eigh call sees, and V assembled from the
+        # sector groups
         shapes = []
         eigh = np.linalg.eigh
 
@@ -632,8 +635,11 @@ class TestSectors:
             return eigh(matrix)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        evals, vecs = evolution._eigensystem(hamiltonian, cutoff)
+        evals, groups = eigensystem(hamiltonian, cutoff)
         monkeypatch.undo()
+        vecs = np.zeros((evals.size,) * 2, groups[0][1].dtype)
+        for rows, vectors in groups:
+            vecs[rows[:, :, None], rows[:, None, :]] = vectors
         return evals, vecs, shapes
 
     @pytest.mark.parametrize("text, D, sectors", CASES,
@@ -653,9 +659,9 @@ class TestSectors:
     def test_sector_count_is_logged(self, caplog):
         text, D, _ = self.CASES[1]
         H = poly_to_normal_form(parse_poly(text, {}))
-        with caplog.at_level("DEBUG", logger="fockdm.evolution"):
-            evolution._eigensystem(H, D)
-        assert "_eigensystem: sectors=4 largest=144" in caplog.text
+        with caplog.at_level("DEBUG", logger="fockdm.fock"):
+            eigensystem(H, D)
+        assert "eigensystem: sectors=4 largest=144" in caplog.text
 
     def test_levels_degenerate_across_sectors(self, monkeypatch):
         # two identical uncoupled Kerr modes: every basis state is its own

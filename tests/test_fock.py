@@ -18,7 +18,7 @@ from fockdm.fock import (
     block_trace,
     check_dimension,
     compile_operator,
-    expm_hermitian,
+    eigensystem,
     interior_block,
     interior_indices,
     occupations,
@@ -282,12 +282,42 @@ class TestInterior:
 
 
 class TestHelpers:
-    def test_expm_hermitian_inverse(self):
-        rng = np.random.default_rng(7)
-        g = rng.standard_normal((8, 8))
-        g = g + g.T
-        m = expm_hermitian(g, -0.3) @ expm_hermitian(g, 0.3)
-        assert np.allclose(m, np.eye(8), atol=1e-10)
+    # a complex pair exchange plus a Kerr term on 2 modes: one sector per
+    # total occupation, 15 sectors of widths 1..8..1 at D=8
+    EXCHANGE = NormalFormOperator(2, {((1, 0), (0, 1)): 1 + 0.5j,
+                                      ((0, 1), (1, 0)): 1 - 0.5j,
+                                      ((2, 0), (2, 0)): 0.3})
+    REAL_EXCHANGE = NormalFormOperator(
+        2, {word: coeff.real for word, coeff in EXCHANGE.terms.items()})
+
+    def test_eigensystem_exponential_inverse(self):
+        eig = eigensystem(self.EXCHANGE, 8)
+        assert len(eig.groups) == 8
+        m = eig.dense(np.exp(-0.3 * eig.values)) \
+            @ eig.dense(np.exp(0.3 * eig.values))
+        assert np.allclose(m, np.eye(64), atol=1e-10)
+
+    @pytest.mark.parametrize("op, real", [(EXCHANGE, False),
+                                          (REAL_EXCHANGE, True)],
+                             ids=["complex", "real"])
+    def test_eigensystem_rotations_match_dense_v(self, op, real):
+        # V^H x and V x against V assembled from the sector groups, on a
+        # complex block and a complex vector; a real operator takes the
+        # real-arithmetic path
+        eig = eigensystem(op, 6)
+        assert all(np.isrealobj(vectors) == real for _, vectors in eig.groups)
+        v = np.zeros((36, 36), complex)
+        for rows, vectors in eig.groups:
+            v[rows[:, :, None], rows[:, None, :]] = vectors
+        rng = np.random.default_rng(17)
+        for shape in ((36, 3), (36,)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.max(np.abs(eig.to_eigenbasis(x) - v.conj().T @ x)) \
+                <= 1e-13
+            assert np.max(np.abs(eig.from_eigenbasis(x) - v @ x)) <= 1e-13
+        h = realize_matrix(op, 6).data
+        assert np.max(np.abs(eig.dense(eig.values) - h)) \
+            <= 1e-13 * np.max(np.abs(h))
 
     def test_matrix_json_round_trip(self):
         rng = np.random.default_rng(15)

@@ -170,6 +170,38 @@ class TestRhoZTrace:
             assert trace.residual_a7[i] == pytest.approx(r7, rel=1e-10)
             assert trace.residual_a8[i] == pytest.approx(r8, rel=1e-10)
 
+    @staticmethod
+    def taylor_norm(state, alpha, cutoff, steps=200, terms=20):
+        # ||exp(-alpha G) w||^2, G = (adag^2 + a^2)/2, by Taylor steps in
+        # long double straight on the number basis: no eigendecomposition
+        k = np.arange(cutoff - 2, dtype=np.longdouble)
+        off = np.sqrt((k + 1) * (k + 2)) / 2
+        h = np.longdouble(alpha) / steps
+        total = np.longdouble(0)
+        w = pseudo_wavefunction(state, cutoff)
+        for part in (w.real, w.imag):
+            x = part.astype(np.longdouble)
+            for _ in range(steps):
+                term, acc = x, x.copy()
+                for n in range(1, terms + 1):
+                    g = np.zeros_like(term)
+                    g[:-2] += off * term[2:]
+                    g[2:] += off * term[:-2]
+                    term = g * (-h / n)
+                    acc += term
+                x = acc
+            total += np.sum(x * x)
+        return float(total)
+
+    def test_norm_matches_long_double_oracle_at_d64(self):
+        # the S generator keeps the occupation parity; a dense eigh leaked
+        # rounding across the two parity sectors and read 2.347133957e11
+        state, alpha = state1(0.0, 2.0), math.pi / 4 - 1e-3
+        oracle = self.taylor_norm(state, alpha, 64)
+        assert oracle == pytest.approx(2.347019291409792e11, rel=1e-9)
+        [norm] = rho_z_trace(state, [alpha], 64).norms
+        assert norm == pytest.approx(oracle, rel=1e-6)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             rho_z_trace(state1(0.0, 1.0), [0.2, 0.1], 16)
@@ -194,7 +226,37 @@ class TestNormFlowResidual:
             norm_flow_residual(state1(0.5, 0.3), math.pi / 4 - 1e-4, 32)
 
 
+def pair_exchange_block(alpha, cutoff):
+    """exp(-alpha (adag b + a bdag)) on one mode pair: each sector of fixed
+    n_a + n_b is a real symmetric tridiagonal matrix, exponentiated on its
+    own."""
+    dim = cutoff * cutoff
+    out = np.zeros((dim, dim))
+    for total in range(2 * cutoff - 1):
+        na = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
+        idx = na * cutoff + (total - na)
+        # <na+1, nb-1| adag b |na, nb> = sqrt((na+1) nb)
+        off = np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
+        block = np.diag(off, 1) + np.diag(off, -1)
+        w, v = np.linalg.eigh(block)
+        out[np.ix_(idx, idx)] = (v * np.exp(-alpha * w)) @ v.T
+    return out
+
+
 class TestMOperator:
+    @pytest.mark.parametrize("alpha", [0.3, math.pi / 4])
+    @pytest.mark.parametrize("D", [16, 32])
+    def test_matches_per_sector_tridiagonal_reference(self, alpha, D):
+        want = pair_exchange_block(alpha, D)
+        got = m_operator(alpha, 1, D).data
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_two_pairs_match_the_kron_reference(self):
+        block = pair_exchange_block(0.3, 6)
+        want = np.kron(block, block)
+        got = m_operator(0.3, 2, 6).data
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_identity_at_zero(self):
         m = m_operator(0.0, 1, 8)
         assert np.allclose(m.data, np.eye(64), atol=1e-12)
@@ -246,7 +308,10 @@ class TestParadoxDemo:
         assert near[16] < near[32] < near[64]
 
     def test_residuals_grow_toward_pole(self):
-        vals = self.residuals(64, (0.3, 0.03, 0.003))[1]
+        # at D=64 the exact residual dips before it grows (0.447, 0.291,
+        # 0.366 at eps 0.3, 0.05, 0.03 by 60-digit arithmetic), so the grid
+        # starts past the dip
+        vals = self.residuals(64, (0.03, 0.01, 0.003))[1]
         assert vals[0] < vals[1] < vals[2]
 
     def test_both_relations_fail_together(self):
