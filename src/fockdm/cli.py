@@ -413,10 +413,9 @@ def run_reify(config: ExperimentConfig) -> SuiteResult:
     for cutoff in config.cutoffs:
         trace = rho_z_trace(state, grid, cutoff)
         monotone = monotone and trace.is_monotone()
-        for alpha, norm, r7, r8 in zip(trace.alphas, trace.norms,
-                                       trace.residual_a7, trace.residual_a8):
+        for alpha, norm, r in zip(trace.alphas, trace.norms, trace.residuals):
             c, d = flow_coeffs(alpha)
-            rows.append((alpha, norm, cutoff, r7, r8, c, d))
+            rows.append((alpha, norm, cutoff, r, r, c, d))
     per_cut = {c: max(r[1] for r in rows if r[2] == c)
                for c in config.cutoffs}
     ordered = [per_cut[c] for c in sorted(config.cutoffs)]

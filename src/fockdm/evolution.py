@@ -13,8 +13,8 @@
 
   over the Hermitian-paired words C_a H_aL H_aR of H_n.  The inner
   commutators close in the word algebra, so rho' is a sum of sandwiches of
-  two words, whose slice-and-scales MasterTerms reads once off compiled
-  word tables (fock.compile_operator); master_rhs adds the adjoint and
+  two words, which MasterTerms compiles once (fock.compile_operator) and
+  master_rhs applies (fock.apply); master_rhs adds the adjoint and
   conserves the trace of any matrix, Hermitian or not, realizable or not.
 
 The two generators agree on the trajectory of a pure classical state only
@@ -36,6 +36,7 @@ from .fock import (
     FockMatrix,
     MemberBlock,
     PairingError,
+    apply,
     check_dimension,
     check_pairing,
     compile_operator,
@@ -57,10 +58,10 @@ class MasterTerms:
         -i C ( |R| a^R rho adag^L + sum_j L_j (adag_j a^R) rho adag^(L-e_j) ),
 
     sandwiches pre rho post whose post word only creates.  ``groups`` holds
-    one (source, target, column scale, rows) entry per post word, and rows
-    one (target, source, row scale) entry per pre word, both read off the
-    compiled word table (fock.compile_operator) with the coefficient folded
-    into the row scale: at most dim entries per scale, never dim^2.
+    one (source, target, column scale, pres) entry per post word: its
+    compiled word (fock.compile_operator), and the WordTable of its pre words
+    with the coefficients folded in; at most dim entries per scale, never
+    dim^2.
     """
 
     def __init__(self, hamiltonian: NormalFormOperator, cutoff: int):
@@ -84,10 +85,8 @@ class MasterTerms:
         posts = compile_operator(NormalFormOperator(
             n, {(post, zero): 1.0 for post in rows}), cutoff).entries
         self.groups = [
-            (post_source, post_target, post_scale, [
-                (target, source, scale.reshape(scale.shape + (1,) * n))
-                for target, source, scale in compile_operator(
-                    NormalFormOperator(n, pres), cutoff).entries])
+            (post_source, post_target, post_scale,
+             compile_operator(NormalFormOperator(n, pres), cutoff))
             for (post_target, post_source, post_scale), pres
             in zip(posts, rows.values())]
 
@@ -96,10 +95,10 @@ def master_rhs(rho: np.ndarray, terms: MasterTerms) -> np.ndarray:
     """Free-space master equation right-hand side, F(rho) + F(rho^H)^H.
 
     F is the half compiled in ``terms`` on the (D,)*2n tensor view, row
-    modes first: y = rho post per post word, then a row slice-and-scale of
-    y per pre word.  The map is linear over the complex scalars and
-    traceless on any matrix; a rho equal to its adjoint bit for bit takes
-    F once and gives a bitwise Hermitian result.
+    modes first: y = rho post per post word, then its pre words applied to
+    the rows of y (fock.apply).  The map is linear over the complex
+    scalars and traceless on any matrix; a rho equal to its adjoint bit for
+    bit takes F once and gives a bitwise Hermitian result.
     """
     if rho.shape != (terms.dim, terms.dim):
         raise ValueError("dimension mismatch between rho and the terms")
@@ -110,8 +109,7 @@ def master_rhs(rho: np.ndarray, terms: MasterTerms) -> np.ndarray:
         out = np.zeros(shape, dtype=complex)
         for post_source, post_target, post_scale, pres in terms.groups:
             y = tensor[(...,) + post_target] * post_scale
-            for target, source, scale in pres:
-                out[target + post_source] += scale * y[source]
+            apply(pres, y, out[(...,) + post_source])
         return out.reshape(rho.shape)
 
     out = half(rho)

@@ -10,13 +10,13 @@ vector or a matrix, viewed as a (D,)*n or (D,)*2n tensor, by slicing and
 scaling along one axis per mode.  ``compile_operator`` is the one place that
 builds these: it turns an operator into a ``WordTable``, one (target,
 source, scale) entry per word with the coefficient folded into the scale,
-and every consumer reads that table.  ``operator_trace`` reads Tr(rho op)
-off a dense rho, ``block_trace`` reads sum_k p_k <w_k|op w_k> off a block of
-member vectors without forming rho, ``realize_matrix`` writes the dense
+and every consumer reads that table.  ``apply`` adds op x into a tensor
+whose leading axes are the modes, ``operator_trace`` reads Tr(rho op) off a
+dense rho, ``block_trace`` reads sum_k p_k <w_k|op w_k> off a block of
+member vectors without forming rho, and ``realize_matrix`` writes the dense
 matrix (kept for ``eigensystem``, the one spectral primitive, and test
-oracles), and the master law takes its rows from it.  A moment matrix is a
-``FockMatrix`` or, held as its members W and weights p, a ``MemberBlock``;
-both read a table through ``expect``.
+oracles).  A moment matrix is a ``FockMatrix`` or, held as its members W and
+weights p, a ``MemberBlock``; both read a table through ``expect``.
 
 Truncation policy: a single normal-ordered word (adag)^c a^r realizes
 exactly on the whole block (its matrix elements agree with the untruncated
@@ -161,6 +161,16 @@ def compile_operator(op: NormalFormOperator, cutoff: int) -> WordTable:
     return WordTable(op.modes, cutoff, tuple(entries))
 
 
+def apply(table: WordTable, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add op x into out and return out: x and out have the modes as their
+    leading axes, and each word adds scale * x[source] into out[target],
+    its scale broadcast over the trailing axes."""
+    trailing = (1,) * (x.ndim - table.modes)
+    for target, source, scale in table.entries:
+        out[target] += scale.reshape(scale.shape + trailing) * x[source]
+    return out
+
+
 class Eigensystem(NamedTuple):
     """Eigenpairs (E, V) of a Hermitian operator at one cutoff, V kept as its
     sector blocks: ``groups`` holds one (rows, vectors) pair per sector width
@@ -177,15 +187,6 @@ class Eigensystem(NamedTuple):
     def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """V x along axis 0."""
         return self._rotate(x, adjoint=False)
-
-    def dense(self, scale: np.ndarray) -> np.ndarray:
-        """V diag(scale) V^H, as exp(-alpha op) for scale = exp(-alpha E)."""
-        dtype = np.result_type(scale, self.groups[0][1])
-        out = np.zeros((scale.size,) * 2, dtype)
-        for rows, v in self.groups:
-            out[rows[:, :, None], rows[:, None, :]] = \
-                (v * scale[rows][:, None, :]) @ v.conj().swapaxes(1, 2)
-        return out
 
     def _rotate(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
         flat = x.reshape(len(x), -1)

@@ -19,11 +19,11 @@ the conjugate amplitude and exchanges quanta between them:
 
 The generator conserves the quanta of each pair, so it is bounded on every
 number sector and the recoded vectors stay finite at alpha = pi/4: the
-single-mode divergence is gone.  Both exponentials are read off
-``fock.eigensystem`` of their generators, one sector at a time (the S
-generator keeps the occupation parity, the M one the quanta of each pair),
-so the exponent's huge dynamic range never leaks rounding noise across
-sectors, as a dense eigendecomposition would.
+single-mode divergence is gone.  Every exp(-alpha G) w is ``exp_action``,
+read off ``fock.eigensystem`` of G one sector at a time (S keeps the
+occupation parity, M the quanta of each pair), so no rounding leaks across
+sectors; the dense S and M are its action on the identity, and every other
+operator acts on vectors through ``fock.apply``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NormalFormOperator
-from .fock import FockMatrix, check_dimension, eigensystem, realize_matrix
+from .fock import FockMatrix, apply, check_dimension, compile_operator, eigensystem
 from .states import ClassicalState, pseudo_wavefunction
 
 _MARGIN = 1e-3
@@ -47,20 +47,31 @@ class PoleError(ValueError):
 _A = NormalFormOperator.annihilation()
 # (adag adag + a a) / 2, the generator of S(alpha) = exp(-alpha gen)
 _S_GENERATOR = NormalFormOperator(1, {((2,), (0,)): 0.5, ((0,), (2,)): 0.5})
+_PHI = (_A + _A.adjoint()).scale(1 / math.sqrt(2))
+
+
+def exp_action(generator: NormalFormOperator, alphas, w: np.ndarray,
+               cutoff: int) -> np.ndarray:
+    """exp(-alpha G) w per alpha of the grid, on axis 1 of the result: w, a
+    vector or any dim x r block (the identity included), is read once in the
+    eigenbasis (E, V) of G (fock.eigensystem), scaled and rotated back."""
+    eig = eigensystem(generator, cutoff)
+    decay = np.exp(-np.outer(eig.values, alphas))
+    return eig.from_eigenbasis(decay.reshape(decay.shape + (1,) * (w.ndim - 1))
+                               * eig.to_eigenbasis(w)[:, None])
 
 
 def s_operator(alpha: float, cutoff: int) -> FockMatrix:
     """Single-mode reification operator at the given cutoff."""
     if cutoff < 4:
         raise ValueError("cutoff must be >= 4")
-    eig = eigensystem(_S_GENERATOR, cutoff)
-    return FockMatrix(1, cutoff, eig.dense(np.exp(-alpha * eig.values)))
+    return FockMatrix(1, cutoff, exp_action(_S_GENERATOR, [alpha],
+                                            np.eye(cutoff), cutoff)[:, 0])
 
 
-def rotated_annihilation(alpha: float, cutoff: int) -> np.ndarray:
+def rotated_annihilation(alpha: float) -> NormalFormOperator:
     """cos(alpha) a + sin(alpha) adag, the similarity image of a under S."""
-    return realize_matrix(_A.scale(math.cos(alpha))
-                          + _A.adjoint().scale(math.sin(alpha)), cutoff).data
+    return _A.scale(math.cos(alpha)) + _A.adjoint().scale(math.sin(alpha))
 
 
 def flow_coeffs(alpha: float) -> tuple[float, float]:
@@ -80,25 +91,21 @@ class ReificationTrace:
     alphas: np.ndarray
     norms: np.ndarray
     cutoff: int
-    residual_a7: np.ndarray
-    residual_a8: np.ndarray
-    threshold: float
-    threshold_alpha: float | None
+    residuals: np.ndarray
 
     def is_monotone(self) -> bool:
         return bool(np.all(np.diff(self.norms) > 0))
 
 
-def rho_z_trace(state: ClassicalState, alphas, cutoff: int,
-                threshold: float = 1e6) -> ReificationTrace:
+def rho_z_trace(state: ClassicalState, alphas, cutoff: int) -> ReificationTrace:
     """Norms of S rho S along an alpha grid, with eigenrelation residuals.
 
-    The residual columns measure how far the recoded matrix is from the
-    pi/4 eigenrelations rho_z Phi = y rho_z and Phi rho_z = z rho_z with
+    The residuals measure how far the recoded matrix is from the pi/4
+    eigenrelations rho_z Phi = y rho_z and Phi rho_z = z rho_z with
     Phi = (a + adag)/sqrt2; they cannot both hold, and the failure grows
     toward the pole and with the cutoff.  For rank-one rho_z = u u^H, real
     symmetric Phi and y = conj(z), both spectral-norm residuals divided by
-    ||rho_z||_2 equal ||Phi u - z u|| / ||u||, so the two columns coincide.
+    ||rho_z||_2 equal ||Phi u - z u|| / ||u||, one value for both relations.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
@@ -109,57 +116,49 @@ def rho_z_trace(state: ClassicalState, alphas, cutoff: int,
         raise ValueError("alpha grid must sit inside [0, pi/4)")
     if state.modes != 1:
         raise ValueError("the single-mode recoding takes one-mode states")
-    eig = eigensystem(_S_GENERATOR, cutoff)
     # rank-one structure: ||S rho S||_2 = ||S w||^2, one column u per alpha
-    coeffs = eig.to_eigenbasis(pseudo_wavefunction(state, cutoff))
-    u = eig.from_eigenbasis(np.exp(-np.outer(eig.values, alphas))
-                            * coeffs[:, None])
-    phi_op = realize_matrix(_A + _A.adjoint(), cutoff).data / math.sqrt(2)
+    u = exp_action(_S_GENERATOR, alphas, pseudo_wavefunction(state, cutoff),
+                   cutoff)
     lengths = np.linalg.norm(u, axis=0)
-    norms = lengths ** 2
-    residuals = np.linalg.norm(phi_op @ u - state.z[0] * u, axis=0) / lengths
-    above = np.nonzero(norms > threshold)[0]
-    crossing = float(alphas[above[0]]) if above.size else None
-    return ReificationTrace(alphas=alphas, norms=norms, cutoff=cutoff,
-                            residual_a7=residuals, residual_a8=residuals,
-                            threshold=threshold, threshold_alpha=crossing)
+    phi_u = apply(compile_operator(_PHI, cutoff), u, np.zeros_like(u))
+    residuals = np.linalg.norm(phi_u - state.z[0] * u, axis=0) / lengths
+    return ReificationTrace(alphas, lengths ** 2, cutoff, residuals)
 
 
 def norm_flow_residual(state: ClassicalState, alpha: float, cutoff: int) -> float:
     """Trace leak of the normalized recoding flow with the rough c, d.
 
-    Assembles  -K rho - rho K + c a(alpha)^2 rho + c rho (a(alpha)^H)^2
-    + d a(alpha) rho a(alpha)^H  on the trace-normalized rho(alpha) and
-    returns |Tr(...)|, which the exact flow coefficients would zero.  The
-    published closed forms are only claimed roughly, and indeed the leak
-    vanishes at alpha = 0 and grows smoothly toward the pole.
+    -G rho - rho G + c A^2 rho + c rho (A^H)^2 + d A rho A^H, A = a(alpha),
+    on rho = u u^H / <u|u>, u = S w, has the trace (-2 <u|G u> + 2 c Re
+    <u|A A u> + d ||A u||^2) / <u|u>, returned as a modulus, which exact
+    flow coefficients would zero.  The closed forms are claimed only
+    roughly: the leak vanishes at alpha = 0 and grows toward the pole.
     """
     if alpha < 0 or alpha > math.pi / 4 - _MARGIN:
         raise PoleError("alpha must sit in [0, pi/4 - margin]")
     c, d = flow_coeffs(alpha)
-    u = s_operator(alpha, cutoff).data @ pseudo_wavefunction(state, cutoff)
-    rho = np.outer(u, u.conj())
-    rho /= np.trace(rho).real
-    gen = realize_matrix(_S_GENERATOR, cutoff).data
-    a_rot = rotated_annihilation(alpha, cutoff)
-    rhs = (-gen @ rho - rho @ gen
-           + c * (a_rot @ a_rot @ rho)
-           + c * (rho @ a_rot.conj().T @ a_rot.conj().T)
-           + d * (a_rot @ rho @ a_rot.conj().T))
-    return abs(complex(np.trace(rhs)))
+    u = exp_action(_S_GENERATOR, [alpha], pseudo_wavefunction(state, cutoff),
+                   cutoff)[:, 0]
+    gen, a_rot = (compile_operator(op, cutoff) for op in
+                  (_S_GENERATOR, rotated_annihilation(alpha)))
+    a_u = apply(a_rot, u, np.zeros_like(u))
+    trace = (-2 * np.vdot(u, apply(gen, u, np.zeros_like(u))).real
+             + 2 * c * np.vdot(u, apply(a_rot, a_u, np.zeros_like(u))).real
+             + d * np.vdot(a_u, a_u).real) / np.vdot(u, u).real
+    return abs(float(trace))
+
+
+def m_generator(modes: int) -> NormalFormOperator:
+    """sum_j (adag_j b_j + a_j bdag_j), the generator of M(alpha)."""
+    unit = [tuple(row) for row in np.eye(2 * modes, dtype=int).tolist()]
+    # each word creates on mode i and annihilates on its partner i ^ 1
+    return NormalFormOperator(2 * modes, {
+        (unit[i], unit[i ^ 1]): 1.0 for i in range(2 * modes)})
 
 
 def m_operator(alpha: float, modes: int, cutoff: int) -> FockMatrix:
-    """Doubled-space reification operator over n mode pairs.
-
-    Acts on the interleaved (a_1, b_1, a_2, b_2, ...) layout used by
-    ``extended_wavefunction``.
-    """
-    check_dimension(2 * modes, cutoff)  # before the 2n unit words exist
-    unit = [tuple(row) for row in np.eye(2 * modes, dtype=int).tolist()]
-    # sum_j (adag_j b_j + a_j bdag_j): each word creates on mode i and
-    # annihilates on its partner i ^ 1
-    eig = eigensystem(NormalFormOperator(2 * modes, {
-        (unit[i], unit[i ^ 1]): 1.0 for i in range(2 * modes)}), cutoff)
-    return FockMatrix(2 * modes, cutoff,
-                      eig.dense(np.exp(-alpha * eig.values)))
+    """Doubled-space reification operator over n mode pairs, on the
+    interleaved (a_1, b_1, a_2, b_2, ...) layout of extended_wavefunction."""
+    dim = check_dimension(2 * modes, cutoff)  # before the 2n unit words exist
+    return FockMatrix(2 * modes, cutoff, exp_action(
+        m_generator(modes), [alpha], np.eye(dim), cutoff)[:, 0])

@@ -9,13 +9,17 @@ measured figures (visible under ``pytest -s``).
 import numpy as np
 import pytest
 
+from fockdm import acceptance
 from fockdm.acceptance import (
     CRITERIA,
     FLOW_DTS,
+    coherent_eigenrelation,
+    ladder_commutator_expansion,
     master_vs_classical_flow,
     observed_order,
 )
 from fockdm.evolution import MasterTerms
+from fockdm.fock import compile_operator
 
 
 def accept(number, seed, cutoff, samples=0):
@@ -98,11 +102,37 @@ def test_master_flow_catches_a_one_percent_sandwich_error(monkeypatch):
 
     def skewed(self, hamiltonian, cutoff):
         init(self, hamiltonian, cutoff)
-        pres = self.groups[0][3]
-        target, source, scale = pres[0]
-        pres[0] = (target, source, 1.01 * scale)
+        *post, pres = self.groups[0]
+        (target, source, scale), *rest = pres.entries
+        self.groups[0] = (*post, pres._replace(
+            entries=((target, source, 1.01 * scale), *rest)))
 
     monkeypatch.setattr(MasterTerms, "__init__", skewed)
     result = master_vs_classical_flow(np.random.default_rng(103), 32, 10)
     assert not result.passed
     assert result.value < 1.0
+
+
+def test_coherent_eigenrelation_catches_a_one_ppm_word_error(monkeypatch):
+    # every compiled a_j off by 1 + 1e-6 leaves a residual near 1e-6 |z| ||w||
+    def skewed(op, cutoff):
+        table = compile_operator(op, cutoff)
+        (target, source, scale), *rest = table.entries
+        return table._replace(
+            entries=((target, source, (1 + 1e-6) * scale), *rest))
+
+    rng = np.random.default_rng(101)
+    assert coherent_eigenrelation(rng, 32, 50).passed
+    monkeypatch.setattr(acceptance, "compile_operator", skewed)
+    result = coherent_eigenrelation(np.random.default_rng(101), 32, 50)
+    assert not result.passed
+    assert result.value > 1e-8
+
+
+def test_ladder_expansion_fails_on_an_empty_interior_block():
+    # margin = degree + n reaches the cutoff, so no matrix element is left to
+    # compare: an infinite residual, named in the detail, never a pass
+    result = ladder_commutator_expansion(np.random.default_rng(105), 6, 10)
+    assert not result.passed
+    assert "empty interior blocks" in result.detail
+    assert "matrix residual inf" in result.detail

@@ -747,3 +747,14 @@ class TestVerifySuite:
         assert [float(r[2]) for r in rows] == self.TOLERANCES
         assert (out1 / "results.csv").read_bytes() == \
             (out2 / "results.csv").read_bytes()
+
+    def test_small_cutoff_fails_with_every_row_written(self, tmp_path):
+        # at cutoff 8 the interior block of ladder-commutator-expansion is
+        # empty for its deepest margins: the check fails, and the run still
+        # writes all its rows and exits 1
+        out = tmp_path / "out"
+        assert main(["verify", "--cutoff", "8", "--out", str(out)]) == 1
+        lines = (out / "results.csv").read_text().splitlines()
+        rows = dict(line.split(",", 1) for line in lines[1:])
+        assert list(rows) == [c.tag for c in CRITERIA]
+        assert rows["ladder-commutator-expansion"].endswith(",false")

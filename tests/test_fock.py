@@ -15,6 +15,7 @@ from fockdm.fock import (
     DimensionCapError,
     FockMatrix,
     MemberBlock,
+    apply,
     block_trace,
     check_dimension,
     compile_operator,
@@ -269,6 +270,34 @@ class TestBlockTrace:
                         compile_operator(op, 32))
 
 
+class TestApply:
+    # apply(table, x, out) adds op x into out: checked against the dense
+    # matrix times x, with and without a nonzero starting out
+    @pytest.mark.parametrize("hermitian", [True, False],
+                             ids=["hermitian", "general"])
+    @pytest.mark.parametrize("modes", [1, 2])
+    @pytest.mark.parametrize("width", [None, 3], ids=["vector", "block"])
+    def test_matches_the_dense_matrix(self, modes, hermitian, width):
+        rng = np.random.default_rng(modes + 2 * hermitian)
+        D = 7 if modes == 1 else 5
+        dim = D ** modes
+        shape = (dim,) if width is None else (dim, width)
+        for _ in range(4):
+            op = random_normal_operator(rng, modes=modes, degree=3, words=4,
+                                        hermitian=hermitian, dyadic=False)
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            start = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            tensor_shape = (D,) * modes + shape[1:]
+            for out0 in (np.zeros(shape, complex), start):
+                want = realize_matrix(op, D).data @ x + out0
+                out = out0.reshape(tensor_shape).copy()
+                got = apply(compile_operator(op, D), x.reshape(tensor_shape),
+                            out)
+                assert got is out
+                assert np.max(np.abs(got.reshape(shape) - want)) \
+                    <= 1e-12 * np.max(np.abs(want))
+
+
 class TestInterior:
     def test_occupations_layout(self):
         occ = occupations(2, 3)
@@ -290,11 +319,17 @@ class TestHelpers:
     REAL_EXCHANGE = NormalFormOperator(
         2, {word: coeff.real for word, coeff in EXCHANGE.terms.items()})
 
+    @staticmethod
+    def dense(eig, scale):
+        """V diag(scale) V^H, assembled from the rotations."""
+        identity = np.eye(len(eig.values))
+        return eig.from_eigenbasis(scale[:, None] * eig.to_eigenbasis(identity))
+
     def test_eigensystem_exponential_inverse(self):
         eig = eigensystem(self.EXCHANGE, 8)
         assert len(eig.groups) == 8
-        m = eig.dense(np.exp(-0.3 * eig.values)) \
-            @ eig.dense(np.exp(0.3 * eig.values))
+        m = self.dense(eig, np.exp(-0.3 * eig.values)) \
+            @ self.dense(eig, np.exp(0.3 * eig.values))
         assert np.allclose(m, np.eye(64), atol=1e-10)
 
     @pytest.mark.parametrize("op, real", [(EXCHANGE, False),
@@ -316,7 +351,7 @@ class TestHelpers:
                 <= 1e-13
             assert np.max(np.abs(eig.from_eigenbasis(x) - v @ x)) <= 1e-13
         h = realize_matrix(op, 6).data
-        assert np.max(np.abs(eig.dense(eig.values) - h)) \
+        assert np.max(np.abs(self.dense(eig, eig.values) - h)) \
             <= 1e-13 * np.max(np.abs(h))
 
     def test_matrix_json_round_trip(self):

@@ -1,7 +1,8 @@
 """The package's modules form one import stack: each module imports only
-modules below it, so no import cycle can form.  And one spectral primitive,
+modules below it, so no import cycle can form.  One spectral primitive,
 fock.eigensystem, diagonalizes every operator: no module grows a private
-eigensolver."""
+eigensolver.  And operators act on vectors through fock.apply: only the
+spectral primitive and criterion 5's dense oracle realize a dense matrix."""
 
 import ast
 from pathlib import Path
@@ -43,22 +44,39 @@ EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
 SOLVER_CALLERS = {("fock", "eigensystem"), ("evolution", "density_samples")}
 
 
-def solver_scopes(node, scope=None):
-    """The innermost function (None at module level) around each eigensolver
-    attribute below node."""
+# the functions allowed to call realize_matrix: the spectral primitive, and
+# the dense route that criterion 5 checks the symbolic commutators against
+REALIZE_CALLERS = {("fock", "eigensystem"),
+                   ("acceptance", "ladder_commutator_expansion")}
+
+
+def scopes(node, names, scope=None):
+    """The innermost function (None at module level) around each attribute
+    and each call of a bare name below node whose name is one of names."""
     for child in ast.iter_child_nodes(node):
         inner = (child.name if isinstance(child, (ast.FunctionDef,
                                                   ast.AsyncFunctionDef))
                  else scope)
-        if isinstance(child, ast.Attribute) and child.attr in EIGENSOLVERS:
+        if (isinstance(child, ast.Attribute) and child.attr in names
+                or isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) in names):
             yield inner
-        if isinstance(child, ast.ImportFrom):
-            assert not EIGENSOLVERS & {a.name for a in child.names}, \
-                "an eigensolver imported by name"
-        yield from solver_scopes(child, inner)
+        yield from scopes(child, names, inner)
+
+
+def callers(names):
+    return {(module, scope) for module in STACK for scope in scopes(
+        ast.parse((PACKAGE / f"{module}.py").read_text()), names)}
 
 
 def test_eigh_runs_only_in_the_spectral_primitive():
-    callers = {(module, scope) for module in STACK for scope in solver_scopes(
-        ast.parse((PACKAGE / f"{module}.py").read_text()))}
-    assert callers == SOLVER_CALLERS
+    for module in STACK:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert not EIGENSOLVERS & {a.name for a in node.names}, \
+                    "an eigensolver imported by name"
+    assert callers(EIGENSOLVERS) == SOLVER_CALLERS
+
+
+def test_dense_realization_only_in_the_spectral_primitive_and_oracle():
+    assert callers({"realize_matrix"}) == REALIZE_CALLERS

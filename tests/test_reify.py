@@ -96,7 +96,7 @@ class TestSOperator:
         w = pseudo_wavefunction(state1(0.5, 0.3), D)
         routed = s_operator(alpha, D).data @ (
             a @ (s_operator(-alpha, D).data @ w))
-        direct = rotated_annihilation(alpha, D) @ w
+        direct = realize_matrix(rotated_annihilation(alpha), D).data @ w
         assert np.linalg.norm(routed - direct) <= 1e-6
 
 
@@ -140,9 +140,10 @@ class TestRhoZTrace:
 
     def test_threshold_crossing_at_d64(self):
         grid = np.linspace(0.0, math.pi / 4 - 1e-3, 20)
-        trace = rho_z_trace(state1(0.0, 2.0), grid, 64, threshold=1e6)
-        assert trace.threshold_alpha is not None
-        assert trace.threshold_alpha < math.pi / 4
+        trace = rho_z_trace(state1(0.0, 2.0), grid, 64)
+        above = trace.norms > 1e6
+        assert above.any()
+        assert trace.alphas[above][0] < math.pi / 4
 
     def test_growth_steepens_with_cutoff(self):
         grid = np.linspace(0.0, math.pi / 4 - 1e-3, 20)
@@ -167,8 +168,8 @@ class TestRhoZTrace:
             r7 = np.linalg.norm(rho_z @ phi - np.conj(z) * rho_z, 2) / size
             r8 = np.linalg.norm(phi @ rho_z - z * rho_z, 2) / size
             assert trace.norms[i] == pytest.approx(size, rel=1e-10)
-            assert trace.residual_a7[i] == pytest.approx(r7, rel=1e-10)
-            assert trace.residual_a8[i] == pytest.approx(r8, rel=1e-10)
+            assert trace.residuals[i] == pytest.approx(r7, rel=1e-10)
+            assert trace.residuals[i] == pytest.approx(r8, rel=1e-10)
 
     @staticmethod
     def taylor_norm(state, alpha, cutoff, steps=200, terms=20):
@@ -298,12 +299,10 @@ class TestParadoxDemo:
     @staticmethod
     def residuals(cutoff, epsilons):
         alphas = [math.pi / 4 - eps for eps in epsilons]
-        trace = rho_z_trace(state1(0.5, 0.3), alphas, cutoff,
-                            threshold=math.inf)
-        return trace.residual_a7, trace.residual_a8
+        return rho_z_trace(state1(0.5, 0.3), alphas, cutoff).residuals
 
     def test_residuals_grow_with_cutoff_near_pole(self):
-        near = {cutoff: self.residuals(cutoff, (0.3, 0.03, 0.003))[1][-1]
+        near = {cutoff: self.residuals(cutoff, (0.3, 0.03, 0.003))[-1]
                 for cutoff in (16, 32, 64)}
         assert near[16] < near[32] < near[64]
 
@@ -311,11 +310,11 @@ class TestParadoxDemo:
         # at D=64 the exact residual dips before it grows (0.447, 0.291,
         # 0.366 at eps 0.3, 0.05, 0.03 by 60-digit arithmetic), so the grid
         # starts past the dip
-        vals = self.residuals(64, (0.03, 0.01, 0.003))[1]
+        vals = self.residuals(64, (0.03, 0.01, 0.003))
         assert vals[0] < vals[1] < vals[2]
 
     def test_both_relations_fail_together(self):
-        # the two sides are Hermitian conjugates, so their failures agree
-        for r7, r8 in zip(*self.residuals(32, (0.1, 0.01))):
-            assert r7 == pytest.approx(r8, rel=1e-8)
-            assert r7 > 0.1  # order-one failure everywhere
+        # the two sides are Hermitian conjugates, so one residual measures
+        # both (test_residuals_match_the_spectral_norm_form checks each side)
+        for r in self.residuals(32, (0.1, 0.01)):
+            assert r > 0.1  # order-one failure everywhere
