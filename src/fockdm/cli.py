@@ -322,7 +322,8 @@ def emit_report(result: SuiteResult, config: ExperimentConfig,
         "columns": list(result.columns),
         "row_count": len(result.rows),
         "checks": [{"tag": c.tag, "value": _fmt(c.value),
-                    "tolerance": _fmt(c.tolerance), "passed": bool(c.passed)}
+                    "tolerance": _fmt(c.tolerance), "passed": bool(c.passed),
+                    "detail": c.detail}
                    for c in result.checks],
         "passed": bool(not result.failed()),
     }

@@ -46,7 +46,7 @@ class PoleError(ValueError):
 
 _A = NormalFormOperator.annihilation()
 # (adag adag + a a) / 2, the generator of S(alpha) = exp(-alpha gen)
-_S_GENERATOR = NormalFormOperator(1, {((2,), (0,)): 0.5, ((0,), (2,)): 0.5})
+S_GENERATOR = NormalFormOperator(1, {((2,), (0,)): 0.5, ((0,), (2,)): 0.5})
 _PHI = (_A + _A.adjoint()).scale(1 / math.sqrt(2))
 
 
@@ -65,7 +65,7 @@ def s_operator(alpha: float, cutoff: int) -> FockMatrix:
     """Single-mode reification operator at the given cutoff."""
     if cutoff < 4:
         raise ValueError("cutoff must be >= 4")
-    return FockMatrix(1, cutoff, exp_action(_S_GENERATOR, [alpha],
+    return FockMatrix(1, cutoff, exp_action(S_GENERATOR, [alpha],
                                             np.eye(cutoff), cutoff)[:, 0])
 
 
@@ -117,7 +117,7 @@ def rho_z_trace(state: ClassicalState, alphas, cutoff: int) -> ReificationTrace:
     if state.modes != 1:
         raise ValueError("the single-mode recoding takes one-mode states")
     # rank-one structure: ||S rho S||_2 = ||S w||^2, one column u per alpha
-    u = exp_action(_S_GENERATOR, alphas, pseudo_wavefunction(state, cutoff),
+    u = exp_action(S_GENERATOR, alphas, pseudo_wavefunction(state, cutoff),
                    cutoff)
     lengths = np.linalg.norm(u, axis=0)
     phi_u = apply(compile_operator(_PHI, cutoff), u, np.zeros_like(u))
@@ -137,10 +137,10 @@ def norm_flow_residual(state: ClassicalState, alpha: float, cutoff: int) -> floa
     if alpha < 0 or alpha > math.pi / 4 - _MARGIN:
         raise PoleError("alpha must sit in [0, pi/4 - margin]")
     c, d = flow_coeffs(alpha)
-    u = exp_action(_S_GENERATOR, [alpha], pseudo_wavefunction(state, cutoff),
+    u = exp_action(S_GENERATOR, [alpha], pseudo_wavefunction(state, cutoff),
                    cutoff)[:, 0]
     gen, a_rot = (compile_operator(op, cutoff) for op in
-                  (_S_GENERATOR, rotated_annihilation(alpha)))
+                  (S_GENERATOR, rotated_annihilation(alpha)))
     a_u = apply(a_rot, u, np.zeros_like(u))
     trace = (-2 * np.vdot(u, apply(gen, u, np.zeros_like(u))).real
              + 2 * c * np.vdot(u, apply(a_rot, a_u, np.zeros_like(u))).real

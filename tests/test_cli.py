@@ -638,6 +638,44 @@ class TestEvolveSuite:
             assert abs(row[1] - np.trace(rho_t).real) <= 1e-12
             assert row[2] == 0
 
+    def test_liouville_on_a_diagonal_h_n_at_dim_4096(self, tmp_path):
+        # the rotation-invariant H_n is diagonal in the number basis, so
+        # each basis state only turns its phase, by E(k1, k2) t: phi^2 + pi^2
+        # = 2|z|^2 becomes 2n and its square 4 adag^2 a^2 = 4n(n-1); <a_j>
+        # is read off the phased coherent amplitudes, <phi_j> = sqrt2
+        # Re<a_j> and <pi_j> = sqrt2 Im<a_j>
+        D, dt, c1, c2 = 64, 0.05, 0.02, 0.01
+        phi, pi_ = [1.0, 0.5], [0.3, -0.2]
+        cfg = write_config(tmp_path, "r.json", {
+            "generator": "liouville",
+            "hamiltonian": "0.5*(pi1^2+phi1^2+pi2^2+phi2^2)"
+                           " + c1*(phi1^2+pi1^2)^2"
+                           " + c2*(phi1^2+pi1^2)*(phi2^2+pi2^2)",
+            "bindings": {"c1": c1, "c2": c2}, "observables": ["phi1", "pi2"],
+            "state": {"phi": phi, "pi": pi_},
+            "cutoff": D, "dt": dt, "t": 6 * dt, "sample_every": 3})
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        got = np.loadtxt(out / "results.csv", delimiter=",", skiprows=1)
+        columns = []
+        for f, p in zip(phi, pi_):
+            z = (f + 1j * p) / math.sqrt(2)
+            col = np.exp(-abs(z) ** 2 / 2) * np.cumprod(
+                np.r_[1, z / np.sqrt(np.arange(1, D))])
+            columns.append(col)
+        w = np.outer(*columns)
+        k1, k2 = np.indices((D, D))
+        energy = k1 + k2 + 4 * c1 * k1 * (k1 - 1) + 4 * c2 * k1 * k2
+        ladder = np.sqrt(np.arange(1, D))
+        assert got.shape == (3, 5)
+        for row, done in zip(got, (0, 3, 6)):
+            y = np.exp(-1j * done * dt * energy) * w
+            a1 = np.vdot(y[:-1], ladder[:, None] * y[1:])
+            a2 = np.vdot(y[:, :-1], ladder * y[:, 1:])
+            assert abs(row[1] - np.vdot(w, w).real) <= 1e-12
+            assert abs(row[3] - math.sqrt(2) * a1.real) <= 1e-12
+            assert abs(row[4] - math.sqrt(2) * a2.imag) <= 1e-12
+
     def test_generator_is_built_once_per_run(self, tmp_path, monkeypatch):
         builds = []
         init = evolution.MasterTerms.__init__
@@ -747,6 +785,20 @@ class TestVerifySuite:
         assert [float(r[2]) for r in rows] == self.TOLERANCES
         assert (out1 / "results.csv").read_bytes() == \
             (out2 / "results.csv").read_bytes()
+
+    def test_manifest_keeps_each_check_detail(self, tmp_path):
+        # at cutoff 8 ladder-commutator-expansion fails with value 0 (its
+        # symbolic residuals) and tolerance 0; the manifest says why
+        out = tmp_path / "out"
+        assert main(["verify", "--cutoff", "8", "--out", str(out)]) == 1
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        assert [c["tag"] for c in checks] == [c.tag for c in CRITERIA]
+        assert all(c["detail"] for c in checks)
+        [ladder] = [c for c in checks
+                    if c["tag"] == "ladder-commutator-expansion"]
+        assert not ladder["passed"]
+        assert "matrix residual inf (1 empty interior blocks)" \
+            in ladder["detail"]
 
     def test_small_cutoff_fails_with_every_row_written(self, tmp_path):
         # at cutoff 8 the interior block of ladder-commutator-expansion is

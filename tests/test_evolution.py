@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fockdm import evolution
+from fockdm import evolution, fock
 from fockdm.acceptance import master_vs_classical_flow
 from fockdm.algebra import (
     NormalFormOperator,
@@ -25,11 +25,13 @@ from fockdm.evolution import (
 from fockdm.fock import (
     DimensionCapError,
     FockMatrix,
+    compile_operator,
     eigensystem,
     interior_block,
     realize_matrix,
 )
 from fockdm.poly import PolyExpr, parse_poly, random_poly
+from fockdm.reify import S_GENERATOR, m_generator
 from fockdm.states import (
     ClassicalState,
     Ensemble,
@@ -613,6 +615,9 @@ class TestSectors:
     # batched eigh per sector size.  Every case below has sectors of one size.
     OSCILLATORS = "0.5*(pi1^2+phi1^2+pi2^2+phi2^2)"
     KERR = "0.5*(pi1^2+phi1^2) + 0.05*(phi1^2+pi1^2)^2"
+    # diagonal in the number basis: every basis state is its own sector
+    ROTATION_INVARIANT = (OSCILLATORS + " + 0.02*(phi1^2+pi1^2)^2"
+                          " + 0.01*(phi1^2+pi1^2)*(phi2^2+pi2^2)")
     CASES = [
         (KERR, 32, 32),
         # the benchmark quartic: every word moves each mode by an even step
@@ -655,6 +660,87 @@ class TestSectors:
         rebuilt = (vecs * evals) @ vecs.conj().T
         assert np.max(np.abs(rebuilt - hmat)) <= 1e-12 * norm
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) <= 1e-13
+
+    @staticmethod
+    def dense_gather(hamiltonian, cutoff):
+        """The eigensystem read off the dense H_n: each sector's block
+        gathered from realize_matrix, one batched eigh per sector width."""
+        hmat = realize_matrix(hamiltonian, cutoff).data
+        matrix = hmat if hmat.imag.any() else hmat.real
+        label = fock._sector_labels(compile_operator(hamiltonian, cutoff))
+        size = np.bincount(label)[label]
+        order, counts = np.lexsort((label, size)), np.bincount(size)
+        values, groups, start = np.empty(label.size), [], 0
+        for width in counts.nonzero()[0]:
+            rows = order[start:start + counts[width]].reshape(-1, width)
+            values[rows], vectors = np.linalg.eigh(
+                matrix[rows[:, :, None], rows[:, None, :]])
+            groups.append((rows, vectors))
+            start += rows.size
+        return values, groups
+
+    @pytest.mark.parametrize("op, D", [
+        *((poly_to_normal_form(parse_poly(text, {})), D)
+          for text, D, _ in CASES),
+        (S_GENERATOR, 64), (m_generator(1), 32), (m_generator(2), 6)],
+        ids=["kerr", "quartic", "coupled", "complex", "s-generator",
+             "m-generator", "m-generator-2"])
+    def test_blocks_summed_from_the_words_equal_the_dense_gather(
+            self, monkeypatch, op, D):
+        # the blocks hold the sums the dense matrix held, added in the same
+        # order, so every value and vector agrees bit for bit; and the
+        # dense matrix is never realized
+        want_values, want_groups = self.dense_gather(op, D)
+
+        def realized(*args):
+            raise AssertionError("eigensystem realized the dense matrix")
+
+        monkeypatch.setattr(fock, "realize_matrix", realized)
+        values, groups = eigensystem(op, D)
+        assert np.array_equal(values, want_values)
+        assert len(groups) == len(want_groups)
+        for (rows, vectors), (want_rows, want_vectors) in zip(groups,
+                                                              want_groups):
+            assert np.array_equal(rows, want_rows)
+            assert vectors.dtype == want_vectors.dtype
+            assert np.array_equal(vectors, want_vectors)
+
+    def test_real_path_is_decided_on_the_summed_blocks(self):
+        # pi is imaginary on the number basis, so pi^2 reaches H_n as
+        # complex-typed coefficients with no imaginary part; i (adag^8 - a^8)
+        # has imaginary words that realize to nothing at D = 8 and to an
+        # imaginary H_n at D = 9
+        H = poly_to_normal_form(parse_poly(self.KERR, {}))
+        assert any(np.iscomplexobj(scale)
+                   for *_, scale in compile_operator(H, 16).entries)
+        assert all(np.isrealobj(v) for _, v in eigensystem(H, 16).groups)
+        long = H + NormalFormOperator(1, {((8,), (0,)): 1j,
+                                          ((0,), (8,)): -1j})
+        assert all(np.isrealobj(v) for _, v in eigensystem(long, 8).groups)
+        assert all(np.iscomplexobj(v) for _, v in eigensystem(long, 9).groups)
+
+    def test_words_that_sum_past_the_float_range_overflow(self):
+        # each word is finite at D = 2, their sum at occupation 1 is not
+        H = NormalFormOperator(1, {((0,), (0,)): 1e308, ((1,), (1,)): 1e308})
+        assert all(np.isfinite(scale).all()
+                   for *_, scale in compile_operator(H, 2).entries)
+        with pytest.raises(FloatingPointError, match="overflows at cutoff 2"):
+            eigensystem(H, 2)
+
+    @pytest.mark.parametrize("text, D, bound", [
+        (CASES[1][0], 24, 16 * 576 ** 2), (ROTATION_INVARIANT, 64, 16e6)],
+        ids=["quartic", "rotation-invariant"])
+    def test_peak_memory_stays_below_the_dense_matrix(self, text, D, bound):
+        # the dense H_n alone takes 16 dim^2 bytes: 5.3 MB at dim 576 and
+        # 268 MB at dim 4096
+        H = poly_to_normal_form(parse_poly(text, {}))
+        tracemalloc.start()
+        try:
+            eigensystem(H, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_sector_count_is_logged(self, caplog):
         text, D, _ = self.CASES[1]

@@ -1,8 +1,9 @@
 """The package's modules form one import stack: each module imports only
 modules below it, so no import cycle can form.  One spectral primitive,
 fock.eigensystem, diagonalizes every operator: no module grows a private
-eigensolver.  And operators act on vectors through fock.apply: only the
-spectral primitive and criterion 5's dense oracle realize a dense matrix."""
+eigensolver.  And operators act on vectors through fock.apply: only
+criterion 5's dense oracle realizes a dense matrix; the spectral primitive
+sums its sector blocks straight from the compiled words."""
 
 import ast
 from pathlib import Path
@@ -44,10 +45,9 @@ EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
 SOLVER_CALLERS = {("fock", "eigensystem"), ("evolution", "density_samples")}
 
 
-# the functions allowed to call realize_matrix: the spectral primitive, and
-# the dense route that criterion 5 checks the symbolic commutators against
-REALIZE_CALLERS = {("fock", "eigensystem"),
-                   ("acceptance", "ladder_commutator_expansion")}
+# the one function allowed to call realize_matrix: the dense route that
+# criterion 5 checks the symbolic commutators against
+REALIZE_CALLERS = {("acceptance", "ladder_commutator_expansion")}
 
 
 def scopes(node, names, scope=None):
@@ -78,5 +78,5 @@ def test_eigh_runs_only_in_the_spectral_primitive():
     assert callers(EIGENSOLVERS) == SOLVER_CALLERS
 
 
-def test_dense_realization_only_in_the_spectral_primitive_and_oracle():
+def test_dense_realization_only_in_the_oracle():
     assert callers({"realize_matrix"}) == REALIZE_CALLERS
