@@ -3,10 +3,11 @@
 Each criterion is a function ``(rng, cutoff, samples) -> CheckResult``,
 registered in ``CRITERIA`` in the row order of ``fockdm verify``, which runs
 it at the sample count stored there; ``tests/test_acceptance.py`` runs the
-same functions at full scale.  Tolerances are pinned here and nowhere else,
-apart from the iee one, which ``fockdm.discrepancy`` applies itself.
-Identities exact over the reals (the pi/6 flow coefficients, the rescaled
-oscillator's curvature balance) are held to 1e-12, the rounding floor of
+same functions at full scale.  Each check a CLI suite reports is a function
+here too, of what the suite measured; criteria 6 and 9 return the suite check
+of their tag.  Tolerances are pinned here and nowhere else.  Identities exact
+over the reals (the pi/6 flow coefficients, the rescaled oscillator's
+curvature balance) are held to 1e-12, the rounding floor of
 closed forms in double precision.  Deterministic criteria ignore ``rng`` and
 ``samples``.
 """
@@ -27,7 +28,6 @@ from .algebra import (
     random_normal_operator,
 )
 from .discrepancy import (
-    IEE_TOLERANCE,
     discrepancy_report,
     iee_check,
     rescale_field,
@@ -37,12 +37,12 @@ from .evolution import MasterTerms, master_rhs, projection_decay
 from .fock import apply, compile_operator, interior_block, realize_matrix
 from .poly import parse_poly, random_poly
 from .reify import (
-    S_GENERATOR,
     PoleError,
     exp_action,
     flow_coeffs,
     m_generator,
     rho_z_trace,
+    s_action,
 )
 from .states import (
     ClassicalState,
@@ -54,9 +54,11 @@ from .states import (
     pure_density,
 )
 
-# Bounds that fockdm discrepancy and fockdm project share with criteria 6, 9.
+# Bounds of the CLI suites' checks; criteria 6, 9 and 12 share the first three.
 DISCREPANCY_TOLERANCE = 1e-8
 PROJECTION_BAND = 4.0
+IEE_TOLERANCE = 1e-7
+TRACE_DRIFT_TOLERANCE = 1e-6
 
 # Step sizes of the central difference in master-vs-classical-flow.
 FLOW_DTS = (1e-2, 1e-3, 1e-4)
@@ -76,6 +78,52 @@ class CheckResult:
     detail: str = ""
 
 
+def closed_form_check(reports) -> CheckResult:
+    """Rows outside the closed form's domain are not compared; with none
+    inside, the value is infinite and the check fails."""
+    residuals = [r.residual for r in reports if r.applicable]
+    worst = float(np.max(residuals)) if residuals else math.inf
+    return CheckResult("discrepancy-closed-form", worst, DISCREPANCY_TOLERANCE,
+                       worst <= DISCREPANCY_TOLERANCE,
+                       f"{len(residuals)} of {len(reports)} rows compared, "
+                       f"worst residual {worst:.3e}")
+
+
+def projection_check(band: float) -> CheckResult:
+    return CheckResult("projection-offdiagonal-decay", band, PROJECTION_BAND,
+                       band <= PROJECTION_BAND,
+                       f"C-estimate spread factor {band:.3f}")
+
+
+def equilibrium_check(report) -> CheckResult:
+    """The one equilibrium rule: both fluxes vanish for every observable."""
+    return CheckResult("iee-flux-vanishes", report.worst, IEE_TOLERANCE,
+                       report.worst <= IEE_TOLERANCE,
+                       f"largest |flux| {report.worst:.3e}")
+
+
+def trace_drift_check(traces) -> CheckResult:
+    drift = abs(traces[-1] - traces[0])
+    return CheckResult("trace-drift", drift, TRACE_DRIFT_TOLERANCE,
+                       drift <= TRACE_DRIFT_TOLERANCE,
+                       f"trace moved by {drift:.3e} from the first sample")
+
+
+def monotone_growth_check(traces) -> CheckResult:
+    flat = [str(t.cutoff) for t in traces if not t.is_monotone()]
+    return CheckResult("reify-monotone-growth", float(not flat), 1.0, not flat,
+                       "not monotone at cutoff " + ", ".join(flat) if flat
+                       else "monotone at every cutoff")
+
+
+def steepening_check(traces) -> CheckResult:
+    peaks = sorted((t.cutoff, float(np.max(t.norms))) for t in traces)
+    steepens = all(b > a for (_, a), (_, b) in zip(peaks, peaks[1:]))
+    return CheckResult("reify-growth-steepens-with-cutoff", float(steepens),
+                       1.0, steepens, "largest norm " + ", ".join(
+                           f"{peak:.3e} at D={cutoff}" for cutoff, peak in peaks))
+
+
 class Criterion(NamedTuple):
     number: int  # the acceptance criterion it belongs to (1-12)
     tag: str
@@ -87,11 +135,15 @@ CRITERIA: list[Criterion] = []
 
 
 def criterion(number: int, tag: str, verify_samples: int = 0):
-    """Register a measurement returning (value, tolerance, passed, detail)."""
+    """Register a measurement returning (value, tolerance, passed, detail),
+    or the CheckResult of the suite check of the same tag."""
     def register(measure):
         @functools.wraps(measure)
         def check(rng, cutoff, samples):
-            value, tolerance, passed, detail = measure(rng, cutoff, samples)
+            result = measure(rng, cutoff, samples)
+            if isinstance(result, CheckResult):
+                return result
+            value, tolerance, passed, detail = result
             return CheckResult(tag, float(value), tolerance, bool(passed),
                                detail)
         CRITERIA.append(Criterion(number, tag, check, verify_samples))
@@ -306,17 +358,16 @@ def ladder_commutator_expansion(rng, cutoff, samples):
 def discrepancy_closed_form(rng, cutoff, samples):
     """|direct - closed form| <= 1e-8 over random (H, g, state) triples,
     alternating 1 and 2 modes; a triple outside the closed form's domain
-    counts as an infinite residual."""
-    worst = 0.0
+    is not compared (closed_form_check); H of degree <= 3 keeps every triple
+    inside it."""
+    reports = []
     for k in range(samples):
         n = 1 if k % 2 == 0 else 2
         h = random_poly(rng, modes=n, degree=3, terms=5) * 0.5
         g = random_poly(rng, modes=n, degree=4, terms=6)
         s = seeded_state(rng, n, scale=0.7)
-        rep = discrepancy_report(s, g, h, cutoff)
-        worst = max(worst, rep.residual if rep.applicable else math.inf)
-    return (worst, DISCREPANCY_TOLERANCE, worst <= DISCREPANCY_TOLERANCE,
-            f"worst residual {worst:.3e}")
+        reports.append(discrepancy_report(s, g, h, cutoff))
+    return closed_form_check(reports)
 
 
 @criterion(7, "oscillator-mass-sweep")
@@ -368,8 +419,7 @@ def projection_offdiagonal_decay(rng, cutoff, samples):
     # v(delta) in [C/(2 delta), 2C/delta] for a single C iff the spread of
     # v * delta stays within a factor of four
     _, band = projection_decay(rho, h_n, (50.0, 100.0, 200.0))
-    return (band, PROJECTION_BAND, band <= PROJECTION_BAND,
-            f"C-estimate spread factor {band:.3f}")
+    return projection_check(band)
 
 
 @criterion(10, "reify-flow-coefficients")
@@ -416,8 +466,8 @@ def two_mode_escape(rng, cutoff, samples):
             m_generator(1), [math.pi / 4],
             np.stack([extended_wavefunction(s, D) for s in states], axis=1),
             D)[:, 0], axis=0)
-        s_norms[D] = np.linalg.norm(exp_action(
-            S_GENERATOR, [math.pi / 4 - 1e-3],
+        s_norms[D] = np.linalg.norm(s_action(
+            [math.pi / 4 - 1e-3],
             np.stack([pseudo_wavefunction(s, D) for s in states], axis=1),
             D)[:, 0], axis=0) ** 2
     worst_change = float(np.max(np.abs(m_norms[32] - m_norms[16])
@@ -441,6 +491,6 @@ def iee_phase_circle(rng, cutoff, samples):
     rep2 = iee_check(e, h2, [gs[0]], cutoff)
     gap = rep2.rows[0].direct
     value = max(rep1.worst, abs(gap - (-0.5)))
-    return (value, IEE_TOLERANCE, rep1.equilibrium and not rep2.equilibrium
-            and value <= IEE_TOLERANCE,
+    return (value, IEE_TOLERANCE, equilibrium_check(rep1).passed
+            and not equilibrium_check(rep2).passed and value <= IEE_TOLERANCE,
             f"unit-mass flux {rep1.worst:.3e}, mass-two gap {gap.real:+.6f}")

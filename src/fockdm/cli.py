@@ -29,12 +29,15 @@ import numpy as np
 from . import __version__
 from .acceptance import (
     CRITERIA,
-    DISCREPANCY_TOLERANCE,
-    PROJECTION_BAND,
-    CheckResult,
+    closed_form_check,
+    equilibrium_check,
+    monotone_growth_check,
+    projection_check,
+    steepening_check,
+    trace_drift_check,
 )
 from .algebra import poly_to_normal_form
-from .discrepancy import IEE_TOLERANCE, discrepancy_report, iee_check
+from .discrepancy import discrepancy_report, iee_check
 from .evolution import density_samples, projection_decay, step_count
 from .fock import DimensionCapError, check_dimension, compile_operator
 from .poly import PolyExpr, PolyParseError, ProductSizeError, parse_poly
@@ -354,24 +357,19 @@ def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
     columns = [name, "observable", "g_hat_re", "g_hat_im", "g_dot",
                "direct_re", "direct_im", "closed_re", "closed_im",
                "residual", "applicable"]
-    rows = []
-    worst = 0.0
+    rows, reports = [], []
     for value in values:
         bindings = {**config.bindings, name: value}
         h = config.hamiltonian_on(state.modes, bindings)
         for text, g in config.observables_on(state.modes, bindings):
             rep = discrepancy_report(state, g, h, config.cutoff,
                                      config.order_cap)
-            if rep.applicable:
-                worst = max(worst, rep.residual)
+            reports.append(rep)
             rows.append((value, text, rep.g_hat.real, rep.g_hat.imag,
                          rep.g_dot, rep.direct.real, rep.direct.imag,
                          rep.closed_form.real, rep.closed_form.imag,
                          rep.residual, rep.applicable))
-    checks = [CheckResult("discrepancy-closed-form", worst,
-                          DISCREPANCY_TOLERANCE,
-                          worst <= DISCREPANCY_TOLERANCE)]
-    return SuiteResult(columns=columns, rows=rows, checks=checks)
+    return SuiteResult(columns, rows, [closed_form_check(reports)])
 
 
 def run_evolve(config: ExperimentConfig) -> SuiteResult:
@@ -387,20 +385,17 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
     tables = [compile_operator(poly_to_normal_form(g), config.cutoff)
               for _, g in observables]
     columns = ["t", "trace_re", "trace_im"] + [f"<{text}>" for text, _ in observables]
-    rows = []
-    snapshots = []
+    rows, traces, snapshots = [], [], []
     for done, rho in density_samples(config.generator, ensemble, h_n,
                                      config.cutoff, config.dt, steps,
                                      config.sample_every):
         tr = rho.trace()
+        traces.append(tr)
         rows.append((done * config.dt, tr.real, tr.imag)
                     + tuple(rho.expect(table).real for table in tables))
         if done and config.snapshot_every and done % config.snapshot_every == 0:
             snapshots.append((done, rho))
-    drift = abs(rows[-1][1] + 1j * rows[-1][2] - (rows[0][1] + 1j * rows[0][2]))
-    checks = [CheckResult("trace-drift", drift, 1e-6, drift <= 1e-6)]
-    return SuiteResult(columns=columns, rows=rows, checks=checks,
-                       snapshots=snapshots)
+    return SuiteResult(columns, rows, [trace_drift_check(traces)], snapshots)
 
 
 def run_reify(config: ExperimentConfig) -> SuiteResult:
@@ -409,23 +404,13 @@ def run_reify(config: ExperimentConfig) -> SuiteResult:
                        config.alpha_points)
     columns = ["alpha", "norm", "cutoff", "residual_a7", "residual_a8",
                "c", "d"]
-    rows = []
-    monotone = True
-    for cutoff in config.cutoffs:
-        trace = rho_z_trace(state, grid, cutoff)
-        monotone = monotone and trace.is_monotone()
-        for alpha, norm, r in zip(trace.alphas, trace.norms, trace.residuals):
-            c, d = flow_coeffs(alpha)
-            rows.append((alpha, norm, cutoff, r, r, c, d))
-    per_cut = {c: max(r[1] for r in rows if r[2] == c)
-               for c in config.cutoffs}
-    ordered = [per_cut[c] for c in sorted(config.cutoffs)]
-    steepens = all(b > a for a, b in zip(ordered, ordered[1:]))
-    checks = [CheckResult("reify-monotone-growth", float(monotone), 1.0,
-                          monotone),
-              CheckResult("reify-growth-steepens-with-cutoff",
-                          float(steepens), 1.0, steepens)]
-    return SuiteResult(columns=columns, rows=rows, checks=checks)
+    traces = [rho_z_trace(state, grid, cutoff) for cutoff in config.cutoffs]
+    rows = [(alpha, norm, trace.cutoff, r, r, *flow_coeffs(alpha))
+            for trace in traces
+            for alpha, norm, r in zip(trace.alphas, trace.norms,
+                                      trace.residuals)]
+    return SuiteResult(columns, rows, [monotone_growth_check(traces),
+                                       steepening_check(traces)])
 
 
 def run_project(config: ExperimentConfig) -> SuiteResult:
@@ -434,9 +419,7 @@ def run_project(config: ExperimentConfig) -> SuiteResult:
     rho = pure_density(state, config.cutoff)
     columns = ["delta", "max_offdiagonal", "c_estimate", "trace_error"]
     rows, band = projection_decay(rho, h_n, config.deltas)
-    checks = [CheckResult("projection-offdiagonal-decay", band,
-                          PROJECTION_BAND, band <= PROJECTION_BAND)]
-    return SuiteResult(columns=columns, rows=rows, checks=checks)
+    return SuiteResult(columns, rows, [projection_check(band)])
 
 
 def run_iee(config: ExperimentConfig) -> SuiteResult:
@@ -444,14 +427,13 @@ def run_iee(config: ExperimentConfig) -> SuiteResult:
     h = config.hamiltonian_on(ensemble.modes)
     observables = config.observables_on(ensemble.modes)
     report = iee_check(ensemble, h, [g for _, g in observables], config.cutoff)
+    check = equilibrium_check(report)
     columns = ["observable", "g_hat_re", "g_hat_im", "g_dot",
                "discrepancy_re", "discrepancy_im", "equilibrium"]
     rows = [(text, r.g_hat.real, r.g_hat.imag, r.g_dot,
-             r.direct.real, r.direct.imag, report.equilibrium)
+             r.direct.real, r.direct.imag, check.passed)
             for (text, _), r in zip(observables, report.rows)]
-    checks = [CheckResult("iee-flux-vanishes", report.worst, IEE_TOLERANCE,
-                          report.equilibrium)]
-    return SuiteResult(columns=columns, rows=rows, checks=checks)
+    return SuiteResult(columns, rows, [check])
 
 
 _RUNNERS = {

@@ -41,9 +41,6 @@ from .fock import FockMatrix, MemberBlock, WordTable, compile_operator
 from .poly import ChartError, PolyExpr
 from .states import ClassicalState, Ensemble, poisson_bracket
 
-# both ensemble-averaged fluxes must lie within this of zero at an equilibrium
-IEE_TOLERANCE = 1e-7
-
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
@@ -216,20 +213,15 @@ class IEEReport:
         return float(np.max([(abs(r.g_hat), abs(r.g_dot))
                              for r in self.rows], initial=0.0))
 
-    @property
-    def equilibrium(self) -> bool:
-        """Both flux predictions vanish for every tested observable."""
-        return self.worst <= IEE_TOLERANCE
-
 
 def iee_check(ensemble: Ensemble, hamiltonian: PolyExpr,
               observables, cutoff: int) -> IEEReport:
     """Test a candidate equilibrium ensemble against a set of observables.
 
     The ensemble-averaged quantum flux, classical flux, and their gap are
-    reported per observable (``ensemble_fluxes``); the equilibrium flag
-    demands that both fluxes vanish within IEE_TOLERANCE.  No attempt is
-    made to construct equilibria.
+    reported per observable (``ensemble_fluxes``), for
+    ``acceptance.equilibrium_check`` to judge.  No attempt is made to
+    construct equilibria.
     """
     return IEEReport(rows=tuple(ensemble_fluxes(ensemble, hamiltonian,
                                                 observables, cutoff)))

@@ -245,7 +245,8 @@ def projection_decay(rho: FockMatrix, hamiltonian: NormalFormOperator,
     eigenbasis: those are the elements the average suppresses like C/delta.
     The trace error is read in the number basis.  The spread is
     max/min of off * delta, infinite when some average has none left.
-    H_n is realized and diagonalized once for the mask and every delta.
+    H_n is diagonalized once (fock.eigensystem) for the mask and every
+    delta.
     """
     eig = eigensystem(hamiltonian, rho.cutoff)
     gap = np.abs(eig.values[:, None] - eig.values[None, :]) > 1e-9

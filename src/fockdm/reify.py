@@ -19,10 +19,12 @@ the conjugate amplitude and exchanges quanta between them:
 
 The generator conserves the quanta of each pair, so it is bounded on every
 number sector and the recoded vectors stay finite at alpha = pi/4: the
-single-mode divergence is gone.  Every exp(-alpha G) w is ``exp_action``,
-read off ``fock.eigensystem`` of G one sector at a time (S keeps the
-occupation parity, M the quanta of each pair), so no rounding leaks across
-sectors; the dense S and M are its action on the identity, and every other
+single-mode divergence is gone.  S acts on vectors by ``s_action``, Taylor
+sub-steps in the number basis through ``fock.apply``: the truncated S
+generator has eigenvalues up to about D, so a read in its eigenbasis
+amplifies rounding by up to e^(alpha D).  M acts by ``exp_action``, read off
+``fock.eigensystem`` of its generator one sector of pair quanta at a time.
+The dense S and M are their actions on the identity, and every other
 operator acts on vectors through ``fock.apply``.
 """
 
@@ -38,6 +40,9 @@ from .fock import FockMatrix, apply, check_dimension, compile_operator, eigensys
 from .states import ClassicalState, pseudo_wavefunction
 
 _MARGIN = 1e-3
+
+# Taylor terms of an s_action sub-step: with h ||G||_2 <= 1 the rest is < 1/21!
+S_TAYLOR_TERMS = 20
 
 
 class PoleError(ValueError):
@@ -61,12 +66,39 @@ def exp_action(generator: NormalFormOperator, alphas, w: np.ndarray,
                                * eig.to_eigenbasis(w)[:, None])
 
 
+def s_action(alphas, w: np.ndarray, cutoff: int) -> np.ndarray:
+    """exp(-alpha G) w, G = S_GENERATOR, per alpha of the grid on axis 1: w,
+    any D x r block, is carried from alpha = 0 through the grid by Taylor
+    sub-steps of length h with h B <= 1, B the sum over the compiled words
+    of their largest |scale| (B >= ||G||_2), each summing all S_TAYLOR_TERMS
+    terms (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488, 2011)."""
+    table = compile_operator(S_GENERATOR, cutoff)
+    # G is real: its words act with real scales, so a real w stays real
+    table = table._replace(entries=tuple(
+        (target, source, scale.real) for target, source, scale in table.entries))
+    bound = sum(float(np.abs(scale).max(initial=0.0))
+                for *_, scale in table.entries)
+    u = np.array(w, dtype=np.result_type(w, float))
+    out = np.empty((len(u), len(alphas)) + u.shape[1:], u.dtype)
+    at = 0.0
+    for i, alpha in enumerate(alphas):
+        steps = math.ceil(abs(alpha - at) * bound)
+        h = (alpha - at) / max(steps, 1)
+        for _ in range(steps):
+            term, u = u, u.copy()
+            for n in range(1, S_TAYLOR_TERMS + 1):
+                term = apply(table, term, np.zeros_like(term)) * (-h / n)
+                u += term
+        out[:, i] = u
+        at = alpha
+    return out
+
+
 def s_operator(alpha: float, cutoff: int) -> FockMatrix:
     """Single-mode reification operator at the given cutoff."""
     if cutoff < 4:
         raise ValueError("cutoff must be >= 4")
-    return FockMatrix(1, cutoff, exp_action(S_GENERATOR, [alpha],
-                                            np.eye(cutoff), cutoff)[:, 0])
+    return FockMatrix(1, cutoff, s_action([alpha], np.eye(cutoff), cutoff)[:, 0])
 
 
 def rotated_annihilation(alpha: float) -> NormalFormOperator:
@@ -117,8 +149,7 @@ def rho_z_trace(state: ClassicalState, alphas, cutoff: int) -> ReificationTrace:
     if state.modes != 1:
         raise ValueError("the single-mode recoding takes one-mode states")
     # rank-one structure: ||S rho S||_2 = ||S w||^2, one column u per alpha
-    u = exp_action(S_GENERATOR, alphas, pseudo_wavefunction(state, cutoff),
-                   cutoff)
+    u = s_action(alphas, pseudo_wavefunction(state, cutoff), cutoff)
     lengths = np.linalg.norm(u, axis=0)
     phi_u = apply(compile_operator(_PHI, cutoff), u, np.zeros_like(u))
     residuals = np.linalg.norm(phi_u - state.z[0] * u, axis=0) / lengths
@@ -137,8 +168,7 @@ def norm_flow_residual(state: ClassicalState, alpha: float, cutoff: int) -> floa
     if alpha < 0 or alpha > math.pi / 4 - _MARGIN:
         raise PoleError("alpha must sit in [0, pi/4 - margin]")
     c, d = flow_coeffs(alpha)
-    u = exp_action(S_GENERATOR, [alpha], pseudo_wavefunction(state, cutoff),
-                   cutoff)[:, 0]
+    u = s_action([alpha], pseudo_wavefunction(state, cutoff), cutoff)[:, 0]
     gen, a_rot = (compile_operator(op, cutoff) for op in
                   (S_GENERATOR, rotated_annihilation(alpha)))
     a_u = apply(a_rot, u, np.zeros_like(u))

@@ -120,16 +120,16 @@ class Ensemble:
         return cls(tuple(zip(states, weights)))
 
     @classmethod
-    def phase_circle(cls, radius: float, points: int, modes: int = 1,
-                     mode: int = 0) -> "Ensemble":
-        """Equally weighted states on a circle in one mode's (phi, pi) plane."""
+    def phase_circle(cls, radius: float, points: int,
+                     modes: int = 1) -> "Ensemble":
+        """Equally weighted states on a circle in mode 1's (phi, pi) plane."""
         states = []
         for k in range(points):
             theta = 2 * math.pi * k / points
             phi = np.zeros(modes)
             pi = np.zeros(modes)
-            phi[mode] = radius * math.cos(theta)
-            pi[mode] = radius * math.sin(theta)
+            phi[0] = radius * math.cos(theta)
+            pi[0] = radius * math.sin(theta)
             states.append(ClassicalState(phi, pi))
         return cls.from_states(states)
 

@@ -2,15 +2,15 @@ import importlib
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fockdm import cli, discrepancy, evolution
-from fockdm.acceptance import CRITERIA
+from fockdm.acceptance import CRITERIA, CheckResult
 from fockdm.cli import (
-    CheckResult,
     ConfigError,
     ExperimentConfig,
     SuiteResult,
@@ -18,7 +18,7 @@ from fockdm.cli import (
     main,
 )
 from fockdm.algebra import poly_to_normal_form
-from fockdm.fock import DIM_CAP, realize_matrix
+from fockdm.fock import DIM_CAP, FockMatrix, realize_matrix
 from fockdm.poly import PolyExpr, parse_poly
 from fockdm.states import Ensemble, ensemble_density
 
@@ -506,6 +506,24 @@ class TestExitCodes:
         [check] = json.loads((out / "manifest.json").read_text())["checks"]
         assert check["value"] == "inf" and not check["passed"]
 
+    def test_discrepancy_with_no_row_in_the_closed_form_domain_exits_1(
+            self, tmp_path, capsys):
+        # phi^4 carries four z and four y factors, past the |k| <= 3 series:
+        # no row is compared, and a check that compared nothing fails
+        cfg = write_config(tmp_path, "quartic.json", {
+            "hamiltonian": "0.5*pi1^2 + 0.25*phi1^4",
+            "observables": ["phi1*pi1", "phi1^2"]})
+        out = tmp_path / "out"
+        assert main(["discrepancy", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert "[FAIL] discrepancy-closed-form: value=inf" \
+            in capsys.readouterr().out
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["false", "false"]
+        [check] = json.loads((out / "manifest.json").read_text())["checks"]
+        assert check["value"] == "inf" and not check["passed"]
+        assert check["detail"].startswith("0 of 2 rows compared")
+
     # every coefficient is finite, but the realized phi^4 term is not
     @pytest.mark.parametrize("experiment, data", [
         ("evolve", {"generator": "liouville"}), ("project", {})],
@@ -799,6 +817,12 @@ class TestVerifySuite:
         assert not ladder["passed"]
         assert "matrix residual inf (1 empty interior blocks)" \
             in ladder["detail"]
+        # and every suite's default run explains each of its checks
+        for experiment in cli.EXPERIMENTS:
+            out = tmp_path / experiment
+            assert main([experiment, "--out", str(out)]) == 0
+            checks = json.loads((out / "manifest.json").read_text())["checks"]
+            assert checks and all(c["detail"] for c in checks), experiment
 
     def test_small_cutoff_fails_with_every_row_written(self, tmp_path):
         # at cutoff 8 the interior block of ladder-commutator-expansion is
@@ -810,3 +834,116 @@ class TestVerifySuite:
         rows = dict(line.split(",", 1) for line in lines[1:])
         assert list(rows) == [c.tag for c in CRITERIA]
         assert rows["ladder-commutator-expansion"].endswith(",false")
+
+
+def suite_checks(tmp_path, name, experiment, data=None):
+    """Exit code and manifest checks, by tag, of one suite run."""
+    out = tmp_path / name
+    args = [experiment, "--out", str(out)]
+    if data is not None:
+        args += ["--config", str(write_config(tmp_path, f"{name}.json", data))]
+    code = main(args)
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    return code, {c["tag"]: c for c in checks}
+
+
+class TestNegativeControls:
+    # each suite check passes on a clean run and fails once one named fault
+    # is planted in what its suite measures
+
+    def test_trace_drift_sees_a_sample_trace_shifted_by_2e_6(
+            self, tmp_path, monkeypatch):
+        data = {"observables": ["phi1"], "cutoff": 8, "t": 0.04, "dt": 0.01,
+                "sample_every": 2}
+        assert suite_checks(tmp_path, "clean", "evolve", data)[0] == 0
+        traces = []
+        trace = FockMatrix.trace
+
+        def shifted(rho):
+            traces.append(trace(rho))
+            return traces[-1] + (2e-6 if len(traces) > 1 else 0.0)
+
+        monkeypatch.setattr(FockMatrix, "trace", shifted)
+        code, checks = suite_checks(tmp_path, "fault", "evolve", data)
+        assert code == 1 and len(traces) == 3
+        assert not checks["trace-drift"]["passed"]
+        assert float(checks["trace-drift"]["value"]) == pytest.approx(2e-6)
+
+    def test_closed_form_check_sees_the_closed_form_skewed_by_1e_7(
+            self, tmp_path, monkeypatch):
+        assert suite_checks(tmp_path, "clean", "discrepancy",
+                            DISC_CONFIG)[0] == 0
+        closed_form = discrepancy.discrepancy_closed_form
+
+        def skewed(*args):
+            value, applicable = closed_form(*args)
+            return value + 1e-7, applicable
+
+        monkeypatch.setattr(discrepancy, "discrepancy_closed_form", skewed)
+        code, checks = suite_checks(tmp_path, "fault", "discrepancy",
+                                    DISC_CONFIG)
+        assert code == 1
+        check = checks["discrepancy-closed-form"]
+        assert not check["passed"]
+        assert float(check["value"]) == pytest.approx(1e-7)
+        assert check["detail"].startswith("3 of 3 rows compared")
+
+    def test_projection_check_sees_a_window_fixed_at_the_first_delta(
+            self, tmp_path, monkeypatch):
+        # every delta averaged over [0, 50] leaves the off-diagonal content
+        # constant, so the C estimates spread by max/min delta = 8; at the
+        # default deltas that spread is 4.0 and passes the band of 4
+        data = {"hamiltonian": "0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^4",
+                "deltas": [50.0, 100.0, 200.0, 400.0]}
+        assert suite_checks(tmp_path, "clean", "project", data)[0] == 0
+        average = evolution._time_average
+        monkeypatch.setattr(evolution, "_time_average",
+                            lambda rho, eig, delta: average(rho, eig, 50.0))
+        code, checks = suite_checks(tmp_path, "fault", "project", data)
+        assert code == 1
+        check = checks["projection-offdiagonal-decay"]
+        assert not check["passed"]
+        assert float(check["value"]) == pytest.approx(8.0)
+
+    def test_equilibrium_check_sees_a_quantum_flux_biased_by_2e_7(
+            self, tmp_path, monkeypatch):
+        assert suite_checks(tmp_path, "clean", "iee")[0] == 0
+        flux = discrepancy.quantum_flux
+        monkeypatch.setattr(discrepancy, "quantum_flux",
+                            lambda rho, table: flux(rho, table) + 2e-7)
+        code, checks = suite_checks(tmp_path, "fault", "iee")
+        assert code == 1
+        assert not checks["iee-flux-vanishes"]["passed"]
+        rows = (tmp_path / "fault" / "results.csv").read_text().splitlines()
+        assert rows[1].endswith(",false")
+
+    def test_monotone_check_sees_one_norm_lowered(self, tmp_path,
+                                                  monkeypatch):
+        assert suite_checks(tmp_path, "clean", "reify")[0] == 0
+        rho_z_trace = cli.rho_z_trace
+
+        def lowered(state, grid, cutoff):
+            trace = rho_z_trace(state, grid, cutoff)
+            if cutoff == 64:
+                trace.norms[10] = 0.5 * trace.norms[9]
+            return trace
+
+        monkeypatch.setattr(cli, "rho_z_trace", lowered)
+        code, checks = suite_checks(tmp_path, "fault", "reify")
+        assert code == 1
+        check = checks["reify-monotone-growth"]
+        assert not check["passed"]
+        assert check["detail"] == "not monotone at cutoff 64"
+        assert checks["reify-growth-steepens-with-cutoff"]["passed"]
+
+    def test_steepening_check_sees_every_cutoff_run_at_the_first(
+            self, tmp_path, monkeypatch):
+        assert suite_checks(tmp_path, "clean", "reify")[0] == 0
+        rho_z_trace = cli.rho_z_trace
+        monkeypatch.setattr(cli, "rho_z_trace", lambda state, grid, cutoff:
+                            replace(rho_z_trace(state, grid, 32),
+                                    cutoff=cutoff))
+        code, checks = suite_checks(tmp_path, "fault", "reify")
+        assert code == 1
+        assert not checks["reify-growth-steepens-with-cutoff"]["passed"]
+        assert checks["reify-monotone-growth"]["passed"]

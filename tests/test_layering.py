@@ -1,9 +1,11 @@
 """The package's modules form one import stack: each module imports only
 modules below it, so no import cycle can form.  One spectral primitive,
 fock.eigensystem, diagonalizes every operator: no module grows a private
-eigensolver.  And operators act on vectors through fock.apply: only
+eigensolver.  Operators act on vectors through fock.apply: only
 criterion 5's dense oracle realizes a dense matrix; the spectral primitive
-sums its sector blocks straight from the compiled words."""
+sums its sector blocks straight from the compiled words.  And every pass/fail
+is decided in acceptance: no other module builds a CheckResult or holds a
+tolerance."""
 
 import ast
 from pathlib import Path
@@ -80,3 +82,40 @@ def test_eigh_runs_only_in_the_spectral_primitive():
 
 def test_dense_realization_only_in_the_oracle():
     assert callers({"realize_matrix"}) == REALIZE_CALLERS
+
+
+def module_tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def float_constants(tree):
+    """The module-level names bound to a float literal."""
+    return {target.id for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, float)
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name)}
+
+
+def test_only_acceptance_builds_a_check_result():
+    assert {module for module, _ in callers({"CheckResult"})} \
+        == {"acceptance"}
+
+
+@pytest.mark.parametrize("module", ["cli", "discrepancy"])
+def test_measuring_modules_hold_no_tolerance(module):
+    tolerances = float_constants(module_tree("acceptance"))
+    assert {"DISCREPANCY_TOLERANCE", "PROJECTION_BAND", "IEE_TOLERANCE",
+            "TRACE_DRIFT_TOLERANCE"} <= tolerances
+    tree = module_tree(module)
+    assert not float_constants(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not tolerances & {a.name for a in node.names}
+        if isinstance(node, ast.Compare):
+            # no inline bound either
+            assert not any(isinstance(operand, ast.Constant)
+                           and isinstance(operand.value, float)
+                           for operand in [node.left, *node.comparators])

@@ -172,36 +172,52 @@ class TestRhoZTrace:
             assert trace.residuals[i] == pytest.approx(r8, rel=1e-10)
 
     @staticmethod
-    def taylor_norm(state, alpha, cutoff, steps=200, terms=20):
-        # ||exp(-alpha G) w||^2, G = (adag^2 + a^2)/2, by Taylor steps in
-        # long double straight on the number basis: no eigendecomposition
+    def taylor_norms(states, alphas, cutoff, steps=200, terms=20):
+        # ||exp(-alpha G) w||^2 per state and alpha, G = (adag^2 + a^2)/2,
+        # by Taylor steps in long double straight on the number basis: no
+        # eigendecomposition; the real and imaginary parts of every w at
+        # every alpha are the columns of one block, each with its own step
         k = np.arange(cutoff - 2, dtype=np.longdouble)
-        off = np.sqrt((k + 1) * (k + 2)) / 2
-        h = np.longdouble(alpha) / steps
-        total = np.longdouble(0)
-        w = pseudo_wavefunction(state, cutoff)
-        for part in (w.real, w.imag):
-            x = part.astype(np.longdouble)
-            for _ in range(steps):
-                term, acc = x, x.copy()
-                for n in range(1, terms + 1):
-                    g = np.zeros_like(term)
-                    g[:-2] += off * term[2:]
-                    g[2:] += off * term[:-2]
-                    term = g * (-h / n)
-                    acc += term
-                x = acc
-            total += np.sum(x * x)
-        return float(total)
+        off = (np.sqrt((k + 1) * (k + 2)) / 2)[:, None]
+        w = np.stack([pseudo_wavefunction(s, cutoff) for s in states], axis=1)
+        x = np.repeat(np.hstack([w.real, w.imag]), len(alphas),
+                      axis=1).astype(np.longdouble)
+        h = np.tile(np.asarray(alphas, dtype=np.longdouble),
+                    2 * len(states)) / steps
+        for _ in range(steps):
+            term, acc = x, x.copy()
+            for n in range(1, terms + 1):
+                g = np.zeros_like(term)
+                g[:-2] += off * term[2:]
+                g[2:] += off * term[:-2]
+                term = g * (-h / n)
+                acc += term
+            x = acc
+        parts = (x * x).sum(axis=0).reshape(2, len(states), len(alphas))
+        return parts.sum(axis=0).astype(float)
 
     def test_norm_matches_long_double_oracle_at_d64(self):
         # the S generator keeps the occupation parity; a dense eigh leaked
         # rounding across the two parity sectors and read 2.347133957e11
         state, alpha = state1(0.0, 2.0), math.pi / 4 - 1e-3
-        oracle = self.taylor_norm(state, alpha, 64)
+        [[oracle]] = self.taylor_norms([state], [alpha], 64)
         assert oracle == pytest.approx(2.347019291409792e11, rel=1e-9)
         [norm] = rho_z_trace(state, [alpha], 64).norms
         assert norm == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("cutoff", [64, 128, 256])
+    def test_norms_match_long_double_oracle_up_to_d256(self, cutoff):
+        # the truncated S generator has eigenvalues up to about D, so an
+        # eigenbasis read amplified rounding by up to e^(alpha D): at D=128
+        # the state (0, 2) read 7.8e26 against 1.44e17 and at D=256 the
+        # state (1, 0) read 1.3e84 against 4.30
+        alphas = [math.pi / 4 - eps for eps in (0.5, 0.1, 0.01)]
+        states = [state1(phi, pi_)
+                  for phi, pi_ in ((0.0, 2.0), (0.5, 0.3), (1.0, 0.0))]
+        oracle = self.taylor_norms(states, alphas, cutoff, steps=400, terms=24)
+        for state, want in zip(states, oracle):
+            norms = rho_z_trace(state, alphas, cutoff).norms
+            assert norms == pytest.approx(want, rel=1e-10)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
