@@ -34,7 +34,13 @@ from .discrepancy import (
     scaling_condition_residual,
 )
 from .evolution import MasterTerms, master_rhs, projection_decay
-from .fock import apply, compile_operator, interior_block, realize_matrix
+from .fock import (
+    apply,
+    compile_operator,
+    fold,
+    interior_block,
+    realize_matrix,
+)
 from .poly import parse_poly, random_poly
 from .reify import (
     PoleError,
@@ -205,14 +211,15 @@ def creation_expansion(H, m):
 @criterion(1, "coherent-eigenrelation", verify_samples=10)
 def coherent_eigenrelation(rng, cutoff, samples):
     """||a_j w - z_j w|| <= 1e-8 over seeded states, alternating 1 and 2 modes."""
-    ops = {n: [compile_operator(NormalFormOperator.annihilation(j, n), cutoff)
+    ops = {n: [fold(compile_operator(NormalFormOperator.annihilation(j, n),
+                                     cutoff))
                for j in range(n)]
            for n in (1, 2)}
     worst = 0.0
     for k in range(samples):
         n = 1 if k % 2 == 0 else 2
         s = seeded_state(rng, n)
-        w = pseudo_wavefunction(s, cutoff).reshape((cutoff,) * n)
+        w = pseudo_wavefunction(s, cutoff)
         for j in range(n):
             worst = max(worst, float(np.linalg.norm(
                 apply(ops[n][j], w, np.zeros_like(w)) - s.z[j] * w)))

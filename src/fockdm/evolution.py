@@ -13,9 +13,10 @@
 
   over the Hermitian-paired words C_a H_aL H_aR of H_n.  The inner
   commutators close in the word algebra, so rho' is a sum of sandwiches of
-  two words, which MasterTerms compiles once (fock.compile_operator) and
-  master_rhs applies (fock.apply); master_rhs adds the adjoint and
-  conserves the trace of any matrix, Hermitian or not, realizable or not.
+  two words, which MasterTerms compiles and folds once (fock.fold) and
+  master_rhs applies on the flat basis index, one contiguous pass per flat
+  shift (fock.apply); master_rhs adds the adjoint and conserves the trace
+  of any matrix, Hermitian or not, realizable or not.
 
 The two generators agree on the trajectory of a pure classical state only
 in special cases; the discrepancy module quantifies the mismatch.
@@ -41,6 +42,7 @@ from .fock import (
     check_pairing,
     compile_operator,
     eigensystem,
+    fold,
 )
 from .states import Ensemble, ensemble_density, rk4_step, step_count
 
@@ -58,10 +60,10 @@ class MasterTerms:
         -i C ( |R| a^R rho adag^L + sum_j L_j (adag_j a^R) rho adag^(L-e_j) ),
 
     sandwiches pre rho post whose post word only creates.  ``groups`` holds
-    one (source, target, column scale, pres) entry per post word: its
-    compiled word (fock.compile_operator), and the WordTable of its pre words
-    with the coefficients folded in; at most dim entries per scale, never
-    dim^2.
+    one (shift, pad, pres) entry per post word that has an entry at the
+    cutoff: its flat shift and zero-padded scale (fock.fold), and the fold
+    of its pre words with the coefficients folded in; one dim-long pad per
+    pass, never dim^2.
     """
 
     def __init__(self, hamiltonian: NormalFormOperator, cutoff: int):
@@ -83,39 +85,48 @@ class MasterTerms:
                     rows.setdefault(post, {})[ej, annih] = \
                         -1j * coeff * create[j]
         posts = compile_operator(NormalFormOperator(
-            n, {(post, zero): 1.0 for post in rows}), cutoff).entries
+            n, {(post, zero): 1.0 for post in rows}), cutoff)
+        # a post word that creates past the cutoff folds to no pass and
+        # drops its group
         self.groups = [
-            (post_source, post_target, post_scale,
-             compile_operator(NormalFormOperator(n, pres), cutoff))
-            for (post_target, post_source, post_scale), pres
-            in zip(posts, rows.values())]
+            (shift, pad, fold(compile_operator(NormalFormOperator(n, pres),
+                                               cutoff)))
+            for entry, pres in zip(posts.entries, rows.values())
+            for shift, pad in fold(posts._replace(entries=(entry,)))]
 
 
 def master_rhs(rho: np.ndarray, terms: MasterTerms) -> np.ndarray:
     """Free-space master equation right-hand side, F(rho) + F(rho^H)^H.
 
-    F is the half compiled in ``terms`` on the (D,)*2n tensor view, row
-    modes first: y = rho post per post word, then its pre words applied to
-    the rows of y (fock.apply).  The map is linear over the complex
+    F is the half compiled in ``terms``, on the flat basis index: per post
+    word, y = rho post is one product of rho with its pad broadcast over
+    rows, read at a flat offset of shift, so that column j of y holds
+    column j + shift of the product; its pre words are then applied to
+    whole rows of y (fock.apply).  The map is linear over the complex
     scalars and traceless on any matrix; a rho equal to its adjoint bit for
-    bit takes F once and gives a bitwise Hermitian result.
+    bit takes F once, in three dim^2 buffers (y, the sum F(rho) and the
+    product inside each pass), and gives a bitwise Hermitian result.
     """
-    if rho.shape != (terms.dim, terms.dim):
+    dim = terms.dim
+    if rho.shape != (dim, dim):
         raise ValueError("dimension mismatch between rho and the terms")
-    shape = (terms.cutoff,) * (2 * terms.modes)
+    hermitian = np.array_equal(rho, rho.conj().T)
+    # dim^2 cells for rho post, then a zero tail that the shifted read of
+    # y's last row runs into, where the pad is zero
+    y = np.zeros(dim * dim + dim, dtype=complex)
+    cells = y[:dim * dim].reshape(dim, dim)
 
     def half(matrix):
-        tensor = matrix.reshape(shape)
-        out = np.zeros(shape, dtype=complex)
-        for post_source, post_target, post_scale, pres in terms.groups:
-            y = tensor[(...,) + post_target] * post_scale
-            apply(pres, y, out[(...,) + post_source])
-        return out.reshape(rho.shape)
+        out = np.zeros((dim, dim), dtype=complex)
+        for shift, pad, pres in terms.groups:
+            np.multiply(matrix, pad, out=cells)
+            apply(pres, y[shift:shift + dim * dim].reshape(dim, dim), out)
+        return out
 
     out = half(rho)
-    adjoint = rho.conj().T
-    twin = out if np.array_equal(rho, adjoint) else half(adjoint)
-    return out + twin.conj().T
+    twin = out if hermitian else half(rho.conj().T)
+    # out + twin^H, the adjoint written into y's cells
+    return np.add(out, np.conjugate(twin.T, out=cells), out=out)
 
 
 def density_samples(law: str, ensemble: Ensemble,

@@ -10,15 +10,18 @@ vector or a matrix, viewed as a (D,)*n or (D,)*2n tensor, by slicing and
 scaling along one axis per mode.  ``compile_operator`` is the one place that
 builds these: it turns an operator into a ``WordTable``, one (target,
 source, scale) entry per word with the coefficient folded into the scale,
-and every consumer reads that table.  ``apply`` adds op x into a tensor
-whose leading axes are the modes, ``operator_trace`` reads Tr(rho op) off a
-dense rho, ``block_trace`` reads sum_k p_k <w_k|op w_k> off a block of
-member vectors without forming rho, ``eigensystem``, the one spectral
-primitive, sums each invariant sector's block straight from the table, and
-``realize_matrix`` writes the dense matrix (kept for criterion 5's dense
-route and test oracles).  A moment matrix is a ``FockMatrix`` or, held as its
-members W and weights p, a ``MemberBlock``; both read a table through
-``expect``.
+and every consumer reads that table.  On the flat basis index the same word
+is one shift: its target T reads its source T - shift, so ``fold`` turns a
+table into one (shift, pad) pass per distinct flat shift, the scales of its
+words summed into one zero-padded column, and ``apply`` adds op x into a
+(dim, ...) array by one contiguous multiply-add per pass along axis 0.
+``operator_trace`` reads Tr(rho op) off a dense rho, ``block_trace`` reads
+sum_k p_k <w_k|op w_k> off a block of member vectors without forming rho,
+``eigensystem``, the one spectral primitive, sums each invariant sector's
+block straight from the table, and ``realize_matrix`` writes the dense
+matrix (kept for criterion 5's dense route and test oracles).  A moment
+matrix is a ``FockMatrix`` or, held as its members W and weights p, a
+``MemberBlock``; both read a table through ``expect``.
 
 Truncation policy: a single normal-ordered word (adag)^c a^r realizes
 exactly on the whole block (its matrix elements agree with the untruncated
@@ -163,13 +166,41 @@ def compile_operator(op: NormalFormOperator, cutoff: int) -> WordTable:
     return WordTable(op.modes, cutoff, tuple(entries))
 
 
-def apply(table: WordTable, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add op x into out and return out: x and out have the modes as their
-    leading axes, and each word adds scale * x[source] into out[target],
-    its scale broadcast over the trailing axes."""
-    trailing = (1,) * (x.ndim - table.modes)
-    for target, source, scale in table.entries:
-        out[target] += scale.reshape(scale.shape + trailing) * x[source]
+def fold(table: WordTable) -> tuple:
+    """The words of a table on the flat basis index: one (shift, pad) pass
+    per distinct shift = sum_j (target_j - source_j) D^(n-1-j), in the order
+    of first appearance.  pad has length dim and holds, at each flat target,
+    the scales of the words with that shift, summed in table order; it is
+    zero wherever none of them has a target.  A word with no entry at the
+    cutoff adds no pass."""
+    n, cutoff = table.modes, table.cutoff
+    dtype = np.result_type(float, *(scale for *_, scale in table.entries))
+    pads = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target, source, scale in table.entries:
+            if not scale.size:
+                continue
+            shift = 0
+            for t, s in zip(target, source):
+                shift = shift * cutoff + t.start - s.start
+            if shift not in pads:
+                pads[shift] = np.zeros((cutoff,) * n, dtype)
+            pads[shift][target] += scale
+    return tuple((shift, pad.reshape(-1)) for shift, pad in pads.items())
+
+
+def apply(passes: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add op x into out and return out, for the ``fold`` of op and (dim,
+    ...) arrays x and out: each pass adds pad[T] x[T - shift] into out[T]
+    over one contiguous run of rows T, pad broadcast over the trailing
+    axes.  This is exact: a word's target reads its source at T - shift,
+    and pad is zero on every other row of the run."""
+    dim = len(x)
+    trailing = (1,) * (x.ndim - 1)
+    for shift, pad in passes:
+        lo, hi = max(shift, 0), dim + min(shift, 0)
+        out[lo:hi] += (pad[lo:hi].reshape((-1,) + trailing)
+                       * x[lo - shift:hi - shift])
     return out
 
 

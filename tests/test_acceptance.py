@@ -15,6 +15,7 @@ from fockdm.acceptance import (
     FLOW_DTS,
     coherent_eigenrelation,
     ladder_commutator_expansion,
+    master_trace_conservation,
     master_vs_classical_flow,
     observed_order,
 )
@@ -97,20 +98,34 @@ def test_master_flow_passes_across_seeds(seed):
     assert result.passed, result
 
 
-def test_master_flow_catches_a_one_percent_sandwich_error(monkeypatch):
+def skew_first_pre_pass(monkeypatch, factor):
+    """Build every MasterTerms with the first folded pre pass of group 0
+    scaled by factor: one pre word, or the words that share its shift."""
     init = MasterTerms.__init__
 
     def skewed(self, hamiltonian, cutoff):
         init(self, hamiltonian, cutoff)
-        *post, pres = self.groups[0]
-        (target, source, scale), *rest = pres.entries
-        self.groups[0] = (*post, pres._replace(
-            entries=((target, source, 1.01 * scale), *rest)))
+        shift, pad, ((pre_shift, pre_pad), *rest) = self.groups[0]
+        self.groups[0] = (shift, pad, ((pre_shift, factor * pre_pad), *rest))
 
     monkeypatch.setattr(MasterTerms, "__init__", skewed)
+
+
+def test_master_flow_catches_a_one_percent_sandwich_error(monkeypatch):
+    skew_first_pre_pass(monkeypatch, 1.01)
     result = master_vs_classical_flow(np.random.default_rng(103), 32, 10)
     assert not result.passed
     assert result.value < 1.0
+
+
+def test_master_trace_conservation_catches_a_one_ppm_word_error(monkeypatch):
+    # the traces of a word's sandwiches cancel only between each other: one
+    # skewed pre pass leaves a share of them, near 1e-7 here
+    assert master_trace_conservation(np.random.default_rng(5), 32, 10).passed
+    skew_first_pre_pass(monkeypatch, 1 + 1e-6)
+    result = master_trace_conservation(np.random.default_rng(5), 32, 10)
+    assert not result.passed
+    assert result.value > 1e-10
 
 
 def test_coherent_eigenrelation_catches_a_one_ppm_word_error(monkeypatch):

@@ -268,23 +268,66 @@ class TestMasterEquation:
         diff = np.abs(interior_block(lhs - rhs, 1, D, 4))
         assert diff.max() <= 1e-8
 
-    @pytest.mark.parametrize("modes, D", [(1, 8), (1, 16), (2, 8), (2, 16)])
+    def test_one_call_holds_three_matrix_buffers(self):
+        # y, the sum F(rho) and the product inside each pass, each dim^2
+        # complex, plus 256 KiB for numpy's own scratch, on a bitwise
+        # Hermitian rho at 2 modes, D=16 (dim 256) after one warm-up call
+        H = poly_to_normal_form(parse_poly(
+            "0.5*(pi1^2+pi2^2+phi1^2+phi2^2) + 0.05*phi1^2*phi2^2"
+            " + 0.03*phi1^4", {}))
+        terms = MasterTerms(H, 16)
+        rho = random_hermitian(np.random.default_rng(19), terms.dim)
+        assert np.array_equal(rho, rho.conj().T)
+        master_rhs(rho, terms)
+        tracemalloc.start()
+        try:
+            master_rhs(rho, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * terms.dim ** 2 + 256 * 1024
+
+    @pytest.mark.parametrize("modes, D", [(1, 8), (1, 16), (2, 8), (2, 16),
+                                          (2, 3), (3, 3)])
     def test_equals_the_dense_sandwich_oracle(self, modes, D):
         # F(rho) = rho' assembled from realized words, per word C adag^L a^R
         # -iC (|R| a^R rho adag^L + sum_j L_j adag_j a^R rho adag^(L-e_j)),
         # and master_rhs against F(rho) + F(rho^H)^H; per-mode degree 2 keeps
-        # the weights small enough that the two routes differ by rounding
+        # the weights small enough that the two routes differ by rounding.
+        # At D=3 the per-mode shifts (0, -2) and (+1, -1) on the last two
+        # modes share the flat shift -2, so a fourth Hamiltonian there, a_n^2
+        # and adag_n a_(n-1) with their adjoints, has its pre words a_n^2
+        # and adag_n a_(n-1) summed across modes into one pass
         rng = np.random.default_rng(37 + 10 * modes + D)
         zero = (0,) * modes
+        merged = 0
 
         def word(create, annih):
             op = {(tuple(create), tuple(annih)): 1.0}
             return realize_matrix(NormalFormOperator(modes, op), D).data
 
-        for _ in range(3):
-            H = random_normal_operator(rng, modes=modes, degree=2, words=4)
+        for k in range(4 if D == 3 else 3):
+            if k < 3:
+                H = random_normal_operator(rng, modes=modes, degree=2,
+                                           words=4)
+            else:
+                last, prev = (tuple(int(i == j) for i in range(modes))
+                              for j in (modes - 1, modes - 2))
+                H = NormalFormOperator(modes, {
+                    (zero, tuple(2 * e for e in last)): 0.5,
+                    (tuple(2 * e for e in last), zero): 0.5,
+                    (last, prev): 0.25 + 0.1j, (prev, last): 0.25 - 0.1j})
             terms = MasterTerms(H, D)
             dim = D ** modes
+            # the (pre, post) word pairs of the sandwiches, all inside the
+            # cutoff at degree 2, against the passes of the folded pre words
+            pairs = {(zero, annih, create) for create, annih in H.terms
+                     if sum(annih)}
+            pairs |= {(tuple(int(i == j) for i in range(modes)), annih,
+                       tuple(c - (i == j) for i, c in enumerate(create)))
+                      for create, annih in H.terms
+                      for j in range(modes) if create[j]}
+            merged += len(pairs) - sum(len(pres) for *_, pres in terms.groups)
 
             def half(rho):
                 out = np.zeros((dim, dim), dtype=complex)
@@ -306,6 +349,7 @@ class TestMasterEquation:
                 got = master_rhs(rho, terms)
                 assert np.max(np.abs(got - want)) \
                     <= 1e-12 * np.linalg.norm(rho)
+        assert merged > 0 or D != 3
 
     def test_dimension_cap(self, monkeypatch):
         # 17^3 > DIM_CAP: refused before a single word is compiled

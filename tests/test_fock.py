@@ -20,6 +20,7 @@ from fockdm.fock import (
     check_dimension,
     compile_operator,
     eigensystem,
+    fold,
     interior_block,
     interior_indices,
     occupations,
@@ -271,8 +272,8 @@ class TestBlockTrace:
 
 
 class TestApply:
-    # apply(table, x, out) adds op x into out: checked against the dense
-    # matrix times x, with and without a nonzero starting out
+    # apply(fold(table), x, out) adds op x into out: checked against the
+    # dense matrix times x, with and without a nonzero starting out
     @pytest.mark.parametrize("hermitian", [True, False],
                              ids=["hermitian", "general"])
     @pytest.mark.parametrize("modes", [1, 2])
@@ -287,15 +288,29 @@ class TestApply:
                                         hermitian=hermitian, dyadic=False)
             x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             start = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            tensor_shape = (D,) * modes + shape[1:]
             for out0 in (np.zeros(shape, complex), start):
                 want = realize_matrix(op, D).data @ x + out0
-                out = out0.reshape(tensor_shape).copy()
-                got = apply(compile_operator(op, D), x.reshape(tensor_shape),
-                            out)
+                out = out0.copy()
+                got = apply(fold(compile_operator(op, D)), x, out)
                 assert got is out
-                assert np.max(np.abs(got.reshape(shape) - want)) \
+                assert np.max(np.abs(got - want)) \
                     <= 1e-12 * np.max(np.abs(want))
+
+    def test_fold_merges_words_by_flat_shift(self):
+        # at D=3 the per-mode shifts (0, +2) and (+1, -1) are both the flat
+        # shift 2: one pass, its pad the sum of the two words' scales; a
+        # word that creates past the cutoff adds no pass
+        op = NormalFormOperator(2, {((0, 2), (0, 0)): 1.0,
+                                    ((1, 0), (0, 1)): 0.5,
+                                    ((3, 0), (0, 0)): 1.0})
+        table = compile_operator(op, 3)
+        [(shift, pad)] = fold(table)
+        assert shift == 2
+        want = np.zeros(9, complex)
+        for target, _, scale in table.entries:
+            want.reshape(3, 3)[target] += scale
+        assert np.array_equal(pad, want)
+        assert np.count_nonzero(pad) == 3 + 4  # the targets of both words
 
 
 class TestInterior:

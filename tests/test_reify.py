@@ -7,7 +7,9 @@ from fockdm.algebra import NormalFormOperator
 from fockdm.fock import interior_block, realize_matrix
 from fockdm.reify import (
     PoleError,
+    exp_action,
     flow_coeffs,
+    m_generator,
     m_operator,
     norm_flow_residual,
     rho_z_trace,
@@ -219,6 +221,36 @@ class TestRhoZTrace:
             norms = rho_z_trace(state, alphas, cutoff).norms
             assert norms == pytest.approx(want, rel=1e-10)
 
+    @staticmethod
+    def free_space_norm(state, alpha):
+        # ||S(alpha) w(z)||^2 in the untruncated space, from the su(1,1)
+        # disentangling exp(-alpha G) = exp(-t K+) (cos alpha)^(-2 K0)
+        # exp(-t K-) (Perelomov, Commun. Math. Phys. 26, 222, 1972):
+        # exp(-|z|^2 - t Re z^2 + q / cos 2alpha) / sqrt(cos 2alpha) with
+        # t = tan alpha and q = |z|^2 - t Re z^2
+        z = complex(state.z[0])
+        t, cos2 = math.tan(alpha), math.cos(2 * alpha)
+        q = abs(z) ** 2 - t * (z * z).real
+        return math.exp(-abs(z) ** 2 - t * (z * z).real + q / cos2) \
+            / math.sqrt(cos2)
+
+    @pytest.mark.parametrize("phi, pi_, epsilons", [
+        (0.5, 0.3, (0.5, 0.3, 0.1)),
+        (1.0, 0.0, (0.5, 0.3, 0.1)),
+        (0.7, 0.7, (0.5, 0.3, 0.1)),
+        (0.0, 2.0, (0.5, 0.3)),
+    ])
+    def test_norms_match_the_free_space_closed_form_at_d256(self, phi, pi_,
+                                                            epsilons):
+        # where the truncation costs less than 1e-12 of the norm; the state
+        # (0, 2) at pi/4 - 0.1 still loses 1.4e-4 of it through the top of
+        # the ladder at D=256
+        state = state1(phi, pi_)
+        alphas = [math.pi / 4 - eps for eps in epsilons]
+        want = [self.free_space_norm(state, alpha) for alpha in alphas]
+        assert rho_z_trace(state, alphas, 256).norms \
+            == pytest.approx(want, rel=1e-12)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             rho_z_trace(state1(0.0, 1.0), [0.2, 0.1], 16)
@@ -298,6 +330,23 @@ class TestMOperator:
         change = abs(norms[32] - norms[16]) / norms[16]
         assert change < 1e-6
         assert np.isfinite(norms[32])
+
+    @pytest.mark.parametrize("phi, pi_", [(0.5, 0.3), (0.7, 0.7)])
+    @pytest.mark.parametrize("D", [32, 64])
+    def test_pole_angle_norm_matches_the_free_space_closed_form(self, phi,
+                                                               pi_, D):
+        # ||M(alpha) w~|| = exp((|c'|^2 - |c|^2) / 2) with c = (z, conj z)
+        # and c' = [[cosh alpha, -sinh alpha], [-sinh alpha, cosh alpha]] c,
+        # at alpha = pi/4; M(alpha) w~ is m_operator's action on w~
+        state, alpha = state1(phi, pi_), math.pi / 4
+        c = np.array([state.z[0], np.conj(state.z[0])])
+        c_new = np.array([[math.cosh(alpha), -math.sinh(alpha)],
+                          [-math.sinh(alpha), math.cosh(alpha)]]) @ c
+        want = math.exp((np.sum(np.abs(c_new) ** 2)
+                         - np.sum(np.abs(c) ** 2)) / 2)
+        got = np.linalg.norm(exp_action(
+            m_generator(1), [alpha], extended_wavefunction(state, D), D))
+        assert got == pytest.approx(want, rel=1e-11)
 
     def test_two_pair_layout(self):
         s = ClassicalState(np.array([0.3, -0.2]), np.array([0.1, 0.4]))
