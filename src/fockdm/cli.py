@@ -38,7 +38,7 @@ from .acceptance import (
 )
 from .algebra import poly_to_normal_form
 from .discrepancy import discrepancy_report, iee_check
-from .evolution import density_samples, projection_decay, step_count
+from .evolution import density_samples, projection_decay
 from .fock import DimensionCapError, check_dimension, compile_operator
 from .poly import PolyExpr, PolyParseError, ProductSizeError, parse_poly
 from .reify import PoleError, flow_coeffs, rho_z_trace
@@ -47,6 +47,7 @@ from .states import (
     ClassicalState,
     Ensemble,
     pure_density,
+    step_count,
 )
 
 EXPERIMENTS = ("verify", "discrepancy", "evolve", "reify", "project", "iee")
@@ -70,8 +71,12 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+    return _is_int(value) and value > 0
 
 
 def _parse(name: str, text: str, bindings: dict) -> PolyExpr:
@@ -191,6 +196,9 @@ class ExperimentConfig:
         if not self.observables and self.experiment in ("discrepancy", "evolve",
                                                         "iee"):
             raise ConfigError("observables: must be nonempty")
+        if self.seed is not None and not (_is_int(self.seed)
+                                          and self.seed >= 0):
+            raise ConfigError("seed: must be an integer >= 0")
         if self.seed is None and self.experiment in self.RANDOMIZED:
             raise ConfigError("seed: required for randomized suites")
         if not isinstance(self.hamiltonian, str):
@@ -253,7 +261,7 @@ class ExperimentConfig:
         try:
             state = ClassicalState(np.asarray(st["phi"], dtype=float),
                                    np.asarray(st["pi"], dtype=float))
-        except (OverflowError, ValueError) as err:
+        except (OverflowError, TypeError, ValueError) as err:
             raise ConfigError(f"state: {err}") from err
         if self.experiment == "reify" and state.modes != 1:
             raise ConfigError(f"state: the single-mode recoding takes a "

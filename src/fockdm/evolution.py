@@ -16,7 +16,9 @@
   two words, which MasterTerms compiles and folds once (fock.fold) and
   master_rhs applies on the flat basis index, one contiguous pass per flat
   shift (fock.apply); master_rhs adds the adjoint and conserves the trace
-  of any matrix, Hermitian or not, realizable or not.
+  of any matrix, Hermitian or not, realizable or not.  L = master_rhs is
+  constant and linear, so evolve_density sums e^{tL} rho as one Taylor
+  series in t per span of sample times, exact in t like the Liouville law.
 
 The two generators agree on the trajectory of a pure classical state only
 in special cases; the discrepancy module quantifies the mismatch.
@@ -24,7 +26,6 @@ in special cases; the discrepancy module quantifies the mismatch.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from typing import Callable, Iterator
@@ -44,9 +45,17 @@ from .fock import (
     eigensystem,
     fold,
 )
-from .states import Ensemble, ensemble_density, rk4_step, step_count
+from .states import Ensemble, ensemble_density
 
 log = logging.getLogger(__name__)
+
+# the most Taylor terms a sample of evolve_density sums before it leaves its
+# span unconverged
+MAX_TERMS = 30
+# the bytes of the partial sums one span of evolve_density holds
+SPAN_BYTES = 4 * 2 ** 20
+# the relative size of the two consecutive terms that end a sample's series
+_EPS = 2.0 ** -53
 
 
 class MasterTerms:
@@ -141,11 +150,10 @@ def density_samples(law: str, ensemble: Ensemble,
     and yields MemberBlock samples; more members than dim are carried as
     the eigenvectors of their moment matrix instead, folded once.
     "master" builds its MasterTerms (and checks the Hermitian pairing) once
-    and steps ``ensemble_density`` with evolve_density at dt, yielding
-    FockMatrix samples.
+    and carries ``ensemble_density`` through evolve_density, span_width(dim)
+    sample times per call, also exact in t, yielding FockMatrix samples.
     """
-    chunks = [(start, min(start + every, steps))
-              for start in range(0, steps, every)]
+    dones = [min(start + every, steps) for start in range(0, steps, every)]
     if law == "liouville":
         if len(ensemble.members) > check_dimension(ensemble.modes, cutoff):
             # folded once to dim columns, never holding dim x r
@@ -156,15 +164,19 @@ def density_samples(law: str, ensemble: Ensemble,
             vectors, weights = block.vectors, block.weights
         at = liouville_flow(vectors, weights, hamiltonian, cutoff)
         yield 0, at(0.0)
-        for _, done in chunks:
+        for done in dones:
             yield done, at(done * dt)
     elif law == "master":
         rho = ensemble_density(ensemble, cutoff)
         terms = MasterTerms(hamiltonian, cutoff)
         yield 0, rho
-        for start, done in chunks:
-            rho = evolve_density(rho, terms, (done - start) * dt, dt)
-            yield done, rho
+        base, width = 0, span_width(terms.dim)
+        for first in range(0, len(dones), width):
+            batch = dones[first:first + width]
+            samples = evolve_density(rho, terms,
+                                     [(done - base) * dt for done in batch])
+            yield from zip(batch, samples)
+            base, rho = batch[-1], samples[-1]
     else:
         raise ValueError(f"unknown generator {law!r}")
 
@@ -190,25 +202,96 @@ def liouville_flow(vectors: np.ndarray, weights: np.ndarray,
     return at
 
 
-def evolve_density(rho0: FockMatrix, terms: MasterTerms, t: float,
-                   dt: float) -> FockMatrix:
-    """Fixed-step RK4 in matrix space under the master equation.
+def span_width(dim: int) -> int:
+    """W, the most partial sums one span of evolve_density holds: the
+    complex dim x dim matrices that fit in SPAN_BYTES, and at least one."""
+    return max(1, SPAN_BYTES // (16 * dim * dim))
 
-    rho0 is symmetrized once, and the RK4 iterate, whose stages combine
-    Hermitian matrices with real weights, stays bitwise Hermitian.  The
-    trace drift is reported through the module logger.
+
+def evolve_density(rho0: FockMatrix, terms: MasterTerms,
+                   times) -> list[FockMatrix]:
+    """The master law's e^{tL} rho0 at each of the ascending, nonnegative
+    times, exact in t: Taylor series in t, one per span of sample times.
+
+    A span starts from the latest rho and shares the powers
+    v_k = L(v_{k-1}) / k, v_0 = rho (L = master_rhs), among at most
+    span_width(dim) pending samples, each of which adds tau^k v_k to its own
+    partial sum S.  A sample converges once two consecutive terms are at
+    most 2^-53 ||S||; it leaves the span, with every later sample, when a
+    term exceeds ||S|| (cancellation) or after MAX_TERMS terms unconverged.
+    The next span starts at the farthest converged sample; where none
+    converges, at a sub-step to the midpoint of the first.  rho0 is
+    symmetrized once; every term and sum, real multiples and sums of
+    bitwise Hermitian matrices, stays bitwise Hermitian.  The trace drift
+    is reported through the module logger.
     """
-    steps = step_count(t, dt)
-    rho = 0.5 * (rho0.data + rho0.data.conj().T)
+    times = [float(t) for t in times]
+    if not all(0 <= t < math.inf for t in times) or times != sorted(times):
+        raise ValueError(f"times {times!r} are not ascending nonnegative "
+                         "numbers")
+    rho = rho0.data + rho0.data.conj().T
+    rho *= 0.5
     trace0 = np.trace(rho)
-    rhs = functools.partial(master_rhs, terms=terms)
-    for _ in range(steps):
-        rho = rk4_step(rhs, rho, dt)
-        if not np.isfinite(rho).all():
-            raise FloatingPointError("density matrix left the finite domain")
+    width = span_width(terms.dim)
+    samples, start, step, spans = [], 0.0, None, 0
+    while len(samples) < len(times):
+        targets = (times[len(samples):len(samples) + width] if step is None
+                   else [start + step])
+        sums = _span(rho, terms, [t - start for t in targets])
+        spans += 1
+        if not sums:
+            # nothing converged: a sub-step to the midpoint of the first
+            step = (targets[0] - start) / 2
+            if not start < start + step:
+                raise FloatingPointError("the master law's sub-step "
+                                         f"underflows at t = {start!r}")
+            continue
+        if step is None:
+            samples += sums
+        rho, start, step = sums[-1], targets[len(sums) - 1], None
     drift = abs(np.trace(rho) - trace0)
-    log.debug("evolve_density: steps=%d trace_drift=%.3e", steps, drift)
-    return FockMatrix(rho0.modes, rho0.cutoff, rho)
+    log.debug("evolve_density: samples=%d spans=%d trace_drift=%.3e",
+              len(times), spans, drift)
+    return [FockMatrix(rho0.modes, rho0.cutoff, s) for s in samples]
+
+
+def _span(rho: np.ndarray, terms: MasterTerms, taus) -> list[np.ndarray]:
+    """The converged partial sums of e^{tau L} rho, one per tau of a prefix
+    of taus (see evolve_density); a term or sum that is not finite raises."""
+    sums = [rho.copy() for _ in taus]
+    norms = [_norm(rho)] * len(taus)
+    quiet = [0] * len(taus)  # consecutive terms below _EPS of the sum
+    live, term, scaled = len(taus), rho, np.empty_like(rho)
+    for k in range(1, MAX_TERMS + 1):
+        term = master_rhs(term, terms)
+        term *= 1.0 / k
+        size = _norm(term)
+        if not math.isfinite(size):
+            raise FloatingPointError("density matrix left the finite domain")
+        for j in range(live):
+            if quiet[j] >= 2:
+                continue
+            scale = taus[j] ** k
+            if scale * size > norms[j]:
+                live = j
+                break
+            sums[j] += np.multiply(term, scale, out=scaled)
+            norms[j] = _norm(sums[j])
+            quiet[j] = quiet[j] + 1 if scale * size <= _EPS * norms[j] else 0
+        if all(q >= 2 for q in quiet[:live]):
+            break
+    live = next((j for j in range(live) if quiet[j] < 2), live)
+    if not all(np.isfinite(s).all() for s in sums[:live]):
+        raise FloatingPointError("density matrix left the finite domain")
+    return sums[:live]
+
+
+def _norm(matrix: np.ndarray) -> float:
+    """The Frobenius norm, summed over the real and imaginary parts in one
+    pass on this thread: a BLAS dot product would wake its thread pool,
+    whose spinning doubles the CPU time of a span."""
+    parts = matrix.reshape(-1).view(np.float64)
+    return math.sqrt(np.einsum("i,i", parts, parts))
 
 
 def time_average_project(rho: FockMatrix, hamiltonian: NormalFormOperator,

@@ -15,7 +15,7 @@ truncation, which is kept quantitative by the amplitude guard
 |z_j|^2 <= cutoff/4.
 
 Hamilton's equations move the states by fixed-step RK4 (``rk4_step`` and
-the ``step_count`` rule, which evolution's master law shares).
+the ``step_count`` rule, by which the CLI also counts evolve's sample grid).
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def step_count(t: float, dt: float) -> int:
     """The number of fixed steps dt that make up t.
 
     t must be a nonnegative integer multiple of dt, up to 1e-9 * max(1, t)
-    in time; the fixed-step integrators of the package all use this rule.
+    in time; the classical flow and evolve's sample grid use this rule.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt = {dt!r} is not a positive number")

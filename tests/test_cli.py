@@ -197,6 +197,41 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {name}:")
 
+    # np.random.SeedSequence takes only integers >= 0
+    @pytest.mark.parametrize("value", ["x", 1e308, math.nan, {}, [0.0, -1.0],
+                                       -1, True],
+                             ids=["text", "huge-float", "nan", "object",
+                                  "list", "negative", "bool"])
+    def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, "seed.json", {"seed": value})
+        code = main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: seed:")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exits_2_naming_it(self, tmp_path, capsys):
+        code = main(["verify", "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: seed:")
+
+    def test_seed_zero_is_accepted(self):
+        assert ExperimentConfig.from_json({"experiment": "verify",
+                                           "seed": 0}).seed == 0
+
+    @pytest.mark.parametrize("experiment", ["evolve", "project", "iee",
+                                            "reify", "discrepancy"])
+    @pytest.mark.parametrize("state", [{"phi": [{}], "pi": [0]},
+                                       {"phi": [0], "pi": {}}],
+                             ids=["holds-object", "is-object"])
+    def test_state_with_an_object_exits_2_naming_it(self, tmp_path, capsys,
+                                                    experiment, state):
+        cfg = write_config(tmp_path, "state.json", {"state": state})
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: state:")
+
     @pytest.mark.parametrize("key, value", [
         ("radius", "x"), ("radius", -1.0), ("points", 2.5), ("modes", 2.5),
         ("points", True)])

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fockdm import evolution, fock
 from fockdm.acceptance import master_vs_classical_flow
@@ -478,8 +479,7 @@ class TestStepCount:
         D = 8
         terms = MasterTerms(number_operator(), D)
         with pytest.raises(ValueError, match="nonnegative"):
-            evolve_density(pure_density(state1(1.0, 0.0), D), terms, -1.0,
-                           1e-3)
+            evolve_density(pure_density(state1(1.0, 0.0), D), terms, [-1.0])
 
 
 class TestEvolveDensity:
@@ -493,15 +493,15 @@ class TestEvolveDensity:
         D = 24
         H = parse_poly("0.5*phi1^2 + 0.5*pi1^2", {})
         rho0 = pure_density(state1(1.0, 0.0), D)
-        out = evolve_density(rho0, MasterTerms(poly_to_normal_form(H), D),
-                             1.0, 1e-3)
+        [out] = evolve_density(rho0, MasterTerms(poly_to_normal_form(H), D),
+                               [1.0])
         phi_obs = expectation(out, parse_poly("phi1", {}))
         assert abs(phi_obs - math.cos(1.0)) <= 1e-6
 
     def test_master_iterate_is_bitwise_hermitian(self):
         # the elementwise outer product w w^H of this state misses Hermitian
         # symmetry by rounding; evolve_density symmetrizes it once, and
-        # phi1*pi2 gives H_n complex words, so every stage of the step
+        # phi1*pi2 gives H_n complex words, so every term of the series
         # exercises the fold
         D = 6
         H = poly_to_normal_form(parse_poly(
@@ -511,7 +511,7 @@ class TestEvolveDensity:
         rho0 = FockMatrix(2, D, np.outer(w, w.conj()))
         assert not np.array_equal(rho0.data, rho0.data.conj().T)
         assert any(np.iscomplex(c) for c in H.terms.values())
-        out = evolve_density(rho0, MasterTerms(H, D), 0.05, 0.01)
+        [out] = evolve_density(rho0, MasterTerms(H, D), [0.05])
         assert np.array_equal(out.data, out.data.conj().T)
         assert np.max(np.abs(out.data - rho0.data)) > 1e-3
 
@@ -548,6 +548,165 @@ class TestEvolveDensity:
         for text in ("phi1", "pi1", "phi1^2", "phi1*pi1", "phi1^2*pi1"):
             g = realize_matrix(poly_to_normal_form(parse_poly(text, {})), D).data
             assert abs(np.trace(m_rhs @ g) - np.trace(l_rhs @ g)) <= 1e-7
+
+
+class TestMasterSeries:
+    # evolve_density sums one Taylor series in t per span of sample times;
+    # its oracle is the dense superoperator of master_rhs, exponentiated by
+    # scipy's Pade scaling and squaring, which shares no code with the series
+    QUARTIC = ("0.5*(pi1^2+pi2^2+phi1^2+phi2^2) + 0.05*phi1^2*phi2^2"
+               " + 0.03*phi1^4")
+
+    @staticmethod
+    def exact(rho, terms, t):
+        dim = terms.dim
+        columns = [master_rhs(e.reshape(dim, dim), terms).ravel()
+                   for e in np.eye(dim * dim, dtype=complex)]
+        superop = np.stack(columns, axis=1)
+        return (scipy.linalg.expm(t * superop) @ rho.data.ravel()).reshape(
+            dim, dim)
+
+    @staticmethod
+    def random_density(rng, modes, D):
+        g = rng.standard_normal((D ** modes,) * 2) \
+            + 1j * rng.standard_normal((D ** modes,) * 2)
+        rho = g @ g.conj().T
+        return FockMatrix(modes, D, rho / np.trace(rho).real)
+
+    @staticmethod
+    def spied_spans(monkeypatch):
+        # the taus of every span, and the number of master_rhs calls
+        spans, calls = [], [0]
+        span, rhs = evolution._span, evolution.master_rhs
+
+        def spied_span(rho, terms, taus):
+            spans.append(list(taus))
+            return span(rho, terms, taus)
+
+        def counted(rho, terms):
+            calls[0] += 1
+            return rhs(rho, terms)
+
+        monkeypatch.setattr(evolution, "_span", spied_span)
+        monkeypatch.setattr(evolution, "master_rhs", counted)
+        return spans, calls
+
+    @pytest.mark.parametrize("modes, D", [(1, 6), (2, 4), (2, 3)])
+    def test_matches_the_superoperator_exponential(self, modes, D):
+        rng = np.random.default_rng(71 + 10 * modes + D)
+        times = [0.05, 0.1, 0.2, 0.5]
+        for degree in (3, 4):
+            H = poly_to_normal_form(random_poly(rng, modes=modes,
+                                                degree=degree, terms=5) * 0.5)
+            terms = MasterTerms(H, D)
+            rho = self.random_density(rng, modes, D)
+            for t, got in zip(times, evolve_density(rho, terms, times)):
+                want = self.exact(rho, terms, t)
+                assert np.max(np.abs(got.data - want)) \
+                    <= 1e-12 * np.max(np.abs(want))
+
+    def test_a_loose_stop_fails_the_oracle(self, monkeypatch):
+        # the planted fault: each series stopped at 1e-6 of its sum
+        monkeypatch.setattr(evolution, "_EPS", 1e-6)
+        with pytest.raises(AssertionError):
+            self.test_matches_the_superoperator_exponential(1, 6)
+
+    def test_samples_do_not_depend_on_dt(self):
+        # one sample grid, 0.01 apart up to 0.06, from three step sizes
+        D = 8
+        H = poly_to_normal_form(parse_poly(self.QUARTIC, {}))
+        state = ClassicalState(np.array([0.6, -0.3]), np.array([0.2, 0.5]))
+        ensemble = Ensemble.pure(state)
+        runs = [list(density_samples("master", ensemble, H, D, dt, steps,
+                                     every))
+                for dt, steps, every in ((1e-3, 60, 10), (5e-3, 12, 2),
+                                         (1e-2, 6, 1))]
+        for samples in runs[1:]:
+            assert len(samples) == len(runs[0]) == 7
+            for (_, got), (_, want) in zip(samples, runs[0]):
+                assert np.max(np.abs(got.data - want.data)) \
+                    <= 1e-13 * np.max(np.abs(want.data))
+
+    def test_benchmark_samples_share_one_span(self, monkeypatch):
+        # evolve-master's grid at dim 256: three samples, one span of at
+        # most 13 calls of master_rhs (fixed-step RK4 at dt 0.005 made 24)
+        H = poly_to_normal_form(parse_poly(self.QUARTIC, {}))
+        terms = MasterTerms(H, 16)
+        assert evolution.span_width(terms.dim) >= 3
+        rho = pure_density(ClassicalState(np.array([0.6, -0.3]),
+                                          np.array([0.2, 0.5])), 16)
+        spans, calls = self.spied_spans(monkeypatch)
+        evolve_density(rho, terms, [0.01, 0.02, 0.03])
+        assert spans == [[0.01, 0.02, 0.03]]
+        assert calls[0] <= 13
+
+    def test_long_sample_takes_sub_steps(self, monkeypatch):
+        # the cubic case of test_trace_drift_small_both_generators: a single
+        # sample at t = 10 converges in no span that reaches it, so the
+        # series sub-steps to midpoints and carries on from there
+        D = 16
+        H = poly_to_normal_form(parse_poly(
+            "0.5*pi1^2 + 0.5*phi1^2 + 0.05*phi1^3", {}))
+        terms = MasterTerms(H, D)
+        rho = pure_density(state1(0.6, 0.2), D)
+        spans, _ = self.spied_spans(monkeypatch)
+        [got] = evolve_density(rho, terms, [10.0])
+        assert len(spans) > 2 and spans[1] == [5.0]
+        assert min(tau for taus in spans for tau in taus) < 1.0
+        want = self.exact(rho, terms, 10.0)
+        assert np.max(np.abs(got.data - want)) \
+            <= 1e-12 * np.max(np.abs(want))
+
+    def test_sample_at_zero_is_the_symmetrized_input(self):
+        D = 6
+        rho = self.random_density(np.random.default_rng(73), 1, D)
+        [got] = evolve_density(rho, MasterTerms(number_operator(), D), [0.0])
+        assert np.array_equal(got.data, 0.5 * (rho.data + rho.data.conj().T))
+
+    @pytest.mark.parametrize("times", [[0.02, 0.01], [math.nan],
+                                       [math.inf]])
+    def test_times_out_of_order_are_refused(self, times):
+        D = 8
+        terms = MasterTerms(number_operator(), D)
+        with pytest.raises(ValueError, match="ascending nonnegative"):
+            evolve_density(pure_density(state1(1.0, 0.0), D), terms, times)
+
+    def test_overflowing_terms_raise(self):
+        # finite coefficients whose powers of L leave the float range
+        D = 32
+        H = poly_to_normal_form(parse_poly("1e8*phi1^4 + pi1^2", {}))
+        with pytest.raises(FloatingPointError, match="finite domain"):
+            evolve_density(pure_density(state1(1.0, 0.0), D),
+                           MasterTerms(H, D), [1.0])
+
+    def test_a_sub_step_that_cannot_advance_raises(self, monkeypatch):
+        # no series may take a term, so no span converges and the sub-step
+        # halves until it no longer moves t
+        monkeypatch.setattr(evolution, "MAX_TERMS", 0)
+        D = 8
+        with pytest.raises(FloatingPointError, match="underflows"):
+            evolve_density(pure_density(state1(1.0, 0.0), D),
+                           MasterTerms(number_operator(), D), [1.0])
+
+    def test_a_span_holds_its_documented_buffers(self):
+        # W partial sums, the symmetrized start, the current term and its
+        # scaled copy, and master_rhs's three buffers, each dim^2 complex,
+        # plus 256 KiB for numpy's own scratch, at 2 modes, D=16 (dim 256)
+        # with W sample times, after one warm-up call
+        H = poly_to_normal_form(parse_poly(self.QUARTIC, {}))
+        terms = MasterTerms(H, 16)
+        width = evolution.span_width(terms.dim)
+        times = [0.01 * k for k in range(1, width + 1)]
+        rho = pure_density(ClassicalState(np.array([0.6, -0.3]),
+                                          np.array([0.2, 0.5])), 16)
+        evolve_density(rho, terms, times)
+        tracemalloc.start()
+        try:
+            evolve_density(rho, terms, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (width + 6) * 16 * terms.dim ** 2 + 256 * 1024
 
 
 class TestTimeAverageProject:
