@@ -34,7 +34,6 @@ from .evolution import (
     evolve_density,
     liouville_flow,
     master_rhs,
-    time_average_project,
 )
 from .fock import (
     FockMatrix,
@@ -61,8 +60,6 @@ from .states import (
     ensemble_density,
     expectation,
     extended_wavefunction,
-    hamilton_rhs,
-    integrate_ensemble,
     integrate_state,
     pseudo_wavefunction,
     pure_density,

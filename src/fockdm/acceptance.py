@@ -37,7 +37,6 @@ from .evolution import MasterTerms, master_rhs, projection_decay
 from .fock import (
     apply,
     compile_operator,
-    fold,
     interior_block,
     realize_matrix,
 )
@@ -211,8 +210,7 @@ def creation_expansion(H, m):
 @criterion(1, "coherent-eigenrelation", verify_samples=10)
 def coherent_eigenrelation(rng, cutoff, samples):
     """||a_j w - z_j w|| <= 1e-8 over seeded states, alternating 1 and 2 modes."""
-    ops = {n: [fold(compile_operator(NormalFormOperator.annihilation(j, n),
-                                     cutoff))
+    ops = {n: [compile_operator(NormalFormOperator.annihilation(j, n), cutoff)
                for j in range(n)]
            for n in (1, 2)}
     worst = 0.0

@@ -13,7 +13,7 @@
 
   over the Hermitian-paired words C_a H_aL H_aR of H_n.  The inner
   commutators close in the word algebra, so rho' is a sum of sandwiches of
-  two words, which MasterTerms compiles and folds once (fock.fold) and
+  two words, which MasterTerms compiles once (fock.compile_operator) and
   master_rhs applies on the flat basis index, one contiguous pass per flat
   shift (fock.apply); master_rhs adds the adjoint and conserves the trace
   of any matrix, Hermitian or not, realizable or not.  L = master_rhs is
@@ -43,7 +43,6 @@ from .fock import (
     check_pairing,
     compile_operator,
     eigensystem,
-    fold,
 )
 from .states import Ensemble, ensemble_density
 
@@ -69,10 +68,10 @@ class MasterTerms:
         -i C ( |R| a^R rho adag^L + sum_j L_j (adag_j a^R) rho adag^(L-e_j) ),
 
     sandwiches pre rho post whose post word only creates.  ``groups`` holds
-    one (shift, pad, pres) entry per post word that has an entry at the
-    cutoff: its flat shift and zero-padded scale (fock.fold), and the fold
-    of its pre words with the coefficients folded in; one dim-long pad per
-    pass, never dim^2.
+    one (shift, pad, pres) entry per post word that has a target at the
+    cutoff: the one pass of the post word compiled by itself, and the
+    compiled pre words with the coefficients folded in; one dim-long pad
+    per pass, never dim^2.
     """
 
     def __init__(self, hamiltonian: NormalFormOperator, cutoff: int):
@@ -93,15 +92,13 @@ class MasterTerms:
                     post = tuple(c - e for c, e in zip(create, ej))
                     rows.setdefault(post, {})[ej, annih] = \
                         -1j * coeff * create[j]
-        posts = compile_operator(NormalFormOperator(
-            n, {(post, zero): 1.0 for post in rows}), cutoff)
-        # a post word that creates past the cutoff folds to no pass and
+        # a post word that creates past the cutoff compiles to no pass and
         # drops its group
         self.groups = [
-            (shift, pad, fold(compile_operator(NormalFormOperator(n, pres),
-                                               cutoff)))
-            for entry, pres in zip(posts.entries, rows.values())
-            for shift, pad in fold(posts._replace(entries=(entry,)))]
+            (shift, pad, compile_operator(NormalFormOperator(n, pres), cutoff))
+            for post, pres in rows.items()
+            for shift, pad in compile_operator(NormalFormOperator(
+                n, {(post, zero): 1.0}), cutoff).passes]
 
 
 def master_rhs(rho: np.ndarray, terms: MasterTerms) -> np.ndarray:
@@ -292,12 +289,6 @@ def _norm(matrix: np.ndarray) -> float:
     whose spinning doubles the CPU time of a span."""
     parts = matrix.reshape(-1).view(np.float64)
     return math.sqrt(np.einsum("i,i", parts, parts))
-
-
-def time_average_project(rho: FockMatrix, hamiltonian: NormalFormOperator,
-                         delta: float) -> FockMatrix:
-    """Trace-normalized time average of e^{iHt} rho e^{-iHt} over [0, delta]."""
-    return _time_average(rho, eigensystem(hamiltonian, rho.cutoff), delta)[1]
 
 
 def _time_average(rho: FockMatrix, eig: Eigensystem,

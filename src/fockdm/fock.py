@@ -5,23 +5,21 @@ product with mode 1 as the slowest-varying index, so index i encodes the
 occupation tuple via repeated divmod by D.  Ladder matrices follow
 <k-1|a|k> = sqrt(k).
 
-A word (adag)^c a^r is a shifted diagonal on every mode, so it acts on a
-vector or a matrix, viewed as a (D,)*n or (D,)*2n tensor, by slicing and
-scaling along one axis per mode.  ``compile_operator`` is the one place that
-builds these: it turns an operator into a ``WordTable``, one (target,
-source, scale) entry per word with the coefficient folded into the scale,
-and every consumer reads that table.  On the flat basis index the same word
-is one shift: its target T reads its source T - shift, so ``fold`` turns a
-table into one (shift, pad) pass per distinct flat shift, the scales of its
-words summed into one zero-padded column, and ``apply`` adds op x into a
-(dim, ...) array by one contiguous multiply-add per pass along axis 0.
-``operator_trace`` reads Tr(rho op) off a dense rho, ``block_trace`` reads
-sum_k p_k <w_k|op w_k> off a block of member vectors without forming rho,
-``eigensystem``, the one spectral primitive, sums each invariant sector's
-block straight from the table, and ``realize_matrix`` writes the dense
-matrix (kept for criterion 5's dense route and test oracles).  A moment
-matrix is a ``FockMatrix`` or, held as its members W and weights p, a
-``MemberBlock``; both read a table through ``expect``.
+A word (adag)^c a^r is a shifted diagonal on every mode, and on the flat
+basis index one shift: its target T reads its source T - shift.
+``compile_operator`` is the one place that builds these: it turns an
+operator into a ``WordTable`` of (shift, pad) passes, one per distinct flat
+shift, the scales of its words with the coefficients folded in summed into
+one zero-padded column, and every reader walks those passes.  ``apply`` adds
+op x into a (dim, ...) array by one contiguous multiply-add per pass along
+axis 0, ``operator_trace`` reads Tr(rho op) off one shifted diagonal of a
+dense rho per pass, ``block_trace`` reads sum_k p_k <w_k|op w_k> off a
+block of member vectors without forming rho, ``eigensystem``, the one
+spectral primitive, sums each invariant sector's block straight from the
+passes, and ``realize_matrix`` writes the dense matrix (kept for criterion
+5's dense route and test oracles).  A moment matrix is a ``FockMatrix`` or,
+held as its members W and weights p, a ``MemberBlock``; both read a table
+through ``expect``.
 
 Truncation policy: a single normal-ordered word (adag)^c a^r realizes
 exactly on the whole block (its matrix elements agree with the untruncated
@@ -33,9 +31,7 @@ interior block of occupations with a safety margin at the top.
 
 from __future__ import annotations
 
-import functools
 import logging
-import string
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,9 +79,6 @@ class FockMatrix:
     cutoff: int
     data: np.ndarray
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.data - self.data.conj().T)))
-
     def trace(self) -> complex:
         return complex(np.trace(self.data))
 
@@ -127,77 +120,62 @@ class MemberBlock:
 
 
 class WordTable(NamedTuple):
-    """An operator compiled at one cutoff: one (target, source, scale) entry
-    per word, (op v)[target...] = scale * v[source...] along the mode axes."""
+    """An operator compiled at one cutoff: one (shift, pad) pass per distinct
+    flat shift of its words, in the order of first appearance.  On the flat
+    basis index a word's target T reads its source T - shift; pad, of
+    length dim, holds at each target the scales of the words with that
+    shift, summed in word order, and is zero wherever none has a target."""
 
     modes: int
     cutoff: int
-    entries: tuple
+    passes: tuple
 
 
 def compile_operator(op: NormalFormOperator, cutoff: int) -> WordTable:
-    """Each word of op as a shifted diagonal, after checking the dimension.
+    """The passes of op, after checking the dimension.
 
     On mode j the word (adag)^c a^r reads occupation k from r_j up and
     writes k - r_j + c_j, with weight sqrt(k (k-1) ... (k-r_j+1) *
     (k-r_j+1) ... (k-r_j+c_j)), the product taken factor by factor in that
-    order; the scale is the coefficient times the outer product of the
-    per-mode weights in mode order.  A scale that overflows is kept, for
-    its reader to catch.
+    order.  Its scale is the coefficient times the outer product of the
+    per-mode weights in mode order, its flat targets are the outer sum of
+    the per-mode targets, and its shift is sum_j (c_j - r_j) D^(n-1-j).  A
+    word with no target at the cutoff adds no pass.  A scale or a sum that
+    overflows is kept, for its reader to catch.
     """
-    check_dimension(op.modes, cutoff)
-    entries = []
-    for (create, annih), coeff in op.terms.items():
-        source, target, weights = [], [], []
-        for c, a in zip(create, annih):
-            length = max(cutoff - max(c, a), 0)
-            k = np.arange(a, a + length, dtype=float)
-            val = np.ones(length)
-            for step in range(a):
-                val *= k - step
-            for step in range(c):
-                val *= k - a + 1 + step
-            source.append(slice(a, a + length))
-            target.append(slice(c, c + length))
-            weights.append(np.sqrt(val))
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = functools.reduce(np.multiply.outer, weights, coeff)
-        entries.append((tuple(target), tuple(source), scale))
-    return WordTable(op.modes, cutoff, tuple(entries))
-
-
-def fold(table: WordTable) -> tuple:
-    """The words of a table on the flat basis index: one (shift, pad) pass
-    per distinct shift = sum_j (target_j - source_j) D^(n-1-j), in the order
-    of first appearance.  pad has length dim and holds, at each flat target,
-    the scales of the words with that shift, summed in table order; it is
-    zero wherever none of them has a target.  A word with no entry at the
-    cutoff adds no pass."""
-    n, cutoff = table.modes, table.cutoff
-    dtype = np.result_type(float, *(scale for *_, scale in table.entries))
+    dim = check_dimension(op.modes, cutoff)
+    dtype = np.result_type(float, *op.terms.values())
     pads = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for target, source, scale in table.entries:
-            if not scale.size:
-                continue
-            shift = 0
-            for t, s in zip(target, source):
-                shift = shift * cutoff + t.start - s.start
-            if shift not in pads:
-                pads[shift] = np.zeros((cutoff,) * n, dtype)
-            pads[shift][target] += scale
-    return tuple((shift, pad.reshape(-1)) for shift, pad in pads.items())
+        for (create, annih), coeff in op.terms.items():
+            shift, target, scale = 0, 0, coeff
+            for c, a in zip(create, annih):
+                length = max(cutoff - max(c, a), 0)
+                k = np.arange(a, a + length, dtype=float)
+                val = np.ones(length)
+                for step in range(a):
+                    val *= k - step
+                for step in range(c):
+                    val *= k - a + 1 + step
+                shift = shift * cutoff + c - a
+                target = np.add.outer(target * cutoff,
+                                      np.arange(c, c + length))
+                scale = np.multiply.outer(scale, np.sqrt(val))
+            if scale.size:
+                # a word's targets are distinct
+                pads.setdefault(shift, np.zeros(dim, dtype))[target] += scale
+    return WordTable(op.modes, cutoff, tuple(pads.items()))
 
 
-def apply(passes: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add op x into out and return out, for the ``fold`` of op and (dim,
+def apply(table: WordTable, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add op x into out and return out, for op compiled in table and (dim,
     ...) arrays x and out: each pass adds pad[T] x[T - shift] into out[T]
     over one contiguous run of rows T, pad broadcast over the trailing
     axes.  This is exact: a word's target reads its source at T - shift,
     and pad is zero on every other row of the run."""
     dim = len(x)
     trailing = (1,) * (x.ndim - 1)
-    for shift, pad in passes:
+    for shift, pad in table.passes:
         lo, hi = max(shift, 0), dim + min(shift, 0)
         out[lo:hi] += (pad[lo:hi].reshape((-1,) + trailing)
                        * x[lo - shift:hi - shift])
@@ -240,9 +218,11 @@ def eigensystem(op: NormalFormOperator, cutoff: int) -> Eigensystem:
     """The eigensystem of a Hermitian-paired operator, finite at the cutoff:
     one batched eigh per width of its invariant sectors (``_sector_labels``),
     real when no block entry has an imaginary part (an H_n with even powers
-    of pi only).  The blocks are summed straight from the compiled words,
-    never from the dense matrix: they hold its sums, added in the same word
-    order, in complex only when some word's scale has an imaginary part."""
+    of pi only).  The blocks are summed straight from the compiled passes,
+    never from the dense matrix: a block cell receives the pad entry of the
+    one pass whose shift joins its row and column, the sum of that shift's
+    words in word order, as the dense matrix does; the blocks are complex
+    only when some pad has an imaginary part."""
     check_pairing(op)
     table = compile_operator(op, cutoff)
     label = _sector_labels(table)
@@ -258,16 +238,15 @@ def eigensystem(op: NormalFormOperator, cutoff: int) -> Eigensystem:
     place = np.empty_like(order)
     place[order] = np.arange(order.size)
     place -= (np.cumsum(counts) - counts)[size]
-    shape = (cutoff,) * op.modes
-    row = (run[size] + place * size).reshape(shape)
-    col = (place % size).reshape(shape)
-    complex_words = any(scale.imag.any() for *_, scale in table.entries)
+    row, col = run[size] + place * size, place % size
+    complex_words = any(pad.imag.any() for _, pad in table.passes)
     blocks = np.zeros(cells.sum(), complex if complex_words else float)
     with np.errstate(over="ignore", invalid="ignore"):
-        # within one word every (target, source) pair is distinct
-        for target, source, scale in table.entries:
-            blocks[row[target] + col[source]] += (
-                scale if complex_words else scale.real)
+        # within one pass every target T, and so every cell, is distinct
+        for shift, pad in table.passes:
+            t = np.flatnonzero(pad)
+            blocks[row[t] + col[t - shift]] += (
+                pad[t] if complex_words else pad[t].real)
     if not np.isfinite(blocks).all():
         raise FloatingPointError(f"H_n overflows at cutoff {cutoff}")
     if complex_words and not blocks.imag.any():
@@ -287,80 +266,67 @@ def eigensystem(op: NormalFormOperator, cutoff: int) -> Eigensystem:
 
 def _sector_labels(table: WordTable) -> np.ndarray:
     """The least basis index in each basis state's sector, a connected
-    component of the moves source -> target of the compiled words (the
-    entries with target != source): label propagation with pointer jumping
-    on the (D,)*n index tensor, O(words dim) a sweep; Hermitian pairing
-    supplies each reverse move."""
-    moves = [(target, source) for target, source, _ in table.entries
-             if target != source]
+    component of the moves T - shift -> T of the passes with nonzero shift,
+    at every T where the pad is nonzero: label propagation with pointer
+    jumping, O(passes dim) a sweep; Hermitian pairing supplies each reverse
+    move."""
+    moves = [(t, t - shift) for shift, pad in table.passes if shift
+             for t in [np.flatnonzero(pad)]]
     label = np.arange(table.cutoff ** table.modes)
-    tensor = label.reshape((table.cutoff,) * table.modes)
     while True:
         before = label.tobytes()
         for target, source in moves:
-            np.minimum(tensor[target], tensor[source], out=tensor[target])
+            label[target] = np.minimum(label[target], label[source])
         label[:] = label[label]
         if label.tobytes() == before:
             return label
 
 
-def _paired_diagonal(modes: int) -> str:
-    """einsum spec of the diagonal pairing each row mode with its column."""
-    axes = string.ascii_letters[:modes]
-    return f"{axes}{axes}->{axes}"
-
-
 def realize_matrix(op: NormalFormOperator, cutoff: int) -> FockMatrix:
-    """Dense matrix of a normal-form operator: on the (D,)*2n view, row
-    modes first, each word adds its scale along its shifted diagonal,
-    written through the einsum view that pairs each row mode with its
-    column mode."""
+    """Dense matrix of a normal-form operator: each pass writes its pad
+    along its shifted diagonal, op[T, T - shift] = pad[T], the flat cells
+    T (dim + 1) - shift of the matrix."""
     table = compile_operator(op, cutoff)
-    n = op.modes
-    out = np.zeros((cutoff,) * (2 * n), dtype=complex)
-    paired = _paired_diagonal(n)
-    for target, source, scale in table.entries:
-        diagonal = np.einsum(paired, out[target + source])
-        diagonal += scale
-    return FockMatrix(n, cutoff, out.reshape(cutoff ** n, cutoff ** n))
+    dim = cutoff ** op.modes
+    out = np.zeros((dim, dim), dtype=complex)
+    for shift, pad in table.passes:
+        lo, hi = max(shift, 0), dim + min(shift, 0)
+        out.reshape(-1)[np.arange(lo, hi) * (dim + 1) - shift] = pad[lo:hi]
+    return FockMatrix(op.modes, cutoff, out)
 
 
 def operator_trace(rho: np.ndarray, table: WordTable) -> complex:
-    """Tr(rho op) on a dense rho, viewed as a (D,)*2n tensor, row modes
-    first: a word pairs each row mode of rho[source..., target...] with its
-    column mode and sums that diagonal against its scale, O(D^n)."""
-    n, cutoff = table.modes, table.cutoff
-    if rho.shape != (cutoff ** n,) * 2:
+    """Tr(rho op) on a dense rho: each pass sums its pad against one
+    shifted diagonal, rho[T - shift, T], O(passes dim)."""
+    dim = table.cutoff ** table.modes
+    if rho.shape != (dim, dim):
         raise ValueError("dimension mismatch between rho and the operator")
-    tensor = rho.reshape((cutoff,) * (2 * n))
-    paired = _paired_diagonal(n)
-    return _total(table, lambda target, source: np.einsum(
-        paired, tensor[source + target]))
+    return _total(table, lambda shift, lo, hi: np.diagonal(rho, shift))
 
 
 def block_trace(vectors: np.ndarray, weights: np.ndarray,
                 table: WordTable) -> complex:
     """sum_k p_k <w_k|op w_k> on the columns w_k of a dim x r block W with
-    real weights p, without forming W diag(p) W^H: on the (D,)*n + (r,)
-    view a word pairs the conjugated target slice of each column with its
-    source slice, weighs the columns and sums against its scale, O(D^n r).
-    """
-    n, cutoff = table.modes, table.cutoff
-    if vectors.shape[0] != cutoff ** n:
+    real weights p, without forming W diag(p) W^H: each pass sums its pad
+    against sum_k p_k conj(w_k[T]) w_k[T - shift], O(passes dim r)."""
+    if vectors.shape[0] != table.cutoff ** table.modes:
         raise ValueError("dimension mismatch between the block and the "
                          "operator")
-    tensor = vectors.reshape((cutoff,) * n + (-1,))
-    return _total(table, lambda target, source: (
-        tensor[target].conj() * tensor[source]) @ weights)
+    return _total(table, lambda shift, lo, hi: (
+        vectors[lo:hi].conj() * vectors[lo - shift:hi - shift]) @ weights)
 
 
 def _total(table: WordTable, diagonal) -> complex:
-    """sum over the words of scale * diagonal(target, source); a total that
-    is not finite raises FloatingPointError."""
+    """sum over the passes of sum_T pad[T] diagonal(shift, lo, hi)[T - lo]
+    over the pass's run of targets lo <= T < hi, elementwise (a BLAS dot
+    would round differently); a total that is not finite raises
+    FloatingPointError."""
+    dim = table.cutoff ** table.modes
     total = 0j
     with np.errstate(over="ignore", invalid="ignore"):
-        for target, source, scale in table.entries:
-            total += np.sum(scale * diagonal(target, source))
+        for shift, pad in table.passes:
+            lo, hi = max(shift, 0), dim + min(shift, 0)
+            total += np.sum(pad[lo:hi] * diagonal(shift, lo, hi))
     if not np.isfinite(total):
         raise FloatingPointError(f"Tr(rho op) is not finite at cutoff "
                                  f"{table.cutoff}")

@@ -20,8 +20,8 @@ the conjugate amplitude and exchanges quanta between them:
 The generator conserves the quanta of each pair, so it is bounded on every
 number sector and the recoded vectors stay finite at alpha = pi/4: the
 single-mode divergence is gone.  S acts on vectors by ``s_action``, Taylor
-sub-steps in the number basis through ``fock.apply`` of its folded words
-(``fock.fold``), one contiguous pass per flat shift: the truncated S
+sub-steps in the number basis through ``fock.apply`` of its compiled
+passes, one contiguous multiply-add per flat shift: the truncated S
 generator has eigenvalues up to about D, so a read in its eigenbasis
 amplifies rounding by up to e^(alpha D).  M acts by ``exp_action``, read off
 ``fock.eigensystem`` of its generator one sector of pair quanta at a time.
@@ -43,7 +43,6 @@ from .fock import (
     check_dimension,
     compile_operator,
     eigensystem,
-    fold,
 )
 from .states import ClassicalState, pseudo_wavefunction
 
@@ -77,16 +76,14 @@ def exp_action(generator: NormalFormOperator, alphas, w: np.ndarray,
 def s_action(alphas, w: np.ndarray, cutoff: int) -> np.ndarray:
     """exp(-alpha G) w, G = S_GENERATOR, per alpha of the grid on axis 1: w,
     any D x r block, is carried from alpha = 0 through the grid by Taylor
-    sub-steps of length h with h B <= 1, B the sum over the compiled words
-    of their largest |scale| (B >= ||G||_2), each summing all S_TAYLOR_TERMS
+    sub-steps of length h with h B <= 1, B the sum over the compiled passes
+    of their largest |pad| (B >= ||G||_2), each summing all S_TAYLOR_TERMS
     terms (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488, 2011)."""
     table = compile_operator(S_GENERATOR, cutoff)
-    # G is real: its words act with real scales, so a real w stays real
-    table = table._replace(entries=tuple(
-        (target, source, scale.real) for target, source, scale in table.entries))
-    bound = sum(float(np.abs(scale).max(initial=0.0))
-                for *_, scale in table.entries)
-    passes = fold(table)
+    # G is real: its passes act with real pads, so a real w stays real
+    table = table._replace(passes=tuple(
+        (shift, pad.real) for shift, pad in table.passes))
+    bound = sum(float(np.abs(pad).max()) for _, pad in table.passes)
     u = np.array(w, dtype=np.result_type(w, float))
     out = np.empty((len(u), len(alphas)) + u.shape[1:], u.dtype)
     at = 0.0
@@ -96,7 +93,7 @@ def s_action(alphas, w: np.ndarray, cutoff: int) -> np.ndarray:
         for _ in range(steps):
             term, u = u, u.copy()
             for n in range(1, S_TAYLOR_TERMS + 1):
-                term = apply(passes, term, np.zeros_like(term)) * (-h / n)
+                term = apply(table, term, np.zeros_like(term)) * (-h / n)
                 u += term
         out[:, i] = u
         at = alpha
@@ -160,7 +157,7 @@ def rho_z_trace(state: ClassicalState, alphas, cutoff: int) -> ReificationTrace:
     # rank-one structure: ||S rho S||_2 = ||S w||^2, one column u per alpha
     u = s_action(alphas, pseudo_wavefunction(state, cutoff), cutoff)
     lengths = np.linalg.norm(u, axis=0)
-    phi_u = apply(fold(compile_operator(_PHI, cutoff)), u, np.zeros_like(u))
+    phi_u = apply(compile_operator(_PHI, cutoff), u, np.zeros_like(u))
     residuals = np.linalg.norm(phi_u - state.z[0] * u, axis=0) / lengths
     return ReificationTrace(alphas, lengths ** 2, cutoff, residuals)
 
@@ -178,7 +175,7 @@ def norm_flow_residual(state: ClassicalState, alpha: float, cutoff: int) -> floa
         raise PoleError("alpha must sit in [0, pi/4 - margin]")
     c, d = flow_coeffs(alpha)
     u = s_action([alpha], pseudo_wavefunction(state, cutoff), cutoff)[:, 0]
-    gen, a_rot = (fold(compile_operator(op, cutoff)) for op in
+    gen, a_rot = (compile_operator(op, cutoff) for op in
                   (S_GENERATOR, rotated_annihilation(alpha)))
     a_u = apply(a_rot, u, np.zeros_like(u))
     trace = (-2 * np.vdot(u, apply(gen, u, np.zeros_like(u))).real

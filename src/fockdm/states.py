@@ -133,9 +133,6 @@ class Ensemble:
             states.append(ClassicalState(phi, pi))
         return cls.from_states(states)
 
-    def map_states(self, f: Callable[[ClassicalState], ClassicalState]) -> "Ensemble":
-        return Ensemble(tuple((f(s), w) for s, w in self.members))
-
     def average(self, f: Callable[[ClassicalState], complex]) -> complex:
         return sum(w * f(s) for s, w in self.members)
 
@@ -198,13 +195,6 @@ def ensemble_density(ensemble: Ensemble, cutoff: int) -> FockMatrix:
     for block in blocks:
         data += block.dense().data
     return FockMatrix(ensemble.modes, cutoff, data)
-
-
-def hamilton_rhs(hamiltonian: PolyExpr,
-                 state: ClassicalState) -> tuple[np.ndarray, np.ndarray]:
-    """(phidot, pidot) = (dH/dpi, -dH/dphi) evaluated at the state."""
-    grad_phi, grad_pi = _gradients(hamiltonian)
-    return _rhs_at(grad_phi, grad_pi, state.point())
 
 
 def poisson_bracket(observable: PolyExpr, hamiltonian: PolyExpr) -> PolyExpr:
@@ -276,13 +266,6 @@ def integrate_state(hamiltonian: PolyExpr, state: ClassicalState,
         if not np.isfinite(x).all():
             raise FloatingPointError("trajectory left the finite domain")
     return ClassicalState(x[:n], x[n:])
-
-
-def integrate_ensemble(hamiltonian: PolyExpr, ensemble: Ensemble,
-                       t: float, dt: float = 1e-3) -> Ensemble:
-    """Advance every member along the classical flow; weights unchanged."""
-    return ensemble.map_states(
-        lambda s: integrate_state(hamiltonian, s, t, dt))
 
 
 def expectation(rho: FockMatrix | MemberBlock,

@@ -9,7 +9,7 @@ measured figures (visible under ``pytest -s``).
 import numpy as np
 import pytest
 
-from fockdm import acceptance
+from fockdm import acceptance, discrepancy, states
 from fockdm.acceptance import (
     CRITERIA,
     FLOW_DTS,
@@ -98,15 +98,29 @@ def test_master_flow_passes_across_seeds(seed):
     assert result.passed, result
 
 
+def skew_first_pass(table, factor):
+    """table with the pad of its first pass scaled by factor: one word, or
+    the words that share its shift."""
+    (shift, pad), *rest = table.passes
+    return table._replace(passes=((shift, factor * pad), *rest))
+
+
+def skew_compiled_words(monkeypatch, module, factor):
+    """Compile every operator that module compiles with its first pass
+    skewed by factor."""
+    monkeypatch.setattr(module, "compile_operator", lambda op, cutoff:
+                        skew_first_pass(compile_operator(op, cutoff), factor))
+
+
 def skew_first_pre_pass(monkeypatch, factor):
-    """Build every MasterTerms with the first folded pre pass of group 0
-    scaled by factor: one pre word, or the words that share its shift."""
+    """Build every MasterTerms with the first pre pass of group 0 scaled by
+    factor."""
     init = MasterTerms.__init__
 
     def skewed(self, hamiltonian, cutoff):
         init(self, hamiltonian, cutoff)
-        shift, pad, ((pre_shift, pre_pad), *rest) = self.groups[0]
-        self.groups[0] = (shift, pad, ((pre_shift, factor * pre_pad), *rest))
+        shift, pad, pres = self.groups[0]
+        self.groups[0] = (shift, pad, skew_first_pass(pres, factor))
 
     monkeypatch.setattr(MasterTerms, "__init__", skewed)
 
@@ -130,18 +144,28 @@ def test_master_trace_conservation_catches_a_one_ppm_word_error(monkeypatch):
 
 def test_coherent_eigenrelation_catches_a_one_ppm_word_error(monkeypatch):
     # every compiled a_j off by 1 + 1e-6 leaves a residual near 1e-6 |z| ||w||
-    def skewed(op, cutoff):
-        table = compile_operator(op, cutoff)
-        (target, source, scale), *rest = table.entries
-        return table._replace(
-            entries=((target, source, (1 + 1e-6) * scale), *rest))
-
     rng = np.random.default_rng(101)
     assert coherent_eigenrelation(rng, 32, 50).passed
-    monkeypatch.setattr(acceptance, "compile_operator", skewed)
+    skew_compiled_words(monkeypatch, acceptance, 1 + 1e-6)
     result = coherent_eigenrelation(np.random.default_rng(101), 32, 50)
     assert not result.passed
     assert result.value > 1e-8
+
+
+@pytest.mark.parametrize("number, module", [
+    (2, states), (6, discrepancy), (7, discrepancy), (12, discrepancy)],
+    ids=["c02", "c06", "c07", "c12"])
+def test_trace_criterion_catches_a_one_ppm_word_error(monkeypatch, number,
+                                                      module):
+    # each criterion reads Tr(rho op) through operator_trace or block_trace
+    # of the operators its module compiles: expectations (2) and fluxes (6,
+    # 7, 12); a 1e-6 skew of one pass leaves an error of about 1e-7 to 1e-6
+    [criterion] = [c for c in CRITERIA if c.number == number]
+    assert criterion.check(np.random.default_rng(3), 32, 10).passed
+    skew_compiled_words(monkeypatch, module, 1 + 1e-6)
+    result = criterion.check(np.random.default_rng(3), 32, 10)
+    assert not result.passed
+    assert result.value > result.tolerance
 
 
 def test_ladder_expansion_fails_on_an_empty_interior_block():

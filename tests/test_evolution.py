@@ -21,7 +21,6 @@ from fockdm.evolution import (
     liouville_flow,
     master_rhs,
     projection_decay,
-    time_average_project,
 )
 from fockdm.fock import (
     DimensionCapError,
@@ -52,6 +51,13 @@ AD = NormalFormOperator.creation()
 
 def state1(phi, pi):
     return ClassicalState(np.array([phi]), np.array([pi]))
+
+
+def time_average_project(rho, hamiltonian, delta):
+    """The trace-normalized time average of rho over [0, delta], rotated
+    back to the number basis."""
+    return evolution._time_average(
+        rho, eigensystem(hamiltonian, rho.cutoff), delta)[1]
 
 
 def number_operator():
@@ -223,11 +229,12 @@ class TestMemberRoute:
 
     def test_unpaired_hamiltonian_is_refused_on_its_words(self, monkeypatch):
         # the Liouville law and the projection refuse what MasterTerms
-        # refuses, decided on the words: no dense Hermiticity test runs
-        def dense(self):
-            raise AssertionError("ran a dense Hermiticity test")
+        # refuses, decided on the words: no dense matrix is realized for a
+        # Hermiticity test
+        def dense(*args):
+            raise AssertionError("realized a dense matrix")
 
-        monkeypatch.setattr(FockMatrix, "hermiticity_defect", dense)
+        monkeypatch.setattr(fock, "realize_matrix", dense)
         lopsided = number_operator() + AD ** 2
         rho = pure_density(state1(0.5, 0.2), 8)
         with pytest.raises(PairingError):
@@ -321,14 +328,15 @@ class TestMasterEquation:
             terms = MasterTerms(H, D)
             dim = D ** modes
             # the (pre, post) word pairs of the sandwiches, all inside the
-            # cutoff at degree 2, against the passes of the folded pre words
+            # cutoff at degree 2, against the passes of the compiled pre words
             pairs = {(zero, annih, create) for create, annih in H.terms
                      if sum(annih)}
             pairs |= {(tuple(int(i == j) for i in range(modes)), annih,
                        tuple(c - (i == j) for i, c in enumerate(create)))
                       for create, annih in H.terms
                       for j in range(modes) if create[j]}
-            merged += len(pairs) - sum(len(pres) for *_, pres in terms.groups)
+            merged += len(pairs) - sum(len(pres.passes)
+                                       for *_, pres in terms.groups)
 
             def half(rho):
                 out = np.zeros((dim, dim), dtype=complex)
@@ -914,8 +922,8 @@ class TestSectors:
         # has imaginary words that realize to nothing at D = 8 and to an
         # imaginary H_n at D = 9
         H = poly_to_normal_form(parse_poly(self.KERR, {}))
-        assert any(np.iscomplexobj(scale)
-                   for *_, scale in compile_operator(H, 16).entries)
+        assert any(np.iscomplexobj(pad)
+                   for _, pad in compile_operator(H, 16).passes)
         assert all(np.isrealobj(v) for _, v in eigensystem(H, 16).groups)
         long = H + NormalFormOperator(1, {((8,), (0,)): 1j,
                                           ((0,), (8,)): -1j})
@@ -923,10 +931,12 @@ class TestSectors:
         assert all(np.iscomplexobj(v) for _, v in eigensystem(long, 9).groups)
 
     def test_words_that_sum_past_the_float_range_overflow(self):
-        # each word is finite at D = 2, their sum at occupation 1 is not
+        # each word is finite at D = 2, their sum at occupation 1 is not: it
+        # overflows in the pad of their shared shift 0
         H = NormalFormOperator(1, {((0,), (0,)): 1e308, ((1,), (1,)): 1e308})
-        assert all(np.isfinite(scale).all()
-                   for *_, scale in compile_operator(H, 2).entries)
+        [(shift, pad)] = compile_operator(H, 2).passes
+        assert shift == 0
+        assert np.isfinite(pad[0]) and np.isinf(pad[1])
         with pytest.raises(FloatingPointError, match="overflows at cutoff 2"):
             eigensystem(H, 2)
 

@@ -3,11 +3,14 @@ modules below it, so no import cycle can form.  One spectral primitive,
 fock.eigensystem, diagonalizes every operator: no module grows a private
 eigensolver.  Operators act on vectors through fock.apply: only
 criterion 5's dense oracle realizes a dense matrix; the spectral primitive
-sums its sector blocks straight from the compiled words.  And every pass/fail
-is decided in acceptance: no other module builds a CheckResult or holds a
-tolerance."""
+sums its sector blocks straight from the compiled words.  An operator has
+one compiled form, the flat-shift passes of fock.compile_operator, and only
+two functions outside fock read them.  Every pass/fail is decided in
+acceptance: no other module builds a CheckResult or holds a tolerance.  And
+every exported name has a caller in the package."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -82,6 +85,50 @@ def test_eigh_runs_only_in_the_spectral_primitive():
 
 def test_dense_realization_only_in_the_oracle():
     assert callers({"realize_matrix"}) == REALIZE_CALLERS
+
+
+# the functions outside fock allowed to read the passes of a compiled
+# operator: the master law's post words, and the real pads of the S generator
+PASSES_READERS = {("evolution", "__init__"), ("reify", "s_action")}
+
+
+def test_passes_are_the_one_compiled_form():
+    for module in STACK:
+        assert not any(isinstance(node, ast.FunctionDef)
+                       and node.name == "fold"
+                       for node in ast.walk(module_tree(module)))
+    assert callers({"fold", "entries"}) == set()
+    assert {(module, scope) for module, scope in callers({"passes"})
+            if module != "fock"} == PASSES_READERS
+
+
+# exported as the paper's quantities, which README describes, though no
+# function of the package calls them
+PAPER_QUANTITIES = {"s_operator", "m_operator", "norm_flow_residual"}
+
+
+def referenced_names(tree):
+    """The names and attributes that tree loads or calls, annotations
+    left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.returns = None
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            node.annotation = None
+    for node in ast.walk(tree):
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+
+def test_every_export_has_a_caller():
+    used = {name for module in STACK
+            for name in referenced_names(module_tree(module))}
+    exports = {name for name in fockdm.__all__
+               if not isinstance(getattr(fockdm, name), types.ModuleType)}
+    assert exports - used == PAPER_QUANTITIES
 
 
 def module_tree(module):
