@@ -203,9 +203,10 @@ class ExperimentConfig:
             raise ConfigError("seed: required for randomized suites")
         if not isinstance(self.hamiltonian, str):
             raise ConfigError("hamiltonian: must be a polynomial string")
-        for name, text in [("hamiltonian", self.hamiltonian)] + [
-                ("observables", text) for text in self.observables]:
-            _parse(name, text, self.bindings)
+        # each text parsed once at the bindings, kept for _fit
+        self._parsed = {text: _parse(name, text, self.bindings)
+                        for name, text in [("hamiltonian", self.hamiltonian)]
+                        + [("observables", text) for text in self.observables]}
         self._validate_ensemble()
 
     def _validate_ensemble(self) -> None:
@@ -245,10 +246,13 @@ class ExperimentConfig:
         """The one mode-consistency check: a polynomial on fewer modes than
         the state is promoted, one on more is a configuration error naming
         its field, and a mode count over the dimension cap at the cutoff is
-        refused before anything is promoted to it.  It parses again, so a
-        swept binding that overflows a coefficient is refused here."""
+        refused before anything is promoted to it.  Without bindings it
+        takes the parse that ``validate`` kept; with a swept binding's
+        bindings it parses again, so a swept value that overflows a
+        coefficient is refused here."""
         check_dimension(modes, self.cutoff)
-        p = _parse(name, text, self.bindings if bindings is None else bindings)
+        p = (self._parsed[text] if bindings is None
+             else _parse(name, text, bindings))
         if p.modes > modes:
             raise ConfigError(f"{name}: {text!r} has {p.modes} modes, the state "
                               f"has {modes}")
@@ -360,14 +364,15 @@ def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
     state = config.classical_state()
     if config.sweep:
         [(name, values)] = config.sweep.items()
+        runs = [(value, {**config.bindings, name: value}) for value in values]
     else:
-        name, values = "m", [config.bindings.get("m", 1.0)]
+        # the validated parse, at the config's own bindings
+        name, runs = "m", [(config.bindings.get("m", 1.0), None)]
     columns = [name, "observable", "g_hat_re", "g_hat_im", "g_dot",
                "direct_re", "direct_im", "closed_re", "closed_im",
                "residual", "applicable"]
     rows, reports = [], []
-    for value in values:
-        bindings = {**config.bindings, name: value}
+    for value, bindings in runs:
         h = config.hamiltonian_on(state.modes, bindings)
         for text, g in config.observables_on(state.modes, bindings):
             rep = discrepancy_report(state, g, h, config.cutoff,

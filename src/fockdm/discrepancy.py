@@ -36,10 +36,10 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .algebra import commutator, poly_to_normal_form
+from .algebra import NormalFormOperator, commutator, poly_to_normal_form
 from .fock import FockMatrix, MemberBlock, WordTable, compile_operator
 from .poly import ChartError, PolyExpr
-from .states import ClassicalState, Ensemble, poisson_bracket
+from .states import ClassicalState, Ensemble, poisson_brackets
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,13 @@ class FieldScaling:
         return ClassicalState(state.phi / self.scales, state.pi * self.scales)
 
 
-def flux_operator(observable: PolyExpr, hamiltonian: PolyExpr, modes: int,
+def flux_operator(observable: PolyExpr, h_n: NormalFormOperator,
                   cutoff: int) -> WordTable:
-    """[g_n, H_n] on the given mode count, taken symbolically and compiled
-    at the cutoff."""
+    """[g_n, H_n] on H_n's mode count, taken symbolically and compiled at
+    the cutoff."""
     return compile_operator(
-        commutator(poly_to_normal_form(observable.promote(modes)),
-                   poly_to_normal_form(hamiltonian.promote(modes))), cutoff)
+        commutator(poly_to_normal_form(observable.promote(h_n.modes)), h_n),
+        cutoff)
 
 
 def quantum_flux(rho: FockMatrix | MemberBlock, flux: WordTable) -> complex:
@@ -94,22 +94,22 @@ def ensemble_fluxes(ensemble: Ensemble, hamiltonian: PolyExpr, observables,
                     cutoff: int) -> list[DiscrepancyReport]:
     """The ensemble-averaged quantum and classical flux of each observable.
 
-    g_hat sums the flux of each member block (``Ensemble.member_blocks``)
+    H_n and H's gradients are derived once for all the observables.  g_hat
+    sums the flux of each member block (``Ensemble.member_blocks``)
     and g_dot averages the Poisson bracket (``Ensemble.average``); both
     sums start from zero, so a zero flux is +0.0 for any member count.
     """
     observables = list(observables)
-    n = ensemble.modes
-    fluxes = [flux_operator(g, hamiltonian, n, cutoff) for g in observables]
+    h = hamiltonian.promote(ensemble.modes)
+    h_n = poly_to_normal_form(h)
+    fluxes = [flux_operator(g, h_n, cutoff) for g in observables]
     per_block = [[quantum_flux(block, flux) for flux in fluxes]
                  for block in ensemble.member_blocks(cutoff)]
-    rows = []
-    for g, g_hats in zip(observables, zip(*per_block)):
-        bracket = poisson_bracket(g, hamiltonian.promote(n))
-        rows.append(DiscrepancyReport(
-            g_hat=sum(g_hats),
-            g_dot=ensemble.average(lambda s: bracket.eval(s.point()).real)))
-    return rows
+    return [DiscrepancyReport(
+        g_hat=sum(g_hats),
+        g_dot=ensemble.average(lambda s: bracket.eval(s.point()).real))
+        for g_hats, bracket in zip(zip(*per_block),
+                                   poisson_brackets(observables, h))]
 
 
 def discrepancy_closed_form(state: ClassicalState, observable: PolyExpr,

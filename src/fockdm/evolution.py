@@ -15,8 +15,9 @@
   commutators close in the word algebra, so rho' is a sum of sandwiches of
   two words, which MasterTerms compiles once (fock.compile_operator) and
   master_rhs applies on the flat basis index, one contiguous pass per flat
-  shift (fock.apply); master_rhs adds the adjoint and conserves the trace
-  of any matrix, Hermitian or not, realizable or not.  L = master_rhs is
+  shift, one cache-sized block of output rows at a time; master_rhs adds
+  the adjoint and conserves the trace of any matrix, Hermitian or not,
+  realizable or not.  L = master_rhs is
   constant and linear, so evolve_density sums e^{tL} rho as one Taylor
   series in t per span of sample times, exact in t like the Liouville law.
 
@@ -38,7 +39,6 @@ from .fock import (
     FockMatrix,
     MemberBlock,
     PairingError,
-    apply,
     check_dimension,
     check_pairing,
     compile_operator,
@@ -53,6 +53,8 @@ log = logging.getLogger(__name__)
 MAX_TERMS = 30
 # the bytes of the partial sums one span of evolve_density holds
 SPAN_BYTES = 4 * 2 ** 20
+# the bytes of the output rows of one row block of master_rhs
+BLOCK_BYTES = 2 ** 18
 # the relative size of the two consecutive terms that end a sample's series
 _EPS = 2.0 ** -53
 
@@ -71,7 +73,9 @@ class MasterTerms:
     one (shift, pad, pres) entry per post word that has a target at the
     cutoff: the one pass of the post word compiled by itself, and the
     compiled pre words with the coefficients folded in; one dim-long pad
-    per pass, never dim^2.
+    per pass.  Construction also plans master_rhs's row blocks over a
+    workspace of about two dim^2 buffers, allocated once, so one
+    MasterTerms serves one master_rhs call at a time.
     """
 
     def __init__(self, hamiltonian: NormalFormOperator, cutoff: int):
@@ -99,40 +103,117 @@ class MasterTerms:
             for post, pres in rows.items()
             for shift, pad in compile_operator(NormalFormOperator(
                 n, {(post, zero): 1.0}), cutoff).passes]
+        self._plan_blocks([
+            (shift, np.roll(pad, -shift),
+             [(s, p, max(s, 0), self.dim + min(s, 0)) for s, p in pres.passes])
+            for shift, pad, pres in self.groups])
+
+    def _plan_blocks(self, groups) -> None:
+        """The workspace of master_rhs and its plan of row blocks.
+
+        Each group is (shift, rolled post pad, pre passes with their target
+        runs lo <= T < hi).  A block of output rows r0 <= T < r1 reads, per
+        group, only the window of y rows its passes reach, a <= T - s < b;
+        a group with no pass in the block is skipped.  Each pass adds at
+        most ``chunk`` rows, BLOCK_BYTES of them, at a time through the
+        scratch.  A block is one chunk unless the windows would average
+        more than twice a chunk (mean pre-shift spread over rows), where
+        the whole matrix is one block.  The workspace is the zero-tailed
+        flat copy of rho, the window and the scratch.
+        """
+        dim = self.dim
+        spreads = [max(s for s, *_ in passes) - min(s for s, *_ in passes)
+                   for _, _, passes in groups if passes]
+        chunk = max(1, BLOCK_BYTES // (16 * dim))
+        rows = chunk if sum(spreads) <= chunk * len(spreads) else dim
+        self._flat = np.empty(dim * dim + dim, dtype=complex)
+        self._flat[dim * dim:] = 0
+        window = np.empty(dim * min(dim, rows + max(spreads, default=0)),
+                          dtype=complex)
+        scratch = np.empty(dim * min(chunk, dim), dtype=complex)
+
+        def rows_of(buffer, lo, hi):
+            return buffer[lo * dim:hi * dim].reshape(-1, dim)
+
+        # per block its rows, and per group the window's source in the flat
+        # copy, the rolled pad and the window; per chunk of a pass the pad
+        # column, the window rows it reads, the scratch and its target rows
+        self._blocks = []
+        for r0 in range(0, dim, rows):
+            r1 = min(r0 + rows, dim)
+            block = []
+            for shift, rolled, passes in groups:
+                steps = [(s, p, max(lo, r0), min(hi, r1))
+                         for s, p, lo, hi in passes
+                         if max(lo, r0) < min(hi, r1)]
+                if not steps:
+                    continue
+                a = min(t0 - s for s, _, t0, _ in steps)
+                b = max(t1 - s for s, _, _, t1 in steps)
+                block.append((
+                    rows_of(self._flat[shift:], a, b), rolled,
+                    rows_of(window, 0, b - a),
+                    [(p[c0:c1, None], rows_of(window, c0 - s - a, c1 - s - a),
+                      rows_of(scratch, 0, c1 - c0), c0, c1)
+                     for s, p, t0, t1 in steps
+                     for c0 in range(t0, t1, chunk)
+                     for c1 in [min(c0 + chunk, t1)]]))
+            self._blocks.append((r0, r1, block))
 
 
-def master_rhs(rho: np.ndarray, terms: MasterTerms) -> np.ndarray:
-    """Free-space master equation right-hand side, F(rho) + F(rho^H)^H.
+def master_rhs(rho: np.ndarray, terms: MasterTerms,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Free-space master equation right-hand side, F(rho) + F(rho^H)^H,
+    written into out (a (dim, dim) complex array apart from rho) or, by
+    default, into a fresh array.
 
     F is the half compiled in ``terms``, on the flat basis index: per post
-    word, y = rho post is one product of rho with its pad broadcast over
-    rows, read at a flat offset of shift, so that column j of y holds
-    column j + shift of the product; its pre words are then applied to
-    whole rows of y (fock.apply).  The map is linear over the complex
-    scalars and traceless on any matrix; a rho equal to its adjoint bit for
-    bit takes F once, in three dim^2 buffers (y, the sum F(rho) and the
-    product inside each pass), and gives a bitwise Hermitian result.
+    word, y = rho post is rho times its pad broadcast over rows, read at a
+    flat offset of shift, so that column j of y holds column j + shift of
+    the product; its pre words are then applied to whole rows of y.  The
+    output is filled one row block at a time (MasterTerms), each block from
+    only the rows of y its passes read, formed in the workspace of
+    ``terms`` from a flat copy of rho times the pad rolled by its shift
+    (the rolled pad is zero where the read wraps to the next row); every
+    cell receives the same products in the same order as from whole
+    matrices.  The map is linear over the complex scalars and traceless on
+    any matrix; a rho equal to its adjoint bit for bit takes F once,
+    allocates nothing but the result, and gives a bitwise Hermitian
+    result.  ``terms`` serves one call at a time.
     """
     dim = terms.dim
     if rho.shape != (dim, dim):
         raise ValueError("dimension mismatch between rho and the terms")
-    hermitian = np.array_equal(rho, rho.conj().T)
-    # dim^2 cells for rho post, then a zero tail that the shifted read of
-    # y's last row runs into, where the pad is zero
-    y = np.zeros(dim * dim + dim, dtype=complex)
-    cells = y[:dim * dim].reshape(dim, dim)
+    if out is None:
+        out = np.empty((dim, dim), dtype=complex)
+    elif np.may_share_memory(out, rho):
+        raise ValueError("out shares memory with rho")
+    # the flat copy holds rho^H, which is rho itself, zero signs aside
+    # (they cannot reach a sum that starts at +0), when rho is Hermitian
+    cells = terms._flat[:dim * dim].reshape(dim, dim)
+    hermitian = np.array_equal(rho, np.conjugate(rho.T, out=cells))
+    if hermitian:
+        _half(terms, out)
+        # out + out^H, the adjoint written into the flat copy
+        return np.add(out, np.conjugate(out.T, out=cells), out=out)
+    twin = _half(terms, np.empty_like(out))
+    np.copyto(cells, rho)
+    _half(terms, out)
+    return np.add(out, np.conjugate(twin, out=twin).T, out=out)
 
-    def half(matrix):
-        out = np.zeros((dim, dim), dtype=complex)
-        for shift, pad, pres in terms.groups:
-            np.multiply(matrix, pad, out=cells)
-            apply(pres, y[shift:shift + dim * dim].reshape(dim, dim), out)
-        return out
 
-    out = half(rho)
-    twin = out if hermitian else half(rho.conj().T)
-    # out + twin^H, the adjoint written into y's cells
-    return np.add(out, np.conjugate(twin.T, out=cells), out=out)
+def _half(terms: MasterTerms, out: np.ndarray) -> np.ndarray:
+    """F of the matrix in the flat copy of ``terms``, written into out by
+    row blocks: per block, zero its rows, then per group form the window
+    and add each pre pass through the scratch, in group then pass order."""
+    multiply = np.multiply
+    for r0, r1, block in terms._blocks:
+        out[r0:r1] = 0
+        for source, rolled, window, steps in block:
+            multiply(source, rolled, out=window)
+            for pad, rows, scratch, t0, t1 in steps:
+                out[t0:t1] += multiply(pad, rows, out=scratch)
+    return out
 
 
 def density_samples(law: str, ensemble: Ensemble,
@@ -216,8 +297,12 @@ def evolve_density(rho0: FockMatrix, terms: MasterTerms,
     partial sum S.  A sample converges once two consecutive terms are at
     most 2^-53 ||S||; it leaves the span, with every later sample, when a
     term exceeds ||S|| (cancellation) or after MAX_TERMS terms unconverged.
-    The next span starts at the farthest converged sample; where none
-    converges, at a sub-step to the midpoint of the first.  rho0 is
+    The next span starts at the farthest converged target; where none
+    converges, the next span is a sub-step to the midpoint of the first.
+    A converged sub-step is carried into every later span as an inner
+    target, short of the next pending sample, whose sum shares its powers
+    with the samples: the span advances by the sub-step at least, and the
+    samples are tried from each new start at no extra call.  rho0 is
     symmetrized once; every term and sum, real multiples and sums of
     bitwise Hermitian matrices, stays bitwise Hermitian.  The trace drift
     is reported through the module logger.
@@ -230,22 +315,26 @@ def evolve_density(rho0: FockMatrix, terms: MasterTerms,
     rho *= 0.5
     trace0 = np.trace(rho)
     width = span_width(terms.dim)
-    samples, start, step, spans = [], 0.0, None, 0
+    samples, start, step, stalled, spans = [], 0.0, None, False, 0
     while len(samples) < len(times):
-        targets = (times[len(samples):len(samples) + width] if step is None
-                   else [start + step])
+        pending = times[len(samples):len(samples) + width]
+        # the sub-step, carried short of the next sample once converged,
+        # and tried alone after a span that converged nothing
+        inner = ([start + step] if step is not None
+                 and (stalled or start + step < pending[0]) else [])
+        targets = inner if stalled else (inner + pending)[:width]
         sums = _span(rho, terms, [t - start for t in targets])
         spans += 1
-        if not sums:
-            # nothing converged: a sub-step to the midpoint of the first
+        stalled = not sums
+        if stalled:
+            # a sub-step to the midpoint of the first target
             step = (targets[0] - start) / 2
             if not start < start + step:
                 raise FloatingPointError("the master law's sub-step "
                                          f"underflows at t = {start!r}")
             continue
-        if step is None:
-            samples += sums
-        rho, start, step = sums[-1], targets[len(sums) - 1], None
+        samples += sums[len(inner):]
+        rho, start = sums[-1], targets[len(sums) - 1]
     drift = abs(np.trace(rho) - trace0)
     log.debug("evolve_density: samples=%d spans=%d trace_drift=%.3e",
               len(times), spans, drift)
@@ -259,8 +348,10 @@ def _span(rho: np.ndarray, terms: MasterTerms, taus) -> list[np.ndarray]:
     norms = [_norm(rho)] * len(taus)
     quiet = [0] * len(taus)  # consecutive terms below _EPS of the sum
     live, term, scaled = len(taus), rho, np.empty_like(rho)
+    # master_rhs writes each term over the one before the last
+    buffers = np.empty_like(rho), np.empty_like(rho)
     for k in range(1, MAX_TERMS + 1):
-        term = master_rhs(term, terms)
+        term = master_rhs(term, terms, out=buffers[k % 2])
         term *= 1.0 / k
         size = _norm(term)
         if not math.isfinite(size):

@@ -197,15 +197,20 @@ def ensemble_density(ensemble: Ensemble, cutoff: int) -> FockMatrix:
     return FockMatrix(ensemble.modes, cutoff, data)
 
 
-def poisson_bracket(observable: PolyExpr, hamiltonian: PolyExpr) -> PolyExpr:
-    """{g, H} = sum_j dg/dphi_j dH/dpi_j - dg/dpi_j dH/dphi_j on the
-    Hamiltonian's modes: the rate of g along Hamilton's equations."""
-    g = observable.promote(hamiltonian.modes)
-    total = PolyExpr("phipi", hamiltonian.modes)
-    for j, (h_phi, h_pi) in enumerate(zip(*_gradients(hamiltonian)), 1):
-        total = (total + g.differentiate(f"phi{j}") * h_pi
-                 - g.differentiate(f"pi{j}") * h_phi)
-    return total
+def poisson_brackets(observables, hamiltonian: PolyExpr) -> list[PolyExpr]:
+    """{g, H} = sum_j dg/dphi_j dH/dpi_j - dg/dpi_j dH/dphi_j of each
+    observable on the Hamiltonian's modes, the rate of g along Hamilton's
+    equations, from one derivation of H's gradients."""
+    gradients = list(zip(*_gradients(hamiltonian)))
+    brackets = []
+    for observable in observables:
+        g = observable.promote(hamiltonian.modes)
+        total = PolyExpr("phipi", hamiltonian.modes)
+        for j, (h_phi, h_pi) in enumerate(gradients, 1):
+            total = (total + g.differentiate(f"phi{j}") * h_pi
+                     - g.differentiate(f"pi{j}") * h_phi)
+        brackets.append(total)
+    return brackets
 
 
 def _gradients(hamiltonian: PolyExpr):

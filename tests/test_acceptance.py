@@ -114,15 +114,15 @@ def skew_compiled_words(monkeypatch, module, factor):
 
 def skew_first_pre_pass(monkeypatch, factor):
     """Build every MasterTerms with the first pre pass of group 0 scaled by
-    factor."""
-    init = MasterTerms.__init__
+    factor, in the unpacked groups that its row blocks are planned from."""
+    plan = MasterTerms._plan_blocks
 
-    def skewed(self, hamiltonian, cutoff):
-        init(self, hamiltonian, cutoff)
-        shift, pad, pres = self.groups[0]
-        self.groups[0] = (shift, pad, skew_first_pass(pres, factor))
+    def skewed(self, groups):
+        (shift, rolled, ((s, pad, lo, hi), *rest)), *others = groups
+        plan(self, [(shift, rolled, [(s, factor * pad, lo, hi), *rest]),
+                    *others])
 
-    monkeypatch.setattr(MasterTerms, "__init__", skewed)
+    monkeypatch.setattr(MasterTerms, "_plan_blocks", skewed)
 
 
 def test_master_flow_catches_a_one_percent_sandwich_error(monkeypatch):

@@ -615,6 +615,49 @@ class TestDiscrepancySweep:
             (out2 / "results.csv").read_bytes()
 
 
+class TestParseOnce:
+    # validate parses the Hamiltonian and every observable; a suite without
+    # a sweep runs on those parses, and a sweep parses again per value
+    H = "0.5*pi1^2 + 0.5*m*phi1^2"
+    OBSERVABLES = ["phi1*pi1", "phi1^2"]
+
+    @staticmethod
+    def spied(monkeypatch):
+        texts, parse = [], cli.parse_poly
+
+        def counted(text, bindings):
+            texts.append(text)
+            return parse(text, bindings)
+
+        monkeypatch.setattr(cli, "parse_poly", counted)
+        return texts
+
+    @pytest.mark.parametrize("experiment, extra", [
+        ("discrepancy", {}),
+        ("evolve", {"cutoff": 8, "dt": 0.01, "t": 0.02}),
+        ("iee", {"cutoff": 8, "ensemble": {"kind": "phase_circle",
+                                           "points": 4}}),
+        ("project", {"cutoff": 8}),
+    ])
+    def test_a_suite_without_a_sweep_parses_each_text_once(
+            self, tmp_path, monkeypatch, experiment, extra):
+        texts = self.spied(monkeypatch)
+        cfg = write_config(tmp_path, "c.json", {
+            "hamiltonian": self.H, "bindings": {"m": 1.0},
+            "observables": self.OBSERVABLES, "seed": 1, **extra})
+        main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert sorted(texts) == sorted([self.H, *self.OBSERVABLES])
+
+    def test_a_sweep_parses_again_per_value(self, tmp_path, monkeypatch):
+        texts = self.spied(monkeypatch)
+        cfg = write_config(tmp_path, "d.json", DISC_CONFIG)
+        assert main(["discrepancy", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+        # once at validation, then once per swept value
+        assert texts.count(DISC_CONFIG["hamiltonian"]) == 4
+        assert texts.count("phi1*pi1") == 4
+
+
 class TestEvolveSuite:
     def test_trajectory_and_snapshots(self, tmp_path):
         cfg = write_config(tmp_path, "e.json", {

@@ -51,12 +51,14 @@ class TestQuantumFlux:
     def test_observable_equal_to_hamiltonian(self):
         H = oscillator(1.5)
         rho = pure_density(state1(0.6, -0.2), 24)
-        assert abs(quantum_flux(rho, flux_operator(H, H, 1, 24))) <= 1e-12
+        flux = flux_operator(H, poly_to_normal_form(H), 24)
+        assert abs(quantum_flux(rho, flux)) <= 1e-12
 
     def test_stationary_point_of_phi(self):
         H = parse_poly("0.5*phi1^2 + 0.5*pi1^2", {})
         rho = pure_density(state1(1.0, 0.0), 32)
-        flux = flux_operator(parse_poly("phi1", {}), H, 1, 32)
+        flux = flux_operator(parse_poly("phi1", {}), poly_to_normal_form(H),
+                             32)
         assert abs(quantum_flux(rho, flux)) <= 1e-8
 
     def test_against_dense_matrix_oracle(self):
@@ -68,7 +70,8 @@ class TestQuantumFlux:
         for _ in range(5):
             s = random_state(rng)
             rho = pure_density(s, D)
-            got = quantum_flux(rho, flux_operator(g, H, 1, D))
+            got = quantum_flux(rho, flux_operator(g, poly_to_normal_form(H),
+                                                  D))
             gmat = realize_matrix(poly_to_normal_form(g), D).data
             hmat = realize_matrix(poly_to_normal_form(H), D).data
             oracle = -1j * np.trace(rho.data @ (gmat @ hmat - hmat @ gmat))
@@ -78,7 +81,8 @@ class TestQuantumFlux:
         H = oscillator(1.0)
         # 17^3 > DIM_CAP: rejected before anything of that size exists
         with pytest.raises(DimensionCapError):
-            flux_operator(parse_poly("phi1*pi1", {}), H, 3, 17)
+            flux_operator(parse_poly("phi1*pi1", {}),
+                          poly_to_normal_form(H.promote(3)), 17)
 
 
 class TestClassicalFlux:
@@ -371,7 +375,8 @@ class TestIEECheck:
         assert widths == [(8, 8)] * 5
         rho = ensemble_density(e, 8)
         for g, row in zip(gs, report.rows):
-            want = quantum_flux(rho, flux_operator(g, H, 1, 8))
+            want = quantum_flux(rho, flux_operator(g, poly_to_normal_form(H),
+                                                     8))
             assert abs(row.g_hat - want) <= 1e-13
 
     def test_generic_two_point_ensemble_is_not_equilibrium(self):

@@ -277,9 +277,11 @@ class TestMasterEquation:
         assert diff.max() <= 1e-8
 
     def test_one_call_holds_three_matrix_buffers(self):
-        # y, the sum F(rho) and the product inside each pass, each dim^2
-        # complex, plus 256 KiB for numpy's own scratch, on a bitwise
-        # Hermitian rho at 2 modes, D=16 (dim 256) after one warm-up call
+        # at most three dim^2 complex buffers, plus 256 KiB for numpy's own
+        # scratch, on a bitwise Hermitian rho at 2 modes, D=16 (dim 256)
+        # after one warm-up call; the call holds its result and the
+        # Hermitian test's boolean mask, its workspace being allocated with
+        # the terms
         H = poly_to_normal_form(parse_poly(
             "0.5*(pi1^2+pi2^2+phi1^2+phi2^2) + 0.05*phi1^2*phi2^2"
             " + 0.03*phi1^4", {}))
@@ -454,6 +456,171 @@ class TestMasterEquation:
         assert np.isfinite(flux.real) and np.isfinite(flux.imag)
 
 
+def whole_matrix_rhs(rho, terms):
+    """master_rhs as it stood before row blocks: per group the whole dim x
+    dim y = rho post, then fock.apply of its pre words to all of y, in a
+    fresh sum per half; the reference the row blocks match bit for bit."""
+    dim = terms.dim
+    hermitian = np.array_equal(rho, rho.conj().T)
+    y = np.zeros(dim * dim + dim, dtype=complex)
+    cells = y[:dim * dim].reshape(dim, dim)
+
+    def half(matrix):
+        out = np.zeros((dim, dim), dtype=complex)
+        for shift, pad, pres in terms.groups:
+            np.multiply(matrix, pad, out=cells)
+            fock.apply(pres, y[shift:shift + dim * dim].reshape(dim, dim),
+                       out)
+        return out
+
+    out = half(rho)
+    twin = out if hermitian else half(rho.conj().T)
+    return np.add(out, np.conjugate(twin.T, out=cells), out=out)
+
+
+def random_graded_hamiltonian(rng, modes, words=5):
+    """Hermitian-paired words of total degree 2 to 4, none linear, with
+    random complex coefficients."""
+    terms = {}
+    for _ in range(words):
+        letters = np.bincount(rng.integers(0, 2 * modes,
+                                           size=rng.integers(2, 5)),
+                              minlength=2 * modes)
+        key = (tuple(letters[:modes]), tuple(letters[modes:]))
+        coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        terms[key] = terms.get(key, 0) + coeff
+        mate = key[::-1]
+        terms[mate] = terms.get(mate, 0) + coeff.conjugate()
+    return NormalFormOperator(modes, terms)
+
+
+class TestRowBlocks:
+    # master_rhs fills its output one row block at a time from windows of
+    # y, and adds each pass a chunk of BLOCK_BYTES of rows at a time; every
+    # cell must receive the products of the whole-matrix kernel in the same
+    # order, so the two agree bit for bit, zero signs included.  dim 256 is
+    # four blocks of one chunk; dim 200 ends in a partial block of 38
+    # rows; at dims 343 and 1024 the windows would average more than twice
+    # a chunk, so each is one block, at 343 of 7 chunks of 47 rows and one
+    # of 14
+    @pytest.mark.parametrize("modes, D, blocks", [
+        (1, 8, 1), (2, 3, 1), (2, 16, 4), (1, 200, 3), (3, 7, 1),
+        (2, 32, 1)])
+    def test_equals_the_whole_matrix_kernel_bit_for_bit(self, modes, D,
+                                                        blocks):
+        rng = np.random.default_rng(83 + 10 * modes + D)
+        H = poly_to_normal_form(random_poly(rng, modes=modes, degree=4,
+                                            terms=6) * 0.5)
+        terms = MasterTerms(H, D)
+        assert len(terms._blocks) == blocks
+        dim = terms.dim
+        g = rng.standard_normal((dim, dim)) \
+            + 1j * rng.standard_normal((dim, dim))
+        out = np.empty((dim, dim), dtype=complex)
+        # a real symmetric rho equals its adjoint with -0 imaginary parts
+        for rho in (g, 0.5 * (g + g.conj().T), (g + g.T).real + 0j):
+            want = whole_matrix_rhs(rho, terms).tobytes()
+            assert master_rhs(rho, terms).tobytes() == want
+            assert master_rhs(rho, terms, out=out) is out
+            assert out.tobytes() == want
+
+    def test_a_group_with_no_pre_passes(self):
+        # at D=3 the pre word a1^3 of the word adag1 a1^3 has no target, so
+        # the group of its post word adag1 compiles to no pass
+        one, three = (1, 0), (3, 0)
+        H = NormalFormOperator(2, {(one, three): 0.5 + 0.25j,
+                                   (three, one): 0.5 - 0.25j,
+                                   ((0, 1), (0, 1)): 1.0})
+        terms = MasterTerms(H, 3)
+        assert [shift for shift, _, pres in terms.groups
+                if not pres.passes] == [3]
+        rng = np.random.default_rng(89)
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        for rho in (g, 0.5 * (g + g.conj().T)):
+            assert master_rhs(rho, terms).tobytes() \
+                == whole_matrix_rhs(rho, terms).tobytes()
+
+    def test_a_call_into_out_allocates_no_matrix(self):
+        # the windows, the scratch and the flat copy of rho live in the
+        # terms; with out given, a call on a bitwise Hermitian rho at dim
+        # 256 holds at most the Hermitian test's boolean mask and numpy's
+        # own scratch, against one dim^2 product per pass before
+        H = poly_to_normal_form(parse_poly(TestMasterSeries.QUARTIC, {}))
+        terms = MasterTerms(H, 16)
+        rho = random_hermitian(np.random.default_rng(19), terms.dim)
+        out = np.empty_like(rho)
+        master_rhs(rho, terms, out=out)
+        tracemalloc.start()
+        try:
+            master_rhs(rho, terms, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * terms.dim ** 2 // 4
+
+    def test_out_may_not_share_memory_with_rho(self):
+        terms = MasterTerms(number_operator(), 8)
+        rho = random_hermitian(np.random.default_rng(97), 8)
+        with pytest.raises(ValueError, match="shares memory"):
+            master_rhs(rho, terms, out=rho)
+
+
+class TestGrade:
+    # the grade of an entry rho_mn, m and n occupation tuples, is
+    # g = |m| + |n|.  A sandwich pre rho post writes out[T, U] from
+    # rho[T - s, U + shift], s the pre pass's shift and shift the post
+    # word's: a word C adag^L a^R of H gives the sandwiches a^R rho adag^L,
+    # which lower g by |L| + |R|, and adag_j a^R rho adag^(L - e_j), which
+    # lower it by |L| + |R| - 2.  Without a linear word no sandwich raises
+    # g, and the words of degree 3 or more lower it strictly: the master
+    # law is block-triangular in g, its anharmonic part nilpotent
+    @staticmethod
+    def worst_grade_change(terms):
+        """The largest g_out - g_in over every cell of every sandwich."""
+        grade = fock.occupations(terms.modes, terms.cutoff).sum(axis=1)
+        worst = -math.inf
+        for shift, pad, pres in terms.groups:
+            sources = np.flatnonzero(pad)  # rho's columns U + shift
+            column = np.max(grade[sources - shift] - grade[sources])
+            for s, p in pres.passes:
+                targets = np.flatnonzero(p)
+                # the sources inside the basis (all of them, unless a word
+                # is misplaced)
+                targets = targets[(targets >= s) & (targets - s < terms.dim)]
+                row = np.max(grade[targets] - grade[targets - s])
+                worst = max(worst, row + column)
+        return worst
+
+    @pytest.mark.parametrize("modes, D", [(1, 9), (2, 5)])
+    def test_sandwiches_keep_or_lower_the_grade(self, modes, D):
+        rng = np.random.default_rng(101 + 10 * modes + D)
+        for _ in range(6):
+            H = random_graded_hamiltonian(rng, modes)
+            assert self.worst_grade_change(MasterTerms(H, D)) <= 0
+            # the words of degree 3 or more, Hermitian-paired by themselves
+            anharmonic = NormalFormOperator(modes, {
+                key: c for key, c in H.terms.items()
+                if sum(key[0]) + sum(key[1]) >= 3})
+            if anharmonic.terms:
+                assert self.worst_grade_change(
+                    MasterTerms(anharmonic, D)) < 0
+
+    def test_a_misplaced_word_fails(self, monkeypatch):
+        # every compiled operator's first pass read one flat index too low
+        compiled = evolution.compile_operator
+
+        def misplaced(op, cutoff):
+            table = compiled(op, cutoff)
+            if not table.passes:
+                return table
+            (shift, pad), *rest = table.passes
+            return table._replace(passes=((shift + 1, pad), *rest))
+
+        monkeypatch.setattr(evolution, "compile_operator", misplaced)
+        with pytest.raises(AssertionError):
+            self.test_sandwiches_keep_or_lower_the_grade(2, 5)
+
+
 class TestStepCount:
     # (t, dt) pairs of the tests, the evolve default and the benchmark's
     # evolve configs, with the step counts they have always had
@@ -591,9 +758,9 @@ class TestMasterSeries:
             spans.append(list(taus))
             return span(rho, terms, taus)
 
-        def counted(rho, terms):
+        def counted(rho, terms, out=None):
             calls[0] += 1
-            return rhs(rho, terms)
+            return rhs(rho, terms, out)
 
         monkeypatch.setattr(evolution, "_span", spied_span)
         monkeypatch.setattr(evolution, "master_rhs", counted)
@@ -665,6 +832,23 @@ class TestMasterSeries:
         assert np.max(np.abs(got.data - want)) \
             <= 1e-12 * np.max(np.abs(want))
 
+    def test_a_converged_sub_step_is_carried(self, monkeypatch):
+        # the sample of test_long_sample_takes_sub_steps: while a converged
+        # sub-step was followed by a retry of the whole remaining distance,
+        # it took 140 spans, 110 of which converged nothing, and 2317 calls
+        # of master_rhs; carried as an inner target beside the sample, the
+        # sub-step advances every span after the first that converges
+        D = 16
+        H = poly_to_normal_form(parse_poly(
+            "0.5*pi1^2 + 0.5*phi1^2 + 0.05*phi1^3", {}))
+        rho = pure_density(state1(0.6, 0.2), D)
+        spans, calls = self.spied_spans(monkeypatch)
+        evolve_density(rho, MasterTerms(H, D), [10.0])
+        assert spans[:7] == [[10.0], [5.0], [2.5], [1.25], [0.625],
+                             [0.3125], [0.3125, 9.6875]]
+        assert all(taus[0] == 0.3125 for taus in spans[5:-1])
+        assert calls[0] <= 2317 // 2
+
     def test_sample_at_zero_is_the_symmetrized_input(self):
         D = 6
         rho = self.random_density(np.random.default_rng(73), 1, D)
@@ -697,10 +881,11 @@ class TestMasterSeries:
                            MasterTerms(number_operator(), D), [1.0])
 
     def test_a_span_holds_its_documented_buffers(self):
-        # W partial sums, the symmetrized start, the current term and its
-        # scaled copy, and master_rhs's three buffers, each dim^2 complex,
-        # plus 256 KiB for numpy's own scratch, at 2 modes, D=16 (dim 256)
-        # with W sample times, after one warm-up call
+        # W partial sums, the symmetrized start, the two term buffers that
+        # master_rhs writes in turn and the scaled term, each dim^2 complex,
+        # within a budget of W + 6 of them plus 256 KiB for numpy's own
+        # scratch, at 2 modes, D=16 (dim 256) with W sample times, after
+        # one warm-up call
         H = poly_to_normal_form(parse_poly(self.QUARTIC, {}))
         terms = MasterTerms(H, 16)
         width = evolution.span_width(terms.dim)
