@@ -48,10 +48,7 @@ from .reify import (
     PoleError,
     ReificationTrace,
     flow_coeffs,
-    m_operator,
-    norm_flow_residual,
     rho_z_trace,
-    s_operator,
 )
 from .states import (
     AmplitudeOverflowError,

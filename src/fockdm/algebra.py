@@ -15,7 +15,7 @@ the empty operator.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .poly import CanonicalSum, MultiIndex, PolyExpr
 
@@ -65,13 +65,6 @@ class NormalFormOperator(CanonicalSum):
         e = (0,) * modes
         c = tuple(1 if j == mode else 0 for j in range(modes))
         return cls(modes, {(c, e): 1.0})
-
-    @classmethod
-    def word(cls, coeff: complex, create: Iterable[int],
-             annih: Iterable[int]) -> "NormalFormOperator":
-        create = tuple(create)
-        annih = tuple(annih)
-        return cls(len(create), {(create, annih): coeff})
 
     # -- algebra -----------------------------------------------------------------
 

@@ -39,7 +39,12 @@ from .acceptance import (
 from .algebra import poly_to_normal_form
 from .discrepancy import discrepancy_report, iee_check
 from .evolution import density_samples, projection_decay
-from .fock import DimensionCapError, check_dimension, compile_operator
+from .fock import (
+    DimensionCapError,
+    PairingError,
+    check_dimension,
+    compile_operator,
+)
 from .poly import PolyExpr, PolyParseError, ProductSizeError, parse_poly
 from .reify import PoleError, flow_coeffs, rho_z_trace
 from .states import (
@@ -203,6 +208,8 @@ class ExperimentConfig:
             raise ConfigError("seed: required for randomized suites")
         if not isinstance(self.hamiltonian, str):
             raise ConfigError("hamiltonian: must be a polynomial string")
+        if not isinstance(self.out, str):
+            raise ConfigError("out: must be a directory path string")
         # each text parsed once at the bindings, kept for _fit
         self._parsed = {text: _parse(name, text, self.bindings)
                         for name, text in [("hamiltonian", self.hamiltonian)]
@@ -491,14 +498,13 @@ def load_config(args) -> ExperimentConfig:
         data["seed"] = args.seed
     if args.cutoff is not None:
         data["cutoff"] = args.cutoff
+    if args.out is not None:
+        data["out"] = str(args.out)
     if (args.config is None and data.get("seed") is None
             and args.experiment in ExperimentConfig.RANDOMIZED):
         # pure-defaults invocation: use the documented default stream
         data["seed"] = 20240811
-    cfg = ExperimentConfig.from_json(data)
-    if args.out is not None:
-        cfg.out = str(args.out)
-    return cfg
+    return ExperimentConfig.from_json(data)
 
 
 def main(argv=None) -> int:
@@ -517,6 +523,12 @@ def main(argv=None) -> int:
             OverflowError, PoleError, ProductSizeError,
             np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return 3
+    except PairingError as err:
+        # of the operators whose words are paired, only H_n comes from the
+        # config: rounding in its chart change can part a high power's mates
+        print(f"numerical failure: H_n, the Hamiltonian's normal form: {err}",
+              file=sys.stderr)
         return 3
     except MemoryError:
         print("resource failure: out of memory", file=sys.stderr)

@@ -118,12 +118,6 @@ class CanonicalSum:
     def is_zero(self, tol: float = DROP_TOL) -> bool:
         return all(abs(c) <= tol for c in self.terms.values())
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def approx_eq(self, other, tol: float = 1e-12) -> bool:
-        return (self - other).max_abs_coeff() <= tol
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -339,14 +333,6 @@ class PolyExpr(CanonicalSum):
         return self._linear_substitution("zy",
                                          (1 / _SQRT2, 1 / _SQRT2),
                                          (-1j / _SQRT2, 1j / _SQRT2))
-
-    def to_phipi(self) -> "PolyExpr":
-        """Substitute z = (phi+i pi)/sqrt2, y = (phi-i pi)/sqrt2 and expand."""
-        if self.chart != "zy":
-            raise ChartError("to_phipi expects the zy chart")
-        return self._linear_substitution("phipi",
-                                         (1 / _SQRT2, 1j / _SQRT2),
-                                         (1 / _SQRT2, -1j / _SQRT2))
 
     def _linear_substitution(self, chart: str,
                              first: tuple[complex, complex],

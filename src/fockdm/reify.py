@@ -25,8 +25,10 @@ passes, one contiguous multiply-add per flat shift: the truncated S
 generator has eigenvalues up to about D, so a read in its eigenbasis
 amplifies rounding by up to e^(alpha D).  M acts by ``exp_action``, read off
 ``fock.eigensystem`` of its generator one sector of pair quanta at a time.
-The dense S and M are their actions on the identity, and every other
-operator acts on vectors through ``fock.apply``.
+No dense S or M is formed: where one is wanted, it is the action on the
+identity, ``s_action([alpha], eye, D)`` or ``exp_action(m_generator(n),
+[alpha], eye, D)``, and every other operator acts on vectors through
+``fock.apply``.
 """
 
 from __future__ import annotations
@@ -37,16 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NormalFormOperator
-from .fock import (
-    FockMatrix,
-    apply,
-    check_dimension,
-    compile_operator,
-    eigensystem,
-)
+from .fock import apply, compile_operator, eigensystem
 from .states import ClassicalState, pseudo_wavefunction
-
-_MARGIN = 1e-3
 
 # Taylor terms of an s_action sub-step: with h ||G||_2 <= 1 the rest is < 1/21!
 S_TAYLOR_TERMS = 20
@@ -100,18 +94,6 @@ def s_action(alphas, w: np.ndarray, cutoff: int) -> np.ndarray:
     return out
 
 
-def s_operator(alpha: float, cutoff: int) -> FockMatrix:
-    """Single-mode reification operator at the given cutoff."""
-    if cutoff < 4:
-        raise ValueError("cutoff must be >= 4")
-    return FockMatrix(1, cutoff, s_action([alpha], np.eye(cutoff), cutoff)[:, 0])
-
-
-def rotated_annihilation(alpha: float) -> NormalFormOperator:
-    """cos(alpha) a + sin(alpha) adag, the similarity image of a under S."""
-    return _A.scale(math.cos(alpha)) + _A.adjoint().scale(math.sin(alpha))
-
-
 def flow_coeffs(alpha: float) -> tuple[float, float]:
     """Trace-preserving flow coefficients c, d of the recoding in alpha.
 
@@ -162,39 +144,9 @@ def rho_z_trace(state: ClassicalState, alphas, cutoff: int) -> ReificationTrace:
     return ReificationTrace(alphas, lengths ** 2, cutoff, residuals)
 
 
-def norm_flow_residual(state: ClassicalState, alpha: float, cutoff: int) -> float:
-    """Trace leak of the normalized recoding flow with the rough c, d.
-
-    -G rho - rho G + c A^2 rho + c rho (A^H)^2 + d A rho A^H, A = a(alpha),
-    on rho = u u^H / <u|u>, u = S w, has the trace (-2 <u|G u> + 2 c Re
-    <u|A A u> + d ||A u||^2) / <u|u>, returned as a modulus, which exact
-    flow coefficients would zero.  The closed forms are claimed only
-    roughly: the leak vanishes at alpha = 0 and grows toward the pole.
-    """
-    if alpha < 0 or alpha > math.pi / 4 - _MARGIN:
-        raise PoleError("alpha must sit in [0, pi/4 - margin]")
-    c, d = flow_coeffs(alpha)
-    u = s_action([alpha], pseudo_wavefunction(state, cutoff), cutoff)[:, 0]
-    gen, a_rot = (compile_operator(op, cutoff) for op in
-                  (S_GENERATOR, rotated_annihilation(alpha)))
-    a_u = apply(a_rot, u, np.zeros_like(u))
-    trace = (-2 * np.vdot(u, apply(gen, u, np.zeros_like(u))).real
-             + 2 * c * np.vdot(u, apply(a_rot, a_u, np.zeros_like(u))).real
-             + d * np.vdot(a_u, a_u).real) / np.vdot(u, u).real
-    return abs(float(trace))
-
-
 def m_generator(modes: int) -> NormalFormOperator:
     """sum_j (adag_j b_j + a_j bdag_j), the generator of M(alpha)."""
     unit = [tuple(row) for row in np.eye(2 * modes, dtype=int).tolist()]
     # each word creates on mode i and annihilates on its partner i ^ 1
     return NormalFormOperator(2 * modes, {
         (unit[i], unit[i ^ 1]): 1.0 for i in range(2 * modes)})
-
-
-def m_operator(alpha: float, modes: int, cutoff: int) -> FockMatrix:
-    """Doubled-space reification operator over n mode pairs, on the
-    interleaved (a_1, b_1, a_2, b_2, ...) layout of extended_wavefunction."""
-    dim = check_dimension(2 * modes, cutoff)  # before the 2n unit words exist
-    return FockMatrix(2 * modes, cutoff, exp_action(
-        m_generator(modes), [alpha], np.eye(dim), cutoff)[:, 0])

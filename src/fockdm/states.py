@@ -69,10 +69,6 @@ class ClassicalState:
     def z(self) -> np.ndarray:
         return (self.phi + 1j * self.pi) / _SQRT2
 
-    @property
-    def y(self) -> np.ndarray:
-        return (self.phi - 1j * self.pi) / _SQRT2
-
     def point(self) -> np.ndarray:
         """Evaluation point for phipi-chart polynomials."""
         return np.concatenate([self.phi, self.pi])
@@ -93,7 +89,7 @@ class Ensemble:
         members = tuple((s, float(w)) for s, w in self.members)
         if not members:
             raise ValueError("ensemble needs at least one member")
-        if any(w <= 0 for _, w in members):
+        if not all(w > 0 for _, w in members):  # nan is not positive
             raise ValueError("weights must be positive")
         total = math.fsum(w for _, w in members)
         if abs(total - 1.0) > 1e-12:

@@ -9,16 +9,19 @@ measured figures (visible under ``pytest -s``).
 import numpy as np
 import pytest
 
-from fockdm import acceptance, discrepancy, states
+from fockdm import acceptance, algebra, discrepancy, evolution, reify, states
 from fockdm.acceptance import (
     CRITERIA,
     FLOW_DTS,
     coherent_eigenrelation,
+    flow_coeffs,
     ladder_commutator_expansion,
     master_trace_conservation,
     master_vs_classical_flow,
     observed_order,
+    rescale_field,
 )
+from fockdm.algebra import NormalFormOperator
 from fockdm.evolution import MasterTerms
 from fockdm.fock import compile_operator
 
@@ -175,3 +178,89 @@ def test_ladder_expansion_fails_on_an_empty_interior_block():
     assert not result.passed
     assert "empty interior blocks" in result.detail
     assert "matrix residual inf" in result.detail
+
+
+def verify_run(tag):
+    """The criterion of tag as fockdm verify runs it, at rng 1 and cutoff
+    32."""
+    [criterion] = [c for c in CRITERIA if c.tag == tag]
+    return criterion.check(np.random.default_rng(1), 32,
+                           criterion.verify_samples)
+
+
+def test_ladder_expansion_catches_a_miscounted_reordering(monkeypatch):
+    # every k = 2 weight k! C(r,k) C(l,k) of a^r adag^l one too large: both
+    # sides of each identity go through normal_order_product, yet 91 of the
+    # symbolic residuals are left nonzero
+    assert verify_run("ladder-commutator-expansion").passed
+    reorder = algebra._reorder_single_mode
+    monkeypatch.setattr(algebra, "_reorder_single_mode", lambda r, l: [
+        (w + (l - create == 2), create, annih)
+        for w, create, annih in reorder(r, l)])
+    result = verify_run("ladder-commutator-expansion")
+    assert not result.passed
+    assert result.value > 0
+
+
+def test_field_scaling_catches_a_one_ppm_scale_error(monkeypatch):
+    # the curvature residual goes from 4.4e-16 to 5.7e-6
+    assert verify_run("field-scaling-balance").passed
+    monkeypatch.setattr(acceptance, "rescale_field", lambda h, scales:
+                        rescale_field(h, scales * (1 + 1e-6)))
+    result = verify_run("field-scaling-balance")
+    assert not result.passed
+    assert result.value > 1e-6
+
+
+def test_projection_decay_catches_an_average_over_the_first_delta(
+        monkeypatch):
+    # every eigenbasis average divided by the first delta, 50, instead of
+    # its own: off * delta grows like delta and the band from 3.826 to 15.30
+    assert verify_run("projection-offdiagonal-decay").passed
+    average = evolution._time_average
+
+    def first_delta(rho, eig, delta):
+        averaged, out = average(rho, eig, delta)
+        return averaged * (delta / 50), out
+
+    monkeypatch.setattr(evolution, "_time_average", first_delta)
+    result = verify_run("projection-offdiagonal-decay")
+    assert not result.passed
+    assert result.value > 15
+
+
+def test_flow_coefficients_catch_a_flipped_sign(monkeypatch):
+    # d = +4 sqrt3 at pi/6: a coefficient error of 8 sqrt3 = 13.86
+    assert verify_run("reify-flow-coefficients").passed
+
+    def flipped(alpha):
+        c, d = flow_coeffs(alpha)
+        return c, -d
+
+    monkeypatch.setattr(acceptance, "flow_coeffs", flipped)
+    result = verify_run("reify-flow-coefficients")
+    assert not result.passed
+    assert result.value == pytest.approx(8 * 3 ** 0.5)
+
+
+def test_norm_divergence_catches_a_negated_generator(monkeypatch):
+    # S(-alpha) squeezes the momentum state the other way: its norm falls
+    # and ends at 1.13, not 2.35e11, and never crosses 1e6
+    assert verify_run("reify-norm-divergence").passed
+    monkeypatch.setattr(reify, "S_GENERATOR", reify.S_GENERATOR.scale(-1))
+    result = verify_run("reify-norm-divergence")
+    assert not result.passed
+    assert "crossing at alpha none" in result.detail
+
+
+def test_two_mode_escape_catches_pair_creation(monkeypatch):
+    # adag bdag + a b creates quanta in pairs, so it is unbounded on the
+    # doubled space: the norm at pi/4 changes by 0.478 from D=16 to D=32
+    # where the exchange generator's changes by 6.7e-11
+    assert verify_run("two-mode-escape").passed
+    monkeypatch.setattr(acceptance, "m_generator", lambda modes:
+                        NormalFormOperator(2, {((1, 1), (0, 0)): 1.0,
+                                               ((0, 0), (1, 1)): 1.0}))
+    result = verify_run("two-mode-escape")
+    assert not result.passed
+    assert result.value > 0.1

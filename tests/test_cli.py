@@ -573,6 +573,24 @@ class TestExitCodes:
         assert "numerical failure: H_n overflows" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # rounding in the chart change leaves the words of (26,),(4,) and their
+    # mates 1.3e-12 apart, relative, past the pairing tolerance of 1e-12
+    @pytest.mark.parametrize("experiment, data", [
+        ("evolve", {"generator": "master"}),
+        ("evolve", {"generator": "liouville"}), ("project", {})],
+        ids=["evolve-master", "evolve-liouville", "project"])
+    def test_unpaired_hamiltonian_exits_3(self, tmp_path, capsys, experiment,
+                                          data):
+        cfg = write_config(tmp_path, "unpaired.json", {
+            **data, "hamiltonian": "(phi1+pi1)^30", "bindings": {},
+            "cutoff": 8})
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: H_n, the Hamiltonian's normal form: ")
+        assert not (tmp_path / "out").exists()
+
     # reify and iee default to their own input (cli.SUITE_INPUTS)
     @pytest.mark.parametrize("experiment, code", [
         ("verify", 0), ("discrepancy", 0), ("evolve", 0), ("project", 0),

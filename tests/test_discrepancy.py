@@ -27,6 +27,11 @@ from fockdm.states import (
 )
 
 
+def approx_eq(p, q, tol=1e-12):
+    """Every coefficient of p - q within tol."""
+    return (p - q).is_zero(tol)
+
+
 def state1(phi, pi):
     return ClassicalState(np.array([phi]), np.array([pi]))
 
@@ -254,7 +259,7 @@ class TestRescaleField:
     def test_identity_scales(self):
         H = parse_poly("0.5*pi1^2 + 0.1*phi1^3", {})
         H2, _ = rescale_field(H, 1.0)
-        assert H2.approx_eq(H)
+        assert approx_eq(H2, H)
 
     def test_trajectory_equivalence(self):
         H = parse_poly("0.5*pi1^2 + 0.5*phi1^2 + 0.12*phi1^3", {})

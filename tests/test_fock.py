@@ -32,7 +32,7 @@ AD = NormalFormOperator.creation()
 
 
 def one_mode_word(create, annih, cutoff):
-    return realize_matrix(NormalFormOperator.word(1.0, (create,), (annih,)),
+    return realize_matrix(NormalFormOperator(1, {((create,), (annih,)): 1.0}),
                           cutoff).data
 
 
@@ -110,7 +110,7 @@ class TestLadderMatrices:
     @pytest.mark.parametrize("create, annih", [
         ((9,), (2,)), ((2,), (9,)), ((1, 9), (0, 0)), ((0, 1), (8, 1))])
     def test_word_longer_than_the_cutoff_realizes_to_zero(self, create, annih):
-        op = NormalFormOperator.word(1.0, create, annih)
+        op = NormalFormOperator(len(create), {(create, annih): 1.0})
         assert not realize_matrix(op, 8).data.any()
         assert not ladder_oracle(op, 8).any()
 
@@ -201,7 +201,7 @@ class TestOperatorTrace:
                     assert abs(got - want) <= 1e-12 * np.linalg.norm(rho)
 
     def test_word_longer_than_the_cutoff_traces_to_zero(self):
-        op = NormalFormOperator.word(1.0, (9,), (2,))
+        op = NormalFormOperator(1, {((9,), (2,)): 1.0})
         assert operator_trace(np.ones((8, 8), dtype=complex),
                               compile_operator(op, 8)) == 0
 
@@ -255,7 +255,7 @@ class TestBlockTrace:
         assert block.to_json() == dense.to_json()
 
     def test_word_longer_than_the_cutoff_reads_zero(self):
-        table = compile_operator(NormalFormOperator.word(1.0, (9,), (2,)), 8)
+        table = compile_operator(NormalFormOperator(1, {((9,), (2,)): 1.0}), 8)
         assert block_trace(np.ones((8, 2), dtype=complex), np.ones(2),
                            table) == 0
 
@@ -265,7 +265,7 @@ class TestBlockTrace:
             block_trace(np.ones((8, 1)), np.ones(1), table)
 
     def test_non_finite_total_raises(self):
-        op = NormalFormOperator.word(1e306, (4,), (4,))
+        op = NormalFormOperator(1, {((4,), (4,)): 1e306})
         with pytest.raises(FloatingPointError, match="not finite"):
             block_trace(np.ones((32, 1)), np.ones(1),
                         compile_operator(op, 32))

@@ -1,13 +1,18 @@
 """The package's modules form one import stack: each module imports only
 modules below it, so no import cycle can form.  One spectral primitive,
 fock.eigensystem, diagonalizes every operator: no module grows a private
-eigensolver.  Operators act on vectors through fock.apply: only
-criterion 5's dense oracle realizes a dense matrix; the spectral primitive
-sums its sector blocks straight from the compiled words.  An operator has
-one compiled form, the flat-shift passes of fock.compile_operator, and only
-two functions outside fock read them.  Every pass/fail is decided in
-acceptance: no other module builds a CheckResult or holds a tolerance.  And
-every exported name has a caller in the package."""
+eigensolver.  Only criterion 5's dense oracle realizes a dense matrix; the
+spectral primitive sums its sector blocks straight from the compiled words.
+An operator has one compiled form, the flat-shift passes of
+fock.compile_operator.  fock.apply walks them for reification and for
+criterion 1, and only two functions outside fock read them: the master
+law's MasterTerms.__init__, which plans master_rhs's row blocks from them,
+and reify.s_action, for the real pads of the S generator.  Every pass/fail
+is decided in acceptance: no other module builds a CheckResult or holds a
+tolerance.  And the package defines nothing it does not run: every exported
+name, every module-level function and class and every method or property
+has a caller in the package, apart from the definitions in UNCALLED, each
+kept for a stated reason."""
 
 import ast
 import types
@@ -102,14 +107,9 @@ def test_passes_are_the_one_compiled_form():
             if module != "fock"} == PASSES_READERS
 
 
-# exported as the paper's quantities, which README describes, though no
-# function of the package calls them
-PAPER_QUANTITIES = {"s_operator", "m_operator", "norm_flow_residual"}
-
-
-def referenced_names(tree):
-    """The names and attributes that tree loads or calls, annotations
-    left out."""
+def loads(tree):
+    """The names and the attributes that tree loads or calls, annotations
+    left out, as ("name", id) and ("attr", attr) pairs."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             node.returns = None
@@ -118,17 +118,58 @@ def referenced_names(tree):
     for node in ast.walk(tree):
         if isinstance(getattr(node, "ctx", None), ast.Load):
             if isinstance(node, ast.Name):
-                yield node.id
+                yield "name", node.id
             elif isinstance(node, ast.Attribute):
-                yield node.attr
+                yield "attr", node.attr
+
+
+def package_loads():
+    return {load for module in STACK for load in loads(module_tree(module))}
 
 
 def test_every_export_has_a_caller():
-    used = {name for module in STACK
-            for name in referenced_names(module_tree(module))}
+    used = {name for _, name in package_loads()}
     exports = {name for name in fockdm.__all__
                if not isinstance(getattr(fockdm, name), types.ModuleType)}
-    assert exports - used == PAPER_QUANTITIES
+    assert exports <= used
+
+
+# the definitions kept without a caller in the package, each with its reason
+UNCALLED = {
+    # the older name of NormalFormOperator.terms, which the benchmark's
+    # tracer reads (perfbench/tracer.py, Probes.realize_matrix)
+    "NormalFormOperator.words",
+}
+
+
+def definitions(tree):
+    """(qualified name, name, is a method) of each module-level function and
+    class and of each non-dunder method or property of a module-level class.
+    The functions that @criterion registers are left out: the registry
+    runs them."""
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or any(getattr(getattr(d, "func", d), "id", None)
+                       == "criterion" for d in node.decorator_list)):
+            continue
+        yield node.name, node.name, False
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name, True)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__")))
+
+
+def test_every_definition_has_a_caller():
+    # a module-level name counts as loaded by name or as an attribute, a
+    # method or a property only as an attribute
+    used = package_loads()
+    uncalled = {qualified for module in STACK
+                for qualified, name, method in definitions(module_tree(module))
+                if ("attr", name) not in used
+                and (method or ("name", name) not in used)}
+    assert uncalled == UNCALLED
 
 
 def module_tree(module):

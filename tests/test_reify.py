@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from fockdm.algebra import NormalFormOperator
-from fockdm.fock import interior_block, realize_matrix
+from fockdm.fock import (
+    apply,
+    compile_operator,
+    interior_block,
+    realize_matrix,
+)
 from fockdm.reify import (
+    S_GENERATOR,
     PoleError,
     exp_action,
     flow_coeffs,
     m_generator,
-    m_operator,
-    norm_flow_residual,
     rho_z_trace,
-    rotated_annihilation,
-    s_operator,
+    s_action,
 )
 from fockdm.states import (
     ClassicalState,
@@ -31,19 +34,56 @@ def state1(phi, pi):
     return ClassicalState(np.array([phi]), np.array([pi]))
 
 
+def s_operator(alpha, D):
+    """The dense S(alpha) at cutoff D: its action on the identity."""
+    return s_action([alpha], np.eye(D), D)[:, 0]
+
+
+def m_operator(alpha, modes, D):
+    """The dense M(alpha) over modes pairs at cutoff D: its action on the
+    identity, on the interleaved layout of extended_wavefunction."""
+    return exp_action(m_generator(modes), [alpha],
+                      np.eye(D ** (2 * modes)), D)[:, 0]
+
+
+def rotated_annihilation(alpha):
+    """cos(alpha) a + sin(alpha) adag, the similarity image of a under S."""
+    return A.scale(math.cos(alpha)) + AD.scale(math.sin(alpha))
+
+
+def norm_flow_residual(state, alpha, cutoff):
+    """Trace leak of the normalized recoding flow with the rough c, d.
+
+    -G rho - rho G + c A^2 rho + c rho (A^H)^2 + d A rho A^H, A = a(alpha),
+    on rho = u u^H / <u|u>, u = S w, has the trace (-2 <u|G u> + 2 c Re
+    <u|A A u> + d ||A u||^2) / <u|u>, returned as a modulus, which exact
+    flow coefficients would zero.  The closed forms are claimed only
+    roughly: the leak vanishes at alpha = 0 and grows toward the pole.
+    """
+    c, d = flow_coeffs(alpha)
+    u = s_action([alpha], pseudo_wavefunction(state, cutoff), cutoff)[:, 0]
+    gen, a_rot = (compile_operator(op, cutoff) for op in
+                  (S_GENERATOR, rotated_annihilation(alpha)))
+    a_u = apply(a_rot, u, np.zeros_like(u))
+    trace = (-2 * np.vdot(u, apply(gen, u, np.zeros_like(u))).real
+             + 2 * c * np.vdot(u, apply(a_rot, a_u, np.zeros_like(u))).real
+             + d * np.vdot(a_u, a_u).real) / np.vdot(u, u).real
+    return abs(float(trace))
+
+
 class TestSOperator:
     def test_identity_at_zero(self):
         s = s_operator(0.0, 16)
-        assert np.allclose(s.data, np.eye(16), atol=1e-12)
+        assert np.allclose(s, np.eye(16), atol=1e-12)
 
     def test_hermitian(self):
-        data = s_operator(0.4, 32).data
+        data = s_operator(0.4, 32)
         assert np.max(np.abs(data - data.conj().T)) <= 1e-10
 
     def test_one_parameter_group(self):
         a1, a2 = 0.13, 0.21
-        lhs = s_operator(a1, 24).data @ s_operator(a2, 24).data
-        rhs = s_operator(a1 + a2, 24).data
+        lhs = s_operator(a1, 24) @ s_operator(a2, 24)
+        rhs = s_operator(a1 + a2, 24)
         diff = np.abs(interior_block(lhs - rhs, 1, 24, 4))
         assert diff.max() <= 1e-8
 
@@ -54,8 +94,8 @@ class TestSOperator:
         ad = realize_matrix(AD, D).data
         residuals = []
         for da in (1e-3, 1e-4):
-            s = s_operator(da, D).data
-            sinv = s_operator(-da, D).data
+            s = s_operator(da, D)
+            sinv = s_operator(-da, D)
             t = s @ a @ sinv
             res = np.abs(interior_block(t - a - da * ad, 1, D, 4)).max()
             residuals.append(res)
@@ -67,8 +107,8 @@ class TestSOperator:
         a = realize_matrix(A, D).data
         ad = realize_matrix(AD, D).data
         da = 1e-4
-        s = s_operator(da, D).data
-        sinv = s_operator(-da, D).data
+        s = s_operator(da, D)
+        sinv = s_operator(-da, D)
         t = s @ ad @ sinv
         res = np.abs(interior_block(t - ad + da * a, 1, D, 4)).max()
         assert res <= 1e-6
@@ -81,7 +121,7 @@ class TestSOperator:
         a = realize_matrix(A, D).data
 
         def sim(al):
-            return s_operator(al, D).data @ a @ s_operator(-al, D).data
+            return s_operator(al, D) @ a @ s_operator(-al, D)
 
         fd = (sim(h) - sim(-h)) / (2 * h)
         want = realize_matrix(AD, D).data  # -sin(0) a + cos(0) adag
@@ -97,8 +137,8 @@ class TestSOperator:
         alpha = 0.2
         a = realize_matrix(A, D).data
         w = pseudo_wavefunction(state1(0.5, 0.3), D)
-        routed = s_operator(alpha, D).data @ (
-            a @ (s_operator(-alpha, D).data @ w))
+        routed = s_operator(alpha, D) @ (
+            a @ (s_operator(-alpha, D) @ w))
         direct = realize_matrix(rotated_annihilation(alpha), D).data @ w
         assert np.linalg.norm(routed - direct) <= 1e-6
 
@@ -165,7 +205,7 @@ class TestRhoZTrace:
         rho = np.outer(pseudo_wavefunction(state, D),
                        pseudo_wavefunction(state, D).conj())
         for i, alpha in enumerate(grid):
-            s = s_operator(alpha, D).data
+            s = s_operator(alpha, D)
             rho_z = s @ rho @ s
             size = np.linalg.norm(rho_z, 2)
             r7 = np.linalg.norm(rho_z @ phi - np.conj(z) * rho_z, 2) / size
@@ -271,10 +311,6 @@ class TestNormFlowResidual:
     def test_large_near_pole(self):
         assert norm_flow_residual(state1(0.5, 0.3), math.pi / 4 - 1e-3, 48) > 10
 
-    def test_pole_margin_enforced(self):
-        with pytest.raises(PoleError):
-            norm_flow_residual(state1(0.5, 0.3), math.pi / 4 - 1e-4, 32)
-
 
 def pair_exchange_block(alpha, cutoff):
     """exp(-alpha (adag b + a bdag)) on one mode pair: each sector of fixed
@@ -298,26 +334,25 @@ class TestMOperator:
     @pytest.mark.parametrize("D", [16, 32])
     def test_matches_per_sector_tridiagonal_reference(self, alpha, D):
         want = pair_exchange_block(alpha, D)
-        got = m_operator(alpha, 1, D).data
+        got = m_operator(alpha, 1, D)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_two_pairs_match_the_kron_reference(self):
         block = pair_exchange_block(0.3, 6)
         want = np.kron(block, block)
-        got = m_operator(0.3, 2, 6).data
+        got = m_operator(0.3, 2, 6)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_identity_at_zero(self):
-        m = m_operator(0.0, 1, 8)
-        assert np.allclose(m.data, np.eye(64), atol=1e-12)
+        assert np.allclose(m_operator(0.0, 1, 8), np.eye(64), atol=1e-12)
 
     def test_hermitian(self):
-        data = m_operator(math.pi / 4, 1, 12).data
+        data = m_operator(math.pi / 4, 1, 12)
         assert np.max(np.abs(data - data.conj().T)) <= 1e-10
 
     def test_one_parameter_group(self):
-        lhs = m_operator(0.2, 1, 10).data @ m_operator(0.15, 1, 10).data
-        rhs = m_operator(0.35, 1, 10).data
+        lhs = m_operator(0.2, 1, 10) @ m_operator(0.15, 1, 10)
+        rhs = m_operator(0.35, 1, 10)
         assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_doubled_recoding_is_cutoff_stable_at_the_pole_angle(self):
@@ -328,7 +363,7 @@ class TestMOperator:
         for cutoff in (16, 32):
             wt = extended_wavefunction(s, cutoff)
             m = m_operator(math.pi / 4, 1, cutoff)
-            norms[cutoff] = float(np.linalg.norm(m.data @ wt))
+            norms[cutoff] = float(np.linalg.norm(m @ wt))
         change = abs(norms[32] - norms[16]) / norms[16]
         assert change < 1e-6
         assert np.isfinite(norms[32])
@@ -355,8 +390,8 @@ class TestMOperator:
         D = 6
         wt = extended_wavefunction(s, D)
         m = m_operator(0.3, 2, D)
-        assert m.modes == 4
-        out = m.data @ wt
+        assert m.shape == (D ** 4, D ** 4)
+        out = m @ wt
         assert np.isfinite(np.linalg.norm(out))
 
 

@@ -102,7 +102,8 @@ class TestPureDensity:
         for s in random_states(rng, 10, scale=1.0):
             rho = pure_density(s, D).data
             assert np.linalg.norm(a @ rho - s.z[0] * rho, 2) <= 1e-8
-            assert np.linalg.norm(rho @ a.conj().T - s.y[0] * rho, 2) <= 1e-8
+            assert np.linalg.norm(rho @ a.conj().T - np.conj(s.z[0]) * rho,
+                                  2) <= 1e-8
 
     def test_sandwich_identity(self):
         # g(phi,pi) rho = sum_a C_a g_aR(a) rho g_aL(adag) for g = z^2 y
@@ -112,7 +113,7 @@ class TestPureDensity:
         ad = a.conj().T
         for s in random_states(rng, 10, scale=1.0):
             rho = pure_density(s, D).data
-            z, y = s.z[0], s.y[0]
+            z, y = s.z[0], np.conj(s.z[0])
             lhs = (z ** 2 * y) * rho
             rhs = a @ a @ rho @ ad
             assert np.linalg.norm(lhs - rhs, 2) <= 1e-8
@@ -127,7 +128,7 @@ class TestPureDensity:
             m = int(rng.integers(0, 4))
             s = next(iter(random_states(rng, 1, scale=0.9)))
             rho = pure_density(s, D).data
-            z, y = s.z[0], s.y[0]
+            z, y = s.z[0], np.conj(s.z[0])
             lhs = (z ** n * y ** m) * rho
             rhs = np.linalg.matrix_power(a, n) @ rho @ np.linalg.matrix_power(ad, m)
             assert np.linalg.norm(lhs - rhs, 2) <= 1e-8
@@ -158,6 +159,11 @@ class TestEnsembleDensity:
     def test_weights_must_normalize(self):
         with pytest.raises(ValueError, match="sum"):
             Ensemble(((state1(0, 0), 0.4), (state1(1, 0), 0.4)))
+
+    @pytest.mark.parametrize("w", [-0.5, 0.0, math.nan])
+    def test_weights_must_be_positive(self, w):
+        with pytest.raises(ValueError, match="positive"):
+            Ensemble(((state1(0, 0), w), (state1(1, 0), 1.0)))
 
     def test_many_equal_weights_sum_to_one(self):
         # 1/N added N times drifts by ~1e-12 at this N; fsum does not
@@ -353,7 +359,7 @@ class TestExtendedWavefunction:
         for s in random_states(rng, 8, scale=1.0):
             w = extended_wavefunction(s, D)
             assert np.linalg.norm(a @ w - s.z[0] * w) <= 1e-8
-            assert np.linalg.norm(b @ w - s.y[0] * w) <= 1e-8
+            assert np.linalg.norm(b @ w - np.conj(s.z[0]) * w) <= 1e-8
 
     def test_norm_is_one_and_deterministic(self):
         s = state1(0.5, 0.3)
