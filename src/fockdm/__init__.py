@@ -10,6 +10,18 @@ desk scale.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# One BLAS thread, set before the first submodule loads numpy: no fockdm
+# product or eigh is large enough to gain from a second thread, and an
+# OpenBLAS worker spins for about 0.1 s after numpy loads and after each
+# threaded call, doubling a run's CPU time.  A value the caller set is kept.
+# A process that loaded numpy first keeps the pool it has, and its
+# environment, which its child processes inherit, is left alone.
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .algebra import (
     NormalFormOperator,
     commutator,

@@ -1,7 +1,10 @@
 """Reproducible experiment runner.
 
-Every run is driven by one JSON config document (no environment variables),
-optionally overridden by --seed and --cutoff, and writes two artifacts into
+Every run is driven by one JSON config document, optionally overridden by
+--seed and --cutoff; the one environment variable a run reads is
+OPENBLAS_NUM_THREADS, which importing fockdm before numpy defaults to 1
+(see fockdm/__init__.py) and the caller may set.  A run writes two
+artifacts into
 the output directory: results.csv with a bit-stable column order and floats
 printed at 17 significant digits, and manifest.json recording the config
 hash, library versions, and one named pass/fail entry per executed check.
@@ -9,7 +12,8 @@ Randomized suites draw from one seeded generator, split into independent
 child streams per sub-check, so no sub-check's draws depend on another's.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad configuration,
-3 numerical or resource failure while running.
+3 numerical or resource failure while running, an output that cannot be
+written included.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .acceptance import (
 )
 from .algebra import poly_to_normal_form
 from .discrepancy import discrepancy_report, iee_check
-from .evolution import density_samples, projection_decay
+from .evolution import density_samples, projection_decay, quadrature
 from .fock import (
     DimensionCapError,
     PairingError,
@@ -63,6 +67,9 @@ MAX_STEPS = 10 ** 6
 MAX_POINTS = 10 ** 5
 # the most points of the reify alpha grid; checked at load time
 MAX_ALPHA_POINTS = 10 ** 5
+# the most trapezoid steps N of one projection time average; checked at load
+# time: the phase sums sin(N h) carry about N 2^-53 of absolute rounding
+MAX_QUADRATURE_STEPS = 10 ** 9
 
 
 class ConfigError(ValueError):
@@ -74,6 +81,14 @@ def _is_number(value) -> bool:
     false)."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def _has_bool(value) -> bool:
+    """Whether a JSON value is, or nests in lists, a boolean, which numpy
+    would read as 0 or 1."""
+    if isinstance(value, list):
+        return any(map(_has_bool, value))
+    return isinstance(value, bool)
 
 
 def _is_int(value) -> bool:
@@ -176,6 +191,11 @@ class ExperimentConfig:
                 or len(set(self.deltas)) < 2):
             raise ConfigError("deltas: must be a list of finite positive "
                               "numbers with at least two distinct values")
+        for delta in self.deltas:
+            if not quadrature(delta)[1] <= MAX_QUADRATURE_STEPS:
+                raise ConfigError(f"deltas: {delta!r} takes more than the "
+                                  f"ceiling of {MAX_QUADRATURE_STEPS} "
+                                  "quadrature steps of min(0.01, delta/1000)")
         if (not isinstance(self.bindings, dict)
                 or not all(map(_is_number, self.bindings.values()))):
             raise ConfigError("bindings: must map names to finite numbers")
@@ -269,6 +289,9 @@ class ExperimentConfig:
         st = self.state
         if not isinstance(st, dict) or "phi" not in st or "pi" not in st:
             raise ConfigError("state: needs phi and pi arrays")
+        if _has_bool([st["phi"], st["pi"]]):
+            raise ConfigError("state: phi and pi must hold numbers, not "
+                              "booleans")
         try:
             state = ClassicalState(np.asarray(st["phi"], dtype=float),
                                    np.asarray(st["pi"], dtype=float))
@@ -289,6 +312,12 @@ class ExperimentConfig:
             check_dimension(modes, self.cutoff)  # before its members exist
             return Ensemble.phase_circle(spec.get("radius", 1.0),
                                          spec.get("points", 64), modes=modes)
+        members = spec.get("members")
+        if isinstance(members, list) and any(
+                _has_bool([m.get("phi"), m.get("pi"), m.get("w")])
+                for m in members if isinstance(m, dict)):
+            raise ConfigError("ensemble: members' phi, pi and w must hold "
+                              "numbers, not booleans")
         try:
             return Ensemble.from_json(spec)
         except (KeyError, OverflowError, TypeError, ValueError) as err:
@@ -534,10 +563,15 @@ def main(argv=None) -> int:
         print("resource failure: out of memory", file=sys.stderr)
         return 3
     out_dir = Path(config.out)
-    emit_report(result, config, out_dir)
-    for done, dm in result.snapshots:
-        path = out_dir / f"snapshot_{done:08d}.json"
-        path.write_text(json.dumps(dm.to_json()))
+    try:
+        emit_report(result, config, out_dir)
+        for done, dm in result.snapshots:
+            path = out_dir / f"snapshot_{done:08d}.json"
+            path.write_text(json.dumps(dm.to_json()))
+    except OSError as err:
+        print(f"resource failure: cannot write the output to {out_dir}: "
+              f"{err}", file=sys.stderr)
+        return 3
     for check in result.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.tag}: value={_fmt(check.value)} "

@@ -376,10 +376,19 @@ def _span(rho: np.ndarray, terms: MasterTerms, taus) -> list[np.ndarray]:
 
 def _norm(matrix: np.ndarray) -> float:
     """The Frobenius norm, summed over the real and imaginary parts in one
-    pass on this thread: a BLAS dot product would wake its thread pool,
-    whose spinning doubles the CPU time of a span."""
+    pass on this thread: in a process that keeps an OpenBLAS thread pool
+    (see fockdm/__init__.py), a BLAS dot product would wake it, and its
+    spinning doubles the CPU time of a span."""
     parts = matrix.reshape(-1).view(np.float64)
     return math.sqrt(np.einsum("i,i", parts, parts))
+
+
+def quadrature(delta: float) -> tuple[float, float]:
+    """(dt, delta/dt): the trapezoid step min(0.01, delta/1000) of the time
+    average over [0, delta] and its step count, unrounded, infinite where
+    it overflows."""
+    dt = min(0.01, delta / 1000)
+    return dt, delta / dt
 
 
 def _time_average(rho: FockMatrix, eig: Eigensystem,
@@ -397,8 +406,8 @@ def _time_average(rho: FockMatrix, eig: Eigensystem,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    dt = min(0.01, delta / 1000)
-    steps = max(1, int(round(delta / dt)))
+    dt, steps = quadrature(delta)
+    steps = max(1, int(round(steps)))
     # V^H rho V, and V averaged V^H below, as (R (R M)^H)^H
     rho_eig = eig.to_eigenbasis(eig.to_eigenbasis(rho.data).conj().T).conj().T
     h = (eig.values[:, None] - eig.values[None, :]) * (dt / 2)

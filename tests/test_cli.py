@@ -176,6 +176,14 @@ class TestExitCodes:
         # a state needs at least one mode
         ("evolve", "state", {"phi": [], "pi": []}),
         ("iee", "ensemble", {"members": [{"phi": [], "pi": [], "w": 1.0}]}),
+        # a delta whose quadrature step count overflows
+        ("project", "deltas", [50, 1e308]),
+        # numpy would read a boolean as 0 or 1, also among numbers
+        ("project", "state", {"phi": [1.0, 0.0], "pi": [0.0, False]}),
+        ("iee", "ensemble", {"members": [
+            {"phi": [1.0], "pi": [0.0], "w": True}]}),
+        ("iee", "ensemble", {"members": [
+            {"phi": [[1.0], [True]], "pi": [0.0], "w": 1.0}]}),
     ], ids=["t-text", "deltas-scalar", "deltas-empty", "bindings-text",
             "sweep-two-keys", "cutoffs-scalar", "observables-scalar",
             "observables-number-entry", "evolve-cutoff-one", "iee-cutoff-one",
@@ -188,7 +196,9 @@ class TestExitCodes:
             "cutoffs-repeated", "deltas-single", "deltas-repeated",
             "deltas-infinite",
             "sweep-empty-list", "alpha-points-one", "t-not-a-multiple",
-            "t-nan", "dt-infinite", "state-empty", "ensemble-empty-member"])
+            "t-nan", "dt-infinite", "state-empty", "ensemble-empty-member",
+            "deltas-overflowing", "state-boolean-among-numbers",
+            "member-boolean-weight", "member-nested-boolean"])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, experiment,
                                          name, value):
         cfg = write_config(tmp_path, "bad.json", {name: value, "seed": 1})
@@ -329,6 +339,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: alpha_points:")
         assert str(cli.MAX_ALPHA_POINTS) in err
+
+    # the default deltas take 5000 to 20000 steps; 10^7 takes the ceiling
+    @pytest.mark.parametrize("delta, code", [(1e7, 0), (1e7 * (1 + 1e-9), 2)],
+                             ids=["at-the-ceiling", "past-the-ceiling"])
+    def test_quadrature_ceiling_exits_2_at_load(self, tmp_path, capsys,
+                                                monkeypatch, delta, code):
+        monkeypatch.setitem(cli._RUNNERS, "project", lambda config: SuiteResult(
+            ["delta"], [(d,) for d in config.deltas], []))
+        cfg = write_config(tmp_path, "deltas.json", {"deltas": [50.0, delta]})
+        assert main(["project", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert err.startswith("config error: deltas:")
+            assert str(cli.MAX_QUADRATURE_STEPS) in err
 
     def test_reify_state_with_two_modes_exits_2_before_building(
             self, tmp_path, capsys, monkeypatch):
@@ -605,6 +630,24 @@ class TestExitCodes:
         monkeypatch.setitem(cli._RUNNERS, "project", exhausted)
         assert main(["project", "--out", str(tmp_path / "out")]) == 3
         assert "out of memory" in capsys.readouterr().err
+
+    # a file where the output directory goes, or a directory where the
+    # first snapshot goes
+    @pytest.mark.parametrize("experiment, config, snapshot", [
+        ("project", {}, None),
+        ("evolve", {"t": 0.01, "snapshot_every": 10}, "snapshot_00000010.json"),
+    ], ids=["report", "snapshot"])
+    def test_unwritable_output_exits_3_naming_it(self, tmp_path, capsys,
+                                                 experiment, config, snapshot):
+        out = tmp_path / "out"
+        if snapshot:
+            (out / snapshot).mkdir(parents=True)
+        else:
+            out.write_text("a file, not a directory")
+        cfg = write_config(tmp_path, "out.json", config)
+        assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"resource failure: cannot write the output to {out}:")
 
 
 class TestDiscrepancySweep:

@@ -207,3 +207,19 @@ def test_measuring_modules_hold_no_tolerance(module):
             assert not any(isinstance(operand, ast.Constant)
                            and isinstance(operand.value, float)
                            for operand in [node.left, *node.comparators])
+
+
+def test_one_blas_thread_is_set_before_any_submodule_loads():
+    # the first "from ." import loads numpy, and OpenBLAS reads its thread
+    # count once, when it loads
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    first_import = next(i for i, node in enumerate(body)
+                        if isinstance(node, ast.ImportFrom) and node.level)
+    defaults = [i for i, statement in enumerate(body)
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "setdefault"
+                and getattr(node.func.value, "attr", None) == "environ"
+                and [ast.literal_eval(a) for a in node.args]
+                == ["OPENBLAS_NUM_THREADS", "1"]]
+    assert defaults and defaults[0] < first_import
