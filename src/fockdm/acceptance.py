@@ -37,13 +37,13 @@ from .evolution import MasterTerms, master_rhs, projection_decay
 from .fock import (
     apply,
     compile_operator,
+    eigensystem,
     interior_block,
     realize_matrix,
 )
 from .poly import parse_poly, random_poly
 from .reify import (
     PoleError,
-    exp_action,
     flow_coeffs,
     m_generator,
     rho_z_trace,
@@ -467,10 +467,9 @@ def two_mode_escape(rng, cutoff, samples):
     # single-mode norm ||S rho S||_2 = ||S w||^2
     m_norms, s_norms = {}, {}
     for D in (16, 32):
-        m_norms[D] = np.linalg.norm(exp_action(
-            m_generator(1), [math.pi / 4],
-            np.stack([extended_wavefunction(s, D) for s in states], axis=1),
-            D)[:, 0], axis=0)
+        m_norms[D] = np.linalg.norm(eigensystem(m_generator(1), D).flow(
+            np.stack([extended_wavefunction(s, D) for s in states], axis=1))(
+            math.pi / 4), axis=0)
         s_norms[D] = np.linalg.norm(s_action(
             [math.pi / 4 - 1e-3],
             np.stack([pseudo_wavefunction(s, D) for s in states], axis=1),

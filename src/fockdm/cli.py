@@ -83,11 +83,12 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _has_bool(value) -> bool:
-    """Whether a JSON value is, or nests in lists, a boolean, which numpy
-    would read as 0 or 1."""
-    if isinstance(value, list):
-        return any(map(_has_bool, value))
+def _has_bool(value, depth: int = 2) -> bool:
+    """Whether a JSON value is, or nests in lists at most depth deep, a
+    boolean, which numpy would read as 0 or 1.  Its callers pass a list of
+    flat fields, and a deeper list is refused later as not 1-d."""
+    if isinstance(value, list) and depth:
+        return any(_has_bool(item, depth - 1) for item in value)
     return isinstance(value, bool)
 
 
@@ -520,7 +521,11 @@ def load_config(args) -> ExperimentConfig:
             data = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config: file {args.config} not found")
-        except json.JSONDecodeError as err:
+        except OSError as err:
+            raise ConfigError(f"config: file {args.config} cannot be read "
+                              f"({err.strerror})")
+        except (RecursionError, ValueError) as err:
+            # a JSONDecodeError, a UnicodeDecodeError or nesting too deep
             raise ConfigError(f"config: invalid JSON ({err})")
     data["experiment"] = args.experiment
     if args.seed is not None:

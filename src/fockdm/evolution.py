@@ -2,7 +2,8 @@
 
 * The quantum Liouville law rhodot = -i [H_n, rho], applied exactly to the
   members of rho = W diag(p) W^H in the eigenbasis of H_n: every column
-  moves as U w with U = exp(-i t H_n), and each sample stays a member block
+  moves as U w with U = exp(-i t H_n), the eigenbasis flow of H_n at the
+  rate i t (fock.Eigensystem.flow), and each sample stays a member block
   (fock.MemberBlock).  H_n is diagonalized per invariant sector of its
   words (fock.eigensystem), and U is never formed.
 * The free-space master equation induced by the classical flow,
@@ -265,19 +266,15 @@ def liouville_flow(vectors: np.ndarray, weights: np.ndarray,
     """t -> the member block (Y(t), p) of U rho U^H, U = exp(-i t H_n), for
     rho = W diag(p) W^H.
 
-    W (vectors, dim x r) and p (weights, real, possibly signed) are read in
-    the eigenbasis (E, V) of H_n (fock.eigensystem) once, X = V^H W, and
-    each call forms Y = V (e^{-iEt} o X) one sector block of V at a time:
-    no dim x dim U or V.  Each call starts from X at its absolute t, so
-    nothing accumulates between calls.
+    W (vectors, dim x r) flows at the rate s = i t in the eigenbasis (E, V)
+    of H_n (fock.eigensystem, Eigensystem.flow), read once, X = V^H W: each
+    call forms Y = V (e^{-iEt} o X) one sector block of V at a time, with
+    no dim x dim U or V, and starts from X at its absolute t, so nothing
+    accumulates between calls.  p (weights) is real, possibly signed.
     """
-    eig = eigensystem(hamiltonian, cutoff)
-    coeffs = eig.to_eigenbasis(vectors)
-
-    def at(t):
-        y = eig.from_eigenbasis(np.exp(-1j * t * eig.values)[:, None] * coeffs)
-        return MemberBlock(hamiltonian.modes, cutoff, y, weights)
-    return at
+    flow = eigensystem(hamiltonian, cutoff).flow(vectors)
+    return lambda t: MemberBlock(hamiltonian.modes, cutoff, flow(1j * t),
+                                 weights)
 
 
 def span_width(dim: int) -> int:

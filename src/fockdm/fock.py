@@ -17,9 +17,10 @@ dense rho per pass, ``block_trace`` reads sum_k p_k <w_k|op w_k> off a
 block of member vectors without forming rho, ``eigensystem``, the one
 spectral primitive, sums each invariant sector's block straight from the
 passes, and ``realize_matrix`` writes the dense matrix (kept for criterion
-5's dense route and test oracles).  A moment matrix is a ``FockMatrix`` or,
-held as its members W and weights p, a ``MemberBlock``; both read a table
-through ``expect``.
+5's dense route and test oracles).  ``Eigensystem.flow``, V e^{-sE} V^H x
+at a real or complex rate s, is the one eigenbasis action.  A moment
+matrix is a ``FockMatrix`` or, held as its members W and weights p, a
+``MemberBlock``; both read a table through ``expect``.
 
 Truncation policy: a single normal-ordered word (adag)^c a^r realizes
 exactly on the whole block (its matrix elements agree with the untruncated
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -140,11 +141,11 @@ def compile_operator(op: NormalFormOperator, cutoff: int) -> WordTable:
     order.  Its scale is the coefficient times the outer product of the
     per-mode weights in mode order, its flat targets are the outer sum of
     the per-mode targets, and its shift is sum_j (c_j - r_j) D^(n-1-j).  A
-    word with no target at the cutoff adds no pass.  A scale or a sum that
-    overflows is kept, for its reader to catch.
+    word with no target at the cutoff adds no pass.  The pads are real
+    when no summed pad has an imaginary part, and complex otherwise.  A
+    scale or a sum that overflows is kept, for its reader to catch.
     """
     dim = check_dimension(op.modes, cutoff)
-    dtype = np.result_type(float, *op.terms.values())
     pads = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for (create, annih), coeff in op.terms.items():
@@ -163,7 +164,9 @@ def compile_operator(op: NormalFormOperator, cutoff: int) -> WordTable:
                 scale = np.multiply.outer(scale, np.sqrt(val))
             if scale.size:
                 # a word's targets are distinct
-                pads.setdefault(shift, np.zeros(dim, dtype))[target] += scale
+                pads.setdefault(shift, np.zeros(dim, complex))[target] += scale
+    if not any(pad.imag.any() for pad in pads.values()):
+        pads = {shift: pad.real.copy() for shift, pad in pads.items()}
     return WordTable(op.modes, cutoff, tuple(pads.items()))
 
 
@@ -191,6 +194,17 @@ class Eigensystem(NamedTuple):
     values: np.ndarray
     groups: tuple
 
+    def flow(self, x: np.ndarray) -> Callable[[complex], np.ndarray]:
+        """s -> V e^{-sE} V^H x for a real or complex rate s: x, a vector
+        or any (dim, ...) block, is read in the eigenbasis once, and each
+        call scales it and rotates it back, one sector block of V at a
+        time."""
+        coeffs = self.to_eigenbasis(x)
+        trailing = (1,) * (x.ndim - 1)
+        # s (-E), not (-s) E: a zero E keeps a +0 phase at s = i t
+        return lambda s: self.from_eigenbasis(
+            np.exp(s * -self.values).reshape((-1,) + trailing) * coeffs)
+
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """V^H x along axis 0."""
         return self._rotate(x, adjoint=True)
@@ -217,12 +231,11 @@ class Eigensystem(NamedTuple):
 def eigensystem(op: NormalFormOperator, cutoff: int) -> Eigensystem:
     """The eigensystem of a Hermitian-paired operator, finite at the cutoff:
     one batched eigh per width of its invariant sectors (``_sector_labels``),
-    real when no block entry has an imaginary part (an H_n with even powers
-    of pi only).  The blocks are summed straight from the compiled passes,
-    never from the dense matrix: a block cell receives the pad entry of the
-    one pass whose shift joins its row and column, the sum of that shift's
-    words in word order, as the dense matrix does; the blocks are complex
-    only when some pad has an imaginary part."""
+    real when the compiled pads are (an H_n with even powers of pi only).
+    The blocks are summed straight from the compiled passes, never from the
+    dense matrix: a block cell receives the pad entry of the one pass whose
+    shift joins its row and column, the sum of that shift's words in word
+    order, as the dense matrix does, and so takes the pads' type."""
     check_pairing(op)
     table = compile_operator(op, cutoff)
     label = _sector_labels(table)
@@ -239,18 +252,15 @@ def eigensystem(op: NormalFormOperator, cutoff: int) -> Eigensystem:
     place[order] = np.arange(order.size)
     place -= (np.cumsum(counts) - counts)[size]
     row, col = run[size] + place * size, place % size
-    complex_words = any(pad.imag.any() for _, pad in table.passes)
-    blocks = np.zeros(cells.sum(), complex if complex_words else float)
+    blocks = np.zeros(cells.sum(), np.result_type(
+        float, *(pad for _, pad in table.passes)))
     with np.errstate(over="ignore", invalid="ignore"):
         # within one pass every target T, and so every cell, is distinct
         for shift, pad in table.passes:
             t = np.flatnonzero(pad)
-            blocks[row[t] + col[t - shift]] += (
-                pad[t] if complex_words else pad[t].real)
+            blocks[row[t] + col[t - shift]] += pad[t]
     if not np.isfinite(blocks).all():
         raise FloatingPointError(f"H_n overflows at cutoff {cutoff}")
-    if complex_words and not blocks.imag.any():
-        blocks = blocks.real
     values, groups, start = np.empty(label.size), [], 0
     for width in counts.nonzero()[0]:
         rows = order[start:start + counts[width]].reshape(-1, width)

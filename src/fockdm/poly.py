@@ -209,20 +209,20 @@ class PolyExpr(CanonicalSum):
 
     @classmethod
     def variable(cls, name: str, modes: int | None = None) -> "PolyExpr":
-        chart, axis, mode = _parse_var_name(name)
+        axis, mode = _parse_var_name(name)
         n = modes if modes is not None else mode
         if mode > n:
             raise ValueError(f"variable {name} exceeds {n} modes")
         exps = [0] * (2 * n)
         exps[axis * n + (mode - 1)] = 1
-        return cls(chart, n, {tuple(exps): 1.0})
+        return cls("phipi", n, {tuple(exps): 1.0})
 
     # -- basic queries -----------------------------------------------------
 
     def axis_of(self, var: str) -> int:
-        """Flat exponent position of a variable name in this chart."""
-        chart, axis, mode = _parse_var_name(var)
-        if chart != self.chart:
+        """Flat exponent position of a phipi variable name."""
+        axis, mode = _parse_var_name(var)
+        if self.chart != "phipi":
             raise ChartError(f"variable {var} is not in chart {self.chart}")
         if mode > self.modes:
             raise ValueError(f"variable {var} exceeds {self.modes} modes")
@@ -399,15 +399,12 @@ class PolyExpr(CanonicalSum):
     __repr__ = __str__
 
 
-def _parse_var_name(name: str) -> tuple[str, int, int]:
-    """Map a variable name to (chart, axis block 0/1, 1-based mode)."""
+def _parse_var_name(name: str) -> tuple[int, int]:
+    """Map a phipi variable name to (axis block 0/1, 1-based mode)."""
     m = _VAR_RE.match(name)
-    if m:
-        return "phipi", 0 if m.group(1) == "phi" else 1, int(m.group(2))
-    m = re.match(r"(z|y)([1-9]\d*)$", name)
-    if m:
-        return "zy", 0 if m.group(1) == "z" else 1, int(m.group(2))
-    raise ValueError(f"{name!r} is not a recognized variable name")
+    if not m:
+        raise ValueError(f"{name!r} is not a recognized variable name")
+    return 0 if m.group(1) == "phi" else 1, int(m.group(2))
 
 
 # -- parser ------------------------------------------------------------------

@@ -23,12 +23,12 @@ single-mode divergence is gone.  S acts on vectors by ``s_action``, Taylor
 sub-steps in the number basis through ``fock.apply`` of its compiled
 passes, one contiguous multiply-add per flat shift: the truncated S
 generator has eigenvalues up to about D, so a read in its eigenbasis
-amplifies rounding by up to e^(alpha D).  M acts by ``exp_action``, read off
-``fock.eigensystem`` of its generator one sector of pair quanta at a time.
-No dense S or M is formed: where one is wanted, it is the action on the
-identity, ``s_action([alpha], eye, D)`` or ``exp_action(m_generator(n),
-[alpha], eye, D)``, and every other operator acts on vectors through
-``fock.apply``.
+amplifies rounding by up to e^(alpha D).  M acts as the eigenbasis flow of
+its generator at the rate alpha, ``eigensystem(m_generator(n),
+D).flow(w)(alpha)`` (fock.Eigensystem.flow), one sector of pair quanta at
+a time.  No dense S or M is formed: where one is wanted, it is the action
+on the identity, ``s_action([alpha], eye, D)`` or the flow of ``eye``, and
+every other operator acts on vectors through ``fock.apply``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NormalFormOperator
-from .fock import apply, compile_operator, eigensystem
+from .fock import apply, compile_operator
 from .states import ClassicalState, pseudo_wavefunction
 
 # Taylor terms of an s_action sub-step: with h ||G||_2 <= 1 the rest is < 1/21!
@@ -56,27 +56,14 @@ S_GENERATOR = NormalFormOperator(1, {((2,), (0,)): 0.5, ((0,), (2,)): 0.5})
 _PHI = (_A + _A.adjoint()).scale(1 / math.sqrt(2))
 
 
-def exp_action(generator: NormalFormOperator, alphas, w: np.ndarray,
-               cutoff: int) -> np.ndarray:
-    """exp(-alpha G) w per alpha of the grid, on axis 1 of the result: w, a
-    vector or any dim x r block (the identity included), is read once in the
-    eigenbasis (E, V) of G (fock.eigensystem), scaled and rotated back."""
-    eig = eigensystem(generator, cutoff)
-    decay = np.exp(-np.outer(eig.values, alphas))
-    return eig.from_eigenbasis(decay.reshape(decay.shape + (1,) * (w.ndim - 1))
-                               * eig.to_eigenbasis(w)[:, None])
-
-
 def s_action(alphas, w: np.ndarray, cutoff: int) -> np.ndarray:
     """exp(-alpha G) w, G = S_GENERATOR, per alpha of the grid on axis 1: w,
     any D x r block, is carried from alpha = 0 through the grid by Taylor
     sub-steps of length h with h B <= 1, B the sum over the compiled passes
     of their largest |pad| (B >= ||G||_2), each summing all S_TAYLOR_TERMS
     terms (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488, 2011)."""
+    # G is real, so are its pads, and a real w stays real
     table = compile_operator(S_GENERATOR, cutoff)
-    # G is real: its passes act with real pads, so a real w stays real
-    table = table._replace(passes=tuple(
-        (shift, pad.real) for shift, pad in table.passes))
     bound = sum(float(np.abs(pad).max()) for _, pad in table.passes)
     u = np.array(w, dtype=np.result_type(w, float))
     out = np.empty((len(u), len(alphas)) + u.shape[1:], u.dtype)

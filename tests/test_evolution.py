@@ -1103,15 +1103,20 @@ class TestSectors:
 
     def test_real_path_is_decided_on_the_summed_blocks(self):
         # pi is imaginary on the number basis, so pi^2 reaches H_n as
-        # complex-typed coefficients with no imaginary part; i (adag^8 - a^8)
-        # has imaginary words that realize to nothing at D = 8 and to an
-        # imaginary H_n at D = 9
+        # complex coefficients with no imaginary part, and compiles to real
+        # pads; i (adag^8 - a^8) has imaginary words that compile to nothing
+        # at D = 8 and to imaginary pads at D = 9
         H = poly_to_normal_form(parse_poly(self.KERR, {}))
-        assert any(np.iscomplexobj(pad)
-                   for _, pad in compile_operator(H, 16).passes)
+        assert all(np.iscomplexobj(c) for c in H.terms.values())
+
+        def pads(op, D):
+            return [pad for _, pad in compile_operator(op, D).passes]
+        assert all(np.isrealobj(pad) for pad in pads(H, 16))
         assert all(np.isrealobj(v) for _, v in eigensystem(H, 16).groups)
         long = H + NormalFormOperator(1, {((8,), (0,)): 1j,
                                           ((0,), (8,)): -1j})
+        assert all(np.isrealobj(pad) for pad in pads(long, 8))
+        assert all(np.iscomplexobj(pad) for pad in pads(long, 9))
         assert all(np.isrealobj(v) for _, v in eigensystem(long, 8).groups)
         assert all(np.iscomplexobj(v) for _, v in eigensystem(long, 9).groups)
 

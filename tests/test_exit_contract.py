@@ -5,8 +5,10 @@ field, 3 a numerical or resource failure, and no exception out of main.
 Each top-level config field runs on one suite that reads it, and so does
 each nested entry of state, ensemble, bindings, sweep, observables, deltas
 and cutoffs, with each of BAD_VALUES in its place; each malformed
-Hamiltonian string runs on every suite that builds H_n.  Every config fixes
-its seed, so each run is the same on every machine."""
+Hamiltonian string runs on every suite that builds H_n.  A config file
+that cannot be read or decoded, and a flat field nested hundreds of lists
+deep, exit 2 too.  Every config fixes its seed, so each run is the same on
+every machine."""
 
 import contextlib
 import io
@@ -97,11 +99,33 @@ HAMILTONIANS = [
 HAMILTONIAN_SUITES = ["discrepancy", "evolve", "project", "iee"]
 
 
+# config files that cannot be read or decoded, by name: the file's bytes,
+# or None for a directory in its place
+UNREADABLE = {
+    "directory": None,
+    "not-utf8": b"\xff\xfe\x00bad",
+    "nested-past-the-recursion-limit": b"[" * 10 ** 5,
+}
+
+# flat fields nested deeper than numpy's 64 dimensions: suite, the config
+# text around a nested list, the field an exit-2 message names
+DEEP = {
+    "state.phi": ("project", '{"state": {"phi": %s, "pi": [0]}}', "state"),
+    "ensemble.members[0].phi": ("iee", '{"ensemble": {"members": [{"phi": '
+                                '%s, "pi": [0], "w": 1}]}}', "ensemble"),
+}
+
+
 def run(monkeypatch, tmp_path, experiment, data):
     """main's exit code and stderr on the config data, with the output
     directory under tmp_path; any exception out of main fails the test."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 1, **data}))
+    return run_file(monkeypatch, tmp_path, experiment, path)
+
+
+def run_file(monkeypatch, tmp_path, experiment, path):
+    """main's exit code and stderr on the config file at path, as run."""
     monkeypatch.chdir(tmp_path)
     err = io.StringIO()
     start = time.perf_counter()
@@ -138,3 +162,27 @@ def test_malformed_hamiltonian_keeps_the_contract(monkeypatch, tmp_path,
                     {"hamiltonian": text, "bindings": {}, "cutoff": 8})
     if code == 2:
         assert err.startswith("config error: hamiltonian:"), err
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_unreadable_config_file_exits_2(monkeypatch, tmp_path, name):
+    path = tmp_path / "config.json"
+    if UNREADABLE[name] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(UNREADABLE[name])
+    code, err = run_file(monkeypatch, tmp_path, "verify", path)
+    assert code == 2, err
+    assert err.startswith("config error: config:"), err
+
+
+@pytest.mark.parametrize("depth", [200, 600])
+@pytest.mark.parametrize("path", DEEP)
+def test_deeply_nested_flat_field_exits_2(monkeypatch, tmp_path, path,
+                                          depth):
+    experiment, text, field = DEEP[path]
+    config = tmp_path / "config.json"
+    config.write_text(text % ("[" * depth + "1" + "]" * depth))
+    code, err = run_file(monkeypatch, tmp_path, experiment, config)
+    assert code == 2, err
+    assert err.startswith(f"config error: {field}:"), err

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fockdm.algebra import (
     NormalFormOperator,
@@ -26,6 +28,7 @@ from fockdm.fock import (
     operator_trace,
     realize_matrix,
 )
+from fockdm.reify import m_generator
 
 A = NormalFormOperator.annihilation()
 AD = NormalFormOperator.creation()
@@ -367,6 +370,34 @@ class TestHelpers:
         h = realize_matrix(op, 6).data
         assert np.max(np.abs(self.dense(eig, eig.values) - h)) \
             <= 1e-13 * np.max(np.abs(h))
+
+    @staticmethod
+    def flow_error(op, cutoff, rates):
+        """The largest error of Eigensystem.flow on a complex block over the
+        rates, relative to the norm of expm(-s H) x from scipy's Pade
+        scaling and squaring on the dense matrix."""
+        eig, h = eigensystem(op, cutoff), realize_matrix(op, cutoff).data
+        rng = np.random.default_rng(23)
+        x = (rng.standard_normal((len(h), 3))
+             + 1j * rng.standard_normal((len(h), 3)))
+        flow = eig.flow(x)
+
+        def error(s):
+            want = scipy.linalg.expm(-s * h) @ x
+            return np.linalg.norm(flow(s) - want) / np.linalg.norm(want)
+        return max(map(error, rates))
+
+    @pytest.mark.parametrize("pairs, cutoff", [(1, 8), (2, 4)])
+    def test_flow_at_a_real_rate_is_the_doubled_space_recoding(self, pairs,
+                                                               cutoff):
+        # M(alpha) = exp(-alpha G), up to and past the single-mode pole
+        assert self.flow_error(m_generator(pairs), cutoff,
+                               [0.3, math.pi / 4, 1.2]) <= 1e-12
+
+    def test_flow_at_an_imaginary_rate_is_the_liouville_law(self):
+        # U = exp(-i t H) for a 2-mode H with complex words
+        assert self.flow_error(self.EXCHANGE, 6,
+                               [1j * t for t in (0.7, 2.0, 9.5)]) <= 1e-12
 
     def test_matrix_json_round_trip(self):
         rng = np.random.default_rng(15)

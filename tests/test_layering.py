@@ -1,18 +1,21 @@
 """The package's modules form one import stack: each module imports only
 modules below it, so no import cycle can form.  One spectral primitive,
 fock.eigensystem, diagonalizes every operator: no module grows a private
-eigensolver.  Only criterion 5's dense oracle realizes a dense matrix; the
-spectral primitive sums its sector blocks straight from the compiled words.
-An operator has one compiled form, the flat-shift passes of
-fock.compile_operator.  fock.apply walks them for reification and for
+eigensolver.  One eigenbasis action, fock.Eigensystem.flow, moves vectors
+by V e^{-sE} V^H: outside fock only the projection's two-sided time average
+rotates into and out of an eigenbasis itself.  Only criterion 5's dense
+oracle realizes a dense matrix; the spectral primitive sums its sector
+blocks straight from the compiled words.  An operator has one compiled
+form, the flat-shift passes of fock.compile_operator, which alone decides
+whether its pads are real.  fock.apply walks them for reification and for
 criterion 1, and only two functions outside fock read them: the master
 law's MasterTerms.__init__, which plans master_rhs's row blocks from them,
-and reify.s_action, for the real pads of the S generator.  Every pass/fail
-is decided in acceptance: no other module builds a CheckResult or holds a
-tolerance.  And the package defines nothing it does not run: every exported
-name, every module-level function and class and every method or property
-has a caller in the package, apart from the definitions in UNCALLED, each
-kept for a stated reason."""
+and reify.s_action, for the Taylor step bound of the S generator.  Every
+pass/fail is decided in acceptance: no other module builds a CheckResult
+or holds a tolerance.  And the package defines nothing it does not run:
+every exported name, every module-level function and class and every
+method or property has a caller in the package, apart from the
+definitions in UNCALLED, each kept for a stated reason."""
 
 import ast
 import types
@@ -92,8 +95,21 @@ def test_dense_realization_only_in_the_oracle():
     assert callers({"realize_matrix"}) == REALIZE_CALLERS
 
 
+# the one function outside fock allowed to rotate into or out of an
+# eigenbasis: the projection's time average, which rotates rho from both
+# sides; every one-sided action is Eigensystem.flow
+ROTATION_CALLERS = {("evolution", "_time_average")}
+
+
+def test_one_eigenbasis_action():
+    assert {(module, scope) for module, scope
+            in callers({"to_eigenbasis", "from_eigenbasis"})
+            if module != "fock"} == ROTATION_CALLERS
+
+
 # the functions outside fock allowed to read the passes of a compiled
-# operator: the master law's post words, and the real pads of the S generator
+# operator: the master law's post words, and the Taylor step bound of the S
+# generator
 PASSES_READERS = {("evolution", "__init__"), ("reify", "s_action")}
 
 

@@ -7,13 +7,13 @@ from fockdm.algebra import NormalFormOperator
 from fockdm.fock import (
     apply,
     compile_operator,
+    eigensystem,
     interior_block,
     realize_matrix,
 )
 from fockdm.reify import (
     S_GENERATOR,
     PoleError,
-    exp_action,
     flow_coeffs,
     m_generator,
     rho_z_trace,
@@ -42,8 +42,8 @@ def s_operator(alpha, D):
 def m_operator(alpha, modes, D):
     """The dense M(alpha) over modes pairs at cutoff D: its action on the
     identity, on the interleaved layout of extended_wavefunction."""
-    return exp_action(m_generator(modes), [alpha],
-                      np.eye(D ** (2 * modes)), D)[:, 0]
+    return eigensystem(m_generator(modes), D).flow(
+        np.eye(D ** (2 * modes)))(alpha)
 
 
 def rotated_annihilation(alpha):
@@ -381,8 +381,8 @@ class TestMOperator:
                           [-math.sinh(alpha), math.cosh(alpha)]]) @ c
         want = math.exp((np.sum(np.abs(c_new) ** 2)
                          - np.sum(np.abs(c) ** 2)) / 2)
-        got = np.linalg.norm(exp_action(
-            m_generator(1), [alpha], extended_wavefunction(state, D), D))
+        got = np.linalg.norm(eigensystem(m_generator(1), D).flow(
+            extended_wavefunction(state, D))(alpha))
         assert got == pytest.approx(want, rel=1e-11)
 
     def test_two_pair_layout(self):
