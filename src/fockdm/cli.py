@@ -140,7 +140,6 @@ class ExperimentConfig:
     alpha_points: int = 20
     alpha_margin: float = 1e-3
     cutoffs: list = field(default_factory=lambda: [32, 64])
-    order_cap: int = 3
     sample_every: int = 10
     snapshot_every: int | None = None
     seed: int | None = None
@@ -169,7 +168,7 @@ class ExperimentConfig:
             raise ConfigError(f"experiment: {self.experiment!r} is not one of "
                               f"{'|'.join(EXPERIMENTS)}")
         for name, least in (("cutoff", 2), ("alpha_points", 2),
-                            ("sample_every", 1), ("order_cap", 1)):
+                            ("sample_every", 1)):
             value = getattr(self, name)
             if not (_is_positive_int(value) and value >= least):
                 raise ConfigError(f"{name}: must be an integer >= {least}")
@@ -193,6 +192,9 @@ class ExperimentConfig:
             raise ConfigError("deltas: must be a list of finite positive "
                               "numbers with at least two distinct values")
         for delta in self.deltas:
+            if delta / 1000 < sys.float_info.min:
+                raise ConfigError(f"deltas: {delta!r} makes the quadrature "
+                                  "step delta/1000 subnormal")
             if not quadrature(delta)[1] <= MAX_QUADRATURE_STEPS:
                 raise ConfigError(f"deltas: {delta!r} takes more than the "
                                   f"ceiling of {MAX_QUADRATURE_STEPS} "
@@ -407,18 +409,17 @@ def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
         name, runs = "m", [(config.bindings.get("m", 1.0), None)]
     columns = [name, "observable", "g_hat_re", "g_hat_im", "g_dot",
                "direct_re", "direct_im", "closed_re", "closed_im",
-               "residual", "applicable"]
+               "residual"]
     rows, reports = [], []
     for value, bindings in runs:
         h = config.hamiltonian_on(state.modes, bindings)
         for text, g in config.observables_on(state.modes, bindings):
-            rep = discrepancy_report(state, g, h, config.cutoff,
-                                     config.order_cap)
+            rep = discrepancy_report(state, g, h, config.cutoff)
             reports.append(rep)
             rows.append((value, text, rep.g_hat.real, rep.g_hat.imag,
                          rep.g_dot, rep.direct.real, rep.direct.imag,
                          rep.closed_form.real, rep.closed_form.imag,
-                         rep.residual, rep.applicable))
+                         rep.residual))
     return SuiteResult(columns, rows, [closed_form_check(reports)])
 
 

@@ -14,13 +14,14 @@ built once as a polynomial and averaged over the members.
 Their difference has a closed form in the complex chart: with multi-indices
 k over the modes,
 
-    i (g_hat - g_dot) = sum_{2 <= |k| <= cap} (1/k!)
+    i (g_hat - g_dot) = sum_{2 <= |k| <= min(deg g, deg H)} (1/k!)
         ( d^k g/dz^k * d^k H/dy^k  -  d^k g/dy^k * d^k H/dz^k )
 
-evaluated at the state.  The |k| <= 3 truncation is exact whenever no term
-of H carries more than 3 z factors or more than 3 y factors; the full series
-is exact for arbitrary polynomial H and g, which the tests exercise against
-the dense-matrix route up to degree 4.
+evaluated at the state: the commutator of normal-ordered symbols (Agarwal
+and Wolf, Phys. Rev. D 2, 2161, 1970).  For polynomials every derivative
+past the lower degree vanishes, so the series is summed in full and is
+exact for any polynomial H and g; the tests hold it to the dense-matrix
+route up to degree 5.
 
 Rescaling phi_j = s_j phi'_j, pi_j = pi'_j / s_j is canonical (it preserves
 Hamilton's equations) and is the lever that zeroes the leading discrepancy
@@ -45,12 +46,11 @@ from .states import ClassicalState, Ensemble, poisson_brackets
 @dataclass(frozen=True)
 class DiscrepancyReport:
     """Both fluxes of one observable; discrepancy_report adds the closed
-    form of their gap and its applicability."""
+    form of their gap."""
 
     g_hat: complex
     g_dot: float
     closed_form: complex | None = None
-    applicable: bool | None = None
 
     @property
     def direct(self) -> complex:
@@ -113,27 +113,17 @@ def ensemble_fluxes(ensemble: Ensemble, hamiltonian: PolyExpr, observables,
 
 
 def discrepancy_closed_form(state: ClassicalState, observable: PolyExpr,
-                            hamiltonian: PolyExpr,
-                            order_cap: int = 3) -> tuple[complex, bool]:
-    """Derivative-product series for g_hat - g_dot, and its applicability.
-
-    Returns (value, applicable); ``applicable`` reports that no term of H
-    carries more than ``order_cap`` z factors or y factors in total, the
-    regime in which the truncated series is a theorem.  That bounds every
-    per-mode word degree of H_n too; a per-mode bound alone would miss
-    mixed words like y1^2 y2^2 whose fourth cross-derivatives survive.  The
-    value itself is the series summed to ``order_cap`` regardless, which
-    callers may validate against the direct gap of :func:`ensemble_fluxes`.
-    """
+                            hamiltonian: PolyExpr) -> complex:
+    """Derivative-product series for g_hat - g_dot, summed in full over
+    2 <= |k| <= min(deg g, deg H); a k whose products vanish is skipped.
+    Callers may validate it against the direct gap of
+    :func:`ensemble_fluxes`."""
     n = state.modes
     g = observable.promote(n).to_zy()
     h = hamiltonian.promote(n).to_zy()
-    applicable = all(sum(e[:n]) <= order_cap and sum(e[n:]) <= order_cap
-                     for e in h.terms)
     point = state.zy_point()
     total = 0.0 + 0.0j
-    max_order = min(order_cap, g.degree(), h.degree())
-    for order in range(2, max_order + 1):
+    for order in range(2, min(g.degree(), h.degree()) + 1):
         for k in _mode_multi_indices(n, order):
             kz = k + (0,) * n
             ky = (0,) * n + k
@@ -148,19 +138,17 @@ def discrepancy_closed_form(state: ClassicalState, observable: PolyExpr,
                 weight /= math.factorial(e)
             total += weight * (gz.eval(point) * hy.eval(point)
                                - gy.eval(point) * hz.eval(point))
-    return -1j * total, applicable
+    return -1j * total
 
 
 def discrepancy_report(state: ClassicalState, observable: PolyExpr,
-                       hamiltonian: PolyExpr, cutoff: int,
-                       order_cap: int = 3) -> DiscrepancyReport:
+                       hamiltonian: PolyExpr, cutoff: int) -> DiscrepancyReport:
     """The fluxes of the state, an ensemble of one, with the closed-form
     gap beside the direct one."""
     [fluxes] = ensemble_fluxes(Ensemble.pure(state), hamiltonian,
                                [observable], cutoff)
-    value, applicable = discrepancy_closed_form(state, observable, hamiltonian,
-                                                order_cap)
-    return replace(fluxes, closed_form=value, applicable=applicable)
+    return replace(fluxes, closed_form=discrepancy_closed_form(
+        state, observable, hamiltonian))
 
 
 def rescale_field(hamiltonian: PolyExpr,

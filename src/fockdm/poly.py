@@ -26,7 +26,8 @@ nonnegative integer literals.  NAMEs of the form phi<k>/pi<k> are variables;
 any other NAME must appear in the bindings map and is substituted at parse
 time, so the resulting polynomial is purely numeric.  Parentheses and unary
 minus signs nest at most MAX_NESTING deep; deeper text is refused, as is a
-product (a power of a long sum, say) of over MAX_TERM_PAIRS term pairs.
+variable index over MAX_MODES and a product (a power of a long sum, say) of
+over MAX_TERM_PAIRS term pairs.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ DROP_TOL = 1e-14
 
 # the deepest nesting of parentheses and unary minus signs parse_poly accepts
 MAX_NESTING = 100
+# the largest variable index parse_poly accepts: the most modes whose Fock
+# space fits fock.DIM_CAP, at cutoff 2
+MAX_MODES = 12
 # the most term pairs one polynomial or operator product multiplies out
 MAX_TERM_PAIRS = 10 ** 5
 
@@ -500,7 +504,12 @@ class _Parser:
         self.pos = m.end()
         vm = _VAR_RE.match(name)
         if vm:
-            mode = int(vm.group(2))
+            digits = vm.group(2)
+            # refused before int() and before an exponent tuple is built
+            if len(digits) > len(str(MAX_MODES)) or int(digits) > MAX_MODES:
+                raise self.error(f"variable index exceeds the ceiling of "
+                                 f"{MAX_MODES} modes", start)
+            mode = int(digits)
             self.max_mode = max(self.max_mode, mode)
             n = max(self.max_mode, self.modes_hint or 0)
             return PolyExpr.variable(name, modes=n)

@@ -46,6 +46,15 @@ class TestConfig:
             ExperimentConfig.from_json({"experiment": "verify", "wibble": 3,
                                         "seed": 1})
 
+    def test_removed_order_cap_exits_2_naming_it(self, tmp_path, capsys):
+        # the closed form is summed in full; the old cap is an unknown field
+        cfg = write_config(tmp_path, "cap.json", {"order_cap": 3})
+        assert main(["discrepancy", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'order_cap'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_required_for_randomized(self):
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig.from_json({"experiment": "verify"})
@@ -176,8 +185,15 @@ class TestExitCodes:
         # a state needs at least one mode
         ("evolve", "state", {"phi": [], "pi": []}),
         ("iee", "ensemble", {"members": [{"phi": [], "pi": [], "w": 1.0}]}),
-        # a delta whose quadrature step count overflows
+        # a delta whose quadrature step count overflows, and deltas whose
+        # step delta/1000 is zero or subnormal
         ("project", "deltas", [50, 1e308]),
+        ("project", "deltas", [5e-324, 1]),
+        ("project", "deltas", [1e-306, 1]),
+        # a variable index past the parser's mode ceiling, and one past
+        # Python's 4300-digit limit on int()
+        ("project", "hamiltonian", "phi3000000*pi1"),
+        ("project", "hamiltonian", "phi" + "9" * 5000 + "*pi1"),
         # numpy would read a boolean as 0 or 1, also among numbers
         ("project", "state", {"phi": [1.0, 0.0], "pi": [0.0, False]}),
         ("iee", "ensemble", {"members": [
@@ -197,7 +213,10 @@ class TestExitCodes:
             "deltas-infinite",
             "sweep-empty-list", "alpha-points-one", "t-not-a-multiple",
             "t-nan", "dt-infinite", "state-empty", "ensemble-empty-member",
-            "deltas-overflowing", "state-boolean-among-numbers",
+            "deltas-overflowing", "deltas-zero-step", "deltas-subnormal-step",
+            "hamiltonian-index-past-the-mode-ceiling",
+            "hamiltonian-index-past-the-int-digit-limit",
+            "state-boolean-among-numbers",
             "member-boolean-weight", "member-nested-boolean"])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, experiment,
                                          name, value):
@@ -354,6 +373,16 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("config error: deltas:")
             assert str(cli.MAX_QUADRATURE_STEPS) in err
+
+    # the smallest deltas whose step delta/1000 is a normal float still run:
+    # the band they measure is finite, and the check judges it
+    @pytest.mark.parametrize("delta", [3e-305, 1e-300])
+    def test_delta_with_a_normal_step_runs(self, tmp_path, delta):
+        cfg = write_config(tmp_path, "tiny.json", {"deltas": [delta, 1.0]})
+        out = tmp_path / "out"
+        assert main(["project", "--config", str(cfg), "--out", str(out)]) == 1
+        [check] = json.loads((out / "manifest.json").read_text())["checks"]
+        assert math.isfinite(float(check["value"]))
 
     def test_reify_state_with_two_modes_exits_2_before_building(
             self, tmp_path, capsys, monkeypatch):
@@ -566,23 +595,23 @@ class TestExitCodes:
         [check] = json.loads((out / "manifest.json").read_text())["checks"]
         assert check["value"] == "inf" and not check["passed"]
 
-    def test_discrepancy_with_no_row_in_the_closed_form_domain_exits_1(
+    def test_quartic_discrepancy_compares_every_row_and_exits_0(
             self, tmp_path, capsys):
-        # phi^4 carries four z and four y factors, past the |k| <= 3 series:
-        # no row is compared, and a check that compared nothing fails
+        # phi^4 carries four z and four y factors: the series needs its
+        # order-4 terms, and every row is compared
         cfg = write_config(tmp_path, "quartic.json", {
             "hamiltonian": "0.5*pi1^2 + 0.25*phi1^4",
             "observables": ["phi1*pi1", "phi1^2"]})
         out = tmp_path / "out"
         assert main(["discrepancy", "--config", str(cfg),
-                     "--out", str(out)]) == 1
-        assert "[FAIL] discrepancy-closed-form: value=inf" \
-            in capsys.readouterr().out
+                     "--out", str(out)]) == 0
+        assert "[pass] discrepancy-closed-form" in capsys.readouterr().out
         rows = (out / "results.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[-1] for row in rows] == ["false", "false"]
+        assert len(rows) == 2
+        assert all(float(row.split(",")[-1]) <= 1e-8 for row in rows)
         [check] = json.loads((out / "manifest.json").read_text())["checks"]
-        assert check["value"] == "inf" and not check["passed"]
-        assert check["detail"].startswith("0 of 2 rows compared")
+        assert check["passed"]
+        assert check["detail"].startswith("2 rows compared")
 
     # every coefficient is finite, but the realized phi^4 term is not
     @pytest.mark.parametrize("experiment, data", [
@@ -659,13 +688,13 @@ class TestDiscrepancySweep:
         header = lines[0].split(",")
         assert header == ["m", "observable", "g_hat_re", "g_hat_im", "g_dot",
                           "direct_re", "direct_im", "closed_re", "closed_im",
-                          "residual", "applicable"]
+                          "residual"]
         for line in lines[1:]:
             cells = line.split(",")
             m = float(cells[0])
             direct = float(cells[5])
             assert abs(direct - (-(m - 1) / 2)) <= 1e-8
-            assert cells[10] == "true"
+            assert float(cells[9]) <= 1e-8
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, "d.json", DISC_CONFIG)
@@ -1015,8 +1044,7 @@ class TestNegativeControls:
         closed_form = discrepancy.discrepancy_closed_form
 
         def skewed(*args):
-            value, applicable = closed_form(*args)
-            return value + 1e-7, applicable
+            return closed_form(*args) + 1e-7
 
         monkeypatch.setattr(discrepancy, "discrepancy_closed_form", skewed)
         code, checks = suite_checks(tmp_path, "fault", "discrepancy",
@@ -1025,7 +1053,7 @@ class TestNegativeControls:
         check = checks["discrepancy-closed-form"]
         assert not check["passed"]
         assert float(check["value"]) == pytest.approx(1e-7)
-        assert check["detail"].startswith("3 of 3 rows compared")
+        assert check["detail"].startswith("3 rows compared")
 
     def test_projection_check_sees_a_window_fixed_at_the_first_delta(
             self, tmp_path, monkeypatch):

@@ -142,17 +142,15 @@ class TestClosedForm:
     def test_oscillator_mass_sweep(self):
         g = parse_poly("phi1*pi1", {})
         for m in (0.5, 1.0, 2.0, 4.0):
-            value, applicable = discrepancy_closed_form(state1(0.3, -0.8), g,
-                                                        oscillator(m))
-            assert applicable
+            value = discrepancy_closed_form(state1(0.3, -0.8), g, oscillator(m))
             assert abs(value - (-(m - 1) / 2)) <= 1e-12
 
     def test_balanced_quadratic_has_no_gap(self):
         # equal second derivatives and no cross term
         H = parse_poly("0.5*phi1^2 + 0.5*pi1^2 + 0.3*phi1 - 0.2*pi1", {})
         g = parse_poly("phi1^2 - pi1^2 + phi1*pi1", {})
-        value, applicable = discrepancy_closed_form(state1(0.9, 0.4), g, H)
-        assert applicable and abs(value) <= 1e-12
+        value = discrepancy_closed_form(state1(0.9, 0.4), g, H)
+        assert abs(value) <= 1e-12
 
     def test_matches_direct_single_mode(self):
         rng = np.random.default_rng(11)
@@ -161,7 +159,6 @@ class TestClosedForm:
             g = random_poly(rng, modes=1, degree=4, terms=5)
             s = random_state(rng)
             rep = discrepancy_report(s, g, H, 32)
-            assert rep.applicable
             assert rep.residual <= 1e-8
 
     def test_matches_direct_two_modes(self):
@@ -171,7 +168,6 @@ class TestClosedForm:
             g = random_poly(rng, modes=2, degree=4, terms=6)
             s = random_state(rng, modes=2)
             rep = discrepancy_report(s, g, H, 32)
-            assert rep.applicable
             assert rep.residual <= 1e-8
 
     def test_coupled_two_mode_example(self):
@@ -183,42 +179,37 @@ class TestClosedForm:
         for _ in range(5):
             s = random_state(rng, modes=2)
             rep = discrepancy_report(s, g, H, 32)
-            assert rep.applicable
             assert rep.residual <= 1e-8
 
-    def test_degree_four_requires_extended_cap(self):
-        # beyond the cap the truncated series is not a theorem; with the
-        # cap raised to the Hamiltonian degree it matches the dense route
+    # past three z or three y factors in a term of H, the orders past 3
+    # carry the gap: phi1^2*phi2^2 has per-mode degree 2 but the fourth
+    # cross-derivatives of z1^2 z2^2 survive.  The random cases add a full
+    # power to g and H, so that their top order is never empty.
+    @pytest.mark.parametrize("modes, text", [
+        (1, "phi1^4"), (2, "phi1^2*phi2^2"),
+        (1, 4), (1, 5), (2, 4), (2, 5)])
+    def test_full_series_matches_direct(self, modes, text):
         rng = np.random.default_rng(17)
-        mismatch = 0.0
-        for _ in range(10):
-            H = random_poly(rng, modes=1, degree=4, terms=5) * 0.3
-            g = random_poly(rng, modes=1, degree=4, terms=5)
-            s = random_state(rng, scale=0.6)
-            rep3 = discrepancy_report(s, g, H, 32, order_cap=3)
-            rep4 = discrepancy_report(s, g, H, 32, order_cap=4)
-            assert rep4.residual <= 1e-8
-            mismatch = max(mismatch, rep3.residual)
-        assert mismatch > 1e-6  # the cap matters
-
-    @pytest.mark.parametrize("text, applicable", [
-        ("phi1^4", False),
-        # per-mode degree 2, but the term z1^2 z2^2 has four z factors: only
-        # the block bound rejects it
-        ("phi1^2*phi2^2", False),
-        ("0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^3", True)])
-    def test_applicability(self, text, applicable):
-        H = parse_poly(text, {})
-        s = ClassicalState(np.full(H.modes, 0.3), np.full(H.modes, -0.2))
-        _, got = discrepancy_closed_form(s, parse_poly("phi1*pi1", {}), H)
-        assert got is applicable
+        cutoff = 32 if modes == 1 else 16
+        for _ in range(4):
+            if isinstance(text, str):
+                H = parse_poly(text, {})
+                g = random_poly(rng, modes=modes, degree=4, terms=5)
+            else:
+                H = (random_poly(rng, modes=modes, degree=text, terms=5)
+                     + parse_poly(f"(phi1+pi{modes})^{text}", {}, modes)) * 0.3
+                g = (random_poly(rng, modes=modes, degree=text, terms=5)
+                     + parse_poly(f"(phi{modes}-pi1)^{text}", {}, modes))
+            rep = discrepancy_report(random_state(rng, modes, scale=0.5), g, H,
+                                     cutoff)
+            assert rep.residual <= 1e-8
 
     def test_reality_for_real_inputs(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
             H = random_poly(rng, modes=1, degree=3, terms=5)
             g = random_poly(rng, modes=1, degree=4, terms=5)
-            value, _ = discrepancy_closed_form(random_state(rng), g, H)
+            value = discrepancy_closed_form(random_state(rng), g, H)
             assert abs(value.imag) <= 1e-10
 
     def test_linearity_in_observable(self):
@@ -228,9 +219,9 @@ class TestClosedForm:
         g2 = random_poly(rng, modes=1, degree=4, terms=4)
         s = random_state(rng)
         a, b = 0.7, -1.9
-        v12, _ = discrepancy_closed_form(s, g1 * a + g2 * b, H)
-        v1, _ = discrepancy_closed_form(s, g1, H)
-        v2, _ = discrepancy_closed_form(s, g2, H)
+        v12 = discrepancy_closed_form(s, g1 * a + g2 * b, H)
+        v1 = discrepancy_closed_form(s, g1, H)
+        v2 = discrepancy_closed_form(s, g2, H)
         assert abs(v12 - (a * v1 + b * v2)) <= 1e-10
         d12 = discrepancy_report(s, g1 * a + g2 * b, H, 32).direct
         d1 = discrepancy_report(s, g1, H, 32).direct
@@ -243,7 +234,7 @@ class TestEnsembleDiscrepancy:
         e = Ensemble.phase_circle(1.0, 16)
         g, H = parse_poly("phi1*pi1", {}), oscillator(2.0)
         direct = iee_check(e, H, [g], 32).rows[0].direct
-        closed = e.average(lambda s: discrepancy_closed_form(s, g, H)[0])
+        closed = e.average(lambda s: discrepancy_closed_form(s, g, H))
         assert abs(direct - (-0.5)) <= 1e-8
         assert abs(closed - (-0.5)) <= 1e-12
 

@@ -18,11 +18,11 @@ import time
 
 import pytest
 
-from fockdm.cli import main
+from fockdm.cli import ExperimentConfig, main
 
-BAD_VALUES = [None, True, -1, 0, 1e308, math.nan, "x", [], {}, [[1]]]
-BAD_IDS = ["null", "true", "minus-one", "zero", "huge", "nan", "text",
-           "empty-list", "empty-object", "nested-list"]
+BAD_VALUES = [None, True, -1, 0, 1e308, 5e-324, math.nan, "x", [], {}, [[1]]]
+BAD_IDS = ["null", "true", "minus-one", "zero", "huge", "subnormal", "nan",
+           "text", "empty-list", "empty-object", "nested-list"]
 
 # the wall time one run may take; the slowest, a full verify, takes 0.2 s
 BUDGET_S = 5.0
@@ -33,8 +33,7 @@ TOP_LEVEL = {
     "observables": "evolve", "state": "project", "ensemble": "iee",
     "cutoff": "project", "dt": "evolve", "t": "evolve", "generator": "evolve",
     "sweep": "discrepancy", "deltas": "project", "alpha_points": "reify",
-    "alpha_margin": "reify", "cutoffs": "reify", "order_cap": "discrepancy",
-    "sample_every": "evolve", "snapshot_every": "evolve", "seed": "verify",
+    "alpha_margin": "reify", "cutoffs": "reify", "sample_every": "evolve", "snapshot_every": "evolve", "seed": "verify",
     "out": "project",
 }
 
@@ -83,10 +82,11 @@ NAMED_THROUGH = {"dt": "t", "bindings": "hamiltonian"}
 
 # (path, bad value id) pairs that must exit 2: a boolean, which numpy would
 # read as 0 or 1, in a state or an ensemble member, and a delta whose
-# quadrature step count overflows
+# quadrature step count overflows or whose step is subnormal
 REFUSED = {("state.phi", "true"), ("state.pi", "true"),
            ("state.phi[0]", "true"), ("ensemble.members[0].phi", "true"),
-           ("ensemble.members[0].w", "true"), ("deltas[1]", "huge")}
+           ("ensemble.members[0].w", "true"), ("deltas[1]", "huge"),
+           ("deltas[1]", "subnormal")}
 
 # malformed or hostile Hamiltonian texts; each exits 2 naming hamiltonian
 # or, where it parses, runs to 0, 1 or 3
@@ -94,7 +94,7 @@ HAMILTONIANS = [
     "", " ", "phi1 +", "* phi1", "phi1 +* pi1", "(phi1", "phi1)", "phi0^2",
     "phi1^-1", "phi1^0.5", "phi1^(1/2)", "phi1**2", "phi1 phi1", "k*phi1",
     "1e400*phi1^2", "nan*phi1", "inf", "phi1^99999", "phi1^2 + pi2^2",
-    "φ1^2", "(phi1+pi1)^30",
+    "φ1^2", "(phi1+pi1)^30", "phi3000000*pi1",
 ]
 HAMILTONIAN_SUITES = ["discrepancy", "evolve", "project", "iee"]
 
@@ -138,6 +138,10 @@ def run_file(monkeypatch, tmp_path, experiment, path):
     assert time.perf_counter() - start < BUDGET_S
     assert code in (0, 1, 2, 3)
     return code, err.getvalue()
+
+
+def test_every_top_level_field_is_fuzzed():
+    assert TOP_LEVEL.keys() == ExperimentConfig.__dataclass_fields__.keys()
 
 
 @pytest.mark.parametrize("value_id, value", list(zip(BAD_IDS, BAD_VALUES)),

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fockdm import poly
 from fockdm.algebra import NormalFormOperator
+from fockdm.fock import DIM_CAP
 from fockdm.poly import (
     DROP_TOL,
+    MAX_MODES,
     MAX_NESTING,
     ChartError,
     PolyExpr,
@@ -74,6 +77,25 @@ class TestParsing:
         for text in ("(" + deep + ")", "-" + deep):
             with pytest.raises(PolyParseError, match="nesting deeper"):
                 parse_poly(text, {})
+
+    def test_mode_ceiling(self):
+        # the most modes a Fock space at cutoff 2 within DIM_CAP has
+        assert 2 ** MAX_MODES <= DIM_CAP < 2 ** (MAX_MODES + 1)
+        assert parse_poly(f"phi{MAX_MODES}*pi1", {}).modes == MAX_MODES
+        for index in (MAX_MODES + 1, "9" * 5000):
+            with pytest.raises(PolyParseError, match="ceiling of"):
+                parse_poly(f"phi{index}*pi1", {})
+
+    def test_huge_index_is_refused_before_its_exponent_tuple(self):
+        # a 2*10^6-entry exponent tuple per factor would take megabytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(PolyParseError, match="ceiling of"):
+                parse_poly("phi1000000*pi1", {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_product_ceiling(self, monkeypatch):
         # (4 terms)^2 multiplies 16 term pairs, (4 terms)^3 then 4 by 10
