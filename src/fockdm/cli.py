@@ -11,9 +11,15 @@ hash, library versions, and one named pass/fail entry per executed check.
 Randomized suites draw from one seeded generator, split into independent
 child streams per sub-check, so no sub-check's draws depend on another's.
 
+Every input of the config is read once, at load, whatever the suite:
+``ExperimentConfig.validate`` checks each field, parses each polynomial and
+builds the classical state, the ensemble and evolve's step count, and the
+suite runners take those.  Every number in a config is a JSON number, not a
+boolean or a string, that fits a float.
+
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad configuration,
-3 numerical or resource failure while running, an output that cannot be
-written included.
+3 numerical or resource failure, at load or while running, an output that
+cannot be written included.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from .states import (
 
 EXPERIMENTS = ("verify", "discrepancy", "evolve", "reify", "project", "iee")
 
-# the most steps t/dt that fockdm evolve accepts; checked before it builds
+# the most steps t/dt that fockdm evolve accepts; checked at load time
 MAX_STEPS = 10 ** 6
 # the most members of a phase_circle ensemble; checked at load time
 MAX_POINTS = 10 ** 5
@@ -83,13 +89,9 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _has_bool(value, depth: int = 2) -> bool:
-    """Whether a JSON value is, or nests in lists at most depth deep, a
-    boolean, which numpy would read as 0 or 1.  Its callers pass a list of
-    flat fields, and a deeper list is refused later as not 1-d."""
-    if isinstance(value, list) and depth:
-        return any(_has_bool(item, depth - 1) for item in value)
-    return isinstance(value, bool)
+def _numbers(value) -> bool:
+    """Whether a JSON value is a flat list of numbers (see ``_is_number``)."""
+    return isinstance(value, list) and all(map(_is_number, value))
 
 
 def _is_int(value) -> bool:
@@ -111,6 +113,56 @@ def _parse(name: str, text: str, bindings: dict) -> PolyExpr:
     except FloatingPointError as err:
         raise ConfigError(f"{name}: {text!r} has a coefficient that is not "
                           "a finite number") from err
+
+
+def _read_state(name: str, obj) -> ClassicalState:
+    """The state of a JSON object whose phi and pi are lists of numbers of
+    one nonzero length; anything else is a configuration error naming
+    the field."""
+    if not (isinstance(obj, dict) and _numbers(obj.get("phi"))
+            and _numbers(obj.get("pi"))):
+        raise ConfigError(f"{name}: phi and pi must be lists of numbers")
+    try:
+        return ClassicalState(obj["phi"], obj["pi"])
+    except ValueError as err:
+        raise ConfigError(f"{name}: {err}") from err
+
+
+def _read_ensemble(spec, cutoff: int) -> Ensemble:
+    """The ensemble of a config's ensemble object: a phase circle, whose
+    mode count is checked against the dimension cap before its members
+    exist, or weighted members."""
+    if not isinstance(spec, dict):
+        raise ConfigError("ensemble: must be an object")
+    kind = spec.get("kind", "members")
+    if kind == "phase_circle":
+        radius = spec.get("radius", 1.0)
+        points = spec.get("points", 64)
+        modes = spec.get("modes", 1)
+        if not (_is_number(radius) and radius > 0):
+            raise ConfigError("ensemble.radius: must be a positive number")
+        for name, value in (("points", points), ("modes", modes)):
+            if not _is_positive_int(value):
+                raise ConfigError(f"ensemble.{name}: must be a positive "
+                                  "integer")
+        if points > MAX_POINTS:
+            raise ConfigError(f"ensemble.points: exceeds the ceiling of "
+                              f"{MAX_POINTS} points")
+        check_dimension(modes, cutoff)
+        return Ensemble.phase_circle(radius, points, modes=modes)
+    if kind != "members":
+        raise ConfigError(f"ensemble: unknown kind {kind!r}")
+    members = spec.get("members")
+    if not (isinstance(members, list)
+            and all(isinstance(m, dict) and _is_number(m.get("w"))
+                    for m in members)):
+        raise ConfigError("ensemble: members must be a list of objects with "
+                          "phi, pi and a number w")
+    states = [_read_state("ensemble", m) for m in members]
+    try:
+        return Ensemble.from_states(states, [m["w"] for m in members])
+    except ValueError as err:
+        raise ConfigError(f"ensemble: {err}") from err
 
 
 # the input of a suite run without a state or an ensemble of its own, where
@@ -184,10 +236,17 @@ class ExperimentConfig:
                               "must lie strictly inside (0, pi/4)")
         if not (_is_number(self.t) and self.t >= 0):
             raise ConfigError("t: must be a finite nonnegative number")
+        if not self.t / self.dt <= MAX_STEPS:
+            raise ConfigError(f"t: t/dt exceeds the ceiling of {MAX_STEPS} "
+                              "steps")
+        try:
+            self.steps = step_count(self.t, self.dt)
+        except ValueError as err:
+            raise ConfigError(f"t: {err}") from err
         if self.generator not in ("liouville", "master"):
             raise ConfigError("generator: must be liouville or master")
-        if (not isinstance(self.deltas, list)
-                or not all(_is_number(d) and d > 0 for d in self.deltas)
+        if (not _numbers(self.deltas)
+                or not all(d > 0 for d in self.deltas)
                 or len(set(self.deltas)) < 2):
             raise ConfigError("deltas: must be a list of finite positive "
                               "numbers with at least two distinct values")
@@ -203,8 +262,7 @@ class ExperimentConfig:
                 or not all(map(_is_number, self.bindings.values()))):
             raise ConfigError("bindings: must map names to finite numbers")
         if (not isinstance(self.sweep, dict) or len(self.sweep) > 1
-                or not all(isinstance(vs, list) and vs
-                           and all(map(_is_number, vs))
+                or not all(_numbers(vs) and vs
                            for vs in self.sweep.values())):
             raise ConfigError("sweep: must map one binding name to a nonempty "
                               "list of finite numbers")
@@ -237,28 +295,16 @@ class ExperimentConfig:
         self._parsed = {text: _parse(name, text, self.bindings)
                         for name, text in [("hamiltonian", self.hamiltonian)]
                         + [("observables", text) for text in self.observables]}
-        self._validate_ensemble()
-
-    def _validate_ensemble(self) -> None:
-        spec = self.ensemble
-        if spec is None:
-            return
-        if not isinstance(spec, dict):
-            raise ConfigError("ensemble: must be an object")
-        kind = spec.get("kind", "members")
-        if kind == "phase_circle":
-            radius = spec.get("radius", 1.0)
-            if not (_is_number(radius) and radius > 0):
-                raise ConfigError("ensemble.radius: must be a positive number")
-            for name in ("points", "modes"):
-                if name in spec and not _is_positive_int(spec[name]):
-                    raise ConfigError(f"ensemble.{name}: must be a positive "
-                                      "integer")
-            if spec.get("points", 0) > MAX_POINTS:
-                raise ConfigError(f"ensemble.points: exceeds the ceiling of "
-                                  f"{MAX_POINTS} points")
-        elif kind != "members":
-            raise ConfigError(f"ensemble: unknown kind {kind!r}")
+        self.initial_state = _read_state("state", self.state)
+        if self.experiment == "reify" and self.initial_state.modes != 1:
+            raise ConfigError(f"state: the single-mode recoding takes a "
+                              f"one-mode state, not "
+                              f"{self.initial_state.modes} modes")
+        # evolve's and iee's input: the ensemble, or else the pure state
+        self.initial_ensemble = (Ensemble.pure(self.initial_state)
+                                 if self.ensemble is None
+                                 else _read_ensemble(self.ensemble,
+                                                     self.cutoff))
 
     def hamiltonian_on(self, modes: int,
                        bindings: dict | None = None) -> PolyExpr:
@@ -287,44 +333,6 @@ class ExperimentConfig:
             raise ConfigError(f"{name}: {text!r} has {p.modes} modes, the state "
                               f"has {modes}")
         return p.promote(modes)
-
-    def classical_state(self) -> ClassicalState:
-        st = self.state
-        if not isinstance(st, dict) or "phi" not in st or "pi" not in st:
-            raise ConfigError("state: needs phi and pi arrays")
-        if _has_bool([st["phi"], st["pi"]]):
-            raise ConfigError("state: phi and pi must hold numbers, not "
-                              "booleans")
-        try:
-            state = ClassicalState(np.asarray(st["phi"], dtype=float),
-                                   np.asarray(st["pi"], dtype=float))
-        except (OverflowError, TypeError, ValueError) as err:
-            raise ConfigError(f"state: {err}") from err
-        if self.experiment == "reify" and state.modes != 1:
-            raise ConfigError(f"state: the single-mode recoding takes a "
-                              f"one-mode state, not {state.modes} modes")
-        return state
-
-    def classical_ensemble(self) -> Ensemble:
-        if self.ensemble is None:
-            return Ensemble.pure(self.classical_state())
-        spec = self.ensemble
-        kind = spec.get("kind", "members")
-        if kind == "phase_circle":
-            modes = spec.get("modes", 1)
-            check_dimension(modes, self.cutoff)  # before its members exist
-            return Ensemble.phase_circle(spec.get("radius", 1.0),
-                                         spec.get("points", 64), modes=modes)
-        members = spec.get("members")
-        if isinstance(members, list) and any(
-                _has_bool([m.get("phi"), m.get("pi"), m.get("w")])
-                for m in members if isinstance(m, dict)):
-            raise ConfigError("ensemble: members' phi, pi and w must hold "
-                              "numbers, not booleans")
-        try:
-            return Ensemble.from_json(spec)
-        except (KeyError, OverflowError, TypeError, ValueError) as err:
-            raise ConfigError(f"ensemble: {err}") from err
 
     def canonical_json(self) -> str:
         data = {k: getattr(self, k) for k in sorted(self.__dataclass_fields__)}
@@ -400,7 +408,7 @@ def run_verify(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
-    state = config.classical_state()
+    state = config.initial_state
     if config.sweep:
         [(name, values)] = config.sweep.items()
         runs = [(value, {**config.bindings, name: value}) for value in values]
@@ -424,13 +432,7 @@ def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_evolve(config: ExperimentConfig) -> SuiteResult:
-    if not config.t / config.dt <= MAX_STEPS:
-        raise ConfigError(f"t: t/dt exceeds the ceiling of {MAX_STEPS} steps")
-    try:
-        steps = step_count(config.t, config.dt)
-    except ValueError as err:
-        raise ConfigError(f"t: {err}") from err
-    ensemble = config.classical_ensemble()
+    ensemble = config.initial_ensemble
     h_n = poly_to_normal_form(config.hamiltonian_on(ensemble.modes))
     observables = config.observables_on(ensemble.modes)
     tables = [compile_operator(poly_to_normal_form(g), config.cutoff)
@@ -438,7 +440,7 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
     columns = ["t", "trace_re", "trace_im"] + [f"<{text}>" for text, _ in observables]
     rows, traces, snapshots = [], [], []
     for done, rho in density_samples(config.generator, ensemble, h_n,
-                                     config.cutoff, config.dt, steps,
+                                     config.cutoff, config.dt, config.steps,
                                      config.sample_every):
         tr = rho.trace()
         traces.append(tr)
@@ -450,7 +452,7 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_reify(config: ExperimentConfig) -> SuiteResult:
-    state = config.classical_state()
+    state = config.initial_state
     grid = np.linspace(0.0, math.pi / 4 - config.alpha_margin,
                        config.alpha_points)
     columns = ["alpha", "norm", "cutoff", "residual_a7", "residual_a8",
@@ -465,7 +467,7 @@ def run_reify(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_project(config: ExperimentConfig) -> SuiteResult:
-    state = config.classical_state()
+    state = config.initial_state
     h_n = poly_to_normal_form(config.hamiltonian_on(state.modes))
     rho = pure_density(state, config.cutoff)
     columns = ["delta", "max_offdiagonal", "c_estimate", "trace_error"]
@@ -474,7 +476,7 @@ def run_project(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_iee(config: ExperimentConfig) -> SuiteResult:
-    ensemble = config.classical_ensemble()
+    ensemble = config.initial_ensemble
     h = config.hamiltonian_on(ensemble.modes)
     observables = config.observables_on(ensemble.modes)
     report = iee_check(ensemble, h, [g for _, g in observables], config.cutoff)
@@ -546,10 +548,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    try:
         result = _RUNNERS[config.experiment](config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -415,11 +415,10 @@ def _parse_var_name(name: str) -> tuple[int, int]:
 
 
 class _Parser:
-    def __init__(self, text: str, bindings: Mapping[str, float], modes: int | None):
+    def __init__(self, text: str, bindings: Mapping[str, float]):
         self.text = text
         self.bindings = dict(bindings or {})
         self.pos = 0
-        self.modes_hint = modes
         self.max_mode = 0
         self.depth = 0
 
@@ -448,9 +447,7 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error(f"unexpected character {self.text[self.pos]!r}")
-        n = self.modes_hint if self.modes_hint is not None else max(self.max_mode, 1)
-        if self.max_mode > n:
-            raise self.error(f"variable index exceeds declared {n} modes", 0)
+        n = max(self.max_mode, 1)
         return node.promote(n) if node.modes < n else node
 
     def parse_expr(self) -> PolyExpr:
@@ -511,8 +508,7 @@ class _Parser:
                                  f"{MAX_MODES} modes", start)
             mode = int(digits)
             self.max_mode = max(self.max_mode, mode)
-            n = max(self.max_mode, self.modes_hint or 0)
-            return PolyExpr.variable(name, modes=n)
+            return PolyExpr.variable(name, modes=self.max_mode)
         if name in self.bindings:
             return PolyExpr.constant(float(self.bindings[name]), "phipi", 1)
         raise self.error(f"unbound symbol {name!r}", start)
@@ -548,14 +544,14 @@ class _Parser:
         return int(value)
 
 
-def parse_poly(text: str, bindings: Mapping[str, float] | None = None,
-               modes: int | None = None) -> PolyExpr:
+def parse_poly(text: str, bindings: Mapping[str, float] | None = None
+               ) -> PolyExpr:
     """Parse expression text in the phipi chart.
 
     Bound constants are substituted immediately; the mode count is inferred
-    from the largest variable index unless ``modes`` pins it.
+    from the largest variable index.
     """
-    return _Parser(text, bindings or {}, modes).parse()
+    return _Parser(text, bindings or {}).parse()
 
 
 def random_poly(rng, chart: str = "phipi", modes: int = 1, degree: int = 3,

@@ -36,10 +36,10 @@ _SQRT2 = math.sqrt(2.0)
 class AmplitudeOverflowError(ValueError):
     """Coherent amplitude too large for the requested cutoff."""
 
-    def __init__(self, mode: int, amplitude_sq: float, cutoff: int):
+    def __init__(self, mode: int, amplitude: float, cutoff: int):
         super().__init__(
-            f"mode {mode + 1}: |z|^2 = {amplitude_sq:.4g} exceeds the "
-            f"truncation guard cutoff/4 = {cutoff / 4:.4g}")
+            f"mode {mode + 1}: |z| = {amplitude:.4g} exceeds the truncation "
+            f"guard sqrt(cutoff/4) = {math.sqrt(cutoff / 4):.4g}")
         self.mode = mode
 
 
@@ -144,11 +144,6 @@ class Ensemble:
             yield MemberBlock(self.modes, cutoff, vectors,
                               np.array([weight for _, weight in chunk]))
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Ensemble":
-        return cls(tuple((ClassicalState(np.asarray(m["phi"]), np.asarray(m["pi"])),
-                          m["w"]) for m in obj["members"]))
-
 
 def pseudo_wavefunction(state: ClassicalState, cutoff: int) -> np.ndarray:
     """Coherent encoding of a pure classical state in the number basis.
@@ -166,10 +161,12 @@ def pseudo_wavefunction(state: ClassicalState, cutoff: int) -> np.ndarray:
 
 
 def _coherent_column(mode: int, amp: complex, cutoff: int) -> np.ndarray:
-    """amp^k e^{-|amp|^2/2} / sqrt(k!) for k < cutoff, guarded by |amp|^2 <= D/4."""
-    amp2 = abs(amp) ** 2
-    if amp2 > cutoff / 4:
-        raise AmplitudeOverflowError(mode, amp2, cutoff)
+    """amp^k e^{-|amp|^2/2} / sqrt(k!) for k < cutoff, guarded by |amp|^2 <= D/4,
+    taken as |amp| <= sqrt(D/4) so that no amp past the guard is squared."""
+    size = abs(amp)
+    if size > math.sqrt(cutoff / 4):
+        raise AmplitudeOverflowError(mode, size, cutoff)
+    amp2 = size ** 2
     col = np.zeros(cutoff, dtype=complex)
     col[0] = 1.0
     for k in range(1, cutoff):

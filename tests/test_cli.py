@@ -20,7 +20,7 @@ from fockdm.cli import (
 from fockdm.algebra import poly_to_normal_form
 from fockdm.fock import DIM_CAP, FockMatrix, realize_matrix
 from fockdm.poly import PolyExpr, parse_poly
-from fockdm.states import Ensemble, ensemble_density
+from fockdm.states import ClassicalState, Ensemble, ensemble_density
 
 
 def write_config(tmp_path, name, data):
@@ -194,12 +194,20 @@ class TestExitCodes:
         # Python's 4300-digit limit on int()
         ("project", "hamiltonian", "phi3000000*pi1"),
         ("project", "hamiltonian", "phi" + "9" * 5000 + "*pi1"),
-        # numpy would read a boolean as 0 or 1, also among numbers
+        # a boolean is no number, also among numbers
         ("project", "state", {"phi": [1.0, 0.0], "pi": [0.0, False]}),
         ("iee", "ensemble", {"members": [
             {"phi": [1.0], "pi": [0.0], "w": True}]}),
         ("iee", "ensemble", {"members": [
             {"phi": [[1.0], [True]], "pi": [0.0], "w": 1.0}]}),
+        # phi and pi are lists, even of one mode
+        ("project", "state", {"phi": 0.5, "pi": [0.0]}),
+        # every suite reads state, ensemble and the t/dt grid at load,
+        # including those that run on none of them
+        ("verify", "state", {"phi": "bad"}),
+        ("verify", "ensemble", {"members": [
+            {"phi": [1.0], "pi": [0.0], "w": "1"}]}),
+        ("project", "t", 0.0015),
     ], ids=["t-text", "deltas-scalar", "deltas-empty", "bindings-text",
             "sweep-two-keys", "cutoffs-scalar", "observables-scalar",
             "observables-number-entry", "evolve-cutoff-one", "iee-cutoff-one",
@@ -217,7 +225,9 @@ class TestExitCodes:
             "hamiltonian-index-past-the-mode-ceiling",
             "hamiltonian-index-past-the-int-digit-limit",
             "state-boolean-among-numbers",
-            "member-boolean-weight", "member-nested-boolean"])
+            "member-boolean-weight", "member-nested-boolean",
+            "state-bare-number", "verify-state", "verify-members",
+            "project-t-not-a-multiple"])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, experiment,
                                          name, value):
         cfg = write_config(tmp_path, "bad.json", {name: value, "seed": 1})
@@ -806,7 +816,9 @@ class TestEvolveSuite:
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
         got = np.loadtxt(out / "results.csv", delimiter=",", skiprows=1)
-        ensemble = Ensemble.from_json({"members": members})
+        ensemble = Ensemble.from_states(
+            [ClassicalState(m["phi"], m["pi"]) for m in members],
+            [m["w"] for m in members])
         rho = ensemble_density(ensemble, D).data
         evals, vecs = np.linalg.eigh(
             realize_matrix(poly_to_normal_form(parse_poly(text, {})), D).data)

@@ -197,9 +197,9 @@ class TestClosedForm:
                 g = random_poly(rng, modes=modes, degree=4, terms=5)
             else:
                 H = (random_poly(rng, modes=modes, degree=text, terms=5)
-                     + parse_poly(f"(phi1+pi{modes})^{text}", {}, modes)) * 0.3
+                     + parse_poly(f"(phi1+pi{modes})^{text}", {})) * 0.3
                 g = (random_poly(rng, modes=modes, degree=text, terms=5)
-                     + parse_poly(f"(phi{modes}-pi1)^{text}", {}, modes))
+                     + parse_poly(f"(phi{modes}-pi1)^{text}", {}))
             rep = discrepancy_report(random_state(rng, modes, scale=0.5), g, H,
                                      cutoff)
             assert rep.residual <= 1e-8

@@ -153,7 +153,7 @@ class TestMemberRoute:
         if real:
             return PolyExpr("phipi", modes, {
                 e: c for e, c in p.terms.items() if sum(e[modes:]) % 2 == 0})
-        return p + parse_poly("0.1*phi1*pi1", {}, modes=modes)
+        return p + parse_poly("0.1*phi1*pi1", {})
 
     @pytest.mark.parametrize("modes, D", [(1, 12), (2, 5)])
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])

@@ -20,9 +20,14 @@ import pytest
 
 from fockdm.cli import ExperimentConfig, main
 
-BAD_VALUES = [None, True, -1, 0, 1e308, 5e-324, math.nan, "x", [], {}, [[1]]]
+BAD_VALUES = [None, True, -1, 0, 1e308, 5e-324, math.nan, "x", "1", [], {},
+              [[1]]]
 BAD_IDS = ["null", "true", "minus-one", "zero", "huge", "subnormal", "nan",
-           "text", "empty-list", "empty-object", "nested-list"]
+           "text", "numeric-text", "empty-list", "empty-object", "nested-list"]
+
+# a numerical failure is reported through the exit code, never as a numpy
+# warning on the way to it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # the wall time one run may take; the slowest, a full verify, takes 0.2 s
 BUDGET_S = 5.0
@@ -80,13 +85,15 @@ CASES = {**{name: (suite, lambda v, name=name: {name: v}, name)
 # through the default Hamiltonian (without m it has an unbound symbol)
 NAMED_THROUGH = {"dt": "t", "bindings": "hamiltonian"}
 
-# (path, bad value id) pairs that must exit 2: a boolean, which numpy would
-# read as 0 or 1, in a state or an ensemble member, and a delta whose
-# quadrature step count overflows or whose step is subnormal
-REFUSED = {("state.phi", "true"), ("state.pi", "true"),
-           ("state.phi[0]", "true"), ("ensemble.members[0].phi", "true"),
-           ("ensemble.members[0].w", "true"), ("deltas[1]", "huge"),
-           ("deltas[1]", "subnormal")}
+# (path, bad value id) pairs that must exit 2: a boolean or a numeric
+# string, which a float conversion would read as a number, in a state or an
+# ensemble member, and a delta whose quadrature step count overflows or
+# whose step is subnormal
+REFUSED = {*((path, value_id) for path in (
+               "state.phi", "state.pi", "state.phi[0]",
+               "ensemble.members[0].phi", "ensemble.members[0].w")
+             for value_id in ("true", "numeric-text")),
+           ("deltas[1]", "huge"), ("deltas[1]", "subnormal")}
 
 # malformed or hostile Hamiltonian texts; each exits 2 naming hamiltonian
 # or, where it parses, runs to 0, 1 or 3

@@ -12,10 +12,12 @@ criterion 1, and only two functions outside fock read them: the master
 law's MasterTerms.__init__, which plans master_rhs's row blocks from them,
 and reify.s_action, for the Taylor step bound of the S generator.  Every
 pass/fail is decided in acceptance: no other module builds a CheckResult
-or holds a tolerance.  And the package defines nothing it does not run:
-every exported name, every module-level function and class and every
-method or property has a caller in the package, apart from the
-definitions in UNCALLED, each kept for a stated reason."""
+or holds a tolerance.  The CLI reads a config once, at load: only
+ExperimentConfig.validate loads the raw state and ensemble fields, and the
+CLI converts no config entry with numpy.  And the package defines nothing
+it does not run: every exported name, every module-level function and
+class and every method or property has a caller in the package, apart
+from the definitions in UNCALLED, each kept for a stated reason."""
 
 import ast
 import types
@@ -201,6 +203,16 @@ def float_constants(tree):
             for target in (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
             if isinstance(target, ast.Name)}
+
+
+def test_only_validate_loads_the_raw_state_and_ensemble():
+    assert {scope for module, scope in callers({"state", "ensemble"})
+            if module == "cli"} == {"validate"}
+
+
+def test_the_cli_converts_no_config_entry_with_numpy():
+    assert {scope for module, scope in callers({"asarray", "array"})
+            if module == "cli"} == set()
 
 
 def test_only_acceptance_builds_a_check_result():

@@ -114,7 +114,7 @@ class TestParsing:
         rng = np.random.default_rng(7)
         for _ in range(40):
             p = random_poly(rng, modes=2, degree=4, terms=5)
-            assert approx_eq(parse_poly(str(p), {}, modes=2), p, tol=1e-12)
+            assert approx_eq(parse_poly(str(p), {}).promote(2), p, tol=1e-12)
 
 
 class TestCalculus:
