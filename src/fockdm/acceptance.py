@@ -415,7 +415,8 @@ def projection_offdiagonal_decay(rng, cutoff, samples):
     """Off-diagonal content of the time-averaged unit oscillator state
     follows C/delta within a factor two across delta in {50, 100, 200}."""
     h_n = poly_to_normal_form(parse_poly("0.5*phi1^2 + 0.5*pi1^2", {}))
-    rho = pure_density(ClassicalState(np.array([1.0]), np.array([0.0])), cutoff)
+    state = ClassicalState(np.array([1.0]), np.array([0.0]))
+    [rho] = Ensemble.pure(state).member_blocks(cutoff)
     # v(delta) in [C/(2 delta), 2C/delta] for a single C iff the spread of
     # v * delta stays within a factor of four
     _, band = projection_decay(rho, h_n, (50.0, 100.0, 200.0))

@@ -61,7 +61,6 @@ from .states import (
     AmplitudeOverflowError,
     ClassicalState,
     Ensemble,
-    pure_density,
     step_count,
 )
 
@@ -115,13 +114,21 @@ def _parse(name: str, text: str, bindings: dict) -> PolyExpr:
                           "a finite number") from err
 
 
-def _read_state(name: str, obj) -> ClassicalState:
+def _known(name: str, obj: dict, keys) -> None:
+    """Refuse a key of a JSON object outside keys, naming the field."""
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ConfigError(f"{name}: unknown field {sorted(unknown)[0]!r}")
+
+
+def _read_state(name: str, obj, keys=("phi", "pi")) -> ClassicalState:
     """The state of a JSON object whose phi and pi are lists of numbers of
-    one nonzero length; anything else is a configuration error naming
-    the field."""
+    one nonzero length, with no key outside keys; anything else is a
+    configuration error naming the field."""
     if not (isinstance(obj, dict) and _numbers(obj.get("phi"))
             and _numbers(obj.get("pi"))):
         raise ConfigError(f"{name}: phi and pi must be lists of numbers")
+    _known(name, obj, keys)
     try:
         return ClassicalState(obj["phi"], obj["pi"])
     except ValueError as err:
@@ -131,11 +138,12 @@ def _read_state(name: str, obj) -> ClassicalState:
 def _read_ensemble(spec, cutoff: int) -> Ensemble:
     """The ensemble of a config's ensemble object: a phase circle, whose
     mode count is checked against the dimension cap before its members
-    exist, or weighted members."""
+    exist, or weighted members; each kind refuses the other's keys."""
     if not isinstance(spec, dict):
         raise ConfigError("ensemble: must be an object")
     kind = spec.get("kind", "members")
     if kind == "phase_circle":
+        _known("ensemble", spec, ("kind", "radius", "points", "modes"))
         radius = spec.get("radius", 1.0)
         points = spec.get("points", 64)
         modes = spec.get("modes", 1)
@@ -152,13 +160,15 @@ def _read_ensemble(spec, cutoff: int) -> Ensemble:
         return Ensemble.phase_circle(radius, points, modes=modes)
     if kind != "members":
         raise ConfigError(f"ensemble: unknown kind {kind!r}")
+    _known("ensemble", spec, ("kind", "members"))
     members = spec.get("members")
     if not (isinstance(members, list)
             and all(isinstance(m, dict) and _is_number(m.get("w"))
                     for m in members)):
         raise ConfigError("ensemble: members must be a list of objects with "
                           "phi, pi and a number w")
-    states = [_read_state("ensemble", m) for m in members]
+    states = [_read_state("ensemble", m, ("phi", "pi", "w"))
+              for m in members]
     try:
         return Ensemble.from_states(states, [m["w"] for m in members])
     except ValueError as err:
@@ -203,9 +213,7 @@ class ExperimentConfig:
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config: top level must be a JSON object")
-        unknown = set(obj) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"config: unknown field {sorted(unknown)[0]!r}")
+        _known("config", obj, cls.__dataclass_fields__)
         obj = {"experiment": "verify", **obj}
         if (isinstance(obj["experiment"], str)
                 and not {"state", "ensemble"} & obj.keys()):
@@ -469,7 +477,7 @@ def run_reify(config: ExperimentConfig) -> SuiteResult:
 def run_project(config: ExperimentConfig) -> SuiteResult:
     state = config.initial_state
     h_n = poly_to_normal_form(config.hamiltonian_on(state.modes))
-    rho = pure_density(state, config.cutoff)
+    [rho] = Ensemble.pure(state).member_blocks(config.cutoff)
     columns = ["delta", "max_offdiagonal", "c_estimate", "trace_error"]
     rows, band = projection_decay(rho, h_n, config.deltas)
     return SuiteResult(columns, rows, [projection_check(band)])

@@ -36,7 +36,6 @@ import numpy as np
 
 from .algebra import NormalFormOperator
 from .fock import (
-    Eigensystem,
     FockMatrix,
     MemberBlock,
     PairingError,
@@ -388,10 +387,10 @@ def quadrature(delta: float) -> tuple[float, float]:
     return dt, delta / dt
 
 
-def _time_average(rho: FockMatrix, eig: Eigensystem,
-                  delta: float) -> tuple[np.ndarray, FockMatrix]:
-    """The time average in the eigenbasis (E, V) of H_n, and rotated back to
-    the number basis, both divided by the number-basis trace.
+def _time_average(rho_eig: np.ndarray, values: np.ndarray,
+                  delta: float) -> np.ndarray:
+    """The time average of rho_eig, a moment matrix in the eigenbasis of H_n
+    whose eigenvalues are values, divided by its trace.
 
     Trapezoid quadrature at step dt = min(0.01, delta/1000).  An energy
     offset E in H - E would cancel between the two exponentials.  Between
@@ -405,38 +404,36 @@ def _time_average(rho: FockMatrix, eig: Eigensystem,
         raise ValueError("delta must be positive")
     dt, steps = quadrature(delta)
     steps = max(1, int(round(steps)))
-    # V^H rho V, and V averaged V^H below, as (R (R M)^H)^H
-    rho_eig = eig.to_eigenbasis(eig.to_eigenbasis(rho.data).conj().T).conj().T
-    h = (eig.values[:, None] - eig.values[None, :]) * (dt / 2)
+    h = (values[:, None] - values[None, :]) * (dt / 2)
     h -= math.pi * np.round(h / math.pi)
     zero = h == 0
     phase_sum = np.where(zero, steps, np.exp(1j * steps * h) * np.sin(steps * h)
                          / np.tan(np.where(zero, 1.0, h)))
     averaged = rho_eig * phase_sum * (dt / delta)
-    out = eig.from_eigenbasis(eig.from_eigenbasis(averaged).conj().T).conj().T
-    norm = np.trace(out).real
-    return averaged / norm, FockMatrix(rho.modes, rho.cutoff, out / norm)
+    return averaged / np.trace(averaged).real
 
 
-def projection_decay(rho: FockMatrix, hamiltonian: NormalFormOperator,
+def projection_decay(rho: MemberBlock, hamiltonian: NormalFormOperator,
                      deltas):
     """Rows (delta, largest off-diagonal element, C estimate, trace error)
     of the time average at each delta, and the spread of the C estimates.
 
-    Off-diagonal means between distinct eigenvalues of H_n, read in its
-    eigenbasis: those are the elements the average suppresses like C/delta.
-    The trace error is read in the number basis.  The spread is
-    max/min of off * delta, infinite when some average has none left.
-    H_n is diagonalized once (fock.eigensystem) for the mask and every
-    delta.
+    The members W of rho are read once in the eigenbasis (E, V) of H_n
+    (fock.eigensystem), X = V^H W, and each delta averages X diag(p) X^H.
+    Off-diagonal means between distinct eigenvalues of H_n: the elements
+    the average suppresses like C/delta.  The trace error, which no basis
+    changes, is read there too.  The spread is max/min of off * delta,
+    infinite when some average has none left.
     """
     eig = eigensystem(hamiltonian, rho.cutoff)
+    x = eig.to_eigenbasis(rho.vectors)
+    rho_eig = (x * rho.weights) @ x.conj().T
     gap = np.abs(eig.values[:, None] - eig.values[None, :]) > 1e-9
     rows = []
     for delta in deltas:
-        averaged, out = _time_average(rho, eig, delta)
+        averaged = _time_average(rho_eig, eig.values, delta)
         off = float(np.max(np.abs(averaged[gap]))) if gap.any() else 0.0
-        rows.append((delta, off, off * delta, abs(out.trace() - 1.0)))
+        rows.append((delta, off, off * delta, abs(np.trace(averaged) - 1.0)))
     estimates = [row[2] for row in rows]
     band = max(estimates) / min(estimates) if min(estimates) > 0 else math.inf
     return rows, band

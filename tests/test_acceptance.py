@@ -219,9 +219,8 @@ def test_projection_decay_catches_an_average_over_the_first_delta(
     assert verify_run("projection-offdiagonal-decay").passed
     average = evolution._time_average
 
-    def first_delta(rho, eig, delta):
-        averaged, out = average(rho, eig, delta)
-        return averaged * (delta / 50), out
+    def first_delta(rho_eig, values, delta):
+        return average(rho_eig, values, delta) * (delta / 50)
 
     monkeypatch.setattr(evolution, "_time_average", first_delta)
     result = verify_run("projection-offdiagonal-decay")

@@ -2,7 +2,8 @@
 oracle: perfbench/workloads.py recomputes every output with code that
 shares nothing with the package, so a change that breaks a workload's
 answers fails here, not first in a benchmark run.  The configs are the
-benchmark's own, drawn from seed 7, run 0; perfbench/ is only read."""
+benchmark's own, run 0 of seeds 7 and 31, so each oracle checks two configs
+per workload; perfbench/ is only read."""
 
 import importlib.util
 import sys
@@ -19,9 +20,15 @@ workloads = sys.modules.setdefault(_SPEC.name,
 _SPEC.loader.exec_module(workloads)
 
 
-@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
-def test_workload_passes_its_oracle(tmp_path, workload):
-    config = workloads.make_config(workload, 7, 0)
+# run 0 of seed 7 under the workload's own name, and of seed 31 beside it
+RUNS = [pytest.param(workload, seed, id=workload + suffix)
+        for seed, suffix in ((7, ""), (31, "-seed31"))
+        for workload in sorted(workloads.WORKLOADS)]
+
+
+@pytest.mark.parametrize("workload, seed", RUNS)
+def test_workload_passes_its_oracle(tmp_path, workload, seed):
+    config = workloads.make_config(workload, seed, 0)
     path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_bytes(workloads.config_bytes(config))
     code = main([workloads.WORKLOADS[workload].suite, "--config", str(path),

@@ -208,6 +208,16 @@ class TestExitCodes:
         ("verify", "ensemble", {"members": [
             {"phi": [1.0], "pi": [0.0], "w": "1"}]}),
         ("project", "t", 0.0015),
+        # state, an ensemble of either kind and a member take only their
+        # own keys, as the top level does
+        ("iee", "ensemble", {"kind": "phase_circle", "point": 8}),
+        ("iee", "ensemble", {"kind": "phase_circle", "members": [
+            {"phi": [1.0], "pi": [0.0], "w": 1.0}]}),
+        ("iee", "ensemble", {"members": [
+            {"phi": [1.0], "pi": [0.0], "w": 1.0}], "radius": 2.0}),
+        ("project", "state", {"phi": [1.0], "pi": [0.0], "p": [0.0]}),
+        ("iee", "ensemble", {"members": [
+            {"phi": [1.0], "pi": [0.0], "w": 1.0, "weight": 1.0}]}),
     ], ids=["t-text", "deltas-scalar", "deltas-empty", "bindings-text",
             "sweep-two-keys", "cutoffs-scalar", "observables-scalar",
             "observables-number-entry", "evolve-cutoff-one", "iee-cutoff-one",
@@ -227,7 +237,9 @@ class TestExitCodes:
             "state-boolean-among-numbers",
             "member-boolean-weight", "member-nested-boolean",
             "state-bare-number", "verify-state", "verify-members",
-            "project-t-not-a-multiple"])
+            "project-t-not-a-multiple", "phase-circle-typo",
+            "phase-circle-members", "members-radius", "state-unknown-key",
+            "member-unknown-key"])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, experiment,
                                          name, value):
         cfg = write_config(tmp_path, "bad.json", {name: value, "seed": 1})

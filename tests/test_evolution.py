@@ -54,10 +54,18 @@ def state1(phi, pi):
 
 
 def time_average_project(rho, hamiltonian, delta):
-    """The trace-normalized time average of rho over [0, delta], rotated
-    back to the number basis."""
-    return evolution._time_average(
-        rho, eigensystem(hamiltonian, rho.cutoff), delta)[1]
+    """The trace-normalized time average of rho over [0, delta] in the
+    number basis: rho is read in the eigenbasis (E, V) of H_n from both
+    sides, V^H rho V, averaged there and rotated back, V avg V^H."""
+    eig = eigensystem(hamiltonian, rho.cutoff)
+
+    def rotated(matrix, rotate):
+        return rotate(rotate(matrix).conj().T).conj().T
+
+    averaged = evolution._time_average(
+        rotated(rho.data, eig.to_eigenbasis), eig.values, delta)
+    return FockMatrix(rho.modes, rho.cutoff,
+                      rotated(averaged, eig.from_eigenbasis))
 
 
 def number_operator():
@@ -236,7 +244,7 @@ class TestMemberRoute:
 
         monkeypatch.setattr(fock, "realize_matrix", dense)
         lopsided = number_operator() + AD ** 2
-        rho = pure_density(state1(0.5, 0.2), 8)
+        [rho] = Ensemble.pure(state1(0.5, 0.2)).member_blocks(8)
         with pytest.raises(PairingError):
             liouville_flow(np.eye(8, 1), np.ones(1), lopsided, 8)
         with pytest.raises(PairingError):
@@ -964,6 +972,9 @@ class TestTimeAverageProject:
 
 class TestProjectionDecay:
     DELTAS = (50.0, 100.0, 200.0)
+    COUPLED_KERR = ("0.5*(pi1^2+phi1^2) + c1*(phi1^2+pi1^2)^2"
+                    " + 0.5*(pi2^2+phi2^2) + c2*(phi2^2+pi2^2)^2"
+                    " + 0.02*phi1*phi2")
 
     @staticmethod
     def eigenbasis_offdiagonal(rho, hamiltonian, delta):
@@ -986,8 +997,7 @@ class TestProjectionDecay:
         ("0.5*(phi1^2+pi1^2+phi2^2+pi2^2)", {}, 6,
          (1.8397e-3, 1.8235e-3, 1.7597e-3)),
         # coupled Kerr modes: H_n is not diagonal in the number basis
-        ("0.5*(pi1^2+phi1^2) + c1*(phi1^2+pi1^2)^2 + 0.5*(pi2^2+phi2^2)"
-         " + c2*(phi2^2+pi2^2)^2 + 0.02*phi1*phi2", {"c1": 0.05, "c2": 0.03},
+        (COUPLED_KERR, {"c1": 0.05, "c2": 0.03},
          24, (0.09590, 0.08416, 0.04547)),
     ], ids=["degenerate-oscillator", "coupled-kerr"])
     def test_offdiagonal_is_read_in_the_eigenbasis(self, text, bindings, D,
@@ -995,7 +1005,8 @@ class TestProjectionDecay:
         h_n = poly_to_normal_form(parse_poly(text, bindings))
         state = ClassicalState(np.array([0.8, 0.5]), np.array([0.1, -0.3]))
         rho = pure_density(state, D)
-        rows, band = projection_decay(rho, h_n, self.DELTAS)
+        [block] = Ensemble.pure(state).member_blocks(D)
+        rows, band = projection_decay(block, h_n, self.DELTAS)
         for (delta, off, estimate, trace_error), want in zip(rows, offs):
             oracle = self.eigenbasis_offdiagonal(rho, h_n, delta)
             assert off == pytest.approx(oracle, rel=1e-8)
@@ -1003,6 +1014,23 @@ class TestProjectionDecay:
             assert estimate == off * delta
             assert trace_error <= 1e-10
         assert band <= 4.0
+
+    def test_a_wide_mixed_block_is_read_in_the_eigenbasis(self):
+        # 16 members of a two-mode phase circle, one member block, under
+        # the coupled Kerr H_n, which is not diagonal in the number basis
+        D = 8
+        h_n = poly_to_normal_form(parse_poly(
+            self.COUPLED_KERR, {"c1": 0.05, "c2": 0.03}))
+        ensemble = Ensemble.phase_circle(1.0, 16, modes=2)
+        [block] = ensemble.member_blocks(D)
+        assert block.vectors.shape == (D * D, 16)
+        rho = ensemble_density(ensemble, D)
+        rows, _ = projection_decay(block, h_n, self.DELTAS)
+        for delta, off, estimate, trace_error in rows:
+            oracle = self.eigenbasis_offdiagonal(rho, h_n, delta)
+            assert off == pytest.approx(oracle, rel=1e-8)
+            assert estimate == off * delta
+            assert trace_error <= 1e-10
 
 
 class TestSectors:
@@ -1168,7 +1196,8 @@ class TestSectors:
         for t in (0.0, 0.37, 2.9):
             want = dense_liouville(rho, H, t)
             assert np.max(np.abs(at(t).dense().data - want)) <= 1e-12
-        rows, _ = projection_decay(rho, H, TestProjectionDecay.DELTAS)
+        [block] = Ensemble.pure(state).member_blocks(D)
+        rows, _ = projection_decay(block, H, TestProjectionDecay.DELTAS)
         for delta, off, _, _ in rows:
             oracle = TestProjectionDecay.eigenbasis_offdiagonal(rho, H, delta)
             assert off == pytest.approx(oracle, rel=1e-8)

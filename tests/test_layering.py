@@ -2,15 +2,18 @@
 modules below it, so no import cycle can form.  One spectral primitive,
 fock.eigensystem, diagonalizes every operator: no module grows a private
 eigensolver.  One eigenbasis action, fock.Eigensystem.flow, moves vectors
-by V e^{-sE} V^H: outside fock only the projection's two-sided time average
-rotates into and out of an eigenbasis itself.  Only criterion 5's dense
-oracle realizes a dense matrix; the spectral primitive sums its sector
-blocks straight from the compiled words.  An operator has one compiled
-form, the flat-shift passes of fock.compile_operator, which alone decides
-whether its pads are real.  fock.apply walks them for reification and for
-criterion 1, and only two functions outside fock read them: the master
-law's MasterTerms.__init__, which plans master_rhs's row blocks from them,
-and reify.s_action, for the Taylor step bound of the S generator.  Every
+by V e^{-sE} V^H: outside fock only the projection reads its members into
+an eigenbasis itself, once, and nothing rotates out of one.  Only
+criterion 5's dense oracle realizes a dense matrix; the spectral primitive
+sums its sector blocks straight from the compiled words.  A moment matrix
+is made dense only where the math needs it: the master law, the fold of a
+wide ensemble, criteria 2 and 3 and snapshots.  An operator has one
+compiled form, the flat-shift passes of fock.compile_operator, which alone
+decides whether its pads are real.  fock.apply walks them for reification
+and for criterion 1, and only two functions outside fock read them: the
+master law's MasterTerms.__init__, which plans master_rhs's row blocks
+from them, and reify.s_action, for the Taylor step bound of the S
+generator.  Every
 pass/fail is decided in acceptance: no other module builds a CheckResult
 or holds a tolerance.  The CLI reads a config once, at load: only
 ExperimentConfig.validate loads the raw state and ensemble fields, and the
@@ -97,16 +100,36 @@ def test_dense_realization_only_in_the_oracle():
     assert callers({"realize_matrix"}) == REALIZE_CALLERS
 
 
-# the one function outside fock allowed to rotate into or out of an
-# eigenbasis: the projection's time average, which rotates rho from both
-# sides; every one-sided action is Eigensystem.flow
-ROTATION_CALLERS = {("evolution", "_time_average")}
+# the one function outside fock allowed to read vectors into an eigenbasis:
+# the projection, which reads its members once; every action that rotates
+# back is Eigensystem.flow
+ROTATION_CALLERS = {("evolution", "projection_decay")}
 
 
 def test_one_eigenbasis_action():
-    assert {(module, scope) for module, scope
-            in callers({"to_eigenbasis", "from_eigenbasis"})
-            if module != "fock"} == ROTATION_CALLERS
+    def outside_fock(name):
+        return {(module, scope) for module, scope in callers({name})
+                if module != "fock"}
+
+    assert outside_fock("to_eigenbasis") == ROTATION_CALLERS
+    assert outside_fock("from_eigenbasis") == set()
+
+
+# the functions allowed to make a moment matrix dense: the two builders,
+# the master law and the fold of a wide ensemble (density_samples), the
+# dense routes of criteria 2 and 3, and snapshots (MemberBlock.to_json)
+DENSE_CALLERS = {
+    ("states", "pure_density"), ("states", "ensemble_density"),
+    ("evolution", "density_samples"),
+    ("acceptance", "expectation_identity"),
+    ("acceptance", "master_vs_classical_flow"),
+    ("fock", "to_json"),
+}
+
+
+def test_moment_matrices_are_made_dense_only_where_the_math_needs_it():
+    assert callers({"pure_density", "ensemble_density", "dense"}) \
+        == DENSE_CALLERS
 
 
 # the functions outside fock allowed to read the passes of a compiled
