@@ -12,8 +12,9 @@ Randomized suites draw from one seeded generator, split into independent
 child streams per sub-check, so no sub-check's draws depend on another's.
 
 Every input of the config is read once, at load, whatever the suite:
-``ExperimentConfig.validate`` checks each field, parses each polynomial and
-builds the classical state, the ensemble and evolve's step count, and the
+``ExperimentConfig.validate`` checks each field, builds the classical state,
+the ensemble and evolve's step count, and fits each polynomial to the mode
+count of the suite's input at the bindings and at each swept value; the
 suite runners take those.  Every number in a config is a JSON number, not a
 boolean or a string, that fits a float.
 
@@ -55,7 +56,13 @@ from .fock import (
     check_dimension,
     compile_operator,
 )
-from .poly import PolyExpr, PolyParseError, ProductSizeError, parse_poly
+from .poly import (
+    _VAR_RE,
+    PolyExpr,
+    PolyParseError,
+    ProductSizeError,
+    parse_poly,
+)
 from .reify import PoleError, flow_coeffs, rho_z_trace
 from .states import (
     AmplitudeOverflowError,
@@ -274,15 +281,20 @@ class ExperimentConfig:
                            for vs in self.sweep.values())):
             raise ConfigError("sweep: must map one binding name to a nonempty "
                               "list of finite numbers")
+        for name in ("bindings", "sweep"):
+            for key in filter(_VAR_RE.match, getattr(self, name)):
+                raise ConfigError(f"{name}: {key!r} is a variable of the "
+                                  "grammar, which no binding replaces")
         if (not isinstance(self.cutoffs, list)
                 or any(not isinstance(c, int) or c < 2 for c in self.cutoffs)
                 or not 2 <= len(set(self.cutoffs)) == len(self.cutoffs)):
             raise ConfigError("cutoffs: must be a list of at least two "
                               "distinct integers >= 2")
-        if (self.snapshot_every is not None
-                and not _is_positive_int(self.snapshot_every)):
-            raise ConfigError("snapshot_every: must be a positive integer when "
-                              "given")
+        if self.snapshot_every is not None and not (
+                _is_positive_int(self.snapshot_every)
+                and self.snapshot_every % self.sample_every == 0):
+            raise ConfigError("snapshot_every: must be a positive multiple of "
+                              "sample_every when given")
         if (not isinstance(self.observables, list)
                 or not all(isinstance(t, str) for t in self.observables)):
             raise ConfigError("observables: must be a list of polynomial "
@@ -299,10 +311,6 @@ class ExperimentConfig:
             raise ConfigError("hamiltonian: must be a polynomial string")
         if not isinstance(self.out, str):
             raise ConfigError("out: must be a directory path string")
-        # each text parsed once at the bindings, kept for _fit
-        self._parsed = {text: _parse(name, text, self.bindings)
-                        for name, text in [("hamiltonian", self.hamiltonian)]
-                        + [("observables", text) for text in self.observables]}
         self.initial_state = _read_state("state", self.state)
         if self.experiment == "reify" and self.initial_state.modes != 1:
             raise ConfigError(f"state: the single-mode recoding takes a "
@@ -313,34 +321,36 @@ class ExperimentConfig:
                                  if self.ensemble is None
                                  else _read_ensemble(self.ensemble,
                                                      self.cutoff))
-
-    def hamiltonian_on(self, modes: int,
-                       bindings: dict | None = None) -> PolyExpr:
-        """The Hamiltonian on the state's mode count (see ``_fit``)."""
-        return self._fit("hamiltonian", self.hamiltonian, modes, bindings)
-
-    def observables_on(self, modes: int, bindings: dict | None = None
-                       ) -> list[tuple[str, PolyExpr]]:
-        """(text, polynomial) of each observable on the state's mode count."""
-        return [(text, self._fit("observables", text, modes, bindings))
-                for text in self.observables]
-
-    def _fit(self, name: str, text: str, modes: int,
-             bindings: dict | None) -> PolyExpr:
-        """The one mode-consistency check: a polynomial on fewer modes than
-        the state is promoted, one on more is a configuration error naming
-        its field, and a mode count over the dimension cap at the cutoff is
-        refused before anything is promoted to it.  Without bindings it
-        takes the parse that ``validate`` kept; with a swept binding's
-        bindings it parses again, so a swept value that overflows a
-        coefficient is refused here."""
+        # every suite's polynomials on its input's mode count, checked at
+        # the cutoff before anything is promoted to it
+        modes = (self.initial_ensemble if self.experiment in ("evolve", "iee")
+                 else self.initial_state).modes
         check_dimension(modes, self.cutoff)
-        p = (self._parsed[text] if bindings is None
-             else _parse(name, text, bindings))
-        if p.modes > modes:
-            raise ConfigError(f"{name}: {text!r} has {p.modes} modes, the state "
-                              f"has {modes}")
-        return p.promote(modes)
+        self.fit = self._fitted(self.bindings, modes)
+        # discrepancy's runs: one per swept value, else one at the bindings
+        if self.sweep:
+            [(self.run_column, values)] = self.sweep.items()
+            self.runs = [(value, *self._fitted(
+                {**self.bindings, self.run_column: value}, modes))
+                for value in values]
+        else:
+            self.run_column = "m"
+            self.runs = [(self.bindings.get("m", 1.0), *self.fit)]
+
+    def _fitted(self, bindings: dict, modes: int) -> tuple:
+        """The Hamiltonian and the (text, polynomial) of each observable,
+        parsed at bindings and promoted to modes; a polynomial on more
+        modes is a configuration error naming its field."""
+        fits = []
+        for name, text in ([("hamiltonian", self.hamiltonian)]
+                           + [("observables", t) for t in self.observables]):
+            p = _parse(name, text, bindings)
+            if p.modes > modes:
+                raise ConfigError(f"{name}: {text!r} has {p.modes} modes, "
+                                  f"the suite's input has {modes}")
+            fits.append(p.promote(modes))
+        h, *observables = fits
+        return h, list(zip(self.observables, observables))
 
     def canonical_json(self) -> str:
         data = {k: getattr(self, k) for k in sorted(self.__dataclass_fields__)}
@@ -417,19 +427,12 @@ def run_verify(config: ExperimentConfig) -> SuiteResult:
 
 def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
     state = config.initial_state
-    if config.sweep:
-        [(name, values)] = config.sweep.items()
-        runs = [(value, {**config.bindings, name: value}) for value in values]
-    else:
-        # the validated parse, at the config's own bindings
-        name, runs = "m", [(config.bindings.get("m", 1.0), None)]
-    columns = [name, "observable", "g_hat_re", "g_hat_im", "g_dot",
-               "direct_re", "direct_im", "closed_re", "closed_im",
+    columns = [config.run_column, "observable", "g_hat_re", "g_hat_im",
+               "g_dot", "direct_re", "direct_im", "closed_re", "closed_im",
                "residual"]
     rows, reports = [], []
-    for value, bindings in runs:
-        h = config.hamiltonian_on(state.modes, bindings)
-        for text, g in config.observables_on(state.modes, bindings):
+    for value, h, observables in config.runs:
+        for text, g in observables:
             rep = discrepancy_report(state, g, h, config.cutoff)
             reports.append(rep)
             rows.append((value, text, rep.g_hat.real, rep.g_hat.imag,
@@ -441,8 +444,8 @@ def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
 
 def run_evolve(config: ExperimentConfig) -> SuiteResult:
     ensemble = config.initial_ensemble
-    h_n = poly_to_normal_form(config.hamiltonian_on(ensemble.modes))
-    observables = config.observables_on(ensemble.modes)
+    h, observables = config.fit
+    h_n = poly_to_normal_form(h)
     tables = [compile_operator(poly_to_normal_form(g), config.cutoff)
               for _, g in observables]
     columns = ["t", "trace_re", "trace_im"] + [f"<{text}>" for text, _ in observables]
@@ -475,9 +478,8 @@ def run_reify(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_project(config: ExperimentConfig) -> SuiteResult:
-    state = config.initial_state
-    h_n = poly_to_normal_form(config.hamiltonian_on(state.modes))
-    [rho] = Ensemble.pure(state).member_blocks(config.cutoff)
+    h_n = poly_to_normal_form(config.fit[0])
+    [rho] = Ensemble.pure(config.initial_state).member_blocks(config.cutoff)
     columns = ["delta", "max_offdiagonal", "c_estimate", "trace_error"]
     rows, band = projection_decay(rho, h_n, config.deltas)
     return SuiteResult(columns, rows, [projection_check(band)])
@@ -485,8 +487,7 @@ def run_project(config: ExperimentConfig) -> SuiteResult:
 
 def run_iee(config: ExperimentConfig) -> SuiteResult:
     ensemble = config.initial_ensemble
-    h = config.hamiltonian_on(ensemble.modes)
-    observables = config.observables_on(ensemble.modes)
+    h, observables = config.fit
     report = iee_check(ensemble, h, [g for _, g in observables], config.cutoff)
     check = equilibrium_check(report)
     columns = ["observable", "g_hat_re", "g_hat_im", "g_dot",

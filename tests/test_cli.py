@@ -145,7 +145,10 @@ class TestExitCodes:
         })
         assert main(["iee", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("experiment, name, value", [
+    # each row: the suite, the field named, its bad value and any field it
+    # needs beside it
+    @pytest.mark.parametrize("experiment, name, value, beside", [
+        *[(experiment, name, value, {}) for experiment, name, value in [
         ("evolve", "t", "1"),
         ("project", "deltas", 5),
         ("project", "deltas", []),
@@ -218,6 +221,18 @@ class TestExitCodes:
         ("project", "state", {"phi": [1.0], "pi": [0.0], "p": [0.0]}),
         ("iee", "ensemble", {"members": [
             {"phi": [1.0], "pi": [0.0], "w": 1.0, "weight": 1.0}]}),
+        ]],
+        # snapshots are taken only at samples
+        ("evolve", "snapshot_every", 3, {"sample_every": 2}),
+        # a variable of the grammar is never substituted
+        ("project", "bindings", {"m": 1.0, "phi1": 2.0}, {}),
+        ("discrepancy", "sweep", {"pi1": [1.0, 2.0]}, {}),
+        # every suite fits each polynomial to its input at load: the mode
+        # count, and each swept value's coefficients
+        ("verify", "hamiltonian", "0.5*phi2^2 + 0.5*pi2^2", {}),
+        ("reify", "observables", ["phi2*pi2"], {}),
+        ("evolve", "hamiltonian", "m*m*phi1^2 + pi1^2",
+         {"sweep": {"m": [1e200]}}),
     ], ids=["t-text", "deltas-scalar", "deltas-empty", "bindings-text",
             "sweep-two-keys", "cutoffs-scalar", "observables-scalar",
             "observables-number-entry", "evolve-cutoff-one", "iee-cutoff-one",
@@ -239,10 +254,14 @@ class TestExitCodes:
             "state-bare-number", "verify-state", "verify-members",
             "project-t-not-a-multiple", "phase-circle-typo",
             "phase-circle-members", "members-radius", "state-unknown-key",
-            "member-unknown-key"])
+            "member-unknown-key", "snapshot-not-a-multiple",
+            "binding-named-a-variable", "sweep-named-a-variable",
+            "verify-hamiltonian-modes", "reify-observable-modes",
+            "evolve-swept-overflow"])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, experiment,
-                                         name, value):
-        cfg = write_config(tmp_path, "bad.json", {name: value, "seed": 1})
+                                         name, value, beside):
+        cfg = write_config(tmp_path, "bad.json",
+                           {**beside, name: value, "seed": 1})
         code = main([experiment, "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
         assert code == 2
@@ -474,6 +493,18 @@ class TestExitCodes:
         assert "numerical failure: 13 modes at cutoff 2" in err
         assert str(DIM_CAP) in err
 
+    # the input's dimension at cutoff is checked at load under every suite,
+    # also under reify, which runs on its cutoffs
+    def test_input_dimension_past_the_cap_exits_3_under_reify(
+            self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cutoff.json", {"cutoff": 5000})
+        code = main(["reify", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: 1 modes at cutoff 5000" in err
+        assert not (tmp_path / "out").exists()
+
     # math.comb(2000, k) * a**k cannot be converted to a float
     @pytest.mark.parametrize("experiment, data", [
         ("project", {"hamiltonian": "phi1^2000"}),
@@ -513,7 +544,7 @@ class TestExitCodes:
         ("discrepancy", {"observables": ["1e308*1e308*phi1"]}, "observables"),
         ("iee", {"observables": ["1e308*1e308*phi1"]}, "observables"),
         ("evolve", {"observables": ["1e308*phi1^2*1e308"]}, "observables"),
-        # the sweep value is bound only at run time
+        # each swept value is bound at load
         ("discrepancy", {"sweep": {"m": [1e308]},
                          "hamiltonian": "m*m*phi1^2+pi1^2"}, "hamiltonian"),
     ], ids=["evolve-liouville-hamiltonian", "evolve-master-hamiltonian",

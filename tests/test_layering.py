@@ -16,8 +16,10 @@ from them, and reify.s_action, for the Taylor step bound of the S
 generator.  Every
 pass/fail is decided in acceptance: no other module builds a CheckResult
 or holds a tolerance.  The CLI reads a config once, at load: only
-ExperimentConfig.validate loads the raw state and ensemble fields, and the
-CLI converts no config entry with numpy.  And the package defines nothing
+ExperimentConfig.validate loads the raw state and ensemble fields, only it
+and the helper it fits each polynomial with load the Hamiltonian, the
+observables, the bindings and the sweep, and the CLI converts no config
+entry with numpy.  And the package defines nothing
 it does not run: every exported name, every module-level function and
 class and every method or property has a caller in the package, apart
 from the definitions in UNCALLED, each kept for a stated reason."""
@@ -231,6 +233,18 @@ def float_constants(tree):
 def test_only_validate_loads_the_raw_state_and_ensemble():
     assert {scope for module, scope in callers({"state", "ensemble"})
             if module == "cli"} == {"validate"}
+
+
+# the functions of cli allowed to load the polynomial texts and what they
+# are parsed at: validate, and the helper that fits each polynomial to the
+# suite's input for it
+FIT_READERS = {"validate", "_fitted"}
+
+
+def test_only_validate_fits_the_polynomials():
+    assert {scope for module, scope in callers(
+        {"hamiltonian", "observables", "bindings", "sweep"})
+        if module == "cli"} == FIT_READERS
 
 
 def test_the_cli_converts_no_config_entry_with_numpy():
