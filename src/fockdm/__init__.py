@@ -32,10 +32,8 @@ from .algebra import (
 from .discrepancy import (
     DiscrepancyReport,
     discrepancy_closed_form,
-    discrepancy_report,
     ensemble_fluxes,
     flux_operator,
-    iee_check,
     quantum_flux,
     rescale_field,
     scaling_condition_residual,

@@ -11,12 +11,13 @@ hash, library versions, and one named pass/fail entry per executed check.
 Randomized suites draw from one seeded generator, split into independent
 child streams per sub-check, so no sub-check's draws depend on another's.
 
-Every input of the config is read once, at load, whatever the suite:
-``ExperimentConfig.validate`` checks each field, builds the classical state,
-the ensemble and evolve's step count, and fits each polynomial to the mode
-count of the suite's input at the bindings and at each swept value; the
-suite runners take those.  Every number in a config is a JSON number, not a
-boolean or a string, that fits a float.
+A suite reads the fields ``SUITE_FIELDS`` gives it, and experiment, seed and
+out; any other field given is refused, so an unread field holds its default.
+Every input is read once, at load: ``ExperimentConfig.validate`` checks each
+field, builds the input ensemble (a state is an ensemble of one) and
+evolve's step count, and fits each polynomial to the ensemble's modes at the
+bindings and at each swept value.  Every number in a config is a JSON
+number, not a boolean or a string, that fits a float.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad configuration,
 3 numerical or resource failure, at load or while running, an output that
@@ -32,7 +33,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,7 @@ from .acceptance import (
     trace_drift_check,
 )
 from .algebra import poly_to_normal_form
-from .discrepancy import discrepancy_report, iee_check
+from .discrepancy import discrepancy_closed_form, ensemble_fluxes
 from .evolution import density_samples, projection_decay, quadrature
 from .fock import (
     DimensionCapError,
@@ -71,12 +72,28 @@ from .states import (
     step_count,
 )
 
-EXPERIMENTS = ("verify", "discrepancy", "evolve", "reify", "project", "iee")
+# the fields each suite reads, beside EVERY_SUITE's
+SUITE_FIELDS = {
+    "verify": ("cutoff",),
+    "discrepancy": ("hamiltonian", "bindings", "observables", "state",
+                    "ensemble", "cutoff", "sweep"),
+    "evolve": ("hamiltonian", "bindings", "observables", "state", "ensemble",
+               "cutoff", "dt", "t", "generator", "sample_every",
+               "snapshot_every"),
+    "reify": ("state", "alpha_points", "alpha_margin", "cutoffs"),
+    "project": ("hamiltonian", "bindings", "state", "cutoff", "deltas"),
+    "iee": ("hamiltonian", "bindings", "observables", "state", "ensemble",
+            "cutoff"),
+}
+EVERY_SUITE = ("experiment", "seed", "out")
+EXPERIMENTS = tuple(SUITE_FIELDS)
 
 # the most steps t/dt that fockdm evolve accepts; checked at load time
 MAX_STEPS = 10 ** 6
 # the most members of a phase_circle ensemble; checked at load time
 MAX_POINTS = 10 ** 5
+# the most values of a sweep, each fitted at load; checked at load time
+MAX_SWEEP_VALUES = 10 ** 3
 # the most points of the reify alpha grid; checked at load time
 MAX_ALPHA_POINTS = 10 ** 5
 # the most trapezoid steps N of one projection time average; checked at load
@@ -222,10 +239,14 @@ class ExperimentConfig:
             raise ConfigError("config: top level must be a JSON object")
         _known("config", obj, cls.__dataclass_fields__)
         obj = {"experiment": "verify", **obj}
-        if (isinstance(obj["experiment"], str)
-                and not {"state", "ensemble"} & obj.keys()):
-            obj = {**copy.deepcopy(SUITE_INPUTS.get(obj["experiment"], {})),
-                   **obj}
+        suite = obj["experiment"]
+        if suite in EXPERIMENTS:
+            unread = set(obj) - set(SUITE_FIELDS[suite] + EVERY_SUITE)
+            if unread:
+                raise ConfigError(f"{sorted(unread)[0]}: the {suite} suite "
+                                  "does not read it")
+            if not {"state", "ensemble"} & obj.keys():
+                obj = {**copy.deepcopy(SUITE_INPUTS.get(suite, {})), **obj}
         cfg = cls(**obj)
         cfg.validate()
         return cfg
@@ -276,11 +297,13 @@ class ExperimentConfig:
         if (not isinstance(self.bindings, dict)
                 or not all(map(_is_number, self.bindings.values()))):
             raise ConfigError("bindings: must map names to finite numbers")
+        # a sweep's length is checked before any of its values is
         if (not isinstance(self.sweep, dict) or len(self.sweep) > 1
-                or not all(_numbers(vs) and vs
-                           for vs in self.sweep.values())):
-            raise ConfigError("sweep: must map one binding name to a nonempty "
-                              "list of finite numbers")
+                or not all(isinstance(vs, list)
+                           and 0 < len(vs) <= MAX_SWEEP_VALUES
+                           and _numbers(vs) for vs in self.sweep.values())):
+            raise ConfigError(f"sweep: must map one binding name to a list "
+                              f"of 1 to {MAX_SWEEP_VALUES} finite numbers")
         for name in ("bindings", "sweep"):
             for key in filter(_VAR_RE.match, getattr(self, name)):
                 raise ConfigError(f"{name}: {key!r} is a variable of the "
@@ -295,13 +318,10 @@ class ExperimentConfig:
                 and self.snapshot_every % self.sample_every == 0):
             raise ConfigError("snapshot_every: must be a positive multiple of "
                               "sample_every when given")
-        if (not isinstance(self.observables, list)
+        if (not isinstance(self.observables, list) or not self.observables
                 or not all(isinstance(t, str) for t in self.observables)):
-            raise ConfigError("observables: must be a list of polynomial "
-                              "strings")
-        if not self.observables and self.experiment in ("discrepancy", "evolve",
-                                                        "iee"):
-            raise ConfigError("observables: must be nonempty")
+            raise ConfigError("observables: must be a nonempty list of "
+                              "polynomial strings")
         if self.seed is not None and not (_is_int(self.seed)
                                           and self.seed >= 0):
             raise ConfigError("seed: must be an integer >= 0")
@@ -311,23 +331,20 @@ class ExperimentConfig:
             raise ConfigError("hamiltonian: must be a polynomial string")
         if not isinstance(self.out, str):
             raise ConfigError("out: must be a directory path string")
-        self.initial_state = _read_state("state", self.state)
-        if self.experiment == "reify" and self.initial_state.modes != 1:
+        # the input: the ensemble, or else the state as an ensemble of one
+        state = _read_state("state", self.state)
+        if self.experiment == "reify" and state.modes != 1:
             raise ConfigError(f"state: the single-mode recoding takes a "
-                              f"one-mode state, not "
-                              f"{self.initial_state.modes} modes")
-        # evolve's and iee's input: the ensemble, or else the pure state
-        self.initial_ensemble = (Ensemble.pure(self.initial_state)
-                                 if self.ensemble is None
+                              f"one-mode state, not {state.modes} modes")
+        self.initial_ensemble = (Ensemble.pure(state) if self.ensemble is None
                                  else _read_ensemble(self.ensemble,
                                                      self.cutoff))
-        # every suite's polynomials on its input's mode count, checked at
-        # the cutoff before anything is promoted to it
-        modes = (self.initial_ensemble if self.experiment in ("evolve", "iee")
-                 else self.initial_state).modes
+        # the polynomials on the input's mode count, checked at the cutoff
+        # before anything is promoted to it
+        modes = self.initial_ensemble.modes
         check_dimension(modes, self.cutoff)
-        self.fit = self._fitted(self.bindings, modes)
-        # discrepancy's runs: one per swept value, else one at the bindings
+        fit = self._fitted(self.bindings, modes)
+        # the runs: one per swept value, else one at the bindings
         if self.sweep:
             [(self.run_column, values)] = self.sweep.items()
             self.runs = [(value, *self._fitted(
@@ -335,7 +352,7 @@ class ExperimentConfig:
                 for value in values]
         else:
             self.run_column = "m"
-            self.runs = [(self.bindings.get("m", 1.0), *self.fit)]
+            self.runs = [(self.bindings.get("m", 1.0), *fit)]
 
     def _fitted(self, bindings: dict, modes: int) -> tuple:
         """The Hamiltonian and the (text, polynomial) of each observable,
@@ -426,14 +443,17 @@ def run_verify(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
-    state = config.initial_state
+    ensemble = config.initial_ensemble
     columns = [config.run_column, "observable", "g_hat_re", "g_hat_im",
                "g_dot", "direct_re", "direct_im", "closed_re", "closed_im",
                "residual"]
     rows, reports = [], []
     for value, h, observables in config.runs:
-        for text, g in observables:
-            rep = discrepancy_report(state, g, h, config.cutoff)
+        fluxes = ensemble_fluxes(ensemble, h, [g for _, g in observables],
+                                 config.cutoff)
+        for (text, g), flux in zip(observables, fluxes):
+            rep = replace(flux, closed_form=discrepancy_closed_form(
+                ensemble, g, h))
             reports.append(rep)
             rows.append((value, text, rep.g_hat.real, rep.g_hat.imag,
                          rep.g_dot, rep.direct.real, rep.direct.imag,
@@ -444,7 +464,7 @@ def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
 
 def run_evolve(config: ExperimentConfig) -> SuiteResult:
     ensemble = config.initial_ensemble
-    h, observables = config.fit
+    [(_, h, observables)] = config.runs
     h_n = poly_to_normal_form(h)
     tables = [compile_operator(poly_to_normal_form(g), config.cutoff)
               for _, g in observables]
@@ -463,7 +483,7 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_reify(config: ExperimentConfig) -> SuiteResult:
-    state = config.initial_state
+    [(state, _)] = config.initial_ensemble.members
     grid = np.linspace(0.0, math.pi / 4 - config.alpha_margin,
                        config.alpha_points)
     columns = ["alpha", "norm", "cutoff", "residual_a7", "residual_a8",
@@ -478,23 +498,24 @@ def run_reify(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_project(config: ExperimentConfig) -> SuiteResult:
-    h_n = poly_to_normal_form(config.fit[0])
-    [rho] = Ensemble.pure(config.initial_state).member_blocks(config.cutoff)
+    [(_, h, _)] = config.runs
+    h_n = poly_to_normal_form(h)
+    [rho] = config.initial_ensemble.member_blocks(config.cutoff)
     columns = ["delta", "max_offdiagonal", "c_estimate", "trace_error"]
     rows, band = projection_decay(rho, h_n, config.deltas)
     return SuiteResult(columns, rows, [projection_check(band)])
 
 
 def run_iee(config: ExperimentConfig) -> SuiteResult:
-    ensemble = config.initial_ensemble
-    h, observables = config.fit
-    report = iee_check(ensemble, h, [g for _, g in observables], config.cutoff)
-    check = equilibrium_check(report)
+    [(_, h, observables)] = config.runs
+    reports = ensemble_fluxes(config.initial_ensemble, h,
+                              [g for _, g in observables], config.cutoff)
+    check = equilibrium_check(reports)
     columns = ["observable", "g_hat_re", "g_hat_im", "g_dot",
                "discrepancy_re", "discrepancy_im", "equilibrium"]
     rows = [(text, r.g_hat.real, r.g_hat.imag, r.g_dot,
              r.direct.real, r.direct.imag, check.passed)
-            for (text, _), r in zip(observables, report.rows)]
+            for (text, _), r in zip(observables, reports)]
     return SuiteResult(columns, rows, [check])
 
 

@@ -18,7 +18,9 @@ k over the modes,
         ( d^k g/dz^k * d^k H/dy^k  -  d^k g/dy^k * d^k H/dz^k )
 
 evaluated at the state: the commutator of normal-ordered symbols (Agarwal
-and Wolf, Phys. Rev. D 2, 2161, 1970).  For polynomials every derivative
+and Wolf, Phys. Rev. D 2, 2161, 1970).  The gap is linear in the moment
+matrix, so an ensemble's closed form is the weighted average of its
+members' (``discrepancy_closed_form``).  For polynomials every derivative
 past the lower degree vanishes, so the series is summed in full and is
 exact for any polynomial H and g; the tests hold it to the dense-matrix
 route up to degree 5.
@@ -32,8 +34,7 @@ removes it identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import product as iproduct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +46,7 @@ from .states import ClassicalState, Ensemble, poisson_brackets
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """Both fluxes of one observable; discrepancy_report adds the closed
-    form of their gap."""
+    """Both fluxes of one observable, and the closed form of their gap."""
 
     g_hat: complex
     g_dot: float
@@ -90,7 +90,8 @@ def quantum_flux(rho: FockMatrix | MemberBlock, flux: WordTable) -> complex:
     return -1j * rho.expect(flux)
 
 
-def ensemble_fluxes(ensemble: Ensemble, hamiltonian: PolyExpr, observables,
+def ensemble_fluxes(ensemble: Ensemble, hamiltonian: PolyExpr,
+                    observables: list[PolyExpr],
                     cutoff: int) -> list[DiscrepancyReport]:
     """The ensemble-averaged quantum and classical flux of each observable.
 
@@ -99,7 +100,6 @@ def ensemble_fluxes(ensemble: Ensemble, hamiltonian: PolyExpr, observables,
     and g_dot averages the Poisson bracket (``Ensemble.average``); both
     sums start from zero, so a zero flux is +0.0 for any member count.
     """
-    observables = list(observables)
     h = hamiltonian.promote(ensemble.modes)
     h_n = poly_to_normal_form(h)
     fluxes = [flux_operator(g, h_n, cutoff) for g in observables]
@@ -112,43 +112,39 @@ def ensemble_fluxes(ensemble: Ensemble, hamiltonian: PolyExpr, observables,
                                    poisson_brackets(observables, h))]
 
 
-def discrepancy_closed_form(state: ClassicalState, observable: PolyExpr,
+def discrepancy_closed_form(ensemble: Ensemble, observable: PolyExpr,
                             hamiltonian: PolyExpr) -> complex:
     """Derivative-product series for g_hat - g_dot, summed in full over
-    2 <= |k| <= min(deg g, deg H); a k whose products vanish is skipped.
-    Callers may validate it against the direct gap of
-    :func:`ensemble_fluxes`."""
-    n = state.modes
+    2 <= |k| <= min(deg g, deg H) and averaged over the members with their
+    weights, since the gap is linear in the moment matrix.  The partials
+    are derived once; a k whose products vanish is skipped.  Callers may
+    validate it against the direct gap of :func:`ensemble_fluxes`."""
+    n = ensemble.modes
     g = observable.promote(n).to_zy()
     h = hamiltonian.promote(n).to_zy()
-    point = state.zy_point()
-    total = 0.0 + 0.0j
+    terms = []
     for order in range(2, min(g.degree(), h.degree()) + 1):
         for k in _mode_multi_indices(n, order):
-            kz = k + (0,) * n
-            ky = (0,) * n + k
-            gz = g.partial(kz)
-            gy = g.partial(ky)
-            hz = h.partial(kz)
-            hy = h.partial(ky)
+            gz, gy, hz, hy = (f.partial(i) for f in (g, h)
+                              for i in (k + (0,) * n, (0,) * n + k))
             if (gz.is_zero() or hy.is_zero()) and (gy.is_zero() or hz.is_zero()):
                 continue
             weight = 1.0
             for e in k:
                 weight /= math.factorial(e)
+            terms.append((weight, gz, gy, hz, hy))
+    gaps = []
+    for state, p in ensemble.members:
+        point = state.zy_point()
+        total = 0.0 + 0.0j
+        for weight, gz, gy, hz, hy in terms:
             total += weight * (gz.eval(point) * hy.eval(point)
                                - gy.eval(point) * hz.eval(point))
-    return -1j * total
-
-
-def discrepancy_report(state: ClassicalState, observable: PolyExpr,
-                       hamiltonian: PolyExpr, cutoff: int) -> DiscrepancyReport:
-    """The fluxes of the state, an ensemble of one, with the closed-form
-    gap beside the direct one."""
-    [fluxes] = ensemble_fluxes(Ensemble.pure(state), hamiltonian,
-                               [observable], cutoff)
-    return replace(fluxes, closed_form=discrepancy_closed_form(
-        state, observable, hamiltonian))
+        gap = -1j * total
+        gaps.append(complex(p * gap.real, p * gap.imag))
+    # weighted part by part and summed from the first member, so that a pure
+    # state's gap keeps the sign of each zero part
+    return sum(gaps[1:], gaps[0])
 
 
 def rescale_field(hamiltonian: PolyExpr,
@@ -191,33 +187,10 @@ def scaling_condition_residual(hamiltonian: PolyExpr,
     return out
 
 
-@dataclass(frozen=True)
-class IEEReport:
-    rows: tuple[DiscrepancyReport, ...]
-
-    @property
-    def worst(self) -> float:
-        """The largest |flux| of either prediction over the observables."""
-        return float(np.max([(abs(r.g_hat), abs(r.g_dot))
-                             for r in self.rows], initial=0.0))
-
-
-def iee_check(ensemble: Ensemble, hamiltonian: PolyExpr,
-              observables, cutoff: int) -> IEEReport:
-    """Test a candidate equilibrium ensemble against a set of observables.
-
-    The ensemble-averaged quantum flux, classical flux, and their gap are
-    reported per observable (``ensemble_fluxes``), for
-    ``acceptance.equilibrium_check`` to judge.  No attempt is made to
-    construct equilibria.
-    """
-    return IEEReport(rows=tuple(ensemble_fluxes(ensemble, hamiltonian,
-                                                observables, cutoff)))
-
-
 def _mode_multi_indices(modes: int, order: int):
-    """All exponent tuples over the modes with the given total order."""
-    for parts in iproduct(range(order + 1), repeat=modes - 1):
-        if sum(parts) <= order:
-            yield (order - sum(parts),) + parts
-
+    """All exponent tuples over the modes with the given total order, in
+    lexicographic order of all but the first exponent, built directly."""
+    if modes == 1:
+        return [(order,)]
+    return [(first, second, *rest) for second in range(order + 1)
+            for first, *rest in _mode_multi_indices(modes - 1, order - second)]

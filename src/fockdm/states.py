@@ -150,7 +150,9 @@ def pseudo_wavefunction(state: ClassicalState, cutoff: int) -> np.ndarray:
 
     Amplitudes are prod_j z_j^{k_j} e^{-|z_j|^2/2} / sqrt(k_j!), built by the
     stable recurrence v_k = v_{k-1} z / sqrt(k).  The guard |z_j|^2 <= D/4
-    keeps the truncated tail below ~1e-10 in norm.
+    bounds the truncated tail mass 1 - ||w||^2 only loosely: at the guard
+    it is 1.9e-2, 1.1e-3, 4.9e-6, 2.5e-8, 1.3e-10, 4e-15 and 1.4e-19 per
+    mode at D = 4, 8, 16, 24, 32, 48 and 64.
     """
     check_dimension(state.modes, cutoff)
     data = None

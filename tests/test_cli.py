@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import time
@@ -227,12 +229,12 @@ class TestExitCodes:
         # a variable of the grammar is never substituted
         ("project", "bindings", {"m": 1.0, "phi1": 2.0}, {}),
         ("discrepancy", "sweep", {"pi1": [1.0, 2.0]}, {}),
-        # every suite fits each polynomial to its input at load: the mode
-        # count, and each swept value's coefficients
+        # a field the suite does not read is refused, whatever its value;
+        # only discrepancy reads a sweep
         ("verify", "hamiltonian", "0.5*phi2^2 + 0.5*pi2^2", {}),
         ("reify", "observables", ["phi2*pi2"], {}),
-        ("evolve", "hamiltonian", "m*m*phi1^2 + pi1^2",
-         {"sweep": {"m": [1e200]}}),
+        ("evolve", "sweep", {"m": [1e200]},
+         {"hamiltonian": "m*m*phi1^2 + pi1^2"}),
     ], ids=["t-text", "deltas-scalar", "deltas-empty", "bindings-text",
             "sweep-two-keys", "cutoffs-scalar", "observables-scalar",
             "observables-number-entry", "evolve-cutoff-one", "iee-cutoff-one",
@@ -335,10 +337,12 @@ class TestExitCodes:
         ("evolve", 0), ("project", 0), ("iee", 1)])
     def test_one_mode_hamiltonian_is_promoted_to_a_two_mode_state(
             self, tmp_path, experiment, code):
+        observables = {"observables": ["phi1*pi1 + phi2^2"]}
+        extra = {"evolve": {**observables, "t": 0.02, "dt": 0.01},
+                 "project": {}, "iee": observables}[experiment]
         cfg = write_config(tmp_path, "modes.json", {
             "state": {"phi": [0.6, 0.3], "pi": [0.0, 0.4]},
-            "observables": ["phi1*pi1 + phi2^2"],
-            "cutoff": 8, "t": 0.02, "dt": 0.01})
+            "cutoff": 8, **extra})
         out = tmp_path / "out"
         assert main([experiment, "--config", str(cfg),
                      "--out", str(out)]) == code
@@ -493,16 +497,14 @@ class TestExitCodes:
         assert "numerical failure: 13 modes at cutoff 2" in err
         assert str(DIM_CAP) in err
 
-    # the input's dimension at cutoff is checked at load under every suite,
-    # also under reify, which runs on its cutoffs
-    def test_input_dimension_past_the_cap_exits_3_under_reify(
-            self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "cutoff.json", {"cutoff": 5000})
-        code = main(["reify", "--config", str(cfg),
+    # reify runs on its cutoffs and reads no cutoff, from the config or
+    # from the flag
+    def test_cutoff_under_reify_exits_2_naming_it(self, tmp_path, capsys):
+        code = main(["reify", "--cutoff", "5000",
                      "--out", str(tmp_path / "out")])
-        assert code == 3
+        assert code == 2
         err = capsys.readouterr().err
-        assert "numerical failure: 1 modes at cutoff 5000" in err
+        assert err.startswith("config error: cutoff: the reify suite")
         assert not (tmp_path / "out").exists()
 
     # math.comb(2000, k) * a**k cannot be converted to a float
@@ -610,8 +612,12 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5.0
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: hamiltonian: a product of")
-        assert "term pairs" in err
+        if "hamiltonian" in cli.SUITE_FIELDS[experiment]:
+            assert err.startswith("config error: hamiltonian: a product of")
+            assert "term pairs" in err
+        else:
+            assert err.startswith("config error: hamiltonian: the "
+                                  f"{experiment} suite does not read it")
         assert not (tmp_path / "out").exists()
 
     # a long observable also added to the Hamiltonian: 591 by 591 words in
@@ -785,11 +791,16 @@ class TestParseOnce:
     def test_a_suite_without_a_sweep_parses_each_text_once(
             self, tmp_path, monkeypatch, experiment, extra):
         texts = self.spied(monkeypatch)
-        cfg = write_config(tmp_path, "c.json", {
-            "hamiltonian": self.H, "bindings": {"m": 1.0},
-            "observables": self.OBSERVABLES, "seed": 1, **extra})
+        data = {"hamiltonian": self.H, "bindings": {"m": 1.0}, "seed": 1,
+                **extra}
+        if "observables" in cli.SUITE_FIELDS[experiment]:
+            data["observables"] = self.OBSERVABLES
+        cfg = write_config(tmp_path, "c.json", data)
         main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert sorted(texts) == sorted([self.H, *self.OBSERVABLES])
+        # an unread field holds its default, which is fitted all the same
+        observables = data.get("observables",
+                               ExperimentConfig(experiment).observables)
+        assert sorted(texts) == sorted([self.H, *observables])
 
     def test_a_sweep_parses_again_per_value(self, tmp_path, monkeypatch):
         texts = self.spied(monkeypatch)
@@ -1101,7 +1112,7 @@ class TestNegativeControls:
         def skewed(*args):
             return closed_form(*args) + 1e-7
 
-        monkeypatch.setattr(discrepancy, "discrepancy_closed_form", skewed)
+        monkeypatch.setattr(cli, "discrepancy_closed_form", skewed)
         code, checks = suite_checks(tmp_path, "fault", "discrepancy",
                                     DISC_CONFIG)
         assert code == 1
@@ -1169,3 +1180,178 @@ class TestNegativeControls:
         assert code == 1
         assert not checks["reify-growth-steepens-with-cutoff"]["passed"]
         assert checks["reify-monotone-growth"]["passed"]
+
+
+# a value of each field that differs from its default (and from the inputs
+# of cli.SUITE_INPUTS); experiment picks the suite and out the directory
+FIELD_VALUES = {
+    "hamiltonian": "0.5*pi1^2 + 0.5*m*phi1^2 + 0.1*phi1^4",
+    "bindings": {"m": 2.0},
+    "observables": ["phi1^2"],
+    "state": {"phi": [0.5], "pi": [0.2]},
+    "ensemble": {"members": [{"phi": [0.5], "pi": [0.0], "w": 0.5},
+                             {"phi": [0.0], "pi": [0.5], "w": 0.5}]},
+    "cutoff": 4,
+    "dt": 2e-3,
+    "t": 0.5,
+    "generator": "liouville",
+    "sweep": {"m": [2.0]},
+    "deltas": [25.0, 50.0],
+    "alpha_points": 10,
+    "alpha_margin": 1e-2,
+    "cutoffs": [16, 32],
+    "sample_every": 20,
+    "snapshot_every": 500,
+    "seed": 2,
+}
+
+
+class TestFieldTable:
+    @staticmethod
+    def run(tmp_path, experiment, data):
+        """Exit code, stderr, manifest and every other output file of one
+        run of main on data, seed 1 unless data sets one."""
+        tmp_path.mkdir()
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "c.json", {"seed": 1, **data})
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([experiment, "--config", str(cfg), "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in out.glob("*")}
+        manifest = json.loads(files.pop("manifest.json", b"null"))
+        return code, err.getvalue(), manifest, files
+
+    @pytest.fixture(scope="class")
+    def defaults(self, tmp_path_factory):
+        """Each suite's run on its defaults."""
+        root = tmp_path_factory.mktemp("defaults")
+        return {experiment: self.run(root / experiment, experiment, {})
+                for experiment in cli.EXPERIMENTS}
+
+    def test_every_field_has_a_value(self):
+        assert FIELD_VALUES.keys() == (ExperimentConfig.__dataclass_fields__.keys()
+                                       - {"experiment", "out"})
+        for experiment, fields in cli.SUITE_FIELDS.items():
+            assert set(fields) <= FIELD_VALUES.keys(), experiment
+
+    # a field given to a suite changes what the suite writes, or it exits 2
+    # naming the field and the suite; seed goes to every suite, and only
+    # verify draws from it
+    @pytest.mark.parametrize("name", FIELD_VALUES)
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_a_given_field_is_read_or_refused(self, tmp_path, defaults,
+                                              experiment, name):
+        base = defaults[experiment]
+        assert base[0] == 0
+        code, err, manifest, files = self.run(tmp_path / "given", experiment,
+                                              {name: FIELD_VALUES[name]})
+        if name in cli.SUITE_FIELDS[experiment] or (
+                name == "seed" and experiment in ExperimentConfig.RANDOMIZED):
+            assert code in (0, 1), err
+            assert files != base[3]
+        elif name in cli.EVERY_SUITE:
+            assert (code, files) == (0, base[3])
+            assert manifest["seed"] == FIELD_VALUES[name]
+        else:
+            assert code == 2 and not files
+            assert err == (f"config error: {name}: the {experiment} suite "
+                           "does not read it\n")
+
+    # the inputs each suite drops today would otherwise be dropped silently
+    @pytest.mark.parametrize("args, data, name", [
+        (["iee"], {"sweep": {"m": [1, 2, 3]}}, "sweep"),
+        (["project"], {"t": 0.0015}, "t"),
+        (["project"], {"ensemble": {"kind": "phase_circle", "points": 8}},
+         "ensemble"),
+        (["reify", "--cutoff", "5000"], {}, "cutoff"),
+        (["verify", "--seed", "1"], {"hamiltonian": "0.5*pi1^2"},
+         "hamiltonian"),
+    ], ids=["iee-sweep", "project-t", "project-ensemble", "reify-cutoff-flag",
+            "verify-hamiltonian"])
+    def test_an_unread_field_exits_2_naming_it_and_the_suite(
+            self, tmp_path, capsys, args, data, name):
+        cfg = write_config(tmp_path, "c.json", data)
+        assert main([*args, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {name}: the {args[0]} suite does not read it\n")
+        assert not (tmp_path / "out").exists()
+
+
+class TestDiscrepancyEnsemble:
+    H = "0.5*pi1^2 + 0.5*phi1^2 + 0.25*phi1^4"
+    MEMBERS = [{"phi": [1], "pi": [0], "w": 0.5},
+               {"phi": [0], "pi": [1], "w": 0.5}]
+
+    def rows(self, tmp_path, name, data):
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "hamiltonian": self.H, "observables": ["phi1*pi1", "phi1^2"],
+            "cutoff": 24, **data})
+        out = tmp_path / name
+        assert main(["discrepancy", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        return [[float(c) for c in line.split(",")[2:]]
+                for line in (out / "results.csv").read_text().splitlines()[1:]]
+
+    def test_an_ensemble_runs_as_the_weighted_average_of_its_members(
+            self, tmp_path, capsys):
+        mixed = self.rows(tmp_path, "mixed",
+                          {"ensemble": {"members": self.MEMBERS}})
+        pure = [self.rows(tmp_path, f"member{i}",
+                          {"state": {"phi": m["phi"], "pi": m["pi"]}})
+                for i, m in enumerate(self.MEMBERS)]
+        assert "[pass] discrepancy-closed-form" in capsys.readouterr().out
+        # g_hat, g_dot, the direct gap and the closed form of each row
+        for row, a, b in zip(mixed, *pure):
+            assert len(row) == len(a) == 8
+            for got, x, y in zip(row[:7], a, b):
+                assert abs(got - (0.5 * x + 0.5 * y)) <= 1e-14
+        # the phi = 1 member alone is no stand-in for the ensemble
+        assert abs(mixed[0][2] - pure[0][0][2]) > 0.1
+
+
+    # every suite's input is an ensemble, and a given state is one of one
+    @pytest.mark.parametrize("experiment", ["discrepancy", "evolve", "iee"])
+    def test_a_state_runs_as_an_ensemble_of_one(self, tmp_path, experiment):
+        state = {"phi": [0.5], "pi": [0.2]}
+        results = []
+        for name, data in (("state", {"state": state}), ("ensemble", {
+                "ensemble": {"members": [{**state, "w": 1.0}]}})):
+            cfg = write_config(tmp_path, f"{name}.json",
+                               {**data, "cutoff": 16})
+            main([experiment, "--config", str(cfg),
+                  "--out", str(tmp_path / name)])
+            results.append((tmp_path / name / "results.csv").read_bytes())
+        assert results[0] == results[1]
+
+
+class TestSweepCeiling:
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)],
+                             ids=["at-the-ceiling", "past-the-ceiling"])
+    def test_a_sweep_past_the_ceiling_exits_2_before_any_value_is_parsed(
+            self, tmp_path, capsys, monkeypatch, extra, code):
+        texts, parse = [], cli.parse_poly
+
+        def counted(text, bindings):
+            texts.append(text)
+            return parse(text, bindings)
+
+        monkeypatch.setattr(cli, "parse_poly", counted)
+        monkeypatch.setitem(cli._RUNNERS, "discrepancy", lambda config:
+                            SuiteResult(["m"], [(value,) for value, *_
+                                                in config.runs], []))
+        values = [1.0 + k / 1000 for k in range(cli.MAX_SWEEP_VALUES + extra)]
+        cfg = write_config(tmp_path, "sweep.json", {"sweep": {"m": values}})
+        out = tmp_path / "out"
+        assert main(["discrepancy", "--config", str(cfg),
+                     "--out", str(out)]) == code
+        if code == 0:
+            assert len(texts) == 2 * (cli.MAX_SWEEP_VALUES + 1)
+            assert len((out / "results.csv").read_text().splitlines()) \
+                == cli.MAX_SWEEP_VALUES + 1
+        else:
+            err = capsys.readouterr().err
+            assert err.startswith("config error: sweep:")
+            assert str(cli.MAX_SWEEP_VALUES) in err
+            assert texts == [] and not out.exists()

@@ -1,4 +1,7 @@
+import itertools
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +11,8 @@ from fockdm.acceptance import equilibrium_check
 from fockdm.algebra import poly_to_normal_form
 from fockdm.discrepancy import (
     discrepancy_closed_form,
-    discrepancy_report,
     ensemble_fluxes,
     flux_operator,
-    iee_check,
     quantum_flux,
     rescale_field,
     scaling_condition_residual,
@@ -50,6 +51,19 @@ def classical_flux(state, observable, hamiltonian):
     [row] = ensemble_fluxes(Ensemble.pure(state), hamiltonian, [observable],
                             32)
     return row.g_dot
+
+
+def pure_report(state, observable, hamiltonian, cutoff):
+    # the fluxes of the state, an ensemble of one, with the closed-form gap
+    e = Ensemble.pure(state)
+    [row] = ensemble_fluxes(e, hamiltonian, [observable], cutoff)
+    return replace(row, closed_form=discrepancy_closed_form(e, observable,
+                                                            hamiltonian))
+
+
+def closed_form(state, observable, hamiltonian):
+    return discrepancy_closed_form(Ensemble.pure(state), observable,
+                                   hamiltonian)
 
 
 class TestQuantumFlux:
@@ -119,7 +133,7 @@ class TestDiscrepancyDirect:
         for _ in range(10):
             g = random_poly(rng, modes=1, degree=4, terms=5)
             s = random_state(rng)
-            rep = discrepancy_report(s, g, H, 32)
+            rep = pure_report(s, g, H, 32)
             assert abs(rep.direct) <= 1e-8
 
     def test_linear_observables_always_agree(self):
@@ -128,13 +142,13 @@ class TestDiscrepancyDirect:
             H = random_poly(rng, modes=1, degree=3, terms=5)
             s = random_state(rng)
             for text in ("phi1", "pi1"):
-                rep = discrepancy_report(s, parse_poly(text, {}), H, 32)
+                rep = pure_report(s, parse_poly(text, {}), H, 32)
                 assert abs(rep.direct) <= 1e-8
 
     def test_oscillator_worked_example(self):
         # mass-2 oscillator with g = phi pi: the gap is -(m-1)/2 = -1/2
-        rep = discrepancy_report(state1(1.0, 0.0), parse_poly("phi1*pi1", {}),
-                                 oscillator(2.0), 32)
+        rep = pure_report(state1(1.0, 0.0), parse_poly("phi1*pi1", {}),
+                          oscillator(2.0), 32)
         assert abs(rep.direct - (-0.5)) <= 1e-8
 
 
@@ -142,14 +156,14 @@ class TestClosedForm:
     def test_oscillator_mass_sweep(self):
         g = parse_poly("phi1*pi1", {})
         for m in (0.5, 1.0, 2.0, 4.0):
-            value = discrepancy_closed_form(state1(0.3, -0.8), g, oscillator(m))
+            value = closed_form(state1(0.3, -0.8), g, oscillator(m))
             assert abs(value - (-(m - 1) / 2)) <= 1e-12
 
     def test_balanced_quadratic_has_no_gap(self):
         # equal second derivatives and no cross term
         H = parse_poly("0.5*phi1^2 + 0.5*pi1^2 + 0.3*phi1 - 0.2*pi1", {})
         g = parse_poly("phi1^2 - pi1^2 + phi1*pi1", {})
-        value = discrepancy_closed_form(state1(0.9, 0.4), g, H)
+        value = closed_form(state1(0.9, 0.4), g, H)
         assert abs(value) <= 1e-12
 
     def test_matches_direct_single_mode(self):
@@ -158,7 +172,7 @@ class TestClosedForm:
             H = random_poly(rng, modes=1, degree=3, terms=5) * 0.5
             g = random_poly(rng, modes=1, degree=4, terms=5)
             s = random_state(rng)
-            rep = discrepancy_report(s, g, H, 32)
+            rep = pure_report(s, g, H, 32)
             assert rep.residual <= 1e-8
 
     def test_matches_direct_two_modes(self):
@@ -167,7 +181,7 @@ class TestClosedForm:
             H = random_poly(rng, modes=2, degree=3, terms=6) * 0.5
             g = random_poly(rng, modes=2, degree=4, terms=6)
             s = random_state(rng, modes=2)
-            rep = discrepancy_report(s, g, H, 32)
+            rep = pure_report(s, g, H, 32)
             assert rep.residual <= 1e-8
 
     def test_coupled_two_mode_example(self):
@@ -178,7 +192,7 @@ class TestClosedForm:
         rng = np.random.default_rng(15)
         for _ in range(5):
             s = random_state(rng, modes=2)
-            rep = discrepancy_report(s, g, H, 32)
+            rep = pure_report(s, g, H, 32)
             assert rep.residual <= 1e-8
 
     # past three z or three y factors in a term of H, the orders past 3
@@ -200,8 +214,8 @@ class TestClosedForm:
                      + parse_poly(f"(phi1+pi{modes})^{text}", {})) * 0.3
                 g = (random_poly(rng, modes=modes, degree=text, terms=5)
                      + parse_poly(f"(phi{modes}-pi1)^{text}", {}))
-            rep = discrepancy_report(random_state(rng, modes, scale=0.5), g, H,
-                                     cutoff)
+            rep = pure_report(random_state(rng, modes, scale=0.5), g, H,
+                              cutoff)
             assert rep.residual <= 1e-8
 
     def test_reality_for_real_inputs(self):
@@ -209,7 +223,7 @@ class TestClosedForm:
         for _ in range(20):
             H = random_poly(rng, modes=1, degree=3, terms=5)
             g = random_poly(rng, modes=1, degree=4, terms=5)
-            value = discrepancy_closed_form(random_state(rng), g, H)
+            value = closed_form(random_state(rng), g, H)
             assert abs(value.imag) <= 1e-10
 
     def test_linearity_in_observable(self):
@@ -219,24 +233,59 @@ class TestClosedForm:
         g2 = random_poly(rng, modes=1, degree=4, terms=4)
         s = random_state(rng)
         a, b = 0.7, -1.9
-        v12 = discrepancy_closed_form(s, g1 * a + g2 * b, H)
-        v1 = discrepancy_closed_form(s, g1, H)
-        v2 = discrepancy_closed_form(s, g2, H)
+        v12 = closed_form(s, g1 * a + g2 * b, H)
+        v1 = closed_form(s, g1, H)
+        v2 = closed_form(s, g2, H)
         assert abs(v12 - (a * v1 + b * v2)) <= 1e-10
-        d12 = discrepancy_report(s, g1 * a + g2 * b, H, 32).direct
-        d1 = discrepancy_report(s, g1, H, 32).direct
-        d2 = discrepancy_report(s, g2, H, 32).direct
+        d12 = pure_report(s, g1 * a + g2 * b, H, 32).direct
+        d1 = pure_report(s, g1, H, 32).direct
+        d2 = pure_report(s, g2, H, 32).direct
         assert abs(d12 - (a * d1 + b * d2)) <= 1e-10
+
+
+def filtered_multi_indices(modes, order):
+    # the enumeration the closed form once used: every product of
+    # range(order + 1) over all modes but the first, filtered by its sum
+    for parts in itertools.product(range(order + 1), repeat=modes - 1):
+        if sum(parts) <= order:
+            yield (order - sum(parts),) + parts
+
+
+class TestModeMultiIndices:
+    @pytest.mark.parametrize("modes", range(1, 6))
+    def test_the_filtered_products_in_their_order(self, modes):
+        for order in range(7):
+            assert discrepancy._mode_multi_indices(modes, order) \
+                == list(filtered_multi_indices(modes, order))
+
+    def test_twelve_modes_at_order_four_take_well_under_a_tenth_second(self):
+        start = time.perf_counter()
+        counts = [len(discrepancy._mode_multi_indices(12, order))
+                  for order in range(2, 5)]
+        assert time.perf_counter() - start < 0.1
+        assert counts == [math.comb(order + 11, 11) for order in range(2, 5)]
 
 
 class TestEnsembleDiscrepancy:
     def test_average_of_constant_gap(self):
         e = Ensemble.phase_circle(1.0, 16)
         g, H = parse_poly("phi1*pi1", {}), oscillator(2.0)
-        direct = iee_check(e, H, [g], 32).rows[0].direct
-        closed = e.average(lambda s: discrepancy_closed_form(s, g, H))
-        assert abs(direct - (-0.5)) <= 1e-8
+        [row] = ensemble_fluxes(e, H, [g], 32)
+        closed = e.average(lambda s: closed_form(s, g, H))
+        assert abs(row.direct - (-0.5)) <= 1e-8
         assert abs(closed - (-0.5)) <= 1e-12
+
+    def test_closed_form_is_the_weighted_average_of_the_members(self):
+        rng = np.random.default_rng(23)
+        H = parse_poly("0.5*pi1^2 + 0.5*pi2^2 + 0.5*phi1^2 + 0.25*phi1^4"
+                       " + 0.3*phi1*phi2^2", {})
+        g = random_poly(rng, modes=2, degree=4, terms=6)
+        e = Ensemble.from_states([random_state(rng, modes=2)
+                                  for _ in range(3)], [0.2, 0.3, 0.5])
+        want = e.average(lambda s: closed_form(s, g, H))
+        assert abs(discrepancy_closed_form(e, g, H) - want) <= 1e-14
+        [row] = ensemble_fluxes(e, H, [g], 16)
+        assert abs(row.direct - want) <= 1e-8
 
 
 class TestRescaleField:
@@ -275,7 +324,7 @@ class TestRescaleField:
         m = 2.0
         H2, mapping = rescale_field(oscillator(m), m ** -0.25)
         s = mapping.apply(state1(1.0, 0.0))
-        rep = discrepancy_report(s, parse_poly("phi1*pi1", {}), H2, 32)
+        rep = pure_report(s, parse_poly("phi1*pi1", {}), H2, 32)
         assert abs(rep.direct) <= 1e-8
         assert abs(rep.closed_form) <= 1e-12
 
@@ -311,17 +360,19 @@ class TestIEECheck:
     def test_unit_mass_circle_is_equilibrium(self):
         e = Ensemble.phase_circle(1.0, 64)
         gs = [parse_poly("phi1*pi1", {}), parse_poly("phi1^2 - pi1^2", {})]
-        report = iee_check(e, oscillator(1.0), gs, 32)
-        assert equilibrium_check(report).passed
-        for row in report.rows:
-            assert abs(row.g_hat) <= report.worst <= 1e-7
-            assert abs(row.g_dot) <= report.worst
+        report = ensemble_fluxes(e, oscillator(1.0), gs, 32)
+        check = equilibrium_check(report)
+        assert check.passed
+        for row in report:
+            assert abs(row.g_hat) <= check.value <= 1e-7
+            assert abs(row.g_dot) <= check.value
 
     def test_mass_two_circle_violates_condition(self):
         e = Ensemble.phase_circle(1.0, 64)
-        report = iee_check(e, oscillator(2.0), [parse_poly("phi1*pi1", {})], 32)
+        report = ensemble_fluxes(e, oscillator(2.0),
+                                 [parse_poly("phi1*pi1", {})], 32)
         assert not equilibrium_check(report).passed
-        assert abs(report.rows[0].direct - (-0.5)) <= 1e-7
+        assert abs(report[0].direct - (-0.5)) <= 1e-7
 
     def test_one_flux_operator_per_observable(self, monkeypatch):
         calls = []
@@ -335,12 +386,12 @@ class TestIEECheck:
         e = Ensemble.phase_circle(1.0, 16)
         gs = [parse_poly("phi1*pi1", {}), parse_poly("phi1^2 - pi1^2", {}),
               parse_poly("phi1^3*pi1", {})]
-        report = iee_check(e, oscillator(1.0), gs, 16)
-        assert len(report.rows) == 3
+        report = ensemble_fluxes(e, oscillator(1.0), gs, 16)
+        assert len(report) == 3
         assert len(calls) == 3
 
     def test_fluxes_are_read_off_member_vectors(self, monkeypatch):
-        # neither iee_check nor discrepancy_report forms a moment matrix
+        # neither the fluxes nor the closed form form a moment matrix
         def dense(*args):
             raise AssertionError("formed a dense moment matrix")
 
@@ -348,9 +399,9 @@ class TestIEECheck:
             for name in ("pure_density", "ensemble_density"):
                 monkeypatch.setattr(module, name, dense, raising=False)
         g, H = parse_poly("phi1*pi1", {}), oscillator(2.0)
-        report = iee_check(Ensemble.phase_circle(1.0, 16), H, [g], 32)
-        assert abs(report.rows[0].direct - (-0.5)) <= 1e-8
-        rep = discrepancy_report(state1(1.0, 0.0), g, H, 32)
+        [row] = ensemble_fluxes(Ensemble.phase_circle(1.0, 16), H, [g], 32)
+        assert abs(row.direct - (-0.5)) <= 1e-8
+        rep = pure_report(state1(1.0, 0.0), g, H, 32)
         assert abs(rep.direct - (-0.5)) <= 1e-8
 
     def test_members_are_read_in_blocks_of_at_most_dim(self, monkeypatch):
@@ -367,27 +418,29 @@ class TestIEECheck:
         e = Ensemble.phase_circle(0.8, 40)
         H = parse_poly("0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^4", {})
         gs = [parse_poly("phi1*pi1", {}), parse_poly("phi1^2", {})]
-        report = iee_check(e, H, gs, 8)
+        report = ensemble_fluxes(e, H, gs, 8)
         assert widths == [(8, 8)] * 5
         rho = ensemble_density(e, 8)
-        for g, row in zip(gs, report.rows):
+        for g, row in zip(gs, report):
             want = quantum_flux(rho, flux_operator(g, poly_to_normal_form(H),
                                                      8))
             assert abs(row.g_hat - want) <= 1e-13
 
     def test_generic_two_point_ensemble_is_not_equilibrium(self):
         e = Ensemble.from_states([state1(0.9, 0.1), state1(0.2, -0.5)])
-        report = iee_check(e, oscillator(1.0), [parse_poly("phi1^2", {})], 24)
+        report = ensemble_fluxes(e, oscillator(1.0),
+                                 [parse_poly("phi1^2", {})], 24)
         assert not equilibrium_check(report).passed
 
-    def test_a_state_is_an_ensemble_of_one(self):
-        # discrepancy_report and iee_check read both fluxes in one routine,
-        # so a pure state gives the same numbers down to the sign of a zero
+    def test_each_observable_reads_alone_as_among_the_others(self):
+        # the discrepancy and iee suites read all their observables in one
+        # call, which gives each the numbers of a call of its own, down to
+        # the sign of a zero
         H = oscillator(2.0)
+        gs = [parse_poly(text, {}) for text in ("phi1", "pi1^2", "phi1*pi1")]
         for s in (state1(0.0, 1.0), state1(0.5, -0.3)):
-            for text in ("phi1", "pi1^2", "phi1*pi1"):
-                g = parse_poly(text, {})
-                rep = discrepancy_report(s, g, H, 16)
-                [row] = iee_check(Ensemble.pure(s), H, [g], 16).rows
-                assert repr((rep.g_hat, rep.g_dot)) \
+            e = Ensemble.pure(s)
+            for g, row in zip(gs, ensemble_fluxes(e, H, gs, 16)):
+                [alone] = ensemble_fluxes(e, H, [g], 16)
+                assert repr((alone.g_hat, alone.g_dot)) \
                     == repr((row.g_hat, row.g_dot))

@@ -14,11 +14,12 @@ import contextlib
 import io
 import json
 import math
+import re
 import time
 
 import pytest
 
-from fockdm.cli import ExperimentConfig, main
+from fockdm.cli import EVERY_SUITE, SUITE_FIELDS, ExperimentConfig, main
 
 BAD_VALUES = [None, True, -1, 0, 1e308, 5e-324, math.nan, "x", "1", [], {},
               [[1]]]
@@ -149,6 +150,13 @@ def run_file(monkeypatch, tmp_path, experiment, path):
 
 def test_every_top_level_field_is_fuzzed():
     assert TOP_LEVEL.keys() == ExperimentConfig.__dataclass_fields__.keys()
+
+
+def test_each_field_runs_on_a_suite_that_reads_it():
+    for name, suite in [*TOP_LEVEL.items(),
+                        *((re.split(r"[.[]", path)[0], suite)
+                          for path, (suite, _, _) in NESTED.items())]:
+        assert name in SUITE_FIELDS[suite] + EVERY_SUITE, (name, suite)
 
 
 @pytest.mark.parametrize("value_id, value", list(zip(BAD_IDS, BAD_VALUES)),

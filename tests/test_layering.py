@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import fockdm
+from fockdm.cli import EXPERIMENTS
 
 STACK = ("poly", "algebra", "fock", "states", "evolution", "discrepancy",
          "reify", "acceptance", "cli")
@@ -288,3 +289,26 @@ def test_one_blas_thread_is_set_before_any_submodule_loads():
                 and [ast.literal_eval(a) for a in node.args]
                 == ["OPENBLAS_NUM_THREADS", "1"]]
     assert defaults and defaults[0] < first_import
+
+
+# the one flux reader: each commutator is compiled and read off the members
+# only inside ensemble_fluxes, which the two flux suites and the acceptance
+# criteria call
+def test_one_flux_reader():
+    assert callers({"flux_operator", "quantum_flux"}) \
+        == {("discrepancy", "ensemble_fluxes")}
+    reader = callers({"ensemble_fluxes"})
+    assert {module for module, _ in reader} == {"cli", "acceptance"}
+    assert {scope for module, scope in reader if module == "cli"} \
+        == {"run_discrepancy", "run_iee"}
+
+
+def test_validate_names_no_suite_outside_the_field_table():
+    [validate] = [node for node in ast.walk(module_tree("cli"))
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "validate"]
+    for node in ast.walk(validate):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            assert not {e.value for e in node.elts
+                        if isinstance(e, ast.Constant)} & set(EXPERIMENTS), \
+                ast.unparse(node)
