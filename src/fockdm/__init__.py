@@ -37,6 +37,7 @@ from .discrepancy import (
     quantum_flux,
     rescale_field,
     scaling_condition_residual,
+    sweep_fluxes,
 )
 from .evolution import (
     MasterTerms,
@@ -47,7 +48,9 @@ from .evolution import (
 )
 from .fock import (
     FockMatrix,
+    ProductMembers,
     compile_operator,
+    compile_words,
     eigensystem,
     interior_indices,
     operator_trace,

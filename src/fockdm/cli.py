@@ -49,7 +49,7 @@ from .acceptance import (
     trace_drift_check,
 )
 from .algebra import poly_to_normal_form
-from .discrepancy import discrepancy_closed_form, ensemble_fluxes
+from .discrepancy import discrepancy_closed_form, ensemble_fluxes, sweep_fluxes
 from .evolution import density_samples, projection_decay, quadrature
 from .fock import (
     DimensionCapError,
@@ -59,6 +59,7 @@ from .fock import (
 )
 from .poly import (
     _VAR_RE,
+    MAX_MODES,
     PolyExpr,
     PolyParseError,
     ProductSizeError,
@@ -86,6 +87,9 @@ SUITE_FIELDS = {
             "cutoff"),
 }
 EVERY_SUITE = ("experiment", "seed", "out")
+# the suites that read their input one mode at a time, as product members,
+# and so never form its D^n vector
+PRODUCT_SUITES = ("discrepancy", "iee")
 EXPERIMENTS = tuple(SUITE_FIELDS)
 
 # the most steps t/dt that fockdm evolve accepts; checked at load time
@@ -159,10 +163,24 @@ def _read_state(name: str, obj, keys=("phi", "pi")) -> ClassicalState:
         raise ConfigError(f"{name}: {err}") from err
 
 
-def _read_ensemble(spec, cutoff: int) -> Ensemble:
+def _check_modes(name: str, modes: int, cutoff: int, product: bool) -> None:
+    """Refuse an input on more modes than its suite's route takes: a
+    product route holds one D-vector per mode, up to poly.MAX_MODES modes
+    (exit 2 naming the field); any other route forms the D^n vector, under
+    the dimension cap (exit 3)."""
+    if not product:
+        check_dimension(modes, cutoff)
+    elif modes > MAX_MODES:
+        raise ConfigError(f"{name}: {modes} modes exceed the ceiling of "
+                          f"{MAX_MODES} modes")
+    else:
+        check_dimension(1, cutoff)
+
+
+def _read_ensemble(spec, cutoff: int, product: bool) -> Ensemble:
     """The ensemble of a config's ensemble object: a phase circle, whose
-    mode count is checked against the dimension cap before its members
-    exist, or weighted members; each kind refuses the other's keys."""
+    mode count is checked (``_check_modes``) before its members exist, or
+    weighted members; each kind refuses the other's keys."""
     if not isinstance(spec, dict):
         raise ConfigError("ensemble: must be an object")
     kind = spec.get("kind", "members")
@@ -180,7 +198,7 @@ def _read_ensemble(spec, cutoff: int) -> Ensemble:
         if points > MAX_POINTS:
             raise ConfigError(f"ensemble.points: exceeds the ceiling of "
                               f"{MAX_POINTS} points")
-        check_dimension(modes, cutoff)
+        _check_modes("ensemble.modes", modes, cutoff, product)
         return Ensemble.phase_circle(radius, points, modes=modes)
     if kind != "members":
         raise ConfigError(f"ensemble: unknown kind {kind!r}")
@@ -245,6 +263,10 @@ class ExperimentConfig:
             if unread:
                 raise ConfigError(f"{sorted(unread)[0]}: the {suite} suite "
                                   "does not read it")
+            if {"state", "ensemble"} <= obj.keys():
+                raise ConfigError(f"state: the {suite} suite reads the "
+                                  "ensemble; give a state or an ensemble, "
+                                  "not both")
             if not {"state", "ensemble"} & obj.keys():
                 obj = {**copy.deepcopy(SUITE_INPUTS.get(suite, {})), **obj}
         cfg = cls(**obj)
@@ -336,13 +358,15 @@ class ExperimentConfig:
         if self.experiment == "reify" and state.modes != 1:
             raise ConfigError(f"state: the single-mode recoding takes a "
                               f"one-mode state, not {state.modes} modes")
+        product = self.experiment in PRODUCT_SUITES
         self.initial_ensemble = (Ensemble.pure(state) if self.ensemble is None
                                  else _read_ensemble(self.ensemble,
-                                                     self.cutoff))
-        # the polynomials on the input's mode count, checked at the cutoff
-        # before anything is promoted to it
+                                                     self.cutoff, product))
+        # the polynomials on the input's mode count, checked for the
+        # suite's route before anything is promoted to it
         modes = self.initial_ensemble.modes
-        check_dimension(modes, self.cutoff)
+        _check_modes("state" if self.ensemble is None else "ensemble", modes,
+                     self.cutoff, product)
         fit = self._fitted(self.bindings, modes)
         # the runs: one per swept value, else one at the bindings
         if self.sweep:
@@ -448,10 +472,11 @@ def run_discrepancy(config: ExperimentConfig) -> SuiteResult:
                "g_dot", "direct_re", "direct_im", "closed_re", "closed_im",
                "residual"]
     rows, reports = [], []
-    for value, h, observables in config.runs:
-        fluxes = ensemble_fluxes(ensemble, h, [g for _, g in observables],
-                                 config.cutoff)
-        for (text, g), flux in zip(observables, fluxes):
+    fluxes = sweep_fluxes(ensemble, [(h, [g for _, g in observables])
+                                     for _, h, observables in config.runs],
+                          config.cutoff)
+    for (value, h, observables), run in zip(config.runs, fluxes):
+        for (text, g), flux in zip(observables, run):
             rep = replace(flux, closed_form=discrepancy_closed_form(
                 ensemble, g, h))
             reports.append(rep)

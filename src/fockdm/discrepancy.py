@@ -6,10 +6,12 @@ For the same moment matrix rho(phi, pi), two predictions of d<g>/dt compete:
 * classical: g_dot = {g, H} = sum_j dg/dphi_j dH/dpi_j - dg/dpi_j dH/dphi_j,
              the Poisson bracket at the state (master-equation flux).
 
-``ensemble_fluxes`` reads both for an ensemble, a pure state being an
-ensemble of one: each commutator compiled once (``flux_operator``) and read
-off the member blocks without forming rho (fock.block_trace), each bracket
-built once as a polynomial and averaged over the members.
+``sweep_fluxes`` reads both for an ensemble under one or more Hamiltonians
+(``ensemble_fluxes`` under one), a pure state being an ensemble of one:
+each commutator compiled once, one mode at a time (``flux_operator``), and
+read off product members (fock.ProductMembers), so neither rho nor any
+member's D^n vector is formed; each bracket is built once as a polynomial
+and averaged over the members.
 
 Their difference has a closed form in the complex chart: with multi-indices
 k over the modes,
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NormalFormOperator, commutator, poly_to_normal_form
-from .fock import FockMatrix, MemberBlock, WordTable, compile_operator
+from .fock import ModeWords, ProductMembers, compile_words
 from .poly import ChartError, PolyExpr
 from .states import ClassicalState, Ensemble, poisson_brackets
 
@@ -76,40 +78,58 @@ class FieldScaling:
 
 
 def flux_operator(observable: PolyExpr, h_n: NormalFormOperator,
-                  cutoff: int) -> WordTable:
-    """[g_n, H_n] on H_n's mode count, taken symbolically and compiled at
-    the cutoff."""
-    return compile_operator(
+                  cutoff: int) -> ModeWords:
+    """[g_n, H_n] on H_n's mode count, taken symbolically and compiled one
+    mode at a time at the cutoff."""
+    return compile_words(
         commutator(poly_to_normal_form(observable.promote(h_n.modes)), h_n),
         cutoff)
 
 
-def quantum_flux(rho: FockMatrix | MemberBlock, flux: WordTable) -> complex:
+def quantum_flux(members: ProductMembers, flux: ModeWords) -> complex:
     """-i Tr(rho [g_n, H_n]) from the compiled commutator (flux_operator),
-    read off a dense rho or a member block."""
-    return -1j * rho.expect(flux)
+    read off product members."""
+    return -1j * members.expect(flux)
 
 
 def ensemble_fluxes(ensemble: Ensemble, hamiltonian: PolyExpr,
                     observables: list[PolyExpr],
                     cutoff: int) -> list[DiscrepancyReport]:
-    """The ensemble-averaged quantum and classical flux of each observable.
+    """The ensemble-averaged quantum and classical flux of each observable
+    under one Hamiltonian (``sweep_fluxes`` of one system)."""
+    [reports] = sweep_fluxes(ensemble, [(hamiltonian, observables)], cutoff)
+    return reports
 
-    H_n and H's gradients are derived once for all the observables.  g_hat
-    sums the flux of each member block (``Ensemble.member_blocks``)
-    and g_dot averages the Poisson bracket (``Ensemble.average``); both
-    sums start from zero, so a zero flux is +0.0 for any member count.
+
+def sweep_fluxes(ensemble: Ensemble, systems: list,
+                 cutoff: int) -> list[list[DiscrepancyReport]]:
+    """The ensemble-averaged quantum and classical flux of each observable
+    of each (hamiltonian, observables) system, such as the runs of a sweep.
+
+    Each system's H_n and H's gradients are derived once for all its
+    observables.  g_hat sums the flux of each chunk of product members
+    (``Ensemble.product_members``), whose moments are built once for every
+    system, up to the highest power of any flux's words; g_dot averages the
+    Poisson bracket (``Ensemble.average``).  Both sums start from zero, so
+    a zero flux is +0.0 for any member count.
     """
-    h = hamiltonian.promote(ensemble.modes)
-    h_n = poly_to_normal_form(h)
-    fluxes = [flux_operator(g, h_n, cutoff) for g in observables]
-    per_block = [[quantum_flux(block, flux) for flux in fluxes]
-                 for block in ensemble.member_blocks(cutoff)]
-    return [DiscrepancyReport(
+    fluxes, brackets = [], []
+    for hamiltonian, observables in systems:
+        h = hamiltonian.promote(ensemble.modes)
+        h_n = poly_to_normal_form(h)
+        fluxes.append([flux_operator(g, h_n, cutoff) for g in observables])
+        brackets.append(poisson_brackets(observables, h))
+    degree = max((int(powers.max(initial=0)) for run in fluxes
+                  for flux in run for powers in (flux.create, flux.annih)),
+                 default=0)
+    per_chunk = [[[quantum_flux(members, flux) for flux in run]
+                  for run in fluxes]
+                 for members in ensemble.product_members(cutoff, degree)]
+    return [[DiscrepancyReport(
         g_hat=sum(g_hats),
         g_dot=ensemble.average(lambda s: bracket.eval(s.point()).real))
-        for g_hats, bracket in zip(zip(*per_block),
-                                   poisson_brackets(observables, h))]
+        for g_hats, bracket in zip(zip(*run_fluxes), run_brackets)]
+        for run_fluxes, run_brackets in zip(zip(*per_chunk), brackets)]
 
 
 def discrepancy_closed_form(ensemble: Ensemble, observable: PolyExpr,

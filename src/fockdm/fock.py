@@ -6,12 +6,16 @@ occupation tuple via repeated divmod by D.  Ladder matrices follow
 <k-1|a|k> = sqrt(k).
 
 A word (adag)^c a^r is a shifted diagonal on every mode, and on the flat
-basis index one shift: its target T reads its source T - shift.
-``compile_operator`` is the one place that builds these: it turns an
-operator into a ``WordTable`` of (shift, pad) passes, one per distinct flat
-shift, the scales of its words with the coefficients folded in summed into
-one zero-padded column, and every reader walks those passes.  ``apply`` adds
-op x into a (dim, ...) array by one contiguous multiply-add per pass along
+basis index one shift: its target T reads its source T - shift.  An
+operator compiles in two stages.  ``compile_words``, the per-mode stage,
+holds each word's coefficient and per-mode powers (c, r) and forms nothing
+of size D^n; ``ladder`` gives the weights of one per-mode factor, the one
+definition of a truncated per-mode word.  ``compile_operator``, the one
+place that builds shifted diagonals, turns that stage into a ``WordTable``
+of (shift, pad) passes, one per distinct flat shift, the scales of its
+words with the coefficients folded in summed into one zero-padded column,
+and every dense or block reader walks those passes.  ``apply`` adds op x
+into a (dim, ...) array by one contiguous multiply-add per pass along
 axis 0, ``operator_trace`` reads Tr(rho op) off one shifted diagonal of a
 dense rho per pass, ``block_trace`` reads sum_k p_k <w_k|op w_k> off a
 block of member vectors without forming rho, ``eigensystem``, the one
@@ -20,7 +24,12 @@ passes, and ``realize_matrix`` writes the dense matrix (kept for criterion
 5's dense route and test oracles).  ``Eigensystem.flow``, V e^{-sE} V^H x
 at a real or complex rate s, is the one eigenbasis action.  A moment
 matrix is a ``FockMatrix`` or, held as its members W and weights p, a
-``MemberBlock``; both read a table through ``expect``.
+``MemberBlock``; both read a table through ``expect``.  Members that are
+products over the modes may instead be held one mode at a time, as
+``ProductMembers``, whose ``expect`` reads the per-mode stage: a truncated
+word is the tensor product of its truncated per-mode factors, so each
+member's expectation is a product of per-mode moments, exact at the
+cutoff.
 
 Truncation policy: a single normal-ordered word (adag)^c a^r realizes
 exactly on the whole block (its matrix elements agree with the untruncated
@@ -32,8 +41,9 @@ interior block of occupations with a safety margin at the top.
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -120,6 +130,95 @@ class MemberBlock:
         return self.dense().to_json()
 
 
+@dataclass(frozen=True)
+class ProductMembers:
+    """Members that are products over the modes, w_k = c_k1 x ... x c_kn,
+    held as their (modes, D, r) per-mode columns and real weights p, with
+    the moments M[c, r, j, k] = <a^c c_kj | a^r c_kj> = sum_i ladder(c, r)[i]
+    conj(c_kj[c + i]) c_kj[r + i] for c, r <= degree, built once."""
+
+    modes: int
+    cutoff: int
+    columns: np.ndarray
+    weights: np.ndarray
+    degree: int
+    moments: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        cols, conj = self.columns, self.columns.conj()
+        size = self.degree + 1
+        moments = np.empty((size, size) + cols.shape[::2], complex)
+        for c in range(size):
+            for r in range(size):
+                weights = ladder(c, r, self.cutoff)
+                moments[c, r] = np.einsum(
+                    "i,jik,jik->jk", weights, conj[:, c:c + weights.size],
+                    cols[:, r:r + weights.size])
+        object.__setattr__(self, "moments", moments)
+
+    def expect(self, words: ModeWords) -> complex:
+        """sum_k p_k <w_k|op w_k> = sum_k p_k sum_words coeff prod_j
+        M[c_j, r_j, j, k], exact at the cutoff: the truncated word is the
+        product of its truncated per-mode factors.  A total that is not
+        finite raises FloatingPointError."""
+        if (words.modes, words.cutoff) != (self.modes, self.cutoff):
+            raise ValueError("mode count or cutoff differs between the "
+                             "members and the operator")
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = self.moments[words.create[:, 0], words.annih[:, 0], 0]
+            for j in range(1, self.modes):
+                product = product * self.moments[words.create[:, j],
+                                                 words.annih[:, j], j]
+            total = words.coeffs @ (product @ self.weights)
+        if not np.isfinite(total):
+            raise FloatingPointError(f"Tr(rho op) is not finite at cutoff "
+                                     f"{self.cutoff}")
+        return complex(total)
+
+
+class ModeWords(NamedTuple):
+    """An operator compiled one mode at a time at one cutoff: in its word
+    order, each word's coefficient and its (words, modes) creation and
+    annihilation powers, whose per-mode factors weigh as ``ladder`` gives.
+    Nothing of size D^n is formed."""
+
+    modes: int
+    cutoff: int
+    coeffs: np.ndarray
+    create: np.ndarray
+    annih: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def ladder(create: int, annih: int, cutoff: int) -> np.ndarray:
+    """The weights of (adag^c a^r)_D on one mode, which reads occupation k
+    from r up and writes k - r + c: sqrt(k (k-1) ... (k-r+1) * (k-r+1) ...
+    (k-r+c)), the product taken factor by factor in that order, for the
+    max(D - max(c, r), 0) sources k with both k and its target below D.
+    Each is built once a process, and is read-only."""
+    length = max(cutoff - max(create, annih), 0)
+    k = np.arange(annih, annih + length, dtype=float)
+    val = np.ones(length)
+    for step in range(annih):
+        val *= k - step
+    for step in range(create):
+        val *= k - annih + 1 + step
+    weights = np.sqrt(val)
+    weights.flags.writeable = False
+    return weights
+
+
+def compile_words(op: NormalFormOperator, cutoff: int) -> ModeWords:
+    """The per-mode stage of op, after checking that one mode fits the
+    dimension cap."""
+    check_dimension(1, cutoff)
+    keys = list(op.terms)
+    return ModeWords(op.modes, cutoff,
+                     np.array(list(op.terms.values()), complex),
+                     np.array([c for c, _ in keys], int).reshape(-1, op.modes),
+                     np.array([a for _, a in keys], int).reshape(-1, op.modes))
+
+
 class WordTable(NamedTuple):
     """An operator compiled at one cutoff: one (shift, pad) pass per distinct
     flat shift of its words, in the order of first appearance.  On the flat
@@ -133,35 +232,31 @@ class WordTable(NamedTuple):
 
 
 def compile_operator(op: NormalFormOperator, cutoff: int) -> WordTable:
-    """The passes of op, after checking the dimension.
+    """The passes of op, after checking the dimension, built from its
+    per-mode stage (``compile_words``).
 
-    On mode j the word (adag)^c a^r reads occupation k from r_j up and
-    writes k - r_j + c_j, with weight sqrt(k (k-1) ... (k-r_j+1) *
-    (k-r_j+1) ... (k-r_j+c_j)), the product taken factor by factor in that
-    order.  Its scale is the coefficient times the outer product of the
-    per-mode weights in mode order, its flat targets are the outer sum of
-    the per-mode targets, and its shift is sum_j (c_j - r_j) D^(n-1-j).  A
-    word with no target at the cutoff adds no pass.  The pads are real
-    when no summed pad has an imaginary part, and complex otherwise.  A
-    scale or a sum that overflows is kept, for its reader to catch.
+    A word's scale is its coefficient times the outer product of its
+    per-mode ladder weights in mode order, its flat targets are the outer
+    sum of the per-mode targets k - r_j + c_j, and its shift is
+    sum_j (c_j - r_j) D^(n-1-j).  A word with no target at the cutoff adds
+    no pass.  The pads are real when no summed pad has an imaginary part,
+    and complex otherwise.  A scale or a sum that overflows is kept, for
+    its reader to catch.
     """
     dim = check_dimension(op.modes, cutoff)
+    words = compile_words(op, cutoff)
     pads = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for (create, annih), coeff in op.terms.items():
+        for coeff, create, annih in zip(words.coeffs.tolist(),
+                                        words.create.tolist(),
+                                        words.annih.tolist()):
             shift, target, scale = 0, 0, coeff
             for c, a in zip(create, annih):
-                length = max(cutoff - max(c, a), 0)
-                k = np.arange(a, a + length, dtype=float)
-                val = np.ones(length)
-                for step in range(a):
-                    val *= k - step
-                for step in range(c):
-                    val *= k - a + 1 + step
+                weights = ladder(c, a, cutoff)
                 shift = shift * cutoff + c - a
                 target = np.add.outer(target * cutoff,
-                                      np.arange(c, c + length))
-                scale = np.multiply.outer(scale, np.sqrt(val))
+                                      np.arange(c, c + weights.size))
+                scale = np.multiply.outer(scale, weights)
             if scale.size:
                 # a word's targets are distinct
                 pads.setdefault(shift, np.zeros(dim, complex))[target] += scale

@@ -44,8 +44,12 @@ DROP_TOL = 1e-14
 
 # the deepest nesting of parentheses and unary minus signs parse_poly accepts
 MAX_NESTING = 100
-# the largest variable index parse_poly accepts: the most modes whose Fock
-# space fits fock.DIM_CAP, at cutoff 2
+# the largest variable index parse_poly accepts, and so the most modes a
+# flux suite reads: a bound on the symbolic work, which the flux suites pay
+# at any cutoff.  At 12 modes the commutator of phi1*pi1 with a
+# nearest-neighbour phi^4 chain takes about 12 ms and its closed form 6 ms
+# (2-core x86-64, Python 3.11), and a quartic that couples every pair of
+# modes meets MAX_TERM_PAIRS from 9 modes on
 MAX_MODES = 12
 # the most term pairs one polynomial or operator product multiplies out
 MAX_TERM_PAIRS = 10 ** 5

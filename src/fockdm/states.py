@@ -7,12 +7,15 @@ multimode coherent vector with per-mode amplitude z_j = (phi_j + i pi_j)/sqrt2:
 
 so a_j w = z_j w.  The moment matrix of an ensemble is the weighted sum of
 the rank-one projectors w w^H; such matrices are Hermitian, PSD and
-unit-trace (physically realizable).  ``Ensemble.member_blocks`` is the one
-place members become Fock data: MemberBlocks of W diag(p) W^H, one vector w
-per column of W, at most dim members each; a dense ``FockMatrix`` is the
-sum of their ``dense`` products.  Everything here is exact up to ladder
-truncation, which is kept quantitative by the amplitude guard
-|z_j|^2 <= cutoff/4.
+unit-trace (physically realizable).  Members become Fock data in two
+places.  ``Ensemble.member_blocks`` yields MemberBlocks of W diag(p) W^H,
+one vector w per column of W, at most dim members each; a dense
+``FockMatrix`` is the sum of their ``dense`` products.
+``Ensemble.product_members``, which the flux suites read, keeps w as its
+factors: each member's coherent column on each mode, built for a chunk of
+members by one recurrence, so no D^n vector is formed.  Everything here is
+exact up to ladder truncation, which is kept quantitative by the amplitude
+guard |z_j|^2 <= cutoff/4.
 
 Hamilton's equations move the states by fixed-step RK4 (``rk4_step`` and
 the ``step_count`` rule, by which the CLI also counts evolve's sample grid).
@@ -27,10 +30,20 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .algebra import poly_to_normal_form
-from .fock import FockMatrix, MemberBlock, check_dimension, compile_operator
+from .fock import (
+    FockMatrix,
+    MemberBlock,
+    ProductMembers,
+    check_dimension,
+    compile_operator,
+)
 from .poly import ChartError, PolyExpr
 
 _SQRT2 = math.sqrt(2.0)
+
+# the most bytes of per-mode columns one ProductMembers chunk holds; its
+# moments and a conjugate copy of its columns take about as much again
+PRODUCT_BYTES = 2 ** 18
 
 
 class AmplitudeOverflowError(ValueError):
@@ -144,6 +157,23 @@ class Ensemble:
             yield MemberBlock(self.modes, cutoff, vectors,
                               np.array([weight for _, weight in chunk]))
 
+    def product_members(self, cutoff: int,
+                        degree: int) -> Iterator[ProductMembers]:
+        """The members as ProductMembers with moments up to degree, in
+        order: each member's coherent column on each mode, built for a
+        chunk of members at once, at most PRODUCT_BYTES of columns a
+        chunk.  Nothing of size D^n is formed."""
+        check_dimension(1, cutoff)
+        size = max(1, PRODUCT_BYTES // (16 * self.modes * cutoff))
+        for start in range(0, len(self.members), size):
+            chunk = self.members[start:start + size]
+            z = (np.array([s.phi for s, _ in chunk])
+                 + 1j * np.array([s.pi for s, _ in chunk])) / _SQRT2
+            yield ProductMembers(self.modes, cutoff,
+                                 _coherent_columns(z, cutoff),
+                                 np.array([weight for _, weight in chunk]),
+                                 degree)
+
 
 def pseudo_wavefunction(state: ClassicalState, cutoff: int) -> np.ndarray:
     """Coherent encoding of a pure classical state in the number basis.
@@ -175,6 +205,23 @@ def _coherent_column(mode: int, amp: complex, cutoff: int) -> np.ndarray:
         col[k] = col[k - 1] * amp / math.sqrt(k)
     col *= math.exp(-amp2 / 2)
     return col
+
+
+def _coherent_columns(z: np.ndarray, cutoff: int) -> np.ndarray:
+    """The (modes, D, members) coherent columns of the (members, modes)
+    amplitudes z under ``_coherent_column``'s guard, which names the mode
+    of the first amplitude past it in member order: its recurrence
+    v_k = v_{k-1} z / sqrt(k) as one running product over k for all of
+    them, so a last bit may differ from it."""
+    size = np.abs(z)
+    over = np.argwhere(size > math.sqrt(cutoff / 4))
+    if over.size:
+        member, mode = over[0]
+        raise AmplitudeOverflowError(int(mode), float(size[member, mode]),
+                                     cutoff)
+    steps = np.ones((z.shape[1], cutoff, z.shape[0]), complex)
+    steps[:, 1:] = z.T[:, None] / np.sqrt(np.arange(1, cutoff))[:, None]
+    return np.cumprod(steps, axis=1) * np.exp(-size.T ** 2 / 2)[:, None]
 
 
 def pure_density(state: ClassicalState, cutoff: int) -> FockMatrix:

@@ -23,7 +23,7 @@ from fockdm.acceptance import (
 )
 from fockdm.algebra import NormalFormOperator
 from fockdm.evolution import MasterTerms
-from fockdm.fock import compile_operator
+from fockdm.fock import compile_operator, compile_words
 
 
 def accept(number, seed, cutoff, samples=0):
@@ -115,6 +115,17 @@ def skew_compiled_words(monkeypatch, module, factor):
                         skew_first_pass(compile_operator(op, cutoff), factor))
 
 
+def skew_first_word(monkeypatch, module, factor):
+    """Compile every operator that module compiles one mode at a time with
+    the coefficient of its first word scaled by factor."""
+    def skewed(op, cutoff):
+        words = compile_words(op, cutoff)
+        return words._replace(coeffs=np.concatenate(
+            [words.coeffs[:1] * factor, words.coeffs[1:]]))
+
+    monkeypatch.setattr(module, "compile_words", skewed)
+
+
 def skew_first_pre_pass(monkeypatch, factor):
     """Build every MasterTerms with the first pre pass of group 0 scaled by
     factor, in the unpacked groups that its row blocks are planned from."""
@@ -155,17 +166,20 @@ def test_coherent_eigenrelation_catches_a_one_ppm_word_error(monkeypatch):
     assert result.value > 1e-8
 
 
-@pytest.mark.parametrize("number, module", [
-    (2, states), (6, discrepancy), (7, discrepancy), (12, discrepancy)],
+@pytest.mark.parametrize("number, module, skew", [
+    (2, states, skew_compiled_words), (6, discrepancy, skew_first_word),
+    (7, discrepancy, skew_first_word), (12, discrepancy, skew_first_word)],
     ids=["c02", "c06", "c07", "c12"])
 def test_trace_criterion_catches_a_one_ppm_word_error(monkeypatch, number,
-                                                      module):
-    # each criterion reads Tr(rho op) through operator_trace or block_trace
-    # of the operators its module compiles: expectations (2) and fluxes (6,
-    # 7, 12); a 1e-6 skew of one pass leaves an error of about 1e-7 to 1e-6
+                                                      module, skew):
+    # each criterion reads Tr(rho op) off the operators its module compiles:
+    # expectations (2) through the passes of operator_trace or block_trace,
+    # fluxes (6, 7, 12) through the per-mode words of ProductMembers.expect;
+    # a 1e-6 skew of one pass or of one word's coefficient leaves an error
+    # of about 7e-8 to 1e-6
     [criterion] = [c for c in CRITERIA if c.number == number]
     assert criterion.check(np.random.default_rng(3), 32, 10).passed
-    skew_compiled_words(monkeypatch, module, 1 + 1e-6)
+    skew(monkeypatch, module, 1 + 1e-6)
     result = criterion.check(np.random.default_rng(3), 32, 10)
     assert not result.passed
     assert result.value > result.tolerance

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockdm import cli, discrepancy, evolution
+from fockdm import cli, discrepancy, evolution, states
 from fockdm.acceptance import CRITERIA, CheckResult
 from fockdm.cli import (
     ConfigError,
@@ -20,7 +20,7 @@ from fockdm.cli import (
     main,
 )
 from fockdm.algebra import poly_to_normal_form
-from fockdm.fock import DIM_CAP, FockMatrix, realize_matrix
+from fockdm.fock import DIM_CAP, FockMatrix, ProductMembers, realize_matrix
 from fockdm.poly import PolyExpr, parse_poly
 from fockdm.states import ClassicalState, Ensemble, ensemble_density
 
@@ -106,6 +106,23 @@ class TestConfig:
         assert cfg.ensemble == members
         assert ExperimentConfig.from_json(
             {"experiment": "evolve"}).state == {"phi": [1.0], "pi": [0.0]}
+
+
+def refuse_to_build_past_12_modes(monkeypatch):
+    """Make building a phase circle, or promoting a polynomial to 13 or
+    more modes, fail the test."""
+    def built(*args, **kwargs):
+        raise AssertionError("built a phase circle past the cap")
+
+    promote = PolyExpr.promote
+
+    def guarded(self, modes):
+        if modes >= 13:
+            raise AssertionError("promoted a polynomial past the cap")
+        return promote(self, modes)
+
+    monkeypatch.setattr(Ensemble, "phase_circle", built)
+    monkeypatch.setattr(PolyExpr, "promote", guarded)
 
 
 class TestExitCodes:
@@ -463,31 +480,16 @@ class TestExitCodes:
     # 13 modes exceed DIM_CAP at any cutoff; the mode count is checked
     # before a circle's members or a promoted polynomial is built
     @pytest.mark.parametrize("experiment, data", [
-        ("iee", {"ensemble": {"kind": "phase_circle", "modes": 13}}),
         ("evolve", {"ensemble": {"kind": "phase_circle", "modes": 13}}),
-        ("iee", {"ensemble": {"members": [
-            {"phi": [0] * 13, "pi": [0] * 13, "w": 1}]}}),
         ("evolve", {"ensemble": {"members": [
             {"phi": [0] * 13, "pi": [0] * 13, "w": 1}]}}),
         *[(experiment, {"state": {"phi": [0] * 13, "pi": [0] * 13}})
-          for experiment in ("evolve", "iee", "project", "discrepancy")],
-    ], ids=["iee-circle", "evolve-circle", "iee-members", "evolve-members",
-            "evolve-state", "iee-state", "project-state",
-            "discrepancy-state"])
+          for experiment in ("evolve", "project")],
+    ], ids=["evolve-circle", "evolve-members", "evolve-state",
+            "project-state"])
     def test_mode_count_over_the_cap_exits_3_before_building(
             self, tmp_path, capsys, monkeypatch, experiment, data):
-        def built(*args, **kwargs):
-            raise AssertionError("built a phase circle past the cap")
-
-        promote = PolyExpr.promote
-
-        def guarded(self, modes):
-            if modes >= 13:
-                raise AssertionError("promoted a polynomial past the cap")
-            return promote(self, modes)
-
-        monkeypatch.setattr(Ensemble, "phase_circle", built)
-        monkeypatch.setattr(PolyExpr, "promote", guarded)
+        refuse_to_build_past_12_modes(monkeypatch)
         cfg = write_config(tmp_path, "modes.json",
                            {**data, "cutoff": 2, "seed": 1})
         code = main([experiment, "--config", str(cfg),
@@ -496,6 +498,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure: 13 modes at cutoff 2" in err
         assert str(DIM_CAP) in err
+
+    # the flux suites read their input one mode at a time, so no dimension
+    # cap binds them; their ceiling is the parser's, poly.MAX_MODES = 12,
+    # checked before a circle's members or a promoted polynomial is built
+    @pytest.mark.parametrize("experiment, data, name", [
+        ("iee", {"ensemble": {"kind": "phase_circle", "modes": 13}},
+         "ensemble.modes"),
+        ("iee", {"ensemble": {"members": [
+            {"phi": [0] * 13, "pi": [0] * 13, "w": 1}]}}, "ensemble"),
+        *[(experiment, {"state": {"phi": [0] * 13, "pi": [0] * 13}}, "state")
+          for experiment in ("iee", "discrepancy")],
+    ], ids=["iee-circle", "iee-members", "iee-state", "discrepancy-state"])
+    def test_flux_suite_past_the_mode_ceiling_exits_2(
+            self, tmp_path, capsys, monkeypatch, experiment, data, name):
+        refuse_to_build_past_12_modes(monkeypatch)
+        cfg = write_config(tmp_path, "modes.json",
+                           {**data, "cutoff": 2, "seed": 1})
+        code = main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {name}: 13 modes exceed the ceiling of 12 modes")
 
     # reify runs on its cutoffs and reads no cutoff, from the config or
     # from the flag
@@ -522,12 +546,13 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    # finite coefficients whose realized words overflow at the cutoff, so
-    # the flux read off them is not finite, and finite coefficients whose
-    # commutator overflows, so its constructor raises mid-run
+    # finite coefficients whose flux read off a large state overflows, and
+    # finite coefficients whose commutator overflows, so its constructor
+    # raises mid-run
     @pytest.mark.parametrize("experiment", ["discrepancy", "iee"])
     def test_non_finite_flux_exits_3(self, tmp_path, capsys, experiment):
-        for data in ({"hamiltonian": "1e306*phi1^4 + pi1^2", "cutoff": 32},
+        for data in ({"hamiltonian": "1e306*phi1^4 + pi1^2", "cutoff": 32,
+                      "state": {"phi": [3.9], "pi": [0]}},
                      {"hamiltonian": "1e200*phi1^3 + pi1^2",
                       "observables": ["1e200*phi1*pi1"]}):
             cfg = write_config(tmp_path, "flux.json", {**data, "seed": 1})
@@ -755,6 +780,28 @@ class TestDiscrepancySweep:
             assert abs(direct - (-(m - 1) / 2)) <= 1e-8
             assert float(cells[9]) <= 1e-8
 
+    def test_members_are_built_once_for_every_swept_value(self, tmp_path,
+                                                          monkeypatch):
+        # three swept values read each chunk of product members, and its
+        # moments, built once: 20 members in chunks of at most 8
+        built = []
+        init = ProductMembers.__post_init__
+
+        def counted(members):
+            built.append(members.columns.shape[2])
+            init(members)
+
+        monkeypatch.setattr(ProductMembers, "__post_init__", counted)
+        monkeypatch.setattr(states, "PRODUCT_BYTES", 16 * 16 * 8)
+        cfg = write_config(tmp_path, "d.json", {
+            "ensemble": {"kind": "phase_circle", "radius": 1, "points": 20},
+            "sweep": {"m": [0.5, 1.0, 2.0]}, "cutoff": 16})
+        out = tmp_path / "out"
+        assert main(["discrepancy", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert built == [8, 8, 4]
+        assert len((out / "results.csv").read_text().splitlines()) == 1 + 3
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, "d.json", DISC_CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -946,19 +993,61 @@ class TestEvolveSuite:
         assert len(builds) == 1
 
 
+def phi4_chain_config(modes=6):
+    """A 6-mode on-site quartic chain with nearest-neighbour coupling at
+    D = 16, whose D^n vector of 1.7e7 entries is far past DIM_CAP."""
+    return {"hamiltonian": " + ".join(
+        [f"0.5*pi{j}^2 + 0.5*phi{j}^2 + 0.25*lam*phi{j}^4"
+         for j in range(1, modes + 1)]
+        + [f"0.5*kap*(phi{j} - phi{j + 1})^2" for j in range(1, modes)]),
+        "bindings": {"lam": 0.3, "kap": 0.2},
+        "observables": ["phi1*pi1", "phi3^2", "pi2*phi5"], "cutoff": 16}
+
+
+class TestFluxReach:
+    # the flux suites hold one D-vector per mode of each member
+    def test_a_six_mode_chain_meets_the_closed_form(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "chain.json", {
+            **phi4_chain_config(),
+            "state": {"phi": [0.3, -0.2, 0.5, 0.1, -0.4, 0.25],
+                      "pi": [0.1, 0.4, -0.3, 0.2, 0.0, -0.15]}})
+        out = tmp_path / "out"
+        assert main(["discrepancy", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert "[pass] discrepancy-closed-form" in capsys.readouterr().out
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(float(row.split(",")[-1]) <= 1e-14 for row in rows)
+
+    def test_a_six_mode_phase_circle_is_an_equilibrium(self, tmp_path):
+        # a circle in mode 1's plane, the other modes at rest, under an H
+        # that is rotation-invariant in every mode: each flux vanishes
+        cfg = write_config(tmp_path, "circle.json", {
+            "hamiltonian": " + ".join(f"0.5*pi{j}^2 + 0.5*phi{j}^2"
+                                      for j in range(1, 7))
+            + " + 0.1*(phi1^2 + pi1^2)^2",
+            "observables": ["phi1*pi1", "phi1^2 - pi1^2"],
+            "ensemble": {"kind": "phase_circle", "radius": 1, "points": 16,
+                         "modes": 6},
+            "cutoff": 16})
+        assert main(["iee", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+
+
 class TestIEESuite:
     def test_each_commutator_is_compiled_once_per_run(self, tmp_path,
                                                       monkeypatch):
-        # 16 members and two observables: two compiled commutators, not one
-        # per member
+        # 16 members in four chunks and two observables: two commutators
+        # compiled one mode at a time, not one per member or per chunk
         calls = []
-        compile_operator = discrepancy.compile_operator
+        compile_words = discrepancy.compile_words
 
         def counted(op, cutoff):
             calls.append(op)
-            return compile_operator(op, cutoff)
+            return compile_words(op, cutoff)
 
-        monkeypatch.setattr(discrepancy, "compile_operator", counted)
+        monkeypatch.setattr(discrepancy, "compile_words", counted)
+        monkeypatch.setattr(states, "PRODUCT_BYTES", 16 * 16 * 4)
         cfg = write_config(tmp_path, "iee.json", {
             "ensemble": {"kind": "phase_circle", "radius": 1.0, "points": 16},
             "observables": ["phi1*pi1", "phi1^2 - pi1^2"], "cutoff": 16})
@@ -1276,6 +1365,21 @@ class TestFieldTable:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             f"config error: {name}: the {args[0]} suite does not read it\n")
+        assert not (tmp_path / "out").exists()
+
+    # a suite that reads a state or an ensemble runs on the ensemble, so a
+    # state given beside it would be dropped
+    @pytest.mark.parametrize("experiment", ["discrepancy", "evolve", "iee"])
+    def test_a_state_beside_an_ensemble_exits_2_naming_state(
+            self, tmp_path, capsys, experiment):
+        cfg = write_config(tmp_path, "c.json", {
+            "state": {"phi": [0.5], "pi": [0]},
+            "ensemble": {"members": [{"phi": [0], "pi": [1], "w": 1}]}})
+        assert main([experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: state: the {experiment} suite reads the "
+            "ensemble; give a state or an ensemble, not both\n")
         assert not (tmp_path / "out").exists()
 
 

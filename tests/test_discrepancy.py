@@ -8,7 +8,11 @@ import pytest
 
 from fockdm import discrepancy, states
 from fockdm.acceptance import equilibrium_check
-from fockdm.algebra import poly_to_normal_form
+from fockdm.algebra import (
+    commutator,
+    poly_to_normal_form,
+    random_normal_operator,
+)
 from fockdm.discrepancy import (
     discrepancy_closed_form,
     ensemble_fluxes,
@@ -17,7 +21,14 @@ from fockdm.discrepancy import (
     rescale_field,
     scaling_condition_residual,
 )
-from fockdm.fock import DimensionCapError, realize_matrix
+from fockdm.fock import (
+    DIM_CAP,
+    DimensionCapError,
+    block_trace,
+    compile_operator,
+    compile_words,
+    realize_matrix,
+)
 from fockdm.poly import parse_poly, random_poly
 from fockdm.states import (
     ClassicalState,
@@ -61,6 +72,12 @@ def pure_report(state, observable, hamiltonian, cutoff):
                                                             hamiltonian))
 
 
+def members_of(state, cutoff, degree=4):
+    """The state as product members with moments up to degree."""
+    [members] = Ensemble.pure(state).product_members(cutoff, degree)
+    return members
+
+
 def closed_form(state, observable, hamiltonian):
     return discrepancy_closed_form(Ensemble.pure(state), observable,
                                    hamiltonian)
@@ -69,16 +86,16 @@ def closed_form(state, observable, hamiltonian):
 class TestQuantumFlux:
     def test_observable_equal_to_hamiltonian(self):
         H = oscillator(1.5)
-        rho = pure_density(state1(0.6, -0.2), 24)
         flux = flux_operator(H, poly_to_normal_form(H), 24)
-        assert abs(quantum_flux(rho, flux)) <= 1e-12
+        assert abs(quantum_flux(members_of(state1(0.6, -0.2), 24), flux)) \
+            <= 1e-12
 
     def test_stationary_point_of_phi(self):
         H = parse_poly("0.5*phi1^2 + 0.5*pi1^2", {})
-        rho = pure_density(state1(1.0, 0.0), 32)
         flux = flux_operator(parse_poly("phi1", {}), poly_to_normal_form(H),
                              32)
-        assert abs(quantum_flux(rho, flux)) <= 1e-8
+        assert abs(quantum_flux(members_of(state1(1.0, 0.0), 32), flux)) \
+            <= 1e-8
 
     def test_against_dense_matrix_oracle(self):
         # independent route: realize g_n and H_n, commute as matrices
@@ -89,19 +106,21 @@ class TestQuantumFlux:
         for _ in range(5):
             s = random_state(rng)
             rho = pure_density(s, D)
-            got = quantum_flux(rho, flux_operator(g, poly_to_normal_form(H),
-                                                  D))
+            got = quantum_flux(members_of(s, D),
+                               flux_operator(g, poly_to_normal_form(H), D))
             gmat = realize_matrix(poly_to_normal_form(g), D).data
             hmat = realize_matrix(poly_to_normal_form(H), D).data
             oracle = -1j * np.trace(rho.data @ (gmat @ hmat - hmat @ gmat))
             assert abs(got - oracle) <= 1e-9
 
     def test_dimension_cap(self):
-        H = oscillator(1.0)
-        # 17^3 > DIM_CAP: rejected before anything of that size exists
+        # the flux is compiled one mode at a time, so 17^3 > DIM_CAP is no
+        # bar; one mode past the cap is refused before its ladder exists
+        g, h_n = parse_poly("phi1*pi1", {}), poly_to_normal_form(
+            oscillator(1.0).promote(3))
+        assert flux_operator(g, h_n, 17).coeffs.size
         with pytest.raises(DimensionCapError):
-            flux_operator(parse_poly("phi1*pi1", {}),
-                          poly_to_normal_form(H.promote(3)), 17)
+            flux_operator(g, h_n, DIM_CAP + 1)
 
 
 class TestClassicalFlux:
@@ -405,25 +424,27 @@ class TestIEECheck:
         assert abs(rep.direct - (-0.5)) <= 1e-8
 
     def test_members_are_read_in_blocks_of_at_most_dim(self, monkeypatch):
-        # 40 members at dim 8: five blocks of 8 columns, never one 8 x 40
+        # 40 members at D = 8, with room for the columns of 8 members: five
+        # chunks of 8, never one of 40
         widths = []
-        blocks = Ensemble.member_blocks
+        chunks = Ensemble.product_members
 
-        def recorded(ensemble, cutoff):
-            for block in blocks(ensemble, cutoff):
-                widths.append(block.vectors.shape)
-                yield block
+        def recorded(ensemble, cutoff, degree):
+            for members in chunks(ensemble, cutoff, degree):
+                widths.append(members.columns.shape)
+                yield members
 
-        monkeypatch.setattr(Ensemble, "member_blocks", recorded)
+        monkeypatch.setattr(Ensemble, "product_members", recorded)
+        monkeypatch.setattr(states, "PRODUCT_BYTES", 16 * 8 * 8)
         e = Ensemble.phase_circle(0.8, 40)
         H = parse_poly("0.5*pi1^2 + 0.5*phi1^2 + 0.1*phi1^4", {})
         gs = [parse_poly("phi1*pi1", {}), parse_poly("phi1^2", {})]
         report = ensemble_fluxes(e, H, gs, 8)
-        assert widths == [(8, 8)] * 5
+        assert widths == [(1, 8, 8)] * 5
         rho = ensemble_density(e, 8)
         for g, row in zip(gs, report):
-            want = quantum_flux(rho, flux_operator(g, poly_to_normal_form(H),
-                                                     8))
+            want = -1j * rho.expect(compile_operator(commutator(
+                poly_to_normal_form(g), poly_to_normal_form(H)), 8))
             assert abs(row.g_hat - want) <= 1e-13
 
     def test_generic_two_point_ensemble_is_not_equilibrium(self):
@@ -444,3 +465,107 @@ class TestIEECheck:
                 [alone] = ensemble_fluxes(e, H, [g], 16)
                 assert repr((alone.g_hat, alone.g_dot)) \
                     == repr((row.g_hat, row.g_dot))
+
+
+def random_ensemble(rng, modes, members, scale=0.5):
+    return Ensemble.from_states(
+        [random_state(rng, modes, scale) for _ in range(members)],
+        rng.dirichlet(np.ones(members)))
+
+
+def block_route(ensemble, op, cutoff):
+    """Tr(rho op) off the member blocks, and the same sum taken over the
+    absolute values of its terms, the scale of both routes' rounding."""
+    table = compile_operator(op, cutoff)
+    size = table._replace(passes=tuple((shift, np.abs(pad))
+                                       for shift, pad in table.passes))
+    value = scale = 0
+    for block in ensemble.member_blocks(cutoff):
+        value += block.expect(table)
+        scale += block_trace(np.abs(block.vectors), block.weights, size).real
+    return value, scale
+
+
+# every D from 2 (where truncation cuts most words) up to the largest D
+# whose D^n vector fits DIM_CAP, so both routes run; 1 mode takes D = 2-64
+# and each power of two up to the cap
+ORACLE_CUTOFFS = [(1, D) for D in [*range(2, 65), 128, 256, 512, 1024, 2048,
+                                   4096]] \
+    + [(2, D) for D in range(2, 65)] + [(3, D) for D in range(2, 17)]
+
+
+class TestProductRoute:
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_flux_equals_the_block_route(self, modes):
+        # random H of degree 2-5 and observables of degree 1-3, whose normal
+        # forms carry complex words, read off random ensembles of 1-4
+        # members; the product route rounds differently, within 1e-13 of
+        # the terms' size
+        rng = np.random.default_rng(300 + modes)
+        for _, D in [c for c in ORACLE_CUTOFFS if c[0] == modes]:
+            H = random_poly(rng, modes=modes, degree=2 + D % 4, terms=5)
+            g = random_poly(rng, modes=modes, degree=1 + D % 3, terms=3)
+            h_n = poly_to_normal_form(H.promote(modes))
+            e = random_ensemble(rng, modes, 1 + D % 4)
+            [row] = ensemble_fluxes(e, H, [g], D)
+            want, scale = block_route(e, commutator(
+                poly_to_normal_form(g.promote(modes)), h_n), D)
+            assert abs(row.g_hat - -1j * want) <= 1e-13 * scale, (modes, D)
+
+    @pytest.mark.parametrize("modes, D", [(1, 3), (1, 9), (2, 4), (2, 7),
+                                          (3, 3), (3, 5)])
+    def test_any_operator_on_signed_weights(self, modes, D):
+        # non-Hermitian words, some longer than the cutoff, read off members
+        # with signed weights
+        rng = np.random.default_rng(310 + 10 * modes + D)
+        e = random_ensemble(rng, modes, 5)
+        weights = rng.uniform(-1, 1, 5)
+        [members] = e.product_members(D, 5)
+        members = replace(members, weights=weights)
+        vectors = np.hstack([b.vectors for b in e.member_blocks(D)])
+        for _ in range(4):
+            op = random_normal_operator(rng, modes=modes, degree=5, words=6,
+                                        hermitian=False, dyadic=False)
+            want = block_trace(vectors, weights, compile_operator(op, D))
+            got = members.expect(compile_words(op, D))
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_gap_shrinks_with_the_cutoff(self):
+        # a 6-mode phi^4 chain: the direct gap meets the free-space closed
+        # form only as the coherent tail leaves the truncated space, so a
+        # reader blind to truncation, exact at every D, fails the first
+        # bound
+        h, gs, state = phi4_chain()
+        e = Ensemble.pure(state)
+        residual = [max(abs(row.direct - discrepancy_closed_form(e, g, h))
+                        for g, row in zip(gs, ensemble_fluxes(e, h, gs, D)))
+                    for D in (4, 6, 8, 10, 16)]
+        assert residual[0] > 1e-3
+        for coarse, fine in zip(residual[:3], residual[1:4]):
+            assert fine < coarse / 30
+        assert residual[4] <= 1e-14
+
+    def test_members_are_built_past_the_dimension_cap(self):
+        # 6 modes at D = 16 is a D^n vector of 1.7e7 entries, far past
+        # DIM_CAP; the flux reads off 6 columns of 16 per member
+        h, gs, state = phi4_chain()
+        with pytest.raises(DimensionCapError):
+            next(Ensemble.pure(state).member_blocks(16))
+        e = Ensemble.pure(state)
+        for g, row in zip(gs, ensemble_fluxes(e, h, gs, 16)):
+            assert abs(row.direct - discrepancy_closed_form(e, g, h)) \
+                <= 1e-14
+
+
+def phi4_chain(modes=6):
+    """An on-site quartic chain with nearest-neighbour coupling, three
+    observables and a state well inside the guard at D = 16."""
+    h = parse_poly(" + ".join(
+        [f"0.5*pi{j}^2 + 0.5*phi{j}^2 + 0.075*phi{j}^4"
+         for j in range(1, modes + 1)]
+        + [f"0.1*(phi{j} - phi{j + 1})^2" for j in range(1, modes)]), {})
+    gs = [parse_poly(text, {}) for text in ("phi1*pi1", "phi3^2",
+                                            "pi2*phi5")]
+    state = ClassicalState([0.3, -0.2, 0.5, 0.1, -0.4, 0.25],
+                           [0.1, 0.4, -0.3, 0.2, 0.0, -0.15])
+    return h, [g.promote(modes) for g in gs], state

@@ -7,13 +7,16 @@ an eigenbasis itself, once, and nothing rotates out of one.  Only
 criterion 5's dense oracle realizes a dense matrix; the spectral primitive
 sums its sector blocks straight from the compiled words.  A moment matrix
 is made dense only where the math needs it: the master law, the fold of a
-wide ensemble, criteria 2 and 3 and snapshots.  An operator has one
-compiled form, the flat-shift passes of fock.compile_operator, which alone
-decides whether its pads are real.  fock.apply walks them for reification
-and for criterion 1, and only two functions outside fock read them: the
-master law's MasterTerms.__init__, which plans master_rhs's row blocks
-from them, and reify.s_action, for the Taylor step bound of the S
-generator.  Every
+wide ensemble, criteria 2 and 3 and snapshots.  An operator is compiled
+in two stages: its per-mode words (fock.compile_words), which the flux
+reader walks, and the flat-shift passes fock.compile_operator builds from
+them, which alone decides whether its pads are real.  The flux reader
+reads product members one mode at a time: nothing reached from
+ensemble_fluxes forms a member's D^n vector or reads a member block.
+fock.apply walks the passes for reification and for criterion 1, and only
+two functions outside fock read them: the master law's
+MasterTerms.__init__, which plans master_rhs's row blocks from them, and
+reify.s_action, for the Taylor step bound of the S generator.  Every
 pass/fail is decided in acceptance: no other module builds a CheckResult
 or holds a tolerance.  The CLI reads a config once, at load: only
 ExperimentConfig.validate loads the raw state and ensemble fields, only it
@@ -291,16 +294,93 @@ def test_one_blas_thread_is_set_before_any_submodule_loads():
     assert defaults and defaults[0] < first_import
 
 
-# the one flux reader: each commutator is compiled and read off the members
-# only inside ensemble_fluxes, which the two flux suites and the acceptance
-# criteria call
+# the one flux reader: each commutator is compiled one mode at a time and
+# read off product members only inside sweep_fluxes, which the discrepancy
+# suite calls over its runs and ensemble_fluxes, for iee and the acceptance
+# criteria, over one system
 def test_one_flux_reader():
-    assert callers({"flux_operator", "quantum_flux"}) \
-        == {("discrepancy", "ensemble_fluxes")}
+    assert callers({"flux_operator", "quantum_flux", "product_members"}) \
+        == {("discrepancy", "sweep_fluxes")}
+    assert {(module, scope) for module, scope in callers({"compile_words"})
+            if module != "fock"} == {("discrepancy", "flux_operator")}
+    assert callers({"sweep_fluxes"}) \
+        == {("cli", "run_discrepancy"), ("discrepancy", "ensemble_fluxes")}
     reader = callers({"ensemble_fluxes"})
     assert {module for module, _ in reader} == {"cli", "acceptance"}
     assert {scope for module, scope in reader if module == "cli"} \
-        == {"run_discrepancy", "run_iee"}
+        == {"run_iee"}
+
+
+def functions():
+    """(module, class or None, name) -> the FunctionDef of each module-level
+    function and of each method of a module-level class, and each class's
+    first base."""
+    out, bases = {}, {}
+    for module in STACK:
+        for node in module_tree(module).body:
+            if isinstance(node, ast.FunctionDef):
+                out[module, None, node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                bases[node.name] = next(
+                    (ast.unparse(base) for base in node.bases), None)
+                out.update(((module, node.name, item.name), item)
+                           for item in node.body
+                           if isinstance(item, ast.FunctionDef))
+    return out, bases
+
+
+def reached(start):
+    """The functions a call graph over the package reaches from start.  A
+    call of a bare name reaches the functions of that name and the
+    constructor hooks of the classes of that name; a call of name.method
+    reaches name's class's method when name is self or a parameter
+    annotated with a package class, super().method the base's method, and
+    any other x.method every method or function of that name."""
+    defs, bases = functions()
+    classes = {cls for _, cls, _ in defs if cls}
+    seen, todo = set(), [start]
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        node = defs[key]
+        typed = {arg.arg: ast.unparse(arg.annotation).strip("'\"")
+                 for arg in node.args.args if arg.annotation is not None}
+        if key[1]:
+            typed["self"] = key[1]
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                todo += [k for k in defs if k[2] == func.id and not k[1]
+                         or k[1] == func.id and k[2] in ("__init__",
+                                                         "__post_init__")]
+            elif isinstance(func, ast.Attribute):
+                value = func.value
+                if getattr(getattr(value, "func", None), "id", None) \
+                        == "super":
+                    # a base outside the package reaches nothing in it
+                    todo += [k for k in defs if k[1:] == (bases[key[1]],
+                                                          func.attr)]
+                    continue
+                owner = (typed.get(value.id) if isinstance(value, ast.Name)
+                         else None)
+                todo += [k for k in defs if k[2] == func.attr and (
+                    owner not in classes or k[1] == owner)]
+    return seen
+
+
+# the flux suites read their members one mode at a time: nothing the flux
+# reader reaches forms a member's D^n vector or reads a member block
+def test_the_flux_reader_forms_no_member_vector():
+    names = {name for _, _, name in reached(
+        ("discrepancy", None, "ensemble_fluxes"))}
+    assert {"sweep_fluxes", "product_members", "expect",
+            "_coherent_columns"} <= names
+    assert not names & {"member_blocks", "pseudo_wavefunction",
+                        "block_trace"}
 
 
 def test_validate_names_no_suite_outside_the_field_table():
