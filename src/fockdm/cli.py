@@ -94,7 +94,8 @@ EXPERIMENTS = tuple(SUITE_FIELDS)
 
 # the most steps t/dt that fockdm evolve accepts; checked at load time
 MAX_STEPS = 10 ** 6
-# the most members of a phase_circle ensemble; checked at load time
+# the most members of a phase_circle ensemble, and the most member reads of
+# a discrepancy sweep (members times swept values); checked at load time
 MAX_POINTS = 10 ** 5
 # the most values of a sweep, each fitted at load; checked at load time
 MAX_SWEEP_VALUES = 10 ** 3
@@ -177,10 +178,13 @@ def _check_modes(name: str, modes: int, cutoff: int, product: bool) -> None:
         check_dimension(1, cutoff)
 
 
-def _read_ensemble(spec, cutoff: int, product: bool) -> Ensemble:
+def _read_ensemble(spec, cutoff: int, product: bool,
+                   reads: int) -> Ensemble:
     """The ensemble of a config's ensemble object: a phase circle, whose
     mode count is checked (``_check_modes``) before its members exist, or
-    weighted members; each kind refuses the other's keys."""
+    weighted members; each kind refuses the other's keys.  Each member is
+    read once per swept value, ``reads`` times, and more than MAX_POINTS
+    reads are refused before any member is built."""
     if not isinstance(spec, dict):
         raise ConfigError("ensemble: must be an object")
     kind = spec.get("kind", "members")
@@ -198,6 +202,7 @@ def _read_ensemble(spec, cutoff: int, product: bool) -> Ensemble:
         if points > MAX_POINTS:
             raise ConfigError(f"ensemble.points: exceeds the ceiling of "
                               f"{MAX_POINTS} points")
+        _check_reads(points, reads)
         _check_modes("ensemble.modes", modes, cutoff, product)
         return Ensemble.phase_circle(radius, points, modes=modes)
     if kind != "members":
@@ -209,12 +214,20 @@ def _read_ensemble(spec, cutoff: int, product: bool) -> Ensemble:
                     for m in members)):
         raise ConfigError("ensemble: members must be a list of objects with "
                           "phi, pi and a number w")
+    _check_reads(len(members), reads)
     states = [_read_state("ensemble", m, ("phi", "pi", "w"))
               for m in members]
     try:
         return Ensemble.from_states(states, [m["w"] for m in members])
     except ValueError as err:
         raise ConfigError(f"ensemble: {err}") from err
+
+
+def _check_reads(members: int, reads: int) -> None:
+    if members * reads > MAX_POINTS:
+        raise ConfigError(f"sweep: {members} members read at each of {reads} "
+                          f"swept values exceed the ceiling of {MAX_POINTS} "
+                          "member reads")
 
 
 # the input of a suite run without a state or an ensemble of its own, where
@@ -359,9 +372,11 @@ class ExperimentConfig:
             raise ConfigError(f"state: the single-mode recoding takes a "
                               f"one-mode state, not {state.modes} modes")
         product = self.experiment in PRODUCT_SUITES
+        reads = max(map(len, self.sweep.values()), default=1)
         self.initial_ensemble = (Ensemble.pure(state) if self.ensemble is None
                                  else _read_ensemble(self.ensemble,
-                                                     self.cutoff, product))
+                                                     self.cutoff, product,
+                                                     reads))
         # the polynomials on the input's mode count, checked for the
         # suite's route before anything is promoted to it
         modes = self.initial_ensemble.modes

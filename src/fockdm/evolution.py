@@ -1,11 +1,15 @@
 """Time evolution of moment matrices: two competing generators.
 
 * The quantum Liouville law rhodot = -i [H_n, rho], applied exactly to the
-  members of rho = W diag(p) W^H in the eigenbasis of H_n: every column
-  moves as U w with U = exp(-i t H_n), the eigenbasis flow of H_n at the
-  rate i t (fock.Eigensystem.flow), and each sample stays a member block
-  (fock.MemberBlock).  H_n is diagonalized per invariant sector of its
-  words (fock.eigensystem), and U is never formed.
+  members of rho = W diag(p) W^H: every column moves as U w with
+  U = exp(-i t H_n), and each sample stays a member block
+  (fock.MemberBlock).  fock.propagate moves them by one of two routes,
+  picked from H_n and the largest sample time: a Chebyshev series in H_n
+  whose vectors T_k(H~) W come through fock.apply and are shared by every
+  sample, where its degree is below the widest invariant sector of H_n's
+  words and its vectors fit in fock.SPAN_BYTES; otherwise the eigenbasis
+  flow of H_n at the rate i t (fock.Eigensystem.flow), H_n diagonalized per
+  invariant sector (fock.eigensystem).  U is never formed.
 * The free-space master equation induced by the classical flow,
 
       rhodot = rho' + rho'^H,
@@ -30,12 +34,13 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .algebra import NormalFormOperator
 from .fock import (
+    SPAN_BYTES,
     FockMatrix,
     MemberBlock,
     PairingError,
@@ -43,6 +48,7 @@ from .fock import (
     check_pairing,
     compile_operator,
     eigensystem,
+    propagate,
 )
 from .states import Ensemble, ensemble_density
 
@@ -51,8 +57,6 @@ log = logging.getLogger(__name__)
 # the most Taylor terms a sample of evolve_density sums before it leaves its
 # span unconverged
 MAX_TERMS = 30
-# the bytes of the partial sums one span of evolve_density holds
-SPAN_BYTES = 4 * 2 ** 20
 # the bytes of the output rows of one row block of master_rhs
 BLOCK_BYTES = 2 ** 18
 # the relative size of the two consecutive terms that end a sample's series
@@ -240,10 +244,9 @@ def density_samples(law: str, ensemble: Ensemble,
         else:
             [block] = ensemble.member_blocks(cutoff)
             vectors, weights = block.vectors, block.weights
-        at = liouville_flow(vectors, weights, hamiltonian, cutoff)
-        yield 0, at(0.0)
-        for done in dones:
-            yield done, at(done * dt)
+        yield from zip([0] + dones, liouville_flow(
+            vectors, weights, hamiltonian, cutoff,
+            [0.0] + [done * dt for done in dones]))
     elif law == "master":
         rho = ensemble_density(ensemble, cutoff)
         terms = MasterTerms(hamiltonian, cutoff)
@@ -260,20 +263,19 @@ def density_samples(law: str, ensemble: Ensemble,
 
 
 def liouville_flow(vectors: np.ndarray, weights: np.ndarray,
-                   hamiltonian: NormalFormOperator,
-                   cutoff: int) -> Callable[[float], MemberBlock]:
-    """t -> the member block (Y(t), p) of U rho U^H, U = exp(-i t H_n), for
-    rho = W diag(p) W^H.
+                   hamiltonian: NormalFormOperator, cutoff: int,
+                   times) -> Iterator[MemberBlock]:
+    """The member block (Y(t), p) of U rho U^H, U = exp(-i t H_n), for
+    rho = W diag(p) W^H, at each of the times in order.
 
-    W (vectors, dim x r) flows at the rate s = i t in the eigenbasis (E, V)
-    of H_n (fock.eigensystem, Eigensystem.flow), read once, X = V^H W: each
-    call forms Y = V (e^{-iEt} o X) one sector block of V at a time, with
-    no dim x dim U or V, and starts from X at its absolute t, so nothing
-    accumulates between calls.  p (weights) is real, possibly signed.
+    W (vectors, dim x r) moves as Y(t) = U W by fock.propagate, which picks
+    a Chebyshev series or the eigenbasis of H_n from H_n and the largest
+    time; no dim x dim U is formed, and each sample is read at its absolute
+    t, so nothing accumulates between samples.  p (weights) is real,
+    possibly signed.
     """
-    flow = eigensystem(hamiltonian, cutoff).flow(vectors)
-    return lambda t: MemberBlock(hamiltonian.modes, cutoff, flow(1j * t),
-                                 weights)
+    return (MemberBlock(hamiltonian.modes, cutoff, y, weights)
+            for y in propagate(hamiltonian, cutoff, vectors, times))
 
 
 def span_width(dim: int) -> int:

@@ -22,7 +22,12 @@ block of member vectors without forming rho, ``eigensystem``, the one
 spectral primitive, sums each invariant sector's block straight from the
 passes, and ``realize_matrix`` writes the dense matrix (kept for criterion
 5's dense route and test oracles).  ``Eigensystem.flow``, V e^{-sE} V^H x
-at a real or complex rate s, is the one eigenbasis action.  A moment
+at a real or complex rate s, is the one eigenbasis action.  ``propagate``
+moves member vectors by e^{-itH} for the Liouville law, by a Chebyshev
+series whose vectors come through ``apply`` where its degree is below the
+widest invariant sector and they fit in SPAN_BYTES, and by the eigenbasis
+flow otherwise; its error bound, 2^-53 of the vectors' norm, is known
+before it runs.  A moment
 matrix is a ``FockMatrix`` or, held as its members W and weights p, a
 ``MemberBlock``; both read a table through ``expect``.  Members that are
 products over the modes may instead be held one mode at a time, as
@@ -43,8 +48,9 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,6 +59,11 @@ from .algebra import NormalFormOperator, hermitian_pair_check
 log = logging.getLogger(__name__)
 
 DIM_CAP = 4096
+# the bytes of the Chebyshev vectors one call of propagate holds, and of the
+# partial sums one span of evolution.evolve_density holds
+SPAN_BYTES = 4 * 2 ** 20
+# the Bessel tail that the degree of a Chebyshev series leaves out
+_TAIL = 2.0 ** -53
 
 
 class DimensionCapError(ValueError):
@@ -331,9 +342,23 @@ def eigensystem(op: NormalFormOperator, cutoff: int) -> Eigensystem:
     dense matrix: a block cell receives the pad entry of the one pass whose
     shift joins its row and column, the sum of that shift's words in word
     order, as the dense matrix does, and so takes the pads' type."""
+    table = _hermitian_table(op, cutoff)
+    return _eigensystem(table, _sector_labels(table))
+
+
+def _hermitian_table(op: NormalFormOperator, cutoff: int) -> WordTable:
+    """The passes of a Hermitian-paired operator, refused when a pad entry,
+    and so a matrix element, is not finite."""
     check_pairing(op)
     table = compile_operator(op, cutoff)
-    label = _sector_labels(table)
+    if not all(np.isfinite(pad).all() for _, pad in table.passes):
+        raise FloatingPointError(f"H_n overflows at cutoff {cutoff}")
+    return table
+
+
+def _eigensystem(table: WordTable, label: np.ndarray) -> Eigensystem:
+    """The eigensystem of ``eigensystem`` from the operator's passes and
+    its sector labels."""
     size = np.bincount(label)[label]
     # order lists the states by the width of their sector, then by sector;
     # the counts[w] states in sectors of width w are consecutive in it
@@ -349,13 +374,10 @@ def eigensystem(op: NormalFormOperator, cutoff: int) -> Eigensystem:
     row, col = run[size] + place * size, place % size
     blocks = np.zeros(cells.sum(), np.result_type(
         float, *(pad for _, pad in table.passes)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # within one pass every target T, and so every cell, is distinct
-        for shift, pad in table.passes:
-            t = np.flatnonzero(pad)
-            blocks[row[t] + col[t - shift]] += pad[t]
-    if not np.isfinite(blocks).all():
-        raise FloatingPointError(f"H_n overflows at cutoff {cutoff}")
+    # within one pass every target T, and so every cell, is distinct
+    for shift, pad in table.passes:
+        t = np.flatnonzero(pad)
+        blocks[row[t] + col[t - shift]] += pad[t]
     values, groups, start = np.empty(label.size), [], 0
     for width in counts.nonzero()[0]:
         rows = order[start:start + counts[width]].reshape(-1, width)
@@ -385,6 +407,148 @@ def _sector_labels(table: WordTable) -> np.ndarray:
         label[:] = label[label]
         if label.tobytes() == before:
             return label
+
+
+def propagate(op: NormalFormOperator, cutoff: int, vectors: np.ndarray,
+              times) -> Iterator[np.ndarray]:
+    """e^{-itH} x at each of the real times t, in order, for H = op,
+    Hermitian-paired and finite at the cutoff, and x a vector or a (dim,
+    ...) block, by one of two routes, picked from the operator, the size
+    of x and the largest |t|.
+
+    Chebyshev (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984): with
+    [a, b] the Gershgorin bounds of H (``gershgorin``), c = (a + b) / 2,
+    h = (b - a) / 2 and H~ = (H - c) / h,
+
+        e^{-itH} x = e^{-itc} sum_k (2 - delta_k0) (-i)^k J_k(t h) T_k(H~) x,
+
+    summed to the degree m of the largest |t| h (``chebyshev_degree``), so
+    the series left out is below 2^-53 ||x|| at every time.  The m + 1
+    vectors T_k(H~) x come from the three-term recurrence through
+    ``apply``, and every time shares them.  Eigensystem:
+    ``eigensystem(op, cutoff).flow(x)`` at the rate s = i t.  Chebyshev
+    runs when m is below the width of the widest invariant sector, the
+    size of the largest eigh it spares, and its m + 1 vectors fit in
+    SPAN_BYTES; the eigensystem otherwise.  The route is picked and its
+    work done by this call; each sample is formed as it is drawn.
+    """
+    table = _hermitian_table(op, cutoff)
+    label = _sector_labels(table)
+    widest = int(np.bincount(label).max())
+    low, high = gershgorin(table)
+    center, half = (low + high) / 2, (high - low) / 2
+    times = [float(t) for t in times]
+    reach = max(map(abs, times), default=0.0) * half
+    # Chebyshev's degree must stay below both the widest sector and the
+    # count of vectors that fit in SPAN_BYTES
+    limit = min(widest, SPAN_BYTES // (16 * vectors.size))
+    # the degree exceeds the reach, which bounds the work of finding it
+    degree = chebyshev_degree(reach) if reach < limit else None
+    chebyshev = degree is not None and degree < limit
+    log.debug("propagate: route=%s degree=%s bounds=[%.6g, %.6g] widest=%d",
+              "chebyshev" if chebyshev else "eigensystem",
+              f">={limit}" if degree is None else degree, low, high, widest)
+    if chebyshev:
+        return _chebyshev(table, center, half, degree, vectors, times)
+    flow = _eigensystem(table, label).flow(vectors)
+    return (flow(1j * t) for t in times)
+
+
+def gershgorin(table: WordTable) -> tuple[float, float]:
+    """[a, b] holding every eigenvalue of the Hermitian operator compiled in
+    table: the least d_T - R_T and the greatest d_T + R_T over the rows T,
+    d the shift-0 pad and R the sum of |pad| over the other passes, whose
+    pads hold the row's off-diagonal elements (Gershgorin's theorem)."""
+    dim = table.cutoff ** table.modes
+    diagonal, radius = np.zeros(dim), np.zeros(dim)
+    for shift, pad in table.passes:
+        if shift:
+            radius += np.abs(pad)
+        else:
+            diagonal += pad.real
+    return float((diagonal - radius).min()), float((diagonal + radius).max())
+
+
+def _chebyshev(table: WordTable, center: float, half: float, degree: int,
+               vectors: np.ndarray, times) -> Iterator[np.ndarray]:
+    """The Chebyshev route of ``propagate``: the vectors T_k(H~) x, k <=
+    degree, built at once, then one sum of them per time."""
+    # one member is carried as a flat vector, which apply walks fastest
+    work = np.array(vectors, complex).reshape(
+        (len(vectors), -1) if vectors[0].size > 1 else -1)
+    stack = np.empty((degree + 1,) + work.shape, complex)
+    stack[0] = work
+    if degree:
+        # 2 H~ = (2 / h) (H - c): the pads scaled, c on the diagonal
+        scale = 2 / half
+        passes = {0: np.full(len(work), -center * scale)}
+        for shift, pad in table.passes:
+            passes[shift] = passes.get(shift, 0) + pad * scale
+        doubled = table._replace(passes=tuple(passes.items()))
+        stack[1] = 0
+        apply(doubled, stack[0], stack[1])
+        stack[1] *= 0.5
+        for k in range(2, degree + 1):
+            # T_k = 2 H~ T_{k-1} - T_{k-2}
+            np.negative(stack[k - 2], out=stack[k])
+            apply(doubled, stack[k - 1], stack[k])
+    terms = stack.reshape(degree + 1, -1)
+    # (2 - delta_k0) (-i)^k, exact
+    weights = np.array([2, -2j, -2, 2j])[np.arange(degree + 1) % 4]
+    weights[0] = 1
+
+    def sample(t):
+        bessel = bessel_j(abs(t) * half, degree)
+        if t < 0:
+            bessel[1::2] *= -1
+        coeffs = weights * bessel * np.exp(-1j * t * center)
+        return (coeffs @ terms).reshape(vectors.shape)
+
+    return (sample(t) for t in times)
+
+
+def chebyshev_degree(x: float) -> int:
+    """The least degree m at which the Bessel tail 2 sum_{k>m} |J_k(x)|,
+    x >= 0, is below 2^-53: the series of e^{-ixy} in T_k(y) cut there is
+    off by less on -1 <= y <= 1, where |T_k(y)| <= 1."""
+    magnitudes = np.abs(bessel_j(x, _bessel_reach(x)))
+    # tails[k] = 2 sum_{i>k} |J_i|, summed from the top
+    tails = np.append(2 * np.cumsum(magnitudes[:0:-1])[::-1], 0.0)
+    return int(np.argmax(tails < _TAIL))
+
+
+def bessel_j(x: float, top: int) -> np.ndarray:
+    """J_0(x), ..., J_top(x) for x >= 0, by Miller's backward recurrence
+    J_{k-1} = (2k / x) J_k - J_{k+1}, started from J_{N+1} = 0 at an N
+    past the reach of x and 20 past top, rescaled whenever it grows past
+    2^512, and normalized by J_0 + 2 sum_k J_2k = 1.  Below x = 2^-400, J_0
+    is 1 to rounding and the rest is below 2^-400; they are returned as 1
+    and 0."""
+    out = np.zeros(top + 1)
+    if x < 2.0 ** -400:
+        out[0] = 1.0
+        return out
+    start = max(top + 20, _bessel_reach(x))
+    values = [0.0] * (start + 1)
+    above, here = 0.0, 2.0 ** -512
+    values[start] = here
+    big, small = 2.0 ** 512, 2.0 ** -512
+    for k in range(start, 0, -1):
+        above, here = here, 2 * k / x * here - above
+        values[k - 1] = here
+        if abs(here) > big:
+            values[k - 1:] = [v * small for v in values[k - 1:]]
+            above, here = above * small, here * small
+    values = np.array(values)
+    out[:] = values[:top + 1] / (values[0] + 2 * values[2::2].sum())
+    return out
+
+
+def _bessel_reach(x: float) -> int:
+    """An order past which |J_k(x)| is far below 2^-53: the transition
+    region around k = x is some x^(1/3) wide, and J_k falls
+    superexponentially beyond it."""
+    return math.ceil(x + 18 * x ** (1 / 3)) + 30
 
 
 def realize_matrix(op: NormalFormOperator, cutoff: int) -> FockMatrix:

@@ -1431,6 +1431,50 @@ class TestDiscrepancyEnsemble:
 
 
 class TestSweepCeiling:
+    @pytest.mark.parametrize("points, code", [
+        (cli.MAX_POINTS // 2, 0), (cli.MAX_POINTS // 2 + 1, 2)],
+        ids=["at-the-ceiling", "past-the-ceiling"])
+    def test_members_times_swept_values_past_the_ceiling_exit_2_before_building(
+            self, tmp_path, capsys, monkeypatch, points, code):
+        # a phase circle read at each of two swept values; the circle
+        # actually built, at the ceiling, has 4 points
+        built, circle = [], Ensemble.phase_circle
+
+        def small(radius, points, modes=1):
+            built.append(points)
+            return circle(radius, 4, modes=modes)
+
+        monkeypatch.setattr(Ensemble, "phase_circle", small)
+        monkeypatch.setitem(cli._RUNNERS, "discrepancy", lambda config:
+                            SuiteResult(["m"], [(value,) for value, *_
+                                                in config.runs], []))
+        cfg = write_config(tmp_path, "reads.json", {
+            "ensemble": {"kind": "phase_circle", "points": points},
+            "sweep": {"m": [1.0, 2.0]}})
+        assert main(["discrepancy", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == code
+        if code == 0:
+            assert built == [points]
+        else:
+            assert built == []
+            err = capsys.readouterr().err
+            assert err.startswith("config error: sweep:")
+            assert str(cli.MAX_POINTS) in err
+
+    def test_listed_members_count_against_the_same_ceiling(self, tmp_path,
+                                                           capsys):
+        # 101 members at each of 1000 swept values, refused before a member
+        # or a swept value is read
+        members = [{"phi": [0.1 * k], "pi": [0], "w": 1} for k in range(101)]
+        cfg = write_config(tmp_path, "reads.json", {
+            "ensemble": {"members": members},
+            "sweep": {"m": [1.0 + k for k in range(cli.MAX_SWEEP_VALUES)]}})
+        assert main(["discrepancy", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep: 101 members")
+        assert str(cli.MAX_POINTS) in err
+
     @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)],
                              ids=["at-the-ceiling", "past-the-ceiling"])
     def test_a_sweep_past_the_ceiling_exits_2_before_any_value_is_parsed(

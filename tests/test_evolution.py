@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from fockdm.algebra import (
     poly_to_normal_form,
     random_normal_operator,
 )
+from fockdm.cli import ExperimentConfig
 from fockdm.evolution import (
     MasterTerms,
     PairingError,
@@ -25,6 +29,7 @@ from fockdm.evolution import (
 from fockdm.fock import (
     DimensionCapError,
     FockMatrix,
+    MemberBlock,
     compile_operator,
     eigensystem,
     interior_block,
@@ -43,6 +48,14 @@ from fockdm.states import (
     rk4_step,
     step_count,
 )
+
+# the benchmark's config generator, read from perfbench/ without importing
+# the rest of the benchmark
+_SOURCE = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _SOURCE)
+workloads = sys.modules.setdefault(_SPEC.name,
+                                   importlib.util.module_from_spec(_SPEC))
+_SPEC.loader.exec_module(workloads)
 
 SQRT2 = math.sqrt(2.0)
 A = NormalFormOperator.annihilation()
@@ -89,8 +102,8 @@ def liouville(rho, hamiltonian, t):
     # rho as its eigendecomposition W diag(p) W^H, p signed when rho is
     # not positive; the flow's member block read back as a dense sample
     weights, vectors = np.linalg.eigh(rho.data)
-    at = liouville_flow(vectors, weights, hamiltonian, rho.cutoff)
-    return at(t).dense()
+    [sample] = liouville_flow(vectors, weights, hamiltonian, rho.cutoff, [t])
+    return sample.dense()
 
 
 def dense_liouville(rho, hamiltonian, t):
@@ -154,10 +167,10 @@ class TestMemberRoute:
     # U rho U^H, on real H_n (real eigh) and on H_n with odd powers of pi,
     # whose realization is complex
     @staticmethod
-    def random_hamiltonian(rng, modes, real):
+    def random_hamiltonian(rng, modes, real, degree=3):
         # pi is imaginary on the number basis, so H_n is real exactly when
         # every term has an even total power of pi
-        p = random_poly(rng, modes=modes, degree=3, terms=6) * 0.2
+        p = random_poly(rng, modes=modes, degree=degree, terms=6) * 0.2
         if real:
             return PolyExpr("phipi", modes, {
                 e: c for e, c in p.terms.items() if sum(e[modes:]) % 2 == 0})
@@ -179,11 +192,11 @@ class TestMemberRoute:
                 weights = rng.uniform(-1, 1, r)
                 rho = FockMatrix(modes, D,
                                  (vectors * weights) @ vectors.conj().T)
-                at = liouville_flow(vectors, weights, H, D)
-                for t in (0.0, 0.37, 2.9):
+                times = (0.0, 0.37, 2.9)
+                for t, got in zip(times, liouville_flow(vectors, weights, H,
+                                                        D, times)):
                     want = dense_liouville(rho, H, t)
-                    assert np.max(np.abs(at(t).dense().data - want)) \
-                        <= 1e-12
+                    assert np.max(np.abs(got.dense().data - want)) <= 1e-12
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_wide_ensemble_is_folded(self, real, monkeypatch):
@@ -196,9 +209,9 @@ class TestMemberRoute:
         widths = []
         flow = evolution.liouville_flow
 
-        def recorded(vectors, weights, hamiltonian, cutoff):
+        def recorded(vectors, weights, hamiltonian, cutoff, times):
             widths.append(vectors.shape)
-            return flow(vectors, weights, hamiltonian, cutoff)
+            return flow(vectors, weights, hamiltonian, cutoff, times)
 
         monkeypatch.setattr(evolution, "liouville_flow", recorded)
         rho0 = ensemble_density(ensemble, D)
@@ -246,9 +259,126 @@ class TestMemberRoute:
         lopsided = number_operator() + AD ** 2
         [rho] = Ensemble.pure(state1(0.5, 0.2)).member_blocks(8)
         with pytest.raises(PairingError):
-            liouville_flow(np.eye(8, 1), np.ones(1), lopsided, 8)
+            liouville_flow(np.eye(8, 1), np.ones(1), lopsided, 8, [0.0])
         with pytest.raises(PairingError):
             projection_decay(rho, lopsided, (50.0, 100.0))
+
+
+class TestPropagate:
+    # fock.propagate's two routes for the Liouville law: the Chebyshev
+    # series against the eigensystem flow and the dense U rho U^H, and the
+    # rule that picks one, pinned by the eigh calls a run makes
+    @staticmethod
+    def chebyshev(H, D, vectors, times):
+        # the Chebyshev route forced, at the degree of the largest time
+        table = compile_operator(H, D)
+        low, high = fock.gershgorin(table)
+        half = (high - low) / 2
+        return fock._chebyshev(table, (low + high) / 2, half,
+                               fock.chebyshev_degree(max(times) * half),
+                               vectors, times)
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    @pytest.mark.parametrize("modes, D", [(1, 12), (2, 5)])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_chebyshev_equals_the_eigensystem_and_the_dense_reference(
+            self, modes, D, real, degree):
+        rng = np.random.default_rng(71 + modes + 10 * real + 100 * degree)
+        dim = D ** modes
+        times = (0.0, 0.37, 2.9)
+        for _ in range(2):
+            H = poly_to_normal_form(TestMemberRoute.random_hamiltonian(
+                rng, modes, real, degree))
+            for r in (1, 3, dim):
+                vectors = rng.standard_normal((dim, r)) \
+                    + 1j * rng.standard_normal((dim, r))
+                vectors /= np.linalg.norm(vectors, axis=0)
+                weights = rng.uniform(-1, 1, r)
+                rho = FockMatrix(modes, D,
+                                 (vectors * weights) @ vectors.conj().T)
+                flow = eigensystem(H, D).flow(vectors)
+                for t, got in zip(times, self.chebyshev(H, D, vectors, times)):
+                    assert got.shape == vectors.shape
+                    assert np.max(np.abs(got - flow(1j * t))) <= 1e-12
+                    sample = MemberBlock(modes, D, got, weights).dense()
+                    assert np.max(np.abs(sample.data - dense_liouville(
+                        rho, H, t))) <= 1e-12
+                if r == 1:
+                    # a flat vector moves as its one column
+                    flat = self.chebyshev(H, D, vectors[:, 0], times)
+                    for got, want in zip(flat, self.chebyshev(
+                            H, D, vectors, times)):
+                        assert np.array_equal(got, want[:, 0])
+
+    @staticmethod
+    def benchmark_config(seed):
+        return ExperimentConfig.from_json(
+            workloads.make_config("evolve-liouville", seed, 0))
+
+    @staticmethod
+    def liouville_run(monkeypatch, config, dt, steps, every):
+        """The member blocks of a Liouville run of the config's system and
+        state on the given grid, and the shapes every eigh call saw."""
+        [(_, h, _)] = config.runs
+        shapes, eigh = [], np.linalg.eigh
+
+        def spy(matrix):
+            shapes.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        samples = list(density_samples(
+            "liouville", config.initial_ensemble, poly_to_normal_form(h),
+            config.cutoff, dt, steps, every))
+        monkeypatch.undo()
+        return samples, shapes
+
+    @pytest.mark.parametrize("seed", [7, 31])
+    def test_benchmark_configs_take_chebyshev(self, monkeypatch, seed):
+        # no eigh at all, and every sample the eigensystem flow's
+        config = self.benchmark_config(seed)
+        samples, shapes = self.liouville_run(
+            monkeypatch, config, config.dt, config.steps, config.sample_every)
+        assert shapes == []
+        [(_, h, _)] = config.runs
+        [block] = config.initial_ensemble.member_blocks(config.cutoff)
+        flow = eigensystem(poly_to_normal_form(h), config.cutoff).flow(
+            block.vectors)
+        assert [done for done, _ in samples] == list(range(0, 21, 2))
+        for done, rho in samples:
+            assert np.max(np.abs(rho.vectors - flow(1j * done * config.dt))) \
+                <= 1e-12
+
+    def test_benchmark_quartic_at_t_2_takes_the_eigensystem(self,
+                                                            monkeypatch):
+        # degree 248 at seed 7, past the sectors of 144
+        config = self.benchmark_config(7)
+        _, shapes = self.liouville_run(monkeypatch, config, 0.1, 20, 10)
+        assert shapes == [(4, 144, 144)]
+
+    def test_sectors_of_width_one_take_the_eigensystem(self, monkeypatch):
+        # the diagonal rotation-invariant system at D = 64: any degree past
+        # 0 reaches the width of its sectors
+        config = ExperimentConfig.from_json({
+            "experiment": "evolve",
+            "hamiltonian": TestSectors.ROTATION_INVARIANT, "cutoff": 64,
+            "state": {"phi": [0.8, 0.5], "pi": [0.1, -0.3]},
+            "dt": 0.01, "t": 0.02})
+        _, shapes = self.liouville_run(monkeypatch, config, 0.01, 2, 1)
+        assert shapes == [(64 * 64, 1, 1)]
+
+    def test_route_is_logged(self, caplog):
+        config = self.benchmark_config(7)
+        [(_, h, _)] = config.runs
+        [block] = config.initial_ensemble.member_blocks(config.cutoff)
+        H = poly_to_normal_form(h)
+        with caplog.at_level("DEBUG", logger="fockdm.fock"):
+            list(fock.propagate(H, config.cutoff, block.vectors, [0.0, 0.1]))
+            list(fock.propagate(H, config.cutoff, block.vectors, [2.0]))
+        assert ("propagate: route=chebyshev degree=34 bounds=[-6.70197, "
+                "178.181] widest=144") in caplog.text
+        assert ("propagate: route=eigensystem degree=>=144 bounds=[-6.70197, "
+                "178.181] widest=144") in caplog.text
 
 
 class TestMasterEquation:
@@ -1192,10 +1322,11 @@ class TestSectors:
         state = ClassicalState(np.array([0.8, 0.5]), np.array([0.1, -0.3]))
         rho = pure_density(state, D)
         weights, vectors = np.linalg.eigh(rho.data)
-        at = liouville_flow(vectors, weights, H, D)
-        for t in (0.0, 0.37, 2.9):
+        times = (0.0, 0.37, 2.9)
+        for t, got in zip(times, liouville_flow(vectors, weights, H, D,
+                                                times)):
             want = dense_liouville(rho, H, t)
-            assert np.max(np.abs(at(t).dense().data - want)) <= 1e-12
+            assert np.max(np.abs(got.dense().data - want)) <= 1e-12
         [block] = Ensemble.pure(state).member_blocks(D)
         rows, _ = projection_decay(block, H, TestProjectionDecay.DELTAS)
         for delta, off, _, _ in rows:

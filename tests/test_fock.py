@@ -18,16 +18,20 @@ from fockdm.fock import (
     FockMatrix,
     MemberBlock,
     apply,
+    bessel_j,
     block_trace,
+    chebyshev_degree,
     check_dimension,
     compile_operator,
     eigensystem,
+    gershgorin,
     interior_block,
     interior_indices,
     occupations,
     operator_trace,
     realize_matrix,
 )
+from fockdm import fock
 from fockdm.reify import m_generator
 
 A = NormalFormOperator.annihilation()
@@ -313,6 +317,78 @@ class TestApply:
         want[2:] = np.diagonal(ladder_oracle(op, 3), -2).real
         assert np.allclose(pad, want, rtol=1e-15, atol=0)
         assert np.count_nonzero(pad) == 3 + 4  # the targets of both words
+
+
+def bessel_integral(x, top):
+    """J_k(x) = (1/pi) int_0^pi cos(k tau - x sin tau) dtau for k <= top, by
+    the trapezoid rule over the whole period at N points, which is exact
+    but for the aliased orders N - k and beyond, far below rounding at
+    N = 2 (x + top) + 64.  k tau is reduced modulo 2 pi on integers."""
+    n = 2 * (math.ceil(x) + top) + 64
+    j = np.arange(n)
+    sine = x * np.sin(2 * np.pi * j / n)
+    return np.array([np.cos(2 * np.pi * (k * j % n) / n - sine).mean()
+                     for k in range(top + 1)])
+
+
+class TestChebyshev:
+    # the Bessel coefficients of the Liouville law's Chebyshev route and
+    # the degree it sums to; the zero of J_0 near 2.4048 and the far range
+    # of Miller's recurrence included
+    POINTS = [0.0, 1e-300, 1e-8, 0.3, 1.0, 2.404825557695773, 7.5, 10.0,
+              33.3, 100.0, 314.159, 1000.0]
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_bessel_values_equal_bessel_integral(self, x):
+        # each cosine's argument carries the rounding of x sin tau, and the
+        # mean over N ~ x points of them leaves about sqrt(x) 2^-53
+        top = chebyshev_degree(x) + 1
+        got = bessel_j(x, top)
+        assert got.shape == (top + 1,)
+        assert np.max(np.abs(got - bessel_integral(x, top))) \
+            <= 1e-15 * (1 + math.sqrt(x))
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_bessel_identities(self, x):
+        # the normalization J_0 + 2 sum J_2k = 1 holds on the values up to
+        # the reach, so nothing is left past it; the sum of squares
+        # J_0^2 + 2 sum J_k^2 = 1 is not imposed by the normalization
+        got = bessel_j(x, fock._bessel_reach(x))
+        assert abs(got[0] + 2 * got[2::2].sum() - 1) <= 1e-15
+        assert abs(got[0] ** 2 + 2 * (got[1:] ** 2).sum() - 1) <= 1e-14
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_degree_is_the_least_with_the_tail_below_rounding(self, x):
+        m = chebyshev_degree(x)
+        magnitudes = np.abs(bessel_j(x, fock._bessel_reach(x)))
+        assert 2 * magnitudes[m + 1:].sum() < 2.0 ** -53
+        if m:
+            assert 2 * magnitudes[m:].sum() >= 2.0 ** -53
+        # the series cut at m is e^{-ixy} on -1 <= y = cos(theta) <= 1, to
+        # the rounding of x cos(theta) and of cos(k theta)
+        theta = np.linspace(0, np.pi, 257)
+        weights = np.array([2, -2j, -2, 2j])[np.arange(m + 1) % 4]
+        weights[0] = 1
+        series = np.cos(np.outer(theta, np.arange(m + 1))) \
+            @ (weights * bessel_j(x, m))
+        assert np.max(np.abs(series - np.exp(-1j * x * np.cos(theta)))) \
+            <= 1e-15 * (1 + x)
+
+    def test_degree_crosses_the_quartic_sector_width(self):
+        # the degrees that put the benchmark quartic (sectors of 144) on
+        # either route: below 144 up to x = 93, above it from x = 94
+        assert chebyshev_degree(93.0) == 143
+        assert chebyshev_degree(94.0) == 145
+
+    @pytest.mark.parametrize("modes, D", [(1, 12), (2, 5)])
+    def test_gershgorin_bounds_hold_every_eigenvalue(self, modes, D):
+        rng = np.random.default_rng(61 + modes)
+        for _ in range(8):
+            op = random_normal_operator(rng, modes=modes, degree=4, words=4,
+                                        hermitian=True, dyadic=False)
+            low, high = gershgorin(compile_operator(op, D))
+            values = np.linalg.eigvalsh(realize_matrix(op, D).data)
+            assert low <= values.min() and values.max() <= high
 
 
 class TestInterior:

@@ -1,9 +1,11 @@
 """The package's modules form one import stack: each module imports only
 modules below it, so no import cycle can form.  One spectral primitive,
-fock.eigensystem, diagonalizes every operator: no module grows a private
-eigensolver.  One eigenbasis action, fock.Eigensystem.flow, moves vectors
-by V e^{-sE} V^H: outside fock only the projection reads its members into
-an eigenbasis itself, once, and nothing rotates out of one.  Only
+fock.eigensystem (its eigh in fock._eigensystem, which the Liouville law's
+propagator fock.propagate also calls on its eigensystem route),
+diagonalizes every operator: no module grows a private eigensolver.  One
+eigenbasis action, fock.Eigensystem.flow, moves vectors by V e^{-sE} V^H:
+outside fock only the projection reads its members into an eigenbasis
+itself, once, and nothing rotates out of one.  Only
 criterion 5's dense oracle realizes a dense matrix; the spectral primitive
 sums its sector blocks straight from the compiled words.  A moment matrix
 is made dense only where the math needs it: the master law, the fold of a
@@ -13,8 +15,10 @@ reader walks, and the flat-shift passes fock.compile_operator builds from
 them, which alone decides whether its pads are real.  The flux reader
 reads product members one mode at a time: nothing reached from
 ensemble_fluxes forms a member's D^n vector or reads a member block.
-fock.apply walks the passes for reification and for criterion 1, and only
-two functions outside fock read them: the master law's
+fock.apply walks the passes for reification, for criterion 1 and for the
+Chebyshev route of fock.propagate, which also reads them for its
+Gershgorin bounds (fock.gershgorin); only two functions outside fock read
+them: the master law's
 MasterTerms.__init__, which plans master_rhs's row blocks from them, and
 reify.s_action, for the Taylor step bound of the S generator.  Every
 pass/fail is decided in acceptance: no other module builds a CheckResult
@@ -63,10 +67,11 @@ def test_imports_follow_the_stack(module):
             assert not any(n and n.split(".")[0] == "fockdm" for n in names)
 
 
-# the functions allowed to name an eigensolver: the spectral primitive, and
+# the functions allowed to name an eigensolver: the spectral primitive,
+# whose eigh runs in the helper that eigensystem and propagate share, and
 # the fold of a wide ensemble's moment matrix into its eigenvectors
 EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
-SOLVER_CALLERS = {("fock", "eigensystem"), ("evolution", "density_samples")}
+SOLVER_CALLERS = {("fock", "_eigensystem"), ("evolution", "density_samples")}
 
 
 # the one function allowed to call realize_matrix: the dense route that
