@@ -14,10 +14,19 @@ the empty operator.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from typing import Mapping
 
-from .poly import CanonicalSum, MultiIndex, PolyExpr
+from .poly import (
+    DROP_TOL,
+    CanonicalSum,
+    MultiIndex,
+    PolyExpr,
+    finite_coefficient,
+)
 
 WordKey = tuple[MultiIndex, MultiIndex]
 
@@ -118,13 +127,12 @@ class NormalFormOperator(CanonicalSum):
         return " + ".join(bits)
 
 
-def _reorder_single_mode(r: int, l: int) -> list[tuple[int, int, int]]:
-    """Rewrite a^r adag^l as sum of k!*C(r,k)*C(l,k) adag^(l-k) a^(r-k)."""
-    out = []
-    for k in range(min(r, l) + 1):
-        w = math.factorial(k) * math.comb(r, k) * math.comb(l, k)
-        out.append((w, l - k, r - k))
-    return out
+@functools.lru_cache(maxsize=None)
+def _reorder_single_mode(r: int, l: int) -> tuple[tuple[int, int, int], ...]:
+    """Rewrite a^r adag^l as sum of k!*C(r,k)*C(l,k) adag^(l-k) a^(r-k),
+    as its (weight, l - k, r - k) in order of k; built once a process."""
+    return tuple((math.factorial(k) * math.comb(r, k) * math.comb(l, k),
+                  l - k, r - k) for k in range(min(r, l) + 1))
 
 
 def normal_order_product(u: NormalFormOperator,
@@ -150,10 +158,99 @@ def normal_order_product(u: NormalFormOperator,
     return NormalFormOperator(n, words)
 
 
+def _contractions(first, second, steps) -> list:
+    """The words that the products of two words share, as (word, w_12,
+    w_21) for each contraction multi-index k in lexicographic order from
+    k = 0: the word adag^(c1+c2-k) a^(r1+r2-k), coded as in ``commutator``,
+    and its integer weight in each product, the product over the modes of
+    ``_reorder_single_mode``'s weights for a^r1 adag^c2 and for a^r2
+    adag^c1 (0 where a product has no such k; a mode that contracts in
+    neither product weighs 1).  first and second are each a word as
+    ``commutator`` lists it: its code, its (create, annih) powers, the bit
+    sets of the modes these are nonzero on, and its coefficient."""
+    code, (c1, r1), c_set, r_set, _ = first
+    other, (c2, r2), c_other, r_other, _ = second
+    code += other
+    active = r_set & c_other | r_other & c_set
+    if not active:
+        return [(code, 1, 1)]
+    axes = []
+    for j, step in enumerate(steps):
+        if active >> j & 1:
+            x = _reorder_single_mode(r1[j], c2[j])
+            y = _reorder_single_mode(r2[j], c1[j])
+            top = max(len(x), len(y))
+            axes.append([(k * step, x[k][0] if k < len(x) else 0,
+                          y[k][0] if k < len(y) else 0) for k in range(top)])
+    out = []
+    for ks in itertools.product(*axes):
+        word, w_12, w_21 = code, 1, 1
+        for lower, weight_12, weight_21 in ks:
+            word -= lower
+            w_12 *= weight_12
+            w_21 *= weight_21
+        out.append((word, w_12, w_21))
+    return out
+
+
 def commutator(a: NormalFormOperator,
                b: NormalFormOperator) -> NormalFormOperator:
-    """AB - BA in normal form."""
-    return normal_order_product(a, b) - normal_order_product(b, a)
+    """AB - BA in normal form, summed in one pass over the word pairs.
+
+    For a pair and a contraction multi-index k both orders form the same
+    word, so its coefficient is a1 a2 (w_AB(k) - w_BA(k)); the uncontracted
+    words (k = 0) cancel and are not summed.  The words keep the order of
+    the difference of the two products: AB's words in the order AB forms
+    them, then those whose AB sum vanishes in the order BA forms them.  Over
+    poly.MAX_TERM_PAIRS word pairs it is refused before any work.  Inside,
+    a word is one integer whose digits in a base past every power of a
+    product are its creation, then its annihilation powers."""
+    a._align(b)
+    a._pairs(b)  # refused over MAX_TERM_PAIRS before any word is formed
+    n = a.modes
+    base = 1 + 2 * max((max(c + r) for op in (a, b) for c, r in op.terms),
+                       default=0)
+    places = [base ** j for j in range(2 * n)]
+    steps = [places[j] + places[n + j] for j in range(n)]
+
+    def coded(op):
+        return [(sum(map(operator.mul, c + r, places)), (c, r),
+                 sum(1 << j for j in range(n) if c[j]),
+                 sum(1 << j for j in range(n) if r[j]), coeff)
+                for (c, r), coeff in op.terms.items()]
+
+    left, right = coded(a), coded(b)
+    table = [[_contractions(u, v, steps) for v in right] for u in left]
+    formed: dict[int, complex] = {}  # AB's sums, its k = 0 words too
+    words: dict[int, complex] = {}
+    for row, u in zip(table, left):
+        for pair, v in zip(row, right):
+            coeff = u[4] * v[4]
+            for word, w_ab, w_ba in pair:
+                if w_ab:
+                    formed[word] = formed.get(word, 0.0) + coeff * w_ab
+                if w_ab != w_ba:
+                    words[word] = words.get(word, 0.0) + coeff * (w_ab - w_ba)
+    order = [word for word, coeff in formed.items()
+             if abs(finite_coefficient(coeff)) > DROP_TOL]
+    late = {word for word, coeff in words.items() if abs(coeff) > DROP_TOL}
+    late.difference_update(order)
+    for column in zip(*table):  # BA's order: b's words outermost
+        if not late:
+            break
+        for word, _, w_ba in itertools.chain.from_iterable(column):
+            if w_ba and word in late:
+                order.append(word)
+                late.remove(word)
+    out = {}
+    for word in order:
+        if word in words:
+            digits, rest = [], word
+            for _ in places:
+                rest, digit = divmod(rest, base)
+                digits.append(digit)
+            out[tuple(digits[:n]), tuple(digits[n:])] = words[word]
+    return NormalFormOperator(n, out)
 
 
 def poly_to_normal_form(p: PolyExpr) -> NormalFormOperator:

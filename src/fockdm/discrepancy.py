@@ -11,7 +11,8 @@ For the same moment matrix rho(phi, pi), two predictions of d<g>/dt compete:
 each commutator compiled once, one mode at a time (``flux_operator``), and
 read off product members (fock.ProductMembers), so neither rho nor any
 member's D^n vector is formed; each bracket is built once as a polynomial
-and averaged over the members.
+and averaged over the members a chunk at a time, never evaluated once per
+member.
 
 Their difference has a closed form in the complex chart: with multi-indices
 k over the modes,
@@ -42,7 +43,7 @@ import numpy as np
 
 from .algebra import NormalFormOperator, commutator, poly_to_normal_form
 from .fock import ModeWords, ProductMembers, compile_words
-from .poly import ChartError, PolyExpr
+from .poly import ChartError, PolyExpr, eval_rows
 from .states import ClassicalState, Ensemble, poisson_brackets
 
 
@@ -106,30 +107,28 @@ def sweep_fluxes(ensemble: Ensemble, systems: list,
     """The ensemble-averaged quantum and classical flux of each observable
     of each (hamiltonian, observables) system, such as the runs of a sweep.
 
-    Each system's H_n and H's gradients are derived once for all its
+    Each system's H_n and Poisson brackets are derived once for all its
     observables.  g_hat sums the flux of each chunk of product members
     (``Ensemble.product_members``), whose moments are built once for every
-    system, up to the highest power of any flux's words; g_dot averages the
-    Poisson bracket (``Ensemble.average``).  Both sums start from zero, so
-    a zero flux is +0.0 for any member count.
+    system, up to the highest power of any flux's words; g_dot is each
+    bracket's mean over the members (``Ensemble.mean``).  Both sums start
+    from zero, so a zero flux is +0.0 for any member count.
     """
-    fluxes, brackets = [], []
+    fluxes, g_dots = [], []
     for hamiltonian, observables in systems:
         h = hamiltonian.promote(ensemble.modes)
         h_n = poly_to_normal_form(h)
         fluxes.append([flux_operator(g, h_n, cutoff) for g in observables])
-        brackets.append(poisson_brackets(observables, h))
+        g_dots.append(ensemble.mean(poisson_brackets(observables, h)))
     degree = max((int(powers.max(initial=0)) for run in fluxes
                   for flux in run for powers in (flux.create, flux.annih)),
                  default=0)
     per_chunk = [[[quantum_flux(members, flux) for flux in run]
                   for run in fluxes]
                  for members in ensemble.product_members(cutoff, degree)]
-    return [[DiscrepancyReport(
-        g_hat=sum(g_hats),
-        g_dot=ensemble.average(lambda s: bracket.eval(s.point()).real))
-        for g_hats, bracket in zip(zip(*run_fluxes), run_brackets)]
-        for run_fluxes, run_brackets in zip(zip(*per_chunk), brackets)]
+    return [[DiscrepancyReport(g_hat=sum(g_hats), g_dot=g_dot)
+             for g_hats, g_dot in zip(zip(*run_fluxes), run_dots)]
+            for run_fluxes, run_dots in zip(zip(*per_chunk), g_dots)]
 
 
 def discrepancy_closed_form(ensemble: Ensemble, observable: PolyExpr,
@@ -137,12 +136,13 @@ def discrepancy_closed_form(ensemble: Ensemble, observable: PolyExpr,
     """Derivative-product series for g_hat - g_dot, summed in full over
     2 <= |k| <= min(deg g, deg H) and averaged over the members with their
     weights, since the gap is linear in the moment matrix.  The partials
-    are derived once; a k whose products vanish is skipped.  Callers may
-    validate it against the direct gap of :func:`ensemble_fluxes`."""
+    are derived once and evaluated on a chunk of members at a time
+    (``Ensemble.points``); a k whose products vanish is skipped.  Callers
+    may validate it against the direct gap of :func:`ensemble_fluxes`."""
     n = ensemble.modes
     g = observable.promote(n).to_zy()
     h = hamiltonian.promote(n).to_zy()
-    terms = []
+    factors, partials = [], []
     for order in range(2, min(g.degree(), h.degree()) + 1):
         for k in _mode_multi_indices(n, order):
             gz, gy, hz, hy = (f.partial(i) for f in (g, h)
@@ -152,19 +152,22 @@ def discrepancy_closed_form(ensemble: Ensemble, observable: PolyExpr,
             weight = 1.0
             for e in k:
                 weight /= math.factorial(e)
-            terms.append((weight, gz, gy, hz, hy))
-    gaps = []
-    for state, p in ensemble.members:
-        point = state.zy_point()
-        total = 0.0 + 0.0j
-        for weight, gz, gy, hz, hy in terms:
-            total += weight * (gz.eval(point) * hy.eval(point)
-                               - gy.eval(point) * hz.eval(point))
-        gap = -1j * total
-        gaps.append(complex(p * gap.real, p * gap.imag))
-    # weighted part by part and summed from the first member, so that a pure
-    # state's gap keeps the sign of each zero part
-    return sum(gaps[1:], gaps[0])
+            factors.append(weight)
+            partials += [gz, gy, hz, hy]
+    sums = []
+    for points, weights in ensemble.points("zy"):
+        values = eval_rows(partials, points).reshape(-1, 4, len(points))
+        total = np.zeros(len(weights), complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for weight, (gz, gy, hz, hy) in zip(factors, values):
+                total += weight * (gz * hy - gy * hz)
+            gap = -1j * total
+        # weighted part by part and summed in order from the first member,
+        # so that a pure state's gap keeps the sign of each zero part
+        sums.append([np.add.accumulate(weights * part)[-1]
+                     for part in (gap.real, gap.imag)])
+    re, im = (sum(rest, first) for first, *rest in zip(*sums))
+    return complex(re, im)
 
 
 def rescale_field(hamiltonian: PolyExpr,
@@ -196,15 +199,11 @@ def rescale_field(hamiltonian: PolyExpr,
 def scaling_condition_residual(hamiltonian: PolyExpr,
                                ensemble: Ensemble) -> np.ndarray:
     """Ensemble average of d2H/dphi_j^2 - d2H/dpi_j^2, per mode."""
-    n = ensemble.modes
-    h = hamiltonian.promote(n)
-    out = np.zeros(n)
-    for j in range(n):
-        phi2 = h.differentiate(f"phi{j + 1}").differentiate(f"phi{j + 1}")
-        pi2 = h.differentiate(f"pi{j + 1}").differentiate(f"pi{j + 1}")
-        out[j] = ensemble.average(
-            lambda s: (phi2.eval(s.point()) - pi2.eval(s.point())).real)
-    return out
+    h = hamiltonian.promote(ensemble.modes)
+    return np.array(ensemble.mean([
+        h.differentiate(f"phi{j}").differentiate(f"phi{j}")
+        - h.differentiate(f"pi{j}").differentiate(f"pi{j}")
+        for j in range(1, ensemble.modes + 1)]))
 
 
 def _mode_multi_indices(modes: int, order: int):

@@ -145,8 +145,10 @@ class MemberBlock:
 class ProductMembers:
     """Members that are products over the modes, w_k = c_k1 x ... x c_kn,
     held as their (modes, D, r) per-mode columns and real weights p, with
-    the moments M[c, r, j, k] = <a^c c_kj | a^r c_kj> = sum_i ladder(c, r)[i]
-    conj(c_kj[c + i]) c_kj[r + i] for c, r <= degree, built once."""
+    the moments M[c, r, j, k] = <a^c c_kj | a^r c_kj> for c, r <= degree,
+    built once: each a^r c_kj is the column's entries from r up times
+    ladder(0, r), and each row c of M one contraction of a^c c_kj with all
+    of them, so nothing larger than degree + 1 times the columns is held."""
 
     modes: int
     cutoff: int
@@ -156,15 +158,15 @@ class ProductMembers:
     moments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        cols, conj = self.columns, self.columns.conj()
-        size = self.degree + 1
-        moments = np.empty((size, size) + cols.shape[::2], complex)
-        for c in range(size):
-            for r in range(size):
-                weights = ladder(c, r, self.cutoff)
-                moments[c, r] = np.einsum(
-                    "i,jik,jik->jk", weights, conj[:, c:c + weights.size],
-                    cols[:, r:r + weights.size])
+        cols = self.columns
+        lowered = np.zeros((self.degree + 1,) + cols.shape, complex)
+        for r, rows in enumerate(lowered):
+            weights = ladder(0, r, self.cutoff)
+            rows[:, :weights.size] = weights[:, None] * cols[:, r:]
+        size, modes, _, members = lowered.shape
+        moments = np.empty((size, size, modes, members), complex)
+        for c, rows in enumerate(lowered):
+            moments[c] = np.einsum("jik,rjik->rjk", rows.conj(), lowered)
         object.__setattr__(self, "moments", moments)
 
     def expect(self, words: ModeWords) -> complex:

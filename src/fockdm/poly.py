@@ -38,6 +38,8 @@ import math
 import re
 from typing import Mapping, Sequence
 
+import numpy as np
+
 MultiIndex = tuple[int, ...]
 
 DROP_TOL = 1e-14
@@ -47,9 +49,10 @@ MAX_NESTING = 100
 # the largest variable index parse_poly accepts, and so the most modes a
 # flux suite reads: a bound on the symbolic work, which the flux suites pay
 # at any cutoff.  At 12 modes the commutator of phi1*pi1 with a
-# nearest-neighbour phi^4 chain takes about 12 ms and its closed form 6 ms
-# (2-core x86-64, Python 3.11), and a quartic that couples every pair of
-# modes meets MAX_TERM_PAIRS from 9 modes on
+# nearest-neighbour phi^4 chain takes 1-1.5 ms and its closed form, whose
+# symbolic partials take the time, about 6 ms (2-core x86-64, Python 3.11),
+# and a quartic that couples every pair of modes meets MAX_TERM_PAIRS from
+# 9 modes on
 MAX_MODES = 12
 # the most term pairs one polynomial or operator product multiplies out
 MAX_TERM_PAIRS = 10 ** 5
@@ -306,8 +309,15 @@ class PolyExpr(CanonicalSum):
                 terms = new
         return PolyExpr(self.chart, self.modes, terms)
 
-    def eval(self, point: Sequence[complex]) -> complex:
-        """Exact evaluation at a point laid out like the exponent tuple."""
+    def eval(self, point: Sequence[complex] | np.ndarray
+             ) -> complex | np.ndarray:
+        """Exact evaluation at a point laid out like the exponent tuple, or
+        at each row of a (points, 2n) array (``eval_rows``): each variable's
+        powers by repeated multiplication, each term's coefficient times its
+        powers in axis order, the terms summed in order from zero."""
+        if getattr(point, "ndim", 1) == 2:
+            [values] = eval_rows([self], point)
+            return values
         if len(point) != 2 * self.modes:
             raise ValueError(
                 f"point has {len(point)} entries, chart needs {2 * self.modes}")
@@ -405,6 +415,62 @@ class PolyExpr(CanonicalSum):
         return "".join(pieces)
 
     __repr__ = __str__
+
+
+# the most bytes of one part, (terms, polynomials, rows) or (powers,
+# variables, rows), that eval_rows holds
+EVAL_BYTES = 2 ** 20
+
+
+def eval_rows(polys: list[PolyExpr], points: np.ndarray) -> np.ndarray:
+    """The (polynomials, rows) values of each polynomial at each row of a
+    (rows, 2n) array, each row bit for bit ``PolyExpr.eval`` at that point:
+    the same products in the same order, each complex product formed from
+    real parts as a Python complex forms it (numpy's complex product may
+    fuse them).  The polynomials are stacked term by term, the shorter ones
+    padded with -0.0, which changes no sum, and read a block of rows at a
+    time, no part of it larger than EVAL_BYTES.  As with Python's complex
+    numbers, an overflow is not an error."""
+    width = points.shape[1]
+    if any(2 * p.modes != width for p in polys):
+        raise ValueError(f"points have {width} entries, a chart needs "
+                         f"{sorted({2 * p.modes for p in polys})}")
+    depth = max((len(p.terms) for p in polys), default=0)
+    exps = np.zeros((depth, len(polys), width), int)
+    coeffs = np.full((depth, len(polys)), complex(-0.0, -0.0))
+    for k, poly in enumerate(polys):
+        if poly.terms:
+            exps[:len(poly.terms), k] = list(poly.terms)
+            coeffs[:len(poly.terms), k] = list(poly.terms.values())
+    used = [(i, exps[:, :, i], (exps[:, :, i] > 0)[..., None])
+            for i in range(width) if exps[:, :, i].any()]
+    top = exps.max(initial=0)
+    block = max(1, EVAL_BYTES // (8 * max((depth + 1) * len(polys),
+                                          (top + 1) * width, 1)))
+    out = np.empty((len(polys), len(points)), complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(points), block):
+            x = points[start:start + block].T.astype(complex)
+            p_re = np.ones((top + 1,) + x.shape)
+            p_im = np.zeros_like(p_re)
+            for k in range(1, len(p_re)):
+                p_re[k] = p_re[k - 1] * x.real - p_im[k - 1] * x.imag
+                p_im[k] = p_re[k - 1] * x.imag + p_im[k - 1] * x.real
+            # row 0 of the parts is the zero each sum starts from
+            re = np.zeros((depth + 1, len(polys), x.shape[1]))
+            im = np.zeros_like(re)
+            re[1:], im[1:] = coeffs.real[..., None], coeffs.imag[..., None]
+            v_re, v_im = re[1:], im[1:]
+            for i, power, mask in used:
+                b_re, b_im = p_re[power, i], p_im[power, i]
+                product = (v_re * b_re - v_im * b_im,
+                           v_re * b_im + v_im * b_re)
+                np.copyto(v_re, product[0], where=mask)
+                np.copyto(v_im, product[1], where=mask)
+            rows = out[:, start:start + block]
+            rows.real = np.add.accumulate(re)[-1]
+            rows.imag = np.add.accumulate(im)[-1]
+    return out
 
 
 def _parse_var_name(name: str) -> tuple[int, int]:

@@ -24,6 +24,7 @@ the ``step_count`` rule, by which the CLI also counts evolve's sample grid).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -37,13 +38,16 @@ from .fock import (
     check_dimension,
     compile_operator,
 )
-from .poly import ChartError, PolyExpr
+from .poly import ChartError, PolyExpr, eval_rows
 
 _SQRT2 = math.sqrt(2.0)
 
 # the most bytes of per-mode columns one ProductMembers chunk holds; its
-# moments and a conjugate copy of its columns take about as much again
+# moments are built from degree + 1 lowered copies of them
 PRODUCT_BYTES = 2 ** 18
+# the most members one chunk of evaluation points holds: a polynomial's
+# batched eval holds about 50 bytes per term and member
+POINT_ROWS = 2 ** 10
 
 
 class AmplitudeOverflowError(ValueError):
@@ -86,11 +90,6 @@ class ClassicalState:
         """Evaluation point for phipi-chart polynomials."""
         return np.concatenate([self.phi, self.pi])
 
-    def zy_point(self) -> np.ndarray:
-        """Evaluation point for zy-chart polynomials."""
-        z = self.z
-        return np.concatenate([z, np.conj(z)])
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -115,6 +114,15 @@ class Ensemble:
     @property
     def modes(self) -> int:
         return self.members[0][0].modes
+
+    def _chunks(self, size: int) -> Iterator[tuple[np.ndarray, ...]]:
+        """The (members, n) phi and pi and the weights of at most size
+        members at a time, in order."""
+        for start in range(0, len(self.members), size):
+            chunk = self.members[start:start + size]
+            yield (np.array([s.phi for s, _ in chunk]),
+                   np.array([s.pi for s, _ in chunk]),
+                   np.array([w for _, w in chunk]))
 
     @classmethod
     def pure(cls, state: ClassicalState) -> "Ensemble":
@@ -142,8 +150,27 @@ class Ensemble:
             states.append(ClassicalState(phi, pi))
         return cls.from_states(states)
 
-    def average(self, f: Callable[[ClassicalState], complex]) -> complex:
-        return sum(w * f(s) for s, w in self.members)
+    def points(self, chart: str = "phipi"
+               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The members' (members, 2n) evaluation points in the chart, each
+        row laid out as ``ClassicalState.point`` or, in the zy chart, as
+        (z, conj z), and their weights, at most POINT_ROWS members a
+        chunk, in order."""
+        for phi, pi, weights in self._chunks(POINT_ROWS):
+            if chart == "zy":
+                z = (phi + 1j * pi) / _SQRT2
+                phi, pi = z, np.conj(z)
+            yield np.concatenate([phi, pi], axis=1), weights
+
+    def mean(self, polys: list[PolyExpr]) -> list[float]:
+        """The weighted mean over the members of the real part of each
+        phipi-chart polynomial, read a chunk of members at a time by one
+        ``poly.eval_rows`` of them all, each sum started from zero, so a
+        zero mean is +0.0."""
+        means = np.zeros(len(polys))
+        for points, weights in self.points():
+            means += eval_rows(polys, points).real @ weights
+        return means.tolist()
 
     def member_blocks(self, cutoff: int) -> Iterator[MemberBlock]:
         """The members as MemberBlocks of at most dim members each, in
@@ -165,14 +192,9 @@ class Ensemble:
         chunk.  Nothing of size D^n is formed."""
         check_dimension(1, cutoff)
         size = max(1, PRODUCT_BYTES // (16 * self.modes * cutoff))
-        for start in range(0, len(self.members), size):
-            chunk = self.members[start:start + size]
-            z = (np.array([s.phi for s, _ in chunk])
-                 + 1j * np.array([s.pi for s, _ in chunk])) / _SQRT2
-            yield ProductMembers(self.modes, cutoff,
-                                 _coherent_columns(z, cutoff),
-                                 np.array([weight for _, weight in chunk]),
-                                 degree)
+        for phi, pi, weights in self._chunks(size):
+            yield ProductMembers(self.modes, cutoff, _coherent_columns(
+                (phi + 1j * pi) / _SQRT2, cutoff), weights, degree)
 
 
 def pseudo_wavefunction(state: ClassicalState, cutoff: int) -> np.ndarray:
@@ -242,16 +264,25 @@ def ensemble_density(ensemble: Ensemble, cutoff: int) -> FockMatrix:
 def poisson_brackets(observables, hamiltonian: PolyExpr) -> list[PolyExpr]:
     """{g, H} = sum_j dg/dphi_j dH/dpi_j - dg/dpi_j dH/dphi_j of each
     observable on the Hamiltonian's modes, the rate of g along Hamilton's
-    equations, from one derivation of H's gradients."""
-    gradients = list(zip(*_gradients(hamiltonian)))
+    equations, in one pass over the term pairs: both products of a pair
+    and a mode j give the monomial of exponent e_g + e_H - 1_phi_j - 1_pi_j,
+    so it weighs g_phi_j H_pi_j - g_pi_j H_phi_j in their exponents."""
+    if any(p.chart != "phipi" for p in (hamiltonian, *observables)):
+        raise ChartError("Hamilton's equations need the phipi chart")
+    n = hamiltonian.modes
     brackets = []
     for observable in observables:
-        g = observable.promote(hamiltonian.modes)
-        total = PolyExpr("phipi", hamiltonian.modes)
-        for j, (h_phi, h_pi) in enumerate(gradients, 1):
-            total = (total + g.differentiate(f"phi{j}") * h_pi
-                     - g.differentiate(f"pi{j}") * h_phi)
-        brackets.append(total)
+        terms: dict[tuple, complex] = {}
+        for (eg, a), (eh, b) in observable.promote(n)._pairs(hamiltonian):
+            for j in range(n):
+                weight = eg[j] * eh[n + j] - eg[n + j] * eh[j]
+                if weight:
+                    key = list(map(operator.add, eg, eh))
+                    key[j] -= 1
+                    key[n + j] -= 1
+                    key = tuple(key)
+                    terms[key] = terms.get(key, 0.0) + a * b * weight
+        brackets.append(PolyExpr("phipi", n, terms))
     return brackets
 
 

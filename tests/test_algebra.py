@@ -227,6 +227,70 @@ class TestTwoModeLemmas:
 
 
 
+class TestOnePassCommutator:
+    # commutator sums AB - BA in one pass; the two-product difference is
+    # the reference, word order included
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_dyadic_operators_match_the_two_product_difference(self, modes):
+        rng = np.random.default_rng(60 + modes)
+        for _ in range(150):
+            a, b = (random_normal_operator(
+                rng, modes=modes, degree=3, words=int(rng.integers(1, 6)),
+                hermitian=bool(rng.integers(2))) for _ in range(2))
+            want = normal_order_product(a, b) - normal_order_product(b, a)
+            assert list(commutator(a, b).terms.items()) \
+                == list(want.terms.items())
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_complex_operators_match_to_rounding(self, modes):
+        # per word within 1e-15 of the largest coefficient: a word whose
+        # contributions cancel carries both routes' rounding, up to 1.6e-14
+        # of itself against exact rational sums
+        rng = np.random.default_rng(70 + modes)
+        for _ in range(150):
+            a, b = (random_normal_operator(
+                rng, modes=modes, degree=3, words=int(rng.integers(1, 6)),
+                hermitian=bool(rng.integers(2)), dyadic=False)
+                for _ in range(2))
+            got = commutator(a, b).terms
+            want = (normal_order_product(a, b)
+                    - normal_order_product(b, a)).terms
+            scale = max(map(abs, want.values()), default=0.0)
+            for word in got.keys() | want.keys():
+                assert abs(got.get(word, 0) - want.get(word, 0)) \
+                    <= 1e-15 * scale
+
+    def test_words_keep_the_order_of_the_difference(self):
+        # [a^2 - adag^2, adag a]: both orders form adag a^3 and adag^3 a
+        # uncontracted, which cancel; AB's contraction a^2 comes first, and
+        # adag^2, which only BA contracts to, last
+        g = op1({((0,), (2,)): 1.0, ((2,), (0,)): -1.0})
+        assert list(commutator(g, AD * A).terms.items()) \
+            == [(((0,), (2,)), 2.0), (((2,), (0,)), 2.0)]
+
+    def test_reordering_is_looked_up_at_call_time(self, monkeypatch):
+        # a product and a commutator read the module's _reorder_single_mode
+        # when they run, the commutator for a^r1 adag^c2 and a^r2 adag^c1
+        # of each pair, so a patched weight reaches each
+        reorder = algebra._reorder_single_mode
+        calls = []
+
+        def counted(r, l):
+            calls.append((r, l))
+            return reorder(r, l)
+
+        monkeypatch.setattr(algebra, "_reorder_single_mode", counted)
+        normal_order_product(A, AD)
+        assert calls == [(1, 1)]
+        commutator(AD, A)
+        assert calls[1:] == [(0, 0), (1, 1)]
+
+    def test_reordering_is_memoized_as_a_tuple(self):
+        first = algebra._reorder_single_mode(3, 2)
+        assert first == ((1, 2, 3), (6, 1, 2), (6, 0, 1))
+        assert algebra._reorder_single_mode(3, 2) is first
+
+
 class TestProductCeiling:
     def test_product_over_the_ceiling_is_refused_before_work(
             self, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fockdm.fock import (
     DimensionCapError,
     FockMatrix,
     MemberBlock,
+    ProductMembers,
     apply,
     bessel_j,
     block_trace,
@@ -27,12 +29,14 @@ from fockdm.fock import (
     gershgorin,
     interior_block,
     interior_indices,
+    ladder,
     occupations,
     operator_trace,
     realize_matrix,
 )
 from fockdm import fock
 from fockdm.reify import m_generator
+from fockdm.states import _coherent_columns
 
 A = NormalFormOperator.annihilation()
 AD = NormalFormOperator.creation()
@@ -401,6 +405,49 @@ class TestInterior:
     def test_mask_counts(self):
         mask = interior_indices(2, 4, 1)
         assert mask.sum() == 9  # occupations 0..2 in each of two modes
+
+
+def coherent_members(rng, modes, cutoff, count):
+    """count random coherent members inside the guard |z|^2 <= D/4, as
+    their (modes, D, count) columns."""
+    z = (rng.normal(size=(count, modes))
+         + 1j * rng.normal(size=(count, modes))) * rng.uniform(0.2, 1.5)
+    z *= np.minimum(1.0, 0.99 * math.sqrt(cutoff / 4) / np.abs(z))
+    return _coherent_columns(z, cutoff)
+
+
+class TestProductMembers:
+    def test_moments_are_the_per_pair_contractions(self):
+        # each M[c, r] against its own contraction with ladder(c, r)
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            modes, count, degree = (int(rng.integers(1, 4)),
+                                    int(rng.integers(1, 9)),
+                                    int(rng.integers(0, 9)))
+            cutoff = int(rng.choice([8, 16, 32, 48]))
+            cols = coherent_members(rng, modes, cutoff, count)
+            members = ProductMembers(modes, cutoff, cols,
+                                     np.full(count, 1 / count), degree)
+            for c in range(degree + 1):
+                for r in range(degree + 1):
+                    weights = ladder(c, r, cutoff)
+                    want = np.einsum(
+                        "i,jik,jik->jk", weights,
+                        cols.conj()[:, c:c + weights.size],
+                        cols[:, r:r + weights.size])
+                    got = members.moments[c, r]
+                    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_no_temporary_exceeds_the_lowered_columns(self):
+        # degree + 1 lowered copies of the columns, the conjugate of one
+        # and the moments; (degree + 1)^2 copies would be 81
+        rng = np.random.default_rng(42)
+        cols = coherent_members(rng, 2, 32, 512)
+        tracemalloc.start()
+        members = ProductMembers(2, 32, cols, np.full(512, 1 / 512), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 11 * cols.nbytes + members.moments.nbytes
 
 
 class TestHelpers:

@@ -14,7 +14,10 @@ in two stages: its per-mode words (fock.compile_words), which the flux
 reader walks, and the flat-shift passes fock.compile_operator builds from
 them, which alone decides whether its pads are real.  The flux reader
 reads product members one mode at a time: nothing reached from
-ensemble_fluxes forms a member's D^n vector or reads a member block.
+ensemble_fluxes forms a member's D^n vector or reads a member block, and
+its classical side reads the members a chunk at a time: no polynomial is
+evaluated once per member.  A commutator is summed in one pass over its
+word pairs, never as the difference of two operator products.
 fock.apply walks the passes for reification, for criterion 1 and for the
 Chebyshev route of fock.propagate, which also reads them for its
 Gershgorin bounds (fock.gershgorin); only two functions outside fock read
@@ -33,12 +36,17 @@ from the definitions in UNCALLED, each kept for a stated reason."""
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fockdm
+from fockdm import discrepancy, states
 from fockdm.cli import EXPERIMENTS
+from fockdm.poly import PolyExpr, parse_poly
+from fockdm.states import Ensemble
 
 STACK = ("poly", "algebra", "fock", "states", "evolution", "discrepancy",
          "reify", "acceptance", "cli")
@@ -386,6 +394,63 @@ def test_the_flux_reader_forms_no_member_vector():
             "_coherent_columns"} <= names
     assert not names & {"member_blocks", "pseudo_wavefunction",
                         "block_trace"}
+
+
+def calls_in(keys):
+    """The bare names and the attributes that the functions keys call."""
+    defs, _ = functions()
+    return {getattr(call.func, "id", getattr(call.func, "attr", None))
+            for key in keys for call in ast.walk(defs[key])
+            if isinstance(call, ast.Call)}
+
+
+# a commutator is summed in one pass over its word pairs, never as the
+# difference of the two operator products
+def test_the_commutator_forms_no_operator_product():
+    reach = reached(("algebra", None, "commutator"))
+    assert ("algebra", None, "_contractions") in reach
+    assert "normal_order_product" not in calls_in(reach)
+
+
+# the classical side of the flux path reads a chunk of members at a time:
+# nothing the flux reader or the closed form reaches averages a function
+# over the members one at a time
+@pytest.mark.parametrize("start", ["sweep_fluxes", "discrepancy_closed_form"])
+def test_the_flux_path_averages_no_member_at_a_time(start):
+    reach = reached(("discrepancy", None, start))
+    assert ("poly", None, "eval_rows") in reach
+    assert "average" not in calls_in(reach)
+
+
+def test_the_flux_path_evaluates_no_polynomial_per_member(monkeypatch):
+    # 64 members and one: the same evaluations, none of them at one point
+    calls = Counter()
+    single, rows = PolyExpr.eval, discrepancy.eval_rows
+
+    def eval_counted(self, point):
+        calls["eval", np.ndim(point)] += 1
+        return single(self, point)
+
+    def rows_counted(polys, points):
+        calls["eval_rows"] += 1
+        return rows(polys, points)
+
+    monkeypatch.setattr(PolyExpr, "eval", eval_counted)
+    monkeypatch.setattr(discrepancy, "eval_rows", rows_counted)
+    monkeypatch.setattr(states, "eval_rows", rows_counted)
+    h = parse_poly("0.5*pi1^2 + 0.5*phi1^2 + 0.5*pi2^2 + 0.5*phi2^2"
+                   " + 0.1*phi1^2*phi2^2 + 0.05*phi1^4", {})
+    gs = [parse_poly(text, {}).promote(2)
+          for text in ("phi1*pi1", "phi1^3*pi2", "pi2^2")]
+    seen = []
+    for points in (64, 1):
+        calls.clear()
+        e = Ensemble.phase_circle(0.8, points, modes=2)
+        discrepancy.sweep_fluxes(e, [(h, gs), (h * 2.0, gs)], 16)
+        for g in gs:
+            discrepancy.discrepancy_closed_form(e, g, h)
+        seen.append(dict(calls))
+    assert seen[0] == seen[1] == {"eval_rows": 5}
 
 
 def test_validate_names_no_suite_outside_the_field_table():

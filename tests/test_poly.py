@@ -14,6 +14,7 @@ from fockdm.poly import (
     PolyExpr,
     PolyParseError,
     ProductSizeError,
+    eval_rows,
     parse_poly,
     random_poly,
 )
@@ -237,6 +238,51 @@ class TestEval:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             parse_poly("phi1", {}).eval([1.0])
+        with pytest.raises(ValueError):
+            parse_poly("phi1", {}).eval(np.ones((3, 1)))
+
+    @pytest.mark.parametrize("chart", ["phipi", "zy"])
+    def test_rows_are_the_points_bit_for_bit(self, chart):
+        # zeros of both signs included: every row is eval at that point,
+        # down to the sign of a zero part
+        rng = np.random.default_rng(11 if chart == "phipi" else 12)
+        for modes in (1, 2, 3):
+            for _ in range(20):
+                p = random_poly(rng, chart=chart, modes=modes, degree=6,
+                                terms=8).scale(complex(*rng.normal(size=2)))
+                points = rng.normal(size=(int(rng.integers(1, 20)),
+                                          2 * modes)) * 2
+                points[rng.random(points.shape) < 0.2] = 0.0
+                points[rng.random(points.shape) < 0.2] = -0.0
+                if chart == "zy":
+                    points = points + 1j * rng.normal(size=points.shape)
+                got = p.eval(points).view(float)
+                want = np.array([p.eval(row) for row in points]).view(float)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_stacked_polynomials_are_each_evaluated(self, monkeypatch):
+        # polynomials of 0 to 8 terms stacked in one pass, the rows read in
+        # blocks of one to many: each is its own eval, bit for bit
+        rng = np.random.default_rng(13)
+        for budget in (2 ** 20, 64, 8):
+            monkeypatch.setattr(poly, "EVAL_BYTES", budget)
+            polys = [random_poly(rng, modes=2, degree=5, terms=int(terms))
+                     for terms in rng.integers(0, 9, size=5)]
+            polys.append(PolyExpr("phipi", 2))
+            points = rng.normal(size=(7, 4))
+            got = eval_rows(polys, points).view(float)
+            want = np.array([[p.eval(row) for row in points]
+                             for p in polys]).view(float)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_rows_overflow_as_a_python_complex_does(self):
+        p = parse_poly("1e300*phi1^2", {})
+        with np.errstate(all="raise"):
+            [value] = p.eval(np.array([[1e10, 0.0]]))
+        assert value == p.eval([1e10, 0.0])
+        assert math.isinf(value.real)
 
 
 # polynomials in both charts and operators share one canonical store: a

@@ -5,7 +5,8 @@ import pytest
 
 from fockdm.algebra import NormalFormOperator, commutator, poly_to_normal_form
 from fockdm.fock import DimensionCapError, FockMatrix, realize_matrix
-from fockdm.poly import parse_poly, random_poly
+from fockdm import states
+from fockdm.poly import PolyExpr, parse_poly, random_poly
 from fockdm.states import (
     AmplitudeOverflowError,
     ClassicalState,
@@ -14,6 +15,7 @@ from fockdm.states import (
     expectation,
     extended_wavefunction,
     integrate_state,
+    poisson_brackets,
     pseudo_wavefunction,
     pure_density,
 )
@@ -249,6 +251,81 @@ class TestHamiltonRhs:
             phidot, pidot = hamilton_rhs(H, s)
             zdot_c = (phidot[0] + 1j * pidot[0]) / SQRT2
             assert abs(zdot_q - zdot_c) <= 1e-8
+
+
+def derivative_bracket(g, h):
+    """{g, H} summed mode by mode from the partial derivatives."""
+    n = h.modes
+    g = g.promote(n)
+    total = PolyExpr("phipi", n)
+    for j in range(1, n + 1):
+        total = (total + g.differentiate(f"phi{j}") * h.differentiate(f"pi{j}")
+                 - g.differentiate(f"pi{j}") * h.differentiate(f"phi{j}"))
+    return total
+
+
+class TestPoissonBrackets:
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_one_pass_is_the_derivative_form(self, modes):
+        # exact on dyadic coefficients, to rounding otherwise
+        rng = np.random.default_rng(80 + modes)
+        for dyadic in (True, False):
+            for _ in range(40):
+                h = random_poly(rng, modes=modes, degree=4, terms=6,
+                                dyadic=dyadic)
+                gs = [random_poly(rng, modes=int(rng.integers(1, modes + 1)),
+                                  degree=4, terms=6, dyadic=dyadic)
+                      for _ in range(2)]
+                for got, g in zip(poisson_brackets(gs, h), gs):
+                    want = derivative_bracket(g, h)
+                    if dyadic:
+                        assert got == want
+                    else:
+                        scale = max(map(abs, want.terms.values()),
+                                    default=0.0)
+                        assert (got - want).is_zero(1e-15 * scale)
+
+    def test_bracket_of_the_phase_space_pair(self):
+        H = parse_poly("0.5*pi1^2 + 0.5*phi1^2 + 0.25*phi1^4", {})
+        [dphi, dpi] = poisson_brackets([parse_poly("phi1", {}),
+                                        parse_poly("pi1", {})], H)
+        assert dphi == parse_poly("pi1", {})
+        assert dpi == parse_poly("-phi1 - phi1^3", {})
+
+
+class TestEnsemblePoints:
+    def test_chunks_of_points_in_both_charts(self, monkeypatch):
+        # 5 members in chunks of 2: each row is the member's point
+        monkeypatch.setattr(states, "POINT_ROWS", 2)
+        rng = np.random.default_rng(21)
+        e = Ensemble.from_states(random_states(rng, 5, modes=2),
+                                 [0.1, 0.2, 0.3, 0.15, 0.25])
+        for chart in ("phipi", "zy"):
+            chunks = list(e.points(chart))
+            assert [len(w) for _, w in chunks] == [2, 2, 1]
+            rows = np.vstack([p for p, _ in chunks])
+            for row, (s, w) in zip(rows, e.members):
+                z = s.z
+                want = (s.point() if chart == "phipi"
+                        else np.concatenate([z, np.conj(z)]))
+                assert np.array_equal(row, want)
+            assert np.array_equal(np.concatenate([w for _, w in chunks]),
+                                  [w for _, w in e.members])
+
+    def test_mean_is_the_weighted_sum_over_members(self, monkeypatch):
+        monkeypatch.setattr(states, "POINT_ROWS", 3)
+        rng = np.random.default_rng(22)
+        e = Ensemble.from_states(random_states(rng, 8, modes=2))
+        polys = [random_poly(rng, modes=2, degree=3, terms=5)
+                 for _ in range(3)]
+        for got, p in zip(e.mean(polys), polys):
+            want = sum(w * p.eval(s.point()).real for s, w in e.members)
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_a_zero_mean_is_positive_zero(self):
+        e = Ensemble.pure(state1(0.0, 1.0))
+        [mean] = e.mean([parse_poly("-phi1", {})])
+        assert mean == 0.0 and not math.copysign(1.0, mean) < 0
 
 
 class TestIntegration:
