@@ -142,18 +142,19 @@ def discrepancy_closed_form(ensemble: Ensemble, observable: PolyExpr,
     n = ensemble.modes
     g = observable.promote(n).to_zy()
     h = hamiltonian.promote(n).to_zy()
+    ks = [k for order in range(2, min(g.degree(), h.degree()) + 1)
+          for k in _mode_multi_indices(n, order)]
+    indices = [i for k in ks for i in (k + (0,) * n, (0,) * n + k)]
+    gs, hs = g.partials(indices), h.partials(indices)
     factors, partials = [], []
-    for order in range(2, min(g.degree(), h.degree()) + 1):
-        for k in _mode_multi_indices(n, order):
-            gz, gy, hz, hy = (f.partial(i) for f in (g, h)
-                              for i in (k + (0,) * n, (0,) * n + k))
-            if (gz.is_zero() or hy.is_zero()) and (gy.is_zero() or hz.is_zero()):
-                continue
-            weight = 1.0
-            for e in k:
-                weight /= math.factorial(e)
-            factors.append(weight)
-            partials += [gz, gy, hz, hy]
+    for k, gz, gy, hz, hy in zip(ks, gs[::2], gs[1::2], hs[::2], hs[1::2]):
+        if (gz.is_zero() or hy.is_zero()) and (gy.is_zero() or hz.is_zero()):
+            continue
+        weight = 1.0
+        for e in k:
+            weight /= math.factorial(e)
+        factors.append(weight)
+        partials += [gz, gy, hz, hy]
     sums = []
     for points, weights in ensemble.points("zy"):
         values = eval_rows(partials, points).reshape(-1, 4, len(points))

@@ -18,13 +18,16 @@
 
   over the Hermitian-paired words C_a H_aL H_aR of H_n.  The inner
   commutators close in the word algebra, so rho' is a sum of sandwiches of
-  two words, which MasterTerms compiles once (fock.compile_operator) and
-  master_rhs applies on the flat basis index, one contiguous pass per flat
-  shift, one cache-sized block of output rows at a time; master_rhs adds
-  the adjoint and conserves the trace of any matrix, Hermitian or not,
-  realizable or not.  L = master_rhs is
-  constant and linear, so evolve_density sums e^{tL} rho as one Taylor
-  series in t per span of sample times, exact in t like the Liouville law.
+  two words.  In rho' + rho'^H a sandwich and its adjoint act as one, so
+  MasterTerms holds one sandwich per adjoint pair, of the summed
+  coefficient (0 for exact mates that conserve the number), compiles them
+  once (fock.compile_operator), and master_rhs applies them on the flat
+  basis index, one contiguous pass per flat shift, one cache-sized block
+  of output rows at a time; master_rhs adds the adjoint and conserves the
+  trace of any matrix, Hermitian or not, realizable or not.  L =
+  master_rhs is constant and linear, so evolve_density sums e^{tL} rho as
+  one Taylor series in t per span of sample times, exact in t like the
+  Liouville law.
 
 The two generators agree on the trajectory of a pure classical state only
 in special cases; the discrepancy module quantifies the mismatch.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,6 +66,15 @@ BLOCK_BYTES = 2 ** 18
 _EPS = 2.0 ** -53
 
 
+class _HeldWords(NamedTuple):
+    """Pre words and their coefficients as held, for compile_operator: a
+    NormalFormOperator would drop a merged coefficient at or below
+    poly.DROP_TOL, and the master law keeps every one that is not 0."""
+
+    modes: int
+    terms: dict
+
+
 class MasterTerms:
     """The half F(rho) = rho' of the master law, compiled at one cutoff.
 
@@ -73,13 +85,27 @@ class MasterTerms:
 
         -i C ( |R| a^R rho adag^L + sum_j L_j (adag_j a^R) rho adag^(L-e_j) ),
 
-    sandwiches pre rho post whose post word only creates.  ``groups`` holds
-    one (shift, pad, pres) entry per post word that has a target at the
-    cutoff: the one pass of the post word compiled by itself, and the
-    compiled pre words with the coefficients folded in; one dim-long pad
-    per pass.  Construction also plans master_rhs's row blocks over a
-    workspace of about two dim^2 buffers, allocated once, so one
-    MasterTerms serves one master_rhs call at a time.
+    sandwiches pre rho post whose post word only creates.  Only F(rho) +
+    F(rho^H)^H is ever read, and in it a sandwich X rho Y of coefficient a
+    and one Y^H rho X^H of coefficient b act as X rho Y alone of
+    coefficient a + conj(b), for every rho.  The first sandwich of a word
+    has the first of its mate (R, L) as that adjoint, so each adjoint pair
+    is held once, on the word with |R| > |L| (at |R| = |L|, the larger R),
+    at -iC|R| + i conj(C_mate)|L|; a pair that conserves the number is
+    -i|R| (C - conj(C_mate)), 0 for exact mates, and a word that is its
+    own mate (L = R) keeps |R| Im C.  Only exactly 0 is dropped, so a mate
+    paired to within the pairing tolerance keeps its tiny term and the law
+    is unchanged.  The second sandwiches, whose post word adag^(L-e_j) is
+    the adjoint of no pre word, form no pairs and are held as they are.
+
+    ``sandwiches`` maps each post word to its pre words and their
+    coefficients.  ``groups`` holds one (shift, pad, pres) entry per post
+    word that has a target at the cutoff: the one pass of the post word
+    compiled by itself, and the compiled pre words with the coefficients
+    folded in; one dim-long pad per pass.  Construction also plans
+    master_rhs's row blocks over a workspace of about two dim^2 buffers,
+    allocated once, so one MasterTerms serves one master_rhs call at a
+    time.
     """
 
     def __init__(self, hamiltonian: NormalFormOperator, cutoff: int):
@@ -89,11 +115,19 @@ class MasterTerms:
         self.cutoff = cutoff
         self.dim = check_dimension(n, cutoff)
         zero = (0,) * n
-        rows: dict[tuple, dict] = {}
-        for (create, annih), coeff in sorted(hamiltonian.terms.items()):
-            if sum(annih):
-                rows.setdefault(create, {})[zero, annih] = \
-                    -1j * coeff * sum(annih)
+        words = hamiltonian.terms
+        self.sandwiches = rows = {}
+        for (create, annih), coeff in sorted(words.items()):
+            low, high = sum(create), sum(annih)
+            if create == annih:
+                first = high * coeff.imag
+            elif (high, annih) > (low, create):
+                first = (-1j * coeff * high
+                         + 1j * words[annih, create].conjugate() * low)
+            else:
+                first = 0  # held on the mate
+            if first:
+                rows.setdefault(create, {})[zero, annih] = first
             for j in range(n):
                 if create[j]:
                     ej = tuple(int(k == j) for k in range(n))
@@ -103,12 +137,14 @@ class MasterTerms:
         # a post word that creates past the cutoff compiles to no pass and
         # drops its group
         self.groups = [
-            (shift, pad, compile_operator(NormalFormOperator(n, pres), cutoff))
+            (shift, pad, compile_operator(_HeldWords(n, pres), cutoff))
             for post, pres in rows.items()
             for shift, pad in compile_operator(NormalFormOperator(
                 n, {(post, zero): 1.0}), cutoff).passes]
+        # a post word only creates, so the one at shift 0 is the identity,
+        # whose pad is all ones: its pre passes read the flat copy of rho
         self._plan_blocks([
-            (shift, np.roll(pad, -shift),
+            (shift, np.roll(pad, -shift) if shift else None,
              [(s, p, max(s, 0), self.dim + min(s, 0)) for s, p in pres.passes])
             for shift, pad, pres in self.groups])
 
@@ -118,7 +154,9 @@ class MasterTerms:
         Each group is (shift, rolled post pad, pre passes with their target
         runs lo <= T < hi).  A block of output rows r0 <= T < r1 reads, per
         group, only the window of y rows its passes reach, a <= T - s < b;
-        a group with no pass in the block is skipped.  Each pass adds at
+        a group with no pass in the block is skipped.  The identity post
+        word, whose rolled pad is None, has y = rho: its passes read the
+        flat copy in place, with no window formed.  Each pass adds at
         most ``chunk`` rows, BLOCK_BYTES of them, at a time through the
         scratch.  A block is one chunk unless the windows would average
         more than twice a chunk (mean pre-shift spread over rows), where
@@ -139,9 +177,10 @@ class MasterTerms:
         def rows_of(buffer, lo, hi):
             return buffer[lo * dim:hi * dim].reshape(-1, dim)
 
-        # per block its rows, and per group the window's source in the flat
-        # copy, the rolled pad and the window; per chunk of a pass the pad
-        # column, the window rows it reads, the scratch and its target rows
+        # per block its rows, and per group the window's fill (its source in
+        # the flat copy, the rolled pad and the window, or None); per chunk
+        # of a pass the pad column, the rows of y it reads, the scratch and
+        # its target rows
         self._blocks = []
         for r0 in range(0, dim, rows):
             r1 = min(r0 + rows, dim)
@@ -152,16 +191,19 @@ class MasterTerms:
                          if max(lo, r0) < min(hi, r1)]
                 if not steps:
                     continue
-                a = min(t0 - s for s, _, t0, _ in steps)
-                b = max(t1 - s for s, _, _, t1 in steps)
-                block.append((
-                    rows_of(self._flat[shift:], a, b), rolled,
-                    rows_of(window, 0, b - a),
-                    [(p[c0:c1, None], rows_of(window, c0 - s - a, c1 - s - a),
-                      rows_of(scratch, 0, c1 - c0), c0, c1)
-                     for s, p, t0, t1 in steps
-                     for c0 in range(t0, t1, chunk)
-                     for c1 in [min(c0 + chunk, t1)]]))
+                if rolled is None:
+                    a, read, fill = 0, self._flat, None
+                else:
+                    a = min(t0 - s for s, _, t0, _ in steps)
+                    b = max(t1 - s for s, _, _, t1 in steps)
+                    read, fill = window, (rows_of(self._flat[shift:], a, b),
+                                          rolled, rows_of(window, 0, b - a))
+                block.append((fill, [
+                    (p[c0:c1, None], rows_of(read, c0 - s - a, c1 - s - a),
+                     rows_of(scratch, 0, c1 - c0), c0, c1)
+                    for s, p, t0, t1 in steps
+                    for c0 in range(t0, t1, chunk)
+                    for c1 in [min(c0 + chunk, t1)]]))
             self._blocks.append((r0, r1, block))
 
 
@@ -178,12 +220,13 @@ def master_rhs(rho: np.ndarray, terms: MasterTerms,
     output is filled one row block at a time (MasterTerms), each block from
     only the rows of y its passes read, formed in the workspace of
     ``terms`` from a flat copy of rho times the pad rolled by its shift
-    (the rolled pad is zero where the read wraps to the next row); every
-    cell receives the same products in the same order as from whole
-    matrices.  The map is linear over the complex scalars and traceless on
-    any matrix; a rho equal to its adjoint bit for bit takes F once,
-    allocates nothing but the result, and gives a bitwise Hermitian
-    result.  ``terms`` serves one call at a time.
+    (the rolled pad is zero where the read wraps to the next row), or, for
+    the identity post word, read from the flat copy itself; every cell
+    receives the same products in the same order as from whole matrices.
+    The map is linear over the complex scalars and traceless on any
+    matrix; a rho equal to its adjoint bit for bit takes F once, allocates
+    nothing but the result, and gives a bitwise Hermitian result.
+    ``terms`` serves one call at a time.
     """
     dim = terms.dim
     if rho.shape != (dim, dim):
@@ -209,12 +252,15 @@ def master_rhs(rho: np.ndarray, terms: MasterTerms,
 def _half(terms: MasterTerms, out: np.ndarray) -> np.ndarray:
     """F of the matrix in the flat copy of ``terms``, written into out by
     row blocks: per block, zero its rows, then per group form the window
-    and add each pre pass through the scratch, in group then pass order."""
+    (none for the identity post word) and add each pre pass through the
+    scratch, in group then pass order."""
     multiply = np.multiply
     for r0, r1, block in terms._blocks:
         out[r0:r1] = 0
-        for source, rolled, window, steps in block:
-            multiply(source, rolled, out=window)
+        for fill, steps in block:
+            if fill is not None:
+                source, rolled, window = fill
+                multiply(source, rolled, out=window)
             for pad, rows, scratch, t0, t1 in steps:
                 out[t0:t1] += multiply(pad, rows, out=scratch)
     return out

@@ -293,21 +293,36 @@ class PolyExpr(CanonicalSum):
 
     def partial(self, index: MultiIndex) -> "PolyExpr":
         """Iterated partial derivative; ``index`` spans all 2n variables."""
-        if len(index) != 2 * self.modes:
-            raise ValueError("partial index does not match the chart")
-        out = self
-        terms = out.terms
-        for axis, order in enumerate(index):
-            for _ in range(order):
-                new: dict[MultiIndex, complex] = {}
-                for exps, c in terms.items():
-                    e = exps[axis]
-                    if e == 0:
-                        continue
-                    key = exps[:axis] + (e - 1,) + exps[axis + 1:]
-                    new[key] = new.get(key, 0.0) + c * e
-                terms = new
-        return PolyExpr(self.chart, self.modes, terms)
+        [out] = self.partials([index])
+        return out
+
+    def partials(self, indices) -> list["PolyExpr"]:
+        """The iterated partial derivative at each index, taken one axis
+        step at a time in axis order.  Each index is one step on its last
+        nonzero axis from its parent, the index one lower there, whose terms
+        are derived once per call and kept as that step left them, no small
+        term dropped, so every partial is bit for bit that of its own chain
+        of steps from the polynomial."""
+        n = 2 * self.modes
+        derived: dict[MultiIndex, dict] = {(0,) * n: self.terms}
+
+        def terms_at(index):
+            terms = derived.get(index)
+            if terms is None:
+                axis = n - 1
+                while not index[axis]:
+                    axis -= 1
+                parent = index[:axis] + (index[axis] - 1,) + index[axis + 1:]
+                terms = derived[index] = _axis_step(terms_at(parent), axis)
+            return terms
+
+        out = []
+        for index in indices:
+            if len(index) != n:
+                raise ValueError("partial index does not match the chart")
+            out.append(PolyExpr(self.chart, self.modes,
+                                terms_at(tuple(index))))
+        return out
 
     def eval(self, point: Sequence[complex] | np.ndarray
              ) -> complex | np.ndarray:
@@ -471,6 +486,19 @@ def eval_rows(polys: list[PolyExpr], points: np.ndarray) -> np.ndarray:
             rows.real = np.add.accumulate(re)[-1]
             rows.imag = np.add.accumulate(im)[-1]
     return out
+
+
+def _axis_step(terms: Mapping[MultiIndex, complex],
+               axis: int) -> dict[MultiIndex, complex]:
+    """The terms of one partial derivative along one axis, none dropped."""
+    new: dict[MultiIndex, complex] = {}
+    for exps, c in terms.items():
+        e = exps[axis]
+        if e == 0:
+            continue
+        key = exps[:axis] + (e - 1,) + exps[axis + 1:]
+        new[key] = new.get(key, 0.0) + c * e
+    return new
 
 
 def _parse_var_name(name: str) -> tuple[int, int]:

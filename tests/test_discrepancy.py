@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fockdm import discrepancy, states
+from fockdm import discrepancy, poly, states
 from fockdm.acceptance import equilibrium_check
 from fockdm.algebra import (
     commutator,
@@ -29,7 +29,7 @@ from fockdm.fock import (
     compile_words,
     realize_matrix,
 )
-from fockdm.poly import parse_poly, random_poly
+from fockdm.poly import PolyExpr, parse_poly, random_poly
 from fockdm.states import (
     ClassicalState,
     Ensemble,
@@ -244,6 +244,33 @@ class TestClosedForm:
             g = random_poly(rng, modes=1, degree=4, terms=5)
             value = closed_form(random_state(rng), g, H)
             assert abs(value.imag) <= 1e-10
+
+    def test_partials_are_derived_from_their_parents(self, monkeypatch):
+        # phi1*pi1 against the 12-mode phi^4 chain: each polynomial's 156
+        # second partials in z or y come from its 24 first partials, one
+        # axis step each, 360 steps where every index from the whole
+        # polynomial took 624; no partial is asked for one at a time
+        h = phi4_chain(12)[0]
+        g = parse_poly("phi1*pi1", {}).promote(12)
+        state = ClassicalState([0.3, -0.2, 0.5, 0.1, -0.4, 0.25] * 2,
+                               [0.1, 0.4, -0.3, 0.2, 0.0, -0.15] * 2)
+        want = discrepancy_closed_form(Ensemble.pure(state), g, h)
+        steps, singles = [], []
+        step = poly._axis_step
+
+        def counted(terms, axis):
+            steps.append(axis)
+            return step(terms, axis)
+
+        def single(self, index):
+            singles.append(index)
+            raise AssertionError("a partial taken by itself")
+
+        monkeypatch.setattr(poly, "_axis_step", counted)
+        monkeypatch.setattr(PolyExpr, "partial", single)
+        got = discrepancy_closed_form(Ensemble.pure(state), g, h)
+        assert len(steps) == 2 * (24 + 156) and not singles
+        assert got == want
 
     def test_linearity_in_observable(self):
         rng = np.random.default_rng(21)

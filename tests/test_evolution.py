@@ -35,7 +35,7 @@ from fockdm.fock import (
     interior_block,
     realize_matrix,
 )
-from fockdm.poly import PolyExpr, parse_poly, random_poly
+from fockdm.poly import DROP_TOL, PolyExpr, parse_poly, random_poly
 from fockdm.reify import S_GENERATOR, m_generator
 from fockdm.states import (
     ClassicalState,
@@ -449,11 +449,6 @@ class TestMasterEquation:
         rng = np.random.default_rng(37 + 10 * modes + D)
         zero = (0,) * modes
         merged = 0
-
-        def word(create, annih):
-            op = {(tuple(create), tuple(annih)): 1.0}
-            return realize_matrix(NormalFormOperator(modes, op), D).data
-
         for k in range(4 if D == 3 else 3):
             if k < 3:
                 H = random_normal_operator(rng, modes=modes, degree=2,
@@ -477,24 +472,10 @@ class TestMasterEquation:
                       for j in range(modes) if create[j]}
             merged += len(pairs) - sum(len(pres.passes)
                                        for *_, pres in terms.groups)
-
-            def half(rho):
-                out = np.zeros((dim, dim), dtype=complex)
-                for (create, annih), coeff in H.terms.items():
-                    out += -1j * coeff * sum(annih) * (
-                        word(zero, annih) @ rho @ word(create, zero))
-                    for j in range(modes):
-                        if create[j]:
-                            ej = [int(k == j) for k in range(modes)]
-                            drop = [c - e for c, e in zip(create, ej)]
-                            out += -1j * coeff * create[j] * (
-                                word(ej, annih) @ rho @ word(drop, zero))
-                return out
-
             g = rng.standard_normal((dim, dim)) \
                 + 1j * rng.standard_normal((dim, dim))
             for rho in (g, 0.5 * (g + g.conj().T)):
-                want = half(rho) + half(rho.conj().T).conj().T
+                want = sandwich_oracle(H, D, rho)
                 got = master_rhs(rho, terms)
                 assert np.max(np.abs(got - want)) \
                     <= 1e-12 * np.linalg.norm(rho)
@@ -594,6 +575,164 @@ class TestMasterEquation:
         assert np.isfinite(flux.real) and np.isfinite(flux.imag)
 
 
+def sandwich_oracle(H, D, rho):
+    """F(rho) + F(rho^H)^H with F = rho' assembled from realized words,
+    every sandwich of every word, per word C adag^L a^R
+    -iC (|R| a^R rho adag^L + sum_j L_j adag_j a^R rho adag^(L-e_j)):
+    the law before adjoint pairs are merged."""
+    modes = H.modes
+    zero = (0,) * modes
+
+    def word(create, annih):
+        op = {(tuple(create), tuple(annih)): 1.0}
+        return realize_matrix(NormalFormOperator(modes, op), D).data
+
+    def half(matrix):
+        out = np.zeros_like(matrix, dtype=complex)
+        for (create, annih), coeff in H.terms.items():
+            out += -1j * coeff * sum(annih) * (
+                word(zero, annih) @ matrix @ word(create, zero))
+            for j in range(modes):
+                if create[j]:
+                    ej = [int(k == j) for k in range(modes)]
+                    drop = [c - e for c, e in zip(create, ej)]
+                    out += -1j * coeff * create[j] * (
+                        word(ej, annih) @ matrix @ word(drop, zero))
+        return out
+
+    return half(rho) + half(rho.conj().T).conj().T
+
+
+class TestAdjointPairs:
+    # MasterTerms holds one sandwich per adjoint pair of the half F: in
+    # F(rho) + F(rho^H)^H a sandwich X rho Y of coefficient a and its
+    # adjoint Y^H rho X^H of coefficient b act as X rho Y of a + conj(b)
+    @staticmethod
+    def perturbed(H, rng, size=1e-13):
+        """H with each mate's coefficient moved by size relative, and each
+        self-adjoint word given an imaginary part of that size: inside the
+        pairing tolerance of 1e-12, so the terms accept it."""
+        terms = dict(H.terms)
+        for key, c in H.terms.items():
+            mate = key[::-1]
+            if key == mate:
+                terms[key] = c + 1j * size * abs(c)
+            elif key < mate:
+                kick = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                terms[mate] = c.conjugate() * (1 + size * kick)
+        return NormalFormOperator(H.modes, terms)
+
+    @staticmethod
+    def held(terms):
+        """{(post, pre): coefficient} of every sandwich the terms hold."""
+        return {(post, pre): c for post, pres in terms.sandwiches.items()
+                for pre, c in pres.items()}
+
+    @staticmethod
+    def random_pairs(rng, modes, words=5):
+        """Hermitian-paired words of per-mode degree at most 2 with random
+        complex coefficients, and one number-conserving pair and one
+        self-adjoint word, so that every kind of pair is present."""
+        one = tuple(int(j == 0) for j in range(modes))
+        last = tuple(int(j == modes - 1) for j in range(modes))
+        terms = dict(random_normal_operator(rng, modes=modes, degree=2,
+                                            words=words, dyadic=False).terms)
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        terms[(one, one)] = terms.get((one, one), 0) + abs(c)
+        pair = (tuple(2 * e for e in one), tuple(a + b for a, b in
+                                                  zip(one, last)))
+        if pair[0] != pair[1]:
+            terms[pair] = terms.get(pair, 0) + c
+            terms[pair[::-1]] = terms.get(pair[::-1], 0) + c.conjugate()
+        return NormalFormOperator(modes, terms)
+
+    @pytest.mark.parametrize("modes, D", [(1, 8), (2, 4), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_merged_law_equals_the_unmerged_oracle(self, modes, D, perturb):
+        rng = np.random.default_rng(401 + 10 * modes + D + perturb)
+        dim = D ** modes
+        for _ in range(3):
+            H = self.random_pairs(rng, modes)
+            if perturb:
+                H = self.perturbed(H, rng)
+            terms = MasterTerms(H, D)
+            g = rng.standard_normal((dim, dim)) \
+                + 1j * rng.standard_normal((dim, dim))
+            for rho in (g, 0.5 * (g + g.conj().T)):
+                got = master_rhs(rho, terms)
+                want = sandwich_oracle(H, D, rho)
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-12 * np.linalg.norm(rho)
+
+    @pytest.mark.parametrize("modes, D", [(1, 8), (2, 4), (3, 3)])
+    def test_an_inexact_mate_keeps_its_tiny_term(self, modes, D):
+        # moving the mates of coefficients of about 0.01 by 1e-13 relative
+        # moves the law by the sandwiches that exact mates cancel, with
+        # coefficients below DROP_TOL, where a NormalFormOperator would
+        # drop them; the merged law moves as the oracle does
+        rng = np.random.default_rng(409 + 10 * modes + D)
+        dim = D ** modes
+        for _ in range(3):
+            H = self.random_pairs(rng, modes).scale(0.01)
+            moved = self.perturbed(H, rng)
+            g = rng.standard_normal((dim, dim)) \
+                + 1j * rng.standard_normal((dim, dim))
+            rho = 0.5 * (g + g.conj().T)
+            want = sandwich_oracle(moved, D, rho) - sandwich_oracle(H, D, rho)
+            got = master_rhs(rho, MasterTerms(moved, D)) \
+                - master_rhs(rho, MasterTerms(H, D))
+            assert np.max(np.abs(want)) > 0
+            assert np.max(np.abs(got - want)) <= 1e-2 * np.max(np.abs(want))
+            tiny = [abs(c) for c in self.held(MasterTerms(moved, D)).values()
+                    if abs(c) <= DROP_TOL]
+            assert tiny and min(tiny) > 0
+
+    def test_rotation_invariant_hamiltonian_holds_no_first_sandwich(self):
+        # its words conserve each mode's number and are their own mates
+        # with real coefficients, so every first sandwich a^R rho adag^L
+        # merges to 0; what is left is adag_j a^R rho adag^(L-e_j)
+        H = poly_to_normal_form(parse_poly(
+            "0.5*(pi1^2+pi2^2+phi1^2+phi2^2) + 0.07*(phi1^2+pi1^2)^2"
+            " + 0.03*(phi1^2+pi1^2)*(phi2^2+pi2^2)", {}))
+        terms = MasterTerms(H, 6)
+        held = self.held(terms)
+        assert held and all(sum(pre[0]) == 1 for _, pre in held)
+        rng = np.random.default_rng(419)
+        g = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
+        assert np.max(np.abs(master_rhs(g, terms)
+                             - sandwich_oracle(H, 6, g))) \
+            <= 1e-12 * np.linalg.norm(g)
+
+    def test_benchmark_quartic_compiles_to_23_pre_words_in_19_passes(self):
+        # 32 pre words in 26 passes before the pairs were merged; the nine
+        # post-word groups stay
+        H = poly_to_normal_form(parse_poly(TestMasterSeries.QUARTIC, {}))
+        terms = MasterTerms(H, 16)
+        assert len(terms.groups) == 9
+        assert len(self.held(terms)) == 23
+        assert sum(len(pres.passes) for *_, pres in terms.groups) == 19
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_no_held_sandwich_is_the_adjoint_of_another(self, perturb):
+        # the adjoint of a^R rho adag^L is a^L rho adag^R; that of
+        # adag_j a^R rho adag^(L-e_j) has the post word adag^R a_j, which
+        # annihilates, so it is never held
+        rng = np.random.default_rng(421 + perturb)
+        systems = [poly_to_normal_form(parse_poly(TestMasterSeries.QUARTIC,
+                                                  {}))]
+        systems += [self.random_pairs(rng, modes) for modes in (1, 2, 3)
+                    for _ in range(4)]
+        for H in systems:
+            if perturb:
+                H = self.perturbed(H, rng)
+            held = self.held(MasterTerms(H, 4))
+            zero = (0,) * H.modes
+            for (post, (create, annih)), c in held.items():
+                assert c != 0
+                if create == zero and annih != post:
+                    assert (annih, (zero, post)) not in held
+
+
 def whole_matrix_rhs(rho, terms):
     """master_rhs as it stood before row blocks: per group the whole dim x
     dim y = rho post, then fock.apply of its pre words to all of y, in a
@@ -637,12 +776,11 @@ class TestRowBlocks:
     # y, and adds each pass a chunk of BLOCK_BYTES of rows at a time; every
     # cell must receive the products of the whole-matrix kernel in the same
     # order, so the two agree bit for bit, zero signs included.  dim 256 is
-    # four blocks of one chunk; dim 200 ends in a partial block of 38
-    # rows; at dims 343 and 1024 the windows would average more than twice
-    # a chunk, so each is one block, at 343 of 7 chunks of 47 rows and one
-    # of 14
+    # four blocks of one chunk; dims 200 and 343 end in a partial block, of
+    # 38 and 14 rows; at dim 1024 the windows would average more than twice
+    # a chunk, so it is one block
     @pytest.mark.parametrize("modes, D, blocks", [
-        (1, 8, 1), (2, 3, 1), (2, 16, 4), (1, 200, 3), (3, 7, 1),
+        (1, 8, 1), (2, 3, 1), (2, 16, 4), (1, 200, 3), (3, 7, 8),
         (2, 32, 1)])
     def test_equals_the_whole_matrix_kernel_bit_for_bit(self, modes, D,
                                                         blocks):

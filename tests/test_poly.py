@@ -228,6 +228,62 @@ class TestZyPartial:
             assert approx_eq(left, right, tol=1e-12)
 
 
+class TestPartials:
+    # partials derives each index by one axis step from its parent; the
+    # reference takes every index's whole chain of steps from the
+    # polynomial, in axis order, as partial did on its own
+    @staticmethod
+    def chain(p, index):
+        terms = p.terms
+        for axis, order in enumerate(index):
+            for _ in range(order):
+                new = {}
+                for exps, c in terms.items():
+                    if exps[axis]:
+                        key = exps[:axis] + (exps[axis] - 1,) + exps[axis + 1:]
+                        new[key] = new.get(key, 0.0) + c * exps[axis]
+                terms = new
+        return PolyExpr(p.chart, p.modes, terms)
+
+    @staticmethod
+    def bits(p):
+        return [(k, v.real.hex(), v.imag.hex()) for k, v in p.terms.items()]
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_each_partial_is_its_chain_of_steps_bit_for_bit(self, modes):
+        rng = np.random.default_rng(211 + modes)
+        for _ in range(6):
+            p = random_poly(rng, modes=modes, degree=5, terms=8,
+                            dyadic=False).to_zy()
+            indices = [tuple(int(e) for e in rng.integers(0, 3, 2 * modes))
+                       for _ in range(12)]
+            indices += [tuple(reversed(i)) for i in indices]
+            got = p.partials(indices)
+            for index, partial in zip(indices, got):
+                want = self.chain(p, index)
+                assert self.bits(partial) == self.bits(want)
+                assert self.bits(p.partial(index)) == self.bits(want)
+
+    def test_each_index_costs_one_step(self, monkeypatch):
+        # (2, 1), (2, 0), (1, 0) and (0, 1): four distinct indices below or
+        # at the two asked for, one step each
+        steps = []
+        step = poly._axis_step
+
+        def counted(terms, axis):
+            steps.append(axis)
+            return step(terms, axis)
+
+        monkeypatch.setattr(poly, "_axis_step", counted)
+        p = parse_poly("phi1^3*pi1^2 + phi1*pi1", {})
+        p.partials([(2, 1), (0, 1), (2, 1)])
+        assert sorted(steps) == [0, 0, 1, 1]
+
+    def test_an_index_off_the_chart_is_refused(self):
+        with pytest.raises(ValueError, match="does not match"):
+            parse_poly("phi1*pi1", {}).partials([(1, 0), (1,)])
+
+
 class TestEval:
     def test_product_at_point(self):
         assert parse_poly("phi1*pi1", {}).eval([2.0, 3.0]) == 6.0
