@@ -523,7 +523,8 @@ def run_evolve(config: ExperimentConfig) -> SuiteResult:
 
 
 def run_reify(config: ExperimentConfig) -> SuiteResult:
-    [(state, _)] = config.initial_ensemble.members
+    [phi], [pi] = config.initial_ensemble.phi, config.initial_ensemble.pi
+    state = ClassicalState(phi, pi)
     grid = np.linspace(0.0, math.pi / 4 - config.alpha_margin,
                        config.alpha_points)
     columns = ["alpha", "norm", "cutoff", "residual_a7", "residual_a8",

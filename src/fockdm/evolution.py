@@ -283,7 +283,7 @@ def density_samples(law: str, ensemble: Ensemble,
     """
     dones = [min(start + every, steps) for start in range(0, steps, every)]
     if law == "liouville":
-        if len(ensemble.members) > check_dimension(ensemble.modes, cutoff):
+        if ensemble.size > check_dimension(ensemble.modes, cutoff):
             # folded once to dim columns, never holding dim x r
             weights, vectors = np.linalg.eigh(
                 ensemble_density(ensemble, cutoff).data)

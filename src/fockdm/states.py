@@ -7,13 +7,14 @@ multimode coherent vector with per-mode amplitude z_j = (phi_j + i pi_j)/sqrt2:
 
 so a_j w = z_j w.  The moment matrix of an ensemble is the weighted sum of
 the rank-one projectors w w^H; such matrices are Hermitian, PSD and
-unit-trace (physically realizable).  Members become Fock data in two
-places.  ``Ensemble.member_blocks`` yields MemberBlocks of W diag(p) W^H,
-one vector w per column of W, at most dim members each; a dense
-``FockMatrix`` is the sum of their ``dense`` products.
-``Ensemble.product_members``, which the flux suites read, keeps w as its
-factors: each member's coherent column on each mode, built for a chunk of
-members by one recurrence, so no D^n vector is formed.  Everything here is
+unit-trace (physically realizable).  An ``Ensemble`` holds its members as
+read-only arrays.  One recurrence, ``_coherent_columns``, builds their
+per-mode coherent columns a chunk of members at a time, and both Fock
+encodings read them.  ``Ensemble.member_blocks`` yields MemberBlocks of
+W diag(p) W^H, each column w of W the Kronecker product of a member's
+columns, at most dim members each; a dense ``FockMatrix`` is the sum of
+their ``dense`` products.  ``Ensemble.product_members``, which the flux
+suites read, keeps w as its factors, so no D^n vector is formed.  Both are
 exact up to ladder truncation, which is kept quantitative by the amplitude
 guard |z_j|^2 <= cutoff/4.
 
@@ -91,64 +92,69 @@ class ClassicalState:
         return np.concatenate([self.phi, self.pi])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Finite weighted collection of classical states; weights sum to 1."""
+    """Finite weighted collection of classical states, held as read-only
+    (members, n) phi and pi arrays and (members,) weights that sum to 1."""
 
-    members: tuple[tuple[ClassicalState, float], ...]
+    phi: np.ndarray
+    pi: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        members = tuple((s, float(w)) for s, w in self.members)
-        if not members:
+        try:
+            phi, pi = (np.array(a, dtype=float) for a in (self.phi, self.pi))
+        except ValueError as err:  # rows of unequal length
+            raise ValueError("all members must share the mode count") from err
+        weights = np.array(self.weights, dtype=float)
+        if not weights.size:
             raise ValueError("ensemble needs at least one member")
-        if not all(w > 0 for _, w in members):  # nan is not positive
+        if (phi.ndim != 2 or not phi.shape[1] or pi.shape != phi.shape
+                or weights.shape != phi.shape[:1]):
+            raise ValueError("phi and pi must be nonempty (members, modes) "
+                             "arrays of equal shape, one weight per member")
+        if not (np.isfinite(phi).all() and np.isfinite(pi).all()):
+            raise ValueError("state entries must be finite")
+        if not (weights > 0).all():  # nan is not positive
             raise ValueError("weights must be positive")
-        total = math.fsum(w for _, w in members)
+        total = math.fsum(weights.tolist())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
-        n = members[0][0].modes
-        if any(s.modes != n for s, _ in members):
-            raise ValueError("all members must share the mode count")
-        object.__setattr__(self, "members", members)
+        for name, value in (("phi", phi), ("pi", pi), ("weights", weights)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def modes(self) -> int:
-        return self.members[0][0].modes
+        return self.phi.shape[1]
 
-    def _chunks(self, size: int) -> Iterator[tuple[np.ndarray, ...]]:
-        """The (members, n) phi and pi and the weights of at most size
-        members at a time, in order."""
-        for start in range(0, len(self.members), size):
-            chunk = self.members[start:start + size]
-            yield (np.array([s.phi for s, _ in chunk]),
-                   np.array([s.pi for s, _ in chunk]),
-                   np.array([w for _, w in chunk]))
+    @property
+    def size(self) -> int:
+        return self.weights.size
 
     @classmethod
     def pure(cls, state: ClassicalState) -> "Ensemble":
-        return cls(((state, 1.0),))
+        return cls(state.phi[None], state.pi[None], [1.0])
 
     @classmethod
     def from_states(cls, states: Iterable[ClassicalState],
                     weights: Iterable[float] | None = None) -> "Ensemble":
         states = list(states)
-        if weights is None:
-            weights = [1.0 / len(states)] * len(states)
-        return cls(tuple(zip(states, weights)))
+        n = len(states)
+        weights = list([1.0 / max(n, 1)] * n if weights is None else weights)
+        if len(weights) != n:
+            raise ValueError(f"{n} states and {len(weights)} weights")
+        return cls([s.phi for s in states], [s.pi for s in states], weights)
 
     @classmethod
     def phase_circle(cls, radius: float, points: int,
                      modes: int = 1) -> "Ensemble":
         """Equally weighted states on a circle in mode 1's (phi, pi) plane."""
-        states = []
-        for k in range(points):
-            theta = 2 * math.pi * k / points
-            phi = np.zeros(modes)
-            pi = np.zeros(modes)
-            phi[0] = radius * math.cos(theta)
-            pi[0] = radius * math.sin(theta)
-            states.append(ClassicalState(phi, pi))
-        return cls.from_states(states)
+        phi, pi = np.zeros((2, points, modes))
+        thetas = [2 * math.pi * k / points for k in range(points)]
+        phi[:, 0] = [radius * math.cos(theta) for theta in thetas]
+        pi[:, 0] = [radius * math.sin(theta) for theta in thetas]
+        return cls(phi, pi, [1.0 / points] * points)
 
     def points(self, chart: str = "phipi"
                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -156,11 +162,13 @@ class Ensemble:
         row laid out as ``ClassicalState.point`` or, in the zy chart, as
         (z, conj z), and their weights, at most POINT_ROWS members a
         chunk, in order."""
-        for phi, pi, weights in self._chunks(POINT_ROWS):
+        for start in range(0, self.size, POINT_ROWS):
+            rows = slice(start, start + POINT_ROWS)
+            phi, pi = self.phi[rows], self.pi[rows]
             if chart == "zy":
                 z = (phi + 1j * pi) / _SQRT2
                 phi, pi = z, np.conj(z)
-            yield np.concatenate([phi, pi], axis=1), weights
+            yield np.concatenate([phi, pi], axis=1), self.weights[rows]
 
     def mean(self, polys: list[PolyExpr]) -> list[float]:
         """The weighted mean over the members of the real part of each
@@ -174,15 +182,19 @@ class Ensemble:
 
     def member_blocks(self, cutoff: int) -> Iterator[MemberBlock]:
         """The members as MemberBlocks of at most dim members each, in
-        order: one pseudo-wavefunction column of W per member, its weight
-        in p.  Nothing wider than dim x dim is held at once."""
+        order: one pseudo-wavefunction column of W per member, the product
+        over the modes of its ``_coherent_columns``, mode 1 slowest (as
+        ``np.kron`` orders it), and its weight in p.  Nothing wider than
+        dim x dim is held at once."""
         dim = check_dimension(self.modes, cutoff)
-        for start in range(0, len(self.members), dim):
-            chunk = self.members[start:start + dim]
-            vectors = np.stack([pseudo_wavefunction(state, cutoff)
-                                for state, _ in chunk], axis=1)
-            yield MemberBlock(self.modes, cutoff, vectors,
-                              np.array([weight for _, weight in chunk]))
+        for start in range(0, self.size, dim):
+            rows = slice(start, start + dim)
+            z = (self.phi[rows] + 1j * self.pi[rows]) / _SQRT2
+            columns = _coherent_columns(z, cutoff)
+            w = columns[0]
+            for column in columns[1:]:
+                w = (w[:, None] * column).reshape(-1, w.shape[1])
+            yield MemberBlock(self.modes, cutoff, w, self.weights[rows])
 
     def product_members(self, cutoff: int,
                         degree: int) -> Iterator[ProductMembers]:
@@ -192,13 +204,16 @@ class Ensemble:
         chunk.  Nothing of size D^n is formed."""
         check_dimension(1, cutoff)
         size = max(1, PRODUCT_BYTES // (16 * self.modes * cutoff))
-        for phi, pi, weights in self._chunks(size):
+        for start in range(0, self.size, size):
+            rows = slice(start, start + size)
+            z = (self.phi[rows] + 1j * self.pi[rows]) / _SQRT2
             yield ProductMembers(self.modes, cutoff, _coherent_columns(
-                (phi + 1j * pi) / _SQRT2, cutoff), weights, degree)
+                z, cutoff), self.weights[rows], degree)
 
 
 def pseudo_wavefunction(state: ClassicalState, cutoff: int) -> np.ndarray:
-    """Coherent encoding of a pure classical state in the number basis.
+    """Coherent encoding of a pure classical state in the number basis: the
+    one column of its pure ensemble's member block.
 
     Amplitudes are prod_j z_j^{k_j} e^{-|z_j|^2/2} / sqrt(k_j!), built by the
     stable recurrence v_k = v_{k-1} z / sqrt(k).  The guard |z_j|^2 <= D/4
@@ -206,43 +221,24 @@ def pseudo_wavefunction(state: ClassicalState, cutoff: int) -> np.ndarray:
     it is 1.9e-2, 1.1e-3, 4.9e-6, 2.5e-8, 1.3e-10, 4e-15 and 1.4e-19 per
     mode at D = 4, 8, 16, 24, 32, 48 and 64.
     """
-    check_dimension(state.modes, cutoff)
-    data = None
-    for j, zj in enumerate(state.z):
-        col = _coherent_column(j, zj, cutoff)
-        data = col if data is None else np.kron(data, col)
-    return data
-
-
-def _coherent_column(mode: int, amp: complex, cutoff: int) -> np.ndarray:
-    """amp^k e^{-|amp|^2/2} / sqrt(k!) for k < cutoff, guarded by |amp|^2 <= D/4,
-    taken as |amp| <= sqrt(D/4) so that no amp past the guard is squared."""
-    size = abs(amp)
-    if size > math.sqrt(cutoff / 4):
-        raise AmplitudeOverflowError(mode, size, cutoff)
-    amp2 = size ** 2
-    col = np.zeros(cutoff, dtype=complex)
-    col[0] = 1.0
-    for k in range(1, cutoff):
-        col[k] = col[k - 1] * amp / math.sqrt(k)
-    col *= math.exp(-amp2 / 2)
-    return col
+    [block] = Ensemble.pure(state).member_blocks(cutoff)
+    return block.vectors[:, 0]
 
 
 def _coherent_columns(z: np.ndarray, cutoff: int) -> np.ndarray:
-    """The (modes, D, members) coherent columns of the (members, modes)
-    amplitudes z under ``_coherent_column``'s guard, which names the mode
-    of the first amplitude past it in member order: its recurrence
-    v_k = v_{k-1} z / sqrt(k) as one running product over k for all of
-    them, so a last bit may differ from it."""
+    """The (modes, D, members) coherent columns z^k e^{-|z|^2/2} / sqrt(k!),
+    k < D, of the (members, modes) amplitudes z: v_k = v_{k-1} z / sqrt(k)
+    as one running product over k for all of them, under the guard
+    |z| <= sqrt(D/4), so that no amplitude past it is squared; the first one
+    past it in member order is named by its mode."""
     size = np.abs(z)
-    over = np.argwhere(size > math.sqrt(cutoff / 4))
-    if over.size:
-        member, mode = over[0]
+    over = size > math.sqrt(cutoff / 4)
+    if over.any():
+        member, mode = np.argwhere(over)[0]
         raise AmplitudeOverflowError(int(mode), float(size[member, mode]),
                                      cutoff)
     steps = np.ones((z.shape[1], cutoff, z.shape[0]), complex)
-    steps[:, 1:] = z.T[:, None] / np.sqrt(np.arange(1, cutoff))[:, None]
+    steps[:, 1:] = z.T[:, None] / np.sqrt(np.arange(1.0, cutoff))[:, None]
     return np.cumprod(steps, axis=1) * np.exp(-size.T ** 2 / 2)[:, None]
 
 

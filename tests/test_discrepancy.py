@@ -317,7 +317,8 @@ class TestEnsembleDiscrepancy:
         e = Ensemble.phase_circle(1.0, 16)
         g, H = parse_poly("phi1*pi1", {}), oscillator(2.0)
         [row] = ensemble_fluxes(e, H, [g], 32)
-        closed = sum(w * closed_form(s, g, H) for s, w in e.members)
+        closed = sum(w * closed_form(ClassicalState(phi, pi), g, H)
+                     for phi, pi, w in zip(e.phi, e.pi, e.weights))
         assert abs(row.direct - (-0.5)) <= 1e-8
         assert abs(closed - (-0.5)) <= 1e-12
 
@@ -328,7 +329,8 @@ class TestEnsembleDiscrepancy:
         g = random_poly(rng, modes=2, degree=4, terms=6)
         e = Ensemble.from_states([random_state(rng, modes=2)
                                   for _ in range(3)], [0.2, 0.3, 0.5])
-        want = sum(w * closed_form(s, g, H) for s, w in e.members)
+        want = sum(w * closed_form(ClassicalState(phi, pi), g, H)
+                   for phi, pi, w in zip(e.phi, e.pi, e.weights))
         assert abs(discrepancy_closed_form(e, g, H) - want) <= 1e-14
         [row] = ensemble_fluxes(e, H, [g], 16)
         assert abs(row.direct - want) <= 1e-8

@@ -17,7 +17,10 @@ reads product members one mode at a time: nothing reached from
 ensemble_fluxes forms a member's D^n vector or reads a member block, and
 its classical side reads the members a chunk at a time: no polynomial is
 evaluated once per member.  A commutator is summed in one pass over its
-word pairs, never as the difference of two operator products.
+word pairs, never as the difference of two operator products.  One
+routine, states._coherent_columns, builds every coherent column, for the
+member blocks and the product members alike, and an ensemble's methods
+read its member arrays without turning them back into states.
 fock.apply walks the passes for reification, for criterion 1 and for the
 Chebyshev route of fock.propagate, which also reads them for its
 Gershgorin bounds (fock.gershgorin); only two functions outside fock read
@@ -35,6 +38,7 @@ class and every method or property has a caller in the package, apart
 from the definitions in UNCALLED, each kept for a stated reason."""
 
 import ast
+import re
 import types
 from collections import Counter
 from pathlib import Path
@@ -462,3 +466,39 @@ def test_validate_names_no_suite_outside_the_field_table():
             assert not {e.value for e in node.elts
                         if isinstance(e, ast.Constant)} & set(EXPERIMENTS), \
                 ast.unparse(node)
+
+
+# one routine builds every coherent column: the vector route's member
+# blocks (and so pseudo_wavefunction) and the flux route's product members
+# both take theirs from _coherent_columns, and no Ensemble method turns its
+# arrays back into per-member states
+def test_one_coherent_column_builder(monkeypatch):
+    calls = Counter()
+    build = states._coherent_columns
+
+    def spy(z, cutoff):
+        calls["columns"] += 1
+        return build(z, cutoff)
+
+    monkeypatch.setattr(states, "_coherent_columns", spy)
+    e = Ensemble.phase_circle(0.8, 5, modes=2)
+    for read in (lambda: states.pseudo_wavefunction(
+                     states.ClassicalState([0.1, 0.2], [0.3, 0.0]), 8),
+                 lambda: list(e.member_blocks(8)),
+                 lambda: list(e.product_members(8, 2))):
+        calls.clear()
+        read()
+        assert calls["columns"] == 1
+    assert not hasattr(states, "_coherent_column")
+    assert not any(re.search(r"\b_coherent_column\b",
+                             (PACKAGE / f"{module}.py").read_text())
+                   for module in STACK)
+
+
+def test_no_ensemble_method_builds_a_classical_state():
+    defs, _ = functions()
+    methods = [key for key in defs if key[:2] == ("states", "Ensemble")]
+    assert ("states", "Ensemble", "member_blocks") in methods
+    for method in methods:
+        assert ("states", "ClassicalState", "__post_init__") \
+            not in reached(method), method

@@ -1,9 +1,13 @@
+import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fockdm.algebra import NormalFormOperator, commutator, poly_to_normal_form
+from fockdm.cli import ExperimentConfig
 from fockdm.fock import DimensionCapError, FockMatrix, realize_matrix
 from fockdm import states
 from fockdm.poly import PolyExpr, parse_poly, random_poly
@@ -39,6 +43,12 @@ def assert_physically_realizable(rho):
     assert np.max(np.abs(rho.data - rho.data.conj().T)) <= 1e-12
     assert abs(rho.trace() - 1.0) <= 1e-10
     assert np.linalg.eigvalsh(rho.data).min() >= -1e-10
+
+
+def members(ensemble):
+    """Each member of an ensemble as its state and its weight."""
+    return [(ClassicalState(phi, pi), w) for phi, pi, w
+            in zip(ensemble.phi, ensemble.pi, ensemble.weights)]
 
 
 def random_states(rng, count, modes=1, scale=1.0):
@@ -160,24 +170,24 @@ class TestEnsembleDensity:
 
     def test_weights_must_normalize(self):
         with pytest.raises(ValueError, match="sum"):
-            Ensemble(((state1(0, 0), 0.4), (state1(1, 0), 0.4)))
+            Ensemble.from_states([state1(0, 0), state1(1, 0)], [0.4, 0.4])
 
     @pytest.mark.parametrize("w", [-0.5, 0.0, math.nan])
     def test_weights_must_be_positive(self, w):
         with pytest.raises(ValueError, match="positive"):
-            Ensemble(((state1(0, 0), w), (state1(1, 0), 1.0)))
+            Ensemble.from_states([state1(0, 0), state1(1, 0)], [w, 1.0])
 
     def test_many_equal_weights_sum_to_one(self):
         # 1/N added N times drifts by ~1e-12 at this N; fsum does not
         ens = Ensemble.from_states([state1(0.3, 0.1)] * 39810)
-        assert len(ens.members) == 39810
+        assert ens.size == 39810
 
     def test_affine_in_weights_and_psd_under_mixing(self):
         s1, s2, s3 = state1(0.7, 0.1), state1(-0.4, 0.6), state1(0.0, -0.9)
-        a = Ensemble(((s1, 0.5), (s2, 0.5)))
-        b = Ensemble(((s2, 0.25), (s3, 0.75)))
-        mixed = Ensemble(((s1, 0.3 * 0.5), (s2, 0.3 * 0.5 + 0.7 * 0.25),
-                          (s3, 0.7 * 0.75)))
+        a = Ensemble.from_states([s1, s2], [0.5, 0.5])
+        b = Ensemble.from_states([s2, s3], [0.25, 0.75])
+        mixed = Ensemble.from_states(
+            [s1, s2, s3], [0.3 * 0.5, 0.3 * 0.5 + 0.7 * 0.25, 0.7 * 0.75])
         lhs = ensemble_density(mixed, 24).data
         rhs = 0.3 * ensemble_density(a, 24).data + 0.7 * ensemble_density(b, 24).data
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
@@ -202,7 +212,7 @@ class TestEnsembleDensity:
         rho = ensemble_density(e, D).data
         assert widths == [(D, D), (D, D), (D, 3)]
         oracle = 0
-        for state, weight in e.members:
+        for state, weight in members(e):
             w = pseudo_wavefunction(state, D)
             oracle = oracle + weight * np.outer(w, w.conj())
         assert np.max(np.abs(rho - oracle)) <= 1e-15
@@ -223,6 +233,103 @@ class TestMemberMatrix:
             assert np.array_equal(column, pseudo_wavefunction(state, 6))
         rho = (vectors * weights) @ vectors.conj().T
         assert np.max(np.abs(rho - ensemble_density(e, 6).data)) <= 1e-15
+
+
+class TestEnsembleArrays:
+    def test_fields_are_the_member_arrays(self):
+        e = Ensemble.from_states([state1(0.5, 0.1), state1(-0.2, 0.4)],
+                                 [0.25, 0.75])
+        assert [f.name for f in dataclasses.fields(Ensemble)] \
+            == ["phi", "pi", "weights"]
+        assert (e.size, e.modes) == (2, 1)
+        assert e.phi.tolist() == [[0.5], [-0.2]]
+        assert e.pi.tolist() == [[0.1], [0.4]]
+        assert e.weights.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("phi, pi, weights, match", [
+        (np.zeros((0, 1)), np.zeros((0, 1)), [], "at least one member"),
+        ([[0.0], [0.0, 1.0]], [[0.0], [0.0, 1.0]], [0.5, 0.5],
+         "share the mode count"),
+        ([[0.0], [1.0]], [[0.0, 1.0], [0.0, 1.0]], [0.5, 0.5],
+         "equal shape"),
+        ([0.0, 1.0], [0.0, 1.0], [0.5, 0.5], "equal shape"),
+        (np.zeros((2, 0)), np.zeros((2, 0)), [0.5, 0.5], "equal shape"),
+        ([[0.0], [1.0]], [[0.0], [1.0]], [0.5, 0.25, 0.25], "equal shape"),
+        ([[0.0], [1.0]], [[0.0], [1.0]], [[0.5, 0.5]], "equal shape"),
+        ([[0.0], [math.nan]], [[0.0], [1.0]], [0.5, 0.5], "finite"),
+        ([[0.0], [1.0]], [[math.inf], [1.0]], [0.5, 0.5], "finite"),
+        ([[0.0], [1.0]], [[0.0], [1.0]], [1.5, -0.5], "positive"),
+        ([[0.0], [1.0]], [[0.0], [1.0]], [1.0, 0.0], "positive"),
+        ([[0.0], [1.0]], [[0.0], [1.0]], [1.0, math.nan], "positive"),
+        ([[0.0], [1.0]], [[0.0], [1.0]], [0.5, 0.25], "sum"),
+    ])
+    def test_refusals(self, phi, pi, weights, match):
+        with pytest.raises(ValueError, match=match):
+            Ensemble(phi, pi, weights)
+
+    @pytest.mark.parametrize("members, weights, match", [
+        ([], None, "at least one member"),
+        ([state1(0, 0), ClassicalState(np.zeros(2), np.zeros(2))], None,
+         "share the mode count"),
+        ([state1(0, 0), state1(1, 0), state1(0, 1)], [0.5, 0.5],
+         "3 states and 2 weights"),
+    ])
+    def test_from_states_refusals(self, members, weights, match):
+        with pytest.raises(ValueError, match=match):
+            Ensemble.from_states(members, weights)
+
+    def test_arrays_are_read_only_copies(self):
+        phi, pi = np.array([[0.5], [0.1]]), np.array([[0.0], [0.3]])
+        weights = np.array([0.5, 0.5])
+        e = Ensemble(phi, pi, weights)
+        phi[0, 0] = pi[0, 0] = weights[0] = 0.9
+        assert (e.phi[0, 0], e.pi[0, 0], e.weights[0]) == (0.5, 0.0, 0.5)
+        for array in (e.phi, e.pi, e.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("radius, points, modes",
+                             [(1.0, 64, 1), (0.7, 7, 3), (1.3, 1000, 2)])
+    def test_phase_circle_rows(self, radius, points, modes):
+        e = Ensemble.phase_circle(radius, points, modes)
+        assert e.phi.shape == e.pi.shape == (points, modes)
+        for k in range(points):
+            theta = 2 * math.pi * k / points
+            assert e.phi[k, 0] == radius * math.cos(theta)
+            assert e.pi[k, 0] == radius * math.sin(theta)
+        assert not e.phi[:, 1:].any() and not e.pi[:, 1:].any()
+        assert e.weights.tolist() == [1.0 / points] * points
+
+    @pytest.mark.parametrize("modes, cutoff", [(1, 12), (2, 6), (3, 4)])
+    def test_both_routes_read_one_encoding(self, modes, cutoff):
+        # each member block column is the Kronecker product, mode 1
+        # slowest, of the same member's per-mode product columns
+        rng = np.random.default_rng(40 + modes)
+        e = Ensemble.from_states(random_states(rng, 5, modes=modes,
+                                               scale=0.8))
+        [block] = e.member_blocks(cutoff)
+        [product] = e.product_members(cutoff, 2)
+        assert np.array_equal(block.weights, product.weights)
+        for k, column in enumerate(block.vectors.T):
+            want = product.columns[0, :, k]
+            for j in range(1, modes):
+                want = np.kron(want, product.columns[j, :, k])
+            assert np.array_equal(column, want)
+
+    def test_a_large_phase_circle_loads_small(self):
+        # 1e5 members held as arrays: 2.4 MB of phi, pi and weights
+        spec = {"experiment": "iee", "cutoff": 16,
+                "ensemble": {"kind": "phase_circle", "radius": 1,
+                             "points": 100000}}
+        gc.collect()
+        tracemalloc.start()
+        try:
+            config = ExperimentConfig.from_json(spec)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 2 ** 20
+        assert config.initial_ensemble.size == 100000
 
 
 class TestHamiltonRhs:
@@ -304,13 +411,13 @@ class TestEnsemblePoints:
             chunks = list(e.points(chart))
             assert [len(w) for _, w in chunks] == [2, 2, 1]
             rows = np.vstack([p for p, _ in chunks])
-            for row, (s, w) in zip(rows, e.members):
+            for row, (s, w) in zip(rows, members(e)):
                 z = s.z
                 want = (s.point() if chart == "phipi"
                         else np.concatenate([z, np.conj(z)]))
                 assert np.array_equal(row, want)
             assert np.array_equal(np.concatenate([w for _, w in chunks]),
-                                  [w for _, w in e.members])
+                                  e.weights)
 
     def test_mean_is_the_weighted_sum_over_members(self, monkeypatch):
         monkeypatch.setattr(states, "POINT_ROWS", 3)
@@ -319,7 +426,7 @@ class TestEnsemblePoints:
         polys = [random_poly(rng, modes=2, degree=3, terms=5)
                  for _ in range(3)]
         for got, p in zip(e.mean(polys), polys):
-            want = sum(w * p.eval(s.point()).real for s, w in e.members)
+            want = sum(w * p.eval(s.point()).real for s, w in members(e))
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
     def test_a_zero_mean_is_positive_zero(self):
@@ -358,10 +465,11 @@ class TestIntegration:
         # the oscillator each amplitude turns as z(t) = z(0) e^{-it}
         H = parse_poly("0.5*pi1^2 + 0.5*phi1^2", {})
         e = Ensemble.phase_circle(0.5, 8)
-        out = Ensemble(tuple((integrate_state(H, s, 0.25, 1e-3), w)
-                             for s, w in e.members))
-        assert [w for _, w in out.members] == [w for _, w in e.members]
-        for (s0, _), (s1, _) in zip(e.members, out.members):
+        out = Ensemble.from_states(
+            [integrate_state(H, s, 0.25, 1e-3) for s, _ in members(e)],
+            e.weights)
+        assert out.weights.tolist() == e.weights.tolist()
+        for (s0, _), (s1, _) in zip(members(e), members(out)):
             assert abs(s1.z[0] - s0.z[0] * np.exp(-0.25j)) <= 1e-10
 
     def test_non_multiple_duration_rejected(self):
@@ -396,7 +504,7 @@ class TestExpectation:
     def test_mixture_linearity(self):
         g = parse_poly("phi1*pi1 + 0.3*phi1^2", {})
         s1, s2 = state1(0.8, 0.1), state1(-0.3, 0.5)
-        e = Ensemble(((s1, 0.3), (s2, 0.7)))
+        e = Ensemble.from_states([s1, s2], [0.3, 0.7])
         mixed = expectation(ensemble_density(e, 24), g)
         split = 0.3 * expectation(pure_density(s1, 24), g) \
             + 0.7 * expectation(pure_density(s2, 24), g)
